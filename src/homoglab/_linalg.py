@@ -15,11 +15,21 @@ def null_space(A: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
     n = A.shape[1]
     if A.size == 0:
         return np.eye(n)
-    u, s, vh = np.linalg.svd(A)
+    # only V^H is read: a tall A skips its full U, a wide A keeps its full V^H
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
     rank = int(np.sum(s > rel_cutoff * s[0]))
     return vh[rank:].conj().T
+
+
+def _vec(E: np.ndarray) -> np.ndarray:
+    """Real coordinate vector of a real or complex array (real parts, then
+    imaginary parts)."""
+    E = np.asarray(E)
+    if np.iscomplexobj(E):
+        return np.concatenate([E.real.ravel(), E.imag.ravel()])
+    return E.ravel()
 
 
 def rank_rel(A: np.ndarray, rel_cutoff: float = 1e-8) -> int:
@@ -59,15 +69,3 @@ def gram_schmidt(vectors, inner, tol: float = 1e-10):
         if nrm > tol:
             basis.append(w / nrm)
     return basis
-
-
-def coordinates(X: np.ndarray, basis, inner) -> np.ndarray:
-    """Coordinates of X in an orthonormal basis."""
-    return np.array([inner(b, X) for b in basis])
-
-
-def from_coordinates(coords, basis) -> np.ndarray:
-    out = np.zeros_like(basis[0], dtype=np.result_type(basis[0], float))
-    for c, b in zip(coords, basis):
-        out = out + c * b
-    return out

@@ -400,6 +400,8 @@ def _cmd_check_killing(args, rng):
         )
         return inputs, tolerances, evidence, verdict
     if args.space == "so5-so3":
+        if args.directions < 1:
+            raise InvalidParameter("--directions must be >= 1")
         space = so5_so3_space()
         gaps = []
         for _ in range(args.directions):
@@ -490,6 +492,8 @@ def _cmd_catalog(args, rng):
 
 def _cmd_probe_noncompact(args, rng):
     motions = args.motions
+    if motions < 1:
+        raise InvalidParameter("--motions must be >= 1")
     # euclidean: exact boundedness verdict vs "rotation part is the identity"
     agree = 0
     for k in range(motions):

@@ -22,8 +22,8 @@ from .errors import (
     NonOrthogonalInput,
     NonUnitPoint,
     NotClifford,
-    NotClosed,
 )
+from .finite_groups import cayley_table
 from .profiles import DisplacementProfile
 
 _ORTHO_TOL = 1e-10
@@ -85,26 +85,24 @@ class FreenessResult:
     offender: int | None = None
 
 
-def is_free_on_sphere(group, tol: float = 1e-9) -> FreenessResult:
+def is_free_on_sphere(group, tol: float = 1e-9, *, table=None) -> FreenessResult:
     """True when no non-identity element of the (closed) list fixes a point,
-    i.e. no eigenvalue lies within tol of +1."""
-    mats = [check_orthogonal(g) for g in group]
-    n = mats[0].shape[0]
-    arr = np.stack(mats)
-    # closure check: every pairwise product must be in the list
-    prods = np.einsum("aij,bjk->abik", arr, arr).reshape(-1, n, n)
-    flat = arr.reshape(len(mats), -1)
-    for chunk in np.array_split(prods.reshape(-1, n * n), max(1, len(prods) // 512)):
-        d = np.abs(chunk[:, None, :] - flat[None, :, :]).max(axis=2).min(axis=1)
-        if np.max(d) > tol:
-            raise NotClosed("element list is not closed under products")
-    eye = np.eye(n)
-    for idx, m in enumerate(mats):
-        if np.max(np.abs(m - eye)) <= tol:
-            continue
-        ev = np.linalg.eigvals(m)
-        if np.min(np.abs(ev - 1.0)) <= tol:
-            return FreenessResult(False, idx)
+    i.e. no eigenvalue lies within tol of +1; the offender is the first such
+    element in list order.
+
+    Closure is checked by building the Cayley table at ``tol`` (NotClosed when
+    a product is missing) unless the caller passes the list's ``table``.
+    """
+    arr = np.stack([check_orthogonal(g) for g in group])
+    if table is None:
+        cayley_table(arr, tol)
+    n = arr.shape[1]
+    moving = np.nonzero(np.max(np.abs(arr - np.eye(n)), axis=(1, 2)) > tol)[0]
+    if moving.size:
+        ev = np.linalg.eigvals(arr[moving])
+        fixing = moving[np.min(np.abs(ev - 1.0), axis=1) <= tol]
+        if fixing.size:
+            return FreenessResult(False, int(fixing[0]))
     return FreenessResult(True, None)
 
 

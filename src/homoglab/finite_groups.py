@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     ClosureExceedsLimit,
@@ -31,6 +30,7 @@ from .errors import (
 )
 
 _DEDUP_TOL = 1e-9
+_TABLE_BLOCK = 1 << 20  # score entries per Cayley-table block (8 MB)
 _UNIT_TOL = 1e-10
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -223,26 +223,50 @@ class FiniteQuaternionGroup:
         return idx if d[idx] <= tol else -1
 
     def multiplication_table(self) -> np.ndarray:
-        """table[i, j] = index of elements[i] * elements[j]; exact integers."""
-        if self._table is not None:
-            return self._table
-        n = self.order
-        prods = np.empty((n * n, 4))
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                prods[i * n + j] = (a * b).to_array()
-        tree = cKDTree(self._coords)
-        dist, idx = tree.query(prods, k=1)
-        if np.max(dist) > 1e-6:
-            raise NotClosed(
-                f"products stray {np.max(dist):.2e} from the element set"
-            )
-        self._table = idx.reshape(n, n).astype(np.int64)
+        """table[i, j] = index of elements[i] * elements[j]; exact integers.
+
+        q -> L(q) is a homomorphism whose entries are +-q's coordinates, so
+        the Cayley table of the left-translation matrices is this table, and
+        their max-abs entry distance is that of the quaternions.
+        """
+        if self._table is None:
+            mats = np.stack([left_translation_matrix(q) for q in self.elements])
+            self._table = cayley_table(mats, 1e-6)
         return self._table
 
 
 # ---------------------------------------------------------------------------
 # exact computations on multiplication tables
+
+
+def cayley_table(mats, tol: float) -> np.ndarray:
+    """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real square
+    matrices.
+
+    The products come from batched matmuls and each product's nearest element
+    from a GEMM, through |P - C|^2 = |P|^2 - 2<P, C> + |C|^2 (|P|^2 is the same
+    for every candidate C, so the search drops it; nothing assumes the
+    matrices are orthogonal).  Every match is then confirmed by its max-abs
+    entry distance; NotClosed is raised when one exceeds ``tol``.  Rows go in
+    blocks of left factors, so a score block holds about ``_TABLE_BLOCK``
+    entries (at least k^2) instead of k^3.
+    """
+    arr = np.asarray(mats, dtype=float)
+    k = arr.shape[0]
+    flat = arr.reshape(k, -1)
+    half_sq = 0.5 * np.sum(flat * flat, axis=1)
+    table = np.empty((k, k), dtype=np.int64)
+    step = max(1, _TABLE_BLOCK // (k * k))
+    for i in range(0, k, step):
+        prods = np.matmul(arr[i : i + step, None], arr[None, :]).reshape(-1, flat.shape[1])
+        score = prods @ flat.T  # <P, C> - |C|^2/2 = (|P|^2 - |P - C|^2)/2
+        score -= half_sq
+        nearest = np.argmax(score, axis=1)
+        stray = np.max(np.abs(prods - flat[nearest]))
+        if stray > tol:
+            raise NotClosed(f"products stray {stray:.2e} from the element set")
+        table[i : i + step] = nearest.reshape(-1, k)
+    return table
 
 
 def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import gram_schmidt, null_space, trace_inner, trace_norm
+from ._linalg import _vec, gram_schmidt, null_space, trace_inner, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
     algebra_basis,
@@ -285,13 +285,6 @@ def killing_length_profile(
 
 # ---------------------------------------------------------------------------
 # isotropy splittings and ranks
-
-
-def _vec(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X)
-    if np.iscomplexobj(X):
-        return np.concatenate([X.real.ravel(), X.imag.ravel()])
-    return X.ravel()
 
 
 def maximal_abelian_dimension(

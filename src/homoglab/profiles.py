@@ -35,11 +35,6 @@ class DisplacementProfile:
         return cls(float(arr.min()), float(arr.max()), float(arr.mean()), int(arr.size))
 
 
-def constant_verdict(profile: DisplacementProfile, tol: float) -> bool:
-    """Absolute-gap constancy test used for displacement profiles."""
-    return profile.gap <= tol
-
-
 def constant_length_verdict(profile: DisplacementProfile, rel_tol: float = 1e-6) -> bool:
     """Relative-gap constancy test used for Killing field length profiles."""
     return profile.relative_gap <= rel_tol

@@ -18,9 +18,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from ._linalg import gram_schmidt, null_space, rank_rel
+from ._linalg import _vec, gram_schmidt, null_space, rank_rel
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -42,7 +41,12 @@ from .constant_curvature import (
     sphere_displacement_profile,
 )
 from .errors import EmptyAmbient, InvalidParameter, ModelMismatch, NotClosed
-from .finite_groups import FiniteQuaternionGroup, left_translation_matrix
+from .finite_groups import (
+    FiniteQuaternionGroup,
+    cayley_table,
+    left_translation_matrix,
+    table_inverses,
+)
 
 _CLOSURE_TOL = 1e-9
 
@@ -102,10 +106,16 @@ def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSided
 
 @dataclass(frozen=True, eq=False)
 class DeckGroup:
-    """A finite group of isometries in one declared ambient model."""
+    """A finite group of isometries in one declared ambient model.
+
+    On a sphere, validation leaves the deck's Cayley table in ``table``
+    (table[i, j] = index of elements[i] @ elements[j]); group-manifold decks
+    have ``table`` None.
+    """
 
     model: SphereModel | GroupManifoldModel
     elements: tuple
+    table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.model, SphereModel):
@@ -131,18 +141,14 @@ class DeckGroup:
             mats.append(g)
         if not mats:
             raise InvalidParameter("deck group is empty")
-        flat = np.array([m.ravel() for m in mats])
-        tree = cKDTree(flat)
-        if tree.query(np.eye(n).ravel())[0] > _CLOSURE_TOL:
+        arr = np.stack(mats)
+        dist_to_eye = np.max(np.abs(arr - np.eye(n)), axis=(1, 2))
+        identity = int(np.argmin(dist_to_eye))
+        if dist_to_eye[identity] > _CLOSURE_TOL:
             raise NotClosed("deck group does not contain the identity")
-        k = len(mats)
-        prods = np.einsum("aij,bjk->abik", flat.reshape(k, n, n), flat.reshape(k, n, n))
-        d, _ = tree.query(prods.reshape(k * k, n * n))
-        if np.max(d) > _CLOSURE_TOL:
-            raise NotClosed("deck group is not closed under composition")
-        dinv, _ = tree.query(np.array([m.T.ravel() for m in mats]))
-        if np.max(dinv) > _CLOSURE_TOL:
-            raise NotClosed("deck group is not closed under inverse")
+        table = cayley_table(arr, _CLOSURE_TOL)
+        table_inverses(table, identity)
+        object.__setattr__(self, "table", table)
 
     def _validate_group(self):
         spec = self.model.spec
@@ -204,13 +210,6 @@ def _ad_isometry(model, gamma, ambient_element):
     X, Y = ambient_element[0], ambient_element[1]
     g1, g2 = gamma.g1, gamma.g2
     return np.stack([g1.conj().T @ X @ g1, g2.conj().T @ Y @ g2])
-
-
-def _vec(E: np.ndarray) -> np.ndarray:
-    E = np.asarray(E)
-    if np.iscomplexobj(E):
-        return np.concatenate([E.real.ravel(), E.imag.ravel()])
-    return E.ravel()
 
 
 def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
@@ -398,7 +397,7 @@ def verify_instance(
 
     free_offender = None
     if isinstance(model, SphereModel):
-        freeness = is_free_on_sphere(list(deck.elements), tol=1e-9)
+        freeness = is_free_on_sphere(list(deck.elements), tol=1e-9, table=deck.table)
         free = freeness.free
         free_offender = freeness.offender
         elements = _sphere_element_evidence(deck, config, rng)

@@ -248,6 +248,22 @@ def test_usage_errors(capsys, argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-killing", "--space", "so5-so3", "--directions", "0"],
+        ["probe-noncompact", "--motions", "0"],
+        ["probe-noncompact", "--motions", "-3"],
+    ],
+    ids=["no-directions", "no-motions", "negative-motions"],
+)
+def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # matrix file format
 

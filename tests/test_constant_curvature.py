@@ -111,6 +111,29 @@ def test_free_group_detects_fixed_axis():
     assert res.offender in range(1, 5)
 
 
+def first_fixing_element(mats, tol=1e-9):
+    """Reference: the per-element loop, identity skipped, list order."""
+    for idx, m in enumerate(mats):
+        if np.max(np.abs(m - np.eye(len(m)))) <= tol:
+            continue
+        if np.min(np.abs(np.linalg.eigvals(m) - 1.0)) <= tol:
+            return idx
+    return None
+
+
+@pytest.mark.parametrize("k,q", [(4, 2), (5, 0), (6, 2), (6, 3), (9, 3), (12, 4)])
+def test_free_group_offender_matches_per_element_loop(rng, k, q):
+    # diag(R(2 pi j / k), R(2 pi q j / k)) fixes a plane exactly when k | q j
+    mats = [
+        block_diag(rotation_block(2 * np.pi * j / k), rotation_block(2 * np.pi * q * j / k))
+        for j in range(k)
+    ]
+    mats = [mats[i] for i in rng.permutation(k)]
+    res = is_free_on_sphere(mats)
+    assert res.offender == first_fixing_element(mats)
+    assert res.free == (res.offender is None)
+
+
 def test_free_group_requires_closure():
     with pytest.raises(NotClosed):
         is_free_on_sphere([np.eye(4), block_diag(rotation_block(0.3), rotation_block(0.7))])

@@ -1,15 +1,20 @@
 """Finite unit-quaternion groups: closure, classification, SL(2,5)."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoglab.errors import ClosureExceedsLimit, NonUnitGenerator
+from homoglab.compact_lie import haar_orthogonal
+from homoglab.constant_curvature import lens_group
+from homoglab.errors import ClosureExceedsLimit, NonUnitGenerator, NotClosed
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
     Quaternion,
+    cayley_table,
     check_space_form_constraints,
     classify,
     element_orders,
@@ -198,3 +203,91 @@ def test_associativity_on_icosians(i, j, k):
     g = named_binary_group(GroupType.binary_icosahedral())
     a, b, c = g.elements[i], g.elements[j], g.elements[k]
     assert ((a * b) * c).isclose(a * (b * c), tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables of matrix groups
+
+
+def brute_force_table(mats, tol):
+    """Reference: each product against every element by max-abs distance."""
+    mats = np.asarray(mats)
+    k = len(mats)
+    table = np.empty((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            d = np.max(np.abs(mats[i] @ mats[j] - mats), axis=(1, 2))
+            assert d.min() <= tol
+            table[i, j] = int(np.argmin(d))
+    return table
+
+
+def _lens_exponents(k, r):
+    units = [q for q in range(1, k) if gcd(q, k) == 1]
+    return tuple(units[i % len(units)] for i in range(r))
+
+
+LENS_CASES = [(k, _lens_exponents(k, r)) for r in (2, 3, 4) for k in range(2, 13)]
+
+
+def quaternion_matrices(tag):
+    return np.stack([left_translation_matrix(q) for q in named_binary_group(tag).elements])
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_cayley_table_of_named_groups_matches_brute_force(tag):
+    mats = quaternion_matrices(tag)
+    table = cayley_table(mats, 1e-9)
+    assert np.array_equal(table, brute_force_table(mats, 1e-9))
+    assert np.array_equal(table, named_binary_group(tag).multiplication_table())
+
+
+@pytest.mark.parametrize("k,exps", LENS_CASES, ids=str)
+def test_cayley_table_of_lens_groups_matches_brute_force(k, exps):
+    mats = lens_group(k, exps)
+    assert np.array_equal(cayley_table(mats, 1e-9), brute_force_table(mats, 1e-9))
+
+
+def test_cayley_table_of_large_cyclic_group_in_bounded_memory():
+    # lens_group lists gen^0 .. gen^(k-1), so the table is addition mod k;
+    # the k^3 score matrix of one unblocked GEMM would take 216 MB here
+    import tracemalloc
+
+    k = 300
+    mats = np.stack(lens_group(k, (1, 1)))
+    tracemalloc.start()
+    try:
+        table = cayley_table(mats, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    idx = np.arange(k)
+    assert np.array_equal(table, (idx[:, None] + idx[None, :]) % k)
+    assert peak < 32 * 2**20
+
+
+def test_cayley_table_of_antipodal_pair():
+    assert np.array_equal(cayley_table([np.eye(4), -np.eye(4)], 1e-9), [[0, 1], [1, 0]])
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(
+    st.sampled_from(
+        [GroupType.binary_dihedral(3), GroupType.binary_tetrahedral(), (7, (1, 2, 3))]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_cayley_table_is_invariant_under_conjugation(group, seed):
+    mats = quaternion_matrices(group) if isinstance(group, GroupType) else np.stack(lens_group(*group))
+    r = haar_orthogonal(mats.shape[1], np.random.default_rng(seed))
+    conj = r @ mats @ r.T
+    assert np.array_equal(cayley_table(conj, 1e-9), cayley_table(mats, 1e-9))
+
+
+def test_cayley_table_needs_identity_and_every_product():
+    mats = quaternion_matrices(GroupType.binary_tetrahedral())
+    e = int(np.argmin(np.max(np.abs(mats - np.eye(4)), axis=(1, 2))))
+    with pytest.raises(NotClosed):
+        cayley_table(np.delete(mats, e, axis=0), 1e-9)
+    with pytest.raises(NotClosed):
+        cayley_table(np.delete(mats, (e + 1) % len(mats), axis=0), 1e-9)
