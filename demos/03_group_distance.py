@@ -3,7 +3,8 @@ Bi-invariant geometry of compact matrix groups
 ==============================================
 
 Distance from branch-minimized logarithm angles, two-sided translation
-isometries, and the fixed-point search for inverted maps.
+isometries, the exact least displacement of a translation pair, and the
+fixed-point search for inverted maps.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from homoglab import (
     CompactGroupSpec,
     TwoSidedIsometry,
     biinvariant_distance,
+    conjugacy_class_distance,
     group_displacement_profile,
     haar_sample,
     is_constant_displacement_translation,
@@ -40,6 +42,16 @@ for name, iso in [("central pair", central), ("generic pair", generic)]:
     print(f"{name}: constant={res.constant}  "
           f"centrality predicts {res.centrality.predicts_constant}  "
           f"gap {res.profile.gap:.2e}")
+
+# the least displacement of x -> g1^dagger x g2 is the distance between the
+# conjugacy classes of g1 and g2, read off the eigen-angles; the multistart
+# descent can only come down to it from above
+q = haar_sample(su2, rng)
+for name, (g1, g2) in [("generic pair", (generic.g1, generic.g2)),
+                       ("conjugate pair", (generic.g1, q @ generic.g1 @ q.conj().T))]:
+    exact = conjugacy_class_distance(su2, g1, g2)
+    val, _ = min_displacement(su2, TwoSidedIsometry(g1, g2), rng=rng)
+    print(f"{name}: least displacement exact {exact:.2e}, descent {val:.2e}")
 
 # inverted maps x -> g1^dagger x^dagger g2 always have a fixed point;
 # the multistart descent finds displacement ~ 0

@@ -365,6 +365,8 @@ def _cmd_check_free(args, rng):
 
 
 def _cmd_check_killing(args, rng):
+    if args.directions < 1:
+        raise InvalidParameter("--directions must be >= 1")
     inputs = {"space": args.space, "field": args.field, "directions": args.directions}
     tolerances = {"relative_gap": args.tol}
     m = re.fullmatch(r"(su|so|sp)(\d+)", args.space)
@@ -400,8 +402,6 @@ def _cmd_check_killing(args, rng):
         )
         return inputs, tolerances, evidence, verdict
     if args.space == "so5-so3":
-        if args.directions < 1:
-            raise InvalidParameter("--directions must be >= 1")
         space = so5_so3_space()
         gaps = []
         for _ in range(args.directions):

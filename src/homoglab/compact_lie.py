@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from ._linalg import gram_schmidt, trace_inner, trace_norm
-from .errors import InvalidParameter, NotInGroup
+from .errors import InvalidParameter, InvariantViolated, NotInGroup
 from .profiles import DisplacementProfile
 
 SPECIAL_UNITARY = "SU"
@@ -242,7 +242,7 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
             raw.append(embed(zero, S))
     basis = gram_schmidt(raw, trace_inner)
     if len(basis) != spec.algebra_dim:
-        raise RuntimeError(
+        raise InvariantViolated(
             f"basis construction for {spec.name} gave {len(basis)} elements, "
             f"expected {spec.algebra_dim}"
         )
@@ -319,6 +319,75 @@ def biinvariant_distance(
     u = np.asarray(g).conj().T @ np.asarray(h)
     theta = minimal_angles(spec, u)
     return float(np.sqrt(np.sum(theta**2)))
+
+
+def _pfaffian(A: np.ndarray) -> float:
+    """Pfaffian of a real skew-symmetric matrix (Parlett-Reid elimination with
+    pivoting); Pf(h A h^T) = det(h) Pf(A)."""
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(A[k + 1 :, k])))
+        if p != k + 1:
+            A[[k + 1, p]] = A[[p, k + 1]]
+            A[:, [k + 1, p]] = A[:, [p, k + 1]]
+            pf = -pf
+        if A[k + 1, k] == 0.0:
+            return 0.0
+        pf *= A[k, k + 1]
+        tau = A[k, k + 2 :] / A[k, k + 1]
+        col = A[k + 2 :, k + 1]
+        A[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
+
+
+def _alcove_point(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
+    """Torus angles of g's conjugacy class, in a closed fundamental alcove.
+
+    SU(n): the minimal traceless lift of the eigen-angles, sorted descending.
+    SO and Sp: one angle in [0, pi] per rotation plane, sorted descending; on
+    SO(2m) the last angle carries the orientation, the sign of
+    (-1)^m Pf(g - g^T), which separates the two SO(2m) classes inside one
+    O(2m) class when g has no eigenvalue +-1.
+    """
+    theta = np.angle(np.linalg.eigvals(g))
+    if spec.family == SPECIAL_UNITARY:
+        return np.sort(_branch_shift_su(theta))[::-1]
+    planes = spec.matrix_size // 2
+    # eigenvalues pair as exp(+-i phi); SO(2m+1) adds one eigenvalue 1 (phi = 0)
+    phi = np.sort(np.abs(theta))[::-1][: 2 * planes].reshape(planes, 2).mean(axis=1)
+    if spec.family == SPECIAL_ORTHOGONAL and spec.n % 2 == 0:
+        g = np.real(g)
+        if (-1) ** planes * _pfaffian(g - g.T) < 0.0:
+            phi[-1] = -phi[-1]
+    return phi
+
+
+def conjugacy_class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Bi-invariant distance between the conjugacy classes of a and b.
+
+    This is the least displacement of x -> a^{-1} x b, which fixes a point
+    exactly when a and b are conjugate.  The classes meet a maximal torus in
+    Weyl orbits, so the distance is the minimum, over the Weyl group and the
+    integer lattice, of the torus distance between their angles.  The closed
+    alcove of ``_alcove_point`` is a fundamental domain of the affine Weyl
+    group, a reflection group, so that minimum is the plain distance between
+    the two alcove points.  SU(n) and Sp(n) are simply connected; for SO(n) the
+    angle lattice is the full 2 pi Z^m, which on SO(2m) adds the symmetry
+    (phi_1, ..., phi_m) -> (2 pi - phi_1, phi_2, ..., -phi_m) of the alcove.
+    """
+    x = _alcove_point(spec, check_in_group(spec, a))
+    y = _alcove_point(spec, check_in_group(spec, b))
+    d = np.linalg.norm(x - y)
+    if spec.family == SPECIAL_UNITARY:
+        return float(d)
+    if spec.family == SPECIAL_ORTHOGONAL and spec.n % 2 == 0:
+        y_shift = y.copy()
+        y_shift[0], y_shift[-1] = 2.0 * np.pi - y[0], -y[-1]
+        d = min(d, np.linalg.norm(x - y_shift))
+    # each rotation plane appears twice in the defining representation
+    return float(np.sqrt(2.0) * d)
 
 
 def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
@@ -532,7 +601,8 @@ def min_displacement(
     refine_steps: int = 150,
     rng: np.random.Generator | None = None,
 ):
-    """Estimate min over the group of the displacement of ``iso``.
+    """Estimate min over the group of the displacement of ``iso``, from above.
+    For translation pairs ``conjugacy_class_distance`` gives the exact value.
 
     Haar multistarts followed by derivative-free descent: at each iteration a
     fresh set of random one-parameter directions is probed at +-step and the

@@ -17,6 +17,11 @@ class ClosureExceedsLimit(HomoglabError, RuntimeError):
     pass
 
 
+class InvariantViolated(HomoglabError, RuntimeError):
+    """An internal consistency check failed: a bug or a numerical breakdown,
+    not a bad input."""
+
+
 class NonUnitInput(HomoglabError, ValueError):
     pass
 

@@ -29,6 +29,7 @@ from .compact_lie import (
 from .errors import (
     InvalidCoefficients,
     InvalidParameter,
+    InvariantViolated,
     NotASubalgebra,
     ParseError,
     UnsupportedType,
@@ -120,11 +121,11 @@ def reductive_complement(
     full = algebra_basis(group)
     m = gram_schmidt([X - _project(X, h_on) for X in full], trace_inner)
     if len(m) != len(full) - len(h_on):
-        raise RuntimeError("complement dimension mismatch")
+        raise InvariantViolated("complement dimension mismatch")
     for a in h_on:
         for x in m:
             if trace_norm(_project(bracket(a, x), h_on)) > _BRACKET_TOL:
-                raise RuntimeError("complement failed the invariance recheck")
+                raise InvariantViolated("complement failed the invariance recheck")
     return tuple(m)
 
 
@@ -325,7 +326,7 @@ def maximal_abelian_dimension(
                     break
             S = new_S
         else:
-            raise RuntimeError("abelian reduction failed to stabilize")
+            raise InvariantViolated("abelian reduction failed to stabilize")
         best = max(best, len(S))
     return best
 
@@ -476,7 +477,7 @@ def weyl_group_order(series: str, rank: int) -> int:
         order = len(seen_keys)
     expected = _closed_form_weyl(series, rank)
     if order != expected:
-        raise RuntimeError(
+        raise InvariantViolated(
             f"orbit closure gave {order}, closed form gives {expected} for {series}_{rank}"
         )
     return order

@@ -27,12 +27,12 @@ from .compact_lie import (
     center_elements,
     check_in_group,
     compose,
+    conjugacy_class_distance,
     group_displacement_profile,
     haar_sample,
     is_constant_displacement_translation,
     is_identity_isometry,
     isometry_inverse,
-    min_displacement,
 )
 from .constant_curvature import (
     haar_sphere,
@@ -40,7 +40,13 @@ from .constant_curvature import (
     is_free_on_sphere,
     sphere_displacement_profile,
 )
-from .errors import EmptyAmbient, InvalidParameter, ModelMismatch, NotClosed
+from .errors import (
+    EmptyAmbient,
+    InvalidParameter,
+    InvariantViolated,
+    ModelMismatch,
+    NotClosed,
+)
 from .finite_groups import (
     FiniteQuaternionGroup,
     cayley_table,
@@ -290,8 +296,6 @@ class VerifyConfig:
     samples: int = 200
     points: int = 20
     tol: float = 1e-7
-    multistarts: int = 4
-    refine_steps: int = 80
 
     def __post_init__(self):
         if self.samples < 10:
@@ -395,7 +399,6 @@ def verify_instance(
     config = config if config is not None else VerifyConfig()
     rng = np.random.default_rng(config.seed)
 
-    free_offender = None
     if isinstance(model, SphereModel):
         freeness = is_free_on_sphere(list(deck.elements), tol=1e-9, table=deck.table)
         free = freeness.free
@@ -404,21 +407,18 @@ def verify_instance(
         ambient = sphere_ambient_basis(model.ambient_dim)
     else:
         spec = model.spec
-        free = True
-        for i, iso in enumerate(deck.elements):
-            if is_identity_isometry(spec, iso, tol=_CLOSURE_TOL):
-                continue
-            val, _ = min_displacement(
-                spec,
-                iso,
-                multistarts=config.multistarts,
-                refine_steps=config.refine_steps,
-                rng=rng,
-            )
-            if val <= config.tol:
-                free = False
-                free_offender = i
-                break
+        # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate; its
+        # least displacement is the distance between their classes
+        free_offender = next(
+            (
+                i
+                for i, iso in enumerate(deck.elements)
+                if not is_identity_isometry(spec, iso, tol=_CLOSURE_TOL)
+                and conjugacy_class_distance(spec, iso.g1, iso.g2) <= config.tol
+            ),
+            None,
+        )
+        free = free_offender is None
         elements = _group_element_evidence(deck, config, rng)
         ambient = group_ambient_basis(spec)
 
@@ -440,7 +440,7 @@ def verify_instance(
             gaps.append(prof.gap)
         forward_max_gap = float(max(gaps))
         if forward_max_gap > config.tol:
-            raise RuntimeError(
+            raise InvariantViolated(
                 "forward consistency violated: full rank but displacement gap "
                 f"{forward_max_gap:.3e} exceeds {config.tol:.1e}"
             )

@@ -252,16 +252,41 @@ def test_usage_errors(capsys, argv):
     "argv",
     [
         ["check-killing", "--space", "so5-so3", "--directions", "0"],
+        ["check-killing", "--space", "su3", "--directions", "-5", "--samples", "10"],
+        ["check-killing", "--space", "hopf-2", "--directions", "0"],
         ["probe-noncompact", "--motions", "0"],
         ["probe-noncompact", "--motions", "-3"],
     ],
-    ids=["no-directions", "no-motions", "negative-motions"],
+    ids=[
+        "no-directions",
+        "negative-directions-su3",
+        "no-directions-hopf-2",
+        "no-motions",
+        "negative-motions",
+    ],
 )
 def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch):
+    """A failed internal consistency check is refused like a usage error."""
+    from homoglab import verifier
+    from homoglab.profiles import DisplacementProfile
+
+    def drifting_profile(spec, iso, samples, rng):
+        return DisplacementProfile.from_values(np.linspace(0.0, 1.0, samples))
+
+    monkeypatch.setattr(verifier, "group_displacement_profile", drifting_profile)
+    argv = ["check-homogeneity", "--model", "su2", "--group", "center", "--samples", "10"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "forward consistency violated" in line
 
 
 # ---------------------------------------------------------------------------

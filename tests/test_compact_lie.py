@@ -16,6 +16,7 @@ from homoglab.compact_lie import (
     check_in_algebra,
     check_in_group,
     compose,
+    conjugacy_class_distance,
     group_displacement_profile,
     group_exp,
     group_log,
@@ -299,3 +300,116 @@ def test_distance_vanishes_only_on_equal_elements(seed):
     h = haar_sample(SU2, rng)
     if np.max(np.abs(g - h)) > 1e-6:
         assert biinvariant_distance(SU2, g, h) > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# conjugacy-class distance
+
+
+def _torus_element(spec, angles):
+    """The maximal-torus element with the given angles: one per diagonal entry
+    of SU(n), one per rotation plane of SO(n) and Sp(n)."""
+    if spec.family == "SU":
+        return np.diag(np.exp(1j * angles))
+    if spec.family == "Sp":
+        return np.diag(np.exp(1j * np.concatenate([angles, -angles])))
+    g = np.eye(spec.n)
+    for j, t in enumerate(angles):
+        g[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return g
+
+
+def _weyl_orbit(spec, angles):
+    """Every image of the torus angles under the Weyl group: permutations for
+    SU(n), signed permutations for SO(2m+1) and Sp(n), signed permutations
+    with an even number of sign changes for SO(2m)."""
+    for perm in itertools.permutations(range(len(angles))):
+        if spec.family == "SU":
+            yield angles[list(perm)]
+            continue
+        for signs in itertools.product((1.0, -1.0), repeat=len(angles)):
+            if spec.family == "SO" and spec.n % 2 == 0 and np.prod(signs) < 0:
+                continue
+            yield np.array(signs) * angles[list(perm)]
+
+
+def _random_torus_angles(spec, rng):
+    if spec.family == "SU":
+        a = rng.uniform(-np.pi, np.pi, spec.n)
+        return a - a.mean()
+    return rng.uniform(-np.pi, np.pi, spec.matrix_size // 2)
+
+
+def _conjugate(spec, g, rng):
+    q = haar_sample(spec, rng)
+    return q @ g @ q.conj().T
+
+
+def test_conjugacy_distance_su2_closed_form(rng):
+    """SU(2) classes are labelled by the half-angle alpha in [0, pi] of the
+    eigenvalues exp(+-i alpha); the class distance is sqrt(2) |alpha - beta|."""
+    for _ in range(50):
+        alpha, beta = rng.uniform(0.0, np.pi, 2)
+        a = _conjugate(SU2, _torus_element(SU2, np.array([alpha, -alpha])), rng)
+        b = _conjugate(SU2, _torus_element(SU2, np.array([beta, -beta])), rng)
+        d = conjugacy_class_distance(SU2, a, b)
+        assert abs(d - np.sqrt(2.0) * abs(alpha - beta)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", (SU3, SO3, SO4, SO5, SP2), ids=lambda s: s.name)
+def test_conjugacy_distance_matches_weyl_enumeration(spec, rng):
+    """The class distance is the least torus distance over the whole Weyl
+    orbit; the torus distance itself minimises over the lattice of logs."""
+    special = np.array([0.0, np.pi, np.pi / 3, 2 * np.pi / 3, 1e-9])
+    for trial in range(40):
+        if trial % 4 == 3:  # eigenvalues +-1 and repeated angles
+            alpha = rng.choice(special, len(_random_torus_angles(spec, rng)))
+            beta = rng.choice(special, len(alpha))
+            if spec.family == "SU":
+                alpha[-1], beta[-1] = -alpha[:-1].sum(), -beta[:-1].sum()
+        else:
+            alpha, beta = _random_torus_angles(spec, rng), _random_torus_angles(spec, rng)
+        ta = _torus_element(spec, alpha)
+        want = min(
+            biinvariant_distance(spec, ta, _torus_element(spec, w))
+            for w in _weyl_orbit(spec, beta)
+        )
+        a = _conjugate(spec, ta, rng)
+        b = _conjugate(spec, _torus_element(spec, beta), rng)
+        assert abs(conjugacy_class_distance(spec, a, b) - want) <= 1e-9
+
+
+def test_conjugacy_distance_separates_so4_orientations(rng):
+    """With no eigenvalue +-1, g and its conjugate by a reflection share a
+    spectrum but are not conjugate in SO(4)."""
+    r = np.diag([1.0, 1.0, 1.0, -1.0])
+    for _ in range(20):
+        alpha = np.sort(rng.uniform(0.1, np.pi - 0.1, 2))[::-1]
+        g = _conjugate(SO4, _torus_element(SO4, alpha), rng)
+        d = conjugacy_class_distance(SO4, g, r @ g @ r.T)
+        # flip the second angle, or send the first to 2 pi minus itself
+        want = np.sqrt(2.0) * min(2.0 * alpha[1], 2.0 * np.pi - 2.0 * alpha[0])
+        assert d > 0.1
+        assert abs(d - want) <= 1e-9
+        assert conjugacy_class_distance(SO4, g, _conjugate(SO4, g, rng)) <= 1e-9
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(st.sampled_from(ALL_SPECS), st.integers(0, 2**32 - 1))
+def test_conjugacy_distance_bounds_the_descent(spec, seed):
+    """min_displacement returns a displacement it reached, so it can only lie
+    above the exact least displacement."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = haar_sample(spec, rng), haar_sample(spec, rng)
+    val, _ = min_displacement(
+        spec, TwoSidedIsometry(g1, g2), multistarts=1, refine_steps=5, rng=rng
+    )
+    assert conjugacy_class_distance(spec, g1, g2) <= val + 1e-9
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(st.sampled_from(ALL_SPECS), st.integers(0, 2**32 - 1))
+def test_conjugate_pairs_have_zero_class_distance(spec, seed):
+    rng = np.random.default_rng(seed)
+    g, x = haar_sample(spec, rng), haar_sample(spec, rng)
+    assert conjugacy_class_distance(spec, g, x @ g @ x.conj().T) <= 1e-9

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry
+from homoglab.cli import group_manifold_deck
+from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry, haar_sample
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import (
     EmptyAmbient,
@@ -37,6 +38,13 @@ from homoglab.verifier import (
 )
 
 SU2 = CompactGroupSpec("SU", 2)
+GROUP_SPECS = (
+    SU2,
+    CompactGroupSpec("SU", 3),
+    CompactGroupSpec("Sp", 2),
+    CompactGroupSpec("SO", 3),
+    CompactGroupSpec("SO", 4),
+)
 
 
 def _ad_sphere(g, X):
@@ -179,6 +187,40 @@ def test_pair_equal_up_to_center_is_the_identity_map():
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
 
 
+def _two_sided_deck(spec, rng):
+    """x -> g^-k x (h g^k h^-1), k = 0, 1, 2, with g a random conjugate of an
+    order-3 element: every element fixes x = h^-1."""
+    q, h = haar_sample(spec, rng), haar_sample(spec, rng)
+    # the cyclic-3 deck's second element is x -> c x, c non-central of order 3
+    c = group_manifold_deck(spec, "cyclic-3")[1].g1.conj().T
+    g = q @ c @ q.conj().T
+    isos, p = [], spec.identity()
+    for _ in range(3):
+        isos.append(TwoSidedIsometry(p, h @ p @ h.conj().T))
+        p = p @ g
+    return group_deck(spec, isos)
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS, ids=lambda s: s.name)
+def test_two_sided_decks_are_never_free(spec):
+    """Each deck has a real fixed point, which a sampled descent can miss; the
+    conjugacy test names the first non-identity element every time."""
+    for seed in range(20):
+        deck = _two_sided_deck(spec, np.random.default_rng(seed))
+        report = verify_instance(deck, config=VerifyConfig(seed=seed, samples=10, points=5))
+        assert report.verdict == NOT_FREE
+        assert report.free_offender == 1
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("name", ["center", "cyclic-3"])
+def test_left_translation_decks_stay_free(spec, name):
+    deck = group_deck(spec, group_manifold_deck(spec, name))
+    report = verify_instance(deck, config=VerifyConfig(samples=10, points=5))
+    assert report.free and report.free_offender is None
+    assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
+
+
 # ---------------------------------------------------------------------------
 # deck validation
 
@@ -302,3 +344,9 @@ def test_config_validation():
         VerifyConfig(tol=0.0)
     with pytest.raises(InvalidParameter):
         VerifyConfig(points=2)
+
+
+def test_config_has_no_descent_settings():
+    for knob in ("multistarts", "refine_steps"):
+        with pytest.raises(TypeError):
+            VerifyConfig(**{knob: 4})
