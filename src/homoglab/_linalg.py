@@ -32,15 +32,14 @@ def _vec(E: np.ndarray) -> np.ndarray:
     return E.ravel()
 
 
-def rank_rel(A: np.ndarray, rel_cutoff: float = 1e-8) -> int:
-    """Numerical rank with a cutoff relative to the largest singular value."""
+def rank_rel(A: np.ndarray, rel_cutoff: float = 1e-8):
+    """Numerical rank with a cutoff relative to the largest singular value: an
+    int for one matrix, an array of ranks for a stack of matrices."""
     A = np.atleast_2d(np.asarray(A))
-    if A.size == 0:
-        return 0
     s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_cutoff * s[0]))
+    # a zero or empty matrix leaves no value above the cutoff: rank 0
+    rank = np.sum(s > rel_cutoff * s[..., :1], axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def trace_inner(X: np.ndarray, Y: np.ndarray) -> float:

@@ -82,19 +82,24 @@ def symplectic_structure(n: int) -> np.ndarray:
 
 
 def check_in_group(spec: CompactGroupSpec, g: np.ndarray, tol: float = _GROUP_TOL) -> np.ndarray:
-    g = np.asarray(g)
+    """Return ``g`` as an array if it is an element of the group, or a stack of
+    elements along its leading axis; NotInGroup when any member fails."""
     d = spec.matrix_size
-    if g.shape != (d, d):
+    try:
+        g = np.asarray(g)
+    except ValueError:  # a ragged list of matrices
+        raise NotInGroup(f"expected {d}x{d} matrices for {spec.name}") from None
+    if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
         raise NotInGroup(f"expected a {d}x{d} matrix for {spec.name}")
-    if np.max(np.abs(g.conj().T @ g - np.eye(d))) > tol:
+    if np.max(np.abs(_adjoint(g) @ g - np.eye(d))) > tol:
         raise NotInGroup("matrix is not unitary")
     if spec.family == SPECIAL_UNITARY:
-        if abs(np.linalg.det(g) - 1.0) > 10 * tol:
+        if np.max(np.abs(np.linalg.det(g) - 1.0)) > 10 * tol:
             raise NotInGroup("determinant is not 1")
     elif spec.family == SPECIAL_ORTHOGONAL:
         if np.iscomplexobj(g) and np.max(np.abs(g.imag)) > tol:
             raise NotInGroup("matrix is not real")
-        if np.linalg.det(g.real if np.iscomplexobj(g) else g) < 0:
+        if np.any(np.linalg.det(g.real) < 0):
             raise NotInGroup("determinant is not +1")
     else:
         J = symplectic_structure(spec.n)
@@ -123,20 +128,38 @@ def check_in_algebra(spec: CompactGroupSpec, X: np.ndarray, tol: float = _GROUP_
 
 # ---------------------------------------------------------------------------
 # Haar sampling
+#
+# Every sampler maps one Gaussian array to a stack of matrices along its
+# leading axis.  A stack of S is drawn as one (S, ...) normal array, which
+# consumes the generator exactly as S single draws do, so a seed gives the
+# same points whatever the stack size.
+
+# largest stack drawn at once; longer runs go in blocks of this many
+_SAMPLE_BLOCK = 4096
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def _adjoint(g: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return g.conj().swapaxes(-1, -2)
+
+
+def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar on U(n): one matrix, or a (size, n, n) stack."""
+    z = rng.standard_normal((1 if size is None else size, 2, n, n))
+    z = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[:, None, :]
+    return q[0] if size is None else q
 
 
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar on the full orthogonal group O(n), both components."""
-    z = rng.standard_normal((n, n))
+def haar_orthogonal(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar on the full orthogonal group O(n), both components: one matrix, or
+    a (size, n, n) stack."""
+    z = rng.standard_normal((1 if size is None else size, n, n))
     q, r = np.linalg.qr(z)
-    return q * np.sign(np.diagonal(r))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return q[0] if size is None else q
 
 
 def _quaternion_pair_mul(a1, b1, a2, b2):
@@ -144,42 +167,64 @@ def _quaternion_pair_mul(a1, b1, a2, b2):
     return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
 
 
-def _haar_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    # Gram-Schmidt over the quaternions on Gaussian columns, then embed
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _haar_symplectic(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    # Gram-Schmidt over the quaternions on Gaussian columns, then embed; the
+    # columns are kept as rows (axis 1) so each inner product sums a last axis
+    z = rng.standard_normal((size, 4, n, n))
+    A = z[:, 0] + 1j * z[:, 1]
+    B = z[:, 2] + 1j * z[:, 3]
     QA = np.zeros_like(A)
     QB = np.zeros_like(B)
     for j in range(n):
-        va, vb = A[:, j].copy(), B[:, j].copy()
+        va, vb = A[:, :, j].copy(), B[:, :, j].copy()
         for _ in range(2):  # reorthogonalize once for stability
             for k in range(j):
                 ea, eb = QA[:, k], QB[:, k]
                 # quaternionic <e, v> = sum conj(e_i) v_i
-                s1 = np.sum(np.conj(ea) * va + np.conj(eb) * vb)
-                s2 = np.sum(ea * vb - eb * va)
+                s1 = np.sum(np.conj(ea) * va + np.conj(eb) * vb, axis=-1)[:, None]
+                s2 = np.sum(ea * vb - eb * va, axis=-1)[:, None]
                 pa, pb = _quaternion_pair_mul(ea, eb, s1, s2)
                 va, vb = va - pa, vb - pb
-        nrm = np.sqrt(np.sum(np.abs(va) ** 2 + np.abs(vb) ** 2))
+        nrm = np.sqrt(np.sum(np.abs(va) ** 2 + np.abs(vb) ** 2, axis=-1))[:, None]
         QA[:, j], QB[:, j] = va / nrm, vb / nrm
-    top = np.hstack([QA, -np.conj(QB)])
-    bot = np.hstack([QB, np.conj(QA)])
-    return np.vstack([top, bot])
+    QA, QB = np.swapaxes(QA, 1, 2), np.swapaxes(QB, 1, 2)
+    top = np.concatenate([QA, -np.conj(QB)], axis=2)
+    bot = np.concatenate([QB, np.conj(QA)], axis=2)
+    return np.concatenate([top, bot], axis=1)
 
 
-def haar_sample(spec: CompactGroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed element of the group."""
+def _haar_block(spec: CompactGroupSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     if spec.family == SPECIAL_UNITARY:
-        u = haar_unitary(spec.n, rng)
+        u = haar_unitary(spec.n, rng, size)
         det = np.linalg.det(u)
-        return u * np.exp(-np.log(det) / spec.n)
+        return u * np.exp(-np.log(det) / spec.n)[:, None, None]
     if spec.family == SPECIAL_ORTHOGONAL:
-        q = haar_orthogonal(spec.n, rng)
-        if np.linalg.det(q) < 0:
-            q = q.copy()
-            q[:, -1] = -q[:, -1]
+        q = haar_orthogonal(spec.n, rng, size)
+        flip = np.linalg.det(q) < 0
+        q[flip, :, -1] = -q[flip, :, -1]
         return q
-    return _haar_symplectic(spec.n, rng)
+    return _haar_symplectic(spec.n, rng, size)
+
+
+def haar_sample(
+    spec: CompactGroupSpec, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """One Haar-distributed element of the group, or a (size, d, d) stack of
+    them, the same points as ``size`` single draws."""
+    if size is None:
+        return _haar_block(spec, rng, 1)[0]
+    if size < 1:
+        raise InvalidParameter("need at least one sample")
+    if size <= _SAMPLE_BLOCK:
+        return _haar_block(spec, rng, size)
+    return np.concatenate(list(_haar_blocks(spec, rng, size)))
+
+
+def _haar_blocks(spec: CompactGroupSpec, rng: np.random.Generator, size: int):
+    """``haar_sample(spec, rng, size)`` as consecutive stacks of at most
+    ``_SAMPLE_BLOCK`` elements, so a long profile holds one block at a time."""
+    for start in range(0, size, _SAMPLE_BLOCK):
+        yield haar_sample(spec, rng, min(_SAMPLE_BLOCK, size - start))
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +329,22 @@ def one_parameter(X: np.ndarray):
 
 def _branch_shift_su(theta: np.ndarray) -> np.ndarray:
     """Shift eigen-angles by full turns in {-1, 0, +1} so they sum to zero,
-    minimizing the squared norm (shift the largest angles down / smallest up)."""
-    theta = np.array(theta, copy=True)
-    s = int(np.round(theta.sum() / (2.0 * np.pi)))
-    order = np.argsort(theta)
-    if s > 0:
-        for idx in order[::-1][:s]:
-            theta[idx] -= 2.0 * np.pi
-    elif s < 0:
-        for idx in order[: -s]:
-            theta[idx] += 2.0 * np.pi
-    return theta
+    minimizing the squared norm (shift the largest angles down / smallest up).
+    Works on the last axis, so a stack of angle rows shifts row by row."""
+    theta = np.asarray(theta)
+    s = np.round(theta.sum(axis=-1, keepdims=True) / (2.0 * np.pi))
+    if not s.any():
+        return theta
+    # position of each angle in its row's ascending order
+    rank = np.argsort(np.argsort(theta, axis=-1), axis=-1)
+    down = rank >= theta.shape[-1] - s
+    up = rank < -s
+    return np.where(down, theta - 2.0 * np.pi, np.where(up, theta + 2.0 * np.pi, theta))
 
 
 def minimal_angles(spec: CompactGroupSpec, u: np.ndarray) -> np.ndarray:
     """Eigen-angles of the minimal-norm logarithm of u, one per eigenvalue of
-    the defining representation."""
+    the defining representation; one row per matrix of a stack u."""
     lam = np.linalg.eigvals(u)
     theta = np.angle(lam)
     if spec.family == SPECIAL_UNITARY:
@@ -480,8 +525,9 @@ class TwoSidedIsometry:
     inverted: bool = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """Image of the point x, or of each point of a stack x."""
         if self.inverted:
-            return self.g1 @ x.conj().T @ self.g2
+            return self.g1 @ _adjoint(x) @ self.g2
         return self.g1.conj().T @ x @ self.g2
 
 
@@ -512,16 +558,18 @@ def is_identity_isometry(
 
 def translation_displacement(
     spec: CompactGroupSpec, iso: TwoSidedIsometry, x: np.ndarray, validate: bool = True
-) -> float:
-    """Displacement d(x, iso(x)) in the bi-invariant metric."""
+):
+    """Displacement d(x, iso(x)) in the bi-invariant metric: a float for one
+    point, an array for a stack of points."""
     if validate:
         check_in_group(spec, iso.g1)
         check_in_group(spec, iso.g2)
         check_in_group(spec, x)
-    y = iso.apply(np.asarray(x))
-    u = np.asarray(x).conj().T @ y
+    x = np.asarray(x)
+    u = _adjoint(x) @ iso.apply(x)
     theta = minimal_angles(spec, u)
-    return float(np.sqrt(np.sum(theta**2)))
+    dist = np.sqrt(np.sum(theta**2, axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def group_displacement_profile(
@@ -532,11 +580,11 @@ def group_displacement_profile(
 ) -> DisplacementProfile:
     if samples < 1:
         raise InvalidParameter("need at least one sample")
-    vals = np.empty(samples)
-    for i in range(samples):
-        x = haar_sample(spec, rng)
-        vals[i] = translation_displacement(spec, iso, x, validate=False)
-    return DisplacementProfile.from_values(vals)
+    vals = [
+        translation_displacement(spec, iso, x, validate=False)
+        for x in _haar_blocks(spec, rng, samples)
+    ]
+    return DisplacementProfile.from_values(np.concatenate(vals))
 
 
 @dataclass(frozen=True)

@@ -240,26 +240,30 @@ class FiniteQuaternionGroup:
 
 
 def cayley_table(mats, tol: float) -> np.ndarray:
-    """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real square
-    matrices.
+    """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
+    complex square matrices.
 
     The products come from batched matmuls and each product's nearest element
-    from a GEMM, through |P - C|^2 = |P|^2 - 2<P, C> + |C|^2 (|P|^2 is the same
-    for every candidate C, so the search drops it; nothing assumes the
-    matrices are orthogonal).  Every match is then confirmed by its max-abs
+    from a GEMM, through |P - C|^2 = |P|^2 - 2 Re<P, C> + |C|^2 (|P|^2 is the
+    same for every candidate C, so the search drops it; nothing assumes the
+    matrices are unitary).  Every match is then confirmed by its max-abs
     entry distance; NotClosed is raised when one exceeds ``tol``.  Rows go in
     blocks of left factors, so a score block holds about ``_TABLE_BLOCK``
     entries (at least k^2) instead of k^3.
     """
-    arr = np.asarray(mats, dtype=float)
+    arr = np.asarray(mats)
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(float, copy=False)
     k = arr.shape[0]
     flat = arr.reshape(k, -1)
-    half_sq = 0.5 * np.sum(flat * flat, axis=1)
+    flat_conj = flat.conj()
+    half_sq = 0.5 * np.sum((flat * flat_conj).real, axis=1)
     table = np.empty((k, k), dtype=np.int64)
     step = max(1, _TABLE_BLOCK // (k * k))
     for i in range(0, k, step):
         prods = np.matmul(arr[i : i + step, None], arr[None, :]).reshape(-1, flat.shape[1])
-        score = prods @ flat.T  # <P, C> - |C|^2/2 = (|P|^2 - |P - C|^2)/2
+        # Re<P, C> - |C|^2/2 = (|P|^2 - |P - C|^2)/2
+        score = (prods @ flat_conj.T).real
         score -= half_sq
         nearest = np.argmax(score, axis=1)
         stray = np.max(np.abs(prods - flat[nearest]))

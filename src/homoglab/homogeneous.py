@@ -21,16 +21,17 @@ import numpy as np
 from ._linalg import _vec, gram_schmidt, null_space, trace_inner, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
+    _haar_blocks,
     algebra_basis,
     check_in_algebra,
     check_in_group,
-    haar_sample,
 )
 from .errors import (
     InvalidCoefficients,
     InvalidParameter,
     InvariantViolated,
     NotASubalgebra,
+    NotInGroup,
     ParseError,
     UnsupportedType,
     ZeroField,
@@ -91,13 +92,17 @@ class HomogeneousSpaceSpec:
     def dim(self) -> int:
         return len(self.complement_basis)
 
-    def tangent_length(self, X: np.ndarray) -> float:
-        """Block-metric length of the 𝔪-component of X."""
-        total = 0.0
-        coords = np.array([trace_inner(b, X) for b in self.complement_basis])
-        for coeff, idx in self.metric_blocks:
-            total += coeff * float(np.sum(coords[list(idx)] ** 2))
-        return float(np.sqrt(total))
+    def tangent_length(self, X: np.ndarray):
+        """Block-metric length of the 𝔪-component of X: a float for one
+        matrix, an array for a stack of matrices."""
+        # coordinates -trace(B_k X) against the complement basis B_k
+        coords = -np.einsum("kij,...ji->...k", np.stack(self.complement_basis), X).real
+        total = sum(
+            coeff * np.sum(coords[..., list(idx)] ** 2, axis=-1)
+            for coeff, idx in self.metric_blocks
+        )
+        length = np.sqrt(total)
+        return float(length) if length.ndim == 0 else length
 
 
 def reductive_complement(
@@ -252,6 +257,9 @@ def killing_length_profile(
     adds the flow by right multiplication, defined when the direction
     normalizes the isotropy algebra; its contribution to the frame at g is
     proj_𝔪(right), independent of g.  At least one component must be nonzero.
+
+    The points, Haar samples or the caller's ``points``, are group-checked and
+    evaluated as stacks of at most ``compact_lie._SAMPLE_BLOCK``.
     """
     have_left = xi is not None and trace_norm(np.asarray(xi)) > 1e-12
     have_right = right is not None and trace_norm(np.asarray(right)) > 1e-12
@@ -271,17 +279,23 @@ def killing_length_profile(
         if samples < 1:
             raise InvalidParameter("need at least one sample")
         rng = rng if rng is not None else np.random.default_rng()
-        points = [haar_sample(space.group, rng) for _ in range(samples)]
-    vals = np.empty(len(points))
-    for i, g in enumerate(points):
+        blocks = _haar_blocks(space.group, rng, samples)
+    else:
+        if len(points) == 0:
+            raise InvalidParameter("need at least one sample")
+        blocks = [points]
+    vals = []
+    for g in blocks:
         g = check_in_group(space.group, g)
-        Y = np.zeros((space.group.matrix_size, space.group.matrix_size), dtype=complex)
+        if g.ndim != 3:
+            raise NotInGroup("points must be a sequence of group elements")
+        Y = np.zeros(g.shape, dtype=complex)
         if have_left:
-            Y = Y + g.conj().T @ xi @ g
+            Y = Y + np.swapaxes(g.conj(), -1, -2) @ xi @ g
         if have_right:
             Y = Y + right
-        vals[i] = space.tangent_length(Y)
-    return DisplacementProfile.from_values(vals)
+        vals.append(space.tangent_length(Y))
+    return DisplacementProfile.from_values(np.concatenate(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +611,7 @@ def center_of_gravity(
     w = np.asarray(w, dtype=float)
     if np.linalg.norm(w) < 1e-12:
         raise ZeroVector("the averaged vector must be nonzero")
-    if isinstance(rep, CompactGroupSpec):
-        sampler = lambda r: haar_sample(rep, r)  # noqa: E731
-    elif callable(rep):
-        sampler = rep
-    else:
+    if not isinstance(rep, CompactGroupSpec) and not callable(rep):
         mats = [np.asarray(R, dtype=float) for R in rep]
         if not mats:
             raise InvalidParameter("empty representation")
@@ -613,9 +623,12 @@ def center_of_gravity(
         raise InvalidParameter("need at least one sample")
     rng = rng if rng is not None else np.random.default_rng()
     acc = np.zeros(w.size)
-    for _ in range(samples):
-        R = np.asarray(sampler(rng))
-        acc += (R @ w).real
+    if isinstance(rep, CompactGroupSpec):
+        for R in _haar_blocks(rep, rng, samples):
+            acc += np.sum((R @ w).real, axis=0)
+    else:
+        for _ in range(samples):
+            acc += (np.asarray(rep(rng)) @ w).real
     return acc / samples
 
 

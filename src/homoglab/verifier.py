@@ -21,18 +21,17 @@ import numpy as np
 
 from ._linalg import _vec, gram_schmidt, null_space, rank_rel
 from .compact_lie import (
+    _SAMPLE_BLOCK,
     CompactGroupSpec,
     TwoSidedIsometry,
     algebra_basis,
     center_elements,
     check_in_group,
-    compose,
     conjugacy_class_distance,
     group_displacement_profile,
     haar_sample,
     is_constant_displacement_translation,
     is_identity_isometry,
-    isometry_inverse,
 )
 from .constant_curvature import (
     haar_sphere,
@@ -147,44 +146,38 @@ class DeckGroup:
             mats.append(g)
         if not mats:
             raise InvalidParameter("deck group is empty")
-        arr = np.stack(mats)
-        dist_to_eye = np.max(np.abs(arr - np.eye(n)), axis=(1, 2))
-        identity = int(np.argmin(dist_to_eye))
-        if dist_to_eye[identity] > _CLOSURE_TOL:
-            raise NotClosed("deck group does not contain the identity")
-        table = cayley_table(arr, _CLOSURE_TOL)
-        table_inverses(table, identity)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _group_table(np.stack(mats)))
 
     def _validate_group(self):
         spec = self.model.spec
-        pairs = []
         for iso in self.elements:
             if not isinstance(iso, TwoSidedIsometry) or iso.inverted:
                 raise ModelMismatch("group-manifold decks consist of translation pairs")
             check_in_group(spec, iso.g1)
             check_in_group(spec, iso.g2)
-            pairs.append(iso)
-        if not pairs:
+        if not self.elements:
             raise InvalidParameter("deck group is empty")
-        if not any(is_identity_isometry(spec, iso, tol=_CLOSURE_TOL) for iso in pairs):
-            raise NotClosed("deck group does not contain the identity")
-        center = center_elements(spec)
+        # (z g1, z g2) is the same map as (g1, g2) for every central z, so the
+        # deck is a group of maps exactly when the blocks diag(z g1, z g2), over
+        # all elements and all z, form a group of matrices
+        d = spec.matrix_size
+        blocks = np.zeros((len(self.elements), 2 * d, 2 * d), dtype=complex)
+        for i, iso in enumerate(self.elements):
+            blocks[i, :d, :d], blocks[i, d:, d:] = iso.g1, iso.g2
+        center = np.array([z[0, 0] for z in center_elements(spec)])
+        _group_table((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
 
-        def same_map(a: TwoSidedIsometry, b: TwoSidedIsometry) -> bool:
-            return any(
-                np.max(np.abs(b.g1 - z * a.g1)) <= _CLOSURE_TOL
-                and np.max(np.abs(b.g2 - z * a.g2)) <= _CLOSURE_TOL
-                for z in [zc[0, 0] for zc in center]
-            )
 
-        for a in pairs:
-            for b in pairs:
-                prod = compose(a, b)
-                if not any(same_map(prod, c) for c in pairs):
-                    raise NotClosed("deck group is not closed under composition")
-            if not any(same_map(isometry_inverse(a), c) for c in pairs):
-                raise NotClosed("deck group is not closed under inverse")
+def _group_table(mats: np.ndarray) -> np.ndarray:
+    """Cayley table of a stack of matrices that must form a group: it holds the
+    identity and is closed under products and inverses, within _CLOSURE_TOL."""
+    dist_to_eye = np.max(np.abs(mats - np.eye(mats.shape[-1])), axis=(1, 2))
+    identity = int(np.argmin(dist_to_eye))
+    if dist_to_eye[identity] > _CLOSURE_TOL:
+        raise NotClosed("deck group does not contain the identity")
+    table = cayley_table(mats, _CLOSURE_TOL)
+    table_inverses(table, identity)
+    return table
 
 
 def sphere_deck(matrices, ambient_dim: int | None = None) -> DeckGroup:
@@ -241,12 +234,15 @@ def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
 
 
 def _tangent_rows(model, Z_basis, x):
+    """Rows of the centralizer fields at each point of the stack x: one matrix
+    per point, one row per field."""
+    Z = np.stack(Z_basis)
     if isinstance(model, SphereModel):
-        return np.array([_vec(np.asarray(X) @ x) for X in Z_basis])
-    xinv = np.asarray(x).conj().T
-    return np.array(
-        [_vec(xinv @ np.asarray(E[0]) @ x + np.asarray(E[1])) for E in Z_basis]
-    )
+        return np.einsum("kij,sj->ski", Z, x)
+    x = x[:, None]
+    T = np.swapaxes(x.conj(), -1, -2) @ Z[:, 0] @ x + Z[:, 1]
+    flat = T.reshape(T.shape[:2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 def transitivity_rank(
@@ -270,20 +266,21 @@ def transitivity_rank(
     if isinstance(model, SphereModel):
         base = np.zeros(model.ambient_dim)
         base[0] = 1.0
-        pts = list(haar_sphere(model.ambient_dim, points, rng))
+        pts = haar_sphere(model.ambient_dim, points, rng)
     else:
         base = model.spec.identity()
-        pts = [haar_sample(model.spec, rng) for _ in range(points)]
+        pts = haar_sample(model.spec, rng, size=points)
     if include_base:
-        pts.insert(0, base)
+        pts = np.concatenate([base[None], pts])
     dim = model.manifold_dim
     if not Z_basis:
         return 0, dim
-    min_rank = dim + 1
-    for x in pts:
-        rows = _tangent_rows(model, Z_basis, x)
-        min_rank = min(min_rank, rank_rel(rows, rel_cutoff=1e-8))
-    return min_rank, dim
+    # rows hold len(Z_basis) fields per point: evaluate them a block at a time
+    ranks = [
+        rank_rel(_tangent_rows(model, Z_basis, pts[i : i + _SAMPLE_BLOCK]), rel_cutoff=1e-8)
+        for i in range(0, len(pts), _SAMPLE_BLOCK)
+    ]
+    return int(min(r.min() for r in ranks)), dim
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homoglab import compact_lie
 from homoglab.compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -33,6 +34,7 @@ from homoglab.compact_lie import (
     translation_displacement,
 )
 from homoglab.errors import InvalidParameter, NotInGroup
+from homoglab.profiles import DisplacementProfile
 
 SU2 = CompactGroupSpec("SU", 2)
 SU3 = CompactGroupSpec("SU", 3)
@@ -413,3 +415,120 @@ def test_conjugate_pairs_have_zero_class_distance(spec, seed):
     rng = np.random.default_rng(seed)
     g, x = haar_sample(spec, rng), haar_sample(spec, rng)
     assert conjugacy_class_distance(spec, g, x @ g @ x.conj().T) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against one-at-a-time draws and evaluations
+
+SAMPLED_SPECS = (SU2, SU3, SO3, SO4, SO5, SP2, CompactGroupSpec("Sp", 3))
+
+
+def _sequential(spec, seed, size):
+    rng = np.random.default_rng(seed)
+    return np.stack([haar_sample(spec, rng) for _ in range(size)])
+
+
+@pytest.mark.parametrize("spec", SAMPLED_SPECS, ids=lambda s: s.name)
+def test_haar_stack_is_bit_equal_to_single_draws(spec, monkeypatch):
+    # a small block makes a stack of 11 cross two block boundaries
+    monkeypatch.setattr(compact_lie, "_SAMPLE_BLOCK", 4)
+    stack = haar_sample(spec, np.random.default_rng(5), size=11)
+    assert stack.shape == (11, spec.matrix_size, spec.matrix_size)
+    assert np.array_equal(stack, _sequential(spec, 5, 11))
+    check_in_group(spec, stack)
+
+
+@pytest.mark.parametrize("spec", (SU2, SO3), ids=lambda s: s.name)
+def test_haar_stack_crossing_the_real_block_size(spec):
+    size = compact_lie._SAMPLE_BLOCK + 3
+    stack = haar_sample(spec, np.random.default_rng(8), size=size)
+    assert np.array_equal(stack, _sequential(spec, 8, size))
+
+
+def test_haar_stack_leaves_the_generator_where_single_draws_do():
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    haar_sample(SP2, a, size=6)
+    _ = [haar_sample(SP2, b) for _ in range(6)]
+    assert a.standard_normal() == b.standard_normal()
+
+
+def test_haar_stack_rejects_empty_size(rng):
+    with pytest.raises(InvalidParameter):
+        haar_sample(SU2, rng, size=0)
+
+
+@pytest.mark.parametrize("spec", (SU3, SO4, SO5, SP2), ids=lambda s: s.name)
+@pytest.mark.parametrize("inverted", [False, True], ids=["pair", "inverted"])
+def test_displacement_profile_equals_per_point_loop(spec, inverted, monkeypatch):
+    monkeypatch.setattr(compact_lie, "_SAMPLE_BLOCK", 16)
+    rng = np.random.default_rng(12)
+    iso = TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng), inverted=inverted)
+    prof = group_displacement_profile(spec, iso, 40, np.random.default_rng(4))
+    pts = _sequential(spec, 4, 40)
+    ref = DisplacementProfile.from_values(
+        [translation_displacement(spec, iso, x, validate=False) for x in pts]
+    )
+    assert prof == ref
+    stacked = translation_displacement(spec, iso, pts)
+    assert np.array_equal(stacked, [translation_displacement(spec, iso, x) for x in pts])
+
+
+def test_branch_shift_by_rows_matches_one_row_at_a_time(rng):
+    u = haar_sample(CompactGroupSpec("SU", 4), rng, size=200)
+    rows = minimal_angles(CompactGroupSpec("SU", 4), u)
+    assert np.max(np.abs(rows.sum(axis=1))) < 1e-12
+    for one, row in zip(u, rows):
+        assert np.array_equal(minimal_angles(CompactGroupSpec("SU", 4), one), row)
+
+
+# ---------------------------------------------------------------------------
+# check_in_group on stacks: one bad member fails the whole stack
+
+
+def _bad_member(spec, rng, fault):
+    d = spec.matrix_size
+    g = haar_sample(spec, rng)
+    if fault == "unitary":
+        return 1.01 * g
+    if fault == "determinant":
+        return np.exp(0.3j) * g
+    if fault == "real":
+        return np.diag([1j, -1j] + [1.0] * (d - 2)) @ g
+    if fault == "orientation":
+        return np.diag([-1.0] + [1.0] * (d - 1)) @ g
+    return np.diag([1j] + [1.0] * (d - 1)) @ g  # commutes with J no longer
+
+
+@pytest.mark.parametrize(
+    "spec,fault,message",
+    [
+        (SU3, "unitary", "not unitary"),
+        (SU3, "determinant", "determinant is not 1"),
+        (SO4, "unitary", "not unitary"),
+        (SO4, "real", "not real"),
+        (SO4, "orientation", "determinant is not [+]1"),
+        (SP2, "unitary", "not unitary"),
+        (SP2, "quaternionic", "quaternionic structure"),
+    ],
+)
+def test_stack_with_one_bad_member_is_rejected(spec, fault, message, rng):
+    stack = haar_sample(spec, rng, size=6)
+    assert check_in_group(spec, stack) is stack
+    stack = stack.astype(complex)
+    stack[3] = _bad_member(spec, rng, fault)
+    with pytest.raises(NotInGroup, match=message):
+        check_in_group(spec, stack)
+    # the bad member fails on its own too, and the others pass
+    with pytest.raises(NotInGroup, match=message):
+        check_in_group(spec, stack[3])
+    check_in_group(spec, np.delete(stack, 3, axis=0))
+
+
+def test_stack_of_the_wrong_shape_is_rejected(rng):
+    with pytest.raises(NotInGroup):
+        check_in_group(SU3, haar_sample(SU2, rng, size=4))
+    ragged = list(haar_sample(SU3, rng, size=3)) + [np.eye(2)]
+    with pytest.raises(NotInGroup):
+        check_in_group(SU3, ragged)
+    with pytest.raises(NotInGroup):
+        check_in_group(SU3, np.zeros((2, 3, 3, 3)))

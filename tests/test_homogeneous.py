@@ -1,14 +1,20 @@
 """Reductive quotients, Killing-field lengths, Weyl orders, Berger metrics,
 and the homogeneous-space catalog."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homoglab import compact_lie
+from homoglab._linalg import trace_inner
 from homoglab.compact_lie import (
     CompactGroupSpec,
+    TwoSidedIsometry,
     algebra_basis,
+    group_displacement_profile,
     haar_sample,
     random_algebra_element,
 )
@@ -16,6 +22,7 @@ from homoglab.errors import (
     InvalidCoefficients,
     InvalidParameter,
     NotASubalgebra,
+    NotInGroup,
     ParseError,
     UnsupportedType,
     ZeroField,
@@ -185,6 +192,92 @@ def test_right_component_must_normalize_isotropy(rng):
         killing_length_profile(space, None, samples=10, rng=rng, right=bad)
 
 
+def _per_point_lengths(space, xi, right, pts):
+    """One tangent_length per point, and the same lengths from the
+    coordinates -trace(B X) one basis element at a time."""
+    looped, by_coords = [], []
+    for g in pts:
+        Y = np.zeros_like(g, dtype=complex)
+        if xi is not None:
+            Y = Y + g.conj().T @ xi @ g
+        if right is not None:
+            Y = Y + right
+        looped.append(space.tangent_length(Y))
+        coords = np.array([trace_inner(b, Y) for b in space.complement_basis])
+        by_coords.append(
+            np.sqrt(sum(c * np.sum(coords[list(idx)] ** 2) for c, idx in space.metric_blocks))
+        )
+    return np.array(looped), np.array(by_coords)
+
+
+@pytest.mark.parametrize(
+    "make_space,field",
+    [
+        (lambda: group_space(SU3), "left"),
+        (lambda: group_space(CompactGroupSpec("Sp", 2)), "left"),
+        (so5_so3_space, "left"),
+        (lambda: hopf_sphere_space(2), "left"),
+        (lambda: hopf_sphere_space(2), "both"),
+        (_round_s5_space, "left"),
+    ],
+    ids=["su3", "sp2", "so5-so3", "hopf-2", "hopf-2-both", "round-s5"],
+)
+def test_killing_profile_matches_per_point_lengths(make_space, field, monkeypatch):
+    monkeypatch.setattr(compact_lie, "_SAMPLE_BLOCK", 32)
+    space = make_space()
+    rng = np.random.default_rng(9)
+    xi = random_algebra_element(space.group, rng)
+    right = u1_centralizer_direction(3, 2) if field == "both" else None
+    prof = killing_length_profile(space, xi, samples=70, rng=np.random.default_rng(6), right=right)
+    draw = np.random.default_rng(6)
+    pts = [haar_sample(space.group, draw) for _ in range(70)]
+    looped, by_coords = _per_point_lengths(space, xi, right, pts)
+    for ref in (looped, by_coords):
+        np.testing.assert_allclose(
+            (prof.min, prof.max, prof.mean), (ref.min(), ref.max(), ref.mean()), rtol=0, atol=1e-12
+        )
+    stacked = killing_length_profile(space, xi, points=pts, right=right)
+    assert (stacked.min, stacked.max, stacked.mean) == (prof.min, prof.max, prof.mean)
+
+
+def test_caller_points_are_group_checked_as_one_stack(rng):
+    space = hopf_sphere_space(2)
+    xi = random_algebra_element(space.group, rng)
+    pts = list(haar_sample(space.group, rng, size=5))
+    pts[2] = 1.5 * pts[2]
+    with pytest.raises(NotInGroup):
+        killing_length_profile(space, xi, points=pts)
+    with pytest.raises(NotInGroup):
+        killing_length_profile(space, xi, points=pts[:2] + [np.eye(2)])
+    with pytest.raises(NotInGroup):  # one matrix, not a sequence of them
+        killing_length_profile(space, xi, points=np.eye(3, dtype=complex))
+    with pytest.raises(InvalidParameter):
+        killing_length_profile(space, xi, points=[])
+
+
+@pytest.mark.parametrize("profile", ["displacement", "killing"])
+def test_long_so5_profile_holds_one_block_at_a_time(profile):
+    """50 000 SO(5) samples as one stack would take 40-60 MB here; drawn and
+    evaluated in blocks the profile peaks near 6 MB."""
+    spec = CompactGroupSpec("SO", 5)
+    rng = np.random.default_rng(1)
+    if profile == "displacement":
+        iso = TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng))
+        run = lambda: group_displacement_profile(spec, iso, 50_000, rng)  # noqa: E731
+    else:
+        space = so5_so3_space()
+        xi = random_algebra_element(spec, rng, unit=True)
+        run = lambda: killing_length_profile(space, xi, samples=50_000, rng=rng)  # noqa: E731
+    tracemalloc.start()
+    try:
+        prof = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.samples == 50_000
+    assert peak < 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # rank detection and isotropy splitting
 
@@ -316,6 +409,18 @@ def test_center_of_gravity_finite_rotations():
     w = np.array([1.0, 0.0])
     cog = center_of_gravity(mats, w)
     assert np.max(np.abs(cog)) < 1e-12
+
+
+def test_center_of_gravity_of_a_group_spec_averages_haar_stacks(monkeypatch):
+    monkeypatch.setattr(compact_lie, "_SAMPLE_BLOCK", 64)
+    spec = CompactGroupSpec("SO", 3)
+    w = np.array([0.3, -1.0, 2.0])
+    cog = center_of_gravity(spec, w, samples=500, rng=np.random.default_rng(2))
+    draw = np.random.default_rng(2)
+    looped = sum(haar_sample(spec, draw) @ w for _ in range(500)) / 500
+    np.testing.assert_allclose(cog, looped, rtol=0, atol=1e-12)
+    # SO(3) fixes no direction: the orbit averages to the origin
+    assert np.linalg.norm(center_of_gravity(spec, w, samples=20_000, rng=draw)) < 0.05
 
 
 def test_center_of_gravity_haar_circle(rng):

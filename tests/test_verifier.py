@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from homoglab.cli import group_manifold_deck
-from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry, haar_sample
-from homoglab.constant_curvature import lens_group
+from homoglab._linalg import _vec, rank_rel
+from homoglab.compact_lie import (
+    CompactGroupSpec,
+    TwoSidedIsometry,
+    center_elements,
+    haar_sample,
+)
+from homoglab.constant_curvature import haar_sphere, lens_group
 from homoglab.errors import (
     EmptyAmbient,
     InvalidParameter,
@@ -266,6 +272,40 @@ def test_group_deck_requires_closure():
         group_deck(SU2, [left_translation_isometry(SU2, np.eye(2)), left_translation_isometry(SU2, a)])
 
 
+def _order5_deck(spec, drop=None):
+    """x -> a^-k x a^-k for k = 0..4, a of order 5 (no power of it is
+    central); ``drop`` leaves one element out."""
+    a = group_manifold_deck(spec, "cyclic-5")[1].g1
+    powers = [np.linalg.matrix_power(a, k) for k in range(5)]
+    isos = [TwoSidedIsometry(p, p.conj().T) for p in powers]
+    if drop is not None:
+        del isos[drop]
+    return isos
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS, ids=lambda s: s.name)
+def test_group_deck_closure_sees_products_and_inverses(spec):
+    group_deck(spec, _order5_deck(spec))
+    with pytest.raises(NotClosed):  # {1, a, a^2, a^3}: a * a^3 = a^4 is missing
+        group_deck(spec, _order5_deck(spec, drop=4))
+    with pytest.raises(NotClosed):  # {1, a^2, a^3, a^4}: a^4 has no inverse a
+        group_deck(spec, _order5_deck(spec, drop=1))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in GROUP_SPECS if len(center_elements(s)) > 1], ids=lambda s: s.name
+)
+def test_group_deck_closure_is_up_to_the_center(spec):
+    """(z g1, z g2) is the same map as (g1, g2) for central z: a deck may list
+    any central multiple of a pair, the identity pair included."""
+    z = center_elements(spec)[-1]
+    listed = [TwoSidedIsometry(z @ iso.g1, z @ iso.g2) for iso in _order5_deck(spec)]
+    group_deck(spec, listed[::-1])
+    # (1, z) is x -> x z, not the identity map: no pair is the identity
+    with pytest.raises(NotClosed):
+        group_deck(spec, [TwoSidedIsometry(spec.identity(), z)] + listed[1:])
+
+
 # ---------------------------------------------------------------------------
 # rank utilities and verdict table
 
@@ -278,6 +318,57 @@ def test_transitivity_rank_needs_enough_points(rng):
 
 def test_empty_span_has_rank_zero(rng):
     assert transitivity_rank([], SphereModel(4), 10, rng) == (0, 3)
+
+
+def _per_point_rank(Z, model, x):
+    if isinstance(model, SphereModel):
+        rows = np.array([_vec(np.asarray(X) @ x) for X in Z])
+    else:
+        rows = np.array([_vec(x.conj().T @ E[0] @ x + E[1]) for E in Z])
+    return rank_rel(rows, rel_cutoff=1e-8)
+
+
+def _per_point_min_rank(Z, model, points, seed):
+    rng = np.random.default_rng(seed)
+    if isinstance(model, SphereModel):
+        base = np.eye(model.ambient_dim)[0]
+        pts = [base] + list(haar_sphere(model.ambient_dim, points, rng))
+    else:
+        pts = [model.spec.identity()] + [haar_sample(model.spec, rng) for _ in range(points)]
+    return min(_per_point_rank(Z, model, x) for x in pts)
+
+
+def _named_group_deck(family, n, name):
+    spec = CompactGroupSpec(family, n)
+    return group_deck(spec, group_manifold_deck(spec, name))
+
+
+@pytest.mark.parametrize(
+    "make_deck",
+    [
+        lambda: sphere_deck_from_quaternions(named_binary_group(GroupType("binary_dihedral", 3))),
+        lambda: sphere_deck(lens_group(5, (1, 2))),
+        lambda: sphere_deck(lens_group(9, (1, 2, 4))),
+        lambda: _named_group_deck("SU", 2, "cyclic-3"),
+        lambda: _named_group_deck("SU", 3, "cyclic-3"),
+        lambda: _named_group_deck("SO", 4, "center"),
+        lambda: _named_group_deck("Sp", 2, "cyclic-3"),
+    ],
+    ids=["s3-dihedral", "s3-lens-5-1-2", "s5-lens-9", "su2-cyclic-3", "su3-cyclic-3", "so4-center", "sp2-cyclic-3"],
+)
+def test_transitivity_rank_equals_per_point_loop(make_deck):
+    """Lens decks with distinct exponents have a torus centralizer, so their
+    rank stays below the dimension; the others reach it."""
+    deck = make_deck()
+    ambient = (
+        sphere_ambient_basis(deck.model.ambient_dim)
+        if isinstance(deck.model, SphereModel)
+        else group_ambient_basis(deck.model.spec)
+    )
+    Z = centralizer_algebra(deck, ambient)
+    rank, dim = transitivity_rank(Z, deck.model, 12, np.random.default_rng(3), include_base=True)
+    assert dim == deck.model.manifold_dim
+    assert rank == _per_point_min_rank(Z, deck.model, 12, 3)
 
 
 def test_full_ambient_is_transitive_for_both_models(rng):
