@@ -23,13 +23,14 @@ def null_space(A: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _vec(E: np.ndarray) -> np.ndarray:
+def _vec(E: np.ndarray, lead: int = 0) -> np.ndarray:
     """Real coordinate vector of a real or complex array (real parts, then
-    imaginary parts)."""
+    imaginary parts); one vector per index of the first ``lead`` axes."""
     E = np.asarray(E)
+    flat = E.reshape(E.shape[:lead] + (-1,))
     if np.iscomplexobj(E):
-        return np.concatenate([E.real.ravel(), E.imag.ravel()])
-    return E.ravel()
+        return np.concatenate([flat.real, flat.imag], axis=-1)
+    return flat
 
 
 def rank_rel(A: np.ndarray, rel_cutoff: float = 1e-8):

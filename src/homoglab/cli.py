@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -32,19 +33,19 @@ from .compact_lie import (
 from .constant_curvature import (
     EuclideanMotion,
     HyperbolicMotion,
+    check_orthogonal,
+    clifford_evidence,
+    cyclic_powers,
     euclidean_bounded,
     hyperbolic_bounded_probe,
-    is_clifford_sphere,
     is_free_on_sphere,
     lens_group,
-    sphere_displacement_profile,
 )
 from .errors import HomoglabError, InvalidParameter, ModelMismatch, ParseError
 from .finite_groups import (
     GroupType,
     check_space_form_constraints,
     classify,
-    left_translation_matrix,
     named_binary_group,
 )
 from .homogeneous import (
@@ -188,7 +189,7 @@ def sphere_group_matrices(name: str, ambient: int | None = None):
     if q is not None:
         if ambient is not None and ambient != 4:
             raise ModelMismatch(f"{name} acts by quaternion multiplication on s3 only")
-        return [left_translation_matrix(x) for x in q.elements]
+        return q.left_translation_matrices()
     m = re.fullmatch(r"lens-(\d+)((?:-\d+)+)", name)
     if m:
         k = int(m.group(1))
@@ -305,7 +306,7 @@ def _real_orthogonal_from_file(path: str, model: SphereModel) -> np.ndarray:
         raise ModelMismatch(
             f"matrix is {M.shape[0]}x{M.shape[1]}, model needs {model.ambient_dim}"
         )
-    return M
+    return check_orthogonal(M)
 
 
 def _cmd_check_clifford(args, rng):
@@ -319,14 +320,11 @@ def _cmd_check_clifford(args, rng):
     else:
         mats = sphere_group_matrices(args.group, model.ambient_dim)
         inputs["group"] = args.group
-    elements = []
-    for i, g in enumerate(mats):
-        ok, angle = is_clifford_sphere(np.asarray(g, dtype=float), tol=1e-9)
-        if ok:
-            elements.append({"id": i, "constant": True, "value": angle})
-        else:
-            prof = sphere_displacement_profile(g, args.samples, rng)
-            elements.append({"id": i, "constant": False, "value": prof.gap})
+    constant, values = clifford_evidence(mats, args.samples, rng, tol=1e-9)
+    elements = [
+        {"id": i, "constant": bool(c), "value": float(v)}
+        for i, (c, v) in enumerate(zip(constant, values))
+    ]
     verdict = (
         "ConstantDisplacement"
         if all(e["constant"] for e in elements)
@@ -335,25 +333,13 @@ def _cmd_check_clifford(args, rng):
     return inputs, {"eigen": 1e-9}, {"elements": elements}, verdict
 
 
-def _cyclic_closure(M: np.ndarray, limit: int = 10_000) -> list[np.ndarray]:
-    """Powers of M up to the first return to the identity."""
-    n = M.shape[0]
-    out, g = [np.eye(n)], M
-    while np.max(np.abs(g - np.eye(n))) > 1e-9:
-        out.append(g)
-        g = g @ M
-        if len(out) > limit:
-            raise InvalidParameter("matrix does not generate a finite cyclic group")
-    return out
-
-
 def _cmd_check_free(args, rng):
     model = parse_model(args.model)
     if not isinstance(model, SphereModel):
         raise InvalidParameter("check-free runs on sphere models")
     inputs = {"model": args.model}
     if args.matrix_file:
-        mats = _cyclic_closure(_real_orthogonal_from_file(args.matrix_file, model))
+        mats = cyclic_powers(_real_orthogonal_from_file(args.matrix_file, model))
         inputs["matrix_file"] = os.path.basename(args.matrix_file)
     else:
         mats = sphere_group_matrices(args.group, model.ambient_dim)
@@ -546,15 +532,23 @@ def _cmd_probe_noncompact(args, rng):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    default_seed = int(os.environ.get(SEED_ENV, "0"))
-    p.add_argument("--seed", type=int, default=default_seed)
+    # a string default goes through type=int, so a malformed variable is a usage error
+    p.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"))
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--output", type=str, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad usage like every other configuration error: a
+    HomoglabError, reported as one line on stderr with exit code 2."""
+
+    def error(self, message):
+        raise InvalidParameter(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homoglab",
         description="Constant-displacement isometries and homogeneity checks "
         "on spheres and compact group manifolds.",
@@ -622,21 +616,19 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    if args.samples < 10:
-        print("error: --samples must be >= 10", file=sys.stderr)
-        return 2
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
-    start = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
+        if args.samples < 10:
+            raise InvalidParameter("--samples must be >= 10")
+        if not 0 < args.tol < math.inf:
+            raise InvalidParameter("--tol must be positive and finite")
+        if args.seed < 0:
+            raise InvalidParameter("--seed must be non-negative")
+        rng = np.random.default_rng(args.seed)
+        start = time.perf_counter()
         inputs, tolerances, evidence, verdict = _DISPATCH[args.command](args, rng)
+    except SystemExit as e:  # --help
+        return 0 if e.code in (0, None) else 2
     except HomoglabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,6 +7,9 @@ cross-checking, freeness tests, lens group constructors, and a geodesic
 invariance check.  Flat space and the hyperbolic plane get boundedness
 probes: a Euclidean motion has bounded displacement iff its linear part is
 the identity, and a hyperbolic isometry iff it is +-I.
+
+The sphere kernels take one orthogonal matrix or a (k, n, n) stack of them; a
+single matrix is evaluated as a stack of one.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from math import gcd
 
 import numpy as np
 
+from .compact_lie import _SAMPLE_BLOCK
 from .errors import (
     InvalidParameter,
     NonCoprimeExponent,
@@ -30,18 +34,36 @@ _ORTHO_TOL = 1e-10
 
 
 def check_orthogonal(g: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    """Return ``g`` as a float array if it is an orthogonal matrix, or a
+    non-empty stack of them along its leading axis; NonOrthogonalInput when
+    any member fails."""
+    try:
+        g = np.asarray(g, dtype=float)
+    except ValueError:  # a ragged list of matrices
+        raise NonOrthogonalInput("expected square matrices of one size") from None
+    if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2] or g.size == 0:
         raise NonOrthogonalInput("expected a square matrix")
-    if np.max(np.abs(g.T @ g - np.eye(g.shape[0]))) > tol:
+    # written so that NaN entries fail too
+    if not np.max(np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1]))) <= tol:
         raise NonOrthogonalInput("matrix is not orthogonal")
     return g
 
 
-def haar_sphere(n_ambient: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on S^{n_ambient-1} via normalized Gaussians; rows are points."""
-    x = rng.standard_normal((samples, n_ambient))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+def _orthogonal_stack(g: np.ndarray) -> np.ndarray:
+    """``check_orthogonal(g)`` as a (k, n, n) stack; one matrix is k = 1."""
+    g = check_orthogonal(g)
+    return g.reshape((-1,) + g.shape[-2:])
+
+
+def haar_sphere(
+    n_ambient: int, samples: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Uniform points on S^{n_ambient-1} via normalized Gaussians: a
+    (samples, n_ambient) array of rows, or a (size, samples, n_ambient) stack
+    of them, the same points as ``size`` single draws."""
+    shape = (samples, n_ambient) if size is None else (size, samples, n_ambient)
+    x = rng.standard_normal(shape)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def sphere_displacement(g: np.ndarray, x: np.ndarray, tol: float = 1e-10) -> float:
@@ -53,30 +75,59 @@ def sphere_displacement(g: np.ndarray, x: np.ndarray, tol: float = 1e-10) -> flo
     return float(np.arccos(np.clip(x @ (g @ x), -1.0, 1.0)))
 
 
-def sphere_displacement_profile(
-    g: np.ndarray, samples: int, rng: np.random.Generator
-) -> DisplacementProfile:
-    """Sampling oracle: displacement statistics over Haar points on the sphere."""
-    g = check_orthogonal(g)
-    pts = haar_sphere(g.shape[0], samples, rng)
-    vals = np.arccos(np.clip(np.einsum("si,si->s", pts, pts @ g.T), -1.0, 1.0))
-    return DisplacementProfile.from_values(vals)
+def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Generator):
+    """Sampling oracle: displacement statistics over Haar points on the sphere,
+    ``samples`` fresh points per matrix.  One matrix gives one
+    DisplacementProfile, a stack a tuple of them.
+
+    The points of a stack are drawn as (k_b, samples, n) blocks with
+    k_b * samples at most ``_SAMPLE_BLOCK`` (at least one matrix per block),
+    which consumes the generator as one draw per matrix does.
+    """
+    stack = _orthogonal_stack(g)
+    k, n = stack.shape[0], stack.shape[-1]
+    step = max(1, _SAMPLE_BLOCK // samples)
+    profiles = []
+    for i in range(0, k, step):
+        mats = stack[i : i + step]
+        pts = haar_sphere(n, samples, rng, size=len(mats))
+        cosines = np.einsum("ksi,ksi->ks", pts, pts @ np.swapaxes(mats, -1, -2))
+        vals = np.arccos(np.clip(cosines, -1.0, 1.0))
+        profiles += [DisplacementProfile.from_values(v) for v in vals]
+    return profiles[0] if np.ndim(g) == 2 else tuple(profiles)
 
 
 def is_clifford_sphere(g: np.ndarray, tol: float = 1e-9):
     """Exact constant-displacement test on the sphere.
 
-    Returns (True, angle) when the symmetric part (g + g^T)/2 equals c*I
-    entrywise within tol (the displacement is then arccos(c) everywhere),
-    otherwise (False, None).
+    For one matrix, returns (True, angle) when the symmetric part
+    (g + g^T)/2 equals c*I entrywise within tol (the displacement is then
+    arccos(c) everywhere), otherwise (False, None).  For a stack, returns a
+    boolean array and an array of angles, NaN where the test fails.
     """
-    g = check_orthogonal(g)
-    n = g.shape[0]
-    c = float(np.trace(g)) / n
-    sym = (g + g.T) / 2.0
-    if np.max(np.abs(sym - c * np.eye(n))) <= tol:
-        return True, float(np.arccos(np.clip(c, -1.0, 1.0)))
-    return False, None
+    stack = _orthogonal_stack(g)
+    n = stack.shape[-1]
+    c = np.trace(stack, axis1=1, axis2=2) / n
+    sym = (stack + np.swapaxes(stack, 1, 2)) / 2.0
+    ok = np.max(np.abs(sym - c[:, None, None] * np.eye(n)), axis=(1, 2)) <= tol
+    angle = np.where(ok, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
+    if np.ndim(g) == 3:
+        return ok, angle
+    return (True, float(angle[0])) if ok[0] else (False, None)
+
+
+def clifford_evidence(g: np.ndarray, samples: int, rng: np.random.Generator, tol: float = 1e-9):
+    """Per-matrix constancy and its evidence, for one matrix or a stack: a
+    boolean array from ``is_clifford_sphere``, and an array holding the
+    displacement angle where it is constant and the sampled gap where it is
+    not.  Only the non-constant matrices draw points, in stack order."""
+    stack = _orthogonal_stack(g)
+    constant, values = is_clifford_sphere(stack, tol=tol)
+    moving = np.nonzero(~constant)[0]
+    if moving.size:
+        profiles = sphere_displacement_profile(stack[moving], samples, rng)
+        values[moving] = [p.gap for p in profiles]
+    return constant, values
 
 
 @dataclass(frozen=True)
@@ -93,7 +144,7 @@ def is_free_on_sphere(group, tol: float = 1e-9, *, table=None) -> FreenessResult
     Closure is checked by building the Cayley table at ``tol`` (NotClosed when
     a product is missing) unless the caller passes the list's ``table``.
     """
-    arr = np.stack([check_orthogonal(g) for g in group])
+    arr = _orthogonal_stack(group)
     if table is None:
         cayley_table(arr, tol)
     n = arr.shape[1]
@@ -111,6 +162,21 @@ def rotation_block(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def cyclic_powers(M: np.ndarray, limit: int = 10_000) -> list[np.ndarray]:
+    """The cyclic group generated by M: its powers I, M, M^2, ... (each the
+    previous one times M) up to the first return to the identity, max-abs
+    within 1e-9.  InvalidParameter when there are more than ``limit`` (a
+    matrix with NaN entries never returns)."""
+    eye = np.eye(M.shape[0])
+    out, g = [eye], M
+    while not np.max(np.abs(g - eye)) <= 1e-9:
+        out.append(g)
+        if len(out) > limit:
+            raise InvalidParameter("matrix does not generate a finite cyclic group")
+        g = g @ M
+    return out
+
+
 def lens_group(k: int, exponents) -> list[np.ndarray]:
     """Cyclic group of order k on S^{2r-1} generated by the block rotation
     diag(R(2 pi q_1 / k), ..., R(2 pi q_r / k)); exponents must be coprime to k."""
@@ -126,10 +192,7 @@ def lens_group(k: int, exponents) -> list[np.ndarray]:
     gen = np.zeros((2 * r, 2 * r))
     for i, q in enumerate(exps):
         gen[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation_block(2.0 * np.pi * q / k)
-    out = [np.eye(2 * r)]
-    for _ in range(k - 1):
-        out.append(out[-1] @ gen)
-    return out
+    return cyclic_powers(gen, limit=k)
 
 
 def invariant_geodesic_check(
@@ -220,6 +283,20 @@ def euclidean_bounded(motion: EuclideanMotion, radii=(1.0, 10.0, 100.0)):
 # hyperbolic plane (upper half-plane model)
 
 
+def _moebius(m: np.ndarray, z):
+    a, b = m[0]
+    c, d = m[1]
+    return (a * z + b) / (c * z + d)
+
+
+def _moebius_displacement(m: np.ndarray, z):
+    """Hyperbolic distance d(z, mz), elementwise, via
+    cosh d = 1 + |z - mz|^2 / (2 Im z Im mz)."""
+    w = _moebius(m, z)
+    arg = 1.0 + np.abs(z - w) ** 2 / (2.0 * np.imag(z) * np.imag(w))
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
 @dataclass(frozen=True)
 class HyperbolicMotion:
     """Moebius action of a real 2x2 matrix of determinant 1."""
@@ -232,16 +309,12 @@ class HyperbolicMotion:
             raise InvalidParameter("need a real 2x2 matrix with det 1")
 
     def apply(self, z: complex) -> complex:
-        a, b = self.matrix[0]
-        c, d = self.matrix[1]
-        return (a * z + b) / (c * z + d)
+        return _moebius(self.matrix, z)
 
     def displacement(self, z: complex) -> float:
         """Hyperbolic distance d(z, mz) via
         cosh d = 1 + |z - mz|^2 / (2 Im z Im mz)."""
-        w = self.apply(z)
-        arg = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-        return float(np.arccosh(max(arg, 1.0)))
+        return float(_moebius_displacement(self.matrix, z))
 
 
 def _hyperbolic_ball_points(radius: float, angles: int) -> np.ndarray:
@@ -253,15 +326,15 @@ def _hyperbolic_ball_points(radius: float, angles: int) -> np.ndarray:
 
 def hyperbolic_bounded_probe(motion: HyperbolicMotion, radii=(1.0, 2.0, 4.0, 8.0), angles: int = 64):
     """Exact verdict (bounded iff the matrix is +-I) plus the sampled sup of
-    the displacement over nested hyperbolic balls around i."""
+    the displacement over nested hyperbolic balls around i: the centre and
+    the circles of every radius up to the current one, evaluated as one array."""
     m = motion.matrix
     bounded = bool(
         np.max(np.abs(m - np.eye(2))) <= 1e-10 or np.max(np.abs(m + np.eye(2))) <= 1e-10
     )
-    sups = []
-    best = motion.displacement(1j)
-    for R in sorted(radii):
-        pts = _hyperbolic_ball_points(R, angles)
-        best = max(best, max(motion.displacement(complex(z)) for z in pts))
-        sups.append(float(best))
-    return bounded, sups
+    radii = sorted(radii)
+    pts = np.concatenate([[1j]] + [_hyperbolic_ball_points(R, angles) for R in radii])
+    disp = _moebius_displacement(m, pts)
+    circles = disp[1:].reshape(len(radii), angles).max(axis=1)
+    sups = np.maximum.accumulate(np.concatenate([disp[:1], circles]))[1:]
+    return bounded, [float(v) for v in sups]

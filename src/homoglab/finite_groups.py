@@ -148,49 +148,94 @@ class GroupType:
         }.get(self.kind)
 
 
+# Quaternion.__mul__ term by term: component c of a * b adds, for t = 0..3 in
+# this order, a[t] * (_MUL_SIGN[t, c] * b[_MUL_INDEX[t, c]])
+_MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_MUL_SIGN = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float)
+
+
+def _quaternion_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a[i] * b[j], i outer and j inner, as a (len(a) * len(b), 4)
+    array.  The terms are those of ``Quaternion.__mul__``, added in its order
+    (x - y is x + (-y) exactly), so each product has the scalar one's bits."""
+    terms = a[:, None, :, None] * (_MUL_SIGN * b[:, _MUL_INDEX])[None]
+    prods = terms[:, :, 0] + terms[:, :, 1]
+    prods += terms[:, :, 2]
+    prods += terms[:, :, 3]
+    return prods.reshape(-1, 4)
+
+
+def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """near[i, j]: rows a[i] and b[j] lie within tol in max-abs distance."""
+    dist = np.abs(np.subtract.outer(a[:, 0], b[:, 0]))
+    for c in range(1, a.shape[1]):
+        np.maximum(dist, np.abs(np.subtract.outer(a[:, c], b[:, c])), out=dist)
+    return dist <= tol
+
+
+def _first_occurrences(cand: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows a sequential scan keeps: a row is kept unless an
+    earlier kept row lies within tol of it."""
+    idx = np.arange(len(cand))
+    near = _near(cand, cand, tol) & (idx[:, None] > idx[None, :])
+    decided = ~near.any(axis=1)  # no earlier row near: kept
+    kept = decided.copy()
+    # the first undecided row has every earlier row decided, so each pass
+    # settles at least one row
+    while not decided.all():
+        blocked = (near & kept).any(axis=1)
+        pending = (near & ~decided).any(axis=1)
+        settle = ~decided & (blocked | ~pending)
+        kept[settle & ~blocked] = True
+        decided |= settle
+    return kept
+
+
 def generate_closure(generators, limit: int = 10000) -> list[Quaternion]:
     """Breadth-first closure of unit quaternion generators.
 
-    Elements closer than 1e-9 are identified.  Raises NonUnitGenerator for a
-    generator off the unit sphere and ClosureExceedsLimit when the closure
-    grows past ``limit``.
+    Elements closer than 1e-9 (max-abs) are identified.  Each round forms all
+    frontier x generator products at once and keeps, in that order, those not
+    within 1e-9 of an earlier element; candidates are compared in blocks, so
+    the distance arrays stay near ``_TABLE_BLOCK`` entries.  Raises
+    NonUnitGenerator for a generator off the unit sphere and
+    ClosureExceedsLimit when the closure grows past ``limit``.
     """
     gens = list(generators)
     for g in gens:
         if abs(g.norm() - 1.0) > _UNIT_TOL:
             raise NonUnitGenerator(f"generator has norm {g.norm():.12f}")
-    elements = [Quaternion.one()]
-    coords = [elements[0].to_array()]
+    gen_coords = np.array([g.to_array() for g in gens]).reshape(-1, 4)
+    coords = np.zeros((64, 4))
+    coords[0, 0] = 1.0
+    count = 1
 
-    def find(q: Quaternion) -> int:
-        arr = np.asarray(coords)
-        d = np.max(np.abs(arr - q.to_array()), axis=1)
-        idx = int(np.argmin(d))
-        return idx if d[idx] <= _DEDUP_TOL else -1
+    def add(cand: np.ndarray) -> np.ndarray:
+        nonlocal coords, count
+        added = []
+        start = 0
+        while start < len(cand):
+            # the distance temporaries hold step * count entries
+            step = max(1, min(1 << 10, _TABLE_BLOCK // count))
+            block = cand[start : start + step]
+            start += step
+            block = block[~_near(block, coords[:count], _DEDUP_TOL).any(axis=1)]
+            block = block[_first_occurrences(block, _DEDUP_TOL)]
+            if count + len(block) > limit:
+                raise ClosureExceedsLimit(f"closure exceeded limit {limit}")
+            if count + len(block) > len(coords):
+                coords = np.concatenate([coords, np.zeros((count + len(block), 4))])
+            coords[count : count + len(block)] = block
+            count += len(block)
+            added.append(block)
+        return np.concatenate(added) if added else cand[:0]
 
-    frontier = []
-    for g in gens:
-        if find(g) < 0:
-            elements.append(g)
-            coords.append(g.to_array())
-            frontier.append(g)
-    if not frontier:
-        frontier = list(elements)
-    while frontier:
-        new = []
-        for q in frontier:
-            for g in gens:
-                p = q * g
-                if find(p) < 0:
-                    elements.append(p)
-                    coords.append(p.to_array())
-                    new.append(p)
-                    if len(elements) > limit:
-                        raise ClosureExceedsLimit(
-                            f"closure exceeded limit {limit}"
-                        )
-        frontier = new
-    return elements
+    frontier = add(gen_coords)
+    if not len(frontier):
+        frontier = coords[:count].copy()
+    while len(frontier):
+        frontier = add(_quaternion_products(frontier, gen_coords))
+    return [Quaternion(*row) for row in coords[:count].tolist()]
 
 
 class FiniteQuaternionGroup:
@@ -199,7 +244,7 @@ class FiniteQuaternionGroup:
     def __init__(self, elements, generators=()):
         self.elements: list[Quaternion] = list(elements)
         self.generators: list[Quaternion] = list(generators)
-        self._coords = np.array([q.to_array() for q in self.elements])
+        self._coords = np.array([(q.w, q.x, q.y, q.z) for q in self.elements]).reshape(-1, 4)
         self._table: np.ndarray | None = None
         self._identity = self.index_of(Quaternion.one())
         if self._identity < 0:
@@ -222,6 +267,10 @@ class FiniteQuaternionGroup:
         idx = int(np.argmin(d))
         return idx if d[idx] <= tol else -1
 
+    def left_translation_matrices(self) -> np.ndarray:
+        """(order, 4, 4) stack of the matrices of x -> q x, in element order."""
+        return _left_translation_stack(self._coords)
+
     def multiplication_table(self) -> np.ndarray:
         """table[i, j] = index of elements[i] * elements[j]; exact integers.
 
@@ -230,8 +279,7 @@ class FiniteQuaternionGroup:
         their max-abs entry distance is that of the quaternions.
         """
         if self._table is None:
-            mats = np.stack([left_translation_matrix(q) for q in self.elements])
-            self._table = cayley_table(mats, 1e-6)
+            self._table = cayley_table(self.left_translation_matrices(), 1e-6)
         return self._table
 
 
@@ -267,7 +315,7 @@ def cayley_table(mats, tol: float) -> np.ndarray:
         score -= half_sq
         nearest = np.argmax(score, axis=1)
         stray = np.max(np.abs(prods - flat[nearest]))
-        if stray > tol:
+        if not stray <= tol:  # NaN entries fail too
             raise NotClosed(f"products stray {stray:.2e} from the element set")
         table[i : i + step] = nearest.reshape(-1, k)
     return table
@@ -293,46 +341,57 @@ def table_identity(table: np.ndarray) -> int:
 
 
 def element_orders(table: np.ndarray, identity: int) -> np.ndarray:
+    """Order of every element, stepping all powers p_i = i^k at once."""
     n = table.shape[0]
+    idx = np.arange(n)
     orders = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        p, k = i, 1
-        while p != identity:
-            p = table[p, i]
-            k += 1
-            if k > n:
-                raise NotClosed("order computation did not terminate")
-        orders[i] = k
+    power = idx.copy()
+    pending = power != identity
+    orders[~pending] = 1
+    k = 1
+    while pending.any():
+        k += 1
+        if k > n:
+            raise NotClosed("order computation did not terminate")
+        power = table[power, idx]
+        hit = pending & (power == identity)
+        orders[hit] = k
+        pending &= ~hit
     return orders
 
 
 def subgroup_closure(table: np.ndarray, gen_idx, identity: int) -> list[int]:
-    seen = {identity}
-    frontier = [g for g in gen_idx if g not in seen]
-    seen.update(frontier)
-    gens = list(dict.fromkeys(gen_idx))
-    while frontier:
+    """Sorted indices of the subgroup generated by ``gen_idx``: breadth-first
+    rounds of frontier x generator products, taken a block of rows at a time."""
+    n = table.shape[0]
+    gens = np.unique(np.asarray(list(gen_idx), dtype=np.int64))
+    seen = np.zeros(n, dtype=bool)
+    seen[identity] = True
+    frontier = gens[~seen[gens]]
+    seen[frontier] = True
+    step = max(1, _TABLE_BLOCK // max(1, gens.size))
+    while frontier.size:
         new = []
-        for a in frontier:
-            for g in gens:
-                p = int(table[a, g])
-                if p not in seen:
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return sorted(seen)
+        for i in range(0, frontier.size, step):
+            prods = np.unique(table[np.ix_(frontier[i : i + step], gens)])
+            prods = prods[~seen[prods]]
+            seen[prods] = True
+            new.append(prods)
+        frontier = np.concatenate(new)
+    return np.nonzero(seen)[0].tolist()
 
 
 def derived_subgroup(table: np.ndarray, identity: int) -> list[int]:
+    """The subgroup generated by all commutators [a, b] = a b a^-1 b^-1."""
     inv = table_inverses(table, identity)
     n = table.shape[0]
-    comms = set()
-    for a in range(n):
-        for b in range(n):
-            ab = table[a, b]
-            ba_inv = table[inv[a], inv[b]]
-            comms.add(int(table[ab, ba_inv]))
-    return subgroup_closure(table, sorted(comms), identity)
+    comms = np.zeros(n, dtype=bool)
+    step = max(1, _TABLE_BLOCK // n)
+    for i in range(0, n, step):
+        ab = table[i : i + step]
+        ba_inv = table[inv[i : i + step, None], inv[None, :]]
+        comms[table[ab, ba_inv]] = True
+    return subgroup_closure(table, np.nonzero(comms)[0], identity)
 
 
 def is_perfect(table: np.ndarray, identity: int) -> bool:
@@ -345,8 +404,7 @@ def involution_indices(table: np.ndarray, identity: int) -> list[int]:
 
 
 def central_indices(table: np.ndarray) -> list[int]:
-    n = table.shape[0]
-    return [i for i in range(n) if np.array_equal(table[i], table[:, i])]
+    return [int(i) for i in np.nonzero(np.all(table == table.T, axis=1))[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +484,12 @@ def _binary_dihedral_param(table: np.ndarray, identity: int) -> int | None:
         for _ in range(m - 1):
             p = int(table[p, a])
         a_pow_m = p
-        cyc_set = set(cyc)
-        for t in range(n):
-            if t in cyc_set:
-                continue
-            # t a t^{-1} == a^{-1} and t^2 == a^m
-            tat = table[table[t, a], inv[t]]
-            if tat == inv[a] and table[t, t] == a_pow_m:
-                return m
+        # some t outside <a> with t a t^{-1} == a^{-1} and t^2 == a^m
+        outside = np.ones(n, dtype=bool)
+        outside[cyc] = False
+        inverting = table[table[:, a], inv] == inv[a]
+        if np.any(outside & inverting & (np.diagonal(table) == a_pow_m)):
+            return m
     return None
 
 
@@ -490,25 +546,29 @@ class SpaceFormConstraintReport:
         )
 
 
-def _two_generated_abelian_cyclic(table: np.ndarray, identity: int) -> bool:
-    n = table.shape[0]
-    orders = element_orders(table, identity)
-    for a in range(n):
-        # powers of a
-        pow_a = subgroup_closure(table, [a], identity)
-        for b in range(a + 1, n):
-            if table[a, b] != table[b, a]:
-                continue
-            # <a, b> is abelian: enumerate a^s b^t
-            elems = set()
-            for p in pow_a:
-                q = p
-                elems.add(q)
-                for _ in range(orders[b] - 1):
-                    q = int(table[q, b])
-                    elems.add(q)
-            size = len(elems)
-            if max(int(orders[e]) for e in elems) != size:
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _abelian_subgroups_cyclic(table: np.ndarray, orders: np.ndarray) -> bool:
+    """Every abelian subgroup of a finite group is cyclic iff the group holds
+    no Z_p x Z_p, i.e. iff no two commuting elements of a prime order p
+    generate different cyclic subgroups."""
+    for p in (int(o) for o in np.unique(orders)):
+        elems = np.nonzero(orders == p)[0]
+        # p - 1 elements of order p make up one subgroup of order p
+        if not _is_prime(p) or elems.size == p - 1:
+            continue
+        # label each element by the least index among its nontrivial powers
+        label, power = elems.copy(), elems
+        for _ in range(p - 2):
+            power = table[power, elems]
+            np.minimum(label, power, out=label)
+        step = max(1, _TABLE_BLOCK // elems.size)
+        for i in range(0, elems.size, step):
+            rows = elems[i : i + step]
+            commute = table[np.ix_(rows, elems)] == table[np.ix_(elems, rows)].T
+            if np.any(commute & (label[i : i + step, None] != label[None, :])):
                 return False
     return True
 
@@ -521,12 +581,13 @@ def check_space_form_constraints(group) -> SpaceFormConstraintReport:
     abstract groups (e.g. Klein four) can be screened as well.
     """
     table, identity = _as_table(group)
+    orders = element_orders(table, identity)
     # strip even part for the sylow check
     n = table.shape[0]
     rem = n
     while rem % 2 == 0:
         rem //= 2
-    orders = set(int(o) for o in element_orders(table, identity))
+    order_set = set(int(o) for o in orders)
     odd_ok = True
     p = 3
     while p <= rem:
@@ -535,16 +596,15 @@ def check_space_form_constraints(group) -> SpaceFormConstraintReport:
             while rem % p == 0:
                 rem //= p
                 pa *= p
-            if pa not in orders:
+            if pa not in order_set:
                 odd_ok = False
         p += 2
-    invs = involution_indices(table, identity)
+    invs = np.nonzero(orders == 2)[0]
     central = set(central_indices(table))
-    inv_central = all(i in central for i in invs)
     return SpaceFormConstraintReport(
-        abelian_subgroups_cyclic=_two_generated_abelian_cyclic(table, identity),
+        abelian_subgroups_cyclic=_abelian_subgroups_cyclic(table, orders),
         involution_count=len(invs),
-        involution_central=inv_central,
+        involution_central=all(int(i) in central for i in invs),
         odd_sylow_cyclic=odd_ok,
     )
 
@@ -600,19 +660,22 @@ def is_sl25(group) -> bool:
 # orthogonal representations
 
 
+def _left_translation_stack(coords: np.ndarray) -> np.ndarray:
+    """(k, 4, 4) matrices of x -> q x for the rows q = (w, x, y, z) of coords."""
+    w, x, y, z = coords.T
+    norms = np.sqrt(w**2 + x**2 + y**2 + z**2)
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]
+    if bad.size:
+        raise NonUnitInput(
+            f"left translation needs a unit quaternion, norm {norms[bad[0]]:.12f}"
+        )
+    rows = [w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w]
+    return np.stack(rows, axis=-1).reshape(-1, 4, 4)
+
+
 def left_translation_matrix(q: Quaternion) -> np.ndarray:
     """Matrix of x -> q x on R^4 in the basis (1, i, j, k); lies in SO(4)."""
-    if abs(q.norm() - 1.0) > _UNIT_TOL:
-        raise NonUnitInput(f"left translation needs a unit quaternion, norm {q.norm():.12f}")
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    return _left_translation_stack(q.to_array()[None])[0]
 
 
 def right_translation_matrix(q: Quaternion) -> np.ndarray:

@@ -34,8 +34,8 @@ from .compact_lie import (
     is_identity_isometry,
 )
 from .constant_curvature import (
+    clifford_evidence,
     haar_sphere,
-    is_clifford_sphere,
     is_free_on_sphere,
     sphere_displacement_profile,
 )
@@ -49,7 +49,6 @@ from .errors import (
 from .finite_groups import (
     FiniteQuaternionGroup,
     cayley_table,
-    left_translation_matrix,
     table_inverses,
 )
 
@@ -113,13 +112,14 @@ def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSided
 class DeckGroup:
     """A finite group of isometries in one declared ambient model.
 
-    On a sphere, validation leaves the deck's Cayley table in ``table``
-    (table[i, j] = index of elements[i] @ elements[j]); group-manifold decks
-    have ``table`` None.
+    On a sphere, validation leaves the elements as one (k, n, n) float stack
+    in ``matrices`` and the deck's Cayley table in ``table`` (table[i, j] =
+    index of elements[i] @ elements[j]); group-manifold decks have both None.
     """
 
     model: SphereModel | GroupManifoldModel
     elements: tuple
+    matrices: np.ndarray | None = field(default=None, init=False, repr=False)
     table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -136,17 +136,16 @@ class DeckGroup:
 
     def _validate_sphere(self):
         n = self.model.ambient_dim
-        mats = []
-        for g in self.elements:
-            g = np.asarray(g, dtype=float)
-            if g.shape != (n, n):
-                raise ModelMismatch(f"expected {n}x{n} matrices")
-            if np.max(np.abs(g.T @ g - np.eye(n))) > _CLOSURE_TOL:
-                raise ModelMismatch("element is not orthogonal")
-            mats.append(g)
+        mats = [np.asarray(g, dtype=float) for g in self.elements]
+        if any(g.shape != (n, n) for g in mats):
+            raise ModelMismatch(f"expected {n}x{n} matrices")
         if not mats:
             raise InvalidParameter("deck group is empty")
-        object.__setattr__(self, "table", _group_table(np.stack(mats)))
+        mats = np.stack(mats)
+        if not np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _CLOSURE_TOL:
+            raise ModelMismatch("element is not orthogonal")  # NaN entries too
+        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "table", _group_table(mats))
 
     def _validate_group(self):
         spec = self.model.spec
@@ -190,7 +189,7 @@ def sphere_deck(matrices, ambient_dim: int | None = None) -> DeckGroup:
 
 def sphere_deck_from_quaternions(group: FiniteQuaternionGroup) -> DeckGroup:
     """Left multiplication action of a finite quaternion group on S^3."""
-    mats = tuple(left_translation_matrix(q) for q in group.elements)
+    mats = tuple(group.left_translation_matrices())
     return DeckGroup(SphereModel(4), mats)
 
 
@@ -202,29 +201,27 @@ def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
 # centralizer and transitivity
 
 
-def _ad_isometry(model, gamma, ambient_element):
-    if isinstance(model, SphereModel):
-        g = np.asarray(gamma)
-        return g @ ambient_element @ g.T
-    X, Y = ambient_element[0], ambient_element[1]
-    g1, g2 = gamma.g1, gamma.g2
-    return np.stack([g1.conj().T @ X @ g1, g2.conj().T @ Y @ g2])
+def _ad_minus_identity(deck: DeckGroup, basis: np.ndarray) -> np.ndarray:
+    """(Ad(γ) − I) b for every deck element γ (axis 0) and basis element b
+    (axis 1)."""
+    if isinstance(deck.model, SphereModel):
+        g = deck.matrices[:, None]
+        return g @ basis @ np.swapaxes(g, -1, -2) - basis
+    # a group-manifold direction is a pair (X, Y): Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2)
+    g = np.stack([np.stack([iso.g1, iso.g2]) for iso in deck.elements])[:, None]
+    return np.swapaxes(g.conj(), -1, -2) @ basis @ g - basis
 
 
 def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
     """Orthonormal basis of the ambient directions fixed by Ad of every deck
-    element — the common null space of the stacked (Ad(γ) − I) maps."""
+    element — the common null space of the stacked (Ad(γ) − I) maps, built
+    for all elements and basis directions at once."""
     basis = list(ambient_basis)
     if not basis:
         raise EmptyAmbient("ambient basis is empty")
-    blocks = []
-    for gamma in deck.elements:
-        blocks.append(
-            np.column_stack(
-                [_vec(_ad_isometry(deck.model, gamma, b) - b) for b in basis]
-            )
-        )
-    M = np.vstack(blocks)
+    B = np.stack(basis)
+    # column b holds _vec((Ad(γ) − I) b) of every γ, one element after another
+    M = np.swapaxes(_vec(_ad_minus_identity(deck, B), lead=2), 1, 2).reshape(-1, len(basis))
     if np.max(np.abs(M)) <= 1e-12:  # identity-only deck: everything commutes
         coeff = np.eye(len(basis))
     else:
@@ -360,15 +357,10 @@ def verdict_from_evidence(free: bool, all_constant: bool, min_rank: int, dim: in
 
 
 def _sphere_element_evidence(deck, config, rng):
-    out = []
-    for i, g in enumerate(deck.elements):
-        ok, angle = is_clifford_sphere(g, tol=1e-9)
-        if ok:
-            out.append(ElementEvidence(i, True, float(angle)))
-        else:
-            prof = sphere_displacement_profile(g, config.samples, rng)
-            out.append(ElementEvidence(i, False, prof.gap))
-    return tuple(out)
+    constant, values = clifford_evidence(deck.matrices, config.samples, rng, tol=1e-9)
+    return tuple(
+        ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
+    )
 
 
 def _group_element_evidence(deck, config, rng):
@@ -397,7 +389,7 @@ def verify_instance(
     rng = np.random.default_rng(config.seed)
 
     if isinstance(model, SphereModel):
-        freeness = is_free_on_sphere(list(deck.elements), tol=1e-9, table=deck.table)
+        freeness = is_free_on_sphere(deck.matrices, tol=1e-9, table=deck.table)
         free = freeness.free
         free_offender = freeness.offender
         elements = _sphere_element_evidence(deck, config, rng)
@@ -428,14 +420,14 @@ def verify_instance(
 
     forward_max_gap = None
     if verdict == HOMOGENEOUS_WITNESS_FOUND:
-        gaps = []
-        for iso in deck.elements:
-            if isinstance(model, SphereModel):
-                prof = sphere_displacement_profile(iso, config.samples, rng)
-            else:
-                prof = group_displacement_profile(model.spec, iso, config.samples, rng)
-            gaps.append(prof.gap)
-        forward_max_gap = float(max(gaps))
+        if isinstance(model, SphereModel):
+            profiles = sphere_displacement_profile(deck.matrices, config.samples, rng)
+        else:
+            profiles = [
+                group_displacement_profile(model.spec, iso, config.samples, rng)
+                for iso in deck.elements
+            ]
+        forward_max_gap = float(max(p.gap for p in profiles))
         if forward_max_gap > config.tol:
             raise InvariantViolated(
                 "forward consistency violated: full rank but displacement gap "

@@ -1,9 +1,13 @@
 """CLI contract: exit codes, JSON report shape, determinism, matrix files."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import jsonschema
 
@@ -272,6 +276,53 @@ def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe-noncompact", "--motions", "x"],
+        ["check-homogeneity", "--model", "s3"],
+        ["construct", "--group", "cyclic-3", "--seed", "-1"],
+        ["construct", "--group", "cyclic-3", "--tol", "nan"],
+        ["construct", "--group", "cyclic-3", "--tol", "inf"],
+        ["catalog", "show"],
+        [],
+    ],
+    ids=["bad-int", "missing-option", "negative-seed", "nan-tol", "inf-tol", "bad-choice", "no-command"],
+)
+def test_malformed_argv_exits_2_with_one_stderr_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_malformed_seed_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("HOMOGLAB_SEED", "abc")
+    assert main(["construct", "--group", "cyclic-3"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_non_orthogonal_matrix_file_is_refused(capsys, tmp_path):
+    f = tmp_path / "nan.txt"
+    f.write_text("4\nnan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    for cmd in ("check-free", "check-clifford"):
+        assert main([cmd, "--model", "s3", "--matrix-file", str(f)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_construct_large_cyclic_group_quickly(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "construct", "--group", "cyclic-360")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert rep["verdict"] == "Constructed"
+    assert rep["evidence"]["order"] == 360
+    assert rep["evidence"]["abelian_subgroups_cyclic"] is True
+    check_schema(rep)
+
+
 def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch):
     """A failed internal consistency check is refused like a usage error."""
     from homoglab import verifier
@@ -313,3 +364,122 @@ def test_matrix_parse_errors(tmp_path):
     f = tmp_path / "ok.txt"
     f.write_text("2\n0 -1\n1 0\n")
     assert np.allclose(load_matrix(str(f)), [[0, -1], [1, 0]])
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every run exits 0/1 with a schema-valid report, or 2 with one
+# line on stderr, and none ends in a traceback
+
+
+def _mostly(valid, malformed):
+    """A token from ``valid`` (weighted three to one) or from ``malformed``."""
+    return st.sampled_from(3 * list(valid) + list(malformed))
+
+
+def _names(prefix, lo, hi):
+    return st.integers(lo, hi).map(lambda n: f"{prefix}{n}")
+
+
+_SAMPLES = _mostly(["10", "17", "50"], ["-3", "0", "9", "x", "1e3", "", "nan"])
+_TOLS = _mostly(["1e-7", "1e-3", "0.5"], ["0", "-1", "nan", "inf", "-inf", "1e400", "x", ""])
+_SEEDS = _mostly(["0", "1", "42", "99999999999999999999"], ["-1", "x", ""])
+_COUNTS = _mostly(["1", "2", "3"], ["-2", "0", "x", "1.5"])
+_FLOATS = _mostly(["1", "0.8", "0.5", "0.25"], ["0", "-1", "2", "nan", "inf", "1e400", "x"])
+_SPHERE_GROUPS = _mostly(
+    ["binary-tetrahedral", "binary-octahedral", "binary-icosahedral", "antipodal"],
+    ["center", "cyclic-", "cyclic-x", "lens-", "lens-5", "no-such-group"],
+) | _names("cyclic-", -1, 60) | _names("binary-dihedral-", -1, 15) | st.tuples(
+    st.integers(0, 60), st.lists(st.integers(-2, 13), min_size=1, max_size=4)
+).map(lambda t: "lens-" + "-".join(str(x) for x in (t[0], *t[1])))
+_SPHERES = _mostly(["s2", "s3", "s3", "s5", "s7"], ["s1", "su2", "x3", ""])
+_MODELS = _mostly(
+    ["s3", "s3", "s5", "s7", "su2", "su3", "so3", "so4", "sp2"], ["s1", "su1", "su13", "x3", ""]
+)
+_SPACES = _mostly(
+    ["su2", "su3", "so5", "sp2", "hopf-1", "hopf-3", "so5-so3"], ["so13", "hopf-0", "so5-so2", "x"]
+)
+
+
+@st.composite
+def _argv(draw, files):
+    cmd = draw(_mostly(
+        ["construct", "check-clifford", "check-free", "check-killing", "check-berger",
+         "check-homogeneity", "catalog", "probe-noncompact"],
+        ["no-such-command"],
+    ))
+    argv = [cmd]
+    if cmd == "construct":
+        argv += ["--group", draw(_SPHERE_GROUPS)]
+    elif cmd in ("check-clifford", "check-free"):
+        argv += ["--model", draw(_SPHERES)]
+        if draw(st.booleans()):
+            argv += ["--group", draw(_SPHERE_GROUPS)]
+        else:
+            argv += ["--matrix-file", draw(st.sampled_from(files))]
+    elif cmd == "check-killing":
+        argv += ["--space", draw(_SPACES)]
+        argv += ["--field", draw(_mostly(["left", "right"], ["up"]))]
+        argv += ["--directions", draw(_COUNTS)]
+    elif cmd == "check-berger":
+        argv += ["--a", draw(_FLOATS), "--b", draw(_FLOATS)]
+    elif cmd == "check-homogeneity":
+        argv += ["--model", draw(_MODELS), "--group", draw(_SPHERE_GROUPS)]
+        if not argv[2].startswith("s") or draw(st.booleans()):
+            argv[-1] = draw(_SPHERE_GROUPS | st.just("center"))
+        argv += ["--points", draw(_mostly(["5", "8"], ["-1", "0", "4", "x"]))]
+    elif cmd == "catalog":
+        argv += [draw(_mostly(["list", "verify"], ["show"]))]
+        argv += [draw(_mostly(["1", "2", "10", "19"], ["0", "20", "x"]))]
+    elif cmd == "probe-noncompact":
+        argv += ["--motions", draw(_COUNTS)]
+    argv += ["--samples", draw(_SAMPLES)]
+    for flag, values in (("--tol", _TOLS), ("--seed", _SEEDS)):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    # drop a token now and then
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    c, s = np.cos(2 * np.pi / 5), np.sin(2 * np.pi / 5)
+    texts = {
+        "rot4.txt": format_matrix(np.block([[np.array([[c, -s], [s, c]]), np.zeros((2, 2))],
+                                            [np.zeros((2, 2)), np.eye(2)]])),
+        "eye3.txt": format_matrix(np.eye(3)),
+        "scale4.txt": format_matrix(2.0 * np.eye(4)),
+        "nan4.txt": "4\n" + "nan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+        "complex4.txt": format_matrix(np.eye(4) * 1j),
+        "bad.txt": "2\n1 x\n",
+        "empty.txt": "",
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    return [str(d / name) for name in texts] + [str(d / "missing.txt")]
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def test_argv_fuzz_keeps_the_cli_contract(fuzz_files):
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv(fuzz_files))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        else:
+            report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            check_schema(report)
+            assert report["command"] == argv[0]
+
+    run()

@@ -10,19 +10,24 @@ from hypothesis import strategies as st
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ClosureExceedsLimit, NonUnitGenerator, NotClosed
+from homoglab import finite_groups
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
     Quaternion,
+    _cyclic_generator,
     cayley_table,
     check_space_form_constraints,
     classify,
+    derived_subgroup,
     element_orders,
+    generate_closure,
     is_sl25,
     left_translation_matrix,
     named_binary_group,
     right_translation_matrix,
     special_linear_table,
+    subgroup_closure,
     su2_matrix,
     table_identity,
     table_inverses,
@@ -291,3 +296,256 @@ def test_cayley_table_needs_identity_and_every_product():
         cayley_table(np.delete(mats, e, axis=0), 1e-9)
     with pytest.raises(NotClosed):
         cayley_table(np.delete(mats, (e + 1) % len(mats), axis=0), 1e-9)
+    with pytest.raises(NotClosed):
+        cayley_table(np.stack([np.eye(2), np.full((2, 2), np.nan)]), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar loops the vectorised kernels replaced
+
+
+def bfs_closure(generators, limit=10000):
+    """Breadth-first closure one product at a time, each looked up by a linear
+    max-abs scan over the elements found so far."""
+    gens = list(generators)
+    for g in gens:
+        if abs(g.norm() - 1.0) > 1e-10:
+            raise NonUnitGenerator(f"generator has norm {g.norm():.12f}")
+    elements = [Quaternion.one()]
+    coords = [elements[0].to_array()]
+
+    def find(q):
+        d = np.max(np.abs(np.asarray(coords) - q.to_array()), axis=1)
+        idx = int(np.argmin(d))
+        return idx if d[idx] <= 1e-9 else -1
+
+    frontier = []
+    for g in gens:
+        if find(g) < 0:
+            elements.append(g)
+            coords.append(g.to_array())
+            frontier.append(g)
+    if not frontier:
+        frontier = list(elements)
+    while frontier:
+        new = []
+        for q in frontier:
+            for g in gens:
+                p = q * g
+                if find(p) < 0:
+                    elements.append(p)
+                    coords.append(p.to_array())
+                    new.append(p)
+                    if len(elements) > limit:
+                        raise ClosureExceedsLimit(f"closure exceeded limit {limit}")
+        frontier = new
+    return elements
+
+
+def element_bits(elements):
+    return np.array([q.to_array() for q in elements]).tobytes()
+
+
+CLOSURE_TAGS = (
+    [GroupType.cyclic(n) for n in range(1, 61)]
+    + [GroupType.binary_dihedral(m) for m in range(2, 16)]
+    + [
+        GroupType.binary_tetrahedral(),
+        GroupType.binary_octahedral(),
+        GroupType.binary_icosahedral(),
+    ]
+)
+
+
+@pytest.mark.parametrize("tag", CLOSURE_TAGS, ids=str)
+def test_closure_matches_scalar_bfs_in_order_and_bits(tag):
+    group = named_binary_group(tag)
+    assert element_bits(group.elements) == element_bits(bfs_closure(group.generators))
+
+
+_OMEGA = Quaternion(0.5, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [],
+        [Quaternion.one()],
+        [Quaternion.i(), Quaternion.i()],
+        [Quaternion.i(), -Quaternion.one(), Quaternion.j()],
+        [_OMEGA, Quaternion.i(), _OMEGA * Quaternion.i(), Quaternion.one()],
+        [Quaternion(np.cos(np.pi / 7), 0.0, np.sin(np.pi / 7)), Quaternion.k()],
+    ],
+    ids=["none", "identity", "repeated", "with-minus-one", "redundant", "dihedral-7"],
+)
+def test_closure_matches_scalar_bfs_on_redundant_generators(gens):
+    assert element_bits(generate_closure(gens)) == element_bits(bfs_closure(gens))
+
+
+def test_closure_matches_scalar_bfs_across_dedupe_blocks(monkeypatch):
+    # a block of 64 score entries splits every round into many blocks
+    gens = named_binary_group(GroupType.binary_icosahedral()).generators
+    want = element_bits(bfs_closure(gens))
+    monkeypatch.setattr(finite_groups, "_TABLE_BLOCK", 64)
+    assert element_bits(generate_closure(gens)) == want
+
+
+def test_closure_error_paths_match_scalar_bfs():
+    spiral = [Quaternion(np.cos(1.0), np.sin(1.0))]
+    for closure in (generate_closure, bfs_closure):
+        with pytest.raises(ClosureExceedsLimit):
+            closure(spiral, limit=500)
+        with pytest.raises(ClosureExceedsLimit):
+            closure([_cyclic_generator(12)], limit=11)
+        assert len(closure([_cyclic_generator(12)], limit=12)) == 12
+        with pytest.raises(NonUnitGenerator):
+            closure([Quaternion.i(), Quaternion(0.5, 0.5)])
+
+
+def test_closure_dedupe_memory_is_bounded_at_cyclic_5000():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        elements = generate_closure([_cyclic_generator(5000)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 5000
+    # the 5000 Quaternion objects alone take about 0.8 MB
+    assert peak < 4 * 2**20
+
+
+def brute_force_orders(table, identity):
+    n = table.shape[0]
+    orders = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        p, k = i, 1
+        while p != identity:
+            p = table[p, i]
+            k += 1
+        orders[i] = k
+    return orders
+
+
+def brute_force_derived(table, identity):
+    """Every commutator, then the closure under products one at a time."""
+    inv = table_inverses(table, identity)
+    n = table.shape[0]
+    sub = {int(table[table[a, b], table[inv[a], inv[b]]]) for a in range(n) for b in range(n)}
+    while True:
+        grown = sub | {int(table[a, b]) for a in sub for b in sub}
+        if grown == sub:
+            return sorted(sub)
+        sub = grown
+
+
+def cyclic_product_table(*orders):
+    """Multiplication table of Z_a x Z_b x ..., elements in mixed-radix order."""
+    elems = np.array(list(np.ndindex(*orders)))
+    radix = np.cumprod((1,) + orders[::-1][:-1])[::-1]
+    sums = (elems[:, None, :] + elems[None, :, :]) % np.array(orders)
+    return sums @ radix
+
+
+def dihedral_table(n):
+    """The order-2n symmetries of an n-gon: (r, s) is the map x -> (-1)^s x + r."""
+    elems = [(r, s) for s in range(2) for r in range(n)]
+    index = {e: i for i, e in enumerate(elems)}
+    table = np.empty((2 * n, 2 * n), dtype=np.int64)
+    for i, (r1, s1) in enumerate(elems):
+        for j, (r2, s2) in enumerate(elems):
+            table[i, j] = index[((r1 + (-1) ** s1 * r2) % n, (s1 + s2) % 2)]
+    return table
+
+
+RAW_TABLES = {
+    "Z2xZ2": cyclic_product_table(2, 2),
+    "Z2xZ4": cyclic_product_table(2, 4),
+    "Z3xZ3": cyclic_product_table(3, 3),
+    "Z4xZ4": cyclic_product_table(4, 4),
+    "Z3xZ5": cyclic_product_table(3, 5),
+    "Z2xZ2xZ2": cyclic_product_table(2, 2, 2),
+    "D4": dihedral_table(4),
+    "D5": dihedral_table(5),
+    "SL(2,3)": special_linear_table(3),
+}
+
+
+def _tables():
+    for tag in ALL_TAGS + [GroupType.binary_dihedral(15), GroupType.cyclic(60)]:
+        g = named_binary_group(tag)
+        yield pytest.param(g.multiplication_table(), g.identity_index, id=str(tag))
+    for name, table in RAW_TABLES.items():
+        yield pytest.param(table, table_identity(table), id=name)
+
+
+@pytest.mark.parametrize("table,identity", list(_tables()))
+def test_orders_and_derived_subgroup_match_brute_force(table, identity):
+    assert np.array_equal(element_orders(table, identity), brute_force_orders(table, identity))
+    assert derived_subgroup(table, identity) == brute_force_derived(table, identity)
+
+
+def two_generated_abelian_cyclic(table, identity):
+    """The enumerator the exact Z_p x Z_p criterion replaced: every abelian
+    subgroup <a, b> listed element by element and checked for cyclicity."""
+    n = table.shape[0]
+    orders = brute_force_orders(table, identity)
+    for a in range(n):
+        pow_a = subgroup_closure(table, [a], identity)
+        for b in range(a + 1, n):
+            if table[a, b] != table[b, a]:
+                continue
+            elems = set()
+            for p in pow_a:
+                q = p
+                elems.add(q)
+                for _ in range(orders[b] - 1):
+                    q = int(table[q, b])
+                    elems.add(q)
+            if max(int(orders[e]) for e in elems) != len(elems):
+                return False
+    return True
+
+
+# the enumerator is O(n^4) on abelian groups: cyclic-120 takes it minutes
+ORACLE_TAGS = (
+    [GroupType.cyclic(n) for n in range(1, 31)]
+    + [GroupType.binary_dihedral(m) for m in list(range(2, 19)) + [30]]
+    + [
+        GroupType.binary_tetrahedral(),
+        GroupType.binary_octahedral(),
+        GroupType.binary_icosahedral(),
+    ]
+)
+
+
+def _oracle_cases():
+    for tag in ORACLE_TAGS:
+        yield pytest.param(named_binary_group(tag), id=str(tag))
+    for name, table in RAW_TABLES.items():
+        yield pytest.param(table, id=name)
+    yield pytest.param(special_linear_table(5), id="SL(2,5)")
+
+
+@pytest.mark.parametrize("group", list(_oracle_cases()))
+def test_space_form_report_matches_the_enumerator(group):
+    table = group.multiplication_table() if isinstance(group, FiniteQuaternionGroup) else group
+    identity = table_identity(table)
+    orders = brute_force_orders(table, identity)
+    report = check_space_form_constraints(group)
+    assert report.abelian_subgroups_cyclic == two_generated_abelian_cyclic(table, identity)
+    assert report.involution_count == int(np.sum(orders == 2))
+    assert report.involution_central == all(
+        np.array_equal(table[i], table[:, i]) for i in np.nonzero(orders == 2)[0]
+    )
+
+
+def test_abelian_screen_on_direct_products():
+    expected = {"Z2xZ2": False, "Z2xZ4": False, "Z3xZ3": False, "Z4xZ4": False,
+                "Z3xZ5": True, "Z2xZ2xZ2": False, "D4": False, "D5": True, "SL(2,3)": True}
+    for name, table in RAW_TABLES.items():
+        assert check_space_form_constraints(table).abelian_subgroups_cyclic == expected[name], name
+    # abelian of order 1000: one subgroup of each prime order, so it passes quickly
+    assert check_space_form_constraints(cyclic_product_table(8, 125)).abelian_subgroups_cyclic
+    assert not check_space_form_constraints(cyclic_product_table(10, 100)).abelian_subgroups_cyclic

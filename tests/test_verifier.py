@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from homoglab.cli import group_manifold_deck
-from homoglab._linalg import _vec, rank_rel
+from homoglab._linalg import _vec, gram_schmidt, null_space, rank_rel
 from homoglab.compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -441,3 +441,66 @@ def test_config_has_no_descent_settings():
     for knob in ("multistarts", "refine_steps"):
         with pytest.raises(TypeError):
             VerifyConfig(**{knob: 4})
+
+
+# ---------------------------------------------------------------------------
+# the stacked centralizer against the per-element, per-direction loop
+
+
+def _ad_isometry_oracle(model, gamma, b):
+    if isinstance(model, SphereModel):
+        g = np.asarray(gamma)
+        return g @ b @ g.T
+    g1, g2 = gamma.g1, gamma.g2
+    return np.stack([g1.conj().T @ b[0] @ g1, g2.conj().T @ b[1] @ g2])
+
+
+def centralizer_oracle(deck, ambient_basis):
+    basis = list(ambient_basis)
+    M = np.vstack([
+        np.column_stack([_vec(_ad_isometry_oracle(deck.model, g, b) - b) for b in basis])
+        for g in deck.elements
+    ])
+    coeff = np.eye(len(basis)) if np.max(np.abs(M)) <= 1e-12 else null_space(M, rel_cutoff=1e-8)
+    out = [sum(ck * bk for ck, bk in zip(c, basis)) for c in coeff.T]
+    return tuple(gram_schmidt(out, lambda A, B: float(np.dot(_vec(A), _vec(B)))))
+
+
+@pytest.mark.parametrize(
+    "make_deck",
+    [
+        lambda: sphere_deck_from_quaternions(named_binary_group(GroupType.binary_icosahedral())),
+        lambda: sphere_deck_from_quaternions(named_binary_group(GroupType.cyclic(12))),
+        lambda: sphere_deck(lens_group(9, (1, 2, 4))),
+        lambda: sphere_deck(lens_group(12, (1, 1, 1, 1))),
+        lambda: sphere_deck([np.eye(4)]),
+        lambda: _named_group_deck("SU", 2, "cyclic-3"),
+        lambda: _named_group_deck("SU", 3, "center"),
+        lambda: _named_group_deck("SO", 4, "cyclic-3"),
+        lambda: _named_group_deck("Sp", 2, "cyclic-3"),
+        lambda: _two_sided_deck(CompactGroupSpec("SU", 3), np.random.default_rng(5)),
+    ],
+    ids=["s3-icosahedral", "s3-cyclic-12", "s5-lens-9", "s7-lens-12", "s3-identity",
+         "su2-cyclic-3", "su3-center", "so4-cyclic-3", "sp2-cyclic-3", "su3-two-sided"],
+)
+def test_stacked_centralizer_equals_the_per_element_loop(make_deck):
+    deck = make_deck()
+    ambient = (
+        sphere_ambient_basis(deck.model.ambient_dim)
+        if isinstance(deck.model, SphereModel)
+        else group_ambient_basis(deck.model.spec)
+    )
+    got, want = centralizer_algebra(deck, ambient), centralizer_oracle(deck, ambient)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sphere_deck_keeps_its_stack_and_checks_every_element():
+    deck = sphere_deck(lens_group(7, (1, 2)))
+    assert deck.matrices.shape == (7, 4, 4)
+    assert all(np.array_equal(a, b) for a, b in zip(deck.matrices, deck.elements))
+    mats = lens_group(7, (1, 2))
+    mats[3] = mats[3] * (1 + 1e-6)
+    with pytest.raises(ModelMismatch):
+        sphere_deck(mats)
