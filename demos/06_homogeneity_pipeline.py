@@ -4,8 +4,9 @@ The homogeneity pipeline on spherical space forms
 
 For a finite free group of sphere isometries: check that every element
 has constant displacement, compute the algebra commuting with the group,
-and test whether its fields span every sampled tangent space.  Full rank
-is a homogeneity witness for the quotient.
+and test whether its fields span the tangent space at the base point.  The
+commuting group has closed orbits, so full rank at that one point makes it
+transitive: the quotient is homogeneous.
 """
 
 import numpy as np
@@ -22,12 +23,12 @@ from homoglab import (
 # the binary icosahedral group: the quotient is the Poincare sphere
 deck = sphere_deck_from_quaternions(named_binary_group(GroupType.binary_icosahedral()))
 report = verify_instance(deck)
-pts, rank, dim = report.transitivity
+_, rank, dim = report.transitivity
 print("Poincare sphere (S^3 / I*):")
 print(f"  free: {report.free}, all constant displacement: "
       f"{all(e.constant for e in report.clifford_per_element)}")
 print(f"  commuting algebra dimension: {report.centralizer_dim}")
-print(f"  tangent rank {rank}/{dim} at {pts} points -> {report.verdict}")
+print(f"  tangent rank {rank}/{dim} at the base point -> {report.verdict}")
 
 # homogeneous lens space: both exponents equal
 report = verify_instance(sphere_deck(lens_group(5, (1, 1))))

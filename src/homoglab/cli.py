@@ -247,10 +247,10 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
 
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
-    print(text)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
+    print(text, flush=True)
 
 
 def _exit_code(verdict: str) -> int:
@@ -426,9 +426,7 @@ def _cmd_check_berger(args, rng):
 
 def _cmd_check_homogeneity(args, rng):
     model = parse_model(args.model)
-    config = VerifyConfig(
-        seed=args.seed, samples=args.samples, points=args.points, tol=args.tol
-    )
+    config = VerifyConfig(seed=args.seed, samples=args.samples, tol=args.tol)
     if isinstance(model, SphereModel):
         deck = sphere_deck(
             sphere_group_matrices(args.group, model.ambient_dim), model.ambient_dim
@@ -441,7 +439,6 @@ def _cmd_check_homogeneity(args, rng):
         "model": args.model,
         "group": args.group,
         "order": deck.order,
-        "points": args.points,
     }
     return inputs, evidence.pop("tolerances"), evidence, report.verdict
 
@@ -587,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-homogeneity", help="run the full homogeneity pipeline")
     p.add_argument("--model", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--points", type=int, default=20)
     _add_common(p)
 
     p = sub.add_parser("catalog", help="list or verify catalog entries")
@@ -642,7 +638,14 @@ def main(argv=None) -> int:
         "verdict": verdict,
         "wall_time_ms": round(wall, 3),
     }
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): the verdict stands, and
+        # stdout goes to devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return _exit_code(verdict)
 
 

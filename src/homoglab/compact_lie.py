@@ -91,7 +91,8 @@ def check_in_group(spec: CompactGroupSpec, g: np.ndarray, tol: float = _GROUP_TO
         raise NotInGroup(f"expected {d}x{d} matrices for {spec.name}") from None
     if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
         raise NotInGroup(f"expected a {d}x{d} matrix for {spec.name}")
-    if np.max(np.abs(_adjoint(g) @ g - np.eye(d))) > tol:
+    # written so that NaN entries fail; a NaN or inf entry spreads into the product
+    if not np.max(np.abs(_adjoint(g) @ g - np.eye(d))) <= tol:
         raise NotInGroup("matrix is not unitary")
     if spec.family == SPECIAL_UNITARY:
         if np.max(np.abs(np.linalg.det(g) - 1.0)) > 10 * tol:

@@ -63,16 +63,26 @@ def haar_sphere(
     of them, the same points as ``size`` single draws."""
     shape = (samples, n_ambient) if size is None else (size, samples, n_ambient)
     x = rng.standard_normal(shape)
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+
+
+def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """Angles between the unit rows of two (k, s, n) stacks by Kahan's
+    2 atan2(|x - gx|, |x + gx|), accurate to round-off near 0 and pi, where
+    arccos<x, gx> loses half its digits."""
+    d, s = x - gx, x + gx
+    return 2.0 * np.arctan2(
+        np.sqrt(np.einsum("ksi,ksi->ks", d, d)), np.sqrt(np.einsum("ksi,ksi->ks", s, s))
+    )
 
 
 def sphere_displacement(g: np.ndarray, x: np.ndarray, tol: float = 1e-10) -> float:
-    """Geodesic displacement arccos<x, gx> of an orthogonal map at a unit point."""
+    """Geodesic displacement angle(x, gx) of an orthogonal map at a unit point."""
     g = check_orthogonal(g)
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > tol:
         raise NonUnitPoint("point must lie on the unit sphere")
-    return float(np.arccos(np.clip(x @ (g @ x), -1.0, 1.0)))
+    return float(_angles(x[None, None], (g @ x)[None, None])[0, 0])
 
 
 def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Generator):
@@ -91,8 +101,7 @@ def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Gene
     for i in range(0, k, step):
         mats = stack[i : i + step]
         pts = haar_sphere(n, samples, rng, size=len(mats))
-        cosines = np.einsum("ksi,ksi->ks", pts, pts @ np.swapaxes(mats, -1, -2))
-        vals = np.arccos(np.clip(cosines, -1.0, 1.0))
+        vals = _angles(pts, pts @ np.swapaxes(mats, -1, -2))
         profiles += [DisplacementProfile.from_values(v) for v in vals]
     return profiles[0] if np.ndim(g) == 2 else tuple(profiles)
 

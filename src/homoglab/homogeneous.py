@@ -213,13 +213,6 @@ def group_space(group: CompactGroupSpec, name: str | None = None) -> Homogeneous
     )
 
 
-def sphere_space_s2() -> HomogeneousSpaceSpec:
-    group = CompactGroupSpec("SO", 3)
-    h = so_block_subalgebra(3, 2)
-    m = reductive_complement(group, h)
-    return HomogeneousSpaceSpec("S2", group, h, m, _single_block(len(m)))
-
-
 def hopf_sphere_space(m: int) -> HomogeneousSpaceSpec:
     """S^{2m+1} as SU(m+1)/SU(m); for m = 1 the isotropy is trivial."""
     if m < 1:

@@ -8,8 +8,12 @@ group is a finite set of two-sided translations x -> g1^{-1} x g2 and the
 ambient algebra is the sum of the left- and right-translation fields, encoded
 as stacked pairs (X, Y) acting through x -> exp(tX) x exp(tY).
 
-A full-rank result certifies transitivity at the sampled points only; reports
-say "witness", never "proof".
+Transitivity is decided at one point.  The identity component of the deck
+group's centralizer in the full isometry group is compact, so its orbits are
+closed; an orbit is open, hence all of the connected manifold, exactly when
+the centralizer fields span the tangent space at one of its points.  The
+pipeline therefore takes the rank at the base point only (e_1 on a sphere, the
+identity on a group manifold).
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _vec, gram_schmidt, null_space, rank_rel
+from ._linalg import _vec, null_space, rank_rel
 from .compact_lie import (
-    _SAMPLE_BLOCK,
     CompactGroupSpec,
     TwoSidedIsometry,
     algebra_basis,
@@ -29,13 +32,11 @@ from .compact_lie import (
     check_in_group,
     conjugacy_class_distance,
     group_displacement_profile,
-    haar_sample,
     is_constant_displacement_translation,
     is_identity_isometry,
 )
 from .constant_curvature import (
     clifford_evidence,
-    haar_sphere,
     is_free_on_sphere,
     sphere_displacement_profile,
 )
@@ -213,9 +214,11 @@ def _ad_minus_identity(deck: DeckGroup, basis: np.ndarray) -> np.ndarray:
 
 
 def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
-    """Orthonormal basis of the ambient directions fixed by Ad of every deck
-    element — the common null space of the stacked (Ad(γ) − I) maps, built
-    for all elements and basis directions at once."""
+    """Basis of the ambient directions fixed by Ad of every deck element — the
+    common null space of the stacked (Ad(γ) − I) maps, built for all elements
+    and basis directions at once.  The null-space coefficients are orthonormal,
+    so the basis is orthonormal in the ``_vec`` dot product whenever the
+    ambient basis is, as the sphere and group-manifold bases are."""
     basis = list(ambient_basis)
     if not basis:
         raise EmptyAmbient("ambient basis is empty")
@@ -226,58 +229,27 @@ def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
         coeff = np.eye(len(basis))
     else:
         coeff = null_space(M, rel_cutoff=1e-8)
-    out = [sum(ck * bk for ck, bk in zip(c, basis)) for c in coeff.T]
-    return tuple(gram_schmidt(out, lambda A, B: float(np.dot(_vec(A), _vec(B)))))
+    return tuple(np.tensordot(coeff.T, B, axes=1))
 
 
-def _tangent_rows(model, Z_basis, x):
-    """Rows of the centralizer fields at each point of the stack x: one matrix
-    per point, one row per field."""
+def transitivity_rank(Z_basis, model):
+    """Rank of the centralizer fields' span in the tangent space at the base
+    point (e_1 on a sphere, the identity on a group manifold).  Returns
+    (rank, dim M).
+
+    With Z the centralizer in the full isometry algebra, full rank at this
+    one point means the centralizer is transitive, and a deficit means it is
+    not: its orbits are closed, and open exactly where the rank is full.
+    """
+    dim = model.manifold_dim
+    if len(Z_basis) == 0:
+        return 0, dim
     Z = np.stack(Z_basis)
     if isinstance(model, SphereModel):
-        return np.einsum("kij,sj->ski", Z, x)
-    x = x[:, None]
-    T = np.swapaxes(x.conj(), -1, -2) @ Z[:, 0] @ x + Z[:, 1]
-    flat = T.reshape(T.shape[:2] + (-1,))
-    return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-def transitivity_rank(
-    Z_basis,
-    model,
-    points: int,
-    rng: np.random.Generator,
-    *,
-    include_base: bool = False,
-):
-    """Minimum over sampled points of the rank of the centralizer fields' span
-    in the tangent space.  Returns (min rank, dim M).
-
-    By default the points are random (hence generic); ``include_base`` adds the
-    base point (first coordinate vector / group identity), where symmetric
-    configurations can drop rank.
-    """
-    if points < 5:
-        raise InvalidParameter("need at least 5 points")
-    Z_basis = list(Z_basis)
-    if isinstance(model, SphereModel):
-        base = np.zeros(model.ambient_dim)
-        base[0] = 1.0
-        pts = haar_sphere(model.ambient_dim, points, rng)
+        rows = Z[:, :, 0]  # X e_1
     else:
-        base = model.spec.identity()
-        pts = haar_sample(model.spec, rng, size=points)
-    if include_base:
-        pts = np.concatenate([base[None], pts])
-    dim = model.manifold_dim
-    if not Z_basis:
-        return 0, dim
-    # rows hold len(Z_basis) fields per point: evaluate them a block at a time
-    ranks = [
-        rank_rel(_tangent_rows(model, Z_basis, pts[i : i + _SAMPLE_BLOCK]), rel_cutoff=1e-8)
-        for i in range(0, len(pts), _SAMPLE_BLOCK)
-    ]
-    return int(min(r.min() for r in ranks)), dim
+        rows = _vec(Z[:, 0] + Z[:, 1], lead=1)  # X·1 + 1·Y
+    return rank_rel(rows, rel_cutoff=1e-8), dim
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +260,6 @@ def transitivity_rank(
 class VerifyConfig:
     seed: int = 0
     samples: int = 200
-    points: int = 20
     tol: float = 1e-7
 
     def __post_init__(self):
@@ -296,8 +267,6 @@ class VerifyConfig:
             raise InvalidParameter("samples must be >= 10")
         if self.tol <= 0:
             raise InvalidParameter("tol must be positive")
-        if self.points < 5:
-            raise InvalidParameter("points must be >= 5")
 
 
 @dataclass(frozen=True)
@@ -313,12 +282,16 @@ class HomogeneityReport:
     free_offender: int | None
     clifford_per_element: tuple[ElementEvidence, ...]
     centralizer_dim: int
-    transitivity: tuple[int, int, int]  # (points tested, min rank, dim M)
+    transitivity: tuple[int, int, int]  # (points tested, rank, dim M)
     verdict: str
     seed: int
     tolerances: dict
     forward_max_gap: float | None
-    note: str = "transitivity certified at sampled points only (witness, not proof)"
+    note: str = (
+        "transitivity decided at the base point: the centralizer in the full "
+        "isometry algebra has closed orbits, so full rank at one point is "
+        "transitivity and a deficit is not"
+    )
 
     def to_json_dict(self) -> dict:
         pts, min_rank, dim = self.transitivity
@@ -412,9 +385,7 @@ def verify_instance(
         ambient = group_ambient_basis(spec)
 
     Z = centralizer_algebra(deck, ambient)
-    min_rank, dim = transitivity_rank(
-        Z, model, config.points, rng, include_base=True
-    )
+    min_rank, dim = transitivity_rank(Z, model)
     all_constant = all(e.constant for e in elements)
     verdict = verdict_from_evidence(free, all_constant, min_rank, dim)
 
@@ -439,7 +410,7 @@ def verify_instance(
         free_offender=free_offender,
         clifford_per_element=elements,
         centralizer_dim=len(Z),
-        transitivity=(config.points + 1, min_rank, dim),
+        transitivity=(1, min_rank, dim),
         verdict=verdict,
         seed=config.seed,
         tolerances={"displacement": config.tol, "rank_cutoff": 1e-8},

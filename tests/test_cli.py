@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 import jsonschema
 
+import homoglab
 from homoglab.cli import format_matrix, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
@@ -125,6 +130,38 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert code == 0
     assert json.loads(out.read_text()) == json.loads(printed)
+
+
+@pytest.mark.parametrize(
+    "model,group",
+    [("s3", g) for g in ("cyclic-12", "binary-dihedral-6", "binary-tetrahedral",
+                         "binary-octahedral", "binary-icosahedral", "antipodal", "lens-5-1-1")]
+    + [("s7", "lens-12-1-1-1-1")],
+)
+def test_sphere_witness_holds_at_a_tight_tolerance(capsys, model, group):
+    """The sampled forward re-check of a Clifford-Wolf deck stays at round-off,
+    far below 1e-10, near displacement 0 and pi too."""
+    code, rep = run_cli(capsys, "check-homogeneity", "--model", model, "--group", group,
+                        "--samples", "200", "--tol", "1e-10")
+    assert code == 0, rep["verdict"]
+    assert rep["evidence"]["rank_evidence"]["forward_max_gap"] <= 1e-10
+
+
+def test_closed_stdout_keeps_the_exit_code_and_the_output_file(tmp_path):
+    out = tmp_path / "rep.json"
+    src = str(Path(homoglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homoglab.cli", "check-homogeneity", "--model", "s5",
+         "--group", "lens-9-1-2-4", "--samples", "20", "--output", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1, err
+    assert "Traceback" not in err and err == ""
+    assert json.loads(out.read_text())["verdict"] == "NotConstantDisplacement"
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +463,6 @@ def _argv(draw, files):
         argv += ["--model", draw(_MODELS), "--group", draw(_SPHERE_GROUPS)]
         if not argv[2].startswith("s") or draw(st.booleans()):
             argv[-1] = draw(_SPHERE_GROUPS | st.just("center"))
-        argv += ["--points", draw(_mostly(["5", "8"], ["-1", "0", "4", "x"]))]
     elif cmd == "catalog":
         argv += [draw(_mostly(["list", "verify"], ["show"]))]
         argv += [draw(_mostly(["1", "2", "10", "19"], ["0", "20", "x"]))]

@@ -532,3 +532,17 @@ def test_stack_of_the_wrong_shape_is_rejected(rng):
         check_in_group(SU3, ragged)
     with pytest.raises(NotInGroup):
         check_in_group(SU3, np.zeros((2, 3, 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "spec", [SU2, CompactGroupSpec("SO", 3), SP2], ids=lambda s: s.name
+)
+def test_nan_matrix_is_not_in_the_group(spec, rng):
+    """Sp(1) is SU(2) and is not a spec of its own: Sp(2) stands in for it."""
+    d = spec.matrix_size
+    with pytest.raises(NotInGroup):
+        check_in_group(spec, np.full((d, d), np.nan))
+    stack = haar_sample(spec, rng, size=3).astype(complex)
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(NotInGroup):
+        check_in_group(spec, stack)

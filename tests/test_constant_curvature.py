@@ -256,10 +256,15 @@ def clifford_oracle(g, tol=1e-9):
     return False, None
 
 
+def _norms(v):
+    return np.sqrt(np.einsum("si,si->s", v, v))
+
+
 def profile_oracle(g, samples, rng):
     x = rng.standard_normal((samples, g.shape[0]))
-    pts = x / np.linalg.norm(x, axis=1, keepdims=True)
-    vals = np.arccos(np.clip(np.einsum("si,si->s", pts, pts @ g.T), -1.0, 1.0))
+    pts = x / _norms(x)[:, None]
+    gx = pts @ g.T
+    vals = 2.0 * np.arctan2(_norms(pts - gx), _norms(pts + gx))  # Kahan's angle
     return vals.min(), vals.max(), vals.mean(), vals.size
 
 

@@ -3,18 +3,22 @@ transitivity witnesses, verdicts, and report determinism."""
 
 import json
 
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoglab.cli import group_manifold_deck
-from homoglab._linalg import _vec, gram_schmidt, null_space, rank_rel
+from homoglab._linalg import _vec, null_space, rank_rel
 from homoglab.compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
     center_elements,
     haar_sample,
 )
-from homoglab.constant_curvature import haar_sphere, lens_group
+from homoglab.constant_curvature import haar_sphere, is_clifford_sphere, lens_group
 from homoglab.errors import (
     EmptyAmbient,
     InvalidParameter,
@@ -86,7 +90,7 @@ def test_centralizer_requires_nonempty_ambient():
         centralizer_algebra(deck, [])
 
 
-def test_restricted_ambient_loses_the_witness(rng):
+def test_restricted_ambient_loses_the_witness():
     """Handing the pipeline only a torus worth of ambient directions must
     produce a no-witness verdict even for a genuinely homogeneous quotient."""
     deck = sphere_deck(lens_group(5, (1, 1)))
@@ -97,7 +101,7 @@ def test_restricted_ambient_loses_the_witness(rng):
         torus.append(E / np.sqrt(2.0))
     Z = centralizer_algebra(deck, torus)
     assert len(Z) == 2
-    min_rank, dim = transitivity_rank(Z, deck.model, 20, rng)
+    min_rank, dim = transitivity_rank(Z, deck.model)
     assert min_rank < dim
     assert verdict_from_evidence(True, True, min_rank, dim) == NO_WITNESS_IN_AMBIENT
 
@@ -149,6 +153,34 @@ def test_nonfree_deck_reports_offender():
     assert report.free_offender in (1, 2)
 
 
+@st.composite
+def _lens_or_binary_deck(draw):
+    """L(k; q_1, ..., q_m) with every q_i coprime to k, or a binary group."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 12))
+        units = [q for q in range(1, k) if gcd(q, k) == 1]
+        qs = draw(st.lists(st.sampled_from(units), min_size=2, max_size=3))
+        return sphere_deck(lens_group(k, qs))
+    tag = draw(st.sampled_from([
+        GroupType.cyclic(draw(st.integers(2, 12))),
+        GroupType.binary_dihedral(draw(st.integers(2, 6))),
+        GroupType.binary_tetrahedral(),
+        GroupType.binary_octahedral(),
+        GroupType.binary_icosahedral(),
+    ]))
+    return sphere_deck_from_quaternions(named_binary_group(tag))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_lens_or_binary_deck())
+def test_sphere_quotient_is_homogeneous_iff_every_element_is_clifford_wolf(deck):
+    """Wolf's theorem on spheres: S^{n-1}/Γ is homogeneous exactly when every
+    element of Γ moves all points the same distance."""
+    clifford, _ = is_clifford_sphere(deck.matrices)
+    report = verify_instance(deck, config=VerifyConfig(samples=10))
+    assert (report.verdict == HOMOGENEOUS_WITNESS_FOUND) == bool(clifford.all())
+
+
 def test_explicit_model_must_match():
     deck = sphere_deck([np.eye(4), -np.eye(4)])
     with pytest.raises(ModelMismatch):
@@ -167,7 +199,7 @@ def test_central_deck_on_su2():
             TwoSidedIsometry(-np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
         ],
     )
-    report = verify_instance(deck, config=VerifyConfig(points=8, samples=40))
+    report = verify_instance(deck, config=VerifyConfig(samples=40))
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
     assert report.centralizer_dim == 6  # central deck constrains nothing
 
@@ -178,7 +210,7 @@ def test_left_cyclic_deck_on_su2():
     isos = [
         left_translation_isometry(SU2, np.linalg.matrix_power(a, k)) for k in range(6)
     ]
-    report = verify_instance(group_deck(SU2, isos), config=VerifyConfig(points=8, samples=40))
+    report = verify_instance(group_deck(SU2, isos), config=VerifyConfig(samples=40))
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
     # left circle through a, plus the full right-multiplication su(2)
     assert report.centralizer_dim == 4
@@ -187,7 +219,7 @@ def test_left_cyclic_deck_on_su2():
 def test_pair_equal_up_to_center_is_the_identity_map():
     minus = TwoSidedIsometry(-np.eye(2, dtype=complex), -np.eye(2, dtype=complex))
     deck = group_deck(SU2, [TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), minus])
-    report = verify_instance(deck, config=VerifyConfig(points=8, samples=40))
+    report = verify_instance(deck, config=VerifyConfig(samples=40))
     # (-g1, -g2) acts as x -> g1* x g2: the same map as the identity pair
     assert report.free
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
@@ -213,7 +245,7 @@ def test_two_sided_decks_are_never_free(spec):
     conjugacy test names the first non-identity element every time."""
     for seed in range(20):
         deck = _two_sided_deck(spec, np.random.default_rng(seed))
-        report = verify_instance(deck, config=VerifyConfig(seed=seed, samples=10, points=5))
+        report = verify_instance(deck, config=VerifyConfig(seed=seed, samples=10))
         assert report.verdict == NOT_FREE
         assert report.free_offender == 1
 
@@ -222,7 +254,7 @@ def test_two_sided_decks_are_never_free(spec):
 @pytest.mark.parametrize("name", ["center", "cyclic-3"])
 def test_left_translation_decks_stay_free(spec, name):
     deck = group_deck(spec, group_manifold_deck(spec, name))
-    report = verify_instance(deck, config=VerifyConfig(samples=10, points=5))
+    report = verify_instance(deck, config=VerifyConfig(samples=10))
     assert report.free and report.free_offender is None
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
 
@@ -310,14 +342,8 @@ def test_group_deck_closure_is_up_to_the_center(spec):
 # rank utilities and verdict table
 
 
-def test_transitivity_rank_needs_enough_points(rng):
-    model = SphereModel(4)
-    with pytest.raises(InvalidParameter):
-        transitivity_rank(sphere_ambient_basis(4), model, 3, rng)
-
-
-def test_empty_span_has_rank_zero(rng):
-    assert transitivity_rank([], SphereModel(4), 10, rng) == (0, 3)
+def test_empty_span_has_rank_zero():
+    assert transitivity_rank([], SphereModel(4)) == (0, 3)
 
 
 def _per_point_rank(Z, model, x):
@@ -357,8 +383,10 @@ def _named_group_deck(family, n, name):
     ids=["s3-dihedral", "s3-lens-5-1-2", "s5-lens-9", "su2-cyclic-3", "su3-cyclic-3", "so4-center", "sp2-cyclic-3"],
 )
 def test_transitivity_rank_equals_per_point_loop(make_deck):
-    """Lens decks with distinct exponents have a torus centralizer, so their
-    rank stays below the dimension; the others reach it."""
+    """The base-point rank is the least rank over the base point and 12 Haar
+    points: the centralizer's rank is the same everywhere.  Lens decks with
+    distinct exponents have a torus centralizer, so their rank stays below the
+    dimension; the others reach it."""
     deck = make_deck()
     ambient = (
         sphere_ambient_basis(deck.model.ambient_dim)
@@ -366,16 +394,14 @@ def test_transitivity_rank_equals_per_point_loop(make_deck):
         else group_ambient_basis(deck.model.spec)
     )
     Z = centralizer_algebra(deck, ambient)
-    rank, dim = transitivity_rank(Z, deck.model, 12, np.random.default_rng(3), include_base=True)
+    rank, dim = transitivity_rank(Z, deck.model)
     assert dim == deck.model.manifold_dim
     assert rank == _per_point_min_rank(Z, deck.model, 12, 3)
 
 
-def test_full_ambient_is_transitive_for_both_models(rng):
-    assert transitivity_rank(sphere_ambient_basis(5), SphereModel(5), 10, rng) == (4, 4)
-    rank, dim = transitivity_rank(
-        group_ambient_basis(SU2), GroupManifoldModel(SU2), 10, rng
-    )
+def test_full_ambient_is_transitive_for_both_models():
+    assert transitivity_rank(sphere_ambient_basis(5), SphereModel(5)) == (4, 4)
+    rank, dim = transitivity_rank(group_ambient_basis(SU2), GroupManifoldModel(SU2))
     assert rank == dim == 3
 
 
@@ -433,14 +459,21 @@ def test_config_validation():
         VerifyConfig(samples=5)
     with pytest.raises(InvalidParameter):
         VerifyConfig(tol=0.0)
-    with pytest.raises(InvalidParameter):
-        VerifyConfig(points=2)
 
 
 def test_config_has_no_descent_settings():
     for knob in ("multistarts", "refine_steps"):
         with pytest.raises(TypeError):
             VerifyConfig(**{knob: 4})
+
+
+def test_transitivity_is_decided_at_one_point():
+    """No sampling knob is left: the report states one point and its scope."""
+    with pytest.raises(TypeError):
+        VerifyConfig(points=20)
+    rank_evidence = verify_instance(sphere_deck(lens_group(7, (1, 1)))).to_json_dict()["rank_evidence"]
+    assert rank_evidence["points"] == 1
+    assert "base point" in rank_evidence["scope"]
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +495,7 @@ def centralizer_oracle(deck, ambient_basis):
         for g in deck.elements
     ])
     coeff = np.eye(len(basis)) if np.max(np.abs(M)) <= 1e-12 else null_space(M, rel_cutoff=1e-8)
-    out = [sum(ck * bk for ck, bk in zip(c, basis)) for c in coeff.T]
-    return tuple(gram_schmidt(out, lambda A, B: float(np.dot(_vec(A), _vec(B)))))
+    return tuple(np.tensordot(coeff.T, np.stack(basis), axes=1))
 
 
 @pytest.mark.parametrize(
@@ -494,6 +526,9 @@ def test_stacked_centralizer_equals_the_per_element_loop(make_deck):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+    # orthonormal in the _vec dot product, as Gram-Schmidt would leave it
+    V = _vec(np.stack(got), lead=1)
+    np.testing.assert_allclose(V @ V.T, np.eye(len(got)), rtol=0, atol=1e-12)
 
 
 def test_sphere_deck_keeps_its_stack_and_checks_every_element():
