@@ -43,6 +43,14 @@ def rank_rel(A: np.ndarray, rel_cutoff: float = 1e-8):
     return int(rank) if rank.ndim == 0 else rank
 
 
+def trace_coords(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Coordinates -trace(B_k X) of X against a stack of basis matrices B_k:
+    shape (k,) for one matrix, (..., k) for a stack.  For a basis orthonormal
+    in -trace(XY) these are the coordinates of X's projection onto its span,
+    and ``trace_coords(B, B)`` is the Gram matrix of B."""
+    return -np.einsum("kij,...ji->...k", basis, X).real
+
+
 def trace_inner(X: np.ndarray, Y: np.ndarray) -> float:
     """Ad-invariant inner product -tr(XY); real for skew-hermitian arguments."""
     return float(-np.trace(X @ Y).real)
@@ -52,20 +60,3 @@ def trace_norm(X: np.ndarray) -> float:
     v = trace_inner(X, X)
     # roundoff can push a zero slightly negative
     return float(np.sqrt(max(v, 0.0)))
-
-
-def gram_schmidt(vectors, inner, tol: float = 1e-10):
-    """Orthonormalize a list of algebra elements w.r.t. ``inner``, dropping
-    elements that are dependent on the preceding ones."""
-    basis = []
-    for v in vectors:
-        w = np.array(v, copy=True)
-        for b in basis:
-            w = w - inner(b, w) * b
-        # repeat once for numerical stability
-        for b in basis:
-            w = w - inner(b, w) * b
-        nrm = np.sqrt(max(inner(w, w), 0.0))
-        if nrm > tol:
-            basis.append(w / nrm)
-    return basis

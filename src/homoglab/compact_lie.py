@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from ._linalg import gram_schmidt, trace_inner, trace_norm
-from .errors import InvalidParameter, InvariantViolated, NotInGroup
+from ._linalg import trace_norm
+from .errors import InvalidParameter, NotInGroup
 from .profiles import DisplacementProfile
 
 SPECIAL_UNITARY = "SU"
@@ -114,7 +114,8 @@ def check_in_algebra(spec: CompactGroupSpec, X: np.ndarray, tol: float = _GROUP_
     d = spec.matrix_size
     if X.shape != (d, d):
         raise InvalidParameter(f"expected a {d}x{d} matrix for the {spec.name} algebra")
-    if np.max(np.abs(X.conj().T + X)) > tol:
+    # written so that NaN entries fail, as in check_in_group
+    if not np.max(np.abs(X.conj().T + X)) <= tol:
         raise InvalidParameter("matrix is not skew-hermitian")
     if spec.family == SPECIAL_UNITARY and abs(np.trace(X)) > tol:
         raise InvalidParameter("matrix is not traceless")
@@ -234,9 +235,9 @@ def _haar_blocks(spec: CompactGroupSpec, rng: np.random.Generator, size: int):
 
 @lru_cache(maxsize=None)
 def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis w.r.t. <X, Y> = -trace(XY)."""
+    """Orthonormal basis w.r.t. <X, Y> = -trace(XY), by construction."""
     n = spec.n
-    raw = []
+    raw, cartan = [], []
     if spec.family == SPECIAL_ORTHOGONAL:
         for a in range(n):
             for b in range(a + 1, n):
@@ -252,10 +253,14 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
                 F = np.zeros((n, n), dtype=complex)
                 F[a, b] = F[b, a] = 1j
                 raw.append(F)
-        for k in range(n - 1):
+        # Cartan part i(e_1 + ... + e_k - k e_{k+1}) / sqrt(k(k+1)): the
+        # Gram-Schmidt orthonormalisation of i(e_k - e_{k+1}), k = 1..n-1,
+        # in that order, in closed form
+        for k in range(1, n):
             D = np.zeros((n, n), dtype=complex)
-            D[k, k], D[k + 1, k + 1] = 1j, -1j
-            raw.append(D)
+            r = np.sqrt(k * (k + 1))
+            D.imag[range(k + 1), range(k + 1)] = [1 / r] * k + [-k / r]
+            cartan.append(D)
     else:
         def embed(A, B):
             top = np.hstack([A, -np.conj(B)])
@@ -286,13 +291,8 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
                 sym.append(T)
         for S in sym:
             raw.append(embed(zero, S))
-    basis = gram_schmidt(raw, trace_inner)
-    if len(basis) != spec.algebra_dim:
-        raise InvariantViolated(
-            f"basis construction for {spec.name} gave {len(basis)} elements, "
-            f"expected {spec.algebra_dim}"
-        )
-    return tuple(basis)
+    # the raw elements are pairwise orthogonal: normalising makes them orthonormal
+    return tuple(X / trace_norm(X) for X in raw) + tuple(cartan)
 
 
 def random_algebra_element(

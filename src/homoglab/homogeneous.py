@@ -5,6 +5,12 @@ isometry algebras, and the bundled catalog of positively curved examples.
 Tangent spaces are modelled on an orthogonal complement 𝔪 of the isotropy
 algebra 𝔥 inside 𝔤, taken with respect to <X, Y> = -trace(XY).  Invariant
 metrics are positive rescalings of that form on blocks of 𝔪.
+
+Subspaces of 𝔤 are handled as coordinates in the orthonormal
+``algebra_basis``: on skew-hermitian matrices -trace(XY) is the dot product
+of the real coordinate vectors, so Gram matrices and projections are one
+stacked ``trace_coords`` each, and complements and centralizers are null
+spaces of coordinate matrices.  There is no Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import _vec, gram_schmidt, null_space, trace_inner, trace_norm
+from ._linalg import _vec, null_space, rank_rel, trace_coords, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
     _haar_blocks,
@@ -41,19 +47,15 @@ from .profiles import DisplacementProfile, constant_length_verdict
 
 _BRACKET_TOL = 1e-8
 _ORTHO_TOL = 1e-9
+# draws of a random element before maximal_abelian_dimension gives up; each
+# is regular with probability one
+_REGULAR_DRAWS = 4
 
 NOT_EQUAL_RANK = "NotEqualRank"
 
 
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
-
-
-def _project(X: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(X)
-    for b in basis:
-        out = out + trace_inner(b, X) * b
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,19 +76,21 @@ class HomogeneousSpaceSpec:
     def __post_init__(self):
         for X in self.isotropy_basis + self.complement_basis:
             check_in_algebra(self.group, X)
-        both = list(self.isotropy_basis) + list(self.complement_basis)
-        gram = np.array([[trace_inner(x, y) for y in both] for x in both])
-        if np.max(np.abs(gram - np.eye(len(both)))) > _ORTHO_TOL:
+        both = np.stack(self.isotropy_basis + self.complement_basis)
+        if len(both) != self.group.algebra_dim:
+            raise InvalidParameter("isotropy and complement bases must span the algebra")
+        if not np.max(np.abs(trace_coords(both, both) - np.eye(len(both)))) <= _ORTHO_TOL:
             raise InvalidParameter("bases are not orthonormal / not orthogonal to each other")
         covered = sorted(i for _, idx in self.metric_blocks for i in idx)
         if covered != list(range(len(self.complement_basis))):
             raise InvalidParameter("metric blocks must partition the complement basis")
         if any(c <= 0 for c, _ in self.metric_blocks):
             raise InvalidParameter("metric coefficients must be positive")
-        for h in self.isotropy_basis:
-            for m in self.complement_basis:
-                if trace_norm(_project(bracket(h, m), self.isotropy_basis)) > _BRACKET_TOL:
-                    raise InvalidParameter("complement is not isotropy-invariant")
+        h, m = both[: len(self.isotropy_basis)], both[len(self.isotropy_basis) :]
+        # the 𝔥-coordinates of every [h, m] must vanish
+        hm = trace_coords(h, bracket(h[:, None], m[None]))
+        if not np.all(np.linalg.norm(hm, axis=-1) <= _BRACKET_TOL):
+            raise InvalidParameter("complement is not isotropy-invariant")
 
     @property
     def dim(self) -> int:
@@ -95,8 +99,7 @@ class HomogeneousSpaceSpec:
     def tangent_length(self, X: np.ndarray):
         """Block-metric length of the 𝔪-component of X: a float for one
         matrix, an array for a stack of matrices."""
-        # coordinates -trace(B_k X) against the complement basis B_k
-        coords = -np.einsum("kij,...ji->...k", np.stack(self.complement_basis), X).real
+        coords = trace_coords(np.stack(self.complement_basis), X)
         total = sum(
             coeff * np.sum(coords[..., list(idx)] ** 2, axis=-1)
             for coeff, idx in self.metric_blocks
@@ -110,27 +113,23 @@ def reductive_complement(
 ) -> tuple[np.ndarray, ...]:
     """Orthonormal basis of the -trace(XY)-complement of the isotropy algebra.
 
-    The isotropy basis must span a subalgebra; the returned complement
-    satisfies [𝔥, 𝔪] ⊆ 𝔪 (automatic for an invariant inner product, and
-    re-checked numerically).
+    The complement is the null space of the isotropy coordinates in the
+    orthonormal ``algebra_basis``; its null-space coefficients are
+    orthonormal, so the complement is too.  The isotropy basis must be
+    linearly independent and span a subalgebra: no bracket of two of its
+    elements may have 𝔪-coordinates.  [𝔥, 𝔪] ⊆ 𝔪 then holds because the
+    form is invariant; ``HomogeneousSpaceSpec`` checks it.
     """
-    h = [check_in_algebra(group, X) for X in isotropy_basis]
-    h_on = gram_schmidt(h, trace_inner)
-    if len(h_on) != len(h):
+    d = group.matrix_size
+    h = np.reshape([check_in_algebra(group, X) for X in isotropy_basis], (-1, d, d))
+    full = np.stack(algebra_basis(group))
+    coeff = null_space(trace_coords(full, h))
+    if coeff.shape[1] != len(full) - len(h):
         raise InvalidParameter("isotropy basis is linearly dependent")
-    for i, a in enumerate(h_on):
-        for b in h_on[i:]:
-            r = bracket(a, b)
-            if trace_norm(r - _project(r, h_on)) > _BRACKET_TOL:
-                raise NotASubalgebra("isotropy basis is not closed under brackets")
-    full = algebra_basis(group)
-    m = gram_schmidt([X - _project(X, h_on) for X in full], trace_inner)
-    if len(m) != len(full) - len(h_on):
-        raise InvariantViolated("complement dimension mismatch")
-    for a in h_on:
-        for x in m:
-            if trace_norm(_project(bracket(a, x), h_on)) > _BRACKET_TOL:
-                raise InvariantViolated("complement failed the invariance recheck")
+    m = np.tensordot(coeff.T, full, axes=1)
+    hh = trace_coords(m, bracket(h[:, None], h[None]))
+    if not np.all(np.linalg.norm(hh, axis=-1) <= _BRACKET_TOL):
+        raise NotASubalgebra("isotropy basis is not closed under brackets")
     return tuple(m)
 
 
@@ -186,15 +185,15 @@ def principal_so3_in_so5() -> tuple[np.ndarray, ...]:
         s * (np.outer(E[0], E[2]) + np.outer(E[2], E[0])),
         s * (np.outer(E[1], E[2]) + np.outer(E[2], E[1])),
     ]
+    S = np.stack(sym_basis)
     gens = []
     for a, b in ((0, 1), (0, 2), (1, 2)):
         A = np.zeros((3, 3))
         A[a, b], A[b, a] = 1.0, -1.0
-        rho = np.array(
-            [[np.trace(Sa @ bracket(A, Sb)) for Sb in sym_basis] for Sa in sym_basis]
-        )
-        gens.append(rho)
-    return tuple(gram_schmidt(gens, trace_inner))
+        # matrix of S -> [A, S] in the orthonormal basis S_a
+        gens.append(np.einsum("aij,bji->ab", S, bracket(A, S)))
+    # by Schur the generators are already orthogonal: normalising is enough
+    return tuple(g / trace_norm(g) for g in gens)
 
 
 def _single_block(dim: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
@@ -254,20 +253,21 @@ def killing_length_profile(
     The points, Haar samples or the caller's ``points``, are group-checked and
     evaluated as stacks of at most ``compact_lie._SAMPLE_BLOCK``.
     """
-    have_left = xi is not None and trace_norm(np.asarray(xi)) > 1e-12
-    have_right = right is not None and trace_norm(np.asarray(right)) > 1e-12
+    # validated first, so that a NaN direction is refused as not in the algebra
+    if xi is not None:
+        xi = check_in_algebra(space.group, xi)
+    if right is not None:
+        right = check_in_algebra(space.group, right)
+    have_left = xi is not None and trace_norm(xi) > 1e-12
+    have_right = right is not None and trace_norm(right) > 1e-12
     if not have_left and not have_right:
         raise ZeroField("field direction is zero")
-    if have_left:
-        xi = check_in_algebra(space.group, xi)
-    if have_right:
-        right = check_in_algebra(space.group, right)
-        for h in space.isotropy_basis:
-            r = bracket(right, h)
-            if trace_norm(r - _project(r, space.isotropy_basis)) > _BRACKET_TOL:
-                raise InvalidParameter(
-                    "right component must normalize the isotropy algebra"
-                )
+    if have_right and space.isotropy_basis:
+        # right normalizes 𝔥 when no [right, h] has 𝔪-coordinates
+        h = np.stack(space.isotropy_basis)
+        rh = trace_coords(np.stack(space.complement_basis), bracket(right, h))
+        if not np.all(np.linalg.norm(rh, axis=-1) <= _BRACKET_TOL):
+            raise InvalidParameter("right component must normalize the isotropy algebra")
     if points is None:
         if samples < 1:
             raise InvalidParameter("need at least one sample")
@@ -298,44 +298,29 @@ def killing_length_profile(
 def maximal_abelian_dimension(
     basis: Sequence[np.ndarray],
     rng: np.random.Generator | None = None,
-    retries: int = 4,
 ) -> int:
     """Dimension of a maximal abelian subalgebra of span(basis) = the rank.
 
-    Greedy: intersect with centralizers of random elements until the subspace
-    stabilizes and is abelian.  Random perturbation retries guard against a
-    non-generic draw; in a compact algebra every maximal abelian subalgebra is
-    a maximal torus, so the maximum over retries is the rank.
+    In a compact algebra the centralizer of a regular element is a maximal
+    torus, and a Gaussian combination of the basis is regular with
+    probability one.  The centralizer is the null space of the brackets with
+    that element; a draw whose centralizer is not abelian is not regular
+    and is drawn again.  The basis may be redundant.
     """
-    frame = gram_schmidt(list(basis), trace_inner)
-    if not frame:
+    if len(basis) == 0:
         return 0
+    B = np.stack(basis)
     rng = rng if rng is not None else np.random.default_rng(0)
-    best = 0
-    for _ in range(max(1, retries)):
-        S = list(frame)
-        for _ in range(50):
-            coeff = rng.standard_normal(len(S))
-            xi = sum(c * b for c, b in zip(coeff, S))
-            M = np.column_stack([_vec(bracket(xi, b)) for b in S])
-            if np.max(np.abs(M)) <= 1e-10:  # xi already central: keep S
-                new_S = list(S)
-            else:
-                ns = null_space(M, rel_cutoff=1e-8)
-                new_S = gram_schmidt(
-                    [sum(c * b for c, b in zip(col, S)) for col in ns.T], trace_inner
-                )
-            if len(new_S) == len(S):
-                pairwise = max(
-                    (trace_norm(bracket(a, b)) for a in S for b in S), default=0.0
-                )
-                if pairwise <= _BRACKET_TOL:
-                    break
-            S = new_S
+    for _ in range(_REGULAR_DRAWS):
+        xi = np.tensordot(rng.standard_normal(len(B)), B, axes=1)
+        M = _vec(bracket(xi, B), lead=1).T
+        if np.max(np.abs(M)) <= _BRACKET_TOL:  # xi central: the span is abelian
+            T = B
         else:
-            raise InvariantViolated("abelian reduction failed to stabilize")
-        best = max(best, len(S))
-    return best
+            T = np.tensordot(null_space(M, rel_cutoff=1e-8).T, B, axes=1)
+        if np.all(np.linalg.norm(bracket(T[:, None], T[None]), axis=(-2, -1)) <= _BRACKET_TOL):
+            return rank_rel(_vec(T, lead=1))
+    raise InvariantViolated("no regular element found")
 
 
 @dataclass(frozen=True)
@@ -365,17 +350,18 @@ def check_isotropy_split(
     orthogonal, and are nonzero; plus an equal-rank flag for 𝔥 ⊕ 𝔫 vs 𝔤."""
     if not h_basis or not n_basis:
         raise InvalidParameter("both factor bases must be nonempty")
-    h = [check_in_algebra(group, X) for X in h_basis]
-    nn = [check_in_algebra(group, X) for X in n_basis]
-    commuting = all(trace_norm(bracket(a, b)) <= _BRACKET_TOL for a in h for b in nn)
-    orthogonal = all(abs(trace_inner(a, b)) <= _BRACKET_TOL for a in h for b in nn)
+    h = np.stack([check_in_algebra(group, X) for X in h_basis])
+    nn = np.stack([check_in_algebra(group, X) for X in n_basis])
+    hn = bracket(h[:, None], nn[None])
+    commuting = bool(np.all(np.linalg.norm(hn, axis=(-2, -1)) <= _BRACKET_TOL))
+    orthogonal = bool(np.all(np.abs(trace_coords(h, nn)) <= _BRACKET_TOL))
     rng = rng if rng is not None else np.random.default_rng(0)
     rank_full = maximal_abelian_dimension(algebra_basis(group), rng)
-    rank_split = maximal_abelian_dimension(list(h) + list(nn), rng)
+    rank_split = maximal_abelian_dimension(np.concatenate([h, nn]), rng)
     return IsotropySplitReport(
         commuting=commuting,
         orthogonal=orthogonal,
-        nonzero_dimensions=bool(h) and bool(nn),
+        nonzero_dimensions=len(h) > 0 and len(nn) > 0,
         rank_full=rank_full,
         rank_split=rank_split,
     )

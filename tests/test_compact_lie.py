@@ -121,7 +121,14 @@ def test_haar_samples_live_in_group(spec, rng):
         check_in_group(spec, haar_sample(spec, rng))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+BASIS_SPECS = (
+    [CompactGroupSpec("SU", n) for n in range(2, 9)]
+    + [CompactGroupSpec("SO", n) for n in range(3, 10)]
+    + [CompactGroupSpec("Sp", n) for n in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("spec", BASIS_SPECS, ids=lambda s: s.name)
 def test_algebra_basis_orthonormal_and_closed(spec, rng):
     basis = algebra_basis(spec)
     assert len(basis) == spec.algebra_dim
@@ -130,11 +137,26 @@ def test_algebra_basis_orthonormal_and_closed(spec, rng):
     gram = np.array(
         [[-np.trace(X @ Y).real for Y in basis] for X in basis]
     )
-    assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-14
     # closure under brackets
     X = random_algebra_element(spec, rng)
     Y = random_algebra_element(spec, rng)
     check_in_algebra(spec, X @ Y - Y @ X)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_su_cartan_elements_are_gram_schmidt_of_simple_coroots(n):
+    """The last n - 1 elements of the SU(n) basis, in order, are the
+    Gram-Schmidt orthonormalisation of i(e_k - e_{k+1}), k = 1..n-1."""
+    oracle = []
+    for k in range(n - 1):
+        w = np.zeros((n, n), dtype=complex)
+        w[k, k], w[k + 1, k + 1] = 1j, -1j
+        for b in oracle:
+            w = w - (-np.trace(b @ w).real) * b
+        oracle.append(w / np.sqrt(-np.trace(w @ w).real))
+    cartan = algebra_basis(CompactGroupSpec("SU", n))[-(n - 1):]
+    np.testing.assert_allclose(np.stack(cartan), np.stack(oracle), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
@@ -542,6 +564,8 @@ def test_nan_matrix_is_not_in_the_group(spec, rng):
     d = spec.matrix_size
     with pytest.raises(NotInGroup):
         check_in_group(spec, np.full((d, d), np.nan))
+    with pytest.raises(InvalidParameter, match="skew-hermitian"):
+        check_in_algebra(spec, np.full((d, d), np.nan))
     stack = haar_sample(spec, rng, size=3).astype(complex)
     stack[1, 0, 0] = np.nan
     with pytest.raises(NotInGroup):

@@ -62,6 +62,60 @@ def test_reductive_complement_dimensions():
     assert len(so5_so3_space().complement_basis) == 7
 
 
+def _trace_gram(A, B):
+    return np.array([[trace_inner(a, b) for b in B] for a in A]).reshape(len(A), len(B))
+
+
+@pytest.mark.parametrize(
+    "group,isotropy",
+    [
+        *[(CompactGroupSpec("SU", m + 1), su_block_subalgebra(m + 1, m)) for m in range(1, 5)],
+        (CompactGroupSpec("SO", 5), principal_so3_in_so5()),
+        (SU3, tuple(2.0 * X for X in su_block_subalgebra(3, 2))),
+    ],
+    ids=["hopf-1", "hopf-2", "hopf-3", "hopf-4", "so5-so3", "hopf-2-scaled"],
+)
+def test_reductive_complement_is_an_invariant_orthonormal_complement(group, isotropy):
+    m = reductive_complement(group, isotropy)
+    assert len(m) == group.algebra_dim - len(isotropy)
+    np.testing.assert_allclose(_trace_gram(m, m), np.eye(len(m)), rtol=0, atol=1e-14)
+    assert np.max(np.abs(_trace_gram(isotropy, m)), initial=0.0) < 1e-14
+    # [h, x] ⊆ 𝔪: nothing is left after subtracting its 𝔪-projection
+    for h in isotropy:
+        for x in m:
+            r = bracket(h, x)
+            residual = r - sum(trace_inner(y, r) * y for y in m)
+            assert np.max(np.abs(residual)) < 1e-12
+
+
+def test_reductive_complement_rejects_a_dependent_isotropy_basis():
+    h = su_block_subalgebra(3, 2)
+    with pytest.raises(InvalidParameter, match="linearly dependent"):
+        reductive_complement(SU3, h + (h[0] - 0.5 * h[1],))
+    with pytest.raises(InvalidParameter, match="linearly dependent"):
+        reductive_complement(SU3, (np.zeros((3, 3), dtype=complex),))
+
+
+def _single(dim):
+    return ((1.0, tuple(range(dim))),)
+
+
+def test_space_spec_rejects_bases_that_do_not_split_the_algebra():
+    h = su_block_subalgebra(3, 2)
+    m = reductive_complement(SU3, h)
+    with pytest.raises(InvalidParameter, match="span the algebra"):
+        HomogeneousSpaceSpec("partial", SU3, h, m[:-1], _single(4))
+    with pytest.raises(InvalidParameter, match="not orthonormal"):
+        HomogeneousSpaceSpec("scaled", SU3, h, tuple(2 * x for x in m), _single(5))
+    # two root directions whose bracket leaves their span: the orthogonal
+    # complement is orthonormal but not invariant
+    full = algebra_basis(SU3)
+    with pytest.raises(InvalidParameter, match="isotropy-invariant"):
+        HomogeneousSpaceSpec(
+            "roots", SU3, full[0:1] + full[2:3], full[1:2] + full[3:], _single(6)
+        )
+
+
 def test_reductive_complement_rejects_non_subalgebra():
     # two root vectors whose bracket escapes their span
     a = np.zeros((3, 3), dtype=complex)
@@ -184,6 +238,15 @@ def test_profile_rejects_zero_field():
         killing_length_profile(space, np.zeros((3, 3)), samples=10)
 
 
+@pytest.mark.parametrize("field", ["left", "right"])
+def test_profile_refuses_a_nan_direction_as_not_in_the_algebra(field):
+    space = hopf_sphere_space(2)
+    nan = np.full((3, 3), np.nan)
+    xi, right = (nan, None) if field == "left" else (None, nan)
+    with pytest.raises(InvalidParameter, match="skew-hermitian"):
+        killing_length_profile(space, xi, samples=10, right=right)
+
+
 def test_right_component_must_normalize_isotropy(rng):
     space = hopf_sphere_space(2)
     bad = np.zeros((3, 3), dtype=complex)
@@ -284,11 +347,19 @@ def test_long_so5_profile_holds_one_block_at_a_time(profile):
 
 @pytest.mark.parametrize(
     "family,n,rank",
-    [("SU", 2, 1), ("SU", 3, 2), ("SO", 4, 2), ("SO", 5, 2), ("Sp", 2, 2)],
+    [
+        ("SU", 2, 1), ("SU", 3, 2), ("SU", 4, 3), ("SO", 4, 2), ("SO", 5, 2),
+        ("SO", 6, 3), ("SO", 7, 3), ("Sp", 2, 2), ("Sp", 3, 3),
+    ],
 )
 def test_maximal_abelian_dimension_is_rank(family, n, rank, rng):
     spec = CompactGroupSpec(family, n)
     assert maximal_abelian_dimension(algebra_basis(spec), rng) == rank
+
+
+def test_maximal_abelian_dimension_of_a_redundant_spanning_set(rng):
+    basis = algebra_basis(CompactGroupSpec("SO", 5))
+    assert maximal_abelian_dimension(basis + basis, rng) == 2
 
 
 def test_isotropy_split_so6_example(rng):
