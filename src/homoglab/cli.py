@@ -171,16 +171,21 @@ def parse_model(name: str):
     )
 
 
-def _quaternion_group_from_name(name: str):
+def _requested_tag(name: str) -> GroupType | None:
     m = re.fullmatch(r"cyclic-(\d+)", name)
     if m:
-        return named_binary_group(GroupType.cyclic(int(m.group(1))))
+        return GroupType.cyclic(int(m.group(1)))
     m = re.fullmatch(r"binary-dihedral-(\d+)", name)
     if m:
-        return named_binary_group(GroupType.binary_dihedral(int(m.group(1))))
+        return GroupType.binary_dihedral(int(m.group(1)))
     if name in _BINARY_TAGS:
-        return named_binary_group(_BINARY_TAGS[name]())
+        return _BINARY_TAGS[name]()
     return None
+
+
+def _quaternion_group_from_name(name: str):
+    tag = _requested_tag(name)
+    return None if tag is None else named_binary_group(tag)
 
 
 def sphere_group_matrices(name: str, ambient: int | None = None):
@@ -259,18 +264,6 @@ def _exit_code(verdict: str) -> int:
 
 # ---------------------------------------------------------------------------
 # subcommands; each returns (inputs, tolerances, evidence, verdict)
-
-
-def _requested_tag(name: str) -> GroupType | None:
-    m = re.fullmatch(r"cyclic-(\d+)", name)
-    if m:
-        return GroupType.cyclic(int(m.group(1)))
-    m = re.fullmatch(r"binary-dihedral-(\d+)", name)
-    if m:
-        return GroupType.binary_dihedral(int(m.group(1)))
-    if name in _BINARY_TAGS:
-        return _BINARY_TAGS[name]()
-    return None
 
 
 def _cmd_construct(args, rng):
@@ -355,12 +348,8 @@ def _cmd_check_killing(args, rng):
         raise InvalidParameter("--directions must be >= 1")
     inputs = {"space": args.space, "field": args.field, "directions": args.directions}
     tolerances = {"relative_gap": args.tol}
-    m = re.fullmatch(r"(su|so|sp)(\d+)", args.space)
-    if m:
-        n = int(m.group(2))
-        if not 2 <= n <= _MAX_GROUP_SIZE:
-            raise InvalidParameter(f"group size must be between 2 and {_MAX_GROUP_SIZE}")
-        spec = CompactGroupSpec({"su": "SU", "so": "SO", "sp": "Sp"}[m.group(1)], n)
+    if re.fullmatch(r"(su|so|sp)\d+", args.space):
+        spec = parse_model(args.space).spec
         space = group_space(spec)
         xi = random_algebra_element(spec, rng, unit=True)
         prof = killing_length_profile(space, xi, args.samples, rng)
@@ -529,8 +518,8 @@ def _cmd_probe_noncompact(args, rng):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    # a string default goes through type=int, so a malformed variable is a usage error
-    p.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV, "0"))
+    # None: main reads HOMOGLAB_SEED on each call, not once per parser
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--output", type=str, default=None)
@@ -599,6 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args keeps no state between calls
+
 _DISPATCH = {
     "construct": _cmd_construct,
     "check-clifford": _cmd_check_clifford,
@@ -613,7 +604,12 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if args.seed is None:
+            try:
+                args.seed = int(os.environ.get(SEED_ENV, "0"))
+            except ValueError as e:
+                raise InvalidParameter(f"{SEED_ENV}: {e}") from None
         if args.samples < 10:
             raise InvalidParameter("--samples must be >= 10")
         if not 0 < args.tol < math.inf:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import trace_norm
 from .errors import InvalidParameter, NotInGroup
@@ -307,7 +306,13 @@ def random_algebra_element(
 
 
 def group_exp(X: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(np.asarray(X))
+    """exp(X) for skew-hermitian X only, real when X is real: the hermitian
+    eigendecomposition in ``one_parameter`` reads one triangle of -iX."""
+    X = np.asarray(X)
+    # written so that NaN entries fail, as in check_in_algebra
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or not np.max(np.abs(X.conj().T + X)) <= _GROUP_TOL:
+        raise InvalidParameter("group_exp takes a square skew-hermitian matrix")
+    return one_parameter(X)(1.0)
 
 
 def one_parameter(X: np.ndarray):
@@ -438,7 +443,13 @@ def conjugacy_class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarra
 
 def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
     n = u.shape[0]
-    T, Z = scipy.linalg.schur(u, output="real")
+    lam, V = np.linalg.eig(u)
+    # a real Schur basis, as in group_log: the QR factor of the real and
+    # imaginary parts of each eigenvector whose eigenvalue has Im > 0 (they
+    # span its conjugate's too) and of the real eigenvectors of real eigenvalues
+    keep = np.stack([lam.imag >= 0, lam.imag > 0], axis=1).ravel()
+    Z = np.linalg.qr(np.stack([V.real, V.imag], axis=2).reshape(n, 2 * n)[:, keep])[0]
+    T = Z.T @ u @ Z
     M = np.zeros((n, n))
     minus_one = []
     i = 0
@@ -460,42 +471,35 @@ def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
     return Z @ M @ Z.T
 
 
-def _log_symplectic(spec: CompactGroupSpec, u: np.ndarray) -> np.ndarray:
-    T, Z = scipy.linalg.schur(u.astype(complex), output="complex")
-    d = np.diagonal(T)
-    theta = np.angle(d)
-    near_minus = np.abs(d + 1.0) < 1e-8
-    X = (Z * (1j * np.where(near_minus, 0.0, theta))) @ Z.conj().T
-    if np.any(near_minus):
-        J = symplectic_structure(spec.n)
-        W = Z[:, near_minus]
-        cols = [W[:, k] for k in range(W.shape[1])]
-        while cols:
-            v = cols.pop(0)
-            v = v / np.linalg.norm(v)
-            v2 = J @ np.conj(v)
-            # v2 lies in the -1 eigenspace and is orthogonal to v
-            for w in (v,):
-                v2 = v2 - (w.conj() @ v2) * w
-            v2 = v2 / np.linalg.norm(v2)
-            X = X + 1j * np.pi * (np.outer(v, v.conj()) - np.outer(v2, v2.conj()))
-            cols = [
-                c - (v.conj() @ c) * v - (v2.conj() @ c) * v2 for c in cols
-            ]
-            cols = [c for c in cols if np.linalg.norm(c) > 1e-8]
+def _log_symplectic(spec: CompactGroupSpec, lam: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    near_minus = np.abs(lam + 1.0) < 1e-8
+    X = (Z * (1j * np.where(near_minus, 0.0, np.angle(lam)))) @ Z.conj().T
+    # the -1 eigenspace splits into planes (v, J conj(v)), turned by +pi and -pi;
+    # J conj(v) is a -1 eigenvector orthogonal to v
+    J = symplectic_structure(spec.n)
+    W = Z[:, near_minus]
+    for _ in range(W.shape[1] // 2):
+        v = W[:, np.argmax(np.linalg.norm(W, axis=0))]
+        v = v / np.linalg.norm(v)
+        pair = np.stack([v, J @ v.conj()], axis=1)
+        X = X + 1j * np.pi * (pair * [1.0, -1.0]) @ pair.conj().T
+        W = W - pair @ (pair.conj().T @ W)
     return X
 
 
 def group_log(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
     """Minimal-norm logarithm of g inside the group's Lie algebra."""
-    check_in_group(spec, g)
+    g = check_in_group(spec, g)
     if spec.family == SPECIAL_ORTHOGONAL:
-        g = np.asarray(g)
         return _log_special_orthogonal(g.real if np.iscomplexobj(g) else g.astype(float, copy=False))
+    # g V = V diag(lam) and V = Z R give Z^H g Z = R diag(lam) R^-1, upper
+    # triangular: Z is a Schur basis, and g is normal, so its columns are
+    # orthonormal eigenvectors, also inside a cluster of equal eigenvalues
+    lam, V = np.linalg.eig(g.astype(complex, copy=False))
+    Z = np.linalg.qr(V)[0]
     if spec.family == COMPACT_SYMPLECTIC:
-        return _log_symplectic(spec, np.asarray(g))
-    T, Z = scipy.linalg.schur(np.asarray(g, dtype=complex), output="complex")
-    theta = _branch_shift_su(np.angle(np.diagonal(T)))
+        return _log_symplectic(spec, lam, Z)
+    theta = _branch_shift_su(np.angle(lam))
     return (Z * (1j * theta)) @ Z.conj().T
 
 

@@ -147,21 +147,80 @@ def test_sphere_witness_holds_at_a_tight_tolerance(capsys, model, group):
     assert rep["evidence"]["rank_evidence"]["forward_max_gap"] <= 1e-10
 
 
+def _fresh_env():
+    """The environment of a new interpreter that imports this homoglab."""
+    src = str(Path(homoglab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_stdout_keeps_the_exit_code_and_the_output_file(tmp_path):
     out = tmp_path / "rep.json"
-    src = str(Path(homoglab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "homoglab.cli", "check-homogeneity", "--model", "s5",
          "--group", "lens-9-1-2-4", "--samples", "20", "--output", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env(),
     )
     proc.stdout.close()  # the reader is gone before the report is written
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1, err
     assert "Traceback" not in err and err == ""
     assert json.loads(out.read_text())["verdict"] == "NotConstantDisplacement"
+
+
+def test_import_loads_no_scipy():
+    """The CLI runs on numpy alone: importing scipy.linalg would more than
+    double the start-up time of every process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, homoglab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: no state carries over from one main call to the next
+
+_AFTER = ["check-killing", "--space", "hopf-1", "--samples", "50", "--directions", "2"]
+
+
+@pytest.fixture(scope="module")
+def fresh_after_report():
+    """Exit code and report of _AFTER in a new interpreter, without wall_time_ms;
+    HOMOGLAB_SEED is dropped there, as the in-process runs drop it."""
+    env = {k: v for k, v in _fresh_env().items() if k != "HOMOGLAB_SEED"}
+    proc = subprocess.run([sys.executable, "-m", "homoglab.cli", *_AFTER],
+                          capture_output=True, text=True, env=env, timeout=120)
+    report = json.loads(proc.stdout)
+    report.pop("wall_time_ms")
+    return proc.returncode, report
+
+
+@pytest.mark.parametrize(
+    "before,code",
+    [
+        (["check-homogeneity", "--model", "s3", "--group", "no-such-group"], 2),
+        (["check-killing", "--space", "hopf-1", "--field", "up"], 2),
+        (["--help"], 0),
+        (["check-killing", "--help"], 0),
+        (["construct", "--group", "cyclic-3"], 0),
+        (["check-killing", "--space", "hopf-1", "--field", "left", "--samples", "20",
+          "--directions", "5", "--seed", "9", "--tol", "1e-3"], 0),
+    ],
+    ids=["unknown-group", "bad-choice", "help", "subcommand-help", "other-subcommand",
+         "other-options"],
+)
+def test_a_run_after_another_matches_a_fresh_interpreter(
+    capsys, monkeypatch, fresh_after_report, before, code
+):
+    monkeypatch.delenv("HOMOGLAB_SEED", raising=False)
+    assert main(before) == code
+    capsys.readouterr()
+    got, report = run_cli(capsys, *_AFTER)
+    report.pop("wall_time_ms")
+    assert (got, report) == fresh_after_report
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +396,9 @@ def test_malformed_seed_variable_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("HOMOGLAB_SEED", "abc")
     assert main(["construct", "--group", "cyclic-3"]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
+    # an explicit --seed leaves the variable unread
+    code, rep = run_cli(capsys, "construct", "--group", "cyclic-3", "--seed", "4")
+    assert code == 0 and rep["seed"] == 4
 
 
 def test_non_orthogonal_matrix_file_is_refused(capsys, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm  # a test-only oracle: homoglab itself runs on numpy
 
 from homoglab import compact_lie
 from homoglab.compact_lie import (
@@ -180,6 +181,65 @@ def test_log_handles_minus_one_eigenvalues():
     Y = group_log(SP2, m)
     check_in_algebra(SP2, Y)
     assert np.max(np.abs(group_exp(Y) - m)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_group_exp_matches_scipy_expm(spec, rng):
+    for scale in (0.3, 1.0, 3.0, 10.0):
+        X = scale * random_algebra_element(spec, rng, unit=True)
+        g = group_exp(X)
+        assert np.iscomplexobj(g) == spec.is_complex
+        assert np.max(np.abs(g - expm(X))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        np.array([[0.0, 1.0], [1.0, 0.0]]),  # symmetric
+        1j * np.array([[0.0, 1.0], [-1.0, 0.0]]),  # hermitian
+        np.array([[1e-3, 0.0], [0.0, -1e-3]]),  # not skew on the diagonal
+        np.full((2, 2), np.nan),
+        np.zeros((2, 3)),
+        np.zeros(3),
+        np.zeros((2, 2, 2)),
+    ],
+    ids=["symmetric", "hermitian", "diagonal", "nan", "not-square", "vector", "stack"],
+)
+def test_group_exp_refuses_what_is_not_skew_hermitian(X):
+    with pytest.raises(InvalidParameter):
+        group_exp(X)
+
+
+def _conjugated_sp2_reflection(rng):
+    q = haar_sample(SP2, rng)
+    return q @ np.diag([-1.0, 1.0, -1.0, 1.0]) @ q.conj().T
+
+
+@pytest.mark.parametrize(
+    "spec,make",
+    [
+        (SO4, lambda rng: -np.eye(4)),
+        (SP2, _conjugated_sp2_reflection),
+        (SU3, lambda rng: center_elements(SU3)[1]),
+        (SU3, lambda rng: center_elements(SU3)[2]),
+        (SU3, lambda rng: _conjugate(SU3, _torus_element(SU3, np.array([1.0, 1.0, -2.0])), rng)),
+        (SO4, lambda rng: _conjugate(SO4, _torus_element(SO4, np.array([1.0, 1.0])), rng)),
+        (SO5, lambda rng: _conjugate(SO5, _torus_element(SO5, np.array([np.pi, np.pi])), rng)),
+    ],
+    ids=["SO4-minus-identity", "Sp2-conjugate-of-diag(-1,1,-1,1)", "SU3-center-1",
+         "SU3-center-2", "SU3-conjugate-of-angles(1,1,-2)", "SO4-conjugate-of-angles(1,1)",
+         "SO5-conjugate-of-angles(pi,pi)"],
+)
+def test_log_of_repeated_eigen_angles(spec, make, rng):
+    """Every eigen-angle of g is repeated: the log lies in the algebra, maps
+    back to g, and has the least norm among all logs (the branch oracle)."""
+    for _ in range(5):
+        g = make(rng)
+        X = group_log(spec, g)
+        check_in_algebra(spec, X)
+        assert np.max(np.abs(group_exp(X) - g)) < 1e-12
+        norm = np.sqrt(-np.trace(X @ X).real)
+        assert abs(norm - oracle_distance(spec, spec.identity(), g)) < 1e-12
 
 
 def test_log_rejects_outside_group():
