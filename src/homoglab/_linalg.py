@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _tol
 
-def null_space(A: np.ndarray, rel_cutoff: float = 1e-8) -> np.ndarray:
+
+def null_space(A: np.ndarray, rel_cutoff: float = _tol.RANK_CUTOFF) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of A.
 
     Singular values below ``rel_cutoff`` times the largest one are treated as
@@ -33,13 +35,13 @@ def _vec(E: np.ndarray, lead: int = 0) -> np.ndarray:
     return flat
 
 
-def rank_rel(A: np.ndarray, rel_cutoff: float = 1e-8):
-    """Numerical rank with a cutoff relative to the largest singular value: an
-    int for one matrix, an array of ranks for a stack of matrices."""
+def rank_rel(A: np.ndarray):
+    """Numerical rank, cutoff ``_tol.RANK_CUTOFF`` relative to the largest
+    singular value: an int for one matrix, an array of ranks for a stack."""
     A = np.atleast_2d(np.asarray(A))
     s = np.linalg.svd(A, compute_uv=False)
     # a zero or empty matrix leaves no value above the cutoff: rank 0
-    rank = np.sum(s > rel_cutoff * s[..., :1], axis=-1)
+    rank = np.sum(s > _tol.RANK_CUTOFF * s[..., :1], axis=-1)
     return int(rank) if rank.ndim == 0 else rank
 
 

@@ -1,0 +1,49 @@
+"""Decision tolerances: one name per numerical decision, one value per name.
+
+Every threshold the library decides against is defined here and imported by
+name.  Distances are max-abs entry distances unless a comment says otherwise.
+Where a CLI report records a value, its comment gives the ``tolerances`` key.
+"""
+
+# two elements are the same: closures, Cayley tables, cyclic powers, the
+# identity of a deck and of a flat or hyperbolic motion ("closure")
+CLOSURE = 1e-9
+# an orthogonal map has a scalar symmetric part (constant displacement on the
+# sphere) or an eigenvalue +1 (a fixed point) ("eigen")
+EIGEN = 1e-9
+# a real matrix is orthogonal; a point or a quaternion has unit norm
+ORTHOGONAL = 1e-10
+# a matrix lies in a compact group or its Lie algebra; group_log reads an
+# eigenvalue of a member this close to -1 as -1
+GROUP = 1e-8
+# a singular value below this times the largest counts as zero ("rank_cutoff")
+RANK_CUTOFF = 1e-8
+# the same, for the Berger isometry system of check-berger ("rank_cutoff")
+BERGER_CUTOFF = 1e-10
+# a bracket vanishes, or a subspace of a Lie algebra is orthogonal to another
+# or invariant under one: the norm of the coordinates that must vanish
+BRACKET = 1e-8
+# a basis of a Lie algebra is orthonormal in -trace(XY)
+BASIS = 1e-9
+# a group element is central (the default of is_central)
+CENTRAL = 1e-7
+# a norm, an angle, a determinant error or a whole matrix vanishes ("zero")
+ZERO = 1e-12
+# the default --tol: largest sampled displacement gap of a constant-displacement
+# element ("displacement"), or largest relative Killing length gap
+DISPLACEMENT = 1e-7
+# a Killing field has constant length: relative length gap at most this
+# (the default of constant_length_verdict; "relative_gap")
+KILLING = 1e-6
+# catalog entry 10: no sampled Killing field of SO(5)/SO(3) has constant
+# length, every relative gap exceeds this ("min_relative_gap")
+CATALOG_GAP = 1e-3
+# a constant-displacement map slides a great circle along itself ("geodesic")
+GEODESIC = 1e-8
+# probe-noncompact adds I to a random 2x2 draw with |det| below this before
+# scaling it to det 1 ("near_singular")
+NEAR_SINGULAR = 1e-3
+# min_displacement accepts a descent step that lowers the displacement by more
+# than DESCENT_GAIN, and stops once its step length falls below DESCENT_STEP
+DESCENT_GAIN = 1e-15
+DESCENT_STEP = 1e-9

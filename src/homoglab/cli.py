@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+from . import _tol
 from .compact_lie import (
     CompactGroupSpec,
     center_elements,
@@ -251,11 +252,23 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
 
 
 def _emit(report: dict, output: str | None) -> None:
+    """Write the report to ``output``, if given, then print it; an unwritable
+    ``output`` is refused before anything reaches stdout."""
     text = json.dumps(report, sort_keys=True, indent=2)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    print(text, flush=True)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise InvalidParameter(f"cannot write --output {output!r}: {e.strerror or e}") from None
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): the verdict stands, and
+        # stdout goes to devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _exit_code(verdict: str) -> int:
@@ -263,7 +276,8 @@ def _exit_code(verdict: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (inputs, tolerances, evidence, verdict)
+# subcommands; each returns (inputs, tolerances, evidence, verdict), where
+# tolerances holds every named tolerance that can change the verdict
 
 
 def _cmd_construct(args, rng):
@@ -283,10 +297,10 @@ def _cmd_construct(args, rng):
             "odd_sylow_cyclic": cons.odd_sylow_cyclic,
         }
         verdict = "Constructed" if round_trip else "ClassificationMismatch"
-        return {"group": args.group}, {}, evidence, verdict
+        return {"group": args.group}, {"closure": _tol.CLOSURE}, evidence, verdict
     mats = sphere_group_matrices(args.group)
     evidence = {"order": len(mats), "matrix_size": int(mats[0].shape[0])}
-    return {"group": args.group}, {}, evidence, "Constructed"
+    return {"group": args.group}, {"closure": _tol.CLOSURE}, evidence, "Constructed"
 
 
 def _real_orthogonal_from_file(path: str, model: SphereModel) -> np.ndarray:
@@ -307,13 +321,15 @@ def _cmd_check_clifford(args, rng):
     if not isinstance(model, SphereModel):
         raise InvalidParameter("check-clifford runs on sphere models")
     inputs = {"model": args.model}
+    tolerances = {"eigen": _tol.EIGEN}
     if args.matrix_file:
         mats = [_real_orthogonal_from_file(args.matrix_file, model)]
         inputs["matrix_file"] = os.path.basename(args.matrix_file)
     else:
         mats = sphere_group_matrices(args.group, model.ambient_dim)
         inputs["group"] = args.group
-    constant, values = clifford_evidence(mats, args.samples, rng, tol=1e-9)
+        tolerances["closure"] = _tol.CLOSURE
+    constant, values = clifford_evidence(mats, args.samples, rng)
     elements = [
         {"id": i, "constant": bool(c), "value": float(v)}
         for i, (c, v) in enumerate(zip(constant, values))
@@ -323,7 +339,7 @@ def _cmd_check_clifford(args, rng):
         if all(e["constant"] for e in elements)
         else "NotConstantDisplacement"
     )
-    return inputs, {"eigen": 1e-9}, {"elements": elements}, verdict
+    return inputs, tolerances, {"elements": elements}, verdict
 
 
 def _cmd_check_free(args, rng):
@@ -337,10 +353,10 @@ def _cmd_check_free(args, rng):
     else:
         mats = sphere_group_matrices(args.group, model.ambient_dim)
         inputs["group"] = args.group
-    res = is_free_on_sphere(mats, tol=1e-9)
+    res = is_free_on_sphere(mats)
     evidence = {"order": len(mats), "offender": res.offender}
     verdict = "Free" if res.free else "NotFree"
-    return inputs, {"eigen": 1e-9}, evidence, verdict
+    return inputs, {"closure": _tol.CLOSURE, "eigen": _tol.EIGEN}, evidence, verdict
 
 
 def _cmd_check_killing(args, rng):
@@ -350,18 +366,9 @@ def _cmd_check_killing(args, rng):
     tolerances = {"relative_gap": args.tol}
     if re.fullmatch(r"(su|so|sp)\d+", args.space):
         spec = parse_model(args.space).spec
-        space = group_space(spec)
         xi = random_algebra_element(spec, rng, unit=True)
-        prof = killing_length_profile(space, xi, args.samples, rng)
-        evidence = _profile_evidence(prof)
-        verdict = (
-            "ConstantLength"
-            if constant_length_verdict(prof, rel_tol=args.tol)
-            else "NotConstantLength"
-        )
-        return inputs, tolerances, evidence, verdict
-    m = re.fullmatch(r"hopf-(\d+)", args.space)
-    if m:
+        prof = killing_length_profile(group_space(spec), xi, args.samples, rng)
+    elif m := re.fullmatch(r"hopf-(\d+)", args.space):
         mm = int(m.group(1))
         space = hopf_sphere_space(mm)
         direction = u1_centralizer_direction(mm + 1, mm)
@@ -369,14 +376,7 @@ def _cmd_check_killing(args, rng):
             prof = killing_length_profile(space, None, args.samples, rng, right=direction)
         else:
             prof = killing_length_profile(space, direction, args.samples, rng)
-        evidence = _profile_evidence(prof)
-        verdict = (
-            "ConstantLength"
-            if constant_length_verdict(prof, rel_tol=args.tol)
-            else "NotConstantLength"
-        )
-        return inputs, tolerances, evidence, verdict
-    if args.space == "so5-so3":
+    elif args.space == "so5-so3":
         space = so5_so3_space()
         gaps = []
         for _ in range(args.directions):
@@ -388,9 +388,12 @@ def _cmd_check_killing(args, rng):
             "NotConstantLength" if min(gaps) > args.tol else "ConstantLength"
         )
         return inputs, tolerances, evidence, verdict
-    raise InvalidParameter(
-        f"unknown space {args.space!r}: expected suN/soN/spN, hopf-M, or so5-so3"
-    )
+    else:
+        raise InvalidParameter(
+            f"unknown space {args.space!r}: expected suN/soN/spN, hopf-M, or so5-so3"
+        )
+    verdict = "ConstantLength" if constant_length_verdict(prof, args.tol) else "NotConstantLength"
+    return inputs, tolerances, _profile_evidence(prof), verdict
 
 
 def _profile_evidence(prof):
@@ -410,7 +413,7 @@ def _cmd_check_berger(args, rng):
         "dimension": rep.dimension,
         "coefficients": {"a": args.a, "b": args.b},
     }
-    return {"a": args.a, "b": args.b}, {}, evidence, "Computed"
+    return {"a": args.a, "b": args.b}, {"rank_cutoff": _tol.BERGER_CUTOFF}, evidence, "Computed"
 
 
 def _cmd_check_homogeneity(args, rng):
@@ -459,7 +462,7 @@ def _cmd_catalog(args, rng):
         "failed": "CatalogCheckFailed",
         "informational": "Informational",
     }[rep.status]
-    return inputs, {}, evidence, verdict
+    return inputs, rep.tolerances, evidence, verdict
 
 
 def _cmd_probe_noncompact(args, rng):
@@ -484,7 +487,7 @@ def _cmd_probe_noncompact(args, rng):
     for _ in range(motions):
         m = rng.standard_normal((2, 2))
         det = np.linalg.det(m)
-        if abs(det) < 1e-3:
+        if abs(det) < _tol.NEAR_SINGULAR:
             m = m + np.eye(2)
             det = np.linalg.det(m)
         if det < 0:
@@ -507,7 +510,7 @@ def _cmd_probe_noncompact(args, rng):
     ok = agree == motions and strict == motions and central_zero
     return (
         {"motions": motions},
-        {},
+        {"closure": _tol.CLOSURE, "near_singular": _tol.NEAR_SINGULAR},
         evidence,
         "ProbesConsistent" if ok else "ProbeMismatch",
     )
@@ -521,7 +524,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # None: main reads HOMOGLAB_SEED on each call, not once per parser
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=_tol.DISPLACEMENT)
     p.add_argument("--output", type=str, default=None)
 
 
@@ -619,29 +622,22 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(args.seed)
         start = time.perf_counter()
         inputs, tolerances, evidence, verdict = _DISPATCH[args.command](args, rng)
+        wall = (time.perf_counter() - start) * 1000.0
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "seed": args.seed,
+            "tolerances": tolerances,
+            "evidence": evidence,
+            "verdict": verdict,
+            "wall_time_ms": round(wall, 3),
+        }
+        _emit(report, args.output)
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 2
     except HomoglabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    wall = (time.perf_counter() - start) * 1000.0
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "seed": args.seed,
-        "tolerances": tolerances,
-        "evidence": evidence,
-        "verdict": verdict,
-        "wall_time_ms": round(wall, 3),
-    }
-    try:
-        _emit(report, args.output)
-    except BrokenPipeError:
-        # the reader closed stdout early (``| head``): the verdict stands, and
-        # stdout goes to devnull so the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return _exit_code(verdict)
 
 

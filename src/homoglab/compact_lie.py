@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _tol
 from ._linalg import trace_norm
 from .errors import InvalidParameter, NotInGroup
 from .profiles import DisplacementProfile
@@ -27,8 +28,6 @@ from .profiles import DisplacementProfile
 SPECIAL_UNITARY = "SU"
 SPECIAL_ORTHOGONAL = "SO"
 COMPACT_SYMPLECTIC = "Sp"
-
-_GROUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,9 @@ def symplectic_structure(n: int) -> np.ndarray:
     return J
 
 
-def check_in_group(spec: CompactGroupSpec, g: np.ndarray, tol: float = _GROUP_TOL) -> np.ndarray:
-    """Return ``g`` as an array if it is an element of the group, or a stack of
-    elements along its leading axis; NotInGroup when any member fails."""
+def check_in_group(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
+    """Return ``g`` as an array if it is an element of the group (within
+    ``_tol.GROUP``), or a stack of them; NotInGroup when any member fails."""
     d = spec.matrix_size
     try:
         g = np.asarray(g)
@@ -91,38 +90,38 @@ def check_in_group(spec: CompactGroupSpec, g: np.ndarray, tol: float = _GROUP_TO
     if g.ndim not in (2, 3) or g.shape[-2:] != (d, d):
         raise NotInGroup(f"expected a {d}x{d} matrix for {spec.name}")
     # written so that NaN entries fail; a NaN or inf entry spreads into the product
-    if not np.max(np.abs(_adjoint(g) @ g - np.eye(d))) <= tol:
+    if not np.max(np.abs(_adjoint(g) @ g - np.eye(d))) <= _tol.GROUP:
         raise NotInGroup("matrix is not unitary")
     if spec.family == SPECIAL_UNITARY:
-        if np.max(np.abs(np.linalg.det(g) - 1.0)) > 10 * tol:
+        if np.max(np.abs(np.linalg.det(g) - 1.0)) > 10 * _tol.GROUP:
             raise NotInGroup("determinant is not 1")
     elif spec.family == SPECIAL_ORTHOGONAL:
-        if np.iscomplexobj(g) and np.max(np.abs(g.imag)) > tol:
+        if np.iscomplexobj(g) and np.max(np.abs(g.imag)) > _tol.GROUP:
             raise NotInGroup("matrix is not real")
         if np.any(np.linalg.det(g.real) < 0):
             raise NotInGroup("determinant is not +1")
     else:
         J = symplectic_structure(spec.n)
-        if np.max(np.abs(g @ J - J @ g.conj())) > tol:
+        if np.max(np.abs(g @ J - J @ g.conj())) > _tol.GROUP:
             raise NotInGroup("matrix does not commute with the quaternionic structure")
     return g
 
 
-def check_in_algebra(spec: CompactGroupSpec, X: np.ndarray, tol: float = _GROUP_TOL) -> np.ndarray:
+def check_in_algebra(spec: CompactGroupSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     d = spec.matrix_size
     if X.shape != (d, d):
         raise InvalidParameter(f"expected a {d}x{d} matrix for the {spec.name} algebra")
     # written so that NaN entries fail, as in check_in_group
-    if not np.max(np.abs(X.conj().T + X)) <= tol:
+    if not np.max(np.abs(X.conj().T + X)) <= _tol.GROUP:
         raise InvalidParameter("matrix is not skew-hermitian")
-    if spec.family == SPECIAL_UNITARY and abs(np.trace(X)) > tol:
+    if spec.family == SPECIAL_UNITARY and abs(np.trace(X)) > _tol.GROUP:
         raise InvalidParameter("matrix is not traceless")
-    if spec.family == SPECIAL_ORTHOGONAL and np.iscomplexobj(X) and np.max(np.abs(X.imag)) > tol:
+    if spec.family == SPECIAL_ORTHOGONAL and np.max(np.abs(X.imag)) > _tol.GROUP:
         raise InvalidParameter("matrix is not real")
     if spec.family == COMPACT_SYMPLECTIC:
         J = symplectic_structure(spec.n)
-        if np.max(np.abs(X @ J - J @ X.conj())) > tol:
+        if np.max(np.abs(X @ J - J @ X.conj())) > _tol.GROUP:
             raise InvalidParameter("matrix is not quaternionic")
     return X
 
@@ -310,7 +309,7 @@ def group_exp(X: np.ndarray) -> np.ndarray:
     eigendecomposition in ``one_parameter`` reads one triangle of -iX."""
     X = np.asarray(X)
     # written so that NaN entries fail, as in check_in_algebra
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or not np.max(np.abs(X.conj().T + X)) <= _GROUP_TOL:
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or not np.max(np.abs(X.conj().T + X)) <= _tol.GROUP:
         raise InvalidParameter("group_exp takes a square skew-hermitian matrix")
     return one_parameter(X)(1.0)
 
@@ -454,7 +453,7 @@ def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
     minus_one = []
     i = 0
     while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 1e-12:
+        if i + 1 < n and abs(T[i + 1, i]) > _tol.ZERO:
             phi = float(np.arctan2(T[i + 1, i], T[i, i]))
             M[i, i + 1] = -phi
             M[i + 1, i] = phi
@@ -472,7 +471,7 @@ def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
 
 
 def _log_symplectic(spec: CompactGroupSpec, lam: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    near_minus = np.abs(lam + 1.0) < 1e-8
+    near_minus = np.abs(lam + 1.0) < _tol.GROUP
     X = (Z * (1j * np.where(near_minus, 0.0, np.angle(lam)))) @ Z.conj().T
     # the -1 eigenspace splits into planes (v, J conj(v)), turned by +pi and -pi;
     # J conj(v) is a -1 eigenvector orthogonal to v
@@ -512,7 +511,7 @@ def center_elements(spec: CompactGroupSpec) -> list[np.ndarray]:
     return [np.eye(d), -np.eye(d)]
 
 
-def is_central(spec: CompactGroupSpec, g: np.ndarray, tol: float = 1e-7) -> bool:
+def is_central(spec: CompactGroupSpec, g: np.ndarray, tol: float = _tol.CENTRAL) -> bool:
     g = np.asarray(g)
     return any(np.max(np.abs(g - z)) <= tol for z in center_elements(spec))
 
@@ -536,21 +535,8 @@ class TwoSidedIsometry:
         return self.g1.conj().T @ x @ self.g2
 
 
-def compose(first: TwoSidedIsometry, then: TwoSidedIsometry) -> TwoSidedIsometry:
-    """The isometry 'apply ``first``, then ``then``'; translation pairs only."""
-    if first.inverted or then.inverted:
-        raise InvalidParameter("composition is provided for translation pairs only")
-    return TwoSidedIsometry(first.g1 @ then.g1, first.g2 @ then.g2)
-
-
-def isometry_inverse(iso: TwoSidedIsometry) -> TwoSidedIsometry:
-    if iso.inverted:
-        raise InvalidParameter("inverse is provided for translation pairs only")
-    return TwoSidedIsometry(iso.g1.conj().T, iso.g2.conj().T)
-
-
 def is_identity_isometry(
-    spec: CompactGroupSpec, iso: TwoSidedIsometry, tol: float = 1e-7
+    spec: CompactGroupSpec, iso: TwoSidedIsometry, tol: float = _tol.CENTRAL
 ) -> bool:
     """x -> g1^{-1} x g2 is the identity map iff g1 = g2 = same central element."""
     if iso.inverted:
@@ -610,7 +596,7 @@ class ConstancyResult:
 def is_constant_displacement_translation(
     spec: CompactGroupSpec,
     iso: TwoSidedIsometry,
-    tol: float = 1e-7,
+    tol: float = _tol.DISPLACEMENT,
     samples: int = 200,
     rng: np.random.Generator | None = None,
 ) -> ConstancyResult:
@@ -632,8 +618,8 @@ def is_constant_displacement_translation(
     check_in_group(spec, iso.g2)
     profile = group_displacement_profile(spec, iso, samples, rng)
     constant = profile.gap <= tol
-    g1c = is_central(spec, iso.g1, tol=max(tol, 1e-7))
-    g2c = is_central(spec, iso.g2, tol=max(tol, 1e-7))
+    g1c = is_central(spec, iso.g1, tol=max(tol, _tol.CENTRAL))
+    g2c = is_central(spec, iso.g2, tol=max(tol, _tol.CENTRAL))
     predicted = (g1c or g2c) if not iso.inverted else is_identity_isometry(spec, iso)
     return ConstancyResult(
         constant=constant,
@@ -677,11 +663,11 @@ def min_displacement(
                 for sgn in (1.0, -1.0):
                     cand = x @ flow(sgn * step)
                     v = translation_displacement(spec, iso, cand, validate=False)
-                    if v < val - 1e-15:
+                    if v < val - _tol.DESCENT_GAIN:
                         x, val, improved = cand, v, True
             if not improved:
                 step *= 0.5
-                if step < 1e-9:
+                if step < _tol.DESCENT_STEP:
                     break
         if val < best_val:
             best_val, best_x = val, x

@@ -19,6 +19,7 @@ from math import gcd
 
 import numpy as np
 
+from . import _tol
 from .compact_lie import _SAMPLE_BLOCK
 from .errors import (
     InvalidParameter,
@@ -30,13 +31,11 @@ from .errors import (
 from .finite_groups import cayley_table
 from .profiles import DisplacementProfile
 
-_ORTHO_TOL = 1e-10
 
-
-def check_orthogonal(g: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
+def check_orthogonal(g: np.ndarray) -> np.ndarray:
     """Return ``g`` as a float array if it is an orthogonal matrix, or a
-    non-empty stack of them along its leading axis; NonOrthogonalInput when
-    any member fails."""
+    non-empty stack of them along its leading axis, within ``_tol.ORTHOGONAL``;
+    NonOrthogonalInput when any member fails."""
     try:
         g = np.asarray(g, dtype=float)
     except ValueError:  # a ragged list of matrices
@@ -44,7 +43,7 @@ def check_orthogonal(g: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
     if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2] or g.size == 0:
         raise NonOrthogonalInput("expected a square matrix")
     # written so that NaN entries fail too
-    if not np.max(np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1]))) <= tol:
+    if not np.max(np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1]))) <= _tol.ORTHOGONAL:
         raise NonOrthogonalInput("matrix is not orthogonal")
     return g
 
@@ -76,11 +75,11 @@ def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
     )
 
 
-def sphere_displacement(g: np.ndarray, x: np.ndarray, tol: float = 1e-10) -> float:
+def sphere_displacement(g: np.ndarray, x: np.ndarray) -> float:
     """Geodesic displacement angle(x, gx) of an orthogonal map at a unit point."""
     g = check_orthogonal(g)
     x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > tol:
+    if abs(np.linalg.norm(x) - 1.0) > _tol.ORTHOGONAL:
         raise NonUnitPoint("point must lie on the unit sphere")
     return float(_angles(x[None, None], (g @ x)[None, None])[0, 0])
 
@@ -106,32 +105,32 @@ def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Gene
     return profiles[0] if np.ndim(g) == 2 else tuple(profiles)
 
 
-def is_clifford_sphere(g: np.ndarray, tol: float = 1e-9):
+def is_clifford_sphere(g: np.ndarray):
     """Exact constant-displacement test on the sphere.
 
     For one matrix, returns (True, angle) when the symmetric part
-    (g + g^T)/2 equals c*I entrywise within tol (the displacement is then
-    arccos(c) everywhere), otherwise (False, None).  For a stack, returns a
-    boolean array and an array of angles, NaN where the test fails.
+    (g + g^T)/2 equals c*I entrywise within ``_tol.EIGEN`` (the displacement
+    is then arccos(c) everywhere), otherwise (False, None).  For a stack,
+    returns a boolean array and an array of angles, NaN where the test fails.
     """
     stack = _orthogonal_stack(g)
     n = stack.shape[-1]
     c = np.trace(stack, axis1=1, axis2=2) / n
     sym = (stack + np.swapaxes(stack, 1, 2)) / 2.0
-    ok = np.max(np.abs(sym - c[:, None, None] * np.eye(n)), axis=(1, 2)) <= tol
+    ok = np.max(np.abs(sym - c[:, None, None] * np.eye(n)), axis=(1, 2)) <= _tol.EIGEN
     angle = np.where(ok, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
     if np.ndim(g) == 3:
         return ok, angle
     return (True, float(angle[0])) if ok[0] else (False, None)
 
 
-def clifford_evidence(g: np.ndarray, samples: int, rng: np.random.Generator, tol: float = 1e-9):
+def clifford_evidence(g: np.ndarray, samples: int, rng: np.random.Generator):
     """Per-matrix constancy and its evidence, for one matrix or a stack: a
     boolean array from ``is_clifford_sphere``, and an array holding the
     displacement angle where it is constant and the sampled gap where it is
     not.  Only the non-constant matrices draw points, in stack order."""
     stack = _orthogonal_stack(g)
-    constant, values = is_clifford_sphere(stack, tol=tol)
+    constant, values = is_clifford_sphere(stack)
     moving = np.nonzero(~constant)[0]
     if moving.size:
         profiles = sphere_displacement_profile(stack[moving], samples, rng)
@@ -145,22 +144,23 @@ class FreenessResult:
     offender: int | None = None
 
 
-def is_free_on_sphere(group, tol: float = 1e-9, *, table=None) -> FreenessResult:
+def is_free_on_sphere(group, *, table=None) -> FreenessResult:
     """True when no non-identity element of the (closed) list fixes a point,
-    i.e. no eigenvalue lies within tol of +1; the offender is the first such
-    element in list order.
+    i.e. no eigenvalue lies within ``_tol.EIGEN`` of +1; the offender is the
+    first such element in list order.  An element within ``_tol.CLOSURE`` of
+    the identity is the identity.
 
-    Closure is checked by building the Cayley table at ``tol`` (NotClosed when
-    a product is missing) unless the caller passes the list's ``table``.
+    Closure is checked by building the Cayley table (NotClosed when a product
+    is missing) unless the caller passes the list's ``table``.
     """
     arr = _orthogonal_stack(group)
     if table is None:
-        cayley_table(arr, tol)
+        cayley_table(arr)
     n = arr.shape[1]
-    moving = np.nonzero(np.max(np.abs(arr - np.eye(n)), axis=(1, 2)) > tol)[0]
+    moving = np.nonzero(np.max(np.abs(arr - np.eye(n)), axis=(1, 2)) > _tol.CLOSURE)[0]
     if moving.size:
         ev = np.linalg.eigvals(arr[moving])
-        fixing = moving[np.min(np.abs(ev - 1.0), axis=1) <= tol]
+        fixing = moving[np.min(np.abs(ev - 1.0), axis=1) <= _tol.EIGEN]
         if fixing.size:
             return FreenessResult(False, int(fixing[0]))
     return FreenessResult(True, None)
@@ -173,12 +173,12 @@ def rotation_block(theta: float) -> np.ndarray:
 
 def cyclic_powers(M: np.ndarray, limit: int = 10_000) -> list[np.ndarray]:
     """The cyclic group generated by M: its powers I, M, M^2, ... (each the
-    previous one times M) up to the first return to the identity, max-abs
-    within 1e-9.  InvalidParameter when there are more than ``limit`` (a
+    previous one times M) up to the first return to the identity, within
+    ``_tol.CLOSURE``.  InvalidParameter when there are more than ``limit`` (a
     matrix with NaN entries never returns)."""
     eye = np.eye(M.shape[0])
     out, g = [eye], M
-    while not np.max(np.abs(g - eye)) <= 1e-9:
+    while not np.max(np.abs(g - eye)) <= _tol.CLOSURE:
         out.append(g)
         if len(out) > limit:
             raise InvalidParameter("matrix does not generate a finite cyclic group")
@@ -204,39 +204,35 @@ def lens_group(k: int, exponents) -> list[np.ndarray]:
     return cyclic_powers(gen, limit=k)
 
 
-def invariant_geodesic_check(
-    g: np.ndarray, x: np.ndarray, grid: int = 100, tol: float = 1e-8
-) -> bool:
+def invariant_geodesic_check(g: np.ndarray, x: np.ndarray) -> bool:
     """Verify that a constant-displacement map slides the great circle through
-    x and gx along itself: g(sigma(t)) = sigma(t + c) on a full period.
+    x and gx along itself: g(sigma(t)) = sigma(t + c) at 100 points of a full
+    period, within ``_tol.GEODESIC``.
 
     Raises NotClifford when the eigen-angle pre-test fails, and rejects the
     identity (no geodesic is selected).  The antipodal case uses the great
-    circle through x and the first coordinate axis not parallel to x.
+    circle through x and the coordinate axis farthest from parallel to x.
     """
     ok, angle = is_clifford_sphere(g)
     if not ok:
         raise NotClifford("map does not have constant displacement")
     x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(x) - 1.0) > _tol.ORTHOGONAL:
         raise NonUnitPoint("base point must lie on the unit sphere")
     c = angle
-    if c <= 1e-12:
+    if c <= _tol.ZERO:
         raise InvalidParameter("identity map selects no geodesic")
-    if np.pi - c <= 1e-12:
+    if np.pi - c <= _tol.ZERO:
         # antipodal: any great circle through x works
-        u = None
-        for axis in np.eye(len(x)):
-            v = axis - (axis @ x) * x
-            if np.linalg.norm(v) > 1e-8:
-                u = v / np.linalg.norm(v)
-                break
+        v = np.eye(len(x)) - np.outer(x, x)
+        u = v[np.argmax(np.linalg.norm(v, axis=1))]
+        u = u / np.linalg.norm(u)
     else:
         u = (g @ x - np.cos(c) * x) / np.sin(c)
-    ts = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    ts = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
     sigma = np.outer(np.cos(ts), x) + np.outer(np.sin(ts), u)
     shifted = np.outer(np.cos(ts + c), x) + np.outer(np.sin(ts + c), u)
-    return bool(np.max(np.abs(sigma @ g.T - shifted)) <= tol)
+    return bool(np.max(np.abs(sigma @ g.T - shifted)) <= _tol.GEODESIC)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +259,9 @@ class EuclideanMotion:
 
 
 def euclidean_bounded(motion: EuclideanMotion, radii=(1.0, 10.0, 100.0)):
-    """Exact verdict (bounded iff the linear part is the identity to 1e-10)
-    plus growth evidence: the max displacement over the sphere of each radius.
+    """Exact verdict (bounded iff the linear part is the identity, within
+    ``_tol.CLOSURE``) plus growth evidence: the max displacement over the
+    sphere of each radius.
 
     The per-radius maximum of |(A - I) x + b| is evaluated on the singular
     directions of A - I and the coordinate axes, which attains the exact value
@@ -273,7 +270,7 @@ def euclidean_bounded(motion: EuclideanMotion, radii=(1.0, 10.0, 100.0)):
     A = motion.rotation
     b = motion.translation
     n = A.shape[0]
-    bounded = bool(np.max(np.abs(A - np.eye(n))) <= 1e-10)
+    bounded = bool(np.max(np.abs(A - np.eye(n))) <= _tol.CLOSURE)
     M = A - np.eye(n)
     _, _, vh = np.linalg.svd(M)
     dirs = [v for v in vh] + [e for e in np.eye(n)]
@@ -314,7 +311,7 @@ class HyperbolicMotion:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2) or abs(np.linalg.det(m) - 1.0) > 1e-12:
+        if m.shape != (2, 2) or abs(np.linalg.det(m) - 1.0) > _tol.ZERO:
             raise InvalidParameter("need a real 2x2 matrix with det 1")
 
     def apply(self, z: complex) -> complex:
@@ -334,12 +331,14 @@ def _hyperbolic_ball_points(radius: float, angles: int) -> np.ndarray:
 
 
 def hyperbolic_bounded_probe(motion: HyperbolicMotion, radii=(1.0, 2.0, 4.0, 8.0), angles: int = 64):
-    """Exact verdict (bounded iff the matrix is +-I) plus the sampled sup of
-    the displacement over nested hyperbolic balls around i: the centre and
-    the circles of every radius up to the current one, evaluated as one array."""
+    """Exact verdict (bounded iff the matrix is +-I, within ``_tol.CLOSURE``)
+    plus the sampled sup of the displacement over nested hyperbolic balls
+    around i: the centre and the circles of every radius up to the current
+    one, evaluated as one array."""
     m = motion.matrix
     bounded = bool(
-        np.max(np.abs(m - np.eye(2))) <= 1e-10 or np.max(np.abs(m + np.eye(2))) <= 1e-10
+        np.max(np.abs(m - np.eye(2))) <= _tol.CLOSURE
+        or np.max(np.abs(m + np.eye(2))) <= _tol.CLOSURE
     )
     radii = sorted(radii)
     pts = np.concatenate([[1j]] + [_hyperbolic_ball_points(R, angles) for R in radii])

@@ -8,9 +8,9 @@ group must satisfy to act freely with constant displacement on a round sphere
 Sylow subgroups cyclic).
 
 All generator coefficients are closed forms in sqrt(2) and the golden ratio,
-evaluated in double precision; closure deduplication runs at 1e-9.  Orders and
-classification are then exact because they are computed on an integer
-multiplication table recovered from the floating elements.
+evaluated in double precision; closure deduplication runs at ``_tol.CLOSURE``.
+Orders and classification are then exact because they are computed on an
+integer multiplication table recovered from the floating elements.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _tol
 from .errors import (
     ClosureExceedsLimit,
     InvalidParameter,
@@ -29,9 +30,7 @@ from .errors import (
     NotClosed,
 )
 
-_DEDUP_TOL = 1e-9
 _TABLE_BLOCK = 1 << 20  # score entries per Cayley-table block (8 MB)
-_UNIT_TOL = 1e-10
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -78,7 +77,7 @@ class Quaternion:
     def to_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    def isclose(self, other: "Quaternion", tol: float = _DEDUP_TOL) -> bool:
+    def isclose(self, other: "Quaternion", tol: float = _tol.CLOSURE) -> bool:
         return bool(np.max(np.abs(self.to_array() - other.to_array())) <= tol)
 
     @staticmethod
@@ -165,19 +164,19 @@ def _quaternion_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prods.reshape(-1, 4)
 
 
-def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """near[i, j]: rows a[i] and b[j] lie within tol in max-abs distance."""
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """near[i, j]: rows a[i] and b[j] lie within ``_tol.CLOSURE``, max-abs."""
     dist = np.abs(np.subtract.outer(a[:, 0], b[:, 0]))
     for c in range(1, a.shape[1]):
         np.maximum(dist, np.abs(np.subtract.outer(a[:, c], b[:, c])), out=dist)
-    return dist <= tol
+    return dist <= _tol.CLOSURE
 
 
-def _first_occurrences(cand: np.ndarray, tol: float) -> np.ndarray:
+def _first_occurrences(cand: np.ndarray) -> np.ndarray:
     """Mask of the rows a sequential scan keeps: a row is kept unless an
-    earlier kept row lies within tol of it."""
+    earlier kept row is ``_near`` it."""
     idx = np.arange(len(cand))
-    near = _near(cand, cand, tol) & (idx[:, None] > idx[None, :])
+    near = _near(cand, cand) & (idx[:, None] > idx[None, :])
     decided = ~near.any(axis=1)  # no earlier row near: kept
     kept = decided.copy()
     # the first undecided row has every earlier row decided, so each pass
@@ -194,16 +193,16 @@ def _first_occurrences(cand: np.ndarray, tol: float) -> np.ndarray:
 def generate_closure(generators, limit: int = 10000) -> list[Quaternion]:
     """Breadth-first closure of unit quaternion generators.
 
-    Elements closer than 1e-9 (max-abs) are identified.  Each round forms all
-    frontier x generator products at once and keeps, in that order, those not
-    within 1e-9 of an earlier element; candidates are compared in blocks, so
-    the distance arrays stay near ``_TABLE_BLOCK`` entries.  Raises
+    Elements within ``_tol.CLOSURE`` (max-abs) are identified.  Each round
+    forms all frontier x generator products at once and keeps, in that order,
+    those not within it of an earlier element; candidates are compared in
+    blocks, so the distance arrays stay near ``_TABLE_BLOCK`` entries.  Raises
     NonUnitGenerator for a generator off the unit sphere and
     ClosureExceedsLimit when the closure grows past ``limit``.
     """
     gens = list(generators)
     for g in gens:
-        if abs(g.norm() - 1.0) > _UNIT_TOL:
+        if abs(g.norm() - 1.0) > _tol.ORTHOGONAL:
             raise NonUnitGenerator(f"generator has norm {g.norm():.12f}")
     gen_coords = np.array([g.to_array() for g in gens]).reshape(-1, 4)
     coords = np.zeros((64, 4))
@@ -219,8 +218,8 @@ def generate_closure(generators, limit: int = 10000) -> list[Quaternion]:
             step = max(1, min(1 << 10, _TABLE_BLOCK // count))
             block = cand[start : start + step]
             start += step
-            block = block[~_near(block, coords[:count], _DEDUP_TOL).any(axis=1)]
-            block = block[_first_occurrences(block, _DEDUP_TOL)]
+            block = block[~_near(block, coords[:count]).any(axis=1)]
+            block = block[_first_occurrences(block)]
             if count + len(block) > limit:
                 raise ClosureExceedsLimit(f"closure exceeded limit {limit}")
             if count + len(block) > len(coords):
@@ -262,10 +261,11 @@ class FiniteQuaternionGroup:
     def identity_index(self) -> int:
         return self._identity
 
-    def index_of(self, q: Quaternion, tol: float = 1e-6) -> int:
+    def index_of(self, q: Quaternion) -> int:
+        """Index of the element within ``_tol.CLOSURE`` of q, or -1."""
         d = np.max(np.abs(self._coords - q.to_array()), axis=1)
         idx = int(np.argmin(d))
-        return idx if d[idx] <= tol else -1
+        return idx if d[idx] <= _tol.CLOSURE else -1
 
     def left_translation_matrices(self) -> np.ndarray:
         """(order, 4, 4) stack of the matrices of x -> q x, in element order."""
@@ -279,7 +279,7 @@ class FiniteQuaternionGroup:
         their max-abs entry distance is that of the quaternions.
         """
         if self._table is None:
-            self._table = cayley_table(self.left_translation_matrices(), 1e-6)
+            self._table = cayley_table(self.left_translation_matrices())
         return self._table
 
 
@@ -287,7 +287,7 @@ class FiniteQuaternionGroup:
 # exact computations on multiplication tables
 
 
-def cayley_table(mats, tol: float) -> np.ndarray:
+def cayley_table(mats) -> np.ndarray:
     """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
     complex square matrices.
 
@@ -295,9 +295,9 @@ def cayley_table(mats, tol: float) -> np.ndarray:
     from a GEMM, through |P - C|^2 = |P|^2 - 2 Re<P, C> + |C|^2 (|P|^2 is the
     same for every candidate C, so the search drops it; nothing assumes the
     matrices are unitary).  Every match is then confirmed by its max-abs
-    entry distance; NotClosed is raised when one exceeds ``tol``.  Rows go in
-    blocks of left factors, so a score block holds about ``_TABLE_BLOCK``
-    entries (at least k^2) instead of k^3.
+    entry distance; NotClosed is raised when one exceeds ``_tol.CLOSURE``.
+    Rows go in blocks of left factors, so a score block holds about
+    ``_TABLE_BLOCK`` entries (at least k^2) instead of k^3.
     """
     arr = np.asarray(mats)
     if not np.iscomplexobj(arr):
@@ -315,7 +315,7 @@ def cayley_table(mats, tol: float) -> np.ndarray:
         score -= half_sq
         nearest = np.argmax(score, axis=1)
         stray = np.max(np.abs(prods - flat[nearest]))
-        if not stray <= tol:  # NaN entries fail too
+        if not stray <= _tol.CLOSURE:  # NaN entries fail too
             raise NotClosed(f"products stray {stray:.2e} from the element set")
         table[i : i + step] = nearest.reshape(-1, k)
     return table
@@ -664,7 +664,7 @@ def _left_translation_stack(coords: np.ndarray) -> np.ndarray:
     """(k, 4, 4) matrices of x -> q x for the rows q = (w, x, y, z) of coords."""
     w, x, y, z = coords.T
     norms = np.sqrt(w**2 + x**2 + y**2 + z**2)
-    bad = np.nonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))[0]
+    bad = np.nonzero(~(np.abs(norms - 1.0) <= _tol.ORTHOGONAL))[0]
     if bad.size:
         raise NonUnitInput(
             f"left translation needs a unit quaternion, norm {norms[bad[0]]:.12f}"
@@ -680,7 +680,7 @@ def left_translation_matrix(q: Quaternion) -> np.ndarray:
 
 def right_translation_matrix(q: Quaternion) -> np.ndarray:
     """Matrix of x -> x q on R^4 in the basis (1, i, j, k); lies in SO(4)."""
-    if abs(q.norm() - 1.0) > _UNIT_TOL:
+    if abs(q.norm() - 1.0) > _tol.ORTHOGONAL:
         raise NonUnitInput(f"right translation needs a unit quaternion, norm {q.norm():.12f}")
     w, x, y, z = q.w, q.x, q.y, q.z
     return np.array(

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _tol
 from ._linalg import _vec, null_space, rank_rel, trace_coords, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
@@ -45,8 +46,6 @@ from .errors import (
 )
 from .profiles import DisplacementProfile, constant_length_verdict
 
-_BRACKET_TOL = 1e-8
-_ORTHO_TOL = 1e-9
 # draws of a random element before maximal_abelian_dimension gives up; each
 # is regular with probability one
 _REGULAR_DRAWS = 4
@@ -79,7 +78,7 @@ class HomogeneousSpaceSpec:
         both = np.stack(self.isotropy_basis + self.complement_basis)
         if len(both) != self.group.algebra_dim:
             raise InvalidParameter("isotropy and complement bases must span the algebra")
-        if not np.max(np.abs(trace_coords(both, both) - np.eye(len(both)))) <= _ORTHO_TOL:
+        if not np.max(np.abs(trace_coords(both, both) - np.eye(len(both)))) <= _tol.BASIS:
             raise InvalidParameter("bases are not orthonormal / not orthogonal to each other")
         covered = sorted(i for _, idx in self.metric_blocks for i in idx)
         if covered != list(range(len(self.complement_basis))):
@@ -89,7 +88,7 @@ class HomogeneousSpaceSpec:
         h, m = both[: len(self.isotropy_basis)], both[len(self.isotropy_basis) :]
         # the 𝔥-coordinates of every [h, m] must vanish
         hm = trace_coords(h, bracket(h[:, None], m[None]))
-        if not np.all(np.linalg.norm(hm, axis=-1) <= _BRACKET_TOL):
+        if not np.all(np.linalg.norm(hm, axis=-1) <= _tol.BRACKET):
             raise InvalidParameter("complement is not isotropy-invariant")
 
     @property
@@ -128,7 +127,7 @@ def reductive_complement(
         raise InvalidParameter("isotropy basis is linearly dependent")
     m = np.tensordot(coeff.T, full, axes=1)
     hh = trace_coords(m, bracket(h[:, None], h[None]))
-    if not np.all(np.linalg.norm(hh, axis=-1) <= _BRACKET_TOL):
+    if not np.all(np.linalg.norm(hh, axis=-1) <= _tol.BRACKET):
         raise NotASubalgebra("isotropy basis is not closed under brackets")
     return tuple(m)
 
@@ -258,15 +257,15 @@ def killing_length_profile(
         xi = check_in_algebra(space.group, xi)
     if right is not None:
         right = check_in_algebra(space.group, right)
-    have_left = xi is not None and trace_norm(xi) > 1e-12
-    have_right = right is not None and trace_norm(right) > 1e-12
+    have_left = xi is not None and trace_norm(xi) > _tol.ZERO
+    have_right = right is not None and trace_norm(right) > _tol.ZERO
     if not have_left and not have_right:
         raise ZeroField("field direction is zero")
     if have_right and space.isotropy_basis:
         # right normalizes 𝔥 when no [right, h] has 𝔪-coordinates
         h = np.stack(space.isotropy_basis)
         rh = trace_coords(np.stack(space.complement_basis), bracket(right, h))
-        if not np.all(np.linalg.norm(rh, axis=-1) <= _BRACKET_TOL):
+        if not np.all(np.linalg.norm(rh, axis=-1) <= _tol.BRACKET):
             raise InvalidParameter("right component must normalize the isotropy algebra")
     if points is None:
         if samples < 1:
@@ -314,11 +313,11 @@ def maximal_abelian_dimension(
     for _ in range(_REGULAR_DRAWS):
         xi = np.tensordot(rng.standard_normal(len(B)), B, axes=1)
         M = _vec(bracket(xi, B), lead=1).T
-        if np.max(np.abs(M)) <= _BRACKET_TOL:  # xi central: the span is abelian
+        if np.max(np.abs(M)) <= _tol.BRACKET:  # xi central: the span is abelian
             T = B
         else:
-            T = np.tensordot(null_space(M, rel_cutoff=1e-8).T, B, axes=1)
-        if np.all(np.linalg.norm(bracket(T[:, None], T[None]), axis=(-2, -1)) <= _BRACKET_TOL):
+            T = np.tensordot(null_space(M).T, B, axes=1)
+        if np.all(np.linalg.norm(bracket(T[:, None], T[None]), axis=(-2, -1)) <= _tol.BRACKET):
             return rank_rel(_vec(T, lead=1))
     raise InvariantViolated("no regular element found")
 
@@ -353,8 +352,8 @@ def check_isotropy_split(
     h = np.stack([check_in_algebra(group, X) for X in h_basis])
     nn = np.stack([check_in_algebra(group, X) for X in n_basis])
     hn = bracket(h[:, None], nn[None])
-    commuting = bool(np.all(np.linalg.norm(hn, axis=(-2, -1)) <= _BRACKET_TOL))
-    orthogonal = bool(np.all(np.abs(trace_coords(h, nn)) <= _BRACKET_TOL))
+    commuting = bool(np.all(np.linalg.norm(hn, axis=(-2, -1)) <= _tol.BRACKET))
+    orthogonal = bool(np.all(np.abs(trace_coords(h, nn)) <= _tol.BRACKET))
     rng = rng if rng is not None else np.random.default_rng(0)
     rank_full = maximal_abelian_dimension(algebra_basis(group), rng)
     rank_split = maximal_abelian_dimension(np.concatenate([h, nn]), rng)
@@ -560,7 +559,7 @@ def berger_right_isometry_algebra(a: float, b: float) -> BergerIsometryReport:
         C = ad(k).T @ Q + Q @ ad(k)
         rows.append([C[0, 1], C[0, 2], C[1, 2], C[0, 0], C[1, 1], C[2, 2]])
     M = np.array(rows).T
-    ns = null_space(M, rel_cutoff=1e-10)
+    ns = null_space(M, rel_cutoff=_tol.BERGER_CUTOFF)
     T = su2_half_pauli_basis()
     coeffs = tuple(ns[:, i].copy() for i in range(ns.shape[1]))
     mats = tuple(sum(c[k] * T[k] for k in range(3)) for c in coeffs)
@@ -588,14 +587,14 @@ def center_of_gravity(
     """Average of the orbit of w: exact over a finite list of orthogonal
     matrices, Monte-Carlo over a Haar-sampled group (spec or sampler)."""
     w = np.asarray(w, dtype=float)
-    if np.linalg.norm(w) < 1e-12:
+    if np.linalg.norm(w) < _tol.ZERO:
         raise ZeroVector("the averaged vector must be nonzero")
     if not isinstance(rep, CompactGroupSpec) and not callable(rep):
         mats = [np.asarray(R, dtype=float) for R in rep]
         if not mats:
             raise InvalidParameter("empty representation")
         for R in mats:
-            if R.shape != (w.size, w.size) or np.max(np.abs(R.T @ R - np.eye(w.size))) > 1e-8:
+            if R.shape != (w.size, w.size) or np.max(np.abs(R.T @ R - np.eye(w.size))) > _tol.GROUP:
                 raise InvalidParameter("representation matrices must be orthogonal on w's space")
         return np.mean([R @ w for R in mats], axis=0)
     if samples < 1:
@@ -682,6 +681,7 @@ class CatalogCheckReport:
     status: str  # "passed" | "failed" | "informational"
     details: str
     evidence: dict
+    tolerances: dict  # the named tolerances that decide the status
 
 
 def catalog_verify(
@@ -711,6 +711,7 @@ def catalog_verify(
             entry, status,
             "rotation with equal angle pairs has constant displacement and slides its geodesics",
             {"angle": angle, "geodesic_slide": bool(slide)},
+            {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC},
         )
     if entry_id == 10:
         space = so5_so3_space()
@@ -722,11 +723,12 @@ def catalog_verify(
             )
             prof = killing_length_profile(space, xi, samples=samples, rng=rng)
             worst = min(worst, prof.relative_gap)
-        status = "passed" if worst > 1e-3 else "failed"
+        status = "passed" if worst > _tol.CATALOG_GAP else "failed"
         return CatalogCheckReport(
             entry, status,
             "no sampled direction gives a constant-length field",
             {"min_relative_gap": worst, "directions": 25},
+            {"min_relative_gap": _tol.CATALOG_GAP},
         )
     if entry_id == 15:
         space = hopf_sphere_space(2)
@@ -739,6 +741,7 @@ def catalog_verify(
             entry, "passed" if ok else "failed",
             "circle direction of the fibration generates a constant-length field",
             {"relative_gap": prof.relative_gap, "length": prof.mean},
+            {"relative_gap": _tol.KILLING},
         )
     if entry_id == 17:
         dims = (
@@ -751,9 +754,11 @@ def catalog_verify(
             entry, "passed" if ok else "failed",
             "right-isometry algebra dimensions across the three metric cases",
             {"dimensions": list(dims)},
+            {"rank_cutoff": _tol.BERGER_CUTOFF},
         )
     return CatalogCheckReport(
         entry, "informational",
         "recorded for reference; no desk-scale numeric check attached",
+        {},
         {},
     )

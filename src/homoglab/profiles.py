@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tol
+
 
 @dataclass(frozen=True)
 class DisplacementProfile:
@@ -35,6 +37,6 @@ class DisplacementProfile:
         return cls(float(arr.min()), float(arr.max()), float(arr.mean()), int(arr.size))
 
 
-def constant_length_verdict(profile: DisplacementProfile, rel_tol: float = 1e-6) -> bool:
+def constant_length_verdict(profile: DisplacementProfile, rel_tol: float = _tol.KILLING) -> bool:
     """Relative-gap constancy test used for Killing field length profiles."""
     return profile.relative_gap <= rel_tol

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _tol
 from ._linalg import _vec, null_space, rank_rel
 from .compact_lie import (
     CompactGroupSpec,
@@ -52,8 +53,6 @@ from .finite_groups import (
     cayley_table,
     table_inverses,
 )
-
-_CLOSURE_TOL = 1e-9
 
 NOT_FREE = "NotFree"
 NOT_CONSTANT_DISPLACEMENT = "NotConstantDisplacement"
@@ -143,7 +142,7 @@ class DeckGroup:
         if not mats:
             raise InvalidParameter("deck group is empty")
         mats = np.stack(mats)
-        if not np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _CLOSURE_TOL:
+        if not np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _tol.ORTHOGONAL:
             raise ModelMismatch("element is not orthogonal")  # NaN entries too
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "table", _group_table(mats))
@@ -170,12 +169,12 @@ class DeckGroup:
 
 def _group_table(mats: np.ndarray) -> np.ndarray:
     """Cayley table of a stack of matrices that must form a group: it holds the
-    identity and is closed under products and inverses, within _CLOSURE_TOL."""
+    identity and is closed under products and inverses, within ``_tol.CLOSURE``."""
     dist_to_eye = np.max(np.abs(mats - np.eye(mats.shape[-1])), axis=(1, 2))
     identity = int(np.argmin(dist_to_eye))
-    if dist_to_eye[identity] > _CLOSURE_TOL:
+    if dist_to_eye[identity] > _tol.CLOSURE:
         raise NotClosed("deck group does not contain the identity")
-    table = cayley_table(mats, _CLOSURE_TOL)
+    table = cayley_table(mats)
     table_inverses(table, identity)
     return table
 
@@ -225,10 +224,10 @@ def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
     B = np.stack(basis)
     # column b holds _vec((Ad(γ) − I) b) of every γ, one element after another
     M = np.swapaxes(_vec(_ad_minus_identity(deck, B), lead=2), 1, 2).reshape(-1, len(basis))
-    if np.max(np.abs(M)) <= 1e-12:  # identity-only deck: everything commutes
+    if np.max(np.abs(M)) <= _tol.ZERO:  # identity-only deck: everything commutes
         coeff = np.eye(len(basis))
     else:
-        coeff = null_space(M, rel_cutoff=1e-8)
+        coeff = null_space(M)
     return tuple(np.tensordot(coeff.T, B, axes=1))
 
 
@@ -249,7 +248,7 @@ def transitivity_rank(Z_basis, model):
         rows = Z[:, :, 0]  # X e_1
     else:
         rows = _vec(Z[:, 0] + Z[:, 1], lead=1)  # X·1 + 1·Y
-    return rank_rel(rows, rel_cutoff=1e-8), dim
+    return rank_rel(rows), dim
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def transitivity_rank(Z_basis, model):
 class VerifyConfig:
     seed: int = 0
     samples: int = 200
-    tol: float = 1e-7
+    tol: float = _tol.DISPLACEMENT
 
     def __post_init__(self):
         if self.samples < 10:
@@ -330,7 +329,7 @@ def verdict_from_evidence(free: bool, all_constant: bool, min_rank: int, dim: in
 
 
 def _sphere_element_evidence(deck, config, rng):
-    constant, values = clifford_evidence(deck.matrices, config.samples, rng, tol=1e-9)
+    constant, values = clifford_evidence(deck.matrices, config.samples, rng)
     return tuple(
         ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
     )
@@ -361,8 +360,12 @@ def verify_instance(
     config = config if config is not None else VerifyConfig()
     rng = np.random.default_rng(config.seed)
 
+    # every named tolerance that can change the verdict
+    tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
+                  "rank_cutoff": _tol.RANK_CUTOFF, "zero": _tol.ZERO}
     if isinstance(model, SphereModel):
-        freeness = is_free_on_sphere(deck.matrices, tol=1e-9, table=deck.table)
+        tolerances["eigen"] = _tol.EIGEN
+        freeness = is_free_on_sphere(deck.matrices, table=deck.table)
         free = freeness.free
         free_offender = freeness.offender
         elements = _sphere_element_evidence(deck, config, rng)
@@ -375,7 +378,7 @@ def verify_instance(
             (
                 i
                 for i, iso in enumerate(deck.elements)
-                if not is_identity_isometry(spec, iso, tol=_CLOSURE_TOL)
+                if not is_identity_isometry(spec, iso, tol=_tol.CLOSURE)
                 and conjugacy_class_distance(spec, iso.g1, iso.g2) <= config.tol
             ),
             None,
@@ -413,6 +416,6 @@ def verify_instance(
         transitivity=(1, min_rank, dim),
         verdict=verdict,
         seed=config.seed,
-        tolerances={"displacement": config.tol, "rank_cutoff": 1e-8},
+        tolerances=tolerances,
         forward_max_gap=forward_max_gap,
     )

@@ -140,7 +140,7 @@ def test_criterion_03_clifford_criterion_soundness():
     for tag in NAMED_TAGS:
         mats += [left_translation_matrix(q) for q in named_binary_group(tag).elements]
     for g in mats:
-        exact, _ = is_clifford_sphere(g, tol=1e-9)
+        exact, _ = is_clifford_sphere(g)
         sampled = sphere_displacement_profile(g, 1000, rng).gap <= 1e-7
         if exact != sampled:
             disagreements += 1
@@ -180,7 +180,7 @@ def test_criterion_05_geodesic_slide():
             g = _random_clifford(ambient, rng)
             x = rng.normal(size=ambient)
             x /= np.linalg.norm(x)
-            if not invariant_geodesic_check(g, x, grid=100, tol=1e-8):
+            if not invariant_geodesic_check(g, x):
                 failures.append(f"slide failed on S^{ambient - 1} sample {i}")
     _finish(5, "geodesic-slide", 10.0, start, failures)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import jsonschema
 
 import homoglab
+from homoglab import _tol
 from homoglab.cli import format_matrix, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
@@ -130,6 +131,46 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert code == 0
     assert json.loads(out.read_text()) == json.loads(printed)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_exits_2_with_one_stderr_line(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code = main(["construct", "--group", "cyclic-1", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write --output")
+
+
+def test_every_report_records_its_deciding_tolerances(capsys):
+    sphere = {"closure": _tol.CLOSURE, "eigen": _tol.EIGEN}
+    pipeline = {"displacement": _tol.DISPLACEMENT, "closure": _tol.CLOSURE,
+                "rank_cutoff": _tol.RANK_CUTOFF, "zero": _tol.ZERO}
+    runs = [
+        (["construct", "--group", "binary-tetrahedral"], {"closure": _tol.CLOSURE}),
+        (["construct", "--group", "lens-5-1-2"], {"closure": _tol.CLOSURE}),
+        (["check-clifford", "--model", "s3", "--group", "cyclic-4"], sphere),
+        (["check-free", "--model", "s3", "--group", "cyclic-4"], sphere),
+        (["check-killing", "--space", "hopf-1"], {"relative_gap": _tol.DISPLACEMENT}),
+        (["check-berger", "--a", "0.5", "--b", "1"], {"rank_cutoff": _tol.BERGER_CUTOFF}),
+        (["check-homogeneity", "--model", "s3", "--group", "cyclic-4"],
+         {**pipeline, "eigen": _tol.EIGEN}),
+        (["check-homogeneity", "--model", "su2", "--group", "center"], pipeline),
+        (["catalog", "verify", "1"], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
+        (["catalog", "verify", "10"], {"min_relative_gap": _tol.CATALOG_GAP}),
+        (["catalog", "verify", "15"], {"relative_gap": _tol.KILLING}),
+        (["catalog", "verify", "17"], {"rank_cutoff": _tol.BERGER_CUTOFF}),
+        (["catalog", "verify", "2"], {}),
+        (["catalog", "list"], {}),
+        (["probe-noncompact", "--motions", "3"],
+         {"closure": _tol.CLOSURE, "near_singular": _tol.NEAR_SINGULAR}),
+    ]
+    assert {argv[0] for argv, _ in runs} == set(SCHEMA["properties"]["command"]["enum"])
+    for argv, want in runs:
+        _, rep = run_cli(capsys, *argv, "--samples", "20")
+        assert rep["tolerances"] == want, argv
 
 
 @pytest.mark.parametrize(
@@ -534,6 +575,10 @@ def _argv(draw, files):
     for flag, values in (("--tol", _TOLS), ("--seed", _SEEDS)):
         if draw(st.booleans()):
             argv += [flag, draw(values)]
+    if draw(st.integers(0, 3)) == 0:
+        # a writable file, a directory, or a file in a missing directory
+        d = Path(files[0]).parent
+        argv += ["--output", str(draw(st.sampled_from([d / "out.json", d, d / "no" / "out.json"])))]
     # drop a token now and then
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(1, len(argv) - 1))]

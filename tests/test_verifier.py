@@ -351,7 +351,7 @@ def _per_point_rank(Z, model, x):
         rows = np.array([_vec(np.asarray(X) @ x) for X in Z])
     else:
         rows = np.array([_vec(x.conj().T @ E[0] @ x + E[1]) for E in Z])
-    return rank_rel(rows, rel_cutoff=1e-8)
+    return rank_rel(rows)
 
 
 def _per_point_min_rank(Z, model, points, seed):
