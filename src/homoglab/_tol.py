@@ -6,7 +6,8 @@ Where a CLI report records a value, its comment gives the ``tolerances`` key.
 """
 
 # two elements are the same: closures, Cayley tables, cyclic powers, the
-# identity of a deck and of a flat or hyperbolic motion ("closure")
+# identity of a deck, of a deck element (is_identity_isometry) and of a flat
+# or hyperbolic motion ("closure")
 CLOSURE = 1e-9
 # an orthogonal map has a scalar symmetric part (constant displacement on the
 # sphere) or an eigenvalue +1 (a fixed point) ("eigen")
@@ -25,7 +26,7 @@ BERGER_CUTOFF = 1e-10
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
-# a group element is central (the default of is_central)
+# a group element is central (is_central)
 CENTRAL = 1e-7
 # a norm, an angle, a determinant error or a whole matrix vanishes ("zero")
 ZERO = 1e-12

@@ -239,11 +239,10 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
             gen = np.block(
                 [[A, np.zeros((n, n))], [np.zeros((n, n)), np.conj(A)]]
             )
-        out, g = [], spec.identity().astype(complex)
-        for _ in range(order):
-            out.append(left_translation_isometry(spec, g))
-            g = g @ gen
-        return out
+        return [
+            left_translation_isometry(spec, g)
+            for g in cyclic_powers(gen.astype(complex), limit=order)
+        ]
     raise InvalidParameter(f"unknown group-manifold deck {name!r}")
 
 
@@ -420,9 +419,7 @@ def _cmd_check_homogeneity(args, rng):
     model = parse_model(args.model)
     config = VerifyConfig(seed=args.seed, samples=args.samples, tol=args.tol)
     if isinstance(model, SphereModel):
-        deck = sphere_deck(
-            sphere_group_matrices(args.group, model.ambient_dim), model.ambient_dim
-        )
+        deck = sphere_deck(sphere_group_matrices(args.group, model.ambient_dim))
     else:
         deck = group_deck(model.spec, group_manifold_deck(model.spec, args.group))
     report = verify_instance(deck, config=config)
@@ -520,12 +517,36 @@ def _cmd_probe_noncompact(args, rng):
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _sample_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 10:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 10, got {text!r}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return x
+
+
+def _add_common(p: argparse.ArgumentParser, samples: bool = False, tol: bool = False) -> None:
+    """--seed and --output on every subcommand; --samples and --tol only where
+    the subcommand reads them, so a flag it would ignore is refused."""
     # None: main reads HOMOGLAB_SEED on each call, not once per parser
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=_tol.DISPLACEMENT)
     p.add_argument("--output", type=str, default=None)
+    if samples:
+        p.add_argument("--samples", type=_sample_count, default=1000)
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=_tol.DISPLACEMENT)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -553,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--group")
     src.add_argument("--matrix-file")
-    _add_common(p)
+    _add_common(p, samples=True)
 
     p = sub.add_parser("check-free", help="fixed-point-freeness test on a sphere")
     p.add_argument("--model", required=True)
@@ -566,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--field", choices=["left", "right"], default="right")
     p.add_argument("--directions", type=int, default=25)
-    _add_common(p)
+    _add_common(p, samples=True, tol=True)
 
     p = sub.add_parser("check-berger", help="right-isometry algebra of a left-invariant metric on the 3-sphere group")
     p.add_argument("--a", type=float, required=True)
@@ -576,13 +597,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-homogeneity", help="run the full homogeneity pipeline")
     p.add_argument("--model", required=True)
     p.add_argument("--group", required=True)
-    _add_common(p)
+    _add_common(p, samples=True, tol=True)
 
     p = sub.add_parser("catalog", help="list or verify catalog entries")
     p.add_argument("action", choices=["list", "verify"])
     p.add_argument("entry", type=int, nargs="?")
     p.add_argument("--path", default=None)
-    _add_common(p)
+    _add_common(p, samples=True)
 
     p = sub.add_parser("probe-noncompact", help="bounded-displacement probes on flat and hyperbolic space")
     p.add_argument("--motions", type=int, default=100)
@@ -613,10 +634,6 @@ def main(argv=None) -> int:
                 args.seed = int(os.environ.get(SEED_ENV, "0"))
             except ValueError as e:
                 raise InvalidParameter(f"{SEED_ENV}: {e}") from None
-        if args.samples < 10:
-            raise InvalidParameter("--samples must be >= 10")
-        if not 0 < args.tol < math.inf:
-            raise InvalidParameter("--tol must be positive and finite")
         if args.seed < 0:
             raise InvalidParameter("--seed must be non-negative")
         rng = np.random.default_rng(args.seed)

@@ -359,14 +359,9 @@ def minimal_angles(spec: CompactGroupSpec, u: np.ndarray) -> np.ndarray:
     return theta
 
 
-def biinvariant_distance(
-    spec: CompactGroupSpec, g: np.ndarray, h: np.ndarray, validate: bool = True
-) -> float:
+def biinvariant_distance(spec: CompactGroupSpec, g: np.ndarray, h: np.ndarray) -> float:
     """Bi-invariant geodesic distance d(g, h) = ||log(g^{-1} h)||, -tr(X^2) norm."""
-    if validate:
-        check_in_group(spec, g)
-        check_in_group(spec, h)
-    u = np.asarray(g).conj().T @ np.asarray(h)
+    u = check_in_group(spec, g).conj().T @ check_in_group(spec, h)
     theta = minimal_angles(spec, u)
     return float(np.sqrt(np.sum(theta**2)))
 
@@ -511,9 +506,10 @@ def center_elements(spec: CompactGroupSpec) -> list[np.ndarray]:
     return [np.eye(d), -np.eye(d)]
 
 
-def is_central(spec: CompactGroupSpec, g: np.ndarray, tol: float = _tol.CENTRAL) -> bool:
+def is_central(spec: CompactGroupSpec, g: np.ndarray) -> bool:
+    """g lies within ``_tol.CENTRAL`` of a central element."""
     g = np.asarray(g)
-    return any(np.max(np.abs(g - z)) <= tol for z in center_elements(spec))
+    return any(np.max(np.abs(g - z)) <= _tol.CENTRAL for z in center_elements(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +531,15 @@ class TwoSidedIsometry:
         return self.g1.conj().T @ x @ self.g2
 
 
-def is_identity_isometry(
-    spec: CompactGroupSpec, iso: TwoSidedIsometry, tol: float = _tol.CENTRAL
-) -> bool:
-    """x -> g1^{-1} x g2 is the identity map iff g1 = g2 = same central element."""
+def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
+    """x -> g1^{-1} x g2 is the identity map iff g1 = g2 = same central element,
+    within ``_tol.CLOSURE``."""
     if iso.inverted:
         return False
-    for z in center_elements(spec):
-        if np.max(np.abs(iso.g1 - z)) <= tol and np.max(np.abs(iso.g2 - z)) <= tol:
-            return True
-    return False
+    return any(
+        np.max(np.abs(iso.g1 - z)) <= _tol.CLOSURE and np.max(np.abs(iso.g2 - z)) <= _tol.CLOSURE
+        for z in center_elements(spec)
+    )
 
 
 def translation_displacement(
@@ -606,8 +601,8 @@ def is_constant_displacement_translation(
     displacement; the prediction is exact for the simple families.  (On SO(4),
     which is not simple, pairs aligned with the two local factors can be
     constant with neither member central; Haar-random pairs never are.)
-    Inverted isometries always have fixed points, so a non-identity one is
-    predicted non-constant.
+    Inverted isometries always have fixed points and are never the identity,
+    so they are predicted non-constant.
     """
     if samples < 10:
         raise InvalidParameter("constancy sampling needs samples >= 10")
@@ -618,9 +613,9 @@ def is_constant_displacement_translation(
     check_in_group(spec, iso.g2)
     profile = group_displacement_profile(spec, iso, samples, rng)
     constant = profile.gap <= tol
-    g1c = is_central(spec, iso.g1, tol=max(tol, _tol.CENTRAL))
-    g2c = is_central(spec, iso.g2, tol=max(tol, _tol.CENTRAL))
-    predicted = (g1c or g2c) if not iso.inverted else is_identity_isometry(spec, iso)
+    g1c = is_central(spec, iso.g1)
+    g2c = is_central(spec, iso.g2)
+    predicted = (g1c or g2c) and not iso.inverted
     return ConstancyResult(
         constant=constant,
         profile=profile,

@@ -174,9 +174,9 @@ def rotation_block(theta: float) -> np.ndarray:
 def cyclic_powers(M: np.ndarray, limit: int = 10_000) -> list[np.ndarray]:
     """The cyclic group generated by M: its powers I, M, M^2, ... (each the
     previous one times M) up to the first return to the identity, within
-    ``_tol.CLOSURE``.  InvalidParameter when there are more than ``limit`` (a
-    matrix with NaN entries never returns)."""
-    eye = np.eye(M.shape[0])
+    ``_tol.CLOSURE``, in M's dtype.  InvalidParameter when there are more than
+    ``limit`` (a matrix with NaN entries never returns)."""
+    eye = np.eye(M.shape[0], dtype=M.dtype)
     out, g = [eye], M
     while not np.max(np.abs(g - eye)) <= _tol.CLOSURE:
         out.append(g)
@@ -258,10 +258,13 @@ class EuclideanMotion:
         return float(np.linalg.norm(self.apply(x) - x))
 
 
-def euclidean_bounded(motion: EuclideanMotion, radii=(1.0, 10.0, 100.0)):
+_EUCLIDEAN_RADII = (1.0, 10.0, 100.0)  # spheres of the growth evidence
+
+
+def euclidean_bounded(motion: EuclideanMotion):
     """Exact verdict (bounded iff the linear part is the identity, within
     ``_tol.CLOSURE``) plus growth evidence: the max displacement over the
-    sphere of each radius.
+    sphere of each radius in ``_EUCLIDEAN_RADII``.
 
     The per-radius maximum of |(A - I) x + b| is evaluated on the singular
     directions of A - I and the coordinate axes, which attains the exact value
@@ -278,7 +281,7 @@ def euclidean_bounded(motion: EuclideanMotion, radii=(1.0, 10.0, 100.0)):
         dirs.append(b / np.linalg.norm(b))
     dirs = np.array(dirs)
     evidence = []
-    for R in radii:
+    for R in _EUCLIDEAN_RADII:
         cand = np.concatenate([R * dirs, -R * dirs])
         disp = np.linalg.norm(cand @ M.T + b, axis=1)
         evidence.append(float(np.max(disp)))
@@ -287,6 +290,11 @@ def euclidean_bounded(motion: EuclideanMotion, radii=(1.0, 10.0, 100.0)):
 
 # ---------------------------------------------------------------------------
 # hyperbolic plane (upper half-plane model)
+
+
+# radii of the nested balls around i, ascending, and points per circle
+_HYPERBOLIC_RADII = (1.0, 2.0, 4.0, 8.0)
+_HYPERBOLIC_ANGLES = 64
 
 
 def _moebius(m: np.ndarray, z):
@@ -311,7 +319,8 @@ class HyperbolicMotion:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2) or abs(np.linalg.det(m) - 1.0) > _tol.ZERO:
+        # written so that NaN entries fail too
+        if m.shape != (2, 2) or not abs(np.linalg.det(m) - 1.0) <= _tol.ZERO:
             raise InvalidParameter("need a real 2x2 matrix with det 1")
 
     def apply(self, z: complex) -> complex:
@@ -330,19 +339,20 @@ def _hyperbolic_ball_points(radius: float, angles: int) -> np.ndarray:
     return 1j * (1.0 + w) / (1.0 - w)
 
 
-def hyperbolic_bounded_probe(motion: HyperbolicMotion, radii=(1.0, 2.0, 4.0, 8.0), angles: int = 64):
+def hyperbolic_bounded_probe(motion: HyperbolicMotion):
     """Exact verdict (bounded iff the matrix is +-I, within ``_tol.CLOSURE``)
-    plus the sampled sup of the displacement over nested hyperbolic balls
-    around i: the centre and the circles of every radius up to the current
-    one, evaluated as one array."""
+    plus the sampled sup of the displacement over the nested hyperbolic balls
+    of ``_HYPERBOLIC_RADII`` around i: the centre and the circles of every
+    radius up to the current one, evaluated as one array."""
     m = motion.matrix
     bounded = bool(
         np.max(np.abs(m - np.eye(2))) <= _tol.CLOSURE
         or np.max(np.abs(m + np.eye(2))) <= _tol.CLOSURE
     )
-    radii = sorted(radii)
-    pts = np.concatenate([[1j]] + [_hyperbolic_ball_points(R, angles) for R in radii])
+    pts = np.concatenate(
+        [[1j]] + [_hyperbolic_ball_points(R, _HYPERBOLIC_ANGLES) for R in _HYPERBOLIC_RADII]
+    )
     disp = _moebius_displacement(m, pts)
-    circles = disp[1:].reshape(len(radii), angles).max(axis=1)
+    circles = disp[1:].reshape(len(_HYPERBOLIC_RADII), _HYPERBOLIC_ANGLES).max(axis=1)
     sups = np.maximum.accumulate(np.concatenate([disp[:1], circles]))[1:]
     return bounded, [float(v) for v in sups]

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 _TABLE_BLOCK = 1 << 20  # score entries per Cayley-table block (8 MB)
+_CLOSURE_LIMIT = 10_000  # largest group generate_closure builds
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -190,7 +191,7 @@ def _first_occurrences(cand: np.ndarray) -> np.ndarray:
     return kept
 
 
-def generate_closure(generators, limit: int = 10000) -> list[Quaternion]:
+def generate_closure(generators) -> list[Quaternion]:
     """Breadth-first closure of unit quaternion generators.
 
     Elements within ``_tol.CLOSURE`` (max-abs) are identified.  Each round
@@ -198,7 +199,7 @@ def generate_closure(generators, limit: int = 10000) -> list[Quaternion]:
     those not within it of an earlier element; candidates are compared in
     blocks, so the distance arrays stay near ``_TABLE_BLOCK`` entries.  Raises
     NonUnitGenerator for a generator off the unit sphere and
-    ClosureExceedsLimit when the closure grows past ``limit``.
+    ClosureExceedsLimit when the closure grows past ``_CLOSURE_LIMIT``.
     """
     gens = list(generators)
     for g in gens:
@@ -220,8 +221,8 @@ def generate_closure(generators, limit: int = 10000) -> list[Quaternion]:
             start += step
             block = block[~_near(block, coords[:count]).any(axis=1)]
             block = block[_first_occurrences(block)]
-            if count + len(block) > limit:
-                raise ClosureExceedsLimit(f"closure exceeded limit {limit}")
+            if count + len(block) > _CLOSURE_LIMIT:
+                raise ClosureExceedsLimit(f"closure exceeded limit {_CLOSURE_LIMIT}")
             if count + len(block) > len(coords):
                 coords = np.concatenate([coords, np.zeros((count + len(block), 4))])
             coords[count : count + len(block)] = block
@@ -250,8 +251,8 @@ class FiniteQuaternionGroup:
             raise NotClosed("element list does not contain the identity")
 
     @classmethod
-    def from_generators(cls, generators, limit: int = 10000) -> "FiniteQuaternionGroup":
-        return cls(generate_closure(generators, limit=limit), generators)
+    def from_generators(cls, generators) -> "FiniteQuaternionGroup":
+        return cls(generate_closure(generators), generators)
 
     @property
     def order(self) -> int:
@@ -415,7 +416,7 @@ def _cyclic_generator(n: int) -> Quaternion:
     return Quaternion(math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n))
 
 
-def named_binary_group(tag: GroupType, limit: int = 10000) -> FiniteQuaternionGroup:
+def named_binary_group(tag: GroupType) -> FiniteQuaternionGroup:
     """Construct the group named by ``tag`` from explicit unit-quaternion
     generators; the result's order always matches the tag."""
     if tag.kind == GroupType.CYCLIC:
@@ -423,26 +424,24 @@ def named_binary_group(tag: GroupType, limit: int = 10000) -> FiniteQuaternionGr
         if n is None or n < 1:
             raise InvalidParameter("cyclic groups need n >= 1")
         gens = [_cyclic_generator(n)] if n > 1 else [Quaternion.one()]
-        group = FiniteQuaternionGroup.from_generators(gens, limit=limit)
+        group = FiniteQuaternionGroup.from_generators(gens)
     elif tag.kind == GroupType.BINARY_DIHEDRAL:
         m = tag.param
         if m is None or m < 2:
             raise InvalidParameter("binary dihedral groups need m >= 2")
         a = Quaternion(math.cos(math.pi / m), math.sin(math.pi / m))
-        group = FiniteQuaternionGroup.from_generators([a, Quaternion.j()], limit=limit)
+        group = FiniteQuaternionGroup.from_generators([a, Quaternion.j()])
     elif tag.kind == GroupType.BINARY_TETRAHEDRAL:
         omega = Quaternion(0.5, 0.5, 0.5, 0.5)
-        group = FiniteQuaternionGroup.from_generators([omega, Quaternion.i()], limit=limit)
+        group = FiniteQuaternionGroup.from_generators([omega, Quaternion.i()])
     elif tag.kind == GroupType.BINARY_OCTAHEDRAL:
         omega = Quaternion(0.5, 0.5, 0.5, 0.5)
         s = Quaternion(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        group = FiniteQuaternionGroup.from_generators(
-            [omega, Quaternion.i(), s], limit=limit
-        )
+        group = FiniteQuaternionGroup.from_generators([omega, Quaternion.i(), s])
     elif tag.kind == GroupType.BINARY_ICOSAHEDRAL:
         sigma = Quaternion(0.5, 0.5, 0.5, 0.5)
         tau = Quaternion(_GOLDEN / 2.0, 1.0 / (2.0 * _GOLDEN), 0.5, 0.0)
-        group = FiniteQuaternionGroup.from_generators([sigma, tau], limit=limit)
+        group = FiniteQuaternionGroup.from_generators([sigma, tau])
     else:
         raise InvalidParameter(f"no constructor for tag {tag!r}")
     expected = tag.expected_order()

@@ -199,11 +199,11 @@ def _single_block(dim: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
     return ((1.0, tuple(range(dim))),)
 
 
-def group_space(group: CompactGroupSpec, name: str | None = None) -> HomogeneousSpaceSpec:
+def group_space(group: CompactGroupSpec) -> HomogeneousSpaceSpec:
     """The group itself with its bi-invariant metric (trivial isotropy)."""
     m = algebra_basis(group)
     return HomogeneousSpaceSpec(
-        name=name or group.name,
+        name=group.name,
         group=group,
         isotropy_basis=(),
         complement_basis=m,
@@ -372,38 +372,26 @@ def check_isotropy_split(
 _WEYL_SERIES = ("A", "B", "C", "D", "G2")
 
 
-def _simple_reflections_int(series: str, rank: int):
-    """Simple reflections of A/B/C/D realized as integer coordinate maps."""
+def _weyl_generators(series: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simple reflections of a Weyl group as integer matrices, an (r, m, m)
+    stack acting on coordinate vectors of Z^m, and a regular vector whose orbit
+    they close.  Every orbit is a set of signed permutations of its vector."""
+    if series == "G2":
+        # on the sum-zero lattice of Z^3: (x, y, z) -> (y, x, z), (-x, x + y, x + z)
+        refls = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 0, 0], [1, 1, 0], [1, 0, 1]]]
+        return np.array(refls, dtype=np.int64), np.array([1, 2, -3], dtype=np.int64)
+    m = rank + 1 if series == "A" else rank
     refls = []
-    ncoord = rank + 1 if series == "A" else rank
-
-    def swap(i):
-        def f(V):
-            W = V.copy()
-            W[:, [i, i + 1]] = W[:, [i + 1, i]]
-            return W
-
-        return f
-
-    for i in range(ncoord - 1):
-        refls.append(swap(i))
-    if series in ("B", "C"):
-
-        def flip_last(V):
-            W = V.copy()
-            W[:, -1] = -W[:, -1]
-            return W
-
-        refls.append(flip_last)
-    elif series == "D":
-
-        def swap_negate(V):
-            W = V.copy()
-            W[:, -2], W[:, -1] = -V[:, -1], -V[:, -2]
-            return W
-
-        refls.append(swap_negate)
-    return refls, ncoord
+    for i in range(m - 1 if series == "A" else m):
+        R = np.eye(m, dtype=np.int64)
+        if i < m - 1:  # swap coordinates i and i + 1
+            R[i : i + 2, i : i + 2] = [[0, 1], [1, 0]]
+        elif series == "D":  # swap and negate the last two
+            R[-2:, -2:] = [[0, -1], [-1, 0]]
+        else:  # B and C: negate the last coordinate
+            R[-1, -1] = -1
+        refls.append(R)
+    return np.stack(refls), np.arange(1, m + 1, dtype=np.int64)
 
 
 def _closed_form_weyl(series: str, rank: int) -> int:
@@ -420,53 +408,31 @@ def _closed_form_weyl(series: str, rank: int) -> int:
 
 @lru_cache(maxsize=None)
 def weyl_group_order(series: str, rank: int) -> int:
-    """|W| by breadth-first orbit closure of a regular vector under simple
-    reflections; cross-checked against the closed-form product."""
+    """|W| by breadth-first orbit closure of a regular integer vector under
+    the simple reflections; cross-checked against the closed-form product."""
     if series not in _WEYL_SERIES:
         raise UnsupportedType(f"unknown series {series!r}")
-    if series == "G2":
-        if rank != 2:
-            raise UnsupportedType("G2 has rank 2")
-        simple = [np.array([1.0, -1.0, 0.0]), np.array([-2.0, 1.0, 1.0])]
-        v = np.array([0.1234, 0.9876, -1.111])
-        seen = {tuple(np.round(v, 9))}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for a in simple:
-                    r = w - 2.0 * (w @ a) / (a @ a) * a
-                    key = tuple(np.round(r, 9))
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(r)
-            frontier = nxt
-        order = len(seen)
-    else:
-        if rank < 1 or rank > 8 or (series == "D" and rank < 2):
-            raise UnsupportedType(f"rank {rank} out of the supported range for {series}")
-        refls, ncoord = _simple_reflections_int(series, rank)
-        start = np.arange(1, ncoord + 1, dtype=np.int64)[None, :]
-        base = 2 * ncoord + 3
-        powers = base ** np.arange(ncoord, dtype=np.int64)
+    if series == "G2" and rank != 2:
+        raise UnsupportedType("G2 has rank 2")
+    if series != "G2" and (rank < 1 or rank > 8 or (series == "D" and rank < 2)):
+        raise UnsupportedType(f"rank {rank} out of the supported range for {series}")
+    refls, start = _weyl_generators(series, rank)
+    # orbit coordinates lie in [-b, b]: one base-(2b + 1) integer key per vector
+    b = int(np.max(np.abs(start)))
+    powers = (2 * b + 1) ** np.arange(len(start), dtype=np.int64)
 
-        def keys(V):
-            return (V + ncoord + 1) @ powers
+    def keys(V):
+        return (V + b) @ powers
 
-        seen_keys = np.sort(keys(start))
-        frontier = start
-        while frontier.size:
-            cands = np.concatenate([f(frontier) for f in refls])
-            k = keys(cands)
-            k_uniq, idx = np.unique(k, return_index=True)
-            cands = cands[idx]
-            pos = np.searchsorted(seen_keys, k_uniq)
-            pos = np.clip(pos, 0, len(seen_keys) - 1)
-            fresh = seen_keys[pos] != k_uniq
-            frontier = cands[fresh]
-            if frontier.size:
-                seen_keys = np.sort(np.concatenate([seen_keys, k_uniq[fresh]]))
-        order = len(seen_keys)
+    seen_keys = keys(start[None])
+    frontier = start[None]
+    while frontier.size:
+        cands = (frontier @ np.swapaxes(refls, 1, 2)).reshape(-1, len(start))
+        k_uniq, idx = np.unique(keys(cands), return_index=True)
+        fresh = ~np.isin(k_uniq, seen_keys, assume_unique=True)
+        frontier = cands[idx[fresh]]
+        seen_keys = np.concatenate([seen_keys, k_uniq[fresh]])
+    order = len(seen_keys)
     expected = _closed_form_weyl(series, rank)
     if order != expected:
         raise InvariantViolated(
@@ -572,12 +538,6 @@ def berger_right_isometry_algebra(a: float, b: float) -> BergerIsometryReport:
 # orbit averages
 
 
-def uniform_rotation_2d(rng: np.random.Generator) -> np.ndarray:
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s], [s, c]])
-
-
 def center_of_gravity(
     rep,
     w: np.ndarray,
@@ -585,11 +545,11 @@ def center_of_gravity(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Average of the orbit of w: exact over a finite list of orthogonal
-    matrices, Monte-Carlo over a Haar-sampled group (spec or sampler)."""
+    matrices, Monte-Carlo over the Haar-sampled group of a spec."""
     w = np.asarray(w, dtype=float)
     if np.linalg.norm(w) < _tol.ZERO:
         raise ZeroVector("the averaged vector must be nonzero")
-    if not isinstance(rep, CompactGroupSpec) and not callable(rep):
+    if not isinstance(rep, CompactGroupSpec):
         mats = [np.asarray(R, dtype=float) for R in rep]
         if not mats:
             raise InvalidParameter("empty representation")
@@ -601,12 +561,8 @@ def center_of_gravity(
         raise InvalidParameter("need at least one sample")
     rng = rng if rng is not None else np.random.default_rng()
     acc = np.zeros(w.size)
-    if isinstance(rep, CompactGroupSpec):
-        for R in _haar_blocks(rep, rng, samples):
-            acc += np.sum((R @ w).real, axis=0)
-    else:
-        for _ in range(samples):
-            acc += (np.asarray(rep(rng)) @ w).real
+    for R in _haar_blocks(rep, rng, samples):
+        acc += np.sum((R @ w).real, axis=0)
     return acc / samples
 
 

@@ -179,12 +179,13 @@ def _group_table(mats: np.ndarray) -> np.ndarray:
     return table
 
 
-def sphere_deck(matrices, ambient_dim: int | None = None) -> DeckGroup:
+def sphere_deck(matrices) -> DeckGroup:
+    """The deck of a list of orthogonal matrices, on the sphere of the first
+    one's size."""
     mats = [np.asarray(m, dtype=float) for m in matrices]
     if not mats:
         raise InvalidParameter("deck group is empty")
-    n = ambient_dim if ambient_dim is not None else mats[0].shape[0]
-    return DeckGroup(SphereModel(n), tuple(mats))
+    return DeckGroup(SphereModel(mats[0].shape[0]), tuple(mats))
 
 
 def sphere_deck_from_quaternions(group: FiniteQuaternionGroup) -> DeckGroup:
@@ -347,15 +348,10 @@ def _group_element_evidence(deck, config, rng):
     return tuple(out)
 
 
-def verify_instance(
-    deck: DeckGroup,
-    model=None,
-    config: VerifyConfig | None = None,
-) -> HomogeneityReport:
-    """Run the full pipeline: freeness, constant displacement per element,
-    centralizer computation, transitivity rank, and the forward re-check."""
-    if model is not None and model != deck.model:
-        raise ModelMismatch("explicit model disagrees with the deck group's model")
+def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> HomogeneityReport:
+    """Run the full pipeline on the deck's model: freeness, constant
+    displacement per element, centralizer computation, transitivity rank, and
+    the forward re-check."""
     model = deck.model
     config = config if config is not None else VerifyConfig()
     rng = np.random.default_rng(config.seed)
@@ -378,7 +374,7 @@ def verify_instance(
             (
                 i
                 for i, iso in enumerate(deck.elements)
-                if not is_identity_isometry(spec, iso, tol=_tol.CLOSURE)
+                if not is_identity_isometry(spec, iso)
                 and conjugacy_class_distance(spec, iso.g1, iso.g2) <= config.tol
             ),
             None,

@@ -1,9 +1,11 @@
 """CLI contract: exit codes, JSON report shape, determinism, matrix files."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import jsonschema
 
 import homoglab
-from homoglab import _tol
+from homoglab import _tol, cli
 from homoglab.cli import format_matrix, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
@@ -148,28 +150,29 @@ def test_every_report_records_its_deciding_tolerances(capsys):
     sphere = {"closure": _tol.CLOSURE, "eigen": _tol.EIGEN}
     pipeline = {"displacement": _tol.DISPLACEMENT, "closure": _tol.CLOSURE,
                 "rank_cutoff": _tol.RANK_CUTOFF, "zero": _tol.ZERO}
+    few = ["--samples", "20"]
     runs = [
         (["construct", "--group", "binary-tetrahedral"], {"closure": _tol.CLOSURE}),
         (["construct", "--group", "lens-5-1-2"], {"closure": _tol.CLOSURE}),
-        (["check-clifford", "--model", "s3", "--group", "cyclic-4"], sphere),
+        (["check-clifford", "--model", "s3", "--group", "cyclic-4", *few], sphere),
         (["check-free", "--model", "s3", "--group", "cyclic-4"], sphere),
-        (["check-killing", "--space", "hopf-1"], {"relative_gap": _tol.DISPLACEMENT}),
+        (["check-killing", "--space", "hopf-1", *few], {"relative_gap": _tol.DISPLACEMENT}),
         (["check-berger", "--a", "0.5", "--b", "1"], {"rank_cutoff": _tol.BERGER_CUTOFF}),
-        (["check-homogeneity", "--model", "s3", "--group", "cyclic-4"],
+        (["check-homogeneity", "--model", "s3", "--group", "cyclic-4", *few],
          {**pipeline, "eigen": _tol.EIGEN}),
-        (["check-homogeneity", "--model", "su2", "--group", "center"], pipeline),
-        (["catalog", "verify", "1"], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
-        (["catalog", "verify", "10"], {"min_relative_gap": _tol.CATALOG_GAP}),
-        (["catalog", "verify", "15"], {"relative_gap": _tol.KILLING}),
-        (["catalog", "verify", "17"], {"rank_cutoff": _tol.BERGER_CUTOFF}),
-        (["catalog", "verify", "2"], {}),
+        (["check-homogeneity", "--model", "su2", "--group", "center", *few], pipeline),
+        (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
+        (["catalog", "verify", "10", *few], {"min_relative_gap": _tol.CATALOG_GAP}),
+        (["catalog", "verify", "15", *few], {"relative_gap": _tol.KILLING}),
+        (["catalog", "verify", "17", *few], {"rank_cutoff": _tol.BERGER_CUTOFF}),
+        (["catalog", "verify", "2", *few], {}),
         (["catalog", "list"], {}),
         (["probe-noncompact", "--motions", "3"],
          {"closure": _tol.CLOSURE, "near_singular": _tol.NEAR_SINGULAR}),
     ]
     assert {argv[0] for argv, _ in runs} == set(SCHEMA["properties"]["command"]["enum"])
     for argv, want in runs:
-        _, rep = run_cli(capsys, *argv, "--samples", "20")
+        _, rep = run_cli(capsys, *argv)
         assert rep["tolerances"] == want, argv
 
 
@@ -363,7 +366,7 @@ def test_probe_noncompact(capsys):
         ["check-clifford", "--model", "q3", "--group", "cyclic-2"],
         ["check-clifford", "--model", "s3", "--group", "no-such-group"],
         ["check-clifford", "--model", "s3", "--group", "cyclic-2", "--samples", "3"],
-        ["check-clifford", "--model", "s3", "--group", "cyclic-2", "--tol", "0"],
+        ["check-homogeneity", "--model", "s3", "--group", "cyclic-2", "--tol", "0"],
         ["check-clifford", "--model", "s3", "--matrix-file", "/nonexistent/m.txt"],
         ["check-free", "--model", "s5", "--group", "binary-dihedral-3"],
         ["check-killing", "--space", "so9000"],
@@ -419,8 +422,8 @@ def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
         ["probe-noncompact", "--motions", "x"],
         ["check-homogeneity", "--model", "s3"],
         ["construct", "--group", "cyclic-3", "--seed", "-1"],
-        ["construct", "--group", "cyclic-3", "--tol", "nan"],
-        ["construct", "--group", "cyclic-3", "--tol", "inf"],
+        ["check-killing", "--space", "hopf-1", "--tol", "nan"],
+        ["check-homogeneity", "--model", "s3", "--group", "cyclic-3", "--tol", "inf"],
         ["catalog", "show"],
         [],
     ],
@@ -431,6 +434,55 @@ def test_malformed_argv_exits_2_with_one_stderr_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+# --samples and --tol only where a subcommand reads them
+_READS = {
+    "check-clifford": ("--samples",),
+    "check-killing": ("--samples", "--tol"),
+    "check-homogeneity": ("--samples", "--tol"),
+    "catalog": ("--samples",),
+}
+_VALID = {
+    "construct": ["construct", "--group", "cyclic-3"],
+    "check-clifford": ["check-clifford", "--model", "s3", "--group", "binary-tetrahedral"],
+    "check-free": ["check-free", "--model", "s3", "--group", "binary-icosahedral"],
+    "check-berger": ["check-berger", "--a", "1", "--b", "1"],
+    "catalog": ["catalog", "verify", "10"],
+    "probe-noncompact": ["probe-noncompact", "--motions", "3"],
+}
+_IGNORED = [
+    (cmd, flag)
+    for cmd in _VALID
+    for flag in ("--samples", "--tol")
+    if flag not in _READS.get(cmd, ())
+]
+
+
+@pytest.mark.parametrize("cmd,flag", _IGNORED, ids=[f"{c}{f}" for c, f in _IGNORED])
+def test_a_flag_the_subcommand_ignores_exits_2(capsys, cmd, flag):
+    assert main([*_VALID[cmd], flag, "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert f"unrecognized arguments: {flag}" in line
+
+
+def _parser_flags():
+    """{subcommand: its option strings} of the parser main uses."""
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_flags_table_lists_every_flag_of_every_subcommand():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` +\| ((?:`--[a-z-]+`(?:, )?)+) +\|$", text, flags=re.M)
+    assert {cmd: set(re.findall(r"`(--[a-z-]+)`", cell)) for cmd, cell in rows} == _parser_flags()
+    for cmd, flags in _parser_flags().items():
+        assert {"--samples", "--tol"} & flags == set(_READS.get(cmd, ())), cmd
 
 
 def test_malformed_seed_variable_exits_2(capsys, monkeypatch):
@@ -571,16 +623,21 @@ def _argv(draw, files):
         argv += [draw(_mostly(["1", "2", "10", "19"], ["0", "20", "x"]))]
     elif cmd == "probe-noncompact":
         argv += ["--motions", draw(_COUNTS)]
-    argv += ["--samples", draw(_SAMPLES)]
-    for flag, values in (("--tol", _TOLS), ("--seed", _SEEDS)):
-        if draw(st.booleans()):
-            argv += [flag, draw(values)]
+    reads = _READS.get(cmd, ())
+    # --samples always and --tol half the time where the subcommand reads
+    # them; either one now and then where it does not, which exits 2
+    if "--samples" in reads or draw(st.integers(0, 9)) == 0:
+        argv += ["--samples", draw(_SAMPLES)]
+    if draw(st.booleans()) if "--tol" in reads else draw(st.integers(0, 9)) == 0:
+        argv += ["--tol", draw(_TOLS)]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_SEEDS)]
     if draw(st.integers(0, 3)) == 0:
         # a writable file, a directory, or a file in a missing directory
         d = Path(files[0]).parent
         argv += ["--output", str(draw(st.sampled_from([d / "out.json", d, d / "no" / "out.json"])))]
     # drop a token now and then
-    if draw(st.integers(0, 9)) == 0:
+    if len(argv) > 1 and draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(1, len(argv) - 1))]
     return argv
 

@@ -191,7 +191,7 @@ def test_euclidean_translation_is_bounded():
 def test_euclidean_screw_motion_grows():
     A = block_diag(rotation_block(0.7), 1.0)
     motion = EuclideanMotion(A, np.array([0.0, 0.0, 3.0]))
-    bounded, growth = euclidean_bounded(motion, radii=(1.0, 10.0, 100.0))
+    bounded, growth = euclidean_bounded(motion)
     assert not bounded
     assert growth[0] < growth[1] < growth[2]
     # the sup over radius R is exactly sqrt((2 sin(theta/2) R)^2 + |axis shift|^2)
@@ -242,6 +242,9 @@ def test_hyperbolic_elliptic_still_unbounded(rng):
 def test_hyperbolic_motion_validation():
     with pytest.raises(InvalidParameter):
         HyperbolicMotion(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    # a NaN determinant is not within any tolerance of 1
+    with pytest.raises(InvalidParameter):
+        HyperbolicMotion(np.full((2, 2), np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +414,20 @@ def probe_oracle(matrix, radii=(1.0, 2.0, 4.0, 8.0), angles=64):
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(1.0, 2.0, 4.0, 8.0), (3.0, 0.5), (2.0,)]))
-def test_vectorised_hyperbolic_probe_matches_the_scalar_one(seed, radii):
+@given(st.integers(0, 2**32 - 1))
+def test_vectorised_hyperbolic_probe_matches_the_scalar_one(seed):
     m = np.random.default_rng(seed).standard_normal((2, 2))
     if np.linalg.det(m) < 0:
         m[0] = -m[0]
     m = m / np.sqrt(np.linalg.det(m))
     motion = HyperbolicMotion(m)
-    _, sups = hyperbolic_bounded_probe(motion, radii=radii, angles=16)
-    assert np.allclose(sups, probe_oracle(m, radii, 16), rtol=1e-12, atol=1e-12)
+    _, sups = hyperbolic_bounded_probe(motion)
+    assert np.allclose(sups, probe_oracle(m), rtol=1e-12, atol=1e-12)
     z = complex(0.3, 1.7)
     assert np.isclose(motion.displacement(z), scalar_displacement(m, z), rtol=1e-12, atol=1e-12)
 
 
 def test_central_hyperbolic_motions_have_exactly_zero_sups():
     for sign in (1.0, -1.0):
-        _, sups = hyperbolic_bounded_probe(HyperbolicMotion(sign * np.eye(2)), angles=16)
-        assert sups == [0.0] * 4 == probe_oracle(sign * np.eye(2), angles=16)
+        _, sups = hyperbolic_bounded_probe(HyperbolicMotion(sign * np.eye(2)))
+        assert sups == [0.0] * 4 == probe_oracle(sign * np.eye(2))

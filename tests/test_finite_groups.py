@@ -85,11 +85,12 @@ def test_generator_must_be_unit():
         FiniteQuaternionGroup.from_generators([Quaternion(0.5, 0.5)])
 
 
-def test_closure_limit():
+def test_closure_limit(monkeypatch):
     # an irrational rotation never closes up
+    monkeypatch.setattr(finite_groups, "_CLOSURE_LIMIT", 500)
     a = Quaternion(np.cos(1.0), np.sin(1.0))
     with pytest.raises(ClosureExceedsLimit):
-        FiniteQuaternionGroup.from_generators([a], limit=500)
+        FiniteQuaternionGroup.from_generators([a])
 
 
 def test_lagrange_divisibility():
@@ -390,14 +391,18 @@ def test_closure_matches_scalar_bfs_across_dedupe_blocks(monkeypatch):
     assert element_bits(generate_closure(gens)) == want
 
 
-def test_closure_error_paths_match_scalar_bfs():
+def test_closure_error_paths_match_scalar_bfs(monkeypatch):
     spiral = [Quaternion(np.cos(1.0), np.sin(1.0))]
+    twelve = [_cyclic_generator(12)]
+    for limit, gens, exceeds in ((500, spiral, True), (11, twelve, True), (12, twelve, False)):
+        monkeypatch.setattr(finite_groups, "_CLOSURE_LIMIT", limit)
+        for closure in (generate_closure, lambda g: bfs_closure(g, limit=limit)):
+            if exceeds:
+                with pytest.raises(ClosureExceedsLimit):
+                    closure(gens)
+            else:
+                assert len(closure(gens)) == 12
     for closure in (generate_closure, bfs_closure):
-        with pytest.raises(ClosureExceedsLimit):
-            closure(spiral, limit=500)
-        with pytest.raises(ClosureExceedsLimit):
-            closure([_cyclic_generator(12)], limit=11)
-        assert len(closure([_cyclic_generator(12)], limit=12)) == 12
         with pytest.raises(NonUnitGenerator):
             closure([Quaternion.i(), Quaternion(0.5, 0.5)])
 

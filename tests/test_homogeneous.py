@@ -49,8 +49,8 @@ from homoglab.homogeneous import (
     su2_half_pauli_basis,
     su_block_subalgebra,
     u1_centralizer_direction,
-    uniform_rotation_2d,
     weyl_group_order,
+    _weyl_generators,
 )
 
 SU3 = CompactGroupSpec("SU", 3)
@@ -405,6 +405,17 @@ def test_weyl_group_orders(series, rank, order):
     assert weyl_group_order(series, rank) == order
 
 
+@pytest.mark.parametrize("series,rank", [(s, r) for s, r, _ in WEYL_CLOSED_FORMS])
+def test_weyl_generators_are_integer_reflections(series, rank):
+    refls, start = _weyl_generators(series, rank)
+    assert refls.dtype == start.dtype == np.int64
+    for R in refls:
+        assert np.array_equal(R @ R, np.eye(len(start)))
+        assert round(np.linalg.det(R)) == -1
+    if series == "G2":  # maps of the sum-zero lattice of Z^3
+        assert start.sum() == 0 and np.array_equal(refls.sum(axis=1), np.ones((2, 3)))
+
+
 def test_weyl_rejects_unknown_series():
     with pytest.raises(UnsupportedType):
         weyl_group_order("E", 8)
@@ -492,13 +503,6 @@ def test_center_of_gravity_of_a_group_spec_averages_haar_stacks(monkeypatch):
     np.testing.assert_allclose(cog, looped, rtol=0, atol=1e-12)
     # SO(3) fixes no direction: the orbit averages to the origin
     assert np.linalg.norm(center_of_gravity(spec, w, samples=20_000, rng=draw)) < 0.05
-
-
-def test_center_of_gravity_haar_circle(rng):
-    cog = center_of_gravity(
-        lambda r: uniform_rotation_2d(r), np.array([1.0, 0.0]), samples=10_000, rng=rng
-    )
-    assert np.linalg.norm(cog) <= 0.02
 
 
 # ---------------------------------------------------------------------------

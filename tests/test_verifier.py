@@ -181,12 +181,6 @@ def test_sphere_quotient_is_homogeneous_iff_every_element_is_clifford_wolf(deck)
     assert (report.verdict == HOMOGENEOUS_WITNESS_FOUND) == bool(clifford.all())
 
 
-def test_explicit_model_must_match():
-    deck = sphere_deck([np.eye(4), -np.eye(4)])
-    with pytest.raises(ModelMismatch):
-        verify_instance(deck, model=SphereModel(6))
-
-
 # ---------------------------------------------------------------------------
 # verify_instance on group manifolds
 
@@ -283,7 +277,7 @@ def test_deck_rejects_non_orthogonal():
 
 def test_deck_rejects_shape_mismatch():
     with pytest.raises(ModelMismatch):
-        sphere_deck([np.eye(4), np.eye(3)], ambient_dim=4)
+        sphere_deck([np.eye(4), np.eye(3)])
 
 
 def test_deck_rejects_empty():
