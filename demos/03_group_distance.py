@@ -3,8 +3,9 @@ Bi-invariant geometry of compact matrix groups
 ==============================================
 
 Distance from branch-minimized logarithm angles, two-sided translation
-isometries, the exact least displacement of a translation pair, and the
-fixed-point search for inverted maps.
+isometries, the exact constant-displacement test and the exact least
+displacement of a translation pair, and the fixed-point search for inverted
+maps.
 """
 
 import numpy as np
@@ -13,12 +14,14 @@ from homoglab import (
     CompactGroupSpec,
     TwoSidedIsometry,
     biinvariant_distance,
+    clifford_wolf_evidence,
     conjugacy_class_distance,
     group_displacement_profile,
+    group_exp,
     haar_sample,
-    is_constant_displacement_translation,
     min_displacement,
 )
+from homoglab.compact_lie import center_elements
 
 rng = np.random.default_rng(0)
 su2 = CompactGroupSpec("SU", 2)
@@ -33,15 +36,30 @@ g, h, a, b = (haar_sample(su2, rng) for _ in range(4))
 print("bi-invariance defect:",
       abs(biinvariant_distance(su2, a @ g @ b, a @ h @ b) - biinvariant_distance(su2, g, h)))
 
-# x -> g1^dagger x g2 moves every point the same amount exactly when one of
-# the two factors is central
+# x -> g1^dagger x g2 moves every point the same amount exactly when, on
+# every simple ideal of the algebra, Ad(g1) or Ad(g2) is the identity.  SU(2)
+# is simple, so there one factor must be central.  so(4) splits into its
+# self-dual and anti-self-dual halves: a pair aligned with them is constant
+# though neither factor is central.  The exact verdict stands next to the gap
+# of 400 sampled points.
+def plane(a, b):
+    E = np.zeros((4, 4))
+    E[a, b], E[b, a] = 1.0, -1.0
+    return E
+
+
+so4 = CompactGroupSpec("SO", 4)
 central = TwoSidedIsometry(-np.eye(2, dtype=complex), haar_sample(su2, rng))
 generic = TwoSidedIsometry(haar_sample(su2, rng), haar_sample(su2, rng))
-for name, iso in [("central pair", central), ("generic pair", generic)]:
-    res = is_constant_displacement_translation(su2, iso, samples=400, rng=rng)
-    print(f"{name}: constant={res.constant}  "
-          f"centrality predicts {res.centrality.predicts_constant}  "
-          f"gap {res.profile.gap:.2e}")
+aligned = TwoSidedIsometry(group_exp(0.7 * (plane(0, 1) + plane(2, 3))),  # self-dual
+                           group_exp(1.9 * (plane(0, 2) + plane(1, 3))))  # anti-self-dual
+for name, spec, iso in [("central pair", su2, central), ("generic pair", su2, generic),
+                        ("SO(4) aligned pair", so4, aligned)]:
+    constant, _ = clifford_wolf_evidence(spec, [iso], 400, rng)
+    gap = group_displacement_profile(spec, iso, 400, rng).gap
+    either = any(np.allclose(g, z) for g in (iso.g1, iso.g2) for z in center_elements(spec))
+    print(f"{name}: exact constant={constant[0]}  sampled gap {gap:.2e}  "
+          f"a factor is central: {either}")
 
 # the least displacement of x -> g1^dagger x g2 is the distance between the
 # conjugacy classes of g1 and g2, read off the eigen-angles; the multistart

@@ -26,12 +26,13 @@ BERGER_CUTOFF = 1e-10
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
-# a group element is central (is_central)
+# Ad of a deck factor is the identity on a simple ideal: the factor commutes
+# with the ideal's basis (clifford_wolf_evidence; "central")
 CENTRAL = 1e-7
 # a norm, an angle, a determinant error or a whole matrix vanishes ("zero")
 ZERO = 1e-12
-# the default --tol: largest sampled displacement gap of a constant-displacement
-# element ("displacement"), or largest relative Killing length gap
+# the default --tol: largest freeness distance and largest gap of the sampled
+# forward re-check ("displacement"), or largest relative Killing length gap
 DISPLACEMENT = 1e-7
 # a Killing field has constant length: relative length gap at most this
 # (the default of constant_length_verdict; "relative_gap")

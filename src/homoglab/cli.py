@@ -444,8 +444,6 @@ def _cmd_catalog(args, rng):
             ]
         }
         return inputs, {}, evidence, "Listed"
-    if args.entry is None:
-        raise InvalidParameter("catalog verify needs an entry id")
     inputs["entry"] = args.entry
     rep = catalog_verify(args.entry, path=args.path, rng=rng, samples=args.samples)
     evidence = {
@@ -600,8 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, samples=True, tol=True)
 
     p = sub.add_parser("catalog", help="list or verify catalog entries")
-    p.add_argument("action", choices=["list", "verify"])
-    p.add_argument("entry", type=int, nargs="?")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("list", help="list the catalog entries")
+    p.add_argument("--path", default=None)
+    _add_common(p)
+    p = actions.add_parser("verify", help="verify one catalog entry")
+    p.add_argument("entry", type=int)
     p.add_argument("--path", default=None)
     _add_common(p, samples=True)
 

@@ -11,6 +11,9 @@ shifts eigen-angles by {-1, 0, +1} full turns, subject to the trace-zero
 constraint in the special unitary case; that window is exhaustive at the
 matrix sizes supported here.  Scale note: -trace(XY) is the negative Killing
 form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
+
+Constant displacement of a two-sided translation is decided exactly, ideal by
+simple ideal (``clifford_wolf_evidence``); sampled profiles only measure.
 """
 
 from __future__ import annotations
@@ -293,6 +296,18 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
     return tuple(X / trace_norm(X) for X in raw) + tuple(cartan)
 
 
+@lru_cache(maxsize=None)
+def _simple_ideals(spec: CompactGroupSpec) -> np.ndarray:
+    """Orthonormal bases of the simple ideals of the Lie algebra, as an
+    (ideals, dim, d, d) stack.  Every supported group is simple except SO(4),
+    whose algebra splits into its self-dual and anti-self-dual halves."""
+    basis = np.stack(algebra_basis(spec))
+    if spec != CompactGroupSpec(SPECIAL_ORTHOGONAL, 4):
+        return basis[None]
+    e01, e02, e03, e12, e13, e23 = basis
+    return np.stack([[e01 + s * e23, e02 - s * e13, e03 + s * e12] for s in (1, -1)]) / np.sqrt(2.0)
+
+
 def random_algebra_element(
     spec: CompactGroupSpec, rng: np.random.Generator, unit: bool = False
 ) -> np.ndarray:
@@ -506,12 +521,6 @@ def center_elements(spec: CompactGroupSpec) -> list[np.ndarray]:
     return [np.eye(d), -np.eye(d)]
 
 
-def is_central(spec: CompactGroupSpec, g: np.ndarray) -> bool:
-    """g lies within ``_tol.CENTRAL`` of a central element."""
-    g = np.asarray(g)
-    return any(np.max(np.abs(g - z)) <= _tol.CENTRAL for z in center_elements(spec))
-
-
 # ---------------------------------------------------------------------------
 # two-sided translation isometries
 
@@ -573,59 +582,33 @@ def group_displacement_profile(
     return DisplacementProfile.from_values(np.concatenate(vals))
 
 
-@dataclass(frozen=True)
-class CentralityCheck:
-    g1_central: bool
-    g2_central: bool
-    predicts_constant: bool
-    agrees_with_sampling: bool
+def clifford_wolf_evidence(spec: CompactGroupSpec, isos, samples: int, rng: np.random.Generator):
+    """Per-element constancy and its evidence for a list of two-sided
+    translations, the group-manifold twin of
+    ``constant_curvature.clifford_evidence``: a boolean array, and an array
+    holding the displacement d(g1, g2) where it is constant and the sampled gap
+    where it is not.  Only the non-constant elements draw points, in list order.
 
-
-@dataclass(frozen=True)
-class ConstancyResult:
-    constant: bool
-    profile: DisplacementProfile
-    centrality: CentralityCheck
-
-
-def is_constant_displacement_translation(
-    spec: CompactGroupSpec,
-    iso: TwoSidedIsometry,
-    tol: float = _tol.DISPLACEMENT,
-    samples: int = 200,
-    rng: np.random.Generator | None = None,
-) -> ConstancyResult:
-    """Sampled constancy verdict with the centrality cross-check.
-
-    For translation pairs the criterion "g1 or g2 central" predicts constant
-    displacement; the prediction is exact for the simple families.  (On SO(4),
-    which is not simple, pairs aligned with the two local factors can be
-    constant with neither member central; Haar-random pairs never are.)
-    Inverted isometries always have fixed points and are never the identity,
-    so they are predicted non-constant.
+    x -> g1^{-1} x g2 has constant displacement iff, on every simple ideal of
+    the Lie algebra, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
+    Ozols 1974); its displacement is then d(g1, g2), its value at the
+    identity.  Ad(g) is the identity on an ideal when g commutes with its
+    basis within ``_tol.CENTRAL`` (max-abs).  An inverted isometry always
+    fixes a point, so it is never constant.
     """
-    if samples < 10:
-        raise InvalidParameter("constancy sampling needs samples >= 10")
-    if tol <= 0:
-        raise InvalidParameter("tolerance must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
-    check_in_group(spec, iso.g1)
-    check_in_group(spec, iso.g2)
-    profile = group_displacement_profile(spec, iso, samples, rng)
-    constant = profile.gap <= tol
-    g1c = is_central(spec, iso.g1)
-    g2c = is_central(spec, iso.g2)
-    predicted = (g1c or g2c) and not iso.inverted
-    return ConstancyResult(
-        constant=constant,
-        profile=profile,
-        centrality=CentralityCheck(
-            g1_central=g1c,
-            g2_central=g2c,
-            predicts_constant=predicted,
-            agrees_with_sampling=predicted == constant,
-        ),
-    )
+    isos = list(isos)
+    g1 = check_in_group(spec, [iso.g1 for iso in isos])
+    g2 = check_in_group(spec, [iso.g2 for iso in isos])
+    B = _simple_ideals(spec)
+    g = np.stack([g1, g2], axis=1)[:, :, None, None]
+    # fixes[k, s, i]: Ad of side s of element k is the identity on ideal i
+    fixes = np.max(np.abs(g @ B - B @ g), axis=(-3, -2, -1)) <= _tol.CENTRAL
+    inverted = np.array([iso.inverted for iso in isos])
+    constant = np.all(np.any(fixes, axis=1), axis=1) & ~inverted
+    values = np.sqrt(np.sum(minimal_angles(spec, _adjoint(g1) @ g2) ** 2, axis=-1))
+    for k in np.nonzero(~constant)[0]:
+        values[k] = group_displacement_profile(spec, isos[k], samples, rng).gap
+    return constant, values
 
 
 def min_displacement(

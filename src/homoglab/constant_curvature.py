@@ -319,8 +319,8 @@ class HyperbolicMotion:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        # written so that NaN entries fail too
-        if m.shape != (2, 2) or not abs(np.linalg.det(m) - 1.0) <= _tol.ZERO:
+        # finiteness before det, which warns on NaN entries
+        if m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m) - 1) > _tol.ZERO:
             raise InvalidParameter("need a real 2x2 matrix with det 1")
 
     def apply(self, z: complex) -> complex:

@@ -31,9 +31,9 @@ from .compact_lie import (
     algebra_basis,
     center_elements,
     check_in_group,
+    clifford_wolf_evidence,
     conjugacy_class_distance,
     group_displacement_profile,
-    is_constant_displacement_translation,
     is_identity_isometry,
 )
 from .constant_curvature import (
@@ -273,7 +273,7 @@ class VerifyConfig:
 class ElementEvidence:
     element_id: int
     constant: bool
-    value: float  # displacement angle when constant, sampled gap when not
+    value: float  # exact displacement when constant, sampled gap when not
 
 
 @dataclass(frozen=True)
@@ -329,25 +329,6 @@ def verdict_from_evidence(free: bool, all_constant: bool, min_rank: int, dim: in
     return NO_WITNESS_IN_AMBIENT
 
 
-def _sphere_element_evidence(deck, config, rng):
-    constant, values = clifford_evidence(deck.matrices, config.samples, rng)
-    return tuple(
-        ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
-    )
-
-
-def _group_element_evidence(deck, config, rng):
-    spec = deck.model.spec
-    out = []
-    for i, iso in enumerate(deck.elements):
-        res = is_constant_displacement_translation(
-            spec, iso, tol=config.tol, samples=config.samples, rng=rng
-        )
-        value = res.profile.mean if res.constant else res.profile.gap
-        out.append(ElementEvidence(i, res.constant, float(value)))
-    return tuple(out)
-
-
 def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> HomogeneityReport:
     """Run the full pipeline on the deck's model: freeness, constant
     displacement per element, centralizer computation, transitivity rank, and
@@ -364,9 +345,10 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         freeness = is_free_on_sphere(deck.matrices, table=deck.table)
         free = freeness.free
         free_offender = freeness.offender
-        elements = _sphere_element_evidence(deck, config, rng)
+        constant, values = clifford_evidence(deck.matrices, config.samples, rng)
         ambient = sphere_ambient_basis(model.ambient_dim)
     else:
+        tolerances["central"] = _tol.CENTRAL
         spec = model.spec
         # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate; its
         # least displacement is the distance between their classes
@@ -380,8 +362,11 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
             None,
         )
         free = free_offender is None
-        elements = _group_element_evidence(deck, config, rng)
+        constant, values = clifford_wolf_evidence(spec, deck.elements, config.samples, rng)
         ambient = group_ambient_basis(spec)
+    elements = tuple(
+        ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
+    )
 
     Z = centralizer_algebra(deck, ambient)
     min_rank, dim = transitivity_rank(Z, model)

@@ -160,7 +160,8 @@ def test_every_report_records_its_deciding_tolerances(capsys):
         (["check-berger", "--a", "0.5", "--b", "1"], {"rank_cutoff": _tol.BERGER_CUTOFF}),
         (["check-homogeneity", "--model", "s3", "--group", "cyclic-4", *few],
          {**pipeline, "eigen": _tol.EIGEN}),
-        (["check-homogeneity", "--model", "su2", "--group", "center", *few], pipeline),
+        (["check-homogeneity", "--model", "su2", "--group", "center", *few],
+         {**pipeline, "central": _tol.CENTRAL}),
         (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
         (["catalog", "verify", "10", *few], {"min_relative_gap": _tol.CATALOG_GAP}),
         (["catalog", "verify", "15", *few], {"relative_gap": _tol.KILLING}),
@@ -436,19 +437,21 @@ def test_malformed_argv_exits_2_with_one_stderr_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
-# --samples and --tol only where a subcommand reads them
+# --samples and --tol only where a subcommand reads them; catalog's actions
+# are keyed "catalog list" and "catalog verify"
 _READS = {
     "check-clifford": ("--samples",),
     "check-killing": ("--samples", "--tol"),
     "check-homogeneity": ("--samples", "--tol"),
-    "catalog": ("--samples",),
+    "catalog verify": ("--samples",),
 }
 _VALID = {
     "construct": ["construct", "--group", "cyclic-3"],
     "check-clifford": ["check-clifford", "--model", "s3", "--group", "binary-tetrahedral"],
     "check-free": ["check-free", "--model", "s3", "--group", "binary-icosahedral"],
     "check-berger": ["check-berger", "--a", "1", "--b", "1"],
-    "catalog": ["catalog", "verify", "10"],
+    "catalog list": ["catalog", "list"],
+    "catalog verify": ["catalog", "verify", "10"],
     "probe-noncompact": ["probe-noncompact", "--motions", "3"],
 }
 _IGNORED = [
@@ -468,18 +471,24 @@ def test_a_flag_the_subcommand_ignores_exits_2(capsys, cmd, flag):
     assert f"unrecognized arguments: {flag}" in line
 
 
-def _parser_flags():
-    """{subcommand: its option strings} of the parser main uses."""
-    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
-    return {
-        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
-        for name, p in sub.choices.items()
-    }
+def _parser_flags(parser=cli._PARSER, prefix=""):
+    """{subcommand: its option strings} of the parser main uses; a subcommand
+    with actions of its own gives one entry per action ("catalog list")."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {}
+    for name, p in sub.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+            flags.update(_parser_flags(p, f"{prefix}{name} "))
+        else:
+            flags[prefix + name] = {
+                o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")
+            }
+    return flags
 
 
 def test_readme_flags_table_lists_every_flag_of_every_subcommand():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `([a-z-]+)` +\| ((?:`--[a-z-]+`(?:, )?)+) +\|$", text, flags=re.M)
+    rows = re.findall(r"^\| `([a-z -]+)` +\| ((?:`--[a-z-]+`(?:, )?)+) +\|$", text, flags=re.M)
     assert {cmd: set(re.findall(r"`(--[a-z-]+)`", cell)) for cmd, cell in rows} == _parser_flags()
     for cmd, flags in _parser_flags().items():
         assert {"--samples", "--tol"} & flags == set(_READS.get(cmd, ())), cmd
@@ -620,10 +629,11 @@ def _argv(draw, files):
             argv[-1] = draw(_SPHERE_GROUPS | st.just("center"))
     elif cmd == "catalog":
         argv += [draw(_mostly(["list", "verify"], ["show"]))]
-        argv += [draw(_mostly(["1", "2", "10", "19"], ["0", "20", "x"]))]
+        if argv[1] != "list" or draw(st.integers(0, 9)) == 0:
+            argv += [draw(_mostly(["1", "2", "10", "19"], ["0", "20", "x"]))]
     elif cmd == "probe-noncompact":
         argv += ["--motions", draw(_COUNTS)]
-    reads = _READS.get(cmd, ())
+    reads = _READS.get(" ".join(argv[:2]) if cmd == "catalog" else cmd, ())
     # --samples always and --tol half the time where the subcommand reads
     # them; either one now and then where it does not, which exits 2
     if "--samples" in reads or draw(st.integers(0, 9)) == 0:

@@ -17,13 +17,12 @@ from homoglab.compact_lie import (
     center_elements,
     check_in_algebra,
     check_in_group,
+    clifford_wolf_evidence,
     conjugacy_class_distance,
     group_displacement_profile,
     group_exp,
     group_log,
     haar_sample,
-    is_central,
-    is_constant_displacement_translation,
     is_identity_isometry,
     min_displacement,
     minimal_angles,
@@ -270,20 +269,26 @@ def test_symplectic_structure_commutation(rng):
 # centers and two-sided translations
 
 
-def test_center_elements():
+def test_center_elements(rng):
     assert len(center_elements(SU2)) == 2
     assert len(center_elements(SU3)) == 3
     assert len(center_elements(SO4)) == 2
     assert len(center_elements(SO5)) == 1
     assert len(center_elements(SP2)) == 2
-    for z in center_elements(SU3):
-        assert is_central(SU3, z)
-
-
-def test_is_central_detects_noncentral(rng):
+    # a central factor on either side makes a translation pair constant
     g = haar_sample(SU3, rng)
-    # Haar samples are almost surely not central
-    assert not is_central(SU3, g)
+    isos = [TwoSidedIsometry(z, g) for z in center_elements(SU3)]
+    isos += [TwoSidedIsometry(g, z) for z in center_elements(SU3)]
+    constant, _ = clifford_wolf_evidence(SU3, isos, 10, rng)
+    assert constant.all()
+
+
+def test_haar_pairs_are_not_constant(rng):
+    # Haar samples are almost surely not central, so the pair is not constant
+    isos = [TwoSidedIsometry(haar_sample(SU3, rng), haar_sample(SU3, rng)) for _ in range(4)]
+    constant, gaps = clifford_wolf_evidence(SU3, isos, 50, rng)
+    assert not constant.any()
+    assert (gaps > 1e-3).all()
 
 
 def test_two_sided_apply_compose_inverse(rng):
@@ -304,22 +309,93 @@ def test_left_translation_displacement_is_constant(rng):
         assert np.isclose(translation_displacement(SU2, iso, x), d_e, atol=1e-9)
 
 
-def test_constancy_verdict_agrees_with_centrality(rng):
-    for spec in (SU2, SU3, SO4):
+def test_clifford_wolf_evidence_on_central_and_haar_pairs(rng):
+    """Central pairs are constant, with the exact displacement d(g1, g2) as
+    their value; Haar pairs are not, with their sampled gap as the value."""
+    for spec in (SU2, SU3, SO4, SP2):
+        isos = []
         for trial in range(12):
+            z = center_elements(spec)[trial % len(center_elements(spec))]
             if trial % 3 == 0:
-                z = center_elements(spec)[trial % len(center_elements(spec))]
-                iso = TwoSidedIsometry(z.astype(complex), haar_sample(spec, rng))
+                isos.append(TwoSidedIsometry(z.astype(complex), haar_sample(spec, rng)))
             elif trial % 3 == 1:
-                iso = TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng))
+                isos.append(TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng)))
             else:
-                z = center_elements(spec)[trial % len(center_elements(spec))]
-                iso = TwoSidedIsometry(haar_sample(spec, rng), z.astype(complex))
-            res = is_constant_displacement_translation(
-                spec, iso, samples=150, rng=rng
-            )
-            assert res.constant == res.centrality.predicts_constant
-            assert res.centrality.agrees_with_sampling
+                isos.append(TwoSidedIsometry(haar_sample(spec, rng), z.astype(complex)))
+        constant, values = clifford_wolf_evidence(spec, isos, 150, rng)
+        np.testing.assert_array_equal(constant, [t % 3 != 1 for t in range(12)])
+        for iso, c, v in zip(isos, constant, values):
+            profile = group_displacement_profile(spec, iso, 150, rng)
+            if c:
+                assert v == biinvariant_distance(spec, iso.g1, iso.g2)
+                assert profile.gap <= 1e-9 and abs(profile.mean - v) <= 1e-9
+            else:
+                assert v > 1e-3 and profile.gap > 1e-3
+
+
+def test_inverted_isometries_are_never_constant(rng):
+    z = center_elements(SU2)[1]
+    isos = [TwoSidedIsometry(z, haar_sample(SU2, rng), inverted=True),
+            TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex), inverted=True)]
+    constant, gaps = clifford_wolf_evidence(SU2, isos, 100, rng)
+    assert not constant.any()
+    assert (gaps > 1e-3).all()
+
+
+def test_clifford_wolf_evidence_checks_its_inputs(rng):
+    with pytest.raises(NotInGroup):
+        clifford_wolf_evidence(SU2, [TwoSidedIsometry(2 * np.eye(2), np.eye(2))], 10, rng)
+    with pytest.raises(NotInGroup):
+        clifford_wolf_evidence(SU2, [], 10, rng)
+
+
+def _so4_plane(a, b):
+    E = np.zeros((4, 4))
+    E[a, b], E[b, a] = 1.0, -1.0
+    return E
+
+
+# unit bases, in -trace(XY), of the self-dual and anti-self-dual halves of so(4)
+SO4_HALVES = [
+    [(_so4_plane(0, 1) + sign * _so4_plane(2, 3)) / 2,
+     (_so4_plane(0, 2) - sign * _so4_plane(1, 3)) / 2,
+     (_so4_plane(0, 3) + sign * _so4_plane(1, 2)) / 2]
+    for sign in (1, -1)
+]
+
+
+def so4_half_element(half, rng):
+    """exp(t X) for a random unit X in one half of so(4) and t in [0.5, 3.5],
+    away from the exp(t X) = +-I of t = 2 pi and 4 pi."""
+    X = np.tensordot(rng.standard_normal(3), half, axes=1)
+    return group_exp(rng.uniform(0.5, 3.5) * X / np.sqrt(-np.trace(X @ X)))
+
+
+def test_so4_exact_verdict_matches_sampling(rng):
+    """so(4) is the sum of two simple ideals, so x -> g1^-1 x g2 is constant
+    when Ad(g1) fixes one half and Ad(g2) the other, with neither factor
+    central.  120 pairs: aligned (one self-dual and one anti-self-dual
+    exponential, either way round), same-half, Haar and central pairs."""
+    isos, kinds = [], []
+    for trial in range(120):
+        kind = ("aligned", "same-half", "haar", "central")[trial % 4]
+        h, other = SO4_HALVES[trial // 4 % 2], SO4_HALVES[1 - trial // 4 % 2]
+        if kind == "aligned":
+            g1, g2 = so4_half_element(h, rng), so4_half_element(other, rng)
+        elif kind == "same-half":
+            g1, g2 = so4_half_element(h, rng), so4_half_element(h, rng)
+        elif kind == "haar":
+            g1, g2 = haar_sample(SO4, rng), haar_sample(SO4, rng)
+        else:
+            g1, g2 = -np.eye(4), haar_sample(SO4, rng)
+        if trial // 8 % 2:
+            g1, g2 = g2, g1
+        isos.append(TwoSidedIsometry(g1, g2))
+        kinds.append(kind)
+    constant, _ = clifford_wolf_evidence(SO4, isos, 10, rng)
+    sampled = [group_displacement_profile(SO4, iso, 200, rng).gap <= 1e-7 for iso in isos]
+    np.testing.assert_array_equal(constant, sampled)
+    np.testing.assert_array_equal(constant, [k in ("aligned", "central") for k in kinds])
 
 
 def test_inverted_isometry_example_values():

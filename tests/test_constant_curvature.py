@@ -1,5 +1,7 @@
 """Sphere displacement tests, lens groups, and the flat/hyperbolic probes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,9 +244,12 @@ def test_hyperbolic_elliptic_still_unbounded(rng):
 def test_hyperbolic_motion_validation():
     with pytest.raises(InvalidParameter):
         HyperbolicMotion(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    # a NaN determinant is not within any tolerance of 1
-    with pytest.raises(InvalidParameter):
-        HyperbolicMotion(np.full((2, 2), np.nan))
+    # NaN and inf entries are refused without a numpy warning
+    for bad in (np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter):
+                HyperbolicMotion(np.full((2, 2), bad))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from homoglab._linalg import _vec, null_space, rank_rel
 from homoglab.compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
+    biinvariant_distance,
     center_elements,
+    group_exp,
     haar_sample,
 )
 from homoglab.constant_curvature import haar_sphere, is_clifford_sphere, lens_group
@@ -208,6 +210,39 @@ def test_left_cyclic_deck_on_su2():
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
     # left circle through a, plus the full right-multiplication su(2)
     assert report.centralizer_dim == 4
+
+
+def _plane(a, b):
+    E = np.zeros((4, 4))
+    E[a, b], E[b, a] = 1.0, -1.0
+    return E
+
+
+def test_so4_deck_aligned_with_the_two_halves(rng):
+    """g = exp(4 pi/3 s) and h = exp(4 pi/3 a), with s a unit self-dual and a a
+    unit anti-self-dual direction, have order 3 and are not central.  The deck
+    x -> g^-k x h^k is free, and every element is constant, because Ad(g^k)
+    fixes the anti-self-dual half of so(4) and Ad(h^k) the self-dual half."""
+    so4 = CompactGroupSpec("SO", 4)
+    halves = [
+        [_plane(0, 1) + sign * _plane(2, 3), _plane(0, 2) - sign * _plane(1, 3),
+         _plane(0, 3) + sign * _plane(1, 2)]
+        for sign in (1, -1)
+    ]
+    s, a = (np.tensordot(rng.standard_normal(3), half, axes=1) for half in halves)
+    g, h = (group_exp(4 * np.pi / 3 * X / np.sqrt(-np.trace(X @ X))) for X in (s, a))
+    for x in (g, h):
+        assert not any(np.allclose(x, z) for z in center_elements(so4))
+    isos = [TwoSidedIsometry(np.linalg.matrix_power(g, k), np.linalg.matrix_power(h, k))
+            for k in range(3)]
+    report = verify_instance(group_deck(so4, isos), config=VerifyConfig(samples=200))
+    assert report.free
+    assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
+    assert report.centralizer_dim == 8
+    assert [e.constant for e in report.clifford_per_element] == [True] * 3
+    assert [e.value for e in report.clifford_per_element] == [
+        0.0, biinvariant_distance(so4, g, h), biinvariant_distance(so4, g @ g, h @ h)
+    ]
 
 
 def test_pair_equal_up_to_center_is_the_identity_map():
