@@ -30,7 +30,10 @@ from .errors import (
     NotClosed,
 )
 
-_TABLE_BLOCK = 1 << 20  # score entries per Cayley-table block (8 MB)
+_TABLE_BLOCK = 1 << 20  # array entries per block of the table kernels (8 MB of floats)
+# score terms (k^3 m) up to which a Cayley table's nearest-element search
+# takes less time than pairing by key: k = 25 for 4 x 4 matrices
+_PAIRING_WORK = 1 << 18
 _CLOSURE_LIMIT = 10_000  # largest group generate_closure builds
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -288,29 +291,126 @@ class FiniteQuaternionGroup:
 # exact computations on multiplication tables
 
 
+@lru_cache(maxsize=None)
+def _key_direction(size: int) -> np.ndarray:
+    """A fixed unit vector of the given length in a generic direction, so
+    that distinct elements of a group get distinct keys."""
+    r = np.random.default_rng(0x5EED).standard_normal(size)
+    r /= np.linalg.norm(r)
+    r.flags.writeable = False
+    return r
+
+
+def _keys(x: np.ndarray) -> np.ndarray:
+    """Projection of each row of x (real, or complex as real pairs) onto
+    ``_key_direction``."""
+    if np.iscomplexobj(x):
+        x = x.view(x.real.dtype)
+    return x @ _key_direction(x.shape[-1])
+
+
+def _separated(flat: np.ndarray, keys: np.ndarray, order: np.ndarray) -> bool:
+    """True when the rows of flat lie pairwise more than 2 sqrt(m)
+    ``_tol.CLOSURE`` apart in Frobenius norm, m = flat.shape[1].  Only rows
+    whose keys lie within that distance (plus the keys' rounding) of each
+    other are compared, walking the sorted keys ``order``."""
+    reach = 2.0 * math.sqrt(flat.shape[1]) * _tol.CLOSURE
+    # a key is a dot product of n real terms with a unit vector, off by at
+    # most n eps |row| <= n eps sqrt(n) max|entry|, so two rows within reach
+    # have keys within key_reach
+    x = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+    n = x.shape[1]
+    key_reach = reach + 2 * n * math.sqrt(n) * np.finfo(float).eps * np.max(np.abs(x))
+    ranked = keys[order]
+    for d in range(1, len(keys)):
+        close = np.nonzero(ranked[d:] - ranked[:-d] <= key_reach)[0]
+        if not close.size:
+            return True
+        gaps = np.linalg.norm(flat[order[close]] - flat[order[close + d]], axis=1)
+        if not np.all(gaps > reach):
+            return False
+    return True
+
+
 def cayley_table(mats) -> np.ndarray:
     """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
     complex square matrices.
 
-    The products come from batched matmuls and each product's nearest element
-    from a GEMM, through |P - C|^2 = |P|^2 - 2 Re<P, C> + |C|^2 (|P|^2 is the
-    same for every candidate C, so the search drops it; nothing assumes the
-    matrices are unitary).  Every match is then confirmed by its max-abs
-    entry distance; NotClosed is raised when one exceeds ``_tol.CLOSURE``.
-    Rows go in blocks of left factors, so a score block holds about
-    ``_TABLE_BLOCK`` entries (at least k^2) instead of k^3.
+    If the list is closed, each row of products is a permutation of the
+    elements, so ``_pair_by_key`` pairs them by key rank and confirms each
+    pair; rows it leaves go to the nearest-element search ``_nearest_rows``.
+    A table whose search scores at most ``_PAIRING_WORK`` terms (k^3 m, m
+    entries per matrix) goes to the search whole: it costs less than the
+    pairing's fixed number of array passes.
     """
-    arr = np.asarray(mats)
+    arr = np.ascontiguousarray(mats)
     if not np.iscomplexobj(arr):
         arr = arr.astype(float, copy=False)
     k = arr.shape[0]
     flat = arr.reshape(k, -1)
+    table = np.empty((k, k), dtype=np.int64)
+    unmatched = _pair_by_key(arr, flat, table) if k**3 * flat.shape[1] > _PAIRING_WORK else None
+    _nearest_rows(arr, table, unmatched)
+    return table
+
+
+def _pair_by_key(arr: np.ndarray, flat: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Fill table by pairing each row's products with the elements by their
+    rank along one fixed key direction, and return the mask of the rows left
+    unsettled.
+
+    Every pair is confirmed by its max-abs entry distance, within
+    ``_tol.CLOSURE``, so a confirmed product lies within sqrt(m)
+    ``_tol.CLOSURE`` of its element in Frobenius norm.  When the elements lie
+    pairwise more than twice that apart, it is farther from every other
+    element, so the pair is the nearest element ``_nearest_rows`` would find.
+    The rows left are those with an unconfirmed pair, or every row when the
+    elements are not so separated.  Rows go in blocks of left factors, so a
+    block of products holds about ``_TABLE_BLOCK`` entries.
+    """
+    k, m = flat.shape
+    keys = _keys(flat)
+    order = np.argsort(keys)
+    unmatched = np.ones(k, dtype=bool)
+    if not _separated(flat, keys, order):
+        return unmatched
+    step = max(1, _TABLE_BLOCK // (k * m))
+    for i in range(0, k, step):
+        prods = np.matmul(arr[i : i + step, None], arr[None, :]).reshape(-1, k, m)
+        pair = np.empty((len(prods), k), dtype=np.int64)
+        pair[np.arange(len(prods))[:, None], np.argsort(_keys(prods), axis=1)] = order
+        prods -= flat[pair]
+        dist = np.abs(prods) if np.iscomplexobj(prods) else np.abs(prods, out=prods)
+        stray = np.max(dist.reshape(len(prods), -1), axis=1)
+        table[i : i + step] = pair
+        unmatched[i : i + step] = ~(stray <= _tol.CLOSURE)  # NaN entries fail too
+    return unmatched
+
+
+def _nearest_rows(arr: np.ndarray, table: np.ndarray, unmatched=None) -> None:
+    """Fill the rows of table that the mask ``unmatched`` selects (every row
+    when it is None) by scoring every product against every element.
+
+    Each product's nearest element comes from a GEMM, through
+    |P - C|^2 = |P|^2 - 2 Re<P, C> + |C|^2 (|P|^2 is the same for every
+    candidate C, so the search drops it; nothing assumes the matrices are
+    unitary), and is confirmed by its max-abs entry distance; NotClosed is
+    raised when one exceeds ``_tol.CLOSURE``.  Rows go in blocks of left
+    factors whose scores hold about ``_TABLE_BLOCK`` entries (at least k^2),
+    in order, and the first block that strays names its largest distance.
+    """
+    k = arr.shape[0]
+    flat = arr.reshape(k, -1)
     flat_conj = flat.conj()
     half_sq = 0.5 * np.sum((flat * flat_conj).real, axis=1)
-    table = np.empty((k, k), dtype=np.int64)
     step = max(1, _TABLE_BLOCK // (k * k))
     for i in range(0, k, step):
-        prods = np.matmul(arr[i : i + step, None], arr[None, :]).reshape(-1, flat.shape[1])
+        rows = slice(i, i + step)
+        if unmatched is not None:
+            rows = i + np.nonzero(unmatched[rows])[0]
+            if not rows.size:
+                continue
+        prods = np.matmul(arr[rows, None], arr[None, :]).reshape(-1, flat.shape[1])
         # Re<P, C> - |C|^2/2 = (|P|^2 - |P - C|^2)/2
         score = (prods @ flat_conj.T).real
         score -= half_sq
@@ -318,8 +418,7 @@ def cayley_table(mats) -> np.ndarray:
         stray = np.max(np.abs(prods - flat[nearest]))
         if not stray <= _tol.CLOSURE:  # NaN entries fail too
             raise NotClosed(f"products stray {stray:.2e} from the element set")
-        table[i : i + step] = nearest.reshape(-1, k)
-    return table
+        table[rows] = nearest.reshape(-1, k)
 
 
 def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:

@@ -285,6 +285,35 @@ def test_free_pass_for_named_group(capsys):
     assert rep["verdict"] == "Free" and rep["evidence"]["offender"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-homogeneity", "--model", "s3", "--group", "binary-icosahedral"),
+        ("construct", "--group", "binary-icosahedral"),
+        ("check-free", "--model", "s3", "--group", "binary-icosahedral"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, argv):
+    """One Cayley table per run: the deck's table serves verify_instance and
+    is_free_on_sphere, the quaternion group's serves classify and the
+    space-form screen."""
+    from homoglab import finite_groups
+
+    built, cayley_table = [], finite_groups.cayley_table
+
+    def counting(mats):
+        built.append(len(mats))
+        return cayley_table(mats)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "homoglab" and hasattr(module, "cayley_table"):
+            monkeypatch.setattr(module, "cayley_table", counting)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert built == [120]
+
+
 def test_free_flags_fixed_points(capsys, tmp_path):
     g = np.eye(4)
     c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)

@@ -228,12 +228,57 @@ def brute_force_table(mats, tol):
     return table
 
 
+def gemm_table(mats, rows=None):
+    """Reference: the nearest-element search cayley_table made before it paired
+    products by key rank.  Every product is scored against every element by
+    one GEMM per block of left factors, the best score is confirmed by its
+    max-abs distance, and the first block that strays raises NotClosed.
+    Given ``rows``, only those rows of the table, with those left factors."""
+    arr = np.asarray(mats)
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(float, copy=False)
+    k = arr.shape[0]
+    left = arr if rows is None else arr[rows]
+    flat = arr.reshape(k, -1)
+    flat_conj = flat.conj()
+    half_sq = 0.5 * np.sum((flat * flat_conj).real, axis=1)
+    table = np.empty((len(left), k), dtype=np.int64)
+    step = max(1, finite_groups._TABLE_BLOCK // (k * k))
+    for i in range(0, len(left), step):
+        prods = np.matmul(left[i : i + step, None], arr[None, :]).reshape(-1, flat.shape[1])
+        score = (prods @ flat_conj.T).real
+        score -= half_sq
+        nearest = np.argmax(score, axis=1)
+        stray = np.max(np.abs(prods - flat[nearest]))
+        if not stray <= 1e-9:
+            raise NotClosed(f"products stray {stray:.2e} from the element set")
+        table[i : i + step] = nearest.reshape(-1, k)
+    return table
+
+
 def _lens_exponents(k, r):
     units = [q for q in range(1, k) if gcd(q, k) == 1]
     return tuple(units[i % len(units)] for i in range(r))
 
 
 LENS_CASES = [(k, _lens_exponents(k, r)) for r in (2, 3, 4) for k in range(2, 13)]
+
+NAMED_UP_TO_120 = (
+    [GroupType.cyclic(n) for n in range(1, 121)]
+    + [GroupType.binary_dihedral(m) for m in range(2, 31)]
+    + [
+        GroupType.binary_tetrahedral(),
+        GroupType.binary_octahedral(),
+        GroupType.binary_icosahedral(),
+    ]
+)
+
+
+def separated(mats):
+    """Whether cayley_table may take its key pairings as nearest elements."""
+    flat = np.asarray(mats).reshape(len(mats), -1)
+    keys = finite_groups._keys(flat)
+    return finite_groups._separated(flat, keys, np.argsort(keys))
 
 
 def quaternion_matrices(tag):
@@ -248,15 +293,54 @@ def test_cayley_table_of_named_groups_matches_brute_force(tag):
     assert np.array_equal(table, named_binary_group(tag).multiplication_table())
 
 
+@pytest.mark.parametrize("tag", NAMED_UP_TO_120, ids=str)
+def test_cayley_table_equals_gemm_search_on_named_groups(tag, monkeypatch):
+    searched, nearest_rows = [], finite_groups._nearest_rows
+
+    def recording(arr, table, unmatched=None):
+        searched.append(len(arr) if unmatched is None else int(unmatched.sum()))
+        nearest_rows(arr, table, unmatched)
+
+    monkeypatch.setattr(finite_groups, "_nearest_rows", recording)
+    g = named_binary_group(tag)
+    real = g.left_translation_matrices()
+    r = haar_orthogonal(4, np.random.default_rng(g.order))
+    complex_ = np.stack([su2_matrix(q) for q in g.elements])
+    for mats in (real, r @ real @ r.T, complex_):
+        searched.clear()
+        assert np.array_equal(cayley_table(mats), gemm_table(mats))
+        # past the size where the search is cheaper, a closed, separated list
+        # is decided by key pairing alone
+        if len(mats) ** 3 * mats[0].size > finite_groups._PAIRING_WORK:
+            assert searched == [0]
+        else:
+            assert searched == [len(mats)]
+
+
 @pytest.mark.parametrize("k,exps", LENS_CASES, ids=str)
 def test_cayley_table_of_lens_groups_matches_brute_force(k, exps):
     mats = lens_group(k, exps)
-    assert np.array_equal(cayley_table(mats), brute_force_table(mats, 1e-9))
+    table = cayley_table(mats)
+    assert np.array_equal(table, brute_force_table(mats, 1e-9))
+    assert np.array_equal(table, gemm_table(mats))
+
+
+def test_cayley_table_of_cyclic_1000_is_addition_mod_k():
+    # the closure lists g^0 .. g^999, so the table is addition mod k; the
+    # k^3 GEMM search checks a few rows, at both ends and across the middle
+    k = 1000
+    mats = named_binary_group(GroupType.cyclic(k)).left_translation_matrices()
+    table = cayley_table(mats)
+    idx = np.arange(k)
+    assert np.array_equal(table, (idx[:, None] + idx[None, :]) % k)
+    rows = [0, 1, 2, 499, 500, 501, 997, 998, 999]
+    assert np.array_equal(table[rows], gemm_table(mats, rows))
 
 
 def test_cayley_table_of_large_cyclic_group_in_bounded_memory():
     # lens_group lists gen^0 .. gen^(k-1), so the table is addition mod k;
-    # the k^3 score matrix of one unblocked GEMM would take 216 MB here
+    # the blocks of products and of their paired elements stay near
+    # _TABLE_BLOCK entries each, whatever k
     import tracemalloc
 
     k = 300
@@ -276,6 +360,45 @@ def test_cayley_table_of_antipodal_pair():
     assert np.array_equal(cayley_table([np.eye(4), -np.eye(4)]), [[0, 1], [1, 0]])
 
 
+def test_cayley_table_of_block_stack_that_repeats_a_map(monkeypatch):
+    """(-p, -p) is the same map of SU(2) as (p, p), so the stack of blocks
+    diag(z g1, z g2) of a deck holding both lists every block twice, and the
+    GEMM search decides every row."""
+    from homoglab import verifier
+    from homoglab.compact_lie import CompactGroupSpec
+    from homoglab.verifier import TwoSidedIsometry, group_deck
+
+    stacks = []
+
+    def recording(mats):
+        stacks.append(mats)
+        return cayley_table(mats)
+
+    monkeypatch.setattr(verifier, "cayley_table", recording)
+    zeta = np.exp(2j * np.pi * np.arange(12) / 12)
+    powers = [np.diag([z, z.conjugate()]) for z in zeta]
+    group_deck(
+        CompactGroupSpec("SU", 2),
+        [TwoSidedIsometry(s * p, s * p) for s in (1, -1) for p in powers],
+    )
+    (mats,) = stacks
+    assert len(mats) ** 3 * mats[0].size > finite_groups._PAIRING_WORK
+    assert not separated(mats)
+    assert np.array_equal(cayley_table(mats), gemm_table(mats))
+
+
+def test_cayley_table_of_elements_closer_than_twice_the_reach():
+    """A copy of the identity shifted by 0.3 CLOSURE in each of its 16 entries
+    lies 1.2 CLOSURE away in Frobenius norm, under the 8 CLOSURE that makes a
+    confirmed pair provably nearest, so the GEMM search decides every row."""
+    mats = quaternion_matrices(GroupType.binary_octahedral())
+    e = int(np.argmin(np.max(np.abs(mats - np.eye(4)), axis=(1, 2))))
+    mats = np.concatenate([mats, mats[e : e + 1] + 0.3e-9])
+    assert len(mats) ** 3 * mats[0].size > finite_groups._PAIRING_WORK
+    assert not separated(mats)
+    assert np.array_equal(cayley_table(mats), gemm_table(mats))
+
+
 @settings(deadline=None, max_examples=25, derandomize=True)
 @given(
     st.sampled_from(
@@ -290,15 +413,28 @@ def test_cayley_table_is_invariant_under_conjugation(group, seed):
     assert np.array_equal(cayley_table(conj), cayley_table(mats))
 
 
-def test_cayley_table_needs_identity_and_every_product():
-    mats = quaternion_matrices(GroupType.binary_tetrahedral())
+def _broken_lists(tag):
+    mats = quaternion_matrices(tag)
     e = int(np.argmin(np.max(np.abs(mats - np.eye(4)), axis=(1, 2))))
-    with pytest.raises(NotClosed):
-        cayley_table(np.delete(mats, e, axis=0))
-    with pytest.raises(NotClosed):
-        cayley_table(np.delete(mats, (e + 1) % len(mats), axis=0))
-    with pytest.raises(NotClosed):
-        cayley_table(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+    yield np.delete(mats, e, axis=0)
+    yield np.delete(mats, (e + 1) % len(mats), axis=0)
+    yield np.concatenate([mats, np.full((1, 4, 4), np.nan)])
+
+
+def test_cayley_table_needs_identity_and_every_product():
+    # the tetrahedral lists are searched whole, the octahedral ones paired by
+    # key first (above _PAIRING_WORK)
+    for broken in (
+        *_broken_lists(GroupType.binary_tetrahedral()),
+        *_broken_lists(GroupType.binary_octahedral()),
+        np.stack([np.eye(2), np.full((2, 2), np.nan)]),
+    ):
+        with pytest.raises(NotClosed) as got:
+            cayley_table(broken)
+        with pytest.raises(NotClosed) as want:
+            gemm_table(broken)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("products stray ")
 
 
 # ---------------------------------------------------------------------------
