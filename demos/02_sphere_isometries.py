@@ -3,8 +3,8 @@ Constant-displacement isometries of round spheres
 =================================================
 
 The eigen-angle test: an orthogonal map moves every point of the sphere
-by the same angle exactly when its symmetric part is a multiple of the
-identity.  Lens-space generators show both outcomes.
+by the same angle exactly when all its eigenvalues share one angle |arg λ|.
+Lens-space generators show both outcomes.
 """
 
 import numpy as np

@@ -9,8 +9,9 @@ Where a CLI report records a value, its comment gives the ``tolerances`` key.
 # identity of a deck, of a deck element (is_identity_isometry) and of a flat
 # or hyperbolic motion ("closure")
 CLOSURE = 1e-9
-# an orthogonal map has a scalar symmetric part (constant displacement on the
-# sphere) or an eigenvalue +1 (a fixed point) ("eigen")
+# the eigen-angles |arg λ| of an orthogonal map spread over at most this
+# (constant displacement on the sphere), or an eigenvalue lies this close to +1
+# (a fixed point) ("eigen")
 EIGEN = 1e-9
 # a real matrix is orthogonal; a point or a quaternion has unit norm
 ORTHOGONAL = 1e-10
@@ -21,8 +22,8 @@ GROUP = 1e-8
 RANK_CUTOFF = 1e-8
 # the same, for the Berger isometry system of check-berger ("rank_cutoff")
 BERGER_CUTOFF = 1e-10
-# a bracket vanishes, or a subspace of a Lie algebra is orthogonal to another
-# or invariant under one: the norm of the coordinates that must vanish
+# a bracket vanishes, or a subspace of a Lie algebra is invariant under
+# another: the norm of the coordinates that must vanish
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9

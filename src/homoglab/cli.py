@@ -134,9 +134,9 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 def load_matrix(path: str) -> np.ndarray:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_matrix_text(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read matrix file {path}: {e}")
 
 
@@ -151,6 +151,7 @@ _BINARY_TAGS = {
 
 
 _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
+_KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
 
 
 def parse_model(name: str):
@@ -359,38 +360,52 @@ def _cmd_check_free(args, rng):
 
 
 def _cmd_check_killing(args, rng):
-    if args.directions < 1:
-        raise InvalidParameter("--directions must be >= 1")
-    inputs = {"space": args.space, "field": args.field, "directions": args.directions}
+    group = re.fullmatch(r"(su|so|sp)\d+", args.space)
+    hopf = re.fullmatch(r"hopf-(\d+)", args.space)
+    if not (group or hopf or args.space == "so5-so3"):
+        raise InvalidParameter(
+            f"unknown space {args.space!r}: expected suN/soN/spN, hopf-M, or so5-so3"
+        )
+    # each flag acts on one kind of space only, and is refused on the others
+    if args.field is not None and not hopf:
+        raise InvalidParameter("--field applies to hopf-M spaces only")
+    if args.directions is not None and args.space != "so5-so3":
+        raise InvalidParameter("--directions applies to so5-so3 only")
+    inputs = {"space": args.space}
     tolerances = {"relative_gap": args.tol}
-    if re.fullmatch(r"(su|so|sp)\d+", args.space):
+    if group:
         spec = parse_model(args.space).spec
         xi = random_algebra_element(spec, rng, unit=True)
         prof = killing_length_profile(group_space(spec), xi, args.samples, rng)
-    elif m := re.fullmatch(r"hopf-(\d+)", args.space):
-        mm = int(m.group(1))
+    elif hopf:
+        mm = int(hopf.group(1))
+        if mm + 1 > _MAX_GROUP_SIZE:
+            raise InvalidParameter(
+                f"hopf-M builds SU(M + 1): M must be at most {_MAX_GROUP_SIZE - 1}"
+            )
+        inputs["field"] = field = args.field or "right"
         space = hopf_sphere_space(mm)
         direction = u1_centralizer_direction(mm + 1, mm)
-        if args.field == "right":
+        if field == "right":
             prof = killing_length_profile(space, None, args.samples, rng, right=direction)
         else:
             prof = killing_length_profile(space, direction, args.samples, rng)
-    elif args.space == "so5-so3":
+    else:
+        directions = _KILLING_DIRECTIONS if args.directions is None else args.directions
+        if directions < 1:
+            raise InvalidParameter("--directions must be >= 1")
+        inputs["directions"] = directions
         space = so5_so3_space()
         gaps = []
-        for _ in range(args.directions):
+        for _ in range(directions):
             xi = random_algebra_element(space.group, rng, unit=True)
             prof = killing_length_profile(space, xi, args.samples, rng)
             gaps.append(prof.relative_gap)
-        evidence = {"directions": args.directions, "min_relative_gap": float(min(gaps))}
+        evidence = {"directions": directions, "min_relative_gap": float(min(gaps))}
         verdict = (
             "NotConstantLength" if min(gaps) > args.tol else "ConstantLength"
         )
         return inputs, tolerances, evidence, verdict
-    else:
-        raise InvalidParameter(
-            f"unknown space {args.space!r}: expected suN/soN/spN, hopf-M, or so5-so3"
-        )
     verdict = "ConstantLength" if constant_length_verdict(prof, args.tol) else "NotConstantLength"
     return inputs, tolerances, _profile_evidence(prof), verdict
 
@@ -583,8 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-killing", help="Killing-field length profile")
     p.add_argument("--space", required=True)
-    p.add_argument("--field", choices=["left", "right"], default="right")
-    p.add_argument("--directions", type=int, default=25)
+    # None when not given: each is refused on the spaces it does not act on
+    p.add_argument("--field", choices=["left", "right"], default=None)
+    p.add_argument("--directions", type=int, default=None)
     _add_common(p, samples=True, tol=True)
 
     p = sub.add_parser("check-berger", help="right-isometry algebra of a left-invariant metric on the 3-sphere group")

@@ -1,7 +1,7 @@
 """Displacement analysis on the model spaces of constant curvature.
 
 Spheres get the exact eigen-angle test for constant displacement (the
-symmetric part of an orthogonal map is a scalar matrix iff the displacement
+eigenvalues of an orthogonal map share one angle |arg λ| iff the displacement
 arccos<x, gx> is the same at every point), a sampling oracle for
 cross-checking, freeness tests, lens group constructors, and a geodesic
 invariance check.  Flat space and the hyperbolic plane get boundedness
@@ -75,15 +75,6 @@ def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
     )
 
 
-def sphere_displacement(g: np.ndarray, x: np.ndarray) -> float:
-    """Geodesic displacement angle(x, gx) of an orthogonal map at a unit point."""
-    g = check_orthogonal(g)
-    x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - 1.0) > _tol.ORTHOGONAL:
-        raise NonUnitPoint("point must lie on the unit sphere")
-    return float(_angles(x[None, None], (g @ x)[None, None])[0, 0])
-
-
 def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Generator):
     """Sampling oracle: displacement statistics over Haar points on the sphere,
     ``samples`` fresh points per matrix.  One matrix gives one
@@ -108,16 +99,17 @@ def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Gene
 def is_clifford_sphere(g: np.ndarray):
     """Exact constant-displacement test on the sphere.
 
-    For one matrix, returns (True, angle) when the symmetric part
-    (g + g^T)/2 equals c*I entrywise within ``_tol.EIGEN`` (the displacement
-    is then arccos(c) everywhere), otherwise (False, None).  For a stack,
-    returns a boolean array and an array of angles, NaN where the test fails.
+    For one matrix, returns (True, angle) when the eigen-angles |arg λ| of g
+    spread over at most ``_tol.EIGEN`` (the displacement is then
+    arccos(trace(g) / n) everywhere), otherwise (False, None).  The angles
+    come from ``numpy.linalg.eigvals``, accurate to round-off also near 0 and
+    pi, where a test on the cosines would resolve an angle only to about
+    sqrt(2 EIGEN).  For a stack, returns a boolean array and an array of
+    angles, NaN where the test fails.
     """
     stack = _orthogonal_stack(g)
-    n = stack.shape[-1]
-    c = np.trace(stack, axis1=1, axis2=2) / n
-    sym = (stack + np.swapaxes(stack, 1, 2)) / 2.0
-    ok = np.max(np.abs(sym - c[:, None, None] * np.eye(n)), axis=(1, 2)) <= _tol.EIGEN
+    c = np.trace(stack, axis1=1, axis2=2) / stack.shape[-1]
+    ok = np.ptp(np.abs(np.angle(np.linalg.eigvals(stack))), axis=1) <= _tol.EIGEN
     angle = np.where(ok, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
     if np.ndim(g) == 3:
         return ok, angle

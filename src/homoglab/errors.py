@@ -66,10 +66,6 @@ class UnsupportedType(HomoglabError, ValueError):
     pass
 
 
-class ZeroVector(HomoglabError, ValueError):
-    pass
-
-
 class EmptyAmbient(HomoglabError, ValueError):
     pass
 

@@ -81,9 +81,6 @@ class Quaternion:
     def to_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
-    def isclose(self, other: "Quaternion", tol: float = _tol.CLOSURE) -> bool:
-        return bool(np.max(np.abs(self.to_array() - other.to_array())) <= tol)
-
     @staticmethod
     def one() -> "Quaternion":
         return Quaternion(1.0)
@@ -635,14 +632,6 @@ class SpaceFormConstraintReport:
     def unique_central_involution(self) -> bool:
         return self.involution_count <= 1 and self.involution_central
 
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.abelian_subgroups_cyclic
-            and self.unique_central_involution
-            and self.odd_sylow_cyclic
-        )
-
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
@@ -711,34 +700,6 @@ def check_space_form_constraints(group) -> SpaceFormConstraintReport:
 # order-120 recognition
 
 
-@lru_cache(maxsize=None)
-def special_linear_table(p: int) -> np.ndarray:
-    """Multiplication table of SL(2, F_p), built from integer matrices mod p."""
-    if p < 2:
-        raise InvalidParameter("p must be a prime >= 2")
-    elems = []
-    index = {}
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        index[(a, b, c, d)] = len(elems)
-                        elems.append((a, b, c, d))
-    n = len(elems)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, (a, b, c, d) in enumerate(elems):
-        for j, (e, f, g, h) in enumerate(elems):
-            prod = (
-                (a * e + b * g) % p,
-                (a * f + b * h) % p,
-                (c * e + d * g) % p,
-                (c * f + d * h) % p,
-            )
-            table[i, j] = index[prod]
-    return table
-
-
 def is_sl25(group) -> bool:
     """True iff the group is SL(2,5): order 120, perfect, single involution.
 
@@ -774,28 +735,3 @@ def _left_translation_stack(coords: np.ndarray) -> np.ndarray:
 def left_translation_matrix(q: Quaternion) -> np.ndarray:
     """Matrix of x -> q x on R^4 in the basis (1, i, j, k); lies in SO(4)."""
     return _left_translation_stack(q.to_array()[None])[0]
-
-
-def right_translation_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of x -> x q on R^4 in the basis (1, i, j, k); lies in SO(4)."""
-    if abs(q.norm() - 1.0) > _tol.ORTHOGONAL:
-        raise NonUnitInput(f"right translation needs a unit quaternion, norm {q.norm():.12f}")
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, z, -y],
-            [y, -z, w, x],
-            [z, y, -x, w],
-        ]
-    )
-
-
-def su2_matrix(q: Quaternion) -> np.ndarray:
-    """Standard 2-dimensional unitary embedding of a unit quaternion."""
-    return np.array(
-        [
-            [q.w + 1j * q.x, q.y + 1j * q.z],
-            [-q.y + 1j * q.z, q.w - 1j * q.x],
-        ]
-    )

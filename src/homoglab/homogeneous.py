@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _tol
-from ._linalg import _vec, null_space, rank_rel, trace_coords, trace_norm
+from ._linalg import null_space, trace_coords, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
     _haar_blocks,
@@ -38,17 +38,11 @@ from .errors import (
     InvalidParameter,
     InvariantViolated,
     NotASubalgebra,
-    NotInGroup,
     ParseError,
     UnsupportedType,
     ZeroField,
-    ZeroVector,
 )
 from .profiles import DisplacementProfile, constant_length_verdict
-
-# draws of a random element before maximal_abelian_dimension gives up; each
-# is regular with probability one
-_REGULAR_DRAWS = 4
 
 NOT_EQUAL_RANK = "NotEqualRank"
 
@@ -150,20 +144,6 @@ def su_block_subalgebra(n: int, k: int) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def so_block_subalgebra(n: int, k: int, offset: int = 0) -> tuple[np.ndarray, ...]:
-    """so(k) acting on coordinates offset..offset+k-1 inside so(n)."""
-    if k < 2 or offset < 0 or offset + k > n:
-        raise InvalidParameter("block does not fit")
-    out = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            E = np.zeros((n, n))
-            E[offset + a, offset + b] = 1.0 / np.sqrt(2.0)
-            E[offset + b, offset + a] = -1.0 / np.sqrt(2.0)
-            out.append(E)
-    return tuple(out)
-
-
 def u1_centralizer_direction(n: int, k: int) -> np.ndarray:
     """Unit generator of the u(1) commuting with the upper-left su(k) block."""
     if not 1 <= k < n:
@@ -239,7 +219,6 @@ def killing_length_profile(
     rng: np.random.Generator | None = None,
     *,
     right: np.ndarray | None = None,
-    points: Sequence[np.ndarray] | None = None,
 ) -> DisplacementProfile:
     """Length profile of a Killing field over sampled points of G/H.
 
@@ -249,8 +228,8 @@ def killing_length_profile(
     normalizes the isotropy algebra; its contribution to the frame at g is
     proj_𝔪(right), independent of g.  At least one component must be nonzero.
 
-    The points, Haar samples or the caller's ``points``, are group-checked and
-    evaluated as stacks of at most ``compact_lie._SAMPLE_BLOCK``.
+    The Haar points are group-checked and evaluated as stacks of at most
+    ``compact_lie._SAMPLE_BLOCK``.
     """
     # validated first, so that a NaN direction is refused as not in the algebra
     if xi is not None:
@@ -267,20 +246,12 @@ def killing_length_profile(
         rh = trace_coords(np.stack(space.complement_basis), bracket(right, h))
         if not np.all(np.linalg.norm(rh, axis=-1) <= _tol.BRACKET):
             raise InvalidParameter("right component must normalize the isotropy algebra")
-    if points is None:
-        if samples < 1:
-            raise InvalidParameter("need at least one sample")
-        rng = rng if rng is not None else np.random.default_rng()
-        blocks = _haar_blocks(space.group, rng, samples)
-    else:
-        if len(points) == 0:
-            raise InvalidParameter("need at least one sample")
-        blocks = [points]
+    if samples < 1:
+        raise InvalidParameter("need at least one sample")
+    rng = rng if rng is not None else np.random.default_rng()
     vals = []
-    for g in blocks:
+    for g in _haar_blocks(space.group, rng, samples):
         g = check_in_group(space.group, g)
-        if g.ndim != 3:
-            raise NotInGroup("points must be a sequence of group elements")
         Y = np.zeros(g.shape, dtype=complex)
         if have_left:
             Y = Y + np.swapaxes(g.conj(), -1, -2) @ xi @ g
@@ -288,82 +259,6 @@ def killing_length_profile(
             Y = Y + right
         vals.append(space.tangent_length(Y))
     return DisplacementProfile.from_values(np.concatenate(vals))
-
-
-# ---------------------------------------------------------------------------
-# isotropy splittings and ranks
-
-
-def maximal_abelian_dimension(
-    basis: Sequence[np.ndarray],
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Dimension of a maximal abelian subalgebra of span(basis) = the rank.
-
-    In a compact algebra the centralizer of a regular element is a maximal
-    torus, and a Gaussian combination of the basis is regular with
-    probability one.  The centralizer is the null space of the brackets with
-    that element; a draw whose centralizer is not abelian is not regular
-    and is drawn again.  The basis may be redundant.
-    """
-    if len(basis) == 0:
-        return 0
-    B = np.stack(basis)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    for _ in range(_REGULAR_DRAWS):
-        xi = np.tensordot(rng.standard_normal(len(B)), B, axes=1)
-        M = _vec(bracket(xi, B), lead=1).T
-        if np.max(np.abs(M)) <= _tol.BRACKET:  # xi central: the span is abelian
-            T = B
-        else:
-            T = np.tensordot(null_space(M).T, B, axes=1)
-        if np.all(np.linalg.norm(bracket(T[:, None], T[None]), axis=(-2, -1)) <= _tol.BRACKET):
-            return rank_rel(_vec(T, lead=1))
-    raise InvariantViolated("no regular element found")
-
-
-@dataclass(frozen=True)
-class IsotropySplitReport:
-    commuting: bool
-    orthogonal: bool
-    nonzero_dimensions: bool
-    rank_full: int
-    rank_split: int
-
-    @property
-    def equal_rank(self) -> bool:
-        return self.rank_full == self.rank_split
-
-    @property
-    def all_factor_conditions(self) -> bool:
-        return self.commuting and self.orthogonal and self.nonzero_dimensions
-
-
-def check_isotropy_split(
-    group: CompactGroupSpec,
-    h_basis: Sequence[np.ndarray],
-    n_basis: Sequence[np.ndarray],
-    rng: np.random.Generator | None = None,
-) -> IsotropySplitReport:
-    """Conditions for a two-factor isotropy group: the factors commute, are
-    orthogonal, and are nonzero; plus an equal-rank flag for 𝔥 ⊕ 𝔫 vs 𝔤."""
-    if not h_basis or not n_basis:
-        raise InvalidParameter("both factor bases must be nonempty")
-    h = np.stack([check_in_algebra(group, X) for X in h_basis])
-    nn = np.stack([check_in_algebra(group, X) for X in n_basis])
-    hn = bracket(h[:, None], nn[None])
-    commuting = bool(np.all(np.linalg.norm(hn, axis=(-2, -1)) <= _tol.BRACKET))
-    orthogonal = bool(np.all(np.abs(trace_coords(h, nn)) <= _tol.BRACKET))
-    rng = rng if rng is not None else np.random.default_rng(0)
-    rank_full = maximal_abelian_dimension(algebra_basis(group), rng)
-    rank_split = maximal_abelian_dimension(np.concatenate([h, nn]), rng)
-    return IsotropySplitReport(
-        commuting=commuting,
-        orthogonal=orthogonal,
-        nonzero_dimensions=len(h) > 0 and len(nn) > 0,
-        rank_full=rank_full,
-        rank_split=rank_split,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +367,6 @@ def euler_characteristic(
     return q
 
 
-def series_of_group(spec: CompactGroupSpec) -> tuple[str, int]:
-    """Root-system series and rank of a supported compact group."""
-    if spec.family == "SU":
-        return ("A", spec.n - 1)
-    if spec.family == "Sp":
-        return ("C", spec.n)
-    if spec.n % 2 == 1:
-        return ("B", spec.n // 2)
-    return ("D", spec.n // 2)
-
-
 # ---------------------------------------------------------------------------
 # squashed 3-sphere isometry algebras
 
@@ -535,38 +419,6 @@ def berger_right_isometry_algebra(a: float, b: float) -> BergerIsometryReport:
 
 
 # ---------------------------------------------------------------------------
-# orbit averages
-
-
-def center_of_gravity(
-    rep,
-    w: np.ndarray,
-    samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Average of the orbit of w: exact over a finite list of orthogonal
-    matrices, Monte-Carlo over the Haar-sampled group of a spec."""
-    w = np.asarray(w, dtype=float)
-    if np.linalg.norm(w) < _tol.ZERO:
-        raise ZeroVector("the averaged vector must be nonzero")
-    if not isinstance(rep, CompactGroupSpec):
-        mats = [np.asarray(R, dtype=float) for R in rep]
-        if not mats:
-            raise InvalidParameter("empty representation")
-        for R in mats:
-            if R.shape != (w.size, w.size) or np.max(np.abs(R.T @ R - np.eye(w.size))) > _tol.GROUP:
-                raise InvalidParameter("representation matrices must be orthogonal on w's space")
-        return np.mean([R @ w for R in mats], axis=0)
-    if samples < 1:
-        raise InvalidParameter("need at least one sample")
-    rng = rng if rng is not None else np.random.default_rng()
-    acc = np.zeros(w.size)
-    for R in _haar_blocks(rep, rng, samples):
-        acc += np.sum((R @ w).real, axis=0)
-    return acc / samples
-
-
-# ---------------------------------------------------------------------------
 # catalog of positively curved homogeneous spaces
 
 _CATALOG_FIELDS = ("id", "name", "G", "H", "isometry_group", "fibration", "checks")
@@ -590,11 +442,11 @@ def default_catalog_path():
 def catalog_load(path=None) -> list[CatalogEntry]:
     """Parse the flat-text catalog: one record per line, 'field: value' pairs
     separated by '|'."""
-    src = default_catalog_path() if path is None else path
-    if hasattr(src, "read_text"):
+    src = default_catalog_path() if path is None else Path(path)
+    try:
         text = src.read_text(encoding="utf-8")
-    else:
-        text = Path(src).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read catalog {src}: {e}") from None
     entries = []
     seen_ids = set()
     for lineno, line in enumerate(text.splitlines(), start=1):

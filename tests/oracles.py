@@ -1,0 +1,66 @@
+"""Reference constructions that tests compare the library against: an
+abstract SL(2, F_p) table, the right-translation and SU(2) images of a unit
+quaternion, and the fixed point of an inverted two-sided translation."""
+
+from functools import lru_cache
+
+import numpy as np
+
+from homoglab.compact_lie import group_exp, group_log
+
+
+@lru_cache(maxsize=None)
+def special_linear_table(p: int) -> np.ndarray:
+    """Multiplication table of SL(2, F_p), built from integer matrices mod p."""
+    elems = []
+    index = {}
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    if (a * d - b * c) % p == 1:
+                        index[(a, b, c, d)] = len(elems)
+                        elems.append((a, b, c, d))
+    n = len(elems)
+    table = np.empty((n, n), dtype=np.int64)
+    for i, (a, b, c, d) in enumerate(elems):
+        for j, (e, f, g, h) in enumerate(elems):
+            prod = (
+                (a * e + b * g) % p,
+                (a * f + b * h) % p,
+                (c * e + d * g) % p,
+                (c * f + d * h) % p,
+            )
+            table[i, j] = index[prod]
+    return table
+
+
+def right_translation_matrix(q) -> np.ndarray:
+    """Matrix of x -> x q on R^4 in the basis (1, i, j, k); lies in SO(4) for
+    a unit quaternion q."""
+    w, x, y, z = q.w, q.x, q.y, q.z
+    return np.array(
+        [
+            [w, -x, -y, -z],
+            [x, w, z, -y],
+            [y, -z, w, x],
+            [z, y, -x, w],
+        ]
+    )
+
+
+def su2_matrix(q) -> np.ndarray:
+    """Standard 2-dimensional unitary embedding of a unit quaternion."""
+    return np.array(
+        [
+            [q.w + 1j * q.x, q.y + 1j * q.z],
+            [-q.y + 1j * q.z, q.w - 1j * q.x],
+        ]
+    )
+
+
+def inverted_fixed_point(spec, iso) -> np.ndarray:
+    """A point that x -> g1 x^-1 g2 fixes: x = y g2 with y^2 = g1 g2^-1, for
+    y = exp(log(g1 g2^-1) / 2) (then g1 x^-1 g2 = y^2 y^-1 g2 = x)."""
+    y = group_exp(0.5 * group_log(spec, iso.g1 @ iso.g2.conj().T))
+    return y @ iso.g2

@@ -228,7 +228,7 @@ def test_import_loads_no_scipy():
 # ---------------------------------------------------------------------------
 # one parser per process: no state carries over from one main call to the next
 
-_AFTER = ["check-killing", "--space", "hopf-1", "--samples", "50", "--directions", "2"]
+_AFTER = ["check-killing", "--space", "hopf-1", "--samples", "50"]
 
 
 @pytest.fixture(scope="module")
@@ -252,10 +252,11 @@ def fresh_after_report():
         (["check-killing", "--help"], 0),
         (["construct", "--group", "cyclic-3"], 0),
         (["check-killing", "--space", "hopf-1", "--field", "left", "--samples", "20",
-          "--directions", "5", "--seed", "9", "--tol", "1e-3"], 0),
+          "--seed", "9", "--tol", "1e-3"], 0),
+        (["check-killing", "--space", "hopf-1", "--directions", "5"], 2),
     ],
     ids=["unknown-group", "bad-choice", "help", "subcommand-help", "other-subcommand",
-         "other-options"],
+         "other-options", "refused-flag"],
 )
 def test_a_run_after_another_matches_a_fresh_interpreter(
     capsys, monkeypatch, fresh_after_report, before, code
@@ -347,6 +348,75 @@ def test_killing_so5_so3_directions(capsys):
     )
     assert code == 1 and rep["verdict"] == "NotConstantLength"
     assert rep["evidence"]["min_relative_gap"] > 1e-3
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--space", "su3", "--field", "left", "--directions", "7"], "--field"),
+        (["--space", "so5", "--field", "right"], "--field"),
+        (["--space", "so5-so3", "--field", "left"], "--field"),
+        (["--space", "hopf-1", "--directions", "5"], "--directions"),
+        (["--space", "sp2", "--directions", "3"], "--directions"),
+    ],
+    ids=["su3-both", "so5-field", "so5-so3-field", "hopf-1-directions", "sp2-directions"],
+)
+def test_killing_refuses_a_flag_its_space_ignores(capsys, argv, flag):
+    assert main(["check-killing", *argv, "--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {flag} applies to")
+
+
+def test_killing_inputs_hold_only_the_flags_that_act(capsys):
+    _, rep = run_cli(capsys, "check-killing", "--space", "su3", "--samples", "10")
+    assert rep["inputs"] == {"space": "su3"}
+    _, rep = run_cli(capsys, "check-killing", "--space", "hopf-2", "--samples", "10")
+    assert rep["inputs"] == {"space": "hopf-2", "field": "right"}
+    _, rep = run_cli(capsys, "check-killing", "--space", "so5-so3", "--samples", "10")
+    assert rep["inputs"] == {"space": "so5-so3", "directions": 25}
+    assert rep["evidence"]["directions"] == 25
+
+
+def test_killing_hopf_space_is_bounded_like_the_group_models(capsys):
+    assert main(["check-killing", "--space", "hopf-12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert f"at most {cli._MAX_GROUP_SIZE - 1}" in line
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1e-5, 2e-5), (np.pi - 1e-5, np.pi - 2e-5)], ids=["near-0", "near-pi"]
+)
+def test_clifford_matrix_file_with_unequal_angles_near_0_and_pi(capsys, tmp_path, a, b):
+    """Angles 1e-5 and 2e-5 (or pi minus them) give a symmetric part that is
+    scalar to about 1e-10, but a displacement that is not constant."""
+    g = np.zeros((4, 4))
+    for i, t in enumerate((a, b)):
+        g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    f = tmp_path / "g.txt"
+    f.write_text(format_matrix(g))
+    code, rep = run_cli(capsys, "check-clifford", "--model", "s3", "--matrix-file", str(f))
+    assert code == 1
+    assert rep["verdict"] == "NotConstantDisplacement"
+    (entry,) = rep["evidence"]["elements"]
+    assert not entry["constant"] and entry["value"] > 5e-6
+
+
+@pytest.mark.parametrize("action", ["list", "verify"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_an_unreadable_catalog_path_exits_2_with_one_stderr_line(capsys, tmp_path, action, case):
+    path = {"missing": tmp_path / "no_such_catalog.txt", "directory": tmp_path,
+            "not-utf8": tmp_path / "latin1.txt"}[case]
+    (tmp_path / "latin1.txt").write_bytes("id: 1 | name: S\xe9\n".encode("latin-1"))
+    argv = ["catalog", action, *(["1"] if action == "verify" else []), "--path", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot read catalog")
 
 
 def test_berger_dimension_cases(capsys):
@@ -594,6 +664,9 @@ def test_matrix_parse_errors(tmp_path):
     f = tmp_path / "ok.txt"
     f.write_text("2\n0 -1\n1 0\n")
     assert np.allclose(load_matrix(str(f)), [[0, -1], [1, 0]])
+    f.write_bytes(b"2\n0 -1\n1 \xe9\n")  # not UTF-8
+    with pytest.raises(ParseError):
+        load_matrix(str(f))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +721,12 @@ def _argv(draw, files):
             argv += ["--matrix-file", draw(st.sampled_from(files))]
     elif cmd == "check-killing":
         argv += ["--space", draw(_SPACES)]
-        argv += ["--field", draw(_mostly(["left", "right"], ["up"]))]
-        argv += ["--directions", draw(_COUNTS)]
+        # --field acts on hopf-M and --directions on so5-so3: mostly there,
+        # now and then elsewhere, which exits 2
+        if draw(st.booleans()) if argv[2].startswith("hopf") else draw(st.integers(0, 9)) == 0:
+            argv += ["--field", draw(_mostly(["left", "right"], ["up"]))]
+        if draw(st.booleans()) if argv[2] == "so5-so3" else draw(st.integers(0, 9)) == 0:
+            argv += ["--directions", draw(_COUNTS)]
     elif cmd == "check-berger":
         argv += ["--a", draw(_FLOATS), "--b", draw(_FLOATS)]
     elif cmd == "check-homogeneity":
@@ -660,6 +737,8 @@ def _argv(draw, files):
         argv += [draw(_mostly(["list", "verify"], ["show"]))]
         if argv[1] != "list" or draw(st.integers(0, 9)) == 0:
             argv += [draw(_mostly(["1", "2", "10", "19"], ["0", "20", "x"]))]
+        if draw(st.integers(0, 4)) == 0:  # none of the files is a catalog
+            argv += ["--path", draw(st.sampled_from(files + [str(Path(files[0]).parent)]))]
     elif cmd == "probe-noncompact":
         argv += ["--motions", draw(_COUNTS)]
     reads = _READS.get(" ".join(argv[:2]) if cmd == "catalog" else cmd, ())
@@ -694,9 +773,10 @@ def fuzz_files(tmp_path_factory):
         "complex4.txt": format_matrix(np.eye(4) * 1j),
         "bad.txt": "2\n1 x\n",
         "empty.txt": "",
+        "latin1.txt": "4\n1 0 0 0 \xe9\n",  # not UTF-8 once encoded
     }
     for name, text in texts.items():
-        (d / name).write_text(text)
+        (d / name).write_bytes(text.encode("latin-1"))
     return [str(d / name) for name in texts] + [str(d / "missing.txt")]
 
 

@@ -24,7 +24,6 @@ from homoglab.constant_curvature import (
     is_free_on_sphere,
     lens_group,
     rotation_block,
-    sphere_displacement,
     sphere_displacement_profile,
 )
 from homoglab.errors import (
@@ -61,11 +60,25 @@ def test_clifford_eigen_test_matches_sampling_oracle(rng):
             assert exact == (prof.gap <= 1e-7)
 
 
-def test_displacement_requires_unit_point():
+@pytest.mark.parametrize(
+    "a,b", [(1e-5, 2e-5), (np.pi - 1e-5, np.pi - 2e-5)], ids=["near-0", "near-pi"]
+)
+def test_unequal_angles_near_0_and_pi_are_not_clifford(a, b):
+    """The symmetric part of these maps is scalar to about 1e-10, but their
+    eigen-angles differ by 1e-5."""
+    g = block_diag(rotation_block(a), rotation_block(b))
+    assert is_clifford_sphere(g) == (False, None)
+    ok, angle = is_clifford_sphere(np.stack([g, g.T, np.eye(4)]))
+    assert ok.tolist() == [False, False, True]
+    assert np.isnan(angle[:2]).all() and angle[2] == 0.0
+
+
+def test_geodesic_check_requires_unit_point():
     from homoglab.errors import NonUnitPoint
 
+    g = left_translation_matrix(named_binary_group(GroupType.cyclic(6)).elements[1])
     with pytest.raises(NonUnitPoint):
-        sphere_displacement(np.eye(3), np.array([1.0, 1.0, 0.0]))
+        invariant_geodesic_check(g, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_rejects_non_orthogonal():
@@ -175,7 +188,13 @@ def test_clifford_displacement_constant_everywhere(seed):
 
     g = left_translation_matrix(Quaternion(*q))
     x, y = haar_sphere(4, 2, rng)
-    assert np.isclose(sphere_displacement(g, x), sphere_displacement(g, y), atol=1e-12)
+    assert np.isclose(_point_displacement(g, x), _point_displacement(g, y), atol=1e-12)
+
+
+def _point_displacement(g, x):
+    """angle(x, gx) at one unit point, by Kahan's 2 atan2(|x - gx|, |x + gx|)."""
+    gx = g @ x
+    return 2.0 * np.arctan2(np.linalg.norm(x - gx), np.linalg.norm(x + gx))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +276,9 @@ def test_hyperbolic_motion_validation():
 
 
 def clifford_oracle(g, tol=1e-9):
-    n = g.shape[0]
-    c = float(np.trace(g)) / n
-    if np.max(np.abs((g + g.T) / 2.0 - c * np.eye(n))) <= tol:
+    angles = np.abs(np.angle(np.linalg.eigvals(g)))
+    if angles.max() - angles.min() <= tol:
+        c = float(np.trace(g)) / g.shape[0]
         return True, float(np.arccos(np.clip(c, -1.0, 1.0)))
     return False, None
 

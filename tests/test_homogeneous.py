@@ -22,7 +22,6 @@ from homoglab.errors import (
     InvalidCoefficients,
     InvalidParameter,
     NotASubalgebra,
-    NotInGroup,
     ParseError,
     UnsupportedType,
     ZeroField,
@@ -34,18 +33,13 @@ from homoglab.homogeneous import (
     bracket,
     catalog_load,
     catalog_verify,
-    center_of_gravity,
-    check_isotropy_split,
     euler_characteristic,
     group_space,
     hopf_sphere_space,
     killing_length_profile,
-    maximal_abelian_dimension,
     principal_so3_in_so5,
     reductive_complement,
-    series_of_group,
     so5_so3_space,
-    so_block_subalgebra,
     su2_half_pauli_basis,
     su_block_subalgebra,
     u1_centralizer_direction,
@@ -165,6 +159,12 @@ def test_hopf_right_field_constant_left_field_not(rng):
     assert left.relative_gap > 0.3
 
 
+def _left_lengths(space, xi, pts):
+    """Length of the left field of xi at the coset of each point."""
+    g = np.stack(pts)
+    return space.tangent_length(np.swapaxes(g.conj(), -1, -2) @ xi @ g)
+
+
 def test_left_profile_is_conjugation_equivariant(rng):
     """The field of Ad(h)xi at the coset of h*g has the same length as the
     field of xi at the coset of g."""
@@ -172,13 +172,9 @@ def test_left_profile_is_conjugation_equivariant(rng):
     xi = random_algebra_element(space.group, rng)
     h = haar_sample(space.group, rng)
     pts = [haar_sample(space.group, rng) for _ in range(8)]
-    base = killing_length_profile(space, xi, points=pts)
-    moved = killing_length_profile(
-        space, h @ xi @ h.conj().T, points=[h @ g for g in pts]
-    )
-    np.testing.assert_allclose(
-        (base.min, base.max, base.mean), (moved.min, moved.max, moved.mean), atol=1e-12
-    )
+    base = _left_lengths(space, xi, pts)
+    moved = _left_lengths(space, h @ xi @ h.conj().T, [h @ g for g in pts])
+    np.testing.assert_allclose(base, moved, atol=1e-12)
 
 
 def _round_s5_space():
@@ -208,7 +204,7 @@ def test_left_field_length_matches_ambient_sphere_field(rng):
     for _ in range(20):
         xi = random_algebra_element(SU3, rng)
         g = haar_sample(SU3, rng)
-        quotient = killing_length_profile(space, xi, points=[g]).mean
+        quotient = space.tangent_length(g.conj().T @ xi @ g)
         ambient = np.linalg.norm(xi @ (g @ e3))
         assert np.isclose(quotient, ambient, atol=1e-10)
 
@@ -299,23 +295,6 @@ def test_killing_profile_matches_per_point_lengths(make_space, field, monkeypatc
         np.testing.assert_allclose(
             (prof.min, prof.max, prof.mean), (ref.min(), ref.max(), ref.mean()), rtol=0, atol=1e-12
         )
-    stacked = killing_length_profile(space, xi, points=pts, right=right)
-    assert (stacked.min, stacked.max, stacked.mean) == (prof.min, prof.max, prof.mean)
-
-
-def test_caller_points_are_group_checked_as_one_stack(rng):
-    space = hopf_sphere_space(2)
-    xi = random_algebra_element(space.group, rng)
-    pts = list(haar_sample(space.group, rng, size=5))
-    pts[2] = 1.5 * pts[2]
-    with pytest.raises(NotInGroup):
-        killing_length_profile(space, xi, points=pts)
-    with pytest.raises(NotInGroup):
-        killing_length_profile(space, xi, points=pts[:2] + [np.eye(2)])
-    with pytest.raises(NotInGroup):  # one matrix, not a sequence of them
-        killing_length_profile(space, xi, points=np.eye(3, dtype=complex))
-    with pytest.raises(InvalidParameter):
-        killing_length_profile(space, xi, points=[])
 
 
 @pytest.mark.parametrize("profile", ["displacement", "killing"])
@@ -339,45 +318,6 @@ def test_long_so5_profile_holds_one_block_at_a_time(profile):
         tracemalloc.stop()
     assert prof.samples == 50_000
     assert peak < 16 * 2**20
-
-
-# ---------------------------------------------------------------------------
-# rank detection and isotropy splitting
-
-
-@pytest.mark.parametrize(
-    "family,n,rank",
-    [
-        ("SU", 2, 1), ("SU", 3, 2), ("SU", 4, 3), ("SO", 4, 2), ("SO", 5, 2),
-        ("SO", 6, 3), ("SO", 7, 3), ("Sp", 2, 2), ("Sp", 3, 3),
-    ],
-)
-def test_maximal_abelian_dimension_is_rank(family, n, rank, rng):
-    spec = CompactGroupSpec(family, n)
-    assert maximal_abelian_dimension(algebra_basis(spec), rng) == rank
-
-
-def test_maximal_abelian_dimension_of_a_redundant_spanning_set(rng):
-    basis = algebra_basis(CompactGroupSpec("SO", 5))
-    assert maximal_abelian_dimension(basis + basis, rng) == 2
-
-
-def test_isotropy_split_so6_example(rng):
-    group = CompactGroupSpec("SO", 6)
-    h = so_block_subalgebra(6, 3, 0)
-    nn = so_block_subalgebra(6, 3, 3)
-    rep = check_isotropy_split(group, h, nn, rng)
-    assert rep.all_factor_conditions
-    assert rep.rank_full == 3 and rep.rank_split == 2
-    assert not rep.equal_rank
-
-
-def test_isotropy_split_equal_rank_case(rng):
-    group = CompactGroupSpec("SO", 4)
-    h = so_block_subalgebra(4, 2, 0)
-    nn = so_block_subalgebra(4, 2, 2)
-    rep = check_isotropy_split(group, h, nn, rng)
-    assert rep.all_factor_conditions and rep.equal_rank
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +378,6 @@ def test_euler_characteristic_rank_guard():
         euler_characteristic(("A", 1), [("T", 2)])
 
 
-def test_series_of_group():
-    assert series_of_group(CompactGroupSpec("SU", 4)) == ("A", 3)
-    assert series_of_group(CompactGroupSpec("SO", 5)) == ("B", 2)
-    assert series_of_group(CompactGroupSpec("SO", 6)) == ("D", 3)
-    assert series_of_group(CompactGroupSpec("Sp", 3)) == ("C", 3)
-
-
 # ---------------------------------------------------------------------------
 # squashed 3-sphere isometry algebras
 
@@ -476,33 +409,6 @@ def test_berger_rejects_bad_coefficients():
         berger_right_isometry_algebra(0.0, 1.0)
     with pytest.raises(InvalidCoefficients):
         berger_right_isometry_algebra(-1.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# averaging
-
-
-def test_center_of_gravity_finite_rotations():
-    # C3 rotation orbit of a point averages to the origin
-    thetas = [2 * np.pi * k / 3 for k in range(3)]
-    mats = [
-        np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) for t in thetas
-    ]
-    w = np.array([1.0, 0.0])
-    cog = center_of_gravity(mats, w)
-    assert np.max(np.abs(cog)) < 1e-12
-
-
-def test_center_of_gravity_of_a_group_spec_averages_haar_stacks(monkeypatch):
-    monkeypatch.setattr(compact_lie, "_SAMPLE_BLOCK", 64)
-    spec = CompactGroupSpec("SO", 3)
-    w = np.array([0.3, -1.0, 2.0])
-    cog = center_of_gravity(spec, w, samples=500, rng=np.random.default_rng(2))
-    draw = np.random.default_rng(2)
-    looped = sum(haar_sample(spec, draw) @ w for _ in range(500)) / 500
-    np.testing.assert_allclose(cog, looped, rtol=0, atol=1e-12)
-    # SO(3) fixes no direction: the orbit averages to the origin
-    assert np.linalg.norm(center_of_gravity(spec, w, samples=20_000, rng=draw)) < 0.05
 
 
 # ---------------------------------------------------------------------------
