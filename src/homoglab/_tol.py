@@ -34,10 +34,8 @@ CENTRAL = 1e-7
 ZERO = 1e-12
 # the default --tol: largest freeness distance and largest gap of the sampled
 # forward re-check ("displacement"), or largest relative Killing length gap
+# (check-killing, catalog 15; "relative_gap")
 DISPLACEMENT = 1e-7
-# a Killing field has constant length: relative length gap at most this
-# (the default of constant_length_verdict; "relative_gap")
-KILLING = 1e-6
 # catalog entry 10: no sampled Killing field of SO(5)/SO(3) has constant
 # length, every relative gap exceeds this ("min_relative_gap")
 CATALOG_GAP = 1e-3
@@ -46,7 +44,3 @@ GEODESIC = 1e-8
 # probe-noncompact adds I to a random 2x2 draw with |det| below this before
 # scaling it to det 1 ("near_singular")
 NEAR_SINGULAR = 1e-3
-# min_displacement accepts a descent step that lowers the displacement by more
-# than DESCENT_GAIN, and stops once its step length falls below DESCENT_STEP
-DESCENT_GAIN = 1e-15
-DESCENT_STEP = 1e-9

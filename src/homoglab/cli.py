@@ -59,7 +59,6 @@ from .homogeneous import (
     so5_so3_space,
     u1_centralizer_direction,
 )
-from .profiles import constant_length_verdict
 from .verifier import (
     GroupManifoldModel,
     SphereModel,
@@ -406,7 +405,7 @@ def _cmd_check_killing(args, rng):
             "NotConstantLength" if min(gaps) > args.tol else "ConstantLength"
         )
         return inputs, tolerances, evidence, verdict
-    verdict = "ConstantLength" if constant_length_verdict(prof, args.tol) else "NotConstantLength"
+    verdict = "ConstantLength" if prof.relative_gap <= args.tol else "NotConstantLength"
     return inputs, tolerances, _profile_evidence(prof), verdict
 
 

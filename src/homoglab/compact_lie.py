@@ -13,7 +13,9 @@ matrix sizes supported here.  Scale note: -trace(XY) is the negative Killing
 form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
 
 Constant displacement of a two-sided translation is decided exactly, ideal by
-simple ideal (``clifford_wolf_evidence``); sampled profiles only measure.
+simple ideal (``clifford_wolf_evidence``), and its least displacement is in
+closed form (``min_displacement``): a conjugacy-class distance, or zero at an
+explicit fixed point for an inverted map.  Sampled profiles only measure.
 """
 
 from __future__ import annotations
@@ -551,19 +553,17 @@ def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
     )
 
 
-def translation_displacement(
-    spec: CompactGroupSpec, iso: TwoSidedIsometry, x: np.ndarray, validate: bool = True
-):
+def _displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry, x: np.ndarray) -> np.ndarray:
+    """d(x, iso(x)) for one point or a stack of points, unchecked."""
+    theta = minimal_angles(spec, _adjoint(x) @ iso.apply(x))
+    return np.sqrt(np.sum(theta**2, axis=-1))
+
+
+def translation_displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry, x: np.ndarray):
     """Displacement d(x, iso(x)) in the bi-invariant metric: a float for one
     point, an array for a stack of points."""
-    if validate:
-        check_in_group(spec, iso.g1)
-        check_in_group(spec, iso.g2)
-        check_in_group(spec, x)
-    x = np.asarray(x)
-    u = _adjoint(x) @ iso.apply(x)
-    theta = minimal_angles(spec, u)
-    dist = np.sqrt(np.sum(theta**2, axis=-1))
+    check_in_group(spec, [iso.g1, iso.g2])
+    dist = _displacement(spec, iso, check_in_group(spec, x))
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -573,12 +573,10 @@ def group_displacement_profile(
     samples: int,
     rng: np.random.Generator,
 ) -> DisplacementProfile:
+    check_in_group(spec, [iso.g1, iso.g2])
     if samples < 1:
         raise InvalidParameter("need at least one sample")
-    vals = [
-        translation_displacement(spec, iso, x, validate=False)
-        for x in _haar_blocks(spec, rng, samples)
-    ]
+    vals = [_displacement(spec, iso, x) for x in _haar_blocks(spec, rng, samples)]
     return DisplacementProfile.from_values(np.concatenate(vals))
 
 
@@ -611,42 +609,16 @@ def clifford_wolf_evidence(spec: CompactGroupSpec, isos, samples: int, rng: np.r
     return constant, values
 
 
-def min_displacement(
-    spec: CompactGroupSpec,
-    iso: TwoSidedIsometry,
-    multistarts: int = 8,
-    refine_steps: int = 150,
-    rng: np.random.Generator | None = None,
-):
-    """Estimate min over the group of the displacement of ``iso``, from above.
-    For translation pairs ``conjugacy_class_distance`` gives the exact value.
+def min_displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> float:
+    """The least displacement of ``iso`` over the group, in closed form.
 
-    Haar multistarts followed by derivative-free descent: at each iteration a
-    fresh set of random one-parameter directions is probed at +-step and the
-    step is halved when none improves.  Returns (value, argmin).
+    For x -> g1^{-1} x g2 it is the distance between the conjugacy classes of
+    g1 and g2.  x -> g1 x^{-1} g2 fixes x = y g2 whenever y^2 = g1 g2^{-1};
+    y = exp(log(g1 g2^{-1}) / 2) is one such square root, and the value is
+    the displacement at its point, zero up to rounding.
     """
-    rng = rng if rng is not None else np.random.default_rng()
-    check_in_group(spec, iso.g1)
-    check_in_group(spec, iso.g2)
-    dim = spec.algebra_dim
-    best_val, best_x = np.inf, None
-    for _ in range(max(1, multistarts)):
-        x = haar_sample(spec, rng)
-        val = translation_displacement(spec, iso, x, validate=False)
-        step = 0.5
-        for _ in range(refine_steps):
-            improved = False
-            for _ in range(dim):
-                flow = one_parameter(random_algebra_element(spec, rng, unit=True))
-                for sgn in (1.0, -1.0):
-                    cand = x @ flow(sgn * step)
-                    v = translation_displacement(spec, iso, cand, validate=False)
-                    if v < val - _tol.DESCENT_GAIN:
-                        x, val, improved = cand, v, True
-            if not improved:
-                step *= 0.5
-                if step < _tol.DESCENT_STEP:
-                    break
-        if val < best_val:
-            best_val, best_x = val, x
-    return float(best_val), best_x
+    if not iso.inverted:
+        return conjugacy_class_distance(spec, iso.g1, iso.g2)
+    g1, g2 = check_in_group(spec, [iso.g1, iso.g2])
+    y = group_exp(0.5 * group_log(spec, g1 @ g2.conj().T))
+    return float(_displacement(spec, iso, y @ g2))

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _tol
-
 
 @dataclass(frozen=True)
 class DisplacementProfile:
@@ -36,7 +34,3 @@ class DisplacementProfile:
             raise ValueError("profile needs at least one sample")
         return cls(float(arr.min()), float(arr.max()), float(arr.mean()), int(arr.size))
 
-
-def constant_length_verdict(profile: DisplacementProfile, rel_tol: float = _tol.KILLING) -> bool:
-    """Relative-gap constancy test used for Killing field length profiles."""
-    return profile.relative_gap <= rel_tol

@@ -164,7 +164,7 @@ def test_every_report_records_its_deciding_tolerances(capsys):
          {**pipeline, "central": _tol.CENTRAL}),
         (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
         (["catalog", "verify", "10", *few], {"min_relative_gap": _tol.CATALOG_GAP}),
-        (["catalog", "verify", "15", *few], {"relative_gap": _tol.KILLING}),
+        (["catalog", "verify", "15", *few], {"relative_gap": _tol.DISPLACEMENT}),
         (["catalog", "verify", "17", *few], {"rank_cutoff": _tol.BERGER_CUTOFF}),
         (["catalog", "verify", "2", *few], {}),
         (["catalog", "list"], {}),

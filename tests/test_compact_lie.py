@@ -1,5 +1,6 @@
 """Bi-invariant geometry of SU/SO/Sp: exp/log, distances, translations."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -424,8 +425,31 @@ def test_min_displacement_of_constant_translation(rng):
     a = haar_sample(SU2, rng)
     iso = TwoSidedIsometry(a.conj().T, np.eye(2, dtype=complex))
     want = biinvariant_distance(SU2, np.eye(2), a)
-    val, _ = min_displacement(SU2, iso, multistarts=4, rng=rng)
-    assert np.isclose(val, want, atol=1e-6)
+    assert np.isclose(min_displacement(SU2, iso), want, rtol=0.0, atol=1e-12)
+
+
+EXACT_SPECS = tuple(CompactGroupSpec("SU", n) for n in (2, 3, 4)) + tuple(
+    CompactGroupSpec("SO", n) for n in (3, 4, 5, 6)
+) + tuple(CompactGroupSpec("Sp", n) for n in (2, 3))
+
+
+def test_min_displacement_takes_no_sampling_settings():
+    assert list(inspect.signature(min_displacement).parameters) == ["spec", "iso"]
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS, ids=lambda s: s.name)
+def test_min_displacement_is_exact(spec, rng):
+    """Translation pairs: the class distance, bit for bit.  Inverted maps: a
+    fixed point, also when g1 g2^-1 is central (every center element)."""
+    for _ in range(10):
+        g1, g2 = haar_sample(spec, rng), haar_sample(spec, rng)
+        pair = TwoSidedIsometry(g1, g2)
+        assert min_displacement(spec, pair) == conjugacy_class_distance(spec, g1, g2)
+        assert min_displacement(spec, TwoSidedIsometry(g1, g2, inverted=True)) <= 1e-13
+    g2 = haar_sample(spec, rng)
+    for z in center_elements(spec):
+        iso = TwoSidedIsometry(z @ g2, g2, inverted=True)
+        assert min_displacement(spec, iso) <= 1e-13
 
 
 def test_group_displacement_profile_constant_for_central(rng):
@@ -433,6 +457,20 @@ def test_group_displacement_profile_constant_for_central(rng):
     iso = TwoSidedIsometry(z, haar_sample(SU2, rng))
     prof = group_displacement_profile(SU2, iso, 100, rng)
     assert prof.gap <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "g1,g2",
+    [
+        (2.0 * np.eye(2), np.eye(2)),
+        (np.full((2, 2), np.nan), np.eye(2)),
+        (np.eye(3), np.eye(3)),
+    ],
+    ids=["scaled", "nan", "3x3"],
+)
+def test_group_displacement_profile_refuses_a_pair_off_the_group(g1, g2, rng):
+    with pytest.raises(NotInGroup):
+        group_displacement_profile(SU2, TwoSidedIsometry(g1, g2), 20, rng)
 
 
 def test_spec_validation():
@@ -549,15 +587,13 @@ def test_conjugacy_distance_separates_so4_orientations(rng):
 
 @settings(deadline=None, max_examples=20, derandomize=True)
 @given(st.sampled_from(ALL_SPECS), st.integers(0, 2**32 - 1))
-def test_conjugacy_distance_bounds_the_descent(spec, seed):
-    """min_displacement returns a displacement it reached, so it can only lie
-    above the exact least displacement."""
+def test_conjugacy_distance_bounds_reached_displacements(spec, seed):
+    """The exact least displacement lies below every displacement the map
+    reaches, here at a stack of Haar points."""
     rng = np.random.default_rng(seed)
     g1, g2 = haar_sample(spec, rng), haar_sample(spec, rng)
-    val, _ = min_displacement(
-        spec, TwoSidedIsometry(g1, g2), multistarts=1, refine_steps=5, rng=rng
-    )
-    assert conjugacy_class_distance(spec, g1, g2) <= val + 1e-9
+    reached = translation_displacement(spec, TwoSidedIsometry(g1, g2), haar_sample(spec, rng, 50))
+    assert conjugacy_class_distance(spec, g1, g2) <= reached.min() + 1e-9
 
 
 @settings(deadline=None, max_examples=30, derandomize=True)
@@ -617,7 +653,7 @@ def test_displacement_profile_equals_per_point_loop(spec, inverted, monkeypatch)
     prof = group_displacement_profile(spec, iso, 40, np.random.default_rng(4))
     pts = _sequential(spec, 4, 40)
     ref = DisplacementProfile.from_values(
-        [translation_displacement(spec, iso, x, validate=False) for x in pts]
+        [translation_displacement(spec, iso, x) for x in pts]
     )
     assert prof == ref
     stacked = translation_displacement(spec, iso, pts)

@@ -48,6 +48,7 @@ from homoglab.verifier import (
     verdict_from_evidence,
     verify_instance,
 )
+from oracles import su2_matrix
 
 SU2 = CompactGroupSpec("SU", 2)
 GROUP_SPECS = (
@@ -210,6 +211,32 @@ def test_left_cyclic_deck_on_su2():
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
     # left circle through a, plus the full right-multiplication su(2)
     assert report.centralizer_dim == 4
+
+
+QUATERNION_DECKS = (
+    [GroupType.cyclic(n) for n in (1, 2, 3, 5, 8)]
+    + [GroupType.binary_dihedral(m) for m in (2, 3, 6)]
+    + [GroupType.binary_tetrahedral(), GroupType.binary_octahedral(),
+       GroupType.binary_icosahedral()]
+)
+
+
+@pytest.mark.parametrize("tag", QUATERNION_DECKS, ids=repr)
+def test_quaternion_deck_agrees_on_s3_and_su2(tag):
+    """S^3 is SU(2): the unit quaternions with the round metric of radius 1,
+    and SU(2) with -trace(XY), which is the round metric of radius sqrt(2).
+    Left multiplication by a quaternion deck must give the same report in
+    both models, with every displacement scaled by sqrt(2)."""
+    group = named_binary_group(tag)
+    s3 = verify_instance(sphere_deck_from_quaternions(group)).to_json_dict()
+    isos = [left_translation_isometry(SU2, su2_matrix(q)) for q in group.elements]
+    su2 = verify_instance(group_deck(SU2, isos)).to_json_dict()
+    for key in ("verdict", "free", "centralizer_dim"):
+        assert su2[key] == s3[key], key
+    assert [e["constant"] for e in su2["elements"]] == [e["constant"] for e in s3["elements"]]
+    su2_values = np.array([e["value"] for e in su2["elements"]])
+    s3_values = np.array([e["value"] for e in s3["elements"]])
+    assert np.max(np.abs(su2_values - np.sqrt(2.0) * s3_values)) <= 1e-12
 
 
 def _plane(a, b):
