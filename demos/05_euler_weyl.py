@@ -2,8 +2,8 @@
 Weyl group orders, Euler characteristics, and squashed spheres
 ==============================================================
 
-Counting Weyl chambers by orbit closure gives Euler characteristics of
-equal-rank quotients; the Berger family shows how shrinking the fiber
+Weyl group orders, from the closed form of each series, give Euler
+characteristics of equal-rank quotients; the Berger family shows how shrinking the fiber
 kills right-translation isometries.
 """
 
@@ -14,7 +14,7 @@ from homoglab import (
     weyl_group_order,
 )
 
-# |W| by breadth-first orbit closure, cross-checked against closed forms
+# |W| from the closed form of each series
 for series, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)]:
     label = series if series == "G2" else f"{series}{rank}"
     print(f"|W({label})| = {weyl_group_order(series, rank)}")

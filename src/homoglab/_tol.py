@@ -5,9 +5,9 @@ name.  Distances are max-abs entry distances unless a comment says otherwise.
 Where a CLI report records a value, its comment gives the ``tolerances`` key.
 """
 
-# two elements are the same: closures, Cayley tables, cyclic powers, the
-# identity of a deck, of a deck element (is_identity_isometry) and of a flat
-# or hyperbolic motion ("closure")
+# two elements are the same: Cayley tables, cyclic powers, the identity of a
+# quaternion group, of a deck, of a deck element (is_identity_isometry) and of
+# a flat or hyperbolic motion ("closure")
 CLOSURE = 1e-9
 # the eigen-angles |arg λ| of an orthogonal map spread over at most this
 # (constant displacement on the sphere), or an eigenvalue lies this close to +1

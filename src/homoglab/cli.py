@@ -150,6 +150,7 @@ _BINARY_TAGS = {
 
 
 _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
+_MAX_ORDER = 10_000  # most matrices a named deck's Cayley table may hold
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
 
 
@@ -184,9 +185,19 @@ def _requested_tag(name: str) -> GroupType | None:
     return None
 
 
+def _check_order(name: str, size: int) -> None:
+    """Refuse a named deck whose Cayley table would hold more than
+    ``_MAX_ORDER`` matrices, before it is built."""
+    if size > _MAX_ORDER:
+        raise InvalidParameter(f"{name} needs a table of {size} matrices, more than {_MAX_ORDER}")
+
+
 def _quaternion_group_from_name(name: str):
     tag = _requested_tag(name)
-    return None if tag is None else named_binary_group(tag)
+    if tag is None:
+        return None
+    _check_order(name, tag.expected_order())
+    return named_binary_group(tag)
 
 
 def sphere_group_matrices(name: str, ambient: int | None = None):
@@ -200,6 +211,7 @@ def sphere_group_matrices(name: str, ambient: int | None = None):
     if m:
         k = int(m.group(1))
         exps = tuple(int(t) for t in m.group(2).split("-") if t)
+        _check_order(name, k)
         mats = lens_group(k, exps)
         if ambient is not None and mats[0].shape[0] != ambient:
             raise ModelMismatch(
@@ -222,6 +234,8 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
         order = int(m.group(1))
         if order < 1:
             raise InvalidParameter("cyclic order must be positive")
+        # the deck is closed on its blocks diag(z g1, z g2), z central
+        _check_order(name, order * len(center_elements(spec)))
         d = spec.matrix_size
         zeta = np.exp(2j * np.pi / order)
         if spec.family == "SO":

@@ -9,14 +9,6 @@ class InvalidParameter(HomoglabError, ValueError):
     pass
 
 
-class NonUnitGenerator(HomoglabError, ValueError):
-    pass
-
-
-class ClosureExceedsLimit(HomoglabError, RuntimeError):
-    pass
-
-
 class InvariantViolated(HomoglabError, RuntimeError):
     """An internal consistency check failed: a bug or a numerical breakdown,
     not a bad input."""

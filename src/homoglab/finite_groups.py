@@ -1,20 +1,22 @@
 """Finite subgroups of the unit quaternions.
 
-Constructs the cyclic, binary dihedral and binary polyhedral groups by
-breadth-first closure of explicit generators, classifies an arbitrary finite
-unit-quaternion group by structural invariants, and checks the constraints a
-group must satisfy to act freely with constant displacement on a round sphere
-(every abelian subgroup cyclic, at most one involution and it is central, odd
-Sylow subgroups cyclic).
+Lists the cyclic, binary dihedral and binary polyhedral groups from their
+classical closed forms, classifies an arbitrary finite unit-quaternion group
+by structural invariants, and checks the constraints a group must satisfy to
+act freely with constant displacement on a round sphere (every abelian
+subgroup cyclic, at most one involution and it is central, odd Sylow
+subgroups cyclic).
 
-All generator coefficients are closed forms in sqrt(2) and the golden ratio,
-evaluated in double precision; closure deduplication runs at ``_tol.CLOSURE``.
+All element coordinates are closed forms in cosines and sines of rational
+multiples of pi, sqrt(2) and the golden ratio, evaluated in double precision.
 Orders and classification are then exact because they are computed on an
-integer multiplication table recovered from the floating elements.
+integer multiplication table recovered from the floating elements, whose
+products are matched to elements at ``_tol.CLOSURE``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,19 +24,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
-from .errors import (
-    ClosureExceedsLimit,
-    InvalidParameter,
-    NonUnitGenerator,
-    NonUnitInput,
-    NotClosed,
-)
+from .errors import InvalidParameter, NonUnitInput, NotClosed
 
 _TABLE_BLOCK = 1 << 20  # array entries per block of the table kernels (8 MB of floats)
 # score terms (k^3 m) up to which a Cayley table's nearest-element search
 # takes less time than pairing by key: k = 25 for 4 x 4 matrices
 _PAIRING_WORK = 1 << 18
-_CLOSURE_LIMIT = 10_000  # largest group generate_closure builds
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -148,111 +143,67 @@ class GroupType:
         }.get(self.kind)
 
 
-# Quaternion.__mul__ term by term: component c of a * b adds, for t = 0..3 in
-# this order, a[t] * (_MUL_SIGN[t, c] * b[_MUL_INDEX[t, c]])
-_MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_MUL_SIGN = np.array([[1, 1, 1, 1], [-1, 1, -1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1]], dtype=float)
+def _circle_powers(angle: float, count: int) -> np.ndarray:
+    """Rows cos(k angle) + sin(k angle) i, k = 0, ..., count - 1."""
+    t = angle * np.arange(count)
+    return np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=1)
 
 
-def _quaternion_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows a[i] * b[j], i outer and j inner, as a (len(a) * len(b), 4)
-    array.  The terms are those of ``Quaternion.__mul__``, added in its order
-    (x - y is x + (-y) exactly), so each product has the scalar one's bits."""
-    terms = a[:, None, :, None] * (_MUL_SIGN * b[:, _MUL_INDEX])[None]
-    prods = terms[:, :, 0] + terms[:, :, 1]
-    prods += terms[:, :, 2]
-    prods += terms[:, :, 3]
-    return prods.reshape(-1, 4)
+def generate_closure(tag: GroupType) -> list[Quaternion]:
+    """The elements of the group named by ``tag``, identity first, from the
+    classical closed forms of the finite subgroups of the unit quaternions:
 
-
-def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """near[i, j]: rows a[i] and b[j] lie within ``_tol.CLOSURE``, max-abs."""
-    dist = np.abs(np.subtract.outer(a[:, 0], b[:, 0]))
-    for c in range(1, a.shape[1]):
-        np.maximum(dist, np.abs(np.subtract.outer(a[:, c], b[:, c])), out=dist)
-    return dist <= _tol.CLOSURE
-
-
-def _first_occurrences(cand: np.ndarray) -> np.ndarray:
-    """Mask of the rows a sequential scan keeps: a row is kept unless an
-    earlier kept row is ``_near`` it."""
-    idx = np.arange(len(cand))
-    near = _near(cand, cand) & (idx[:, None] > idx[None, :])
-    decided = ~near.any(axis=1)  # no earlier row near: kept
-    kept = decided.copy()
-    # the first undecided row has every earlier row decided, so each pass
-    # settles at least one row
-    while not decided.all():
-        blocked = (near & kept).any(axis=1)
-        pending = (near & ~decided).any(axis=1)
-        settle = ~decided & (blocked | ~pending)
-        kept[settle & ~blocked] = True
-        decided |= settle
-    return kept
-
-
-def generate_closure(generators) -> list[Quaternion]:
-    """Breadth-first closure of unit quaternion generators.
-
-    Elements within ``_tol.CLOSURE`` (max-abs) are identified.  Each round
-    forms all frontier x generator products at once and keeps, in that order,
-    those not within it of an earlier element; candidates are compared in
-    blocks, so the distance arrays stay near ``_TABLE_BLOCK`` entries.  Raises
-    NonUnitGenerator for a generator off the unit sphere and
-    ClosureExceedsLimit when the closure grows past ``_CLOSURE_LIMIT``.
+    * cyclic n: the powers a^k of a = e^{2 pi i/n}, k = 0, ..., n - 1;
+    * binary dihedral m: the a^k, then the a^k j, for a = e^{i pi/m},
+      k = 0, ..., 2m - 1;
+    * binary tetrahedral: the 24 Hurwitz units, +-1, +-i, +-j, +-k and
+      (+-1 +-i +-j +-k)/2;
+    * binary octahedral: those 24 and the 24 of the form (+-e_a +-e_b)/sqrt(2);
+    * binary icosahedral: those 24 and the 96 even permutations of
+      (0, +-1, +-1/phi, +-phi)/2, phi the golden ratio.
     """
-    gens = list(generators)
-    for g in gens:
-        if abs(g.norm() - 1.0) > _tol.ORTHOGONAL:
-            raise NonUnitGenerator(f"generator has norm {g.norm():.12f}")
-    gen_coords = np.array([g.to_array() for g in gens]).reshape(-1, 4)
-    coords = np.zeros((64, 4))
-    coords[0, 0] = 1.0
-    count = 1
-
-    def add(cand: np.ndarray) -> np.ndarray:
-        nonlocal coords, count
-        added = []
-        start = 0
-        while start < len(cand):
-            # the distance temporaries hold step * count entries
-            step = max(1, min(1 << 10, _TABLE_BLOCK // count))
-            block = cand[start : start + step]
-            start += step
-            block = block[~_near(block, coords[:count]).any(axis=1)]
-            block = block[_first_occurrences(block)]
-            if count + len(block) > _CLOSURE_LIMIT:
-                raise ClosureExceedsLimit(f"closure exceeded limit {_CLOSURE_LIMIT}")
-            if count + len(block) > len(coords):
-                coords = np.concatenate([coords, np.zeros((count + len(block), 4))])
-            coords[count : count + len(block)] = block
-            count += len(block)
-            added.append(block)
-        return np.concatenate(added) if added else cand[:0]
-
-    frontier = add(gen_coords)
-    if not len(frontier):
-        frontier = coords[:count].copy()
-    while len(frontier):
-        frontier = add(_quaternion_products(frontier, gen_coords))
-    return [Quaternion(*row) for row in coords[:count].tolist()]
+    kind, n = tag.kind, tag.param
+    if kind == GroupType.CYCLIC:
+        if n is None or n < 1:
+            raise InvalidParameter("cyclic groups need n >= 1")
+        rows = _circle_powers(2.0 * math.pi / n, n)
+    elif kind == GroupType.BINARY_DIHEDRAL:
+        if n is None or n < 2:
+            raise InvalidParameter("binary dihedral groups need m >= 2")
+        powers = _circle_powers(math.pi / n, 2 * n)
+        # a^k j = cos(k pi/m) j + sin(k pi/m) k
+        rows = np.concatenate([powers, powers[:, [2, 3, 0, 1]]])
+    elif kind in (GroupType.BINARY_TETRAHEDRAL, GroupType.BINARY_OCTAHEDRAL,
+                  GroupType.BINARY_ICOSAHEDRAL):
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+        parts = [np.eye(4), -np.eye(4), 0.5 * signs]
+        if kind == GroupType.BINARY_OCTAHEDRAL:
+            e = np.eye(4) / math.sqrt(2.0)
+            parts += [sa * e[a] + sb * e[b] for a, b in itertools.combinations(range(4), 2)
+                      for sa, sb in itertools.product((1.0, -1.0), repeat=2)]
+        elif kind == GroupType.BINARY_ICOSAHEDRAL:
+            perms = np.array(list(itertools.permutations(range(4))))
+            # the even permutations: their permutation matrices have determinant +1
+            even = perms[np.linalg.det(np.eye(4)[perms]) > 0]
+            # the sign rows with a leading +1 leave the 0 entry unsigned
+            values = signs[:8] * np.array([0.0, 1.0, 1.0 / _GOLDEN, _GOLDEN]) / 2.0
+            parts.append(values[:, even].reshape(-1, 4))
+        rows = np.vstack(parts)
+    else:
+        raise InvalidParameter(f"no constructor for tag {tag!r}")
+    return [Quaternion(*row) for row in rows.tolist()]
 
 
 class FiniteQuaternionGroup:
     """A finite group of unit quaternions with its exact multiplication table."""
 
-    def __init__(self, elements, generators=()):
+    def __init__(self, elements):
         self.elements: list[Quaternion] = list(elements)
-        self.generators: list[Quaternion] = list(generators)
         self._coords = np.array([(q.w, q.x, q.y, q.z) for q in self.elements]).reshape(-1, 4)
         self._table: np.ndarray | None = None
         self._identity = self.index_of(Quaternion.one())
         if self._identity < 0:
             raise NotClosed("element list does not contain the identity")
-
-    @classmethod
-    def from_generators(cls, generators) -> "FiniteQuaternionGroup":
-        return cls(generate_closure(generators), generators)
 
     @property
     def order(self) -> int:
@@ -508,44 +459,9 @@ def central_indices(table: np.ndarray) -> list[int]:
 # named constructors
 
 
-def _cyclic_generator(n: int) -> Quaternion:
-    return Quaternion(math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n))
-
-
 def named_binary_group(tag: GroupType) -> FiniteQuaternionGroup:
-    """Construct the group named by ``tag`` from explicit unit-quaternion
-    generators; the result's order always matches the tag."""
-    if tag.kind == GroupType.CYCLIC:
-        n = tag.param
-        if n is None or n < 1:
-            raise InvalidParameter("cyclic groups need n >= 1")
-        gens = [_cyclic_generator(n)] if n > 1 else [Quaternion.one()]
-        group = FiniteQuaternionGroup.from_generators(gens)
-    elif tag.kind == GroupType.BINARY_DIHEDRAL:
-        m = tag.param
-        if m is None or m < 2:
-            raise InvalidParameter("binary dihedral groups need m >= 2")
-        a = Quaternion(math.cos(math.pi / m), math.sin(math.pi / m))
-        group = FiniteQuaternionGroup.from_generators([a, Quaternion.j()])
-    elif tag.kind == GroupType.BINARY_TETRAHEDRAL:
-        omega = Quaternion(0.5, 0.5, 0.5, 0.5)
-        group = FiniteQuaternionGroup.from_generators([omega, Quaternion.i()])
-    elif tag.kind == GroupType.BINARY_OCTAHEDRAL:
-        omega = Quaternion(0.5, 0.5, 0.5, 0.5)
-        s = Quaternion(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-        group = FiniteQuaternionGroup.from_generators([omega, Quaternion.i(), s])
-    elif tag.kind == GroupType.BINARY_ICOSAHEDRAL:
-        sigma = Quaternion(0.5, 0.5, 0.5, 0.5)
-        tau = Quaternion(_GOLDEN / 2.0, 1.0 / (2.0 * _GOLDEN), 0.5, 0.0)
-        group = FiniteQuaternionGroup.from_generators([sigma, tau])
-    else:
-        raise InvalidParameter(f"no constructor for tag {tag!r}")
-    expected = tag.expected_order()
-    if expected is not None and group.order != expected:
-        raise NotClosed(
-            f"constructed order {group.order} != expected {expected} for {tag!r}"
-        )
-    return group
+    """The group named by ``tag``, its elements listed by ``generate_closure``."""
+    return FiniteQuaternionGroup(generate_closure(tag))
 
 
 # ---------------------------------------------------------------------------

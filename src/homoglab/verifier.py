@@ -112,9 +112,10 @@ def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSided
 class DeckGroup:
     """A finite group of isometries in one declared ambient model.
 
-    On a sphere, validation leaves the elements as one (k, n, n) float stack
-    in ``matrices`` and the deck's Cayley table in ``table`` (table[i, j] =
-    index of elements[i] @ elements[j]); group-manifold decks have both None.
+    Validation leaves the elements as one stack in ``matrices``: (k, n, n)
+    floats on a sphere, the (k, 2, d, d) pairs (g1, g2) on a group manifold.
+    Sphere decks keep their Cayley table in ``table`` (table[i, j] = index of
+    elements[i] @ elements[j]); group-manifold decks have None.
     """
 
     model: SphereModel | GroupManifoldModel
@@ -149,20 +150,18 @@ class DeckGroup:
 
     def _validate_group(self):
         spec = self.model.spec
-        for iso in self.elements:
-            if not isinstance(iso, TwoSidedIsometry) or iso.inverted:
-                raise ModelMismatch("group-manifold decks consist of translation pairs")
-            check_in_group(spec, iso.g1)
-            check_in_group(spec, iso.g2)
+        if any(not isinstance(iso, TwoSidedIsometry) or iso.inverted for iso in self.elements):
+            raise ModelMismatch("group-manifold decks consist of translation pairs")
         if not self.elements:
             raise InvalidParameter("deck group is empty")
+        d = spec.matrix_size
+        pairs = check_in_group(spec, [g for iso in self.elements for g in (iso.g1, iso.g2)])
+        object.__setattr__(self, "matrices", pairs.reshape(-1, 2, d, d))
         # (z g1, z g2) is the same map as (g1, g2) for every central z, so the
         # deck is a group of maps exactly when the blocks diag(z g1, z g2), over
         # all elements and all z, form a group of matrices
-        d = spec.matrix_size
         blocks = np.zeros((len(self.elements), 2 * d, 2 * d), dtype=complex)
-        for i, iso in enumerate(self.elements):
-            blocks[i, :d, :d], blocks[i, d:, d:] = iso.g1, iso.g2
+        blocks[:, :d, :d], blocks[:, d:, d:] = self.matrices[:, 0], self.matrices[:, 1]
         center = np.array([z[0, 0] for z in center_elements(spec)])
         _group_table((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
 
@@ -205,11 +204,10 @@ def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
 def _ad_minus_identity(deck: DeckGroup, basis: np.ndarray) -> np.ndarray:
     """(Ad(γ) − I) b for every deck element γ (axis 0) and basis element b
     (axis 1)."""
+    g = deck.matrices[:, None]
     if isinstance(deck.model, SphereModel):
-        g = deck.matrices[:, None]
         return g @ basis @ np.swapaxes(g, -1, -2) - basis
     # a group-manifold direction is a pair (X, Y): Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2)
-    g = np.stack([np.stack([iso.g1, iso.g2]) for iso in deck.elements])[:, None]
     return np.swapaxes(g.conj(), -1, -2) @ basis @ g - basis
 
 

@@ -623,6 +623,32 @@ def test_construct_large_cyclic_group_quickly(capsys):
     check_schema(rep)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-homogeneity", "--model", "s3", "--group", "lens-40000-1-1"],
+        ["check-free", "--model", "s3", "--group", "lens-40000-1-1"],
+        ["check-homogeneity", "--model", "su2", "--group", "cyclic-20000"],
+        ["construct", "--group", "cyclic-10001"],
+    ],
+    ids=["homogeneity-lens", "free-lens", "su2-cyclic", "quaternion-cyclic"],
+)
+def test_a_deck_past_the_order_cap_exits_2_before_it_is_built(capsys, monkeypatch, argv):
+    """A named deck whose Cayley table would hold more than _MAX_ORDER
+    matrices (on su2, cyclic-N has 2N blocks) is refused by name."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a deck past the cap was built")
+
+    for name in ("named_binary_group", "lens_group", "cyclic_powers"):
+        monkeypatch.setattr(cli, name, never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(cli._MAX_ORDER) in captured.err
+
+
 def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch):
     """A failed internal consistency check is refused like a usage error."""
     from homoglab import verifier

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import lens_group
-from homoglab.errors import ClosureExceedsLimit, NonUnitGenerator, NotClosed
+from homoglab.errors import NotClosed
 from homoglab import finite_groups
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
     Quaternion,
-    _cyclic_generator,
     cayley_table,
     check_space_form_constraints,
     classify,
@@ -80,19 +79,6 @@ def test_orders_and_classification_round_trip(tag):
     g = named_binary_group(tag)
     assert g.order == tag.expected_order()
     assert classify(g) == tag
-
-
-def test_generator_must_be_unit():
-    with pytest.raises(NonUnitGenerator):
-        FiniteQuaternionGroup.from_generators([Quaternion(0.5, 0.5)])
-
-
-def test_closure_limit(monkeypatch):
-    # an irrational rotation never closes up
-    monkeypatch.setattr(finite_groups, "_CLOSURE_LIMIT", 500)
-    a = Quaternion(np.cos(1.0), np.sin(1.0))
-    with pytest.raises(ClosureExceedsLimit):
-        FiniteQuaternionGroup.from_generators([a])
 
 
 def test_lagrange_divisibility():
@@ -329,7 +315,7 @@ def test_cayley_table_of_lens_groups_matches_brute_force(k, exps):
 
 
 def test_cayley_table_of_cyclic_1000_is_addition_mod_k():
-    # the closure lists g^0 .. g^999, so the table is addition mod k; the
+    # generate_closure lists g^0 .. g^999, so the table is addition mod k; the
     # k^3 GEMM search checks a few rows, at both ends and across the middle
     k = 1000
     mats = named_binary_group(GroupType.cyclic(k)).left_translation_matrices()
@@ -444,13 +430,10 @@ def test_cayley_table_needs_identity_and_every_product():
 # oracles: the scalar loops the vectorised kernels replaced
 
 
-def bfs_closure(generators, limit=10000):
-    """Breadth-first closure one product at a time, each looked up by a linear
-    max-abs scan over the elements found so far."""
+def bfs_closure(generators):
+    """Breadth-first closure of unit quaternions one product at a time, each
+    looked up by a linear max-abs scan over the elements found so far."""
     gens = list(generators)
-    for g in gens:
-        if abs(g.norm() - 1.0) > 1e-10:
-            raise NonUnitGenerator(f"generator has norm {g.norm():.12f}")
     elements = [Quaternion.one()]
     coords = [elements[0].to_array()]
 
@@ -476,14 +459,25 @@ def bfs_closure(generators, limit=10000):
                     elements.append(p)
                     coords.append(p.to_array())
                     new.append(p)
-                    if len(elements) > limit:
-                        raise ClosureExceedsLimit(f"closure exceeded limit {limit}")
         frontier = new
     return elements
 
 
-def element_bits(elements):
-    return np.array([q.to_array() for q in elements]).tobytes()
+_OMEGA = Quaternion(0.5, 0.5, 0.5, 0.5)
+
+
+def closure_generators(tag):
+    """Classical generators of each named group."""
+    if tag.kind == GroupType.CYCLIC:
+        return [Quaternion(np.cos(2 * np.pi / tag.param), np.sin(2 * np.pi / tag.param))]
+    if tag.kind == GroupType.BINARY_DIHEDRAL:
+        return [Quaternion(np.cos(np.pi / tag.param), np.sin(np.pi / tag.param)), Quaternion.j()]
+    if tag.kind == GroupType.BINARY_TETRAHEDRAL:
+        return [_OMEGA, Quaternion.i()]
+    if tag.kind == GroupType.BINARY_OCTAHEDRAL:
+        return [_OMEGA, Quaternion.i(), Quaternion(np.sqrt(0.5), np.sqrt(0.5))]
+    golden = (1 + np.sqrt(5)) / 2
+    return [_OMEGA, Quaternion(golden / 2, 1 / (2 * golden), 0.5, 0.0)]
 
 
 CLOSURE_TAGS = (
@@ -498,66 +492,15 @@ CLOSURE_TAGS = (
 
 
 @pytest.mark.parametrize("tag", CLOSURE_TAGS, ids=str)
-def test_closure_matches_scalar_bfs_in_order_and_bits(tag):
-    group = named_binary_group(tag)
-    assert element_bits(group.elements) == element_bits(bfs_closure(group.generators))
-
-
-_OMEGA = Quaternion(0.5, 0.5, 0.5, 0.5)
-
-
-@pytest.mark.parametrize(
-    "gens",
-    [
-        [],
-        [Quaternion.one()],
-        [Quaternion.i(), Quaternion.i()],
-        [Quaternion.i(), -Quaternion.one(), Quaternion.j()],
-        [_OMEGA, Quaternion.i(), _OMEGA * Quaternion.i(), Quaternion.one()],
-        [Quaternion(np.cos(np.pi / 7), 0.0, np.sin(np.pi / 7)), Quaternion.k()],
-    ],
-    ids=["none", "identity", "repeated", "with-minus-one", "redundant", "dihedral-7"],
-)
-def test_closure_matches_scalar_bfs_on_redundant_generators(gens):
-    assert element_bits(generate_closure(gens)) == element_bits(bfs_closure(gens))
-
-
-def test_closure_matches_scalar_bfs_across_dedupe_blocks(monkeypatch):
-    # a block of 64 score entries splits every round into many blocks
-    gens = named_binary_group(GroupType.binary_icosahedral()).generators
-    want = element_bits(bfs_closure(gens))
-    monkeypatch.setattr(finite_groups, "_TABLE_BLOCK", 64)
-    assert element_bits(generate_closure(gens)) == want
-
-
-def test_closure_error_paths_match_scalar_bfs(monkeypatch):
-    spiral = [Quaternion(np.cos(1.0), np.sin(1.0))]
-    twelve = [_cyclic_generator(12)]
-    for limit, gens, exceeds in ((500, spiral, True), (11, twelve, True), (12, twelve, False)):
-        monkeypatch.setattr(finite_groups, "_CLOSURE_LIMIT", limit)
-        for closure in (generate_closure, lambda g: bfs_closure(g, limit=limit)):
-            if exceeds:
-                with pytest.raises(ClosureExceedsLimit):
-                    closure(gens)
-            else:
-                assert len(closure(gens)) == 12
-    for closure in (generate_closure, bfs_closure):
-        with pytest.raises(NonUnitGenerator):
-            closure([Quaternion.i(), Quaternion(0.5, 0.5)])
-
-
-def test_closure_dedupe_memory_is_bounded_at_cyclic_5000():
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        elements = generate_closure([_cyclic_generator(5000)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(elements) == 5000
-    # the 5000 Quaternion objects alone take about 0.8 MB
-    assert peak < 4 * 2**20
+def test_closed_forms_equal_the_closure_of_generators(tag):
+    """Each closed-form list is the breadth-first closure of the group's
+    generators as a set, element for element within 1e-14, identity first."""
+    got = np.array([q.to_array() for q in generate_closure(tag)])
+    want = np.array([q.to_array() for q in bfs_closure(closure_generators(tag))])
+    assert len(got) == len(want) == tag.expected_order()
+    assert np.array_equal(got[0], [1.0, 0.0, 0.0, 0.0])
+    near = np.max(np.abs(got[:, None] - want[None]), axis=2) <= 1e-14
+    assert np.all(near.sum(axis=0) == 1) and np.all(near.sum(axis=1) == 1)
 
 
 def brute_force_orders(table, identity):

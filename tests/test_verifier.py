@@ -48,7 +48,7 @@ from homoglab.verifier import (
     verdict_from_evidence,
     verify_instance,
 )
-from oracles import su2_matrix
+from oracles import right_translation_matrix, su2_matrix
 
 SU2 = CompactGroupSpec("SU", 2)
 GROUP_SPECS = (
@@ -221,15 +221,21 @@ QUATERNION_DECKS = (
 )
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("tag", QUATERNION_DECKS, ids=repr)
-def test_quaternion_deck_agrees_on_s3_and_su2(tag):
+def test_quaternion_deck_agrees_on_s3_and_su2(tag, side):
     """S^3 is SU(2): the unit quaternions with the round metric of radius 1,
     and SU(2) with -trace(XY), which is the round metric of radius sqrt(2).
-    Left multiplication by a quaternion deck must give the same report in
-    both models, with every displacement scaled by sqrt(2)."""
+    Left or right multiplication by a quaternion deck must give the same
+    report in both models, with every displacement scaled by sqrt(2)."""
     group = named_binary_group(tag)
-    s3 = verify_instance(sphere_deck_from_quaternions(group)).to_json_dict()
-    isos = [left_translation_isometry(SU2, su2_matrix(q)) for q in group.elements]
+    if side == "left":
+        s3_deck = sphere_deck_from_quaternions(group)
+        isos = [left_translation_isometry(SU2, su2_matrix(q)) for q in group.elements]
+    else:
+        s3_deck = sphere_deck([right_translation_matrix(q) for q in group.elements])
+        isos = [TwoSidedIsometry(np.eye(2, dtype=complex), su2_matrix(q)) for q in group.elements]
+    s3 = verify_instance(s3_deck).to_json_dict()
     su2 = verify_instance(group_deck(SU2, isos)).to_json_dict()
     for key in ("verdict", "free", "centralizer_dim"):
         assert su2[key] == s3[key], key
