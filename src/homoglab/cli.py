@@ -46,6 +46,7 @@ from .errors import HomoglabError, InvalidParameter, ModelMismatch, ParseError
 from .finite_groups import (
     GroupType,
     check_space_form_constraints,
+    check_table_work,
     classify,
     named_binary_group,
 )
@@ -150,8 +151,8 @@ _BINARY_TAGS = {
 
 
 _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
-_MAX_ORDER = 10_000  # most matrices a named deck's Cayley table may hold
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
+_MAX_SAMPLES = 10**6  # most --samples: 10^6 points on s11 are 96 MB of floats
 
 
 def parse_model(name: str):
@@ -185,18 +186,11 @@ def _requested_tag(name: str) -> GroupType | None:
     return None
 
 
-def _check_order(name: str, size: int) -> None:
-    """Refuse a named deck whose Cayley table would hold more than
-    ``_MAX_ORDER`` matrices, before it is built."""
-    if size > _MAX_ORDER:
-        raise InvalidParameter(f"{name} needs a table of {size} matrices, more than {_MAX_ORDER}")
-
-
 def _quaternion_group_from_name(name: str):
     tag = _requested_tag(name)
     if tag is None:
         return None
-    _check_order(name, tag.expected_order())
+    check_table_work(name, tag.expected_order(), 16)  # 4 x 4 left translations
     return named_binary_group(tag)
 
 
@@ -211,7 +205,7 @@ def sphere_group_matrices(name: str, ambient: int | None = None):
     if m:
         k = int(m.group(1))
         exps = tuple(int(t) for t in m.group(2).split("-") if t)
-        _check_order(name, k)
+        check_table_work(name, k, (2 * len(exps)) ** 2)
         mats = lens_group(k, exps)
         if ambient is not None and mats[0].shape[0] != ambient:
             raise ModelMismatch(
@@ -234,9 +228,9 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
         order = int(m.group(1))
         if order < 1:
             raise InvalidParameter("cyclic order must be positive")
-        # the deck is closed on its blocks diag(z g1, z g2), z central
-        _check_order(name, order * len(center_elements(spec)))
         d = spec.matrix_size
+        # the deck is closed on its blocks diag(z g1, z g2), z central
+        check_table_work(name, order * len(center_elements(spec)), (2 * d) ** 2)
         zeta = np.exp(2j * np.pi / order)
         if spec.family == "SO":
             if order > 2 and d < 2:
@@ -255,7 +249,7 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
             )
         return [
             left_translation_isometry(spec, g)
-            for g in cyclic_powers(gen.astype(complex), limit=order)
+            for g in cyclic_powers(gen.astype(complex))
         ]
     raise InvalidParameter(f"unknown group-manifold deck {name!r}")
 
@@ -548,8 +542,10 @@ def _sample_count(text: str) -> int:
         n = int(text)
     except ValueError:
         n = 0
-    if n < 10:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 10, got {text!r}")
+    if not 10 <= n <= _MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 10 to {_MAX_SAMPLES}, got {text!r}"
+        )
     return n
 
 

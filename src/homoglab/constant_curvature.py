@@ -28,7 +28,7 @@ from .errors import (
     NonUnitPoint,
     NotClifford,
 )
-from .finite_groups import cayley_table
+from .finite_groups import cayley_table, check_table_work
 from .profiles import DisplacementProfile
 
 
@@ -100,17 +100,17 @@ def is_clifford_sphere(g: np.ndarray):
     """Exact constant-displacement test on the sphere.
 
     For one matrix, returns (True, angle) when the eigen-angles |arg λ| of g
-    spread over at most ``_tol.EIGEN`` (the displacement is then
-    arccos(trace(g) / n) everywhere), otherwise (False, None).  The angles
-    come from ``numpy.linalg.eigvals``, accurate to round-off also near 0 and
-    pi, where a test on the cosines would resolve an angle only to about
-    sqrt(2 EIGEN).  For a stack, returns a boolean array and an array of
-    angles, NaN where the test fails.
+    spread over at most ``_tol.EIGEN`` (the displacement is then their mean
+    everywhere), otherwise (False, None).  The angles come from
+    ``numpy.linalg.eigvals``, accurate to round-off also near 0 and pi, where
+    a test on the cosines would resolve an angle only to about sqrt(2 EIGEN)
+    and arccos(trace(g) / n) loses half its digits.  For a stack, returns a
+    boolean array and an array of angles, NaN where the test fails.
     """
     stack = _orthogonal_stack(g)
-    c = np.trace(stack, axis1=1, axis2=2) / stack.shape[-1]
-    ok = np.ptp(np.abs(np.angle(np.linalg.eigvals(stack))), axis=1) <= _tol.EIGEN
-    angle = np.where(ok, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
+    angles = np.abs(np.angle(np.linalg.eigvals(stack)))
+    ok = np.ptp(angles, axis=1) <= _tol.EIGEN
+    angle = np.where(ok, np.mean(angles, axis=1), np.nan)
     if np.ndim(g) == 3:
         return ok, angle
     return (True, float(angle[0])) if ok[0] else (False, None)
@@ -163,17 +163,17 @@ def rotation_block(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def cyclic_powers(M: np.ndarray, limit: int = 10_000) -> list[np.ndarray]:
+def cyclic_powers(M: np.ndarray) -> list[np.ndarray]:
     """The cyclic group generated by M: its powers I, M, M^2, ... (each the
     previous one times M) up to the first return to the identity, within
-    ``_tol.CLOSURE``, in M's dtype.  InvalidParameter when there are more than
-    ``limit`` (a matrix with NaN entries never returns)."""
+    ``_tol.CLOSURE``, in M's dtype.  InvalidParameter from
+    ``check_table_work`` once the powers are too many for a Cayley table (a
+    matrix with NaN entries never returns)."""
     eye = np.eye(M.shape[0], dtype=M.dtype)
     out, g = [eye], M
     while not np.max(np.abs(g - eye)) <= _tol.CLOSURE:
         out.append(g)
-        if len(out) > limit:
-            raise InvalidParameter("matrix does not generate a finite cyclic group")
+        check_table_work("matrix powers", len(out), M.size)
         g = g @ M
     return out
 
@@ -193,7 +193,7 @@ def lens_group(k: int, exponents) -> list[np.ndarray]:
     gen = np.zeros((2 * r, 2 * r))
     for i, q in enumerate(exps):
         gen[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rotation_block(2.0 * np.pi * q / k)
-    return cyclic_powers(gen, limit=k)
+    return cyclic_powers(gen)
 
 
 def invariant_geodesic_check(g: np.ndarray, x: np.ndarray) -> bool:

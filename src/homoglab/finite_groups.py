@@ -12,6 +12,10 @@ multiples of pi, sqrt(2) and the golden ratio, evaluated in double precision.
 Orders and classification are then exact because they are computed on an
 integer multiplication table recovered from the floating elements, whose
 products are matched to elements at ``_tol.CLOSURE``.
+
+A group is held as coordinates only: a (k, 4) array of quaternions, or a
+(k, n, n) stack of matrices.  ``check_table_work`` is the one bound on how
+large a Cayley table may get; it is checked before a named group is built.
 """
 
 from __future__ import annotations
@@ -30,67 +34,10 @@ _TABLE_BLOCK = 1 << 20  # array entries per block of the table kernels (8 MB of 
 # score terms (k^3 m) up to which a Cayley table's nearest-element search
 # takes less time than pairing by key: k = 25 for 4 x 4 matrices
 _PAIRING_WORK = 1 << 18
+# product entries (k^2 m) a Cayley table of k matrices of m entries may score:
+# k <= 1024 for 4 x 4 matrices, whose table then takes 8 MB and well under a second
+_TABLE_WORK = 1 << 24
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-class Quaternion:
-    """Immutable quaternion w + x i + y j + z k."""
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w: float, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        object.__setattr__(self, "w", float(w))
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "z", float(z))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    def __repr__(self):
-        return f"Quaternion({self.w:+.6f}, {self.x:+.6f}, {self.y:+.6f}, {self.z:+.6f})"
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def inverse(self) -> "Quaternion":
-        # unit quaternions only; callers validate norm
-        return self.conjugate()
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    @staticmethod
-    def one() -> "Quaternion":
-        return Quaternion(1.0)
-
-    @staticmethod
-    def i() -> "Quaternion":
-        return Quaternion(0.0, 1.0)
-
-    @staticmethod
-    def j() -> "Quaternion":
-        return Quaternion(0.0, 0.0, 1.0)
-
-    @staticmethod
-    def k() -> "Quaternion":
-        return Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -149,9 +96,10 @@ def _circle_powers(angle: float, count: int) -> np.ndarray:
     return np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=1)
 
 
-def generate_closure(tag: GroupType) -> list[Quaternion]:
-    """The elements of the group named by ``tag``, identity first, from the
-    classical closed forms of the finite subgroups of the unit quaternions:
+def generate_closure(tag: GroupType) -> np.ndarray:
+    """The elements of the group named by ``tag``, identity first, as the
+    rows (w, x, y, z) of a (k, 4) array, from the classical closed forms of
+    the finite subgroups of the unit quaternions:
 
     * cyclic n: the powers a^k of a = e^{2 pi i/n}, k = 0, ..., n - 1;
     * binary dihedral m: the a^k, then the a^k j, for a = e^{i pi/m},
@@ -166,15 +114,15 @@ def generate_closure(tag: GroupType) -> list[Quaternion]:
     if kind == GroupType.CYCLIC:
         if n is None or n < 1:
             raise InvalidParameter("cyclic groups need n >= 1")
-        rows = _circle_powers(2.0 * math.pi / n, n)
-    elif kind == GroupType.BINARY_DIHEDRAL:
+        return _circle_powers(2.0 * math.pi / n, n)
+    if kind == GroupType.BINARY_DIHEDRAL:
         if n is None or n < 2:
             raise InvalidParameter("binary dihedral groups need m >= 2")
         powers = _circle_powers(math.pi / n, 2 * n)
         # a^k j = cos(k pi/m) j + sin(k pi/m) k
-        rows = np.concatenate([powers, powers[:, [2, 3, 0, 1]]])
-    elif kind in (GroupType.BINARY_TETRAHEDRAL, GroupType.BINARY_OCTAHEDRAL,
-                  GroupType.BINARY_ICOSAHEDRAL):
+        return np.concatenate([powers, powers[:, [2, 3, 0, 1]]])
+    if kind in (GroupType.BINARY_TETRAHEDRAL, GroupType.BINARY_OCTAHEDRAL,
+                GroupType.BINARY_ICOSAHEDRAL):
         signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
         parts = [np.eye(4), -np.eye(4), 0.5 * signs]
         if kind == GroupType.BINARY_OCTAHEDRAL:
@@ -188,40 +136,29 @@ def generate_closure(tag: GroupType) -> list[Quaternion]:
             # the sign rows with a leading +1 leave the 0 entry unsigned
             values = signs[:8] * np.array([0.0, 1.0, 1.0 / _GOLDEN, _GOLDEN]) / 2.0
             parts.append(values[:, even].reshape(-1, 4))
-        rows = np.vstack(parts)
-    else:
-        raise InvalidParameter(f"no constructor for tag {tag!r}")
-    return [Quaternion(*row) for row in rows.tolist()]
+        return np.vstack(parts)
+    raise InvalidParameter(f"no constructor for tag {tag!r}")
 
 
 class FiniteQuaternionGroup:
-    """A finite group of unit quaternions with its exact multiplication table."""
+    """A finite group of unit quaternions, the rows (w, x, y, z) of the (k, 4)
+    array ``elements``, with its exact multiplication table."""
 
     def __init__(self, elements):
-        self.elements: list[Quaternion] = list(elements)
-        self._coords = np.array([(q.w, q.x, q.y, q.z) for q in self.elements]).reshape(-1, 4)
+        self.elements = np.asarray(elements, dtype=float).reshape(-1, 4)
         self._table: np.ndarray | None = None
-        self._identity = self.index_of(Quaternion.one())
-        if self._identity < 0:
+        to_one = np.max(np.abs(self.elements - (1.0, 0.0, 0.0, 0.0)), axis=1)
+        self.identity_index = int(np.argmin(to_one))
+        if not to_one[self.identity_index] <= _tol.CLOSURE:  # NaN rows fail too
             raise NotClosed("element list does not contain the identity")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity_index(self) -> int:
-        return self._identity
-
-    def index_of(self, q: Quaternion) -> int:
-        """Index of the element within ``_tol.CLOSURE`` of q, or -1."""
-        d = np.max(np.abs(self._coords - q.to_array()), axis=1)
-        idx = int(np.argmin(d))
-        return idx if d[idx] <= _tol.CLOSURE else -1
-
     def left_translation_matrices(self) -> np.ndarray:
         """(order, 4, 4) stack of the matrices of x -> q x, in element order."""
-        return _left_translation_stack(self._coords)
+        return left_translation_matrix(self.elements)
 
     def multiplication_table(self) -> np.ndarray:
         """table[i, j] = index of elements[i] * elements[j]; exact integers.
@@ -280,6 +217,19 @@ def _separated(flat: np.ndarray, keys: np.ndarray, order: np.ndarray) -> bool:
     return True
 
 
+def check_table_work(name: str, order: int, entries: int) -> None:
+    """Refuse (InvalidParameter) a list of ``order`` matrices of ``entries``
+    entries each when its Cayley table would score more than ``_TABLE_WORK``
+    product entries (order^2 products of ``entries`` entries).  Callers check
+    before they build the list."""
+    work = order * order * entries
+    if work > _TABLE_WORK:
+        raise InvalidParameter(
+            f"{name}: a Cayley table of {order} matrices of {entries} entries scores "
+            f"{work} product entries, more than {_TABLE_WORK}"
+        )
+
+
 def cayley_table(mats) -> np.ndarray:
     """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
     complex square matrices.
@@ -289,13 +239,15 @@ def cayley_table(mats) -> np.ndarray:
     pair; rows it leaves go to the nearest-element search ``_nearest_rows``.
     A table whose search scores at most ``_PAIRING_WORK`` terms (k^3 m, m
     entries per matrix) goes to the search whole: it costs less than the
-    pairing's fixed number of array passes.
+    pairing's fixed number of array passes.  A list past ``check_table_work``
+    is refused.
     """
     arr = np.ascontiguousarray(mats)
     if not np.iscomplexobj(arr):
         arr = arr.astype(float, copy=False)
     k = arr.shape[0]
     flat = arr.reshape(k, -1)
+    check_table_work("matrix list", k, flat.shape[1])
     table = np.empty((k, k), dtype=np.int64)
     unmatched = _pair_by_key(arr, flat, table) if k**3 * flat.shape[1] > _PAIRING_WORK else None
     _nearest_rows(arr, table, unmatched)
@@ -635,19 +587,17 @@ def is_sl25(group) -> bool:
 # orthogonal representations
 
 
-def _left_translation_stack(coords: np.ndarray) -> np.ndarray:
-    """(k, 4, 4) matrices of x -> q x for the rows q = (w, x, y, z) of coords."""
-    w, x, y, z = coords.T
-    norms = np.sqrt(w**2 + x**2 + y**2 + z**2)
+def left_translation_matrix(q) -> np.ndarray:
+    """Matrix of x -> q x on R^4 in the basis (1, i, j, k) for a unit
+    quaternion q = (w, x, y, z); it lies in SO(4).  A (k, 4) stack of
+    quaternions gives the (k, 4, 4) stack of their matrices."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    norms = np.atleast_1d(np.sqrt(w**2 + x**2 + y**2 + z**2))
     bad = np.nonzero(~(np.abs(norms - 1.0) <= _tol.ORTHOGONAL))[0]
     if bad.size:
         raise NonUnitInput(
             f"left translation needs a unit quaternion, norm {norms[bad[0]]:.12f}"
         )
     rows = [w, -x, -y, -z, x, w, -z, y, y, z, w, -x, z, -y, x, w]
-    return np.stack(rows, axis=-1).reshape(-1, 4, 4)
-
-
-def left_translation_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of x -> q x on R^4 in the basis (1, i, j, k); lies in SO(4)."""
-    return _left_translation_stack(q.to_array()[None])[0]
+    return np.stack(rows, axis=-1).reshape(q.shape[:-1] + (4, 4))

@@ -452,10 +452,9 @@ def catalog_verify(
 
     if entry_id == 1:
         from .constant_curvature import invariant_geodesic_check, is_clifford_sphere
-        from .finite_groups import Quaternion, left_translation_matrix
+        from .finite_groups import left_translation_matrix
 
-        q = Quaternion(np.cos(0.4), np.sin(0.4), 0.0, 0.0)
-        g = left_translation_matrix(q)
+        g = left_translation_matrix([np.cos(0.4), np.sin(0.4), 0.0, 0.0])
         ok, angle = is_clifford_sphere(g)
         x = np.array([1.0, 0.0, 0.0, 0.0])
         slide = ok and invariant_geodesic_check(g, x)

@@ -1,6 +1,7 @@
 """Reference constructions that tests compare the library against: an
-abstract SL(2, F_p) table, the right-translation and SU(2) images of a unit
-quaternion, and the fixed point of an inverted two-sided translation."""
+abstract SL(2, F_p) table, the scalar product of two quaternions, the
+right-translation and SU(2) images of a unit quaternion, and the fixed point
+of an inverted two-sided translation.  A quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
 
@@ -35,10 +36,24 @@ def special_linear_table(p: int) -> np.ndarray:
     return table
 
 
+def quaternion_product(p, q) -> np.ndarray:
+    """The Hamilton product p q, one coordinate at a time."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return np.array(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]
+    )
+
+
 def right_translation_matrix(q) -> np.ndarray:
     """Matrix of x -> x q on R^4 in the basis (1, i, j, k); lies in SO(4) for
     a unit quaternion q."""
-    w, x, y, z = q.w, q.x, q.y, q.z
+    w, x, y, z = q
     return np.array(
         [
             [w, -x, -y, -z],
@@ -51,12 +66,8 @@ def right_translation_matrix(q) -> np.ndarray:
 
 def su2_matrix(q) -> np.ndarray:
     """Standard 2-dimensional unitary embedding of a unit quaternion."""
-    return np.array(
-        [
-            [q.w + 1j * q.x, q.y + 1j * q.z],
-            [-q.y + 1j * q.z, q.w - 1j * q.x],
-        ]
-    )
+    w, x, y, z = q
+    return np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
 
 
 def inverted_fixed_point(spec, iso) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import jsonschema
 
 import homoglab
-from homoglab import _tol, cli
+from homoglab import _tol, cli, finite_groups
 from homoglab.cli import format_matrix, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
@@ -526,8 +526,10 @@ def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
         ["check-homogeneity", "--model", "s3", "--group", "cyclic-3", "--tol", "inf"],
         ["catalog", "show"],
         [],
+        ["check-clifford", "--model", "s3", "--group", "cyclic-2", "--samples", "1000000000"],
     ],
-    ids=["bad-int", "missing-option", "negative-seed", "nan-tol", "inf-tol", "bad-choice", "no-command"],
+    ids=["bad-int", "missing-option", "negative-seed", "nan-tol", "inf-tol", "bad-choice",
+         "no-command", "samples-too-large"],
 )
 def test_malformed_argv_exits_2_with_one_stderr_line(capsys, argv):
     assert main(argv) == 2
@@ -623,6 +625,9 @@ def test_construct_large_cyclic_group_quickly(capsys):
     check_schema(rep)
 
 
+_PAST_THE_BOUND = f"product entries, more than {finite_groups._TABLE_WORK}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -630,12 +635,14 @@ def test_construct_large_cyclic_group_quickly(capsys):
         ["check-free", "--model", "s3", "--group", "lens-40000-1-1"],
         ["check-homogeneity", "--model", "su2", "--group", "cyclic-20000"],
         ["construct", "--group", "cyclic-10001"],
+        ["check-homogeneity", "--model", "su12", "--group", "cyclic-833"],
     ],
-    ids=["homogeneity-lens", "free-lens", "su2-cyclic", "quaternion-cyclic"],
+    ids=["homogeneity-lens", "free-lens", "su2-cyclic", "quaternion-cyclic", "su12-cyclic"],
 )
 def test_a_deck_past_the_order_cap_exits_2_before_it_is_built(capsys, monkeypatch, argv):
-    """A named deck whose Cayley table would hold more than _MAX_ORDER
-    matrices (on su2, cyclic-N has 2N blocks) is refused by name."""
+    """A named deck whose Cayley table would score more than the bound of
+    finite_groups.check_table_work (k^2 m product entries; on suN, cyclic-K
+    has K N blocks of (2N)^2 entries) is refused by name."""
 
     def never(*args, **kwargs):
         raise AssertionError("a deck past the cap was built")
@@ -645,8 +652,68 @@ def test_a_deck_past_the_order_cap_exits_2_before_it_is_built(capsys, monkeypatc
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert str(cli._MAX_ORDER) in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {argv[-1]}: a Cayley table of ")
+    assert line.endswith(_PAST_THE_BOUND)
+
+
+def test_matrix_powers_past_the_table_bound_exit_2(capsys, tmp_path):
+    """check-free --matrix-file stops listing the powers of a rotation of
+    order 10 000 on s11 once their table would pass the bound."""
+    g = np.eye(12)
+    c, s = np.cos(2 * np.pi / 10_000), np.sin(2 * np.pi / 10_000)
+    g[:2, :2] = [[c, -s], [s, c]]
+    path = tmp_path / "order_10000.txt"
+    path.write_text(format_matrix(g))
+    assert main(["check-free", "--model", "s11", "--matrix-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: matrix powers: a Cayley table of 342 matrices of 144 entries")
+    assert line.endswith(_PAST_THE_BOUND)
+
+
+class _Checked(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "under,over",
+    [
+        (["construct", "--group", "cyclic-1024"], ["construct", "--group", "cyclic-1025"]),
+        (["construct", "--group", "binary-dihedral-256"],
+         ["construct", "--group", "binary-dihedral-257"]),
+        (["check-homogeneity", "--model", "s3", "--group", "lens-1024-1-1"],
+         ["check-homogeneity", "--model", "s3", "--group", "lens-1025-1-1"]),
+        (["check-free", "--model", "s11", "--group", "lens-341-1-1-1-1-1-1"],
+         ["check-free", "--model", "s11", "--group", "lens-342-1-1-1-1-1-1"]),
+        (["check-homogeneity", "--model", "su2", "--group", "cyclic-512"],
+         ["check-homogeneity", "--model", "su2", "--group", "cyclic-513"]),
+        (["check-homogeneity", "--model", "su12", "--group", "cyclic-14"],
+         ["check-homogeneity", "--model", "su12", "--group", "cyclic-15"]),
+        (["check-homogeneity", "--model", "sp12", "--group", "cyclic-42"],
+         ["check-homogeneity", "--model", "sp12", "--group", "cyclic-43"]),
+    ],
+    ids=["quaternion-cyclic", "binary-dihedral", "s3-lens", "s11-lens", "su2-cyclic",
+         "su12-cyclic", "sp12-cyclic"],
+)
+def test_the_largest_deck_under_the_table_bound_passes_its_check(monkeypatch, under, over):
+    """The CLI checks each named deck through check_table_work before it
+    builds it; the largest admitted deck of each kind passes, the next is
+    refused.  Neither is built."""
+    checked = []
+
+    def check_only(name, order, entries):
+        checked.append(order * order * entries)
+        finite_groups.check_table_work(name, order, entries)
+        raise _Checked
+
+    monkeypatch.setattr(cli, "check_table_work", check_only)
+    with pytest.raises(_Checked):
+        main(under)
+    assert main(over) == 2
+    under_work, over_work = checked
+    assert under_work <= finite_groups._TABLE_WORK < over_work
 
 
 def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch):

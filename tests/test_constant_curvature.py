@@ -42,7 +42,22 @@ def test_left_translations_are_clifford():
         ok, angle = is_clifford_sphere(left_translation_matrix(q))
         assert ok
         # displacement angle equals the quaternion's rotation angle arccos(w)
-        assert np.isclose(angle, np.arccos(np.clip(q.w, -1, 1)), atol=1e-12)
+        assert np.isclose(angle, np.arccos(np.clip(q[0], -1, 1)), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_constant_displacement_is_exact_near_0_and_pi(n):
+    """The constant angle of a rotation by theta in every plane, conjugated
+    at random, is theta to round-off, also near 0 and pi, where
+    arccos(trace(g) / n) is off by about sqrt(eps)."""
+    rng = np.random.default_rng(n)
+    for theta in (0.0, 1e-12, 1e-8, 1e-4, 1.0, np.pi - 1e-8, np.pi):
+        g = block_diag(*[rotation_block(theta)] * (n // 2))
+        q = haar_orthogonal(n, rng, size=50)
+        stack = q @ g @ np.swapaxes(q, 1, 2)
+        ok, angles = is_clifford_sphere(stack)
+        assert ok.all()
+        assert np.max(np.abs(angles - theta)) <= 1e-14, theta
 
 
 def test_unequal_angles_are_not_clifford():
@@ -183,10 +198,7 @@ def test_geodesic_slide_rejects_non_clifford(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_clifford_displacement_constant_everywhere(seed):
     rng = np.random.default_rng(seed)
-    q = haar_sphere(4, 1, rng)[0]
-    from homoglab.finite_groups import Quaternion
-
-    g = left_translation_matrix(Quaternion(*q))
+    g = left_translation_matrix(haar_sphere(4, 1, rng)[0])
     x, y = haar_sphere(4, 2, rng)
     assert np.isclose(_point_displacement(g, x), _point_displacement(g, y), atol=1e-12)
 
@@ -278,8 +290,7 @@ def test_hyperbolic_motion_validation():
 def clifford_oracle(g, tol=1e-9):
     angles = np.abs(np.angle(np.linalg.eigvals(g)))
     if angles.max() - angles.min() <= tol:
-        c = float(np.trace(g)) / g.shape[0]
-        return True, float(np.arccos(np.clip(c, -1.0, 1.0)))
+        return True, float(np.mean(angles))
     return False, None
 
 
@@ -408,12 +419,13 @@ def test_lens_groups_and_matrix_powers_share_one_power_closure(k, exps):
 
 def test_matrix_powers_refuse_an_infinite_cyclic_group():
     M = rotation_block(1.0)
-    for powers in (cyclic_powers, cyclic_closure_oracle):
-        with pytest.raises(InvalidParameter):
-            powers(M, limit=200)
-    # NaN never compares close to the identity: refused, not a group of one
     with pytest.raises(InvalidParameter):
-        cyclic_powers(np.full((2, 2), np.nan), limit=50)
+        cyclic_closure_oracle(M, limit=200)
+    # the powers stop where their Cayley table would pass check_table_work;
+    # NaN never compares close to the identity: refused, not a group of one
+    for M in (rotation_block(1.0), np.full((2, 2), np.nan)):
+        with pytest.raises(InvalidParameter, match="^matrix powers: a Cayley table of 2049 matrices"):
+            cyclic_powers(M)
 
 
 def scalar_displacement(matrix, z):

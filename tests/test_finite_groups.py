@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import lens_group
-from homoglab.errors import NotClosed
+from homoglab.errors import NonUnitInput, NotClosed
 from homoglab import finite_groups
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
-    Quaternion,
     cayley_table,
     check_space_form_constraints,
     classify,
@@ -28,7 +27,7 @@ from homoglab.finite_groups import (
     table_identity,
     table_inverses,
 )
-from oracles import right_translation_matrix, special_linear_table, su2_matrix
+from oracles import quaternion_product, right_translation_matrix, special_linear_table, su2_matrix
 
 ALL_TAGS = (
     [GroupType.cyclic(n) for n in range(1, 13)]
@@ -41,23 +40,26 @@ ALL_TAGS = (
 )
 
 
+ONE, I, J, K = np.eye(4)
+
+
 def _assert_same_quaternion(p, q, tol=1e-9):
-    assert np.max(np.abs(p.to_array() - q.to_array())) <= tol, (p, q)
+    assert np.max(np.abs(p - q)) <= tol, (p, q)
 
 
 def test_quaternion_units_multiply_like_ijk():
-    i, j, k = Quaternion.i(), Quaternion.j(), Quaternion.k()
-    _assert_same_quaternion(i * j, k)
-    _assert_same_quaternion(j * k, i)
-    _assert_same_quaternion(k * i, j)
-    _assert_same_quaternion(i * i, -Quaternion.one())
-    _assert_same_quaternion(i * j * k, -Quaternion.one())
+    mul = quaternion_product
+    _assert_same_quaternion(mul(I, J), K)
+    _assert_same_quaternion(mul(J, K), I)
+    _assert_same_quaternion(mul(K, I), J)
+    _assert_same_quaternion(mul(I, I), -ONE)
+    _assert_same_quaternion(mul(mul(I, J), K), -ONE)
 
 
 def test_q8_exact_element_set():
     # binary dihedral with m = 2 is the quaternion group {+-1, +-i, +-j, +-k}
     g = named_binary_group(GroupType.binary_dihedral(2))
-    got = sorted(tuple(np.round(q.to_array(), 9)) for q in g.elements)
+    got = sorted(tuple(np.round(q, 9)) for q in g.elements)
     want = sorted(
         tuple(v)
         for v in [
@@ -155,7 +157,7 @@ def test_translation_matrices_are_orthogonal_homomorphisms():
         assert np.allclose(R @ R.T, np.eye(4), atol=1e-12)
         for b in g.elements[:6]:
             assert np.allclose(
-                left_translation_matrix(a * b),
+                left_translation_matrix(quaternion_product(a, b)),
                 left_translation_matrix(a) @ left_translation_matrix(b),
                 atol=1e-12,
             )
@@ -165,12 +167,24 @@ def test_translation_matrices_are_orthogonal_homomorphisms():
     assert np.allclose(La @ Rb, Rb @ La, atol=1e-12)
 
 
+def test_left_translation_takes_one_row_or_a_stack():
+    g = named_binary_group(GroupType.binary_octahedral())
+    stack = left_translation_matrix(g.elements)
+    assert stack.shape == (48, 4, 4)
+    assert np.array_equal(stack, np.stack([left_translation_matrix(q) for q in g.elements]))
+    assert g.identity_index == 0 and np.array_equal(stack[0], np.eye(4))
+    with pytest.raises(NonUnitInput, match="norm 1.100000000000"):
+        left_translation_matrix(np.concatenate([g.elements, [[1.1, 0.0, 0.0, 0.0]]]))
+    with pytest.raises(NotClosed, match="identity"):
+        FiniteQuaternionGroup(g.elements[1:2])
+
+
 def test_su2_embedding_preserves_products():
     g = named_binary_group(GroupType.binary_tetrahedral())
     for a in g.elements[:8]:
         for b in g.elements[:8]:
             assert np.allclose(
-                su2_matrix(a * b), su2_matrix(a) @ su2_matrix(b), atol=1e-12
+                su2_matrix(quaternion_product(a, b)), su2_matrix(a) @ su2_matrix(b), atol=1e-12
             )
 
 
@@ -197,7 +211,8 @@ def test_transpose_conjugacy_in_su2_embedding():
 def test_associativity_on_icosians(i, j, k):
     g = named_binary_group(GroupType.binary_icosahedral())
     a, b, c = g.elements[i], g.elements[j], g.elements[k]
-    _assert_same_quaternion((a * b) * c, a * (b * c), tol=1e-12)
+    mul = quaternion_product
+    _assert_same_quaternion(mul(mul(a, b), c), mul(a, mul(b, c)), tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +449,10 @@ def bfs_closure(generators):
     """Breadth-first closure of unit quaternions one product at a time, each
     looked up by a linear max-abs scan over the elements found so far."""
     gens = list(generators)
-    elements = [Quaternion.one()]
-    coords = [elements[0].to_array()]
+    elements = [ONE]
 
     def find(q):
-        d = np.max(np.abs(np.asarray(coords) - q.to_array()), axis=1)
+        d = np.max(np.abs(np.asarray(elements) - q), axis=1)
         idx = int(np.argmin(d))
         return idx if d[idx] <= 1e-9 else -1
 
@@ -446,7 +460,6 @@ def bfs_closure(generators):
     for g in gens:
         if find(g) < 0:
             elements.append(g)
-            coords.append(g.to_array())
             frontier.append(g)
     if not frontier:
         frontier = list(elements)
@@ -454,30 +467,33 @@ def bfs_closure(generators):
         new = []
         for q in frontier:
             for g in gens:
-                p = q * g
+                p = quaternion_product(q, g)
                 if find(p) < 0:
                     elements.append(p)
-                    coords.append(p.to_array())
                     new.append(p)
         frontier = new
     return elements
 
 
-_OMEGA = Quaternion(0.5, 0.5, 0.5, 0.5)
+_OMEGA = np.full(4, 0.5)
+
+
+def _circle(angle):
+    return np.array([np.cos(angle), np.sin(angle), 0.0, 0.0])
 
 
 def closure_generators(tag):
     """Classical generators of each named group."""
     if tag.kind == GroupType.CYCLIC:
-        return [Quaternion(np.cos(2 * np.pi / tag.param), np.sin(2 * np.pi / tag.param))]
+        return [_circle(2 * np.pi / tag.param)]
     if tag.kind == GroupType.BINARY_DIHEDRAL:
-        return [Quaternion(np.cos(np.pi / tag.param), np.sin(np.pi / tag.param)), Quaternion.j()]
+        return [_circle(np.pi / tag.param), J]
     if tag.kind == GroupType.BINARY_TETRAHEDRAL:
-        return [_OMEGA, Quaternion.i()]
+        return [_OMEGA, I]
     if tag.kind == GroupType.BINARY_OCTAHEDRAL:
-        return [_OMEGA, Quaternion.i(), Quaternion(np.sqrt(0.5), np.sqrt(0.5))]
+        return [_OMEGA, I, np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])]
     golden = (1 + np.sqrt(5)) / 2
-    return [_OMEGA, Quaternion(golden / 2, 1 / (2 * golden), 0.5, 0.0)]
+    return [_OMEGA, np.array([golden / 2, 1 / (2 * golden), 0.5, 0.0])]
 
 
 CLOSURE_TAGS = (
@@ -495,8 +511,8 @@ CLOSURE_TAGS = (
 def test_closed_forms_equal_the_closure_of_generators(tag):
     """Each closed-form list is the breadth-first closure of the group's
     generators as a set, element for element within 1e-14, identity first."""
-    got = np.array([q.to_array() for q in generate_closure(tag)])
-    want = np.array([q.to_array() for q in bfs_closure(closure_generators(tag))])
+    got = generate_closure(tag)
+    want = np.array(bfs_closure(closure_generators(tag)))
     assert len(got) == len(want) == tag.expected_order()
     assert np.array_equal(got[0], [1.0, 0.0, 0.0, 0.0])
     near = np.max(np.abs(got[:, None] - want[None]), axis=2) <= 1e-14

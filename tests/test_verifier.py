@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoglab.cli import group_manifold_deck
+from homoglab.cli import group_manifold_deck, sphere_group_matrices
 from homoglab._linalg import _vec, null_space, rank_rel
 from homoglab.compact_lie import (
     CompactGroupSpec,
@@ -319,6 +319,59 @@ def test_left_translation_decks_stay_free(spec, name):
     report = verify_instance(deck, config=VerifyConfig(samples=10))
     assert report.free and report.free_offender is None
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
+
+
+# ---------------------------------------------------------------------------
+# conjugation invariance
+
+
+def _same_verdict(a, b):
+    a, b = a.to_json_dict(), b.to_json_dict()
+    for key in ("verdict", "free", "centralizer_dim"):
+        assert a[key] == b[key], key
+
+
+@pytest.mark.parametrize(
+    "model,name",
+    [("s3", "binary-icosahedral"), ("s3", "binary-dihedral-3"), ("s3", "lens-7-1-2"),
+     ("s5", "lens-9-1-2-4"), ("s7", "lens-12-1-1-1-1")],
+)
+def test_conjugating_a_sphere_deck_keeps_its_verdict(model, name):
+    """h G h^-1, for h a random rotation, is the same quotient moved by an
+    isometry: the verdict, freeness and centralizer dimension do not change.
+    (The rank at the base point may: lens-7-1-2 has rank 1 or 2 depending on
+    the point, so min_rank is not compared.)"""
+    n = int(model[1:]) + 1
+    mats = np.asarray(sphere_group_matrices(name, n))
+    h = haar_sample(CompactGroupSpec("SO", n), np.random.default_rng(n))
+    _same_verdict(verify_instance(sphere_deck(mats)),
+                  verify_instance(sphere_deck(h @ mats @ h.T)))
+
+
+def _fixing_deck(spec, name):
+    """x -> g^-k x g^k: every element fixes the identity."""
+    return [TwoSidedIsometry(iso.g1, iso.g1) for iso in group_manifold_deck(spec, name)]
+
+
+@pytest.mark.parametrize(
+    "spec,name,build",
+    [(SU2, "center", group_manifold_deck), (SU2, "cyclic-3", group_manifold_deck),
+     (CompactGroupSpec("SO", 3), "cyclic-3", group_manifold_deck),
+     (CompactGroupSpec("SO", 4), "cyclic-3", group_manifold_deck),
+     (CompactGroupSpec("SU", 3), "cyclic-3", group_manifold_deck),
+     (CompactGroupSpec("Sp", 2), "cyclic-3", group_manifold_deck),
+     (CompactGroupSpec("SU", 3), "cyclic-3", _fixing_deck)],
+    ids=["su2-center", "su2-cyclic-3", "so3-cyclic-3", "so4-cyclic-3", "su3-cyclic-3",
+         "sp2-cyclic-3", "su3-fixing"],
+)
+def test_conjugating_a_group_deck_keeps_its_verdict(spec, name, build):
+    """(g1, g2) -> (h g1 h^-1, k g2 k^-1) is conjugation by the isometry
+    x -> h x k^-1, for any h and k in the group."""
+    isos = build(spec, name)
+    h, k = haar_sample(spec, np.random.default_rng(spec.matrix_size), size=2)
+    moved = [TwoSidedIsometry(h @ iso.g1 @ h.conj().T, k @ iso.g2 @ k.conj().T) for iso in isos]
+    _same_verdict(verify_instance(group_deck(spec, isos)),
+                  verify_instance(group_deck(spec, moved)))
 
 
 # ---------------------------------------------------------------------------
