@@ -4,7 +4,9 @@ Constant-displacement isometries of round spheres
 
 The eigen-angle test: an orthogonal map moves every point of the sphere
 by the same angle exactly when all its eigenvalues share one angle |arg λ|.
-Lens-space generators show both outcomes.
+Lens-space generators show both outcomes.  The exact displacement range over
+the sphere, from the singular values of I - g and I + g, contains every
+sampled displacement.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from homoglab import (
     is_free_on_sphere,
     lens_group,
     sphere_displacement_profile,
+    sphere_displacement_range,
 )
 
 rng = np.random.default_rng(0)
@@ -30,6 +33,8 @@ bad = lens_group(5, (1, 2))[1]
 ok, _ = is_clifford_sphere(bad)
 prof = sphere_displacement_profile(bad, 2000, rng)
 print(f"lens(5;1,2) generator constant displacement: {ok}")
+lo, hi = sphere_displacement_range(bad)
+print(f"  exact displacement range   [{lo:.4f}, {hi:.4f}], gap {hi - lo:.4f}")
 print(f"  sampled displacement range [{prof.min:.4f}, {prof.max:.4f}], gap {prof.gap:.4f}")
 
 # both cyclic groups act freely -- fixed points would need a +1 eigenvalue

@@ -32,9 +32,9 @@ BASIS = 1e-9
 CENTRAL = 1e-7
 # a norm, an angle, a determinant error or a whole matrix vanishes ("zero")
 ZERO = 1e-12
-# the default --tol: largest freeness distance and largest gap of the sampled
-# forward re-check ("displacement"), or largest relative Killing length gap
-# (check-killing, catalog 15; "relative_gap")
+# the default --tol: largest freeness distance and largest displacement spread
+# of the forward re-check ("displacement"), or largest relative Killing length
+# gap (check-killing, catalog 15; "relative_gap")
 DISPLACEMENT = 1e-7
 # catalog entry 10: no sampled Killing field of SO(5)/SO(3) has constant
 # length, every relative gap exceeds this ("min_relative_gap")

@@ -336,7 +336,7 @@ def _cmd_check_clifford(args, rng):
         mats = sphere_group_matrices(args.group, model.ambient_dim)
         inputs["group"] = args.group
         tolerances["closure"] = _tol.CLOSURE
-    constant, values = clifford_evidence(mats, args.samples, rng)
+    constant, values = clifford_evidence(mats)
     elements = [
         {"id": i, "constant": bool(c), "value": float(v)}
         for i, (c, v) in enumerate(zip(constant, values))
@@ -561,7 +561,9 @@ def _tolerance(text: str) -> float:
 
 def _add_common(p: argparse.ArgumentParser, samples: bool = False, tol: bool = False) -> None:
     """--seed and --output on every subcommand; --samples and --tol only where
-    the subcommand reads them, so a flag it would ignore is refused."""
+    the subcommand reads them, so a flag it would ignore is refused.  The one
+    exception: check-clifford and check-homogeneity draw no points but still
+    take and range-check --samples, which existing scripts pass them."""
     # None: main reads HOMOGLAB_SEED on each call, not once per parser
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", type=str, default=None)

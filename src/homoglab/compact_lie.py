@@ -15,7 +15,11 @@ form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
 Constant displacement of a two-sided translation is decided exactly, ideal by
 simple ideal (``clifford_wolf_evidence``), and its least displacement is in
 closed form (``min_displacement``): a conjugacy-class distance, or zero at an
-explicit fixed point for an inverted map.  Sampled profiles only measure.
+explicit fixed point for an inverted map.  The spread of a non-constant map is
+that least value against the largest displacement at a fixed set of points,
+the identity and the turns exp(pi/2 b) of the algebra basis: a deterministic
+lower bound on the true spread, attained at named points.  Sampled profiles
+only measure.
 """
 
 from __future__ import annotations
@@ -405,7 +409,8 @@ def _pfaffian(A: np.ndarray) -> float:
 
 
 def _alcove_point(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
-    """Torus angles of g's conjugacy class, in a closed fundamental alcove.
+    """Torus angles of g's conjugacy class, in a closed fundamental alcove;
+    one row per matrix of a stack g.
 
     SU(n): the minimal traceless lift of the eigen-angles, sorted descending.
     SO and Sp: one angle in [0, pi] per rotation plane, sorted descending; on
@@ -415,14 +420,15 @@ def _alcove_point(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
     """
     theta = np.angle(np.linalg.eigvals(g))
     if spec.family == SPECIAL_UNITARY:
-        return np.sort(_branch_shift_su(theta))[::-1]
+        return np.sort(_branch_shift_su(theta), axis=-1)[..., ::-1]
     planes = spec.matrix_size // 2
     # eigenvalues pair as exp(+-i phi); SO(2m+1) adds one eigenvalue 1 (phi = 0)
-    phi = np.sort(np.abs(theta))[::-1][: 2 * planes].reshape(planes, 2).mean(axis=1)
+    phi = np.sort(np.abs(theta), axis=-1)[..., ::-1][..., : 2 * planes]
+    phi = phi.reshape(phi.shape[:-1] + (planes, 2)).mean(axis=-1)
     if spec.family == SPECIAL_ORTHOGONAL and spec.n % 2 == 0:
-        g = np.real(g)
-        if (-1) ** planes * _pfaffian(g - g.T) < 0.0:
-            phi[-1] = -phi[-1]
+        g = np.real(g).reshape(-1, spec.n, spec.n)
+        pf = np.array([_pfaffian(m - m.T) for m in g]).reshape(phi.shape[:-1])
+        phi[..., -1] = np.where((-1) ** planes * pf < 0.0, -phi[..., -1], phi[..., -1])
     return phi
 
 
@@ -439,17 +445,23 @@ def conjugacy_class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarra
     angle lattice is the full 2 pi Z^m, which on SO(2m) adds the symmetry
     (phi_1, ..., phi_m) -> (2 pi - phi_1, phi_2, ..., -phi_m) of the alcove.
     """
-    x = _alcove_point(spec, check_in_group(spec, a))
-    y = _alcove_point(spec, check_in_group(spec, b))
-    d = np.linalg.norm(x - y)
+    return float(_class_distance(spec, check_in_group(spec, a), check_in_group(spec, b)))
+
+
+def _class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``conjugacy_class_distance`` of two group elements, or of the members
+    of two stacks, unchecked."""
+    x = _alcove_point(spec, a)
+    y = _alcove_point(spec, b)
+    d = np.linalg.norm(x - y, axis=-1)
     if spec.family == SPECIAL_UNITARY:
-        return float(d)
+        return d
     if spec.family == SPECIAL_ORTHOGONAL and spec.n % 2 == 0:
         y_shift = y.copy()
-        y_shift[0], y_shift[-1] = 2.0 * np.pi - y[0], -y[-1]
-        d = min(d, np.linalg.norm(x - y_shift))
+        y_shift[..., 0], y_shift[..., -1] = 2.0 * np.pi - y[..., 0], -y[..., -1]
+        d = np.minimum(d, np.linalg.norm(x - y_shift, axis=-1))
     # each rotation plane appears twice in the defining representation
-    return float(np.sqrt(2.0) * d)
+    return np.sqrt(2.0) * d
 
 
 def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
@@ -536,10 +548,11 @@ class TwoSidedIsometry:
     inverted: bool = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Image of the point x, or of each point of a stack x."""
+        """Image of the point x, or of each point of a stack x; stacked
+        factors broadcast against the points."""
         if self.inverted:
             return self.g1 @ _adjoint(x) @ self.g2
-        return self.g1.conj().T @ x @ self.g2
+        return _adjoint(self.g1) @ x @ self.g2
 
 
 def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
@@ -580,12 +593,12 @@ def group_displacement_profile(
     return DisplacementProfile.from_values(np.concatenate(vals))
 
 
-def clifford_wolf_evidence(spec: CompactGroupSpec, isos, samples: int, rng: np.random.Generator):
+def clifford_wolf_evidence(spec: CompactGroupSpec, isos):
     """Per-element constancy and its evidence for a list of two-sided
     translations, the group-manifold twin of
     ``constant_curvature.clifford_evidence``: a boolean array, and an array
-    holding the displacement d(g1, g2) where it is constant and the sampled gap
-    where it is not.  Only the non-constant elements draw points, in list order.
+    holding the displacement d(g1, g2) where it is constant and the spread
+    hi - lo of its displacement range where it is not.  No point is drawn.
 
     x -> g1^{-1} x g2 has constant displacement iff, on every simple ideal of
     the Lie algebra, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
@@ -595,18 +608,55 @@ def clifford_wolf_evidence(spec: CompactGroupSpec, isos, samples: int, rng: np.r
     fixes a point, so it is never constant.
     """
     isos = list(isos)
-    g1 = check_in_group(spec, [iso.g1 for iso in isos])
-    g2 = check_in_group(spec, [iso.g2 for iso in isos])
+    d = spec.matrix_size
+    pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
+    inverted = np.array([iso.inverted for iso in isos], dtype=bool)
+    return _clifford_wolf(spec, pairs.reshape(-1, 2, d, d), inverted)
+
+
+def _clifford_wolf(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray):
+    """``clifford_wolf_evidence`` of the maps given as a checked (k, 2, d, d)
+    stack of factor pairs (g1, g2) and k inverted flags."""
     B = _simple_ideals(spec)
-    g = np.stack([g1, g2], axis=1)[:, :, None, None]
+    g = pairs[:, :, None, None]
     # fixes[k, s, i]: Ad of side s of element k is the identity on ideal i
     fixes = np.max(np.abs(g @ B - B @ g), axis=(-3, -2, -1)) <= _tol.CENTRAL
-    inverted = np.array([iso.inverted for iso in isos])
     constant = np.all(np.any(fixes, axis=1), axis=1) & ~inverted
-    values = np.sqrt(np.sum(minimal_angles(spec, _adjoint(g1) @ g2) ** 2, axis=-1))
-    for k in np.nonzero(~constant)[0]:
-        values[k] = group_displacement_profile(spec, isos[k], samples, rng).gap
+    values = np.sqrt(np.sum(minimal_angles(spec, _adjoint(pairs[:, 0]) @ pairs[:, 1]) ** 2, axis=-1))
+    moving = np.nonzero(~constant)[0]
+    if moving.size:
+        lo, hi = _translation_ranges(spec, pairs[moving], inverted[moving])
+        values[moving] = hi - lo
     return constant, values
+
+
+@lru_cache(maxsize=None)
+def _range_points(spec: CompactGroupSpec) -> np.ndarray:
+    """The identity and the turns exp(pi/2 b), b in ``algebra_basis(spec)``,
+    as one (1 + dim, d, d) stack: the points at which ``_translation_ranges``
+    reads the largest displacement."""
+    turns = [group_exp(0.5 * np.pi * b) for b in algebra_basis(spec)]
+    return np.stack([spec.identity()] + turns)
+
+
+def _translation_ranges(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray):
+    """Least and greatest displacement of each map of a checked (k, 2, d, d)
+    pair stack, as two arrays.  The least is the closed form of
+    ``min_displacement``; the greatest is the largest displacement at the
+    points of ``_range_points``, one stacked evaluation per kind of map, and
+    never below the least.  Both are attained, so hi - lo is a lower bound on
+    the spread of the displacement, zero for a constant map."""
+    lo = _class_distance(spec, pairs[:, 0], pairs[:, 1])
+    for k in np.nonzero(inverted)[0]:
+        lo[k] = _least_displacement(spec, *pairs[k], True)
+    hi = np.empty_like(lo)
+    points = _range_points(spec)
+    for flag in (False, True):
+        sel = inverted == flag
+        if sel.any():
+            iso = TwoSidedIsometry(pairs[sel, 0, None], pairs[sel, 1, None], flag)
+            hi[sel] = np.max(_displacement(spec, iso, points), axis=-1)
+    return lo, np.maximum(hi, lo)
 
 
 def min_displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> float:
@@ -617,8 +667,13 @@ def min_displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> float:
     y = exp(log(g1 g2^{-1}) / 2) is one such square root, and the value is
     the displacement at its point, zero up to rounding.
     """
-    if not iso.inverted:
-        return conjugacy_class_distance(spec, iso.g1, iso.g2)
     g1, g2 = check_in_group(spec, [iso.g1, iso.g2])
+    return _least_displacement(spec, g1, g2, iso.inverted)
+
+
+def _least_displacement(spec: CompactGroupSpec, g1, g2, inverted: bool) -> float:
+    """``min_displacement`` of the map with checked factors g1, g2."""
+    if not inverted:
+        return float(_class_distance(spec, g1, g2))
     y = group_exp(0.5 * group_log(spec, g1 @ g2.conj().T))
-    return float(_displacement(spec, iso, y @ g2))
+    return float(_displacement(spec, TwoSidedIsometry(g1, g2, True), y @ g2))

@@ -2,9 +2,10 @@
 
 Spheres get the exact eigen-angle test for constant displacement (the
 eigenvalues of an orthogonal map share one angle |arg λ| iff the displacement
-arccos<x, gx> is the same at every point), a sampling oracle for
-cross-checking, freeness tests, lens group constructors, and a geodesic
-invariance check.  Flat space and the hyperbolic plane get boundedness
+arccos<x, gx> is the same at every point), the exact range of the
+displacement over the sphere from two singular-value calls, a sampling
+oracle for cross-checking, freeness tests, lens group constructors, and a
+geodesic invariance check.  Flat space and the hyperbolic plane get boundedness
 probes: a Euclidean motion has bounded displacement iff its linear part is
 the identity, and a hyperbolic isometry iff it is +-I.
 
@@ -116,17 +117,40 @@ def is_clifford_sphere(g: np.ndarray):
     return (True, float(angle[0])) if ok[0] else (False, None)
 
 
-def clifford_evidence(g: np.ndarray, samples: int, rng: np.random.Generator):
+def sphere_displacement_range(g: np.ndarray):
+    """Exact least and greatest displacement of an orthogonal map over the
+    unit sphere, each attained at an eigenvector of its symmetric part S.
+
+    At a unit x, |x - gx|^2 = 2 - 2 x^T S x and |x + gx|^2 = 2 + 2 x^T S x, so
+    the least |x - gx|, the least singular value of I - g, comes with the
+    greatest |x + gx|, the greatest singular value of I + g, and the other way
+    round.  Both ends are Kahan's 2 atan2(|x - gx|, |x + gx|), as in
+    ``_angles``, from two batched singular-value calls, and equal the least
+    and greatest eigen-angle |arg λ| of g.  One matrix gives (lo, hi) as
+    floats, a stack two arrays.
+    """
+    stack = _orthogonal_stack(g)
+    eye = np.eye(stack.shape[-1])
+    minus = np.linalg.svd(eye - stack, compute_uv=False)  # descending
+    plus = np.linalg.svd(eye + stack, compute_uv=False)
+    lo = 2.0 * np.arctan2(minus[:, -1], plus[:, 0])
+    hi = 2.0 * np.arctan2(minus[:, 0], plus[:, -1])
+    if np.ndim(g) == 2:
+        return float(lo[0]), float(hi[0])
+    return lo, hi
+
+
+def clifford_evidence(g: np.ndarray):
     """Per-matrix constancy and its evidence, for one matrix or a stack: a
     boolean array from ``is_clifford_sphere``, and an array holding the
-    displacement angle where it is constant and the sampled gap where it is
-    not.  Only the non-constant matrices draw points, in stack order."""
+    displacement angle where it is constant and the exact spread hi - lo of
+    ``sphere_displacement_range`` where it is not.  No point is drawn."""
     stack = _orthogonal_stack(g)
     constant, values = is_clifford_sphere(stack)
     moving = np.nonzero(~constant)[0]
     if moving.size:
-        profiles = sphere_displacement_profile(stack[moving], samples, rng)
-        values[moving] = [p.gap for p in profiles]
+        lo, hi = sphere_displacement_range(stack[moving])
+        values[moving] = hi - lo
     return constant, values
 
 

@@ -14,6 +14,12 @@ closed; an orbit is open, hence all of the connected manifold, exactly when
 the centralizer fields span the tangent space at one of its points.  The
 pipeline therefore takes the rank at the base point only (e_1 on a sphere, the
 identity on a group manifold).
+
+No point is drawn.  Constant displacement is decided exactly on both models,
+and the evidence of a non-constant element and the forward re-check read
+deterministic displacement ranges: the exact range over the sphere, and on a
+group manifold the closed-form least displacement against the largest one at
+a fixed set of points.
 """
 
 from __future__ import annotations
@@ -28,18 +34,18 @@ from ._linalg import _vec, null_space, rank_rel
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
+    _class_distance,
+    _clifford_wolf,
+    _translation_ranges,
     algebra_basis,
     center_elements,
     check_in_group,
-    clifford_wolf_evidence,
-    conjugacy_class_distance,
-    group_displacement_profile,
     is_identity_isometry,
 )
 from .constant_curvature import (
     clifford_evidence,
     is_free_on_sphere,
-    sphere_displacement_profile,
+    sphere_displacement_range,
 )
 from .errors import (
     EmptyAmbient,
@@ -256,6 +262,10 @@ def transitivity_rank(Z_basis, model):
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """``seed`` is recorded in the report.  ``samples`` is range-checked but
+    read by nothing: the pipeline draws no points.  ``tol`` is the largest
+    freeness distance and forward re-check spread."""
+
     seed: int = 0
     samples: int = 200
     tol: float = _tol.DISPLACEMENT
@@ -271,7 +281,9 @@ class VerifyConfig:
 class ElementEvidence:
     element_id: int
     constant: bool
-    value: float  # exact displacement when constant, sampled gap when not
+    # exact displacement when constant; when not, the spread hi - lo of the
+    # exact sphere range, or of the attained group-manifold range
+    value: float
 
 
 @dataclass(frozen=True)
@@ -330,10 +342,10 @@ def verdict_from_evidence(free: bool, all_constant: bool, min_rank: int, dim: in
 def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> HomogeneityReport:
     """Run the full pipeline on the deck's model: freeness, constant
     displacement per element, centralizer computation, transitivity rank, and
-    the forward re-check."""
+    the forward re-check of a witness, which raises InvariantViolated when
+    some element's displacement range is wider than ``config.tol``."""
     model = deck.model
     config = config if config is not None else VerifyConfig()
-    rng = np.random.default_rng(config.seed)
 
     # every named tolerance that can change the verdict
     tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
@@ -343,24 +355,26 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         freeness = is_free_on_sphere(deck.matrices, table=deck.table)
         free = freeness.free
         free_offender = freeness.offender
-        constant, values = clifford_evidence(deck.matrices, config.samples, rng)
+        constant, values = clifford_evidence(deck.matrices)
         ambient = sphere_ambient_basis(model.ambient_dim)
     else:
         tolerances["central"] = _tol.CENTRAL
         spec = model.spec
+        pairs = deck.matrices  # checked once, when the deck was built
         # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate; its
         # least displacement is the distance between their classes
+        least = _class_distance(spec, pairs[:, 0], pairs[:, 1])
         free_offender = next(
             (
                 i
                 for i, iso in enumerate(deck.elements)
-                if not is_identity_isometry(spec, iso)
-                and conjugacy_class_distance(spec, iso.g1, iso.g2) <= config.tol
+                if least[i] <= config.tol and not is_identity_isometry(spec, iso)
             ),
             None,
         )
         free = free_offender is None
-        constant, values = clifford_wolf_evidence(spec, deck.elements, config.samples, rng)
+        inverted = np.zeros(deck.order, dtype=bool)  # decks hold translations only
+        constant, values = _clifford_wolf(spec, pairs, inverted)
         ambient = group_ambient_basis(spec)
     elements = tuple(
         ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
@@ -374,13 +388,10 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     forward_max_gap = None
     if verdict == HOMOGENEOUS_WITNESS_FOUND:
         if isinstance(model, SphereModel):
-            profiles = sphere_displacement_profile(deck.matrices, config.samples, rng)
+            lo, hi = sphere_displacement_range(deck.matrices)
         else:
-            profiles = [
-                group_displacement_profile(model.spec, iso, config.samples, rng)
-                for iso in deck.elements
-            ]
-        forward_max_gap = float(max(p.gap for p in profiles))
+            lo, hi = _translation_ranges(spec, pairs, inverted)
+        forward_max_gap = float(np.max(hi - lo))
         if forward_max_gap > config.tol:
             raise InvariantViolated(
                 "forward consistency violated: full rank but displacement gap "

@@ -118,6 +118,24 @@ def test_determinism_modulo_wall_time(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check-homogeneity", "--model", "s5", "--group", "lens-9-1-2-4"],
+     ["check-homogeneity", "--model", "so4", "--group", "cyclic-3"],
+     ["check-clifford", "--model", "s3", "--group", "lens-7-1-2"]],
+    ids=["sphere-pipeline", "group-pipeline", "check-clifford"],
+)
+def test_seed_and_samples_do_not_move_a_drawless_report(capsys, argv):
+    """check-homogeneity and check-clifford draw no point: --seed is only
+    recorded, and --samples is range-checked and otherwise unread."""
+    _, a = run_cli(capsys, *argv, "--seed", "1", "--samples", "10")
+    _, b = run_cli(capsys, *argv, "--seed", "2", "--samples", "5000")
+    for rep, seed in ((a, 1), (b, 2)):
+        assert rep.pop("seed") == rep["evidence"].pop("seed", seed) == seed
+        rep.pop("wall_time_ms")
+    assert a == b
+
+
 def test_seed_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("HOMOGLAB_SEED", "777")
     _, rep = run_cli(capsys, "check-free", "--model", "s3", "--group", "cyclic-4")
@@ -184,7 +202,7 @@ def test_every_report_records_its_deciding_tolerances(capsys):
     + [("s7", "lens-12-1-1-1-1")],
 )
 def test_sphere_witness_holds_at_a_tight_tolerance(capsys, model, group):
-    """The sampled forward re-check of a Clifford-Wolf deck stays at round-off,
+    """The exact forward re-check of a Clifford-Wolf deck stays at round-off,
     far below 1e-10, near displacement 0 and pi too."""
     code, rep = run_cli(capsys, "check-homogeneity", "--model", model, "--group", group,
                         "--samples", "200", "--tol", "1e-10")
@@ -716,16 +734,24 @@ def test_the_largest_deck_under_the_table_bound_passes_its_check(monkeypatch, un
     assert under_work <= finite_groups._TABLE_WORK < over_work
 
 
-def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch):
+def _wide_ranges(*args):
+    """A displacement range of spread 1 for every element."""
+    k = len(args[-1])
+    return np.zeros(k), np.ones(k)
+
+
+@pytest.mark.parametrize(
+    "kernel,model,group",
+    [("sphere_displacement_range", "s3", "binary-icosahedral"),
+     ("_translation_ranges", "su2", "center")],
+    ids=["sphere", "group"],
+)
+def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch, kernel, model, group):
     """A failed internal consistency check is refused like a usage error."""
     from homoglab import verifier
-    from homoglab.profiles import DisplacementProfile
 
-    def drifting_profile(spec, iso, samples, rng):
-        return DisplacementProfile.from_values(np.linspace(0.0, 1.0, samples))
-
-    monkeypatch.setattr(verifier, "group_displacement_profile", drifting_profile)
-    argv = ["check-homogeneity", "--model", "su2", "--group", "center", "--samples", "10"]
+    monkeypatch.setattr(verifier, kernel, _wide_ranges)
+    argv = ["check-homogeneity", "--model", model, "--group", group]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -32,6 +32,7 @@ from homoglab.compact_lie import (
     symplectic_structure,
     translation_displacement,
 )
+from homoglab._tol import DISPLACEMENT
 from homoglab.errors import InvalidParameter, NotInGroup
 from homoglab.profiles import DisplacementProfile
 from oracles import inverted_fixed_point
@@ -281,14 +282,14 @@ def test_center_elements(rng):
     g = haar_sample(SU3, rng)
     isos = [TwoSidedIsometry(z, g) for z in center_elements(SU3)]
     isos += [TwoSidedIsometry(g, z) for z in center_elements(SU3)]
-    constant, _ = clifford_wolf_evidence(SU3, isos, 10, rng)
+    constant, _ = clifford_wolf_evidence(SU3, isos)
     assert constant.all()
 
 
 def test_haar_pairs_are_not_constant(rng):
     # Haar samples are almost surely not central, so the pair is not constant
     isos = [TwoSidedIsometry(haar_sample(SU3, rng), haar_sample(SU3, rng)) for _ in range(4)]
-    constant, gaps = clifford_wolf_evidence(SU3, isos, 50, rng)
+    constant, gaps = clifford_wolf_evidence(SU3, isos)
     assert not constant.any()
     assert (gaps > 1e-3).all()
 
@@ -313,7 +314,8 @@ def test_left_translation_displacement_is_constant(rng):
 
 def test_clifford_wolf_evidence_on_central_and_haar_pairs(rng):
     """Central pairs are constant, with the exact displacement d(g1, g2) as
-    their value; Haar pairs are not, with their sampled gap as the value."""
+    their value; Haar pairs are not, with the spread of their attained
+    displacement range as the value."""
     for spec in (SU2, SU3, SO4, SP2):
         isos = []
         for trial in range(12):
@@ -324,7 +326,7 @@ def test_clifford_wolf_evidence_on_central_and_haar_pairs(rng):
                 isos.append(TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng)))
             else:
                 isos.append(TwoSidedIsometry(haar_sample(spec, rng), z.astype(complex)))
-        constant, values = clifford_wolf_evidence(spec, isos, 150, rng)
+        constant, values = clifford_wolf_evidence(spec, isos)
         np.testing.assert_array_equal(constant, [t % 3 != 1 for t in range(12)])
         for iso, c, v in zip(isos, constant, values):
             profile = group_displacement_profile(spec, iso, 150, rng)
@@ -339,16 +341,16 @@ def test_inverted_isometries_are_never_constant(rng):
     z = center_elements(SU2)[1]
     isos = [TwoSidedIsometry(z, haar_sample(SU2, rng), inverted=True),
             TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex), inverted=True)]
-    constant, gaps = clifford_wolf_evidence(SU2, isos, 100, rng)
+    constant, gaps = clifford_wolf_evidence(SU2, isos)
     assert not constant.any()
     assert (gaps > 1e-3).all()
 
 
-def test_clifford_wolf_evidence_checks_its_inputs(rng):
+def test_clifford_wolf_evidence_checks_its_inputs():
     with pytest.raises(NotInGroup):
-        clifford_wolf_evidence(SU2, [TwoSidedIsometry(2 * np.eye(2), np.eye(2))], 10, rng)
+        clifford_wolf_evidence(SU2, [TwoSidedIsometry(2 * np.eye(2), np.eye(2))])
     with pytest.raises(NotInGroup):
-        clifford_wolf_evidence(SU2, [], 10, rng)
+        clifford_wolf_evidence(SU2, [])
 
 
 def _so4_plane(a, b):
@@ -394,10 +396,79 @@ def test_so4_exact_verdict_matches_sampling(rng):
             g1, g2 = g2, g1
         isos.append(TwoSidedIsometry(g1, g2))
         kinds.append(kind)
-    constant, _ = clifford_wolf_evidence(SO4, isos, 10, rng)
+    constant, _ = clifford_wolf_evidence(SO4, isos)
     sampled = [group_displacement_profile(SO4, iso, 200, rng).gap <= 1e-7 for iso in isos]
     np.testing.assert_array_equal(constant, sampled)
     np.testing.assert_array_equal(constant, [k in ("aligned", "central") for k in kinds])
+
+
+# ---------------------------------------------------------------------------
+# displacement ranges: the closed-form least value against the range points
+
+
+def _ranges(spec, isos):
+    d = spec.matrix_size
+    pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
+    inverted = np.array([iso.inverted for iso in isos], dtype=bool)
+    return compact_lie._translation_ranges(spec, pairs.reshape(-1, 2, d, d), inverted)
+
+
+def _rotation_z(t):
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_range_points_lie_above_the_least_displacement(spec, rng):
+    """Every displacement at the range points is at least min_displacement,
+    and the upper end of the range is the largest of them, attained there."""
+    points = compact_lie._range_points(spec)
+    assert len(points) == 1 + spec.algebra_dim
+    check_in_group(spec, points)
+    for inverted in (False, True):
+        isos = [TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng), inverted)
+                for _ in range(4)]
+        lo, hi = _ranges(spec, isos)
+        for iso, a, b in zip(isos, lo, hi):
+            values = translation_displacement(spec, iso, points)
+            assert a == min_displacement(spec, iso)
+            assert np.min(values) >= a - 1e-12
+            assert b == max(np.max(values), a)
+
+
+def test_range_spread_vanishes_on_constant_pairs(rng):
+    """Central factors on either side, and SO(4) pairs aligned with its two
+    halves: every range point moves by the least displacement."""
+    for spec in ALL_SPECS:
+        isos = []
+        for z in center_elements(spec):
+            g = haar_sample(spec, rng)
+            isos += [TwoSidedIsometry(z, g), TwoSidedIsometry(g, z)]
+        lo, hi = _ranges(spec, isos)
+        assert np.max(hi - lo) <= 1e-12, spec.name
+    aligned = []
+    for k in range(8):
+        h, other = SO4_HALVES[k % 2], SO4_HALVES[1 - k % 2]
+        aligned.append(TwoSidedIsometry(so4_half_element(h, rng), so4_half_element(other, rng)))
+    assert clifford_wolf_evidence(SO4, aligned)[0].all()
+    lo, hi = _ranges(SO4, aligned)
+    assert np.max(hi - lo) <= 1e-12
+
+
+def test_range_spread_is_positive_on_non_constant_pairs(rng):
+    """Haar pairs of every family, and the SO(3) pair (R_z(pi), R_z(1)), at
+    which all displacements over the Weyl orbit of the class pair coincide:
+    the range points still see a spread, 0.807."""
+    for spec in ALL_SPECS:
+        isos = [TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng))
+                for _ in range(6)]
+        lo, hi = _ranges(spec, isos)
+        assert np.min(hi - lo) > DISPLACEMENT, spec.name
+    iso = TwoSidedIsometry(_rotation_z(np.pi), _rotation_z(1.0))
+    constant, values = clifford_wolf_evidence(SO3, [iso])
+    assert not constant[0]
+    assert abs(values[0] - 0.807476517502) <= 1e-9
+    assert group_displacement_profile(SO3, iso, 400, rng).gap > 1.0
 
 
 def test_inverted_isometry_example_values():

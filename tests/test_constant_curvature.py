@@ -25,6 +25,7 @@ from homoglab.constant_curvature import (
     lens_group,
     rotation_block,
     sphere_displacement_profile,
+    sphere_displacement_range,
 )
 from homoglab.errors import (
     InvalidParameter,
@@ -351,19 +352,44 @@ def test_single_matrix_profile_is_a_stack_of_one(rng):
     assert single == stacked
 
 
-def test_clifford_evidence_samples_only_non_constant_matrices():
-    stack = STACKS["lens-9-1-2-4"]
-    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    constant, values = clifford_evidence(stack, 25, rng)
-    for g, c, v in zip(stack, constant, values):
+@pytest.mark.parametrize("name", STACKS)
+def test_clifford_evidence_reads_the_exact_range_of_non_constant_matrices(name):
+    stack = STACKS[name]
+    constant, values = clifford_evidence(stack)
+    lo, hi = sphere_displacement_range(stack)
+    for g, c, v, a, b in zip(stack, constant, values, lo, hi):
         ok, angle = clifford_oracle(g)
         assert c == ok
-        if ok:
-            assert v == angle
-        else:
-            lo, hi, _, _ = profile_oracle(g, 25, ref)
-            assert v == hi - lo
-    assert rng.standard_normal() == ref.standard_normal()
+        assert v == (angle if ok else b - a)
+    assert sphere_displacement_range(stack[1]) == (lo[1], hi[1])
+
+
+# rotation angles at and near 0 and pi, where arccos-based ranges lose digits
+_ANGLES = st.sampled_from([0.0, 1e-12, 1e-8, np.pi - 1e-8, np.pi - 1e-12, np.pi]) | st.floats(
+    0.0, np.pi
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(3, 8), st.lists(_ANGLES, min_size=4, max_size=4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_sphere_range_is_exact(n, angles, reflect, seed):
+    """On O(n): the range equals the least and greatest eigen-angle, and
+    sampled displacements never leave it."""
+    rng = np.random.default_rng(seed)
+    blocks = [rotation_block(t) for t in angles[: n // 2]]
+    if n % 2:
+        blocks.append(np.array([[-1.0 if reflect else 1.0]]))
+    elif reflect:
+        blocks[-1] = np.diag([1.0, -1.0])
+    q = haar_orthogonal(n, rng)
+    g = q @ block_diag(*blocks) @ q.T
+    lo, hi = sphere_displacement_range(g)
+    eigen_angles = np.abs(np.angle(np.linalg.eigvals(g)))
+    assert abs(lo - eigen_angles.min()) <= 1e-14
+    assert abs(hi - eigen_angles.max()) <= 1e-14
+    prof = sphere_displacement_profile(g, 2000, rng)
+    assert lo - 1e-14 <= prof.min and prof.max <= hi + 1e-14
 
 
 def test_check_orthogonal_checks_every_member_of_a_stack():

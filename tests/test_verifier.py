@@ -560,13 +560,51 @@ def test_report_json_contract():
     assert json.loads(report.to_json()) == payload
 
 
-def test_reports_are_deterministic_per_seed():
-    deck = sphere_deck_from_quaternions(named_binary_group(GroupType("binary_tetrahedral", None)))
-    a = verify_instance(deck, config=VerifyConfig(seed=11))
-    b = verify_instance(deck, config=VerifyConfig(seed=11))
-    c = verify_instance(deck, config=VerifyConfig(seed=12))
-    assert a.to_json() == b.to_json()
-    assert c.verdict == a.verdict  # evidence may differ, conclusion must not
+# one deck of each kind of report: sphere and group manifold, witness,
+# non-constant elements, not free
+REPORT_DECKS = {
+    "s3-binary-tetrahedral": lambda: sphere_deck_from_quaternions(
+        named_binary_group(GroupType("binary_tetrahedral", None))
+    ),
+    "s5-lens-9-1-2-4": lambda: sphere_deck(lens_group(9, (1, 2, 4))),
+    "su2-cyclic-3": lambda: group_deck(SU2, group_manifold_deck(SU2, "cyclic-3")),
+    "su3-two-sided": lambda: _two_sided_deck(CompactGroupSpec("SU", 3), np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_DECKS)
+def test_reports_are_deterministic_per_seed(name):
+    """No point is drawn, so reports agree across seeds and sample counts
+    apart from the seed they record."""
+    deck = REPORT_DECKS[name]()
+    a = verify_instance(deck, config=VerifyConfig(seed=11)).to_json_dict()
+    b = verify_instance(deck, config=VerifyConfig(seed=12, samples=10)).to_json_dict()
+    assert (a.pop("seed"), b.pop("seed")) == (11, 12)
+    assert a == b
+
+
+def test_the_pipeline_draws_no_point(monkeypatch, capsys):
+    """verify_instance, check-homogeneity and check-clifford run with every
+    Haar sampler replaced by one that raises."""
+    from homoglab import compact_lie, constant_curvature
+    from homoglab.cli import main
+
+    decks = [make() for make in REPORT_DECKS.values()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Haar point was drawn")
+
+    for module, name in ((compact_lie, "haar_sample"), (compact_lie, "_haar_blocks"),
+                         (compact_lie, "_haar_block"), (constant_curvature, "haar_sphere")):
+        monkeypatch.setattr(module, name, refuse)
+    for deck in decks:
+        verify_instance(deck)
+    for argv in (["check-homogeneity", "--model", "s5", "--group", "lens-9-1-2-4"],
+                 ["check-homogeneity", "--model", "so4", "--group", "cyclic-3"],
+                 ["check-clifford", "--model", "s3", "--group", "lens-7-1-2"],
+                 ["check-clifford", "--model", "s3", "--group", "binary-octahedral"]):
+        assert main(argv) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_config_validation():
