@@ -4,8 +4,8 @@ Bi-invariant geometry of compact matrix groups
 
 Distance from branch-minimized logarithm angles, two-sided translation
 isometries, the exact constant-displacement test, and the least displacement
-in closed form: the class distance of a translation pair, and an explicit
-fixed point of an inverted map.
+in closed form: the class distance of a translation pair, and exactly zero
+for an inverted map, which always fixes a point.
 """
 
 import numpy as np
@@ -73,9 +73,9 @@ for name, (g1, g2) in [("generic pair", (generic.g1, generic.g2)),
     print(f"{name}: least displacement exact {min_displacement(su2, iso):.2e}, "
           f"least of 400 sampled points {sampled:.2e}")
 
-# an inverted map x -> g1 x^dagger g2 fixes x = y g2, where y is the square
-# root exp(log(g1 g2^dagger) / 2) of g1 g2^dagger
+# an inverted map x -> g1 x^dagger g2 fixes x = y g2 for any square root y of
+# g1 g2^dagger, and one exists because exp is onto: its least displacement is 0
 iso = TwoSidedIsometry(haar_sample(su2, rng), haar_sample(su2, rng), inverted=True)
-print(f"\ninverted isometry: displacement {min_displacement(su2, iso):.2e} at its fixed point")
+print(f"\ninverted isometry: least displacement {min_displacement(su2, iso):.2e}")
 prof = group_displacement_profile(su2, iso, 400, rng)
 print(f"  sampled displacement range [{prof.min:.4f}, {prof.max:.4f}]")

@@ -15,8 +15,7 @@ CLOSURE = 1e-9
 EIGEN = 1e-9
 # a real matrix is orthogonal; a point or a quaternion has unit norm
 ORTHOGONAL = 1e-10
-# a matrix lies in a compact group or its Lie algebra; group_log reads an
-# eigenvalue of a member this close to -1 as -1
+# a matrix lies in a compact group or its Lie algebra
 GROUP = 1e-8
 # a singular value below this times the largest counts as zero ("rank_cutoff")
 RANK_CUTOFF = 1e-8

@@ -14,12 +14,12 @@ form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
 
 Constant displacement of a two-sided translation is decided exactly, ideal by
 simple ideal (``clifford_wolf_evidence``), and its least displacement is in
-closed form (``min_displacement``): a conjugacy-class distance, or zero at an
-explicit fixed point for an inverted map.  The spread of a non-constant map is
-that least value against the largest displacement at a fixed set of points,
-the identity and the turns exp(pi/2 b) of the algebra basis: a deterministic
-lower bound on the true spread, attained at named points.  Sampled profiles
-only measure.
+closed form (``min_displacement``): a conjugacy-class distance, or exactly
+zero for an inverted map, which always fixes a point.  The spread of a
+non-constant map is that least value against the largest displacement at a
+fixed set of points, the identity and the turns exp(pi/2 b) of the algebra
+basis: a deterministic lower bound on the true spread, attained at named
+points.  Sampled profiles only measure.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ def one_parameter(X: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# logs, angles, distance
+# angles, distance
 
 
 def _branch_shift_su(theta: np.ndarray) -> np.ndarray:
@@ -462,68 +462,6 @@ def _class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> np.
         d = np.minimum(d, np.linalg.norm(x - y_shift, axis=-1))
     # each rotation plane appears twice in the defining representation
     return np.sqrt(2.0) * d
-
-
-def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    lam, V = np.linalg.eig(u)
-    # a real Schur basis, as in group_log: the QR factor of the real and
-    # imaginary parts of each eigenvector whose eigenvalue has Im > 0 (they
-    # span its conjugate's too) and of the real eigenvectors of real eigenvalues
-    keep = np.stack([lam.imag >= 0, lam.imag > 0], axis=1).ravel()
-    Z = np.linalg.qr(np.stack([V.real, V.imag], axis=2).reshape(n, 2 * n)[:, keep])[0]
-    T = Z.T @ u @ Z
-    M = np.zeros((n, n))
-    minus_one = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > _tol.ZERO:
-            phi = float(np.arctan2(T[i + 1, i], T[i, i]))
-            M[i, i + 1] = -phi
-            M[i + 1, i] = phi
-            i += 2
-        else:
-            if T[i, i] < 0.0:
-                minus_one.append(i)
-            i += 1
-    if len(minus_one) % 2 != 0:
-        raise NotInGroup("odd count of -1 eigenvalues; matrix not in SO(n)")
-    for a, b in zip(minus_one[::2], minus_one[1::2]):
-        M[a, b] = -np.pi
-        M[b, a] = np.pi
-    return Z @ M @ Z.T
-
-
-def _log_symplectic(spec: CompactGroupSpec, lam: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    near_minus = np.abs(lam + 1.0) < _tol.GROUP
-    X = (Z * (1j * np.where(near_minus, 0.0, np.angle(lam)))) @ Z.conj().T
-    # the -1 eigenspace splits into planes (v, J conj(v)), turned by +pi and -pi;
-    # J conj(v) is a -1 eigenvector orthogonal to v
-    J = symplectic_structure(spec.n)
-    W = Z[:, near_minus]
-    for _ in range(W.shape[1] // 2):
-        v = W[:, np.argmax(np.linalg.norm(W, axis=0))]
-        v = v / np.linalg.norm(v)
-        pair = np.stack([v, J @ v.conj()], axis=1)
-        X = X + 1j * np.pi * (pair * [1.0, -1.0]) @ pair.conj().T
-        W = W - pair @ (pair.conj().T @ W)
-    return X
-
-
-def group_log(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
-    """Minimal-norm logarithm of g inside the group's Lie algebra."""
-    g = check_in_group(spec, g)
-    if spec.family == SPECIAL_ORTHOGONAL:
-        return _log_special_orthogonal(g.real if np.iscomplexobj(g) else g.astype(float, copy=False))
-    # g V = V diag(lam) and V = Z R give Z^H g Z = R diag(lam) R^-1, upper
-    # triangular: Z is a Schur basis, and g is normal, so its columns are
-    # orthonormal eigenvectors, also inside a cluster of equal eigenvalues
-    lam, V = np.linalg.eig(g.astype(complex, copy=False))
-    Z = np.linalg.qr(V)[0]
-    if spec.family == COMPACT_SYMPLECTIC:
-        return _log_symplectic(spec, lam, Z)
-    theta = _branch_shift_su(np.angle(lam))
-    return (Z * (1j * theta)) @ Z.conj().T
 
 
 def center_elements(spec: CompactGroupSpec) -> list[np.ndarray]:
@@ -646,9 +584,7 @@ def _translation_ranges(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.
     points of ``_range_points``, one stacked evaluation per kind of map, and
     never below the least.  Both are attained, so hi - lo is a lower bound on
     the spread of the displacement, zero for a constant map."""
-    lo = _class_distance(spec, pairs[:, 0], pairs[:, 1])
-    for k in np.nonzero(inverted)[0]:
-        lo[k] = _least_displacement(spec, *pairs[k], True)
+    lo = np.where(inverted, 0.0, _class_distance(spec, pairs[:, 0], pairs[:, 1]))
     hi = np.empty_like(lo)
     points = _range_points(spec)
     for flag in (False, True):
@@ -663,17 +599,9 @@ def min_displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> float:
     """The least displacement of ``iso`` over the group, in closed form.
 
     For x -> g1^{-1} x g2 it is the distance between the conjugacy classes of
-    g1 and g2.  x -> g1 x^{-1} g2 fixes x = y g2 whenever y^2 = g1 g2^{-1};
-    y = exp(log(g1 g2^{-1}) / 2) is one such square root, and the value is
-    the displacement at its point, zero up to rounding.
+    g1 and g2.  x -> g1 x^{-1} g2 fixes x = y g2 for every square root y of
+    g1 g2^{-1}, and exp is onto a compact connected group, so such a y exists
+    and the value is exactly zero.
     """
     g1, g2 = check_in_group(spec, [iso.g1, iso.g2])
-    return _least_displacement(spec, g1, g2, iso.inverted)
-
-
-def _least_displacement(spec: CompactGroupSpec, g1, g2, inverted: bool) -> float:
-    """``min_displacement`` of the map with checked factors g1, g2."""
-    if not inverted:
-        return float(_class_distance(spec, g1, g2))
-    y = group_exp(0.5 * group_log(spec, g1 @ g2.conj().T))
-    return float(_displacement(spec, TwoSidedIsometry(g1, g2, True), y @ g2))
+    return 0.0 if iso.inverted else float(_class_distance(spec, g1, g2))

@@ -3,11 +3,11 @@
 Spheres get the exact eigen-angle test for constant displacement (the
 eigenvalues of an orthogonal map share one angle |arg λ| iff the displacement
 arccos<x, gx> is the same at every point), the exact range of the
-displacement over the sphere from two singular-value calls, a sampling
-oracle for cross-checking, freeness tests, lens group constructors, and a
-geodesic invariance check.  Flat space and the hyperbolic plane get boundedness
-probes: a Euclidean motion has bounded displacement iff its linear part is
-the identity, and a hyperbolic isometry iff it is +-I.
+displacement over the sphere from two singular-value calls, freeness tests,
+lens group constructors, and a geodesic invariance check.  Flat space and the
+hyperbolic plane get boundedness probes: a Euclidean motion has bounded
+displacement iff its linear part is the identity, and a hyperbolic isometry
+iff it is +-I.
 
 The sphere kernels take one orthogonal matrix or a (k, n, n) stack of them; a
 single matrix is evaluated as a stack of one.
@@ -21,7 +21,6 @@ from math import gcd
 import numpy as np
 
 from . import _tol
-from .compact_lie import _SAMPLE_BLOCK
 from .errors import (
     InvalidParameter,
     NonCoprimeExponent,
@@ -30,7 +29,6 @@ from .errors import (
     NotClifford,
 )
 from .finite_groups import cayley_table, check_table_work
-from .profiles import DisplacementProfile
 
 
 def check_orthogonal(g: np.ndarray) -> np.ndarray:
@@ -53,48 +51,6 @@ def _orthogonal_stack(g: np.ndarray) -> np.ndarray:
     """``check_orthogonal(g)`` as a (k, n, n) stack; one matrix is k = 1."""
     g = check_orthogonal(g)
     return g.reshape((-1,) + g.shape[-2:])
-
-
-def haar_sphere(
-    n_ambient: int, samples: int, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Uniform points on S^{n_ambient-1} via normalized Gaussians: a
-    (samples, n_ambient) array of rows, or a (size, samples, n_ambient) stack
-    of them, the same points as ``size`` single draws."""
-    shape = (samples, n_ambient) if size is None else (size, samples, n_ambient)
-    x = rng.standard_normal(shape)
-    return x / np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-
-
-def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """Angles between the unit rows of two (k, s, n) stacks by Kahan's
-    2 atan2(|x - gx|, |x + gx|), accurate to round-off near 0 and pi, where
-    arccos<x, gx> loses half its digits."""
-    d, s = x - gx, x + gx
-    return 2.0 * np.arctan2(
-        np.sqrt(np.einsum("ksi,ksi->ks", d, d)), np.sqrt(np.einsum("ksi,ksi->ks", s, s))
-    )
-
-
-def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Generator):
-    """Sampling oracle: displacement statistics over Haar points on the sphere,
-    ``samples`` fresh points per matrix.  One matrix gives one
-    DisplacementProfile, a stack a tuple of them.
-
-    The points of a stack are drawn as (k_b, samples, n) blocks with
-    k_b * samples at most ``_SAMPLE_BLOCK`` (at least one matrix per block),
-    which consumes the generator as one draw per matrix does.
-    """
-    stack = _orthogonal_stack(g)
-    k, n = stack.shape[0], stack.shape[-1]
-    step = max(1, _SAMPLE_BLOCK // samples)
-    profiles = []
-    for i in range(0, k, step):
-        mats = stack[i : i + step]
-        pts = haar_sphere(n, samples, rng, size=len(mats))
-        vals = _angles(pts, pts @ np.swapaxes(mats, -1, -2))
-        profiles += [DisplacementProfile.from_values(v) for v in vals]
-    return profiles[0] if np.ndim(g) == 2 else tuple(profiles)
 
 
 def is_clifford_sphere(g: np.ndarray):
@@ -124,10 +80,10 @@ def sphere_displacement_range(g: np.ndarray):
     At a unit x, |x - gx|^2 = 2 - 2 x^T S x and |x + gx|^2 = 2 + 2 x^T S x, so
     the least |x - gx|, the least singular value of I - g, comes with the
     greatest |x + gx|, the greatest singular value of I + g, and the other way
-    round.  Both ends are Kahan's 2 atan2(|x - gx|, |x + gx|), as in
-    ``_angles``, from two batched singular-value calls, and equal the least
-    and greatest eigen-angle |arg λ| of g.  One matrix gives (lo, hi) as
-    floats, a stack two arrays.
+    round.  Both ends are Kahan's 2 atan2(|x - gx|, |x + gx|), accurate to
+    round-off near 0 and pi, from two batched singular-value calls, and equal
+    the least and greatest eigen-angle |arg λ| of g.  One matrix gives
+    (lo, hi) as floats, a stack two arrays.
     """
     stack = _orthogonal_stack(g)
     eye = np.eye(stack.shape[-1])

@@ -214,8 +214,8 @@ def so5_so3_space() -> HomogeneousSpaceSpec:
 def killing_length_profile(
     space: HomogeneousSpaceSpec,
     xi: np.ndarray | None,
-    samples: int = 200,
-    rng: np.random.Generator | None = None,
+    samples: int,
+    rng: np.random.Generator,
     *,
     right: np.ndarray | None = None,
 ) -> DisplacementProfile:
@@ -246,7 +246,6 @@ def killing_length_profile(
             raise InvalidParameter("right component must normalize the isotropy algebra")
     if samples < 1:
         raise InvalidParameter("need at least one sample")
-    rng = rng if rng is not None else np.random.default_rng()
     vals = []
     for g in _haar_blocks(space.group, rng, samples):
         Y = np.zeros(g.shape, dtype=complex)
@@ -437,20 +436,35 @@ class CatalogCheckReport:
     tolerances: dict  # the named tolerances that decide the status
 
 
+# the names an entry's ``checks`` field may hold; geodesic-slide is the second
+# half of the clifford-rotation check, and informational runs none
+_CATALOG_CHECKS = ("clifford-rotation", "geodesic-slide", "no-constant-killing-direction",
+                   "hopf-constant-length", "berger-isometry-dims", "informational")
+
+
 def catalog_verify(
     entry_id: int,
     path=None,
     rng: np.random.Generator | None = None,
     samples: int = 200,
 ) -> CatalogCheckReport:
-    """Run the numeric check attached to a catalog entry, if any."""
+    """Run the numeric check that a catalog entry's ``checks`` field names, if
+    any.  InvalidParameter when it names an unknown check or two checks."""
     entries = {e.id: e for e in catalog_load(path)}
     if entry_id not in entries:
         raise InvalidParameter(f"no catalog entry {entry_id}")
     entry = entries[entry_id]
+    unknown = [c for c in entry.checks if c not in _CATALOG_CHECKS]
+    if unknown:
+        raise InvalidParameter(f"catalog entry {entry_id}: unknown check {unknown[0]!r}")
+    checks = {"clifford-rotation" if c == "geodesic-slide" else c for c in entry.checks}
+    checks.discard("informational")
+    if len(checks) > 1:
+        raise InvalidParameter(f"catalog entry {entry_id} names more than one check")
+    check = checks.pop() if checks else "informational"
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    if entry_id == 1:
+    if check == "clifford-rotation":
         from .constant_curvature import invariant_geodesic_check, is_clifford_sphere
         from .finite_groups import left_translation_matrix
 
@@ -465,7 +479,7 @@ def catalog_verify(
             {"angle": angle, "geodesic_slide": bool(slide)},
             {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC},
         )
-    if entry_id == 10:
+    if check == "no-constant-killing-direction":
         space = so5_so3_space()
         worst = np.inf
         for _ in range(25):
@@ -479,7 +493,7 @@ def catalog_verify(
             {"min_relative_gap": worst, "directions": 25},
             {"min_relative_gap": _tol.CATALOG_GAP},
         )
-    if entry_id == 15:
+    if check == "hopf-constant-length":
         space = hopf_sphere_space(2)
         direction = u1_centralizer_direction(3, 2)
         prof = killing_length_profile(
@@ -492,7 +506,7 @@ def catalog_verify(
             {"relative_gap": prof.relative_gap, "length": prof.mean},
             {"relative_gap": _tol.DISPLACEMENT},
         )
-    if entry_id == 17:
+    if check == "berger-isometry-dims":
         dims = (
             berger_right_isometry_algebra(1.0, 1.0).dimension,
             berger_right_isometry_algebra(0.5, 1.0).dimension,

@@ -1,13 +1,28 @@
 """Reference constructions that tests compare the library against: an
 abstract SL(2, F_p) table, the scalar product of two quaternions, the
-right-translation and SU(2) images of a unit quaternion, and the fixed point
-of an inverted two-sided translation.  A quaternion is a row (w, x, y, z)."""
+right-translation and SU(2) images of a unit quaternion, the minimal-norm
+logarithm of a compact group element and the fixed point of an inverted
+two-sided translation, and displacement statistics over Haar points on a
+sphere.  A quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
 
 import numpy as np
 
-from homoglab.compact_lie import group_exp, group_log
+from homoglab import _tol
+from homoglab.compact_lie import (
+    _SAMPLE_BLOCK,
+    COMPACT_SYMPLECTIC,
+    SPECIAL_ORTHOGONAL,
+    CompactGroupSpec,
+    _branch_shift_su,
+    check_in_group,
+    group_exp,
+    symplectic_structure,
+)
+from homoglab.constant_curvature import _orthogonal_stack
+from homoglab.errors import NotInGroup
+from homoglab.profiles import DisplacementProfile
 
 
 @lru_cache(maxsize=None)
@@ -70,8 +85,112 @@ def su2_matrix(q) -> np.ndarray:
     return np.array([[w + 1j * x, y + 1j * z], [-y + 1j * z, w - 1j * x]])
 
 
+def _log_special_orthogonal(u: np.ndarray) -> np.ndarray:
+    n = u.shape[0]
+    lam, V = np.linalg.eig(u)
+    # a real Schur basis, as in group_log: the QR factor of the real and
+    # imaginary parts of each eigenvector whose eigenvalue has Im > 0 (they
+    # span its conjugate's too) and of the real eigenvectors of real eigenvalues
+    keep = np.stack([lam.imag >= 0, lam.imag > 0], axis=1).ravel()
+    Z = np.linalg.qr(np.stack([V.real, V.imag], axis=2).reshape(n, 2 * n)[:, keep])[0]
+    T = Z.T @ u @ Z
+    M = np.zeros((n, n))
+    minus_one = []
+    i = 0
+    while i < n:
+        if i + 1 < n and abs(T[i + 1, i]) > _tol.ZERO:
+            phi = float(np.arctan2(T[i + 1, i], T[i, i]))
+            M[i, i + 1] = -phi
+            M[i + 1, i] = phi
+            i += 2
+        else:
+            if T[i, i] < 0.0:
+                minus_one.append(i)
+            i += 1
+    if len(minus_one) % 2 != 0:
+        raise NotInGroup("odd count of -1 eigenvalues; matrix not in SO(n)")
+    for a, b in zip(minus_one[::2], minus_one[1::2]):
+        M[a, b] = -np.pi
+        M[b, a] = np.pi
+    return Z @ M @ Z.T
+
+
+def _log_symplectic(spec: CompactGroupSpec, lam: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    near_minus = np.abs(lam + 1.0) < _tol.GROUP
+    X = (Z * (1j * np.where(near_minus, 0.0, np.angle(lam)))) @ Z.conj().T
+    # the -1 eigenspace splits into planes (v, J conj(v)), turned by +pi and -pi;
+    # J conj(v) is a -1 eigenvector orthogonal to v
+    J = symplectic_structure(spec.n)
+    W = Z[:, near_minus]
+    for _ in range(W.shape[1] // 2):
+        v = W[:, np.argmax(np.linalg.norm(W, axis=0))]
+        v = v / np.linalg.norm(v)
+        pair = np.stack([v, J @ v.conj()], axis=1)
+        X = X + 1j * np.pi * (pair * [1.0, -1.0]) @ pair.conj().T
+        W = W - pair @ (pair.conj().T @ W)
+    return X
+
+
+def group_log(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
+    """Minimal-norm logarithm of g inside the group's Lie algebra."""
+    g = check_in_group(spec, g)
+    if spec.family == SPECIAL_ORTHOGONAL:
+        return _log_special_orthogonal(g.real if np.iscomplexobj(g) else g.astype(float, copy=False))
+    # g V = V diag(lam) and V = Z R give Z^H g Z = R diag(lam) R^-1, upper
+    # triangular: Z is a Schur basis, and g is normal, so its columns are
+    # orthonormal eigenvectors, also inside a cluster of equal eigenvalues
+    lam, V = np.linalg.eig(g.astype(complex, copy=False))
+    Z = np.linalg.qr(V)[0]
+    if spec.family == COMPACT_SYMPLECTIC:
+        return _log_symplectic(spec, lam, Z)
+    theta = _branch_shift_su(np.angle(lam))
+    return (Z * (1j * theta)) @ Z.conj().T
+
+
 def inverted_fixed_point(spec, iso) -> np.ndarray:
     """A point that x -> g1 x^-1 g2 fixes: x = y g2 with y^2 = g1 g2^-1, for
     y = exp(log(g1 g2^-1) / 2) (then g1 x^-1 g2 = y^2 y^-1 g2 = x)."""
     y = group_exp(0.5 * group_log(spec, iso.g1 @ iso.g2.conj().T))
     return y @ iso.g2
+
+
+def haar_sphere(
+    n_ambient: int, samples: int, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Uniform points on S^{n_ambient-1} via normalized Gaussians: a
+    (samples, n_ambient) array of rows, or a (size, samples, n_ambient) stack
+    of them, the same points as ``size`` single draws."""
+    shape = (samples, n_ambient) if size is None else (size, samples, n_ambient)
+    x = rng.standard_normal(shape)
+    return x / np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+
+
+def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """Angles between the unit rows of two (k, s, n) stacks by Kahan's
+    2 atan2(|x - gx|, |x + gx|), accurate to round-off near 0 and pi, where
+    arccos<x, gx> loses half its digits."""
+    d, s = x - gx, x + gx
+    return 2.0 * np.arctan2(
+        np.sqrt(np.einsum("ksi,ksi->ks", d, d)), np.sqrt(np.einsum("ksi,ksi->ks", s, s))
+    )
+
+
+def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Generator):
+    """Sampling oracle: displacement statistics over Haar points on the sphere,
+    ``samples`` fresh points per matrix.  One matrix gives one
+    DisplacementProfile, a stack a tuple of them.
+
+    The points of a stack are drawn as (k_b, samples, n) blocks with
+    k_b * samples at most ``_SAMPLE_BLOCK`` (at least one matrix per block),
+    which consumes the generator as one draw per matrix does.
+    """
+    stack = _orthogonal_stack(g)
+    k, n = stack.shape[0], stack.shape[-1]
+    step = max(1, _SAMPLE_BLOCK // samples)
+    profiles = []
+    for i in range(0, k, step):
+        mats = stack[i : i + step]
+        pts = haar_sphere(n, samples, rng, size=len(mats))
+        vals = _angles(pts, pts @ np.swapaxes(mats, -1, -2))
+        profiles += [DisplacementProfile.from_values(v) for v in vals]
+    return profiles[0] if np.ndim(g) == 2 else tuple(profiles)

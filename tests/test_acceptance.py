@@ -31,7 +31,6 @@ from homoglab.constant_curvature import (
     is_clifford_sphere,
     is_free_on_sphere,
     lens_group,
-    sphere_displacement_profile,
 )
 from homoglab.finite_groups import (
     GroupType,
@@ -65,7 +64,7 @@ from homoglab.verifier import (
     transitivity_rank,
     verify_instance,
 )
-from oracles import inverted_fixed_point, special_linear_table
+from oracles import inverted_fixed_point, special_linear_table, sphere_displacement_profile
 
 SU2 = CompactGroupSpec("SU", 2)
 SU3 = CompactGroupSpec("SU", 3)

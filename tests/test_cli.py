@@ -437,6 +437,50 @@ def test_an_unreadable_catalog_path_exits_2_with_one_stderr_line(capsys, tmp_pat
     assert line.startswith("error: cannot read catalog")
 
 
+# a catalog entry runs the check its checks field names, whatever its id
+_PROJECTIVE = ("name: P^m(C) | G: SU(m+1) | H: U(m) | isometry_group: PSU(m+1) semidirect Z2"
+               " | fibration: none")
+_HOPF = ("name: S^{2m+1} | G: SU(m+1) | H: SU(m) | isometry_group: U(m+1) semidirect Z2"
+         " | fibration: S^{2m+1} -> P^m(C)")
+
+
+def _write_catalog(tmp_path, *lines):
+    path = tmp_path / "catalog.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_an_informational_entry_at_id_10_runs_no_check(capsys, tmp_path):
+    path = _write_catalog(tmp_path, f"id: 10 | {_PROJECTIVE} | checks: informational")
+    code, rep = run_cli(capsys, "catalog", "verify", "10", "--path", path)
+    assert code == 0
+    assert rep["verdict"] == "Informational"
+    assert rep["evidence"]["measurements"] == {} and rep["tolerances"] == {}
+    check_schema(rep)
+
+
+def test_a_hopf_entry_at_id_3_runs_the_hopf_check(capsys, tmp_path):
+    path = _write_catalog(tmp_path, f"id: 3 | {_HOPF} | checks: hopf-constant-length")
+    code, rep = run_cli(capsys, "catalog", "verify", "3", "--path", path, "--seed", "5")
+    _, bundled = run_cli(capsys, "catalog", "verify", "15", "--seed", "5")
+    assert code == 0
+    assert rep["verdict"] == "CatalogCheckPassed"
+    assert rep["evidence"]["measurements"] == bundled["evidence"]["measurements"]
+    assert rep["tolerances"] == bundled["tolerances"] == {"relative_gap": _tol.DISPLACEMENT}
+    check_schema(rep)
+
+
+@pytest.mark.parametrize("checks", ["hopf-constant-lenght", "hopf-constant-length, berger-isometry-dims"],
+                         ids=["unknown", "two-checks"])
+def test_an_unknown_or_second_check_name_exits_2_with_one_stderr_line(capsys, tmp_path, checks):
+    path = _write_catalog(tmp_path, f"id: 3 | {_HOPF} | checks: {checks}")
+    assert main(["catalog", "verify", "3", "--path", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: catalog entry 3")
+
+
 def test_berger_dimension_cases(capsys):
     for a, b, d in [(1.0, 1.0, 3), (0.5, 1.0, 1), (0.3, 0.7, 0)]:
         code, rep = run_cli(capsys, "check-berger", "--a", str(a), "--b", str(b))

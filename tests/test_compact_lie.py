@@ -22,7 +22,6 @@ from homoglab.compact_lie import (
     conjugacy_class_distance,
     group_displacement_profile,
     group_exp,
-    group_log,
     haar_sample,
     is_identity_isometry,
     min_displacement,
@@ -35,7 +34,7 @@ from homoglab.compact_lie import (
 from homoglab._tol import DISPLACEMENT
 from homoglab.errors import InvalidParameter, NotInGroup
 from homoglab.profiles import DisplacementProfile
-from oracles import inverted_fixed_point
+from oracles import group_log, inverted_fixed_point
 
 SU2 = CompactGroupSpec("SU", 2)
 SU3 = CompactGroupSpec("SU", 3)
@@ -521,6 +520,21 @@ def test_min_displacement_is_exact(spec, rng):
     for z in center_elements(spec):
         iso = TwoSidedIsometry(z @ g2, g2, inverted=True)
         assert min_displacement(spec, iso) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", EXACT_SPECS, ids=lambda s: s.name)
+def test_inverted_min_displacement_is_exactly_zero(spec, rng):
+    """x -> g1 x^-1 g2 fixes y g2 for every square root y of g1 g2^-1 (the
+    oracle takes y from the log): the least displacement is 0 by theorem,
+    and the spread that clifford_wolf_evidence reports is the upper end."""
+    points = compact_lie._range_points(spec)
+    for _ in range(5):
+        iso = TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng), inverted=True)
+        assert min_displacement(spec, iso) == 0.0
+        assert translation_displacement(spec, iso, inverted_fixed_point(spec, iso)) <= 1e-6
+        constant, values = clifford_wolf_evidence(spec, [iso])
+        assert not constant[0]
+        assert values[0] == np.max(translation_displacement(spec, iso, points))
 
 
 def test_group_displacement_profile_constant_for_central(rng):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from homoglab.compact_lie import haar_orthogonal
-from homoglab import constant_curvature
 from homoglab.constant_curvature import (
     EuclideanMotion,
     HyperbolicMotion,
@@ -17,14 +16,12 @@ from homoglab.constant_curvature import (
     clifford_evidence,
     cyclic_powers,
     euclidean_bounded,
-    haar_sphere,
     hyperbolic_bounded_probe,
     invariant_geodesic_check,
     is_clifford_sphere,
     is_free_on_sphere,
     lens_group,
     rotation_block,
-    sphere_displacement_profile,
     sphere_displacement_range,
 )
 from homoglab.errors import (
@@ -35,6 +32,8 @@ from homoglab.errors import (
     NonOrthogonalInput,
 )
 from homoglab.finite_groups import GroupType, left_translation_matrix, named_binary_group
+import oracles
+from oracles import haar_sphere, sphere_displacement_profile
 
 
 def test_left_translations_are_clifford():
@@ -334,7 +333,7 @@ def test_stacked_clifford_test_equals_the_per_matrix_test(name):
 @pytest.mark.parametrize("samples,block", [(20, 4096), (20, 50), (60, 50), (7, 13), (1, 5)])
 def test_stacked_profiles_equal_per_matrix_draws(monkeypatch, name, samples, block):
     # block 50 holds two matrices of 20 samples, and one of 60 (at least one)
-    monkeypatch.setattr(constant_curvature, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(oracles, "_SAMPLE_BLOCK", block)
     stack = STACKS[name]
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     profiles = sphere_displacement_profile(stack, samples, rng)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoglab import compact_lie
+from homoglab import compact_lie, homogeneous
 from homoglab._linalg import trace_inner
 from homoglab.compact_lie import (
     CompactGroupSpec,
@@ -227,19 +227,19 @@ def test_so5_so3_has_no_constant_direction(rng):
     assert worst > 1e-3
 
 
-def test_profile_rejects_zero_field():
+def test_profile_rejects_zero_field(rng):
     space = hopf_sphere_space(2)
     with pytest.raises(ZeroField):
-        killing_length_profile(space, np.zeros((3, 3)), samples=10)
+        killing_length_profile(space, np.zeros((3, 3)), samples=10, rng=rng)
 
 
 @pytest.mark.parametrize("field", ["left", "right"])
-def test_profile_refuses_a_nan_direction_as_not_in_the_algebra(field):
+def test_profile_refuses_a_nan_direction_as_not_in_the_algebra(field, rng):
     space = hopf_sphere_space(2)
     nan = np.full((3, 3), np.nan)
     xi, right = (nan, None) if field == "left" else (None, nan)
     with pytest.raises(InvalidParameter, match="skew-hermitian"):
-        killing_length_profile(space, xi, samples=10, right=right)
+        killing_length_profile(space, xi, samples=10, rng=rng, right=right)
 
 
 def test_right_component_must_normalize_isotropy(rng):
@@ -432,6 +432,11 @@ def test_catalog_verify_documented_entries(rng):
         assert key in rep.evidence
     assert catalog_verify(17, rng=rng).evidence["dimensions"] == [3, 1, 0]
     assert catalog_verify(4, rng=rng).status == "informational"
+
+
+def test_every_bundled_check_name_is_known():
+    names = {c for e in catalog_load() for c in e.checks}
+    assert names <= set(homogeneous._CATALOG_CHECKS)
 
 
 def test_catalog_verify_unknown_entry(rng):

@@ -20,7 +20,7 @@ from homoglab.compact_lie import (
     group_exp,
     haar_sample,
 )
-from homoglab.constant_curvature import haar_sphere, is_clifford_sphere, lens_group
+from homoglab.constant_curvature import is_clifford_sphere, lens_group
 from homoglab.errors import (
     EmptyAmbient,
     InvalidParameter,
@@ -48,7 +48,7 @@ from homoglab.verifier import (
     verdict_from_evidence,
     verify_instance,
 )
-from oracles import right_translation_matrix, su2_matrix
+from oracles import haar_sphere, right_translation_matrix, su2_matrix
 
 SU2 = CompactGroupSpec("SU", 2)
 GROUP_SPECS = (
@@ -321,6 +321,48 @@ def test_left_translation_decks_stay_free(spec, name):
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
 
 
+CONJECTURE_SPECS = (SU2, CompactGroupSpec("SU", 3), CompactGroupSpec("SO", 4),
+                    CompactGroupSpec("Sp", 2))
+
+
+@st.composite
+def _one_sided_deck(draw):
+    """A cyclic group of order 2 to 6, generated by a random conjugate of a
+    non-central element, times the center, acting by left or by right
+    translations; each element is listed once.  (On SU(2) the only element of
+    order 2 is central, so the order starts at 3 there.)"""
+    spec = draw(st.sampled_from(CONJECTURE_SPECS))
+    order = draw(st.integers(3 if spec == SU2 else 2, 6))
+    right = draw(st.booleans())
+    q = haar_sample(spec, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    gen = group_manifold_deck(spec, f"cyclic-{order}")[1].g1.conj().T
+    g = q @ gen @ q.conj().T
+    elements, p = [], spec.identity()
+    for _ in range(order):
+        for z in center_elements(spec):
+            e = z @ p
+            if all(np.max(np.abs(e - f)) > 1e-9 for f in elements):
+                elements.append(e)
+        p = p @ g
+    if right:
+        return group_deck(spec, [TwoSidedIsometry(spec.identity(), e) for e in elements])
+    return group_deck(spec, [left_translation_isometry(spec, e) for e in elements])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_one_sided_deck())
+def test_one_sided_decks_are_homogeneous(deck):
+    """The conjecture's converse for one-sided decks: translations on the
+    other side commute with the deck and act transitively, so every finite
+    deck of left (or of right) translations gives a homogeneous quotient."""
+    report = verify_instance(deck)
+    pts, min_rank, dim = report.transitivity
+    assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
+    assert report.free
+    assert all(e.constant for e in report.clifford_per_element)
+    assert min_rank == dim
+
+
 # ---------------------------------------------------------------------------
 # conjugation invariance
 
@@ -586,7 +628,7 @@ def test_reports_are_deterministic_per_seed(name):
 def test_the_pipeline_draws_no_point(monkeypatch, capsys):
     """verify_instance, check-homogeneity and check-clifford run with every
     Haar sampler replaced by one that raises."""
-    from homoglab import compact_lie, constant_curvature
+    from homoglab import compact_lie
     from homoglab.cli import main
 
     decks = [make() for make in REPORT_DECKS.values()]
@@ -594,9 +636,8 @@ def test_the_pipeline_draws_no_point(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a Haar point was drawn")
 
-    for module, name in ((compact_lie, "haar_sample"), (compact_lie, "_haar_blocks"),
-                         (compact_lie, "_haar_block"), (constant_curvature, "haar_sphere")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("haar_sample", "_haar_blocks", "_haar_block", "haar_unitary", "haar_orthogonal"):
+        monkeypatch.setattr(compact_lie, name, refuse)
     for deck in decks:
         verify_instance(deck)
     for argv in (["check-homogeneity", "--model", "s5", "--group", "lens-9-1-2-4"],
