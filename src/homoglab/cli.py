@@ -360,8 +360,9 @@ def _cmd_check_free(args, rng):
     else:
         mats = sphere_group_matrices(args.group, model.ambient_dim)
         inputs["group"] = args.group
-    res = is_free_on_sphere(mats)
-    evidence = {"order": len(mats), "offender": res.offender}
+    deck = sphere_deck(mats)
+    res = is_free_on_sphere(deck.matrices)
+    evidence = {"order": deck.order, "offender": res.offender}
     verdict = "Free" if res.free else "NotFree"
     return inputs, {"closure": _tol.CLOSURE, "eigen": _tol.EIGEN}, evidence, verdict
 

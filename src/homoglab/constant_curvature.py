@@ -28,7 +28,7 @@ from .errors import (
     NonUnitPoint,
     NotClifford,
 )
-from .finite_groups import cayley_table, check_table_work
+from .finite_groups import check_table_work
 
 
 def check_orthogonal(g: np.ndarray) -> np.ndarray:
@@ -116,18 +116,16 @@ class FreenessResult:
     offender: int | None = None
 
 
-def is_free_on_sphere(group, *, table=None) -> FreenessResult:
-    """True when no non-identity element of the (closed) list fixes a point,
-    i.e. no eigenvalue lies within ``_tol.EIGEN`` of +1; the offender is the
-    first such element in list order.  An element within ``_tol.CLOSURE`` of
-    the identity is the identity.
+def is_free_on_sphere(group) -> FreenessResult:
+    """True when no non-identity element of the list fixes a point, i.e. no
+    eigenvalue lies within ``_tol.EIGEN`` of +1; the offender is the first
+    such element in list order.  An element within ``_tol.CLOSURE`` of the
+    identity is the identity.
 
-    Closure is checked by building the Cayley table (NotClosed when a product
-    is missing) unless the caller passes the list's ``table``.
+    Each element is tested on its own; that the list is a group is checked
+    where a deck is built (``verifier.sphere_deck``).
     """
     arr = _orthogonal_stack(group)
-    if table is None:
-        cayley_table(arr)
     n = arr.shape[1]
     moving = np.nonzero(np.max(np.abs(arr - np.eye(n)), axis=(1, 2)) > _tol.CLOSURE)[0]
     if moving.size:

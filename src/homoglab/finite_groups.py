@@ -31,9 +31,6 @@ from . import _tol
 from .errors import InvalidParameter, NonUnitInput, NotClosed
 
 _TABLE_BLOCK = 1 << 20  # array entries per block of the table kernels (8 MB of floats)
-# score terms (k^3 m) up to which a Cayley table's nearest-element search
-# takes less time than pairing by key: k = 25 for 4 x 4 matrices
-_PAIRING_WORK = 1 << 18
 # product entries (k^2 m) a Cayley table of k matrices of m entries may score:
 # k <= 1024 for 4 x 4 matrices, whose table then takes 8 MB and well under a second
 _TABLE_WORK = 1 << 24
@@ -232,14 +229,20 @@ def check_table_work(name: str, order: int, entries: int) -> None:
 
 def cayley_table(mats) -> np.ndarray:
     """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
-    complex square matrices.
+    complex square matrices of m entries each.
 
     If the list is closed, each row of products is a permutation of the
-    elements, so ``_pair_by_key`` pairs them by key rank and confirms each
-    pair; rows it leaves go to the nearest-element search ``_nearest_rows``.
-    A table whose search scores at most ``_PAIRING_WORK`` terms (k^3 m, m
-    entries per matrix) goes to the search whole: it costs less than the
-    pairing's fixed number of array passes.  A list past ``check_table_work``
+    elements, so the products are paired with the elements by their rank
+    along one fixed key direction, and every pair is confirmed by its max-abs
+    entry distance, within ``_tol.CLOSURE``: an accepted list is closed.
+    Rows go in blocks of left factors, so a block of products holds about
+    ``_TABLE_BLOCK`` entries, and the first block with an unconfirmed pair
+    raises NotClosed with its largest distance.
+
+    The elements must lie pairwise more than 2 sqrt(m) ``_tol.CLOSURE`` apart
+    in Frobenius norm, or the list repeats an element (NotClosed).  A closed,
+    separated list is refused only if two element keys lie within the keys'
+    rounding (about 1e-14) of each other.  A list past ``check_table_work``
     is refused.
     """
     arr = np.ascontiguousarray(mats)
@@ -247,78 +250,24 @@ def cayley_table(mats) -> np.ndarray:
         arr = arr.astype(float, copy=False)
     k = arr.shape[0]
     flat = arr.reshape(k, -1)
-    check_table_work("matrix list", k, flat.shape[1])
-    table = np.empty((k, k), dtype=np.int64)
-    unmatched = _pair_by_key(arr, flat, table) if k**3 * flat.shape[1] > _PAIRING_WORK else None
-    _nearest_rows(arr, table, unmatched)
-    return table
-
-
-def _pair_by_key(arr: np.ndarray, flat: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Fill table by pairing each row's products with the elements by their
-    rank along one fixed key direction, and return the mask of the rows left
-    unsettled.
-
-    Every pair is confirmed by its max-abs entry distance, within
-    ``_tol.CLOSURE``, so a confirmed product lies within sqrt(m)
-    ``_tol.CLOSURE`` of its element in Frobenius norm.  When the elements lie
-    pairwise more than twice that apart, it is farther from every other
-    element, so the pair is the nearest element ``_nearest_rows`` would find.
-    The rows left are those with an unconfirmed pair, or every row when the
-    elements are not so separated.  Rows go in blocks of left factors, so a
-    block of products holds about ``_TABLE_BLOCK`` entries.
-    """
-    k, m = flat.shape
+    m = flat.shape[1]
+    check_table_work("matrix list", k, m)
     keys = _keys(flat)
     order = np.argsort(keys)
-    unmatched = np.ones(k, dtype=bool)
     if not _separated(flat, keys, order):
-        return unmatched
+        raise NotClosed("element list repeats an element: two lie within 2 sqrt(m) CLOSURE")
+    table = np.empty((k, k), dtype=np.int64)
     step = max(1, _TABLE_BLOCK // (k * m))
     for i in range(0, k, step):
         prods = np.matmul(arr[i : i + step, None], arr[None, :]).reshape(-1, k, m)
-        pair = np.empty((len(prods), k), dtype=np.int64)
+        pair = table[i : i + step]
         pair[np.arange(len(prods))[:, None], np.argsort(_keys(prods), axis=1)] = order
         prods -= flat[pair]
         dist = np.abs(prods) if np.iscomplexobj(prods) else np.abs(prods, out=prods)
-        stray = np.max(dist.reshape(len(prods), -1), axis=1)
-        table[i : i + step] = pair
-        unmatched[i : i + step] = ~(stray <= _tol.CLOSURE)  # NaN entries fail too
-    return unmatched
-
-
-def _nearest_rows(arr: np.ndarray, table: np.ndarray, unmatched=None) -> None:
-    """Fill the rows of table that the mask ``unmatched`` selects (every row
-    when it is None) by scoring every product against every element.
-
-    Each product's nearest element comes from a GEMM, through
-    |P - C|^2 = |P|^2 - 2 Re<P, C> + |C|^2 (|P|^2 is the same for every
-    candidate C, so the search drops it; nothing assumes the matrices are
-    unitary), and is confirmed by its max-abs entry distance; NotClosed is
-    raised when one exceeds ``_tol.CLOSURE``.  Rows go in blocks of left
-    factors whose scores hold about ``_TABLE_BLOCK`` entries (at least k^2),
-    in order, and the first block that strays names its largest distance.
-    """
-    k = arr.shape[0]
-    flat = arr.reshape(k, -1)
-    flat_conj = flat.conj()
-    half_sq = 0.5 * np.sum((flat * flat_conj).real, axis=1)
-    step = max(1, _TABLE_BLOCK // (k * k))
-    for i in range(0, k, step):
-        rows = slice(i, i + step)
-        if unmatched is not None:
-            rows = i + np.nonzero(unmatched[rows])[0]
-            if not rows.size:
-                continue
-        prods = np.matmul(arr[rows, None], arr[None, :]).reshape(-1, flat.shape[1])
-        # Re<P, C> - |C|^2/2 = (|P|^2 - |P - C|^2)/2
-        score = (prods @ flat_conj.T).real
-        score -= half_sq
-        nearest = np.argmax(score, axis=1)
-        stray = np.max(np.abs(prods - flat[nearest]))
+        stray = np.max(dist)
         if not stray <= _tol.CLOSURE:  # NaN entries fail too
             raise NotClosed(f"products stray {stray:.2e} from the element set")
-        table[rows] = nearest.reshape(-1, k)
+    return table
 
 
 def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:

@@ -445,7 +445,8 @@ _CATALOG_CHECKS = ("clifford-rotation", "geodesic-slide", "no-constant-killing-d
 def catalog_verify(
     entry_id: int,
     path=None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     samples: int = 200,
 ) -> CatalogCheckReport:
     """Run the numeric check that a catalog entry's ``checks`` field names, if
@@ -462,7 +463,6 @@ def catalog_verify(
     if len(checks) > 1:
         raise InvalidParameter(f"catalog entry {entry_id} names more than one check")
     check = checks.pop() if checks else "informational"
-    rng = rng if rng is not None else np.random.default_rng(0)
 
     if check == "clifford-rotation":
         from .constant_curvature import invariant_geodesic_check, is_clifford_sphere

@@ -54,11 +54,7 @@ from .errors import (
     ModelMismatch,
     NotClosed,
 )
-from .finite_groups import (
-    FiniteQuaternionGroup,
-    cayley_table,
-    table_inverses,
-)
+from .finite_groups import FiniteQuaternionGroup, cayley_table
 
 NOT_FREE = "NotFree"
 NOT_CONSTANT_DISPLACEMENT = "NotConstantDisplacement"
@@ -118,16 +114,14 @@ def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSided
 class DeckGroup:
     """A finite group of isometries in one declared ambient model.
 
-    Validation leaves the elements as one stack in ``matrices``: (k, n, n)
-    floats on a sphere, the (k, 2, d, d) pairs (g1, g2) on a group manifold.
-    Sphere decks keep their Cayley table in ``table`` (table[i, j] = index of
-    elements[i] @ elements[j]); group-manifold decks have None.
+    Validation checks that the elements form a group, with one Cayley table,
+    and leaves them as one stack in ``matrices``: (k, n, n) floats on a
+    sphere, the (k, 2, d, d) pairs (g1, g2) on a group manifold.
     """
 
     model: SphereModel | GroupManifoldModel
     elements: tuple
     matrices: np.ndarray | None = field(default=None, init=False, repr=False)
-    table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.model, SphereModel):
@@ -151,8 +145,8 @@ class DeckGroup:
         mats = np.stack(mats)
         if not np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _tol.ORTHOGONAL:
             raise ModelMismatch("element is not orthogonal")  # NaN entries too
+        _check_group(mats)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "table", _group_table(mats))
 
     def _validate_group(self):
         spec = self.model.spec
@@ -169,19 +163,17 @@ class DeckGroup:
         blocks = np.zeros((len(self.elements), 2 * d, 2 * d), dtype=complex)
         blocks[:, :d, :d], blocks[:, d:, d:] = self.matrices[:, 0], self.matrices[:, 1]
         center = np.array([z[0, 0] for z in center_elements(spec)])
-        _group_table((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
+        _check_group((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
 
 
-def _group_table(mats: np.ndarray) -> np.ndarray:
-    """Cayley table of a stack of matrices that must form a group: it holds the
-    identity and is closed under products and inverses, within ``_tol.CLOSURE``."""
-    dist_to_eye = np.max(np.abs(mats - np.eye(mats.shape[-1])), axis=(1, 2))
-    identity = int(np.argmin(dist_to_eye))
-    if dist_to_eye[identity] > _tol.CLOSURE:
+def _check_group(mats: np.ndarray) -> None:
+    """NotClosed unless a stack of matrices forms a group: it holds the
+    identity, no element twice, and every product, within ``_tol.CLOSURE``.
+    Each row of its Cayley table is then a permutation of the elements, so
+    every element has an inverse."""
+    if not np.min(np.max(np.abs(mats - np.eye(mats.shape[-1])), axis=(1, 2))) <= _tol.CLOSURE:
         raise NotClosed("deck group does not contain the identity")
-    table = cayley_table(mats)
-    table_inverses(table, identity)
-    return table
+    cayley_table(mats)
 
 
 def sphere_deck(matrices) -> DeckGroup:
@@ -352,7 +344,7 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
                   "rank_cutoff": _tol.RANK_CUTOFF, "zero": _tol.ZERO}
     if isinstance(model, SphereModel):
         tolerances["eigen"] = _tol.EIGEN
-        freeness = is_free_on_sphere(deck.matrices, table=deck.table)
+        freeness = is_free_on_sphere(deck.matrices)
         free = freeness.free
         free_offender = freeness.offender
         constant, values = clifford_evidence(deck.matrices)

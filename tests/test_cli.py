@@ -305,20 +305,25 @@ def test_free_pass_for_named_group(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,order",
     [
-        ("check-homogeneity", "--model", "s3", "--group", "binary-icosahedral"),
-        ("construct", "--group", "binary-icosahedral"),
-        ("check-free", "--model", "s3", "--group", "binary-icosahedral"),
+        (("check-homogeneity", "--model", "s3", "--group", "binary-icosahedral"), 120),
+        (("construct", "--group", "binary-icosahedral"), 120),
+        (("check-free", "--model", "s3", "--group", "binary-icosahedral"), 120),
+        (("check-free", "--model", "s3", "--matrix-file", "lens_5_12.txt"), 5),
     ],
-    ids=lambda argv: argv[0],
+    ids=["check-homogeneity", "construct", "check-free", "check-free-matrix-file"],
 )
-def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, argv):
-    """One Cayley table per run: the deck's table serves verify_instance and
-    is_free_on_sphere, the quaternion group's serves classify and the
-    space-form screen."""
+def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, tmp_path, argv, order):
+    """One Cayley table per run: the deck closes its list once, and the
+    quaternion group's table serves classify and the space-form screen;
+    is_free_on_sphere builds none."""
     from homoglab import finite_groups
 
+    if "--matrix-file" in argv:
+        path = tmp_path / argv[-1]
+        path.write_text(format_matrix(lens_group(5, (1, 2))[1]))
+        argv = argv[:-1] + (str(path),)
     built, cayley_table = [], finite_groups.cayley_table
 
     def counting(mats):
@@ -330,7 +335,7 @@ def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, argv):
             monkeypatch.setattr(module, "cayley_table", counting)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert built == [120]
+    assert built == [order]
 
 
 def test_free_flags_fixed_points(capsys, tmp_path):

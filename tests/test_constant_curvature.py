@@ -1,5 +1,6 @@
 """Sphere displacement tests, lens groups, and the flat/hyperbolic probes."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from homoglab.errors import (
     NonOrthogonalInput,
 )
 from homoglab.finite_groups import GroupType, left_translation_matrix, named_binary_group
+from homoglab.verifier import sphere_deck
 import oracles
 from oracles import haar_sphere, sphere_displacement_profile
 
@@ -169,8 +171,23 @@ def test_free_group_offender_matches_per_element_loop(rng, k, q):
 
 
 def test_free_group_requires_closure():
+    # closure is the deck's to check; freeness tests each element on its own
+    mats = [np.eye(4), block_diag(rotation_block(0.3), rotation_block(0.7))]
     with pytest.raises(NotClosed):
-        is_free_on_sphere([np.eye(4), block_diag(rotation_block(0.3), rotation_block(0.7))])
+        sphere_deck(mats)
+    assert is_free_on_sphere(mats).free
+
+
+def test_free_group_builds_no_cayley_table(monkeypatch):
+    def refuse(mats):
+        raise AssertionError("is_free_on_sphere built a Cayley table")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "homoglab" and hasattr(module, "cayley_table"):
+            monkeypatch.setattr(module, "cayley_table", refuse)
+    assert is_free_on_sphere(lens_group(7, (1, 2, 3))).free
+    assert is_free_on_sphere(named_binary_group(GroupType.binary_icosahedral())
+                             .left_translation_matrices()).free
 
 
 def test_geodesic_slide_for_clifford_maps(rng):

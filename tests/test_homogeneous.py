@@ -432,6 +432,9 @@ def test_catalog_verify_documented_entries(rng):
         assert key in rep.evidence
     assert catalog_verify(17, rng=rng).evidence["dimensions"] == [3, 1, 0]
     assert catalog_verify(4, rng=rng).status == "informational"
+    # the sampled checks draw from the caller's generator, never a fixed one
+    with pytest.raises(TypeError):
+        catalog_verify(10)
 
 
 def test_every_bundled_check_name_is_known():

@@ -19,6 +19,7 @@ from homoglab.compact_lie import (
     center_elements,
     group_exp,
     haar_sample,
+    is_identity_isometry,
 )
 from homoglab.constant_curvature import is_clifford_sphere, lens_group
 from homoglab.errors import (
@@ -280,11 +281,27 @@ def test_so4_deck_aligned_with_the_two_halves(rng):
 
 def test_pair_equal_up_to_center_is_the_identity_map():
     minus = TwoSidedIsometry(-np.eye(2, dtype=complex), -np.eye(2, dtype=complex))
-    deck = group_deck(SU2, [TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), minus])
-    report = verify_instance(deck, config=VerifyConfig(samples=40))
     # (-g1, -g2) acts as x -> g1* x g2: the same map as the identity pair
-    assert report.free
-    assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
+    assert is_identity_isometry(SU2, minus)
+    # so a deck holding both lists the identity map twice
+    with pytest.raises(NotClosed, match="repeats an element"):
+        group_deck(SU2, [TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), minus])
+
+
+def test_deck_that_lists_an_isometry_twice_is_refused():
+    """(-g^k, -I) is the same map as (g^k, I), so these six pairs are the
+    three maps of a cyclic deck, each listed twice; on the sphere, I is
+    listed twice beside -I."""
+    g = group_manifold_deck(SU2, "cyclic-3")[1].g1
+    ident = np.eye(2, dtype=complex)
+    powers = [ident, g, g @ g]
+    twice = [TwoSidedIsometry(p, ident) for p in powers]
+    twice += [TwoSidedIsometry(-p, -ident) for p in powers]
+    assert len(group_deck(SU2, twice[:3]).elements) == 3
+    with pytest.raises(NotClosed, match="repeats an element"):
+        group_deck(SU2, twice)
+    with pytest.raises(NotClosed, match="repeats an element"):
+        sphere_deck([np.eye(4), np.eye(4), -np.eye(4)])
 
 
 def _two_sided_deck(spec, rng):
