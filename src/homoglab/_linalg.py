@@ -25,16 +25,6 @@ def null_space(A: np.ndarray, rel_cutoff: float = _tol.RANK_CUTOFF) -> np.ndarra
     return vh[rank:].conj().T
 
 
-def _vec(E: np.ndarray, lead: int = 0) -> np.ndarray:
-    """Real coordinate vector of a real or complex array (real parts, then
-    imaginary parts); one vector per index of the first ``lead`` axes."""
-    E = np.asarray(E)
-    flat = E.reshape(E.shape[:lead] + (-1,))
-    if np.iscomplexobj(E):
-        return np.concatenate([flat.real, flat.imag], axis=-1)
-    return flat
-
-
 def rank_rel(A: np.ndarray):
     """Numerical rank, cutoff ``_tol.RANK_CUTOFF`` relative to the largest
     singular value: an int for one matrix, an array of ranks for a stack."""

@@ -29,8 +29,12 @@ BASIS = 1e-9
 # Ad of a deck factor is the identity on a simple ideal: the factor commutes
 # with the ideal's basis (clifford_wolf_evidence; "central")
 CENTRAL = 1e-7
-# a norm, an angle, a determinant error or a whole matrix vanishes ("zero")
+# a norm, an angle or a determinant error vanishes
 ZERO = 1e-12
+# an eigenvalue of the group mean of Ad, an orthogonal projector, counts as 1
+# above this midpoint of its eigenvalues 0 and 1: a closed deck holds them
+# within about 1e-14 of 0 or 1, so it is not recorded in reports
+PROJECTOR_SPLIT = 0.5
 # the default --tol: largest freeness distance and largest displacement spread
 # of the forward re-check ("displacement"), or largest relative Killing length
 # gap (check-killing, catalog 15; "relative_gap")

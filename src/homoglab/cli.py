@@ -151,6 +151,8 @@ _BINARY_TAGS = {
 
 
 _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
+# largest sphere model: s23 in R^24, the matrix size of the largest group model sp12
+_MAX_SPHERE_DIM = 2 * _MAX_GROUP_SIZE - 1
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
 _MAX_SAMPLES = 10**6  # most --samples: 10^6 points on s11 are 96 MB of floats
 
@@ -166,8 +168,8 @@ def parse_model(name: str):
     m = re.fullmatch(r"s(\d+)", name)
     if m:
         dim = int(m.group(1))
-        if dim < 2:
-            raise InvalidParameter("sphere models start at s2")
+        if not 2 <= dim <= _MAX_SPHERE_DIM:
+            raise InvalidParameter(f"sphere models run from s2 to s{_MAX_SPHERE_DIM}")
         return SphereModel(dim + 1)
     raise InvalidParameter(
         f"unknown model {name!r}: expected sN (sphere) or suN/soN/spN (group manifold)"

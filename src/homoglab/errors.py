@@ -58,10 +58,6 @@ class UnsupportedType(HomoglabError, ValueError):
     pass
 
 
-class EmptyAmbient(HomoglabError, ValueError):
-    pass
-
-
 class ModelMismatch(HomoglabError, ValueError):
     pass
 

@@ -5,8 +5,14 @@ Two ambient models are supported.  On the round sphere S^{n} the deck group is
 a finite set of orthogonal matrices and the ambient isometry algebra is
 so(n+1).  On a compact group manifold with its bi-invariant metric the deck
 group is a finite set of two-sided translations x -> g1^{-1} x g2 and the
-ambient algebra is the sum of the left- and right-translation fields, encoded
-as stacked pairs (X, Y) acting through x -> exp(tX) x exp(tY).
+ambient algebra is the sum of the left- and right-translation fields, the
+pairs (X, Y) acting through x -> exp(tX) x exp(tY).
+
+The centralizer of the deck in the full isometry algebra is exact: for a
+finite group, the mean of Ad over the group is the orthogonal projector onto
+the directions every element fixes, so the centralizer is the eigenspace for
+eigenvalue 1 of that mean, held as coordinates on ``algebra_basis`` (so(n+1)
+on a sphere; the left and the right factor on a group manifold).
 
 Transitivity is decided at one point.  The identity component of the deck
 group's centralizer in the full isometry group is compact, so its orbits are
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from ._linalg import _vec, null_space, rank_rel
+from ._linalg import rank_rel, trace_coords
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -48,7 +54,6 @@ from .constant_curvature import (
     sphere_displacement_range,
 )
 from .errors import (
-    EmptyAmbient,
     InvalidParameter,
     InvariantViolated,
     ModelMismatch,
@@ -60,6 +65,8 @@ NOT_FREE = "NotFree"
 NOT_CONSTANT_DISPLACEMENT = "NotConstantDisplacement"
 HOMOGENEOUS_WITNESS_FOUND = "HomogeneousWitnessFound"
 NO_WITNESS_IN_AMBIENT = "NoWitnessInAmbient"
+
+_AVERAGE_BLOCK = 1 << 20  # Ad-image entries per block of the group average (16 MB complex)
 
 
 @dataclass(frozen=True)
@@ -86,22 +93,6 @@ class GroupManifoldModel:
     @property
     def manifold_dim(self) -> int:
         return self.spec.algebra_dim
-
-
-def sphere_ambient_basis(ambient_dim: int) -> tuple[np.ndarray, ...]:
-    return algebra_basis(CompactGroupSpec("SO", ambient_dim))
-
-
-def group_ambient_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
-    """Basis of left ⊕ right translation generators, as stacked (X, Y) pairs."""
-    d = spec.matrix_size
-    zero = np.zeros((d, d), dtype=complex)
-    out = []
-    for X in algebra_basis(spec):
-        out.append(np.stack([X.astype(complex), zero]))
-    for Y in algebra_basis(spec):
-        out.append(np.stack([zero, Y.astype(complex)]))
-    return tuple(out)
 
 
 def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSidedIsometry:
@@ -199,53 +190,51 @@ def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
 # centralizer and transitivity
 
 
-def _ad_minus_identity(deck: DeckGroup, basis: np.ndarray) -> np.ndarray:
-    """(Ad(γ) − I) b for every deck element γ (axis 0) and basis element b
-    (axis 1)."""
-    g = deck.matrices[:, None]
-    if isinstance(deck.model, SphereModel):
-        return g @ basis @ np.swapaxes(g, -1, -2) - basis
-    # a group-manifold direction is a pair (X, Y): Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2)
-    return np.swapaxes(g.conj(), -1, -2) @ basis @ g - basis
+def _fixed_coordinates(spec: CompactGroupSpec, mats: np.ndarray) -> np.ndarray:
+    """Orthonormal coordinates on ``algebra_basis(spec)`` (columns) of the
+    directions X with g^H X g = X for every g of a (k, d, d) stack whose Ad
+    images form a group.  The mean P of Ad over a finite group is the
+    orthogonal projector onto its fixed directions, so its eigenvalues are 0
+    and 1 and the columns are its eigenvectors for 1.  The deck goes in
+    blocks of about ``_AVERAGE_BLOCK`` entries of Ad images."""
+    B = np.stack(algebra_basis(spec))
+    step = max(1, _AVERAGE_BLOCK // B.size)
+    total = 0.0
+    for i in range(0, len(mats), step):
+        g = mats[i : i + step, None]
+        total = total + np.sum(np.swapaxes(g.conj(), -1, -2) @ B @ g, axis=0)
+    w, V = np.linalg.eigh(trace_coords(B, total / len(mats)))
+    return V[:, w > _tol.PROJECTOR_SPLIT]
 
 
-def centralizer_algebra(deck: DeckGroup, ambient_basis) -> tuple:
-    """Basis of the ambient directions fixed by Ad of every deck element — the
-    common null space of the stacked (Ad(γ) − I) maps, built for all elements
-    and basis directions at once.  The null-space coefficients are orthonormal,
-    so the basis is orthonormal in the ``_vec`` dot product whenever the
-    ambient basis is, as the sphere and group-manifold bases are."""
-    basis = list(ambient_basis)
-    if not basis:
-        raise EmptyAmbient("ambient basis is empty")
-    B = np.stack(basis)
-    # column b holds _vec((Ad(γ) − I) b) of every γ, one element after another
-    M = np.swapaxes(_vec(_ad_minus_identity(deck, B), lead=2), 1, 2).reshape(-1, len(basis))
-    if np.max(np.abs(M)) <= _tol.ZERO:  # identity-only deck: everything commutes
-        coeff = np.eye(len(basis))
-    else:
-        coeff = null_space(M)
-    return tuple(np.tensordot(coeff.T, B, axes=1))
+def centralizer_algebra(deck: DeckGroup) -> tuple[np.ndarray, ...]:
+    """The ambient directions fixed by Ad of every deck element, one
+    orthonormal coordinate array (basis coordinates by columns) per factor of
+    the isometry algebra: so(n) on a sphere; the left and the right fields on
+    a group manifold, where Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2)."""
+    model = deck.model
+    if isinstance(model, SphereModel):
+        return (_fixed_coordinates(CompactGroupSpec("SO", model.ambient_dim), deck.matrices),)
+    return tuple(_fixed_coordinates(model.spec, deck.matrices[:, s]) for s in (0, 1))
 
 
-def transitivity_rank(Z_basis, model):
+def transitivity_rank(Z, model):
     """Rank of the centralizer fields' span in the tangent space at the base
-    point (e_1 on a sphere, the identity on a group manifold).  Returns
-    (rank, dim M).
+    point (e_1 on a sphere, the identity on a group manifold), for the
+    coordinate arrays of ``centralizer_algebra``.  Returns (rank, dim M).
 
     With Z the centralizer in the full isometry algebra, full rank at this
     one point means the centralizer is transitive, and a deficit means it is
     not: its orbits are closed, and open exactly where the rank is full.
     """
-    dim = model.manifold_dim
-    if len(Z_basis) == 0:
-        return 0, dim
-    Z = np.stack(Z_basis)
     if isinstance(model, SphereModel):
-        rows = Z[:, :, 0]  # X e_1
+        (C,) = Z
+        B = np.stack(algebra_basis(CompactGroupSpec("SO", model.ambient_dim)))
+        rows = C.T @ B[:, :, 0]  # the fields X e_1
     else:
-        rows = _vec(Z[:, 0] + Z[:, 1], lead=1)  # X·1 + 1·Y
-    return rank_rel(rows), dim
+        # a left field X and a right field Y are X and Y at the identity
+        rows = np.hstack(Z).T
+    return rank_rel(rows), model.manifold_dim
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +330,13 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
 
     # every named tolerance that can change the verdict
     tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
-                  "rank_cutoff": _tol.RANK_CUTOFF, "zero": _tol.ZERO}
+                  "rank_cutoff": _tol.RANK_CUTOFF}
     if isinstance(model, SphereModel):
         tolerances["eigen"] = _tol.EIGEN
         freeness = is_free_on_sphere(deck.matrices)
         free = freeness.free
         free_offender = freeness.offender
         constant, values = clifford_evidence(deck.matrices)
-        ambient = sphere_ambient_basis(model.ambient_dim)
     else:
         tolerances["central"] = _tol.CENTRAL
         spec = model.spec
@@ -367,12 +355,11 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         free = free_offender is None
         inverted = np.zeros(deck.order, dtype=bool)  # decks hold translations only
         constant, values = _clifford_wolf(spec, pairs, inverted)
-        ambient = group_ambient_basis(spec)
     elements = tuple(
         ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
     )
 
-    Z = centralizer_algebra(deck, ambient)
+    Z = centralizer_algebra(deck)
     min_rank, dim = transitivity_rank(Z, model)
     all_constant = all(e.constant for e in elements)
     verdict = verdict_from_evidence(free, all_constant, min_rank, dim)
@@ -394,7 +381,7 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         free=free,
         free_offender=free_offender,
         clifford_per_element=elements,
-        centralizer_dim=len(Z),
+        centralizer_dim=sum(C.shape[1] for C in Z),
         transitivity=(1, min_rank, dim),
         verdict=verdict,
         seed=config.seed,

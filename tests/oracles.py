@@ -2,8 +2,9 @@
 abstract SL(2, F_p) table, the scalar product of two quaternions, the
 right-translation and SU(2) images of a unit quaternion, the minimal-norm
 logarithm of a compact group element and the fixed point of an inverted
-two-sided translation, and displacement statistics over Haar points on a
-sphere.  A quaternion is a row (w, x, y, z)."""
+two-sided translation, displacement statistics over Haar points on a
+sphere, and the real coordinate vector of a matrix.  A quaternion is a row
+(w, x, y, z)."""
 
 from functools import lru_cache
 
@@ -23,6 +24,16 @@ from homoglab.compact_lie import (
 from homoglab.constant_curvature import _orthogonal_stack
 from homoglab.errors import NotInGroup
 from homoglab.profiles import DisplacementProfile
+
+
+def _vec(E: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Real coordinate vector of a real or complex array (real parts, then
+    imaginary parts); one vector per index of the first ``lead`` axes."""
+    E = np.asarray(E)
+    flat = E.reshape(E.shape[:lead] + (-1,))
+    if np.iscomplexobj(E):
+        return np.concatenate([flat.real, flat.imag], axis=-1)
+    return flat
 
 
 @lru_cache(maxsize=None)

@@ -58,7 +58,6 @@ from homoglab.verifier import (
     NOT_CONSTANT_DISPLACEMENT,
     VerifyConfig,
     centralizer_algebra,
-    sphere_ambient_basis,
     sphere_deck,
     sphere_deck_from_quaternions,
     transitivity_rank,
@@ -321,7 +320,7 @@ def test_criterion_11_homogeneity_pipeline():
     report = verify_instance(bad, config=config)
     if report.verdict != NOT_CONSTANT_DISPLACEMENT:
         failures.append(f"lens(5;1,2): verdict {report.verdict}")
-    Z = centralizer_algebra(bad, sphere_ambient_basis(4))
+    Z = centralizer_algebra(bad)
     rank, dim = transitivity_rank(Z, bad.model)
     if not rank <= 2 < dim:
         failures.append(f"lens(5;1,2): centralizer rank {rank}, dim {dim}")

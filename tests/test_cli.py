@@ -167,7 +167,7 @@ def test_unwritable_output_exits_2_with_one_stderr_line(capsys, tmp_path, where)
 def test_every_report_records_its_deciding_tolerances(capsys):
     sphere = {"closure": _tol.CLOSURE, "eigen": _tol.EIGEN}
     pipeline = {"displacement": _tol.DISPLACEMENT, "closure": _tol.CLOSURE,
-                "rank_cutoff": _tol.RANK_CUTOFF, "zero": _tol.ZERO}
+                "rank_cutoff": _tol.RANK_CUTOFF}
     few = ["--samples", "20"]
     runs = [
         (["construct", "--group", "binary-tetrahedral"], {"closure": _tol.CLOSURE}),
@@ -408,6 +408,19 @@ def test_killing_hopf_space_is_bounded_like_the_group_models(capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert f"at most {cli._MAX_GROUP_SIZE - 1}" in line
+
+
+def test_sphere_models_are_bounded_like_the_group_models(capsys):
+    """s23 lies in R^24, the matrix size of sp12; s24 is refused before any
+    deck is built."""
+    assert main(["check-homogeneity", "--model", "s24", "--group", "antipodal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "s23" in line and cli._MAX_SPHERE_DIM == 23
+    code, rep = run_cli(capsys, "check-homogeneity", "--model", "s23", "--group", "antipodal")
+    assert code == 0
+    assert rep["verdict"] == "HomogeneousWitnessFound"
 
 
 @pytest.mark.parametrize(
@@ -862,9 +875,10 @@ _SPHERE_GROUPS = _mostly(
 ) | _names("cyclic-", -1, 60) | _names("binary-dihedral-", -1, 15) | st.tuples(
     st.integers(0, 60), st.lists(st.integers(-2, 13), min_size=1, max_size=4)
 ).map(lambda t: "lens-" + "-".join(str(x) for x in (t[0], *t[1])))
-_SPHERES = _mostly(["s2", "s3", "s3", "s5", "s7"], ["s1", "su2", "x3", ""])
+_SPHERES = _mostly(["s2", "s3", "s3", "s5", "s7"], ["s1", "s24", "su2", "x3", ""])
 _MODELS = _mostly(
-    ["s3", "s3", "s5", "s7", "su2", "su3", "so3", "so4", "sp2"], ["s1", "su1", "su13", "x3", ""]
+    ["s3", "s3", "s5", "s7", "su2", "su3", "so3", "so4", "sp2"],
+    ["s1", "s24", "su1", "su13", "x3", ""],
 )
 _SPACES = _mostly(
     ["su2", "su3", "so5", "sp2", "hopf-1", "hopf-3", "so5-so3"], ["so13", "hopf-0", "so5-so2", "x"]

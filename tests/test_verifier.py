@@ -3,18 +3,21 @@ transitivity witnesses, verdicts, and report determinism."""
 
 import json
 
+from functools import partial
 from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from homoglab.cli import group_manifold_deck, sphere_group_matrices
-from homoglab._linalg import _vec, null_space, rank_rel
+from homoglab._linalg import null_space, rank_rel
 from homoglab.compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
+    algebra_basis,
     biinvariant_distance,
     center_elements,
     group_exp,
@@ -23,7 +26,6 @@ from homoglab.compact_lie import (
 )
 from homoglab.constant_curvature import is_clifford_sphere, lens_group
 from homoglab.errors import (
-    EmptyAmbient,
     InvalidParameter,
     ModelMismatch,
     NotClosed,
@@ -39,17 +41,15 @@ from homoglab.verifier import (
     SphereModel,
     VerifyConfig,
     centralizer_algebra,
-    group_ambient_basis,
     group_deck,
     left_translation_isometry,
-    sphere_ambient_basis,
     sphere_deck,
     sphere_deck_from_quaternions,
     transitivity_rank,
     verdict_from_evidence,
     verify_instance,
 )
-from oracles import haar_sphere, right_translation_matrix, su2_matrix
+from oracles import _vec, haar_sphere, right_translation_matrix, su2_matrix
 
 SU2 = CompactGroupSpec("SU", 2)
 GROUP_SPECS = (
@@ -65,49 +65,46 @@ def _ad_sphere(g, X):
     return g @ X @ g.T
 
 
+def _ambient_basis(model):
+    """Basis of the full isometry algebra: so(n) on a sphere; on a group
+    manifold the left fields (X, 0), then the right fields (0, Y), as stacked
+    pairs acting through x -> exp(tX) x exp(tY)."""
+    if isinstance(model, SphereModel):
+        return np.stack(algebra_basis(CompactGroupSpec("SO", model.ambient_dim)))
+    basis = np.stack(algebra_basis(model.spec)).astype(complex)
+    zero = np.zeros_like(basis)
+    return np.concatenate([np.stack([basis, zero], axis=1), np.stack([zero, basis], axis=1)])
+
+
+def _fields(Z, model):
+    """The centralizer's fields as matrices (sphere) or (X, Y) pairs (group
+    manifold): its coordinate arrays put on the diagonal of ``_ambient_basis``."""
+    return np.tensordot(block_diag(*Z).T, _ambient_basis(model), axes=1)
+
+
 # ---------------------------------------------------------------------------
 # centralizer algebra
 
 
 def test_binary_dihedral_centralizer_is_right_multiplication_copy(rng):
     deck = sphere_deck_from_quaternions(named_binary_group(GroupType("binary_dihedral", 3)))
-    Z = centralizer_algebra(deck, sphere_ambient_basis(4))
-    assert len(Z) == 3
+    Z = centralizer_algebra(deck)
+    fields = _fields(Z, deck.model)
+    assert len(fields) == 3
     # invariance under every deck element
     for g in deck.elements:
-        for X in Z:
+        for X in fields:
             assert np.max(np.abs(_ad_sphere(g, X) - X)) <= 1e-8
-    # orthonormality in -tr(XY)/... the flattened real inner product
-    G = np.array([[np.sum(a * b) for b in Z] for a in Z])
+    # orthonormal coordinates, so orthonormal fields in -tr(XY)
+    G = np.array([[-np.trace(a @ b) for b in fields] for a in fields])
     np.testing.assert_allclose(G, np.eye(3), atol=1e-10)
 
 
 def test_identity_deck_centralizer_is_full_ambient():
     deck = sphere_deck([np.eye(4)])
-    Z = centralizer_algebra(deck, sphere_ambient_basis(4))
-    assert len(Z) == 6
-
-
-def test_centralizer_requires_nonempty_ambient():
-    deck = sphere_deck([np.eye(4)])
-    with pytest.raises(EmptyAmbient):
-        centralizer_algebra(deck, [])
-
-
-def test_restricted_ambient_loses_the_witness():
-    """Handing the pipeline only a torus worth of ambient directions must
-    produce a no-witness verdict even for a genuinely homogeneous quotient."""
-    deck = sphere_deck(lens_group(5, (1, 1)))
-    torus = []
-    for (a, b) in [(0, 1), (2, 3)]:
-        E = np.zeros((4, 4))
-        E[a, b], E[b, a] = 1.0, -1.0
-        torus.append(E / np.sqrt(2.0))
-    Z = centralizer_algebra(deck, torus)
-    assert len(Z) == 2
-    min_rank, dim = transitivity_rank(Z, deck.model)
-    assert min_rank < dim
-    assert verdict_from_evidence(True, True, min_rank, dim) == NO_WITNESS_IN_AMBIENT
+    (C,) = centralizer_algebra(deck)
+    assert C.shape == (6, 6)
+    assert verify_instance(deck).centralizer_dim == 6
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +301,15 @@ def test_deck_that_lists_an_isometry_twice_is_refused():
         sphere_deck([np.eye(4), np.eye(4), -np.eye(4)])
 
 
-def _two_sided_deck(spec, rng):
-    """x -> g^-k x (h g^k h^-1), k = 0, 1, 2, with g a random conjugate of an
-    order-3 element: every element fixes x = h^-1."""
+def _two_sided_deck(spec, rng, order=3):
+    """x -> g^-k x (h g^k h^-1), k = 0 .. order - 1, with g a random conjugate
+    of an element of that order: every element fixes x = h^-1."""
     q, h = haar_sample(spec, rng), haar_sample(spec, rng)
-    # the cyclic-3 deck's second element is x -> c x, c non-central of order 3
-    c = group_manifold_deck(spec, "cyclic-3")[1].g1.conj().T
+    # the cyclic deck's second element is x -> c x, c non-central of that order
+    c = group_manifold_deck(spec, f"cyclic-{order}")[1].g1.conj().T
     g = q @ c @ q.conj().T
     isos, p = [], spec.identity()
-    for _ in range(3):
+    for _ in range(order):
         isos.append(TwoSidedIsometry(p, h @ p @ h.conj().T))
         p = p @ g
     return group_deck(spec, isos)
@@ -517,14 +514,17 @@ def test_group_deck_closure_is_up_to_the_center(spec):
 
 
 def test_empty_span_has_rank_zero():
-    assert transitivity_rank([], SphereModel(4)) == (0, 3)
+    assert transitivity_rank((np.zeros((6, 0)),), SphereModel(4)) == (0, 3)
+    empty = np.zeros((3, 0))
+    assert transitivity_rank((empty, empty), GroupManifoldModel(SU2)) == (0, 3)
 
 
 def _per_point_rank(Z, model, x):
+    fields = _fields(Z, model)
     if isinstance(model, SphereModel):
-        rows = np.array([_vec(np.asarray(X) @ x) for X in Z])
+        rows = np.array([_vec(X @ x) for X in fields])
     else:
-        rows = np.array([_vec(x.conj().T @ E[0] @ x + E[1]) for E in Z])
+        rows = np.array([_vec(x.conj().T @ E[0] @ x + E[1]) for E in fields])
     return rank_rel(rows)
 
 
@@ -562,20 +562,15 @@ def test_transitivity_rank_equals_per_point_loop(make_deck):
     distinct exponents have a torus centralizer, so their rank stays below the
     dimension; the others reach it."""
     deck = make_deck()
-    ambient = (
-        sphere_ambient_basis(deck.model.ambient_dim)
-        if isinstance(deck.model, SphereModel)
-        else group_ambient_basis(deck.model.spec)
-    )
-    Z = centralizer_algebra(deck, ambient)
+    Z = centralizer_algebra(deck)
     rank, dim = transitivity_rank(Z, deck.model)
     assert dim == deck.model.manifold_dim
     assert rank == _per_point_min_rank(Z, deck.model, 12, 3)
 
 
 def test_full_ambient_is_transitive_for_both_models():
-    assert transitivity_rank(sphere_ambient_basis(5), SphereModel(5)) == (4, 4)
-    rank, dim = transitivity_rank(group_ambient_basis(SU2), GroupManifoldModel(SU2))
+    assert transitivity_rank((np.eye(10),), SphereModel(5)) == (4, 4)
+    rank, dim = transitivity_rank((np.eye(3), np.eye(3)), GroupManifoldModel(SU2))
     assert rank == dim == 3
 
 
@@ -699,14 +694,15 @@ def _ad_isometry_oracle(model, gamma, b):
     return np.stack([g1.conj().T @ b[0] @ g1, g2.conj().T @ b[1] @ g2])
 
 
-def centralizer_oracle(deck, ambient_basis):
-    basis = list(ambient_basis)
+def centralizer_oracle(deck):
+    """Orthonormal coordinates on ``_ambient_basis`` of the common null space
+    of Ad(γ) − I, one deck element and one basis direction at a time."""
+    basis = _ambient_basis(deck.model)
     M = np.vstack([
         np.column_stack([_vec(_ad_isometry_oracle(deck.model, g, b) - b) for b in basis])
         for g in deck.elements
     ])
-    coeff = np.eye(len(basis)) if np.max(np.abs(M)) <= 1e-12 else null_space(M, rel_cutoff=1e-8)
-    return tuple(np.tensordot(coeff.T, np.stack(basis), axes=1))
+    return np.eye(len(basis)) if np.max(np.abs(M)) <= 1e-12 else null_space(M, rel_cutoff=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -727,19 +723,61 @@ def centralizer_oracle(deck, ambient_basis):
          "su2-cyclic-3", "su3-center", "so4-cyclic-3", "sp2-cyclic-3", "su3-two-sided"],
 )
 def test_stacked_centralizer_equals_the_per_element_loop(make_deck):
+    """The range of the group-averaged Ad is the oracle's null space: the
+    bases differ, so the test compares the projectors onto the two spans."""
     deck = make_deck()
-    ambient = (
-        sphere_ambient_basis(deck.model.ambient_dim)
-        if isinstance(deck.model, SphereModel)
-        else group_ambient_basis(deck.model.spec)
-    )
-    got, want = centralizer_algebra(deck, ambient), centralizer_oracle(deck, ambient)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
-    # orthonormal in the _vec dot product, as Gram-Schmidt would leave it
-    V = _vec(np.stack(got), lead=1)
-    np.testing.assert_allclose(V @ V.T, np.eye(len(got)), rtol=0, atol=1e-12)
+    got, want = block_diag(*centralizer_algebra(deck)), centralizer_oracle(deck)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got.T @ got, np.eye(got.shape[1]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+
+
+def _adjoint_character(family, g):
+    """Character of Ad on a stack of SO, SU or Sp matrices: Ad is the
+    exterior square of the defining representation on so(n), V ⊗ V* less the
+    trivial one on su(n), and the symmetric square on sp(n)."""
+    t, t2 = np.trace(g, axis1=-2, axis2=-1), np.trace(g @ g, axis1=-2, axis2=-1)
+    if family == "SU":
+        return np.abs(t) ** 2 - 1
+    return ((t**2 + (1 if family == "Sp" else -1) * t2) / 2).real
+
+
+def _character_decks():
+    """Deck factories by name: the polyhedral s3 decks, lens decks, center
+    and cyclic decks on group manifolds, and random two-sided decks."""
+    decks = {}
+    for tag in ("binary_tetrahedral", "binary_octahedral", "binary_icosahedral"):
+        group = GroupType(tag, None)
+        decks[f"s3-{tag}"] = lambda g=group: sphere_deck_from_quaternions(named_binary_group(g))
+    for k, exps in ((5, (1, 2)), (7, (1, 1)), (9, (1, 2, 4)), (10, (1, 3, 3)), (12, (1, 1, 1, 1))):
+        name = "lens-" + "-".join(map(str, (k, *exps)))
+        decks[name] = lambda k=k, exps=exps: sphere_deck(lens_group(k, exps))
+    for family, n in (("SU", 2), ("SU", 3), ("SU", 4), ("SO", 4), ("SO", 5), ("Sp", 2)):
+        for name in ("center", "cyclic-3", "cyclic-5"):
+            decks[f"{family.lower()}{n}-{name}"] = partial(_named_group_deck, family, n, name)
+    for spec in (SU2, CompactGroupSpec("SU", 3), CompactGroupSpec("SO", 4)):
+        for order in (3, 5):
+            decks[f"{spec.name}-two-sided-{order}"] = lambda spec=spec, order=order: (
+                _two_sided_deck(spec, np.random.default_rng(order), order))
+    return decks
+
+
+CHARACTER_DECKS = _character_decks()
+
+
+@pytest.mark.parametrize("name", CHARACTER_DECKS)
+def test_centralizer_dim_is_the_mean_adjoint_character(name):
+    """The fixed space of a representation of a finite group has the
+    dimension of the group mean of its character, summed here over the
+    factors: so(n) with the deck on a sphere, g1 and g2 on a group manifold."""
+    deck = CHARACTER_DECKS[name]()
+    if isinstance(deck.model, SphereModel):
+        factors = [("SO", deck.matrices)]
+    else:
+        factors = [(deck.model.spec.family, deck.matrices[:, s]) for s in (0, 1)]
+    want = sum(np.mean(_adjoint_character(f, g)) for f, g in factors)
+    assert abs(want - round(want)) <= 1e-9
+    assert verify_instance(deck).centralizer_dim == round(want)
 
 
 def test_sphere_deck_keeps_its_stack_and_checks_every_element():
