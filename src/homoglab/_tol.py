@@ -22,7 +22,11 @@ RANK_CUTOFF = 1e-8
 # the same, for the Berger isometry system of check-berger ("rank_cutoff")
 BERGER_CUTOFF = 1e-10
 # a bracket vanishes, or a subspace of a Lie algebra is invariant under
-# another: the norm of the coordinates that must vanish
+# another: the norm of the coordinates that must vanish.  Catalog entry 10
+# decides against it too ("bracket"): Casimir eigenvalues closer than this
+# times the largest form one component, the metric form touches a component
+# where its projection exceeds this, and the certified least projection of
+# ξξᵀ must exceed it
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
@@ -39,9 +43,6 @@ PROJECTOR_SPLIT = 0.5
 # of the forward re-check ("displacement"), or largest relative Killing length
 # gap (check-killing, catalog 15; "relative_gap")
 DISPLACEMENT = 1e-7
-# catalog entry 10: no sampled Killing field of SO(5)/SO(3) has constant
-# length, every relative gap exceeds this ("min_relative_gap")
-CATALOG_GAP = 1e-3
 # a constant-displacement map slides a great circle along itself ("geodesic")
 GEODESIC = 1e-8
 # probe-noncompact adds I to a random 2x2 draw with |det| below this before

@@ -1,6 +1,7 @@
 """Reductive homogeneous spaces G/H: complements, block metrics, Killing-field
-length profiles, Weyl-group orders and Euler characteristics, squashed-sphere
-isometry algebras, and the bundled catalog of positively curved examples.
+length profiles and constant-length certificates, Weyl-group orders and Euler
+characteristics, squashed-sphere isometry algebras, and the bundled catalog of
+positively curved examples.
 
 Tangent spaces are modelled on an orthogonal complement 𝔪 of the isotropy
 algebra 𝔥 inside 𝔤, taken with respect to <X, Y> = -trace(XY).  Invariant
@@ -9,8 +10,8 @@ metrics are positive rescalings of that form on blocks of 𝔪.
 Subspaces of 𝔤 are handled as coordinates in the orthonormal
 ``algebra_basis``: on skew-hermitian matrices -trace(XY) is the dot product
 of the real coordinate vectors, so Gram matrices and projections are one
-stacked ``trace_coords`` each, and complements and centralizers are null
-spaces of coordinate matrices.  There is no Gram-Schmidt.
+stacked ``trace_coords`` each, and a complement is the null space of the
+isotropy coordinates.  There is no Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .compact_lie import (
     _haar_blocks,
     algebra_basis,
     check_in_algebra,
-    random_algebra_element,
 )
 from .errors import (
     InvalidCoefficients,
+    InvariantViolated,
     InvalidParameter,
     NotASubalgebra,
     ParseError,
@@ -258,6 +259,136 @@ def killing_length_profile(
 
 
 # ---------------------------------------------------------------------------
+# constant-length certificates for Killing fields
+
+
+def _sym2_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric n x n matrices in the Frobenius
+    product, as an (n(n + 1)/2, n, n) stack."""
+    i, j = np.triu_indices(n)
+    k = np.arange(len(i))
+    E = np.zeros((len(i), n, n))
+    E[k, i, j] = E[k, j, i] = np.where(i == j, 1.0, np.sqrt(0.5))
+    return E
+
+
+def casimir_components(group: CompactGroupSpec) -> list[tuple[float, np.ndarray]]:
+    """Eigenspaces of the Casimir Ω(A) = -Σ_a [ad_a, [ad_a, A]] on Sym²𝔤, in
+    ``algebra_basis`` coordinates: (Casimir value, orthonormal (k, n, n) stack
+    of symmetric matrices) pairs by increasing value, n = dim 𝔤.
+
+    Eigenvalues closer than ``_tol.BRACKET`` times the largest form one
+    component.  Inequivalent irreducibles with one Casimir value would share a
+    component, so a caller that needs irreducible components compares their
+    dimensions with the Weyl dimension formula.
+    """
+    basis = np.stack(algebra_basis(group))
+    n = len(basis)
+    # ad[a][c, b] = <B_c, [B_a, B_b]>, the matrix of ad(B_a) on coordinates
+    ad = np.swapaxes(trace_coords(basis, bracket(basis[:, None], basis[None])), 1, 2)
+    # Ω = -Σ_a (ad_a ⊗ 1 + 1 ⊗ ad_a)², which is -2 (K ⊗ 1 + Σ_a ad_a ⊗ ad_a)
+    # with K = Σ_a ad_a² on the symmetric tensors
+    K = np.einsum("aij,ajk->ik", ad, ad)
+    kron = np.einsum("aij,akl->ikjl", ad, ad).reshape(n * n, n * n) + np.kron(K, np.eye(n))
+    F = _sym2_basis(n).reshape(-1, n * n)
+    values, vecs = np.linalg.eigh(-2.0 * F @ kron @ F.T)
+    split = np.flatnonzero(np.diff(values) > _tol.BRACKET * max(values[-1], 1.0)) + 1
+    return [
+        (float(np.mean(values[idx])), (vecs[:, idx].T @ F).reshape(-1, n, n))
+        for idx in np.split(np.arange(len(values)), split)
+    ]
+
+
+@dataclass(frozen=True)
+class KillingCertificate:
+    """Which components of Sym²𝔤 the metric form touches, and the least
+    projection of ξξᵀ onto them over unit directions ξ."""
+
+    component_dims: tuple[int, ...]  # of every Casimir component, by value
+    touched_dims: tuple[int, ...]  # of the nontrivial components S touches
+    untouched_max: float  # largest ‖P_λ(S)‖ over the other nontrivial ones
+    min_norm: float  # least ‖P(ξξᵀ)‖, P onto the touched components
+
+
+# points of the fixed grid that cross-checks the minimum taken at the roots
+_CHECK_GRID = 256
+
+
+def killing_constancy_certificate(
+    space: HomogeneousSpaceSpec, torus: np.ndarray
+) -> KillingCertificate:
+    """Decide which Killing fields ξ of the left action of G on G/H have
+    constant length.
+
+    In algebra coordinates the squared length of the left field ξ at gH is
+    ⟨ξξᵀ, R S Rᵀ⟩ with R = Ad(g⁻¹) and S the metric form on 𝔤 (the
+    𝔪-projection, then the block scalings): a matrix coefficient of Sym²𝔤.
+    When each Casimir component is irreducible, matrix coefficients of
+    different components are independent (Peter–Weyl), so the length is
+    constant iff P_λ(ξξᵀ) = 0 on every nontrivial component λ with
+    ‖P_λ(S)‖ > ``_tol.BRACKET``.
+
+    ``torus`` is a (2, d, d) stack of commuting orthonormal directions that
+    span a maximal torus of a rank-2 group.  ‖P(ξξᵀ)‖ is Ad-invariant and
+    every direction is conjugate into the torus, so the least value over unit
+    ξ is the least over the torus circle, where its square is a trigonometric
+    polynomial of degree 4 in the angle.  Its minimum is taken at the roots of
+    its derivative (``numpy.roots``); a fixed grid below that minimum by more
+    than ``_tol.BRACKET`` raises InvariantViolated.
+    """
+    basis = np.stack(algebra_basis(space.group))
+    t = np.reshape([check_in_algebra(space.group, X) for X in torus], (-1,) + basis.shape[1:])
+    x = trace_coords(basis, t)
+    if len(x) != 2 or not np.max(np.abs(x @ x.T - np.eye(2))) <= _tol.BASIS:
+        raise InvalidParameter("torus must be two orthonormal directions")
+    if not np.linalg.norm(trace_coords(basis, bracket(t[0], t[1]))) <= _tol.BRACKET:
+        raise InvalidParameter("torus directions must commute")
+
+    m = trace_coords(basis, np.stack(space.complement_basis))
+    S = sum(c * m[list(idx)].T @ m[list(idx)] for c, idx in space.metric_blocks)
+    components = casimir_components(space.group)
+    # Ω is positive semidefinite and Sym²𝔤 holds the invariant trace form, so
+    # the first component is the trivial one: it adds a constant to every length
+    nontrivial = [Q for _, Q in components[1:]]
+    s_norms = [float(np.linalg.norm(np.tensordot(Q, S, axes=2))) for Q in nontrivial]
+    touched = [Q for Q, n in zip(nontrivial, s_norms) if n > _tol.BRACKET]
+
+    # ξξᵀ on the circle cos θ x0 + sin θ x1 is c² x0x0ᵀ + cs (x0x1ᵀ + x1x0ᵀ) + s² x1x1ᵀ
+    x0, x1 = x
+    terms = np.stack([np.outer(x0, x0), np.outer(x0, x1) + np.outer(x1, x0), np.outer(x1, x1)])
+    P = np.concatenate(touched) if touched else np.zeros((0,) + S.shape)
+    U = np.tensordot(terms, P, axes=([1, 2], [1, 2]))
+    G = U @ U.T
+
+    def sq_norm(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        mono = np.stack([c * c, c * s, s * s])
+        return np.einsum("in,ij,jn->n", mono, G, mono)
+
+    # Fourier coefficients c_k, k = -4..4, from 9 equally spaced values, then
+    # z⁴ p'(θ) = Σ i k c_k z^(k+4)
+    k = np.arange(-4, 5)
+    theta = 2 * np.pi * np.arange(len(k)) / len(k)
+    coeffs = np.exp(-1j * np.outer(k, theta)) @ sq_norm(theta) / len(k)
+    roots = np.roots((1j * k * coeffs)[::-1])
+    # every root's angle gives a value no smaller than the minimum, and the
+    # unit-circle roots include the minimizer; a constant p has no root
+    angles = np.angle(roots) if roots.size else np.zeros(1)
+    at_roots = math.sqrt(max(float(np.min(sq_norm(angles))), 0.0))
+    grid = math.sqrt(max(float(np.min(sq_norm(np.linspace(0, np.pi, _CHECK_GRID)))), 0.0))
+    if grid < at_roots - _tol.BRACKET:
+        raise InvariantViolated(
+            f"grid minimum {grid:.3e} lies below the root minimum {at_roots:.3e}"
+        )
+    return KillingCertificate(
+        component_dims=tuple(len(Q) for _, Q in components),
+        touched_dims=tuple(len(Q) for Q in touched),
+        untouched_max=max((n for n in s_norms if n <= _tol.BRACKET), default=0.0),
+        min_norm=at_roots,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Weyl groups and Euler characteristics
 
 _WEYL_SERIES = ("A", "B", "C", "D", "G2")
@@ -436,6 +567,19 @@ class CatalogCheckReport:
     tolerances: dict  # the named tolerances that decide the status
 
 
+# Sym² so(5) = 1 ⊕ 5 ⊕ 14 ⊕ 35, multiplicity-free, by increasing Casimir value
+_SYM2_SO5 = (1, 5, 14, 35)
+
+
+def _so5_torus() -> np.ndarray:
+    """Unit rotation generators of the planes e1e2 and e3e4: they commute and
+    span a maximal torus of so(5)."""
+    t = np.zeros((2, 5, 5))
+    t[0, 0, 1] = t[1, 2, 3] = np.sqrt(0.5)
+    t[0, 1, 0] = t[1, 3, 2] = -np.sqrt(0.5)
+    return t
+
+
 # the names an entry's ``checks`` field may hold; geodesic-slide is the second
 # half of the clifford-rotation check, and informational runs none
 _CATALOG_CHECKS = ("clifford-rotation", "geodesic-slide", "no-constant-killing-direction",
@@ -480,18 +624,19 @@ def catalog_verify(
             {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC},
         )
     if check == "no-constant-killing-direction":
-        space = so5_so3_space()
-        worst = np.inf
-        for _ in range(25):
-            xi = random_algebra_element(space.group, rng)
-            prof = killing_length_profile(space, xi, samples=samples, rng=rng)
-            worst = min(worst, prof.relative_gap)
-        status = "passed" if worst > _tol.CATALOG_GAP else "failed"
+        cert = killing_constancy_certificate(so5_so3_space(), _so5_torus())
+        if cert.component_dims != _SYM2_SO5:
+            raise InvariantViolated(
+                f"Casimir components of Sym² so(5) have dimensions {cert.component_dims}"
+            )
+        status = "passed" if cert.min_norm > _tol.BRACKET else "failed"
         return CatalogCheckReport(
             entry, status,
-            "no sampled direction gives a constant-length field",
-            {"min_relative_gap": worst, "directions": 25},
-            {"min_relative_gap": _tol.CATALOG_GAP},
+            "no Killing field has constant length: every unit direction's square "
+            "projects onto a component of Sym² so(5) that the metric form touches",
+            {"certified_min": cert.min_norm, "component_dims": list(cert.component_dims),
+             "touched_dims": list(cert.touched_dims), "untouched_max": cert.untouched_max},
+            {"bracket": _tol.BRACKET},
         )
     if check == "hopf-constant-length":
         space = hopf_sphere_space(2)

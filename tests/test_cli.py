@@ -75,7 +75,11 @@ def test_catalog_verify_entry_10(capsys):
     assert code == 0
     assert rep["verdict"] == "CatalogCheckPassed"
     assert rep["evidence"]["status"] == "passed"
-    assert rep["evidence"]["measurements"]["min_relative_gap"] > 1e-3
+    found = rep["evidence"]["measurements"]
+    assert set(found) == {"certified_min", "component_dims", "touched_dims", "untouched_max"}
+    assert abs(found["certified_min"] - 1 / np.sqrt(2)) <= 1e-12
+    assert found["component_dims"] == [1, 5, 14, 35] and found["touched_dims"] == [35]
+    assert found["untouched_max"] <= _tol.BRACKET
     check_schema(rep)
 
 
@@ -122,12 +126,14 @@ def test_determinism_modulo_wall_time(capsys):
     "argv",
     [["check-homogeneity", "--model", "s5", "--group", "lens-9-1-2-4"],
      ["check-homogeneity", "--model", "so4", "--group", "cyclic-3"],
-     ["check-clifford", "--model", "s3", "--group", "lens-7-1-2"]],
-    ids=["sphere-pipeline", "group-pipeline", "check-clifford"],
+     ["check-clifford", "--model", "s3", "--group", "lens-7-1-2"],
+     ["catalog", "verify", "10"]],
+    ids=["sphere-pipeline", "group-pipeline", "check-clifford", "catalog-10"],
 )
 def test_seed_and_samples_do_not_move_a_drawless_report(capsys, argv):
-    """check-homogeneity and check-clifford draw no point: --seed is only
-    recorded, and --samples is range-checked and otherwise unread."""
+    """check-homogeneity, check-clifford and catalog entry 10 draw no point:
+    --seed is only recorded, and --samples is range-checked and otherwise
+    unread."""
     _, a = run_cli(capsys, *argv, "--seed", "1", "--samples", "10")
     _, b = run_cli(capsys, *argv, "--seed", "2", "--samples", "5000")
     for rep, seed in ((a, 1), (b, 2)):
@@ -181,7 +187,7 @@ def test_every_report_records_its_deciding_tolerances(capsys):
         (["check-homogeneity", "--model", "su2", "--group", "center", *few],
          {**pipeline, "central": _tol.CENTRAL}),
         (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
-        (["catalog", "verify", "10", *few], {"min_relative_gap": _tol.CATALOG_GAP}),
+        (["catalog", "verify", "10", *few], {"bracket": _tol.BRACKET}),
         (["catalog", "verify", "15", *few], {"relative_gap": _tol.DISPLACEMENT}),
         (["catalog", "verify", "17", *few], {"rank_cutoff": _tol.BERGER_CUTOFF}),
         (["catalog", "verify", "2", *few], {}),

@@ -21,6 +21,7 @@ from homoglab.compact_lie import (
 from homoglab.errors import (
     InvalidCoefficients,
     InvalidParameter,
+    InvariantViolated,
     NotASubalgebra,
     ParseError,
     UnsupportedType,
@@ -227,6 +228,112 @@ def test_so5_so3_has_no_constant_direction(rng):
     assert worst > 1e-3
 
 
+# ---------------------------------------------------------------------------
+# constant-length certificates
+
+# highest weights of the components of Sym²𝔤 in orthonormal ε coordinates,
+# with the positive roots and ρ: B2 = so(5) and A2 = su(3)
+_B2_ROOTS = np.array([[1, 0], [0, 1], [1, -1], [1, 1]])
+_A2_ROOTS = np.array([[1, -1, 0], [1, 0, -1], [0, 1, -1]])
+_SYM2_WEIGHTS = {
+    "SO": (_B2_ROOTS, [[0, 0], [1, 0], [2, 0], [2, 2]]),
+    "SU": (_A2_ROOTS, [[0, 0, 0], [1, 0, -1], [2, 0, -2]]),
+}
+
+
+@pytest.mark.parametrize("family,n", [("SO", 5), ("SU", 3)])
+def test_casimir_components_match_the_weyl_formulas(family, n):
+    roots, weights = _SYM2_WEIGHTS[family]
+    rho = roots.sum(axis=0) / 2
+    weights = np.array(weights, dtype=float)
+    # Weyl dimension formula, and the Casimir value <λ, λ + 2ρ> up to one scale
+    dims = [round(np.prod((roots @ (w + rho)) / (roots @ rho))) for w in weights]
+    casimir = np.einsum("ij,ij->i", weights, weights + 2 * rho)
+    components = homogeneous.casimir_components(CompactGroupSpec(family, n))
+    assert [len(Q) for _, Q in components] == dims
+    values = np.array([v for v, _ in components])
+    assert abs(values[0]) <= 1e-12
+    np.testing.assert_allclose(values[1:] / casimir[1:], values[-1] / casimir[-1], rtol=1e-12)
+    for _, Q in components:
+        assert np.max(np.abs(Q - np.swapaxes(Q, 1, 2))) == 0.0
+        flat = Q.reshape(len(Q), -1)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(len(Q)), atol=1e-12)
+
+
+def test_so5_so3_metric_form_touches_only_the_trivial_and_35_components():
+    space = so5_so3_space()
+    basis = algebra_basis(space.group)
+    m = np.array([[trace_inner(b, X) for b in basis] for X in space.complement_basis])
+    S = m.T @ m
+    norms = {
+        len(Q): np.linalg.norm(np.tensordot(Q, S, axes=2))
+        for _, Q in homogeneous.casimir_components(space.group)
+    }
+    assert norms[5] <= 1e-12 and norms[14] <= 1e-12
+    assert norms[1] > 1.0 and norms[35] > 1.0
+    cert = homogeneous.killing_constancy_certificate(space, homogeneous._so5_torus())
+    assert cert.component_dims == (1, 5, 14, 35) and cert.touched_dims == (35,)
+    assert cert.untouched_max <= 1e-12
+
+
+def test_so5_so3_certified_minimum_bounds_sampled_directions():
+    space = so5_so3_space()
+    cert = homogeneous.killing_constancy_certificate(space, homogeneous._so5_torus())
+    assert abs(cert.min_norm - 1 / np.sqrt(2)) <= 1e-12
+    (Q,) = [Q for _, Q in homogeneous.casimir_components(space.group) if len(Q) == 35]
+    basis = np.stack(algebra_basis(space.group))
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        xi = random_algebra_element(space.group, rng, unit=True)
+        x = np.array([trace_inner(b, xi) for b in basis])
+        assert np.linalg.norm(np.tensordot(Q, np.outer(x, x), axes=2)) >= cert.min_norm - 1e-12
+        # the sampled profile stays the oracle: the field is not constant
+        assert killing_length_profile(space, xi, samples=16, rng=rng).relative_gap > 0
+
+
+def _su3_torus():
+    return np.stack(algebra_basis(SU3)[-2:])  # the two diagonal elements
+
+
+@pytest.mark.parametrize(
+    "group,torus",
+    [(CompactGroupSpec("SO", 5), homogeneous._so5_torus), (SU3, _su3_torus)],
+    ids=["so5", "su3"],
+)
+def test_a_group_space_touches_no_nontrivial_component(group, torus):
+    cert = homogeneous.killing_constancy_certificate(group_space(group), torus())
+    assert cert.touched_dims == ()
+    assert cert.min_norm == 0.0
+    assert cert.untouched_max <= 1e-12
+
+
+def test_round_s5_has_no_constant_left_field_either():
+    """|ξx| is constant on S⁵ only if ξ*ξ is scalar, which no nonzero
+    traceless 3x3 ξ achieves: the certificate agrees on the round metric."""
+    cert = homogeneous.killing_constancy_certificate(_round_s5_space(), _su3_torus())
+    assert cert.touched_dims and cert.min_norm > 0.1
+
+
+def test_certificate_refuses_a_bad_torus():
+    space = so5_so3_space()
+    t = homogeneous._so5_torus()
+    with pytest.raises(InvalidParameter, match="orthonormal"):
+        homogeneous.killing_constancy_certificate(space, t[:1])
+    with pytest.raises(InvalidParameter, match="orthonormal"):
+        homogeneous.killing_constancy_certificate(space, np.stack([t[0], t[0]]))
+    # the rotations of the planes e1e2 and e2e3 do not commute
+    crossed = np.stack([t[0], np.roll(t[0], 1, axis=(0, 1))])
+    with pytest.raises(InvalidParameter, match="commute"):
+        homogeneous.killing_constancy_certificate(space, crossed)
+
+
+def test_certificate_refuses_roots_that_miss_the_grid_minimum(monkeypatch):
+    # a single root at θ = π/4, where the norm is largest rather than least
+    monkeypatch.setattr(np, "roots", lambda coeffs: np.array([np.exp(0.25j * np.pi)]))
+    with pytest.raises(InvariantViolated, match="grid minimum"):
+        catalog_verify(10, rng=np.random.default_rng(0))
+
+
 def test_profile_rejects_zero_field(rng):
     space = hopf_sphere_space(2)
     with pytest.raises(ZeroField):
@@ -426,15 +533,15 @@ def test_catalog_parse_errors(tmp_path):
 
 
 def test_catalog_verify_documented_entries(rng):
-    for entry_id, key in [(1, "angle"), (10, "min_relative_gap"), (15, "relative_gap")]:
+    for entry_id, key in [(1, "angle"), (10, "certified_min"), (15, "relative_gap")]:
         rep = catalog_verify(entry_id, rng=rng, samples=100)
         assert rep.status == "passed"
         assert key in rep.evidence
     assert catalog_verify(17, rng=rng).evidence["dimensions"] == [3, 1, 0]
     assert catalog_verify(4, rng=rng).status == "informational"
-    # the sampled checks draw from the caller's generator, never a fixed one
+    # the sampled check draws from the caller's generator, never a fixed one
     with pytest.raises(TypeError):
-        catalog_verify(10)
+        catalog_verify(15)
 
 
 def test_every_bundled_check_name_is_known():
