@@ -9,9 +9,10 @@ Where a CLI report records a value, its comment gives the ``tolerances`` key.
 # quaternion group, of a deck, of a deck element (is_identity_isometry) and of
 # a flat or hyperbolic motion ("closure")
 CLOSURE = 1e-9
-# the eigen-angles |arg λ| of an orthogonal map spread over at most this
-# (constant displacement on the sphere), or an eigenvalue lies this close to +1
-# (a fixed point) ("eigen")
+# the exact displacement range [lo, hi] of an orthogonal map spreads over at
+# most this, hi - lo (constant displacement on the sphere), or an eigenvalue
+# lies this close to +1, the least singular value of I - g (a fixed point)
+# ("eigen")
 EIGEN = 1e-9
 # a real matrix is orthogonal; a point or a quaternion has unit norm
 ORTHOGONAL = 1e-10
@@ -31,7 +32,7 @@ BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
 # Ad of a deck factor is the identity on a simple ideal: the factor commutes
-# with the ideal's basis (clifford_wolf_evidence; "central")
+# with the ideal's basis (compact_lie._clifford_wolf; "central")
 CENTRAL = 1e-7
 # a norm, an angle or a determinant error vanishes
 ZERO = 1e-12

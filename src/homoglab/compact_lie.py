@@ -13,13 +13,14 @@ matrix sizes supported here.  Scale note: -trace(XY) is the negative Killing
 form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
 
 Constant displacement of a two-sided translation is decided exactly, ideal by
-simple ideal (``clifford_wolf_evidence``), and its least displacement is in
+simple ideal (``_clifford_wolf``), and its least displacement lo is in
 closed form (``min_displacement``): a conjugacy-class distance, or exactly
-zero for an inverted map, which always fixes a point.  The spread of a
-non-constant map is that least value against the largest displacement at a
-fixed set of points, the identity and the turns exp(pi/2 b) of the algebra
-basis: a deterministic lower bound on the true spread, attained at named
-points.  Sampled profiles only measure.
+zero for an inverted map, which always fixes a point.  A constant map moves
+every point by lo; the spread of a non-constant one is lo against the
+largest displacement hi at a fixed set of points, the identity and the turns
+exp(pi/2 b) of the algebra basis (``_translation_ranges``): a deterministic
+lower bound on the true spread, attained at named points.  Deck stacks go in
+blocks (``_deck_blocks``).  Sampled profiles only measure.
 """
 
 from __future__ import annotations
@@ -534,38 +535,45 @@ def group_displacement_profile(
 def clifford_wolf_evidence(spec: CompactGroupSpec, isos):
     """Per-element constancy and its evidence for a list of two-sided
     translations, the group-manifold twin of
-    ``constant_curvature.clifford_evidence``: a boolean array, and an array
-    holding the displacement d(g1, g2) where it is constant and the spread
-    hi - lo of its displacement range where it is not.  No point is drawn.
-
-    x -> g1^{-1} x g2 has constant displacement iff, on every simple ideal of
-    the Lie algebra, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
-    Ozols 1974); its displacement is then d(g1, g2), its value at the
-    identity.  Ad(g) is the identity on an ideal when g commutes with its
-    basis within ``_tol.CENTRAL`` (max-abs).  An inverted isometry always
-    fixes a point, so it is never constant.
-    """
+    ``constant_curvature.clifford_evidence``: the flags of ``_clifford_wolf``,
+    and an array holding lo of ``_translation_ranges`` where the map is
+    constant (it moves every point by lo) and hi - lo where it is not."""
     isos = list(isos)
     d = spec.matrix_size
     pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
+    pairs = pairs.reshape(-1, 2, d, d)
     inverted = np.array([iso.inverted for iso in isos], dtype=bool)
-    return _clifford_wolf(spec, pairs.reshape(-1, 2, d, d), inverted)
+    constant = _clifford_wolf(spec, pairs, inverted)
+    lo, hi = _translation_ranges(spec, pairs, inverted)
+    return constant, np.where(constant, lo, hi - lo)
 
 
-def _clifford_wolf(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray):
-    """``clifford_wolf_evidence`` of the maps given as a checked (k, 2, d, d)
-    stack of factor pairs (g1, g2) and k inverted flags."""
+_DECK_BLOCK = 1 << 20  # entries of temporaries per block of a deck stack (16 MB complex)
+
+
+def _deck_blocks(count: int, entries: int):
+    """Slices of a deck axis of ``count`` elements, each element taking
+    ``entries`` entries of temporaries, in blocks of about ``_DECK_BLOCK``."""
+    step = max(1, _DECK_BLOCK // entries)
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _clifford_wolf(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray) -> np.ndarray:
+    """Which maps of a checked (k, 2, d, d) stack of factor pairs (g1, g2),
+    with k inverted flags, have constant displacement.
+
+    x -> g1^{-1} x g2 has constant displacement iff, on every simple ideal of
+    the Lie algebra, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
+    Ozols 1974).  Ad(g) is the identity on an ideal when g commutes with its
+    basis within ``_tol.CENTRAL`` (max-abs).  An inverted map always fixes a
+    point, so it is never constant."""
     B = _simple_ideals(spec)
-    g = pairs[:, :, None, None]
     # fixes[k, s, i]: Ad of side s of element k is the identity on ideal i
-    fixes = np.max(np.abs(g @ B - B @ g), axis=(-3, -2, -1)) <= _tol.CENTRAL
-    constant = np.all(np.any(fixes, axis=1), axis=1) & ~inverted
-    values = np.sqrt(np.sum(minimal_angles(spec, _adjoint(pairs[:, 0]) @ pairs[:, 1]) ** 2, axis=-1))
-    moving = np.nonzero(~constant)[0]
-    if moving.size:
-        lo, hi = _translation_ranges(spec, pairs[moving], inverted[moving])
-        values[moving] = hi - lo
-    return constant, values
+    fixes = np.concatenate([
+        np.max(np.abs(g @ B - B @ g), axis=(-3, -2, -1))
+        for g in (pairs[s, :, None, None] for s in _deck_blocks(len(pairs), 2 * B.size))
+    ]) <= _tol.CENTRAL
+    return np.all(np.any(fixes, axis=1), axis=1) & ~inverted
 
 
 @lru_cache(maxsize=None)
@@ -580,16 +588,17 @@ def _range_points(spec: CompactGroupSpec) -> np.ndarray:
 def _translation_ranges(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray):
     """Least and greatest displacement of each map of a checked (k, 2, d, d)
     pair stack, as two arrays.  The least is the closed form of
-    ``min_displacement``; the greatest is the largest displacement at the
-    points of ``_range_points``, one stacked evaluation per kind of map, and
-    never below the least.  Both are attained, so hi - lo is a lower bound on
-    the spread of the displacement, zero for a constant map."""
+    ``min_displacement``, one class distance for the whole stack; the
+    greatest is the largest displacement at the points of ``_range_points``,
+    in blocks per kind of map, and never below the least.  Both are attained,
+    so hi - lo is a lower bound on the spread, zero for a constant map."""
     lo = np.where(inverted, 0.0, _class_distance(spec, pairs[:, 0], pairs[:, 1]))
     hi = np.empty_like(lo)
     points = _range_points(spec)
     for flag in (False, True):
-        sel = inverted == flag
-        if sel.any():
+        kind = np.nonzero(inverted == flag)[0]
+        for s in _deck_blocks(len(kind), points.size):
+            sel = kind[s]
             iso = TwoSidedIsometry(pairs[sel, 0, None], pairs[sel, 1, None], flag)
             hi[sel] = np.max(_displacement(spec, iso, points), axis=-1)
     return lo, np.maximum(hi, lo)

@@ -1,10 +1,11 @@
 """Displacement analysis on the model spaces of constant curvature.
 
-Spheres get the exact eigen-angle test for constant displacement (the
-eigenvalues of an orthogonal map share one angle |arg λ| iff the displacement
-arccos<x, gx> is the same at every point), the exact range of the
-displacement over the sphere from two singular-value calls, freeness tests,
-lens group constructors, and a geodesic invariance check.  Flat space and the
+Spheres get the exact range [lo, hi] of the displacement over the sphere,
+from two singular-value calls, and the constancy test reads it: a map has
+constant displacement iff hi - lo vanishes (to ``_tol.EIGEN``), and then
+moves every point by lo.  Freeness reads the least singular value of I - g,
+the distance of g's eigenvalues from +1.  Lens group constructors and a
+geodesic invariance check complete the sphere part.  Flat space and the
 hyperbolic plane get boundedness probes: a Euclidean motion has bounded
 displacement iff its linear part is the identity, and a hyperbolic isometry
 iff it is +-I.
@@ -53,26 +54,6 @@ def _orthogonal_stack(g: np.ndarray) -> np.ndarray:
     return g.reshape((-1,) + g.shape[-2:])
 
 
-def is_clifford_sphere(g: np.ndarray):
-    """Exact constant-displacement test on the sphere.
-
-    For one matrix, returns (True, angle) when the eigen-angles |arg λ| of g
-    spread over at most ``_tol.EIGEN`` (the displacement is then their mean
-    everywhere), otherwise (False, None).  The angles come from
-    ``numpy.linalg.eigvals``, accurate to round-off also near 0 and pi, where
-    a test on the cosines would resolve an angle only to about sqrt(2 EIGEN)
-    and arccos(trace(g) / n) loses half its digits.  For a stack, returns a
-    boolean array and an array of angles, NaN where the test fails.
-    """
-    stack = _orthogonal_stack(g)
-    angles = np.abs(np.angle(np.linalg.eigvals(stack)))
-    ok = np.ptp(angles, axis=1) <= _tol.EIGEN
-    angle = np.where(ok, np.mean(angles, axis=1), np.nan)
-    if np.ndim(g) == 3:
-        return ok, angle
-    return (True, float(angle[0])) if ok[0] else (False, None)
-
-
 def sphere_displacement_range(g: np.ndarray):
     """Exact least and greatest displacement of an orthogonal map over the
     unit sphere, each attained at an eigenvector of its symmetric part S.
@@ -97,17 +78,24 @@ def sphere_displacement_range(g: np.ndarray):
 
 
 def clifford_evidence(g: np.ndarray):
-    """Per-matrix constancy and its evidence, for one matrix or a stack: a
-    boolean array from ``is_clifford_sphere``, and an array holding the
-    displacement angle where it is constant and the exact spread hi - lo of
-    ``sphere_displacement_range`` where it is not.  No point is drawn."""
-    stack = _orthogonal_stack(g)
-    constant, values = is_clifford_sphere(stack)
-    moving = np.nonzero(~constant)[0]
-    if moving.size:
-        lo, hi = sphere_displacement_range(stack[moving])
-        values[moving] = hi - lo
-    return constant, values
+    """Per-matrix constancy and its evidence, for one matrix or a stack, read
+    off ``sphere_displacement_range``: a map is constant when hi - lo is at
+    most ``_tol.EIGEN``.  Returns a boolean array and an array holding lo
+    where the map is constant (it then moves every point by lo) and the
+    spread hi - lo where it is not.  No point is drawn."""
+    lo, hi = np.atleast_1d(*sphere_displacement_range(g))
+    constant = hi - lo <= _tol.EIGEN
+    return constant, np.where(constant, lo, hi - lo)
+
+
+def is_clifford_sphere(g: np.ndarray):
+    """``clifford_evidence`` as (True, angle) or (False, None) for one matrix,
+    and for a stack as flags and angles, NaN where the map is not constant."""
+    constant, values = clifford_evidence(g)
+    angle = np.where(constant, values, np.nan)
+    if np.ndim(g) == 3:
+        return constant, angle
+    return (True, float(angle[0])) if constant[0] else (False, None)
 
 
 @dataclass(frozen=True)
@@ -120,7 +108,8 @@ def is_free_on_sphere(group) -> FreenessResult:
     """True when no non-identity element of the list fixes a point, i.e. no
     eigenvalue lies within ``_tol.EIGEN`` of +1; the offender is the first
     such element in list order.  An element within ``_tol.CLOSURE`` of the
-    identity is the identity.
+    identity is the identity.  An orthogonal map is normal, so the distances
+    |λ - 1| are the singular values of I - g, and the least one is read.
 
     Each element is tested on its own; that the list is a group is checked
     where a deck is built (``verifier.sphere_deck``).
@@ -129,8 +118,8 @@ def is_free_on_sphere(group) -> FreenessResult:
     n = arr.shape[1]
     moving = np.nonzero(np.max(np.abs(arr - np.eye(n)), axis=(1, 2)) > _tol.CLOSURE)[0]
     if moving.size:
-        ev = np.linalg.eigvals(arr[moving])
-        fixing = moving[np.min(np.abs(ev - 1.0), axis=1) <= _tol.EIGEN]
+        gaps = np.linalg.svd(np.eye(n) - arr[moving], compute_uv=False)[:, -1]
+        fixing = moving[gaps <= _tol.EIGEN]
         if fixing.size:
             return FreenessResult(False, int(fixing[0]))
     return FreenessResult(True, None)
@@ -179,7 +168,7 @@ def invariant_geodesic_check(g: np.ndarray, x: np.ndarray) -> bool:
     x and gx along itself: g(sigma(t)) = sigma(t + c) at 100 points of a full
     period, within ``_tol.GEODESIC``.
 
-    Raises NotClifford when the eigen-angle pre-test fails, and rejects the
+    Raises NotClifford when ``is_clifford_sphere`` fails, and rejects the
     identity (no geodesic is selected).  The antipodal case uses the great
     circle through x and the coordinate axis farthest from parallel to x.
     """

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -516,8 +517,17 @@ def default_catalog_path():
 
 def catalog_load(path=None) -> list[CatalogEntry]:
     """Parse the flat-text catalog: one record per line, 'field: value' pairs
-    separated by '|'."""
-    src = default_catalog_path() if path is None else Path(path)
+    separated by '|'.  The bundled catalog is parsed once per process, a file
+    given by ``path`` on every call; each call returns a new list."""
+    return list(_bundled_catalog() if path is None else _parse_catalog(Path(path)))
+
+
+@lru_cache(maxsize=1)
+def _bundled_catalog() -> tuple[CatalogEntry, ...]:
+    return tuple(_parse_catalog(default_catalog_path()))
+
+
+def _parse_catalog(src) -> list[CatalogEntry]:
     try:
         text = src.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:

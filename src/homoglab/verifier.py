@@ -21,11 +21,12 @@ the centralizer fields span the tangent space at one of its points.  The
 pipeline therefore takes the rank at the base point only (e_1 on a sphere, the
 identity on a group manifold).
 
-No point is drawn.  Constant displacement is decided exactly on both models,
-and the evidence of a non-constant element and the forward re-check read
-deterministic displacement ranges: the exact range over the sphere, and on a
-group manifold the closed-form least displacement against the largest one at
-a fixed set of points.
+No point is drawn.  Each deck element gets one displacement range [lo, hi],
+computed once per deck: exact on a sphere; on a group manifold the closed-form
+least displacement against the largest one at a fixed set of points.  It
+decides constancy on a sphere (hi - lo within ``_tol.EIGEN``) and freeness on
+a group manifold (lo above ``tol``), and gives each element's value (lo when
+constant, hi - lo when not) and the forward re-check (the largest hi - lo).
 """
 
 from __future__ import annotations
@@ -40,19 +41,15 @@ from ._linalg import rank_rel, trace_coords
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
-    _class_distance,
     _clifford_wolf,
+    _deck_blocks,
     _translation_ranges,
     algebra_basis,
     center_elements,
     check_in_group,
     is_identity_isometry,
 )
-from .constant_curvature import (
-    clifford_evidence,
-    is_free_on_sphere,
-    sphere_displacement_range,
-)
+from .constant_curvature import is_free_on_sphere, sphere_displacement_range
 from .errors import (
     InvalidParameter,
     InvariantViolated,
@@ -65,8 +62,6 @@ NOT_FREE = "NotFree"
 NOT_CONSTANT_DISPLACEMENT = "NotConstantDisplacement"
 HOMOGENEOUS_WITNESS_FOUND = "HomogeneousWitnessFound"
 NO_WITNESS_IN_AMBIENT = "NoWitnessInAmbient"
-
-_AVERAGE_BLOCK = 1 << 20  # Ad-image entries per block of the group average (16 MB complex)
 
 
 @dataclass(frozen=True)
@@ -196,12 +191,11 @@ def _fixed_coordinates(spec: CompactGroupSpec, mats: np.ndarray) -> np.ndarray:
     images form a group.  The mean P of Ad over a finite group is the
     orthogonal projector onto its fixed directions, so its eigenvalues are 0
     and 1 and the columns are its eigenvectors for 1.  The deck goes in
-    blocks of about ``_AVERAGE_BLOCK`` entries of Ad images."""
+    blocks (``compact_lie._deck_blocks``)."""
     B = np.stack(algebra_basis(spec))
-    step = max(1, _AVERAGE_BLOCK // B.size)
     total = 0.0
-    for i in range(0, len(mats), step):
-        g = mats[i : i + step, None]
+    for s in _deck_blocks(len(mats), B.size):
+        g = mats[s, None]
         total = total + np.sum(np.swapaxes(g.conj(), -1, -2) @ B @ g, axis=0)
     w, V = np.linalg.eigh(trace_coords(B, total / len(mats)))
     return V[:, w > _tol.PROJECTOR_SPLIT]
@@ -262,8 +256,8 @@ class VerifyConfig:
 class ElementEvidence:
     element_id: int
     constant: bool
-    # exact displacement when constant; when not, the spread hi - lo of the
-    # exact sphere range, or of the attained group-manifold range
+    # lo when constant (the map moves every point by it); otherwise the spread
+    # hi - lo of the exact sphere range or of the attained group-manifold range
     value: float
 
 
@@ -331,30 +325,27 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     # every named tolerance that can change the verdict
     tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
                   "rank_cutoff": _tol.RANK_CUTOFF}
+    # one displacement range [lo, hi] per element, computed once
     if isinstance(model, SphereModel):
         tolerances["eigen"] = _tol.EIGEN
         freeness = is_free_on_sphere(deck.matrices)
-        free = freeness.free
-        free_offender = freeness.offender
-        constant, values = clifford_evidence(deck.matrices)
+        free, free_offender = freeness.free, freeness.offender
+        lo, hi = sphere_displacement_range(deck.matrices)
+        constant = hi - lo <= _tol.EIGEN
     else:
         tolerances["central"] = _tol.CENTRAL
         spec = model.spec
-        pairs = deck.matrices  # checked once, when the deck was built
-        # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate; its
-        # least displacement is the distance between their classes
-        least = _class_distance(spec, pairs[:, 0], pairs[:, 1])
-        free_offender = next(
-            (
-                i
-                for i, iso in enumerate(deck.elements)
-                if least[i] <= config.tol and not is_identity_isometry(spec, iso)
-            ),
-            None,
-        )
-        free = free_offender is None
         inverted = np.zeros(deck.order, dtype=bool)  # decks hold translations only
-        constant, values = _clifford_wolf(spec, pairs, inverted)
+        lo, hi = _translation_ranges(spec, deck.matrices, inverted)
+        # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate, i.e.
+        # iff lo, the distance between their classes, vanishes
+        fixing = (i for i, iso in enumerate(deck.elements)
+                  if lo[i] <= config.tol and not is_identity_isometry(spec, iso))
+        free_offender = next(fixing, None)
+        free = free_offender is None
+        constant = _clifford_wolf(spec, deck.matrices, inverted)
+    # a constant map moves every point by its least displacement
+    values = np.where(constant, lo, hi - lo)
     elements = tuple(
         ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
     )
@@ -366,10 +357,6 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
 
     forward_max_gap = None
     if verdict == HOMOGENEOUS_WITNESS_FOUND:
-        if isinstance(model, SphereModel):
-            lo, hi = sphere_displacement_range(deck.matrices)
-        else:
-            lo, hi = _translation_ranges(spec, pairs, inverted)
         forward_max_gap = float(np.max(hi - lo))
         if forward_max_gap > config.tol:
             raise InvariantViolated(

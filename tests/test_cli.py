@@ -20,7 +20,7 @@ import jsonschema
 import homoglab
 from homoglab import _tol, cli, finite_groups
 from homoglab.cli import format_matrix, load_matrix, main, parse_matrix_text
-from homoglab.constant_curvature import lens_group
+from homoglab.constant_curvature import lens_group, sphere_displacement_range
 from homoglab.errors import ParseError
 
 try:
@@ -802,25 +802,31 @@ def test_the_largest_deck_under_the_table_bound_passes_its_check(monkeypatch, un
     assert under_work <= finite_groups._TABLE_WORK < over_work
 
 
-def _wide_ranges(*args):
-    """A displacement range of spread 1 for every element."""
-    k = len(args[-1])
-    return np.zeros(k), np.ones(k)
-
-
-@pytest.mark.parametrize(
-    "kernel,model,group",
-    [("sphere_displacement_range", "s3", "binary-icosahedral"),
-     ("_translation_ranges", "su2", "center")],
-    ids=["sphere", "group"],
-)
-def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch, kernel, model, group):
-    """A failed internal consistency check is refused like a usage error."""
+@pytest.mark.parametrize("model", ["s3", "su2"], ids=["sphere", "group"])
+def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch, model):
+    """A failed internal consistency check is refused like a usage error.
+    The sphere case runs the real forward re-check with --tol below the
+    deck's actual spread, which no other decision reads; the group case
+    widens only the upper end of every displacement range, which leaves
+    freeness and the constancy flags as they are."""
     from homoglab import verifier
 
-    monkeypatch.setattr(verifier, kernel, _wide_ranges)
-    argv = ["check-homogeneity", "--model", model, "--group", group]
-    assert main(argv) == 2
+    if model == "s3":
+        # a few ulps: every element has constant displacement
+        lo, hi = sphere_displacement_range(np.stack(cli.sphere_group_matrices("binary-icosahedral", 4)))
+        spread = float(np.max(hi - lo))
+        assert 0.0 < spread <= _tol.DISPLACEMENT
+        argv = ["--group", "binary-icosahedral", "--tol", repr(spread / 2)]
+    else:
+        real = verifier._translation_ranges
+
+        def wide_ranges(*args):
+            lo, hi = real(*args)
+            return lo, hi + 1.0
+
+        monkeypatch.setattr(verifier, "_translation_ranges", wide_ranges)
+        argv = ["--group", "center"]
+    assert main(["check-homogeneity", "--model", model] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()

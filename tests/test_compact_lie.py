@@ -312,9 +312,10 @@ def test_left_translation_displacement_is_constant(rng):
 
 
 def test_clifford_wolf_evidence_on_central_and_haar_pairs(rng):
-    """Central pairs are constant, with the exact displacement d(g1, g2) as
-    their value; Haar pairs are not, with the spread of their attained
-    displacement range as the value."""
+    """Central pairs are constant, with their least displacement as the
+    value, which is the displacement d(g1, g2) at the identity; Haar pairs
+    are not, with the spread of their attained displacement range as the
+    value."""
     for spec in (SU2, SU3, SO4, SP2):
         isos = []
         for trial in range(12):
@@ -330,7 +331,8 @@ def test_clifford_wolf_evidence_on_central_and_haar_pairs(rng):
         for iso, c, v in zip(isos, constant, values):
             profile = group_displacement_profile(spec, iso, 150, rng)
             if c:
-                assert v == biinvariant_distance(spec, iso.g1, iso.g2)
+                assert v == min_displacement(spec, iso)
+                assert abs(v - biinvariant_distance(spec, iso.g1, iso.g2)) <= 1e-12
                 assert profile.gap <= 1e-9 and abs(profile.mean - v) <= 1e-9
             else:
                 assert v > 1e-3 and profile.gap > 1e-3
@@ -410,6 +412,31 @@ def _ranges(spec, isos):
     pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
     inverted = np.array([iso.inverted for iso in isos], dtype=bool)
     return compact_lie._translation_ranges(spec, pairs.reshape(-1, 2, d, d), inverted)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
+    """With blocks of one element, the ranges and the constancy flags of a
+    mixed stack (Haar, central and inverted maps) equal those of one block."""
+    isos = [TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng), k % 3 == 0)
+            for k in range(7)]
+    isos += [TwoSidedIsometry(z, haar_sample(spec, rng)) for z in center_elements(spec)]
+    d = spec.matrix_size
+    pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
+    pairs = pairs.reshape(-1, 2, d, d)
+    inverted = np.array([iso.inverted for iso in isos])
+
+    def kernels():
+        return (*compact_lie._translation_ranges(spec, pairs, inverted),
+                compact_lie._clifford_wolf(spec, pairs, inverted))
+
+    whole = kernels()
+    assert len(list(compact_lie._deck_blocks(len(pairs), pairs[0].size))) == 1
+    monkeypatch.setattr(compact_lie, "_DECK_BLOCK", 1)
+    assert len(list(compact_lie._deck_blocks(len(pairs), pairs[0].size))) == len(pairs)
+    for a, b in zip(whole, kernels()):
+        np.testing.assert_array_equal(a, b)
+    assert whole[2].tolist() == [False] * 7 + [True] * len(center_elements(spec))
 
 
 def _rotation_z(t):

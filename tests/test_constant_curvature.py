@@ -337,13 +337,16 @@ STACKS = dict(_stacks())
 
 @pytest.mark.parametrize("name", STACKS)
 def test_stacked_clifford_test_equals_the_per_matrix_test(name):
+    """The range test agrees flag for flag with the eigen-angle oracle, its
+    angle with the oracle's mean eigen-angle to round-off, and each row of
+    the stacked test with the test of its matrix alone."""
     stack = STACKS[name]
     ok, angle = is_clifford_sphere(stack)
     for g, c, a in zip(stack, ok, angle):
         want_ok, want_angle = clifford_oracle(g)
         assert c == want_ok
-        assert np.isnan(a) if not c else a == want_angle
-        assert is_clifford_sphere(g) == (want_ok, want_angle)
+        assert np.isnan(a) if not c else abs(a - want_angle) <= 1e-14
+        assert is_clifford_sphere(g) == ((True, a) if c else (False, None))
 
 
 @pytest.mark.parametrize("name", STACKS)
@@ -374,9 +377,9 @@ def test_clifford_evidence_reads_the_exact_range_of_non_constant_matrices(name):
     constant, values = clifford_evidence(stack)
     lo, hi = sphere_displacement_range(stack)
     for g, c, v, a, b in zip(stack, constant, values, lo, hi):
-        ok, angle = clifford_oracle(g)
+        ok, _ = clifford_oracle(g)
         assert c == ok
-        assert v == (angle if ok else b - a)
+        assert v == (a if ok else b - a)
     assert sphere_displacement_range(stack[1]) == (lo[1], hi[1])
 
 

@@ -519,6 +519,35 @@ def test_catalog_loads_all_entries():
     assert "clifford-rotation" in first.checks
 
 
+def test_bundled_catalog_is_read_once_and_each_caller_gets_its_own_list(monkeypatch, tmp_path):
+    bundled = homogeneous.default_catalog_path()
+    reads = []
+
+    class CountingResource:
+        def read_text(self, encoding):
+            reads.append(encoding)
+            return bundled.read_text(encoding=encoding)
+
+    monkeypatch.setattr(homogeneous, "default_catalog_path", CountingResource)
+    homogeneous._bundled_catalog.cache_clear()
+    try:
+        first, second = catalog_load(), catalog_load()
+        assert len(reads) == 1
+        assert first == second and first is not second
+        first.clear()
+        assert catalog_load() == second and len(second) == 19
+        assert len(reads) == 1
+    finally:
+        homogeneous._bundled_catalog.cache_clear()
+    # a catalog given by path is read on every call
+    custom = tmp_path / "custom.txt"
+    row = "id: {} | name: x | G: a | H: b | isometry_group: c | fibration: d | checks: informational\n"
+    custom.write_text(row.format(1))
+    assert [e.id for e in catalog_load(custom)] == [1]
+    custom.write_text(row.format(1) + row.format(2))
+    assert [e.id for e in catalog_load(custom)] == [1, 2]
+
+
 def test_catalog_parse_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("id: 1 | name: x | G: a | H: b | isometry_group: c | fibration: d | checks: y\nnot a record\n")

@@ -2,6 +2,7 @@
 transitivity witnesses, verdicts, and report determinism."""
 
 import json
+import sys
 
 from functools import partial
 from math import gcd
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from homoglab import compact_lie
 from homoglab.cli import group_manifold_deck, sphere_group_matrices
 from homoglab._linalg import null_space, rank_rel
 from homoglab.compact_lie import (
@@ -23,8 +25,9 @@ from homoglab.compact_lie import (
     group_exp,
     haar_sample,
     is_identity_isometry,
+    min_displacement,
 )
-from homoglab.constant_curvature import is_clifford_sphere, lens_group
+from homoglab.constant_curvature import is_clifford_sphere, lens_group, rotation_block
 from homoglab.errors import (
     InvalidParameter,
     ModelMismatch,
@@ -271,9 +274,12 @@ def test_so4_deck_aligned_with_the_two_halves(rng):
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
     assert report.centralizer_dim == 8
     assert [e.constant for e in report.clifford_per_element] == [True] * 3
-    assert [e.value for e in report.clifford_per_element] == [
-        0.0, biinvariant_distance(so4, g, h), biinvariant_distance(so4, g @ g, h @ h)
-    ]
+    # a constant element reports its least displacement, the class distance,
+    # which is the displacement d(g1, g2) at the identity
+    values = [e.value for e in report.clifford_per_element]
+    assert values == [min_displacement(so4, iso) for iso in isos]
+    for v, iso in zip(values, isos):
+        assert abs(v - biinvariant_distance(so4, iso.g1, iso.g2)) <= 1e-12
 
 
 def test_pair_equal_up_to_center_is_the_identity_map():
@@ -333,6 +339,55 @@ def test_left_translation_decks_stay_free(spec, name):
     report = verify_instance(deck, config=VerifyConfig(samples=10))
     assert report.free and report.free_offender is None
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named function through every homoglab module
+    that binds it, so that a call from inside its own module counts too."""
+    counts = {name: 0 for name in names}
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "homoglab"]
+    for name in names:
+        original = next(vars(m)[name] for m in modules if name in vars(m))
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            if vars(m).get(name) is original:
+                monkeypatch.setattr(m, name, counted)
+    return counts
+
+
+def _fixing_sphere_deck():
+    g = block_diag(rotation_block(2 * np.pi / 3), np.eye(2))
+    return sphere_deck([np.eye(4), g, g @ g])
+
+
+@pytest.mark.parametrize(
+    "build,want",
+    [(lambda: sphere_deck(sphere_group_matrices("binary-icosahedral")), HOMOGENEOUS_WITNESS_FOUND),
+     (lambda: sphere_deck(lens_group(5, (1, 2))), NOT_CONSTANT_DISPLACEMENT),
+     (_fixing_sphere_deck, NOT_FREE),
+     (lambda: group_deck(CompactGroupSpec("SU", 3), group_manifold_deck(
+         CompactGroupSpec("SU", 3), "cyclic-3")), HOMOGENEOUS_WITNESS_FOUND),
+     (lambda: _two_sided_deck(SU2, np.random.default_rng(0)), NOT_FREE)],
+    ids=["s3-witness", "s3-lens-5-1-2", "s3-fixing", "su3-witness", "su2-two-sided"],
+)
+def test_each_deck_takes_one_displacement_range(monkeypatch, build, want):
+    """verify_instance reads freeness (on a group manifold), constancy, the
+    element values and the forward re-check from one range per deck: one
+    ``sphere_displacement_range`` on a sphere, and one ``_translation_ranges``
+    holding the deck's one class distance on a group manifold."""
+    deck = build()
+    counts = _count_calls(
+        monkeypatch, ["sphere_displacement_range", "_translation_ranges", "_class_distance"]
+    )
+    assert verify_instance(deck).verdict == want
+    sphere = isinstance(deck.model, SphereModel)
+    assert counts == {"sphere_displacement_range": int(sphere),
+                      "_translation_ranges": int(not sphere),
+                      "_class_distance": int(not sphere)}
 
 
 CONJECTURE_SPECS = (SU2, CompactGroupSpec("SU", 3), CompactGroupSpec("SO", 4),
@@ -730,6 +785,22 @@ def test_stacked_centralizer_equals_the_per_element_loop(make_deck):
     assert got.shape == want.shape
     np.testing.assert_allclose(got.T @ got, np.eye(got.shape[1]), rtol=0, atol=1e-12)
     np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_deck",
+    [lambda: sphere_deck(lens_group(9, (1, 2, 4))),
+     lambda: _named_group_deck("SO", 4, "cyclic-3"),
+     lambda: _two_sided_deck(CompactGroupSpec("SU", 3), np.random.default_rng(5))],
+    ids=["s5-lens-9", "so4-cyclic-3", "su3-two-sided"],
+)
+def test_centralizer_average_in_blocks_of_one_element(monkeypatch, make_deck):
+    deck = make_deck()
+    whole = block_diag(*centralizer_algebra(deck))
+    monkeypatch.setattr(compact_lie, "_DECK_BLOCK", 1)
+    blocked = block_diag(*centralizer_algebra(deck))
+    assert blocked.shape == whole.shape
+    np.testing.assert_allclose(blocked @ blocked.T, whole @ whole.T, rtol=0, atol=1e-12)
 
 
 def _adjoint_character(family, g):
