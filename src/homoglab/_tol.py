@@ -6,7 +6,7 @@ Where a CLI report records a value, its comment gives the ``tolerances`` key.
 """
 
 # two elements are the same: Cayley tables, cyclic powers, the identity of a
-# quaternion group, of a deck, of a deck element (is_identity_isometry) and of
+# quaternion group, of a deck, of a deck element (_identity_maps) and of
 # a flat or hyperbolic motion ("closure")
 CLOSURE = 1e-9
 # the exact displacement range [lo, hi] of an orthogonal map spreads over at
@@ -31,8 +31,8 @@ BERGER_CUTOFF = 1e-10
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
-# Ad of a deck factor is the identity on a simple ideal: the factor commutes
-# with the ideal's basis (compact_lie._clifford_wolf; "central")
+# Ad of a deck factor g is the identity on a simple ideal: g^H B g - B for
+# each basis element B of the ideal (compact_lie._adjoint_pass; "central")
 CENTRAL = 1e-7
 # a norm, an angle or a determinant error vanishes
 ZERO = 1e-12
@@ -44,7 +44,8 @@ PROJECTOR_SPLIT = 0.5
 # of the forward re-check ("displacement"), or largest relative Killing length
 # gap (check-killing, catalog 15; "relative_gap")
 DISPLACEMENT = 1e-7
-# a constant-displacement map slides a great circle along itself ("geodesic")
+# a constant-displacement map slides a great circle along itself: g u against
+# cos c u - sin c x (invariant_geodesic_check; "geodesic")
 GEODESIC = 1e-8
 # probe-noncompact adds I to a random 2x2 draw with |det| below this before
 # scaling it to det 1 ("near_singular")

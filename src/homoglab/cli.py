@@ -155,6 +155,7 @@ _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
 _MAX_SPHERE_DIM = 2 * _MAX_GROUP_SIZE - 1
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
 _MAX_SAMPLES = 10**6  # most --samples: 10^6 points on s11 are 96 MB of floats
+_MAX_MOTIONS = 10**4  # most --motions: about 2 s of probes
 
 
 def parse_model(name: str):
@@ -402,8 +403,8 @@ def _cmd_check_killing(args, rng):
             prof = killing_length_profile(space, direction, args.samples, rng)
     else:
         directions = _KILLING_DIRECTIONS if args.directions is None else args.directions
-        if directions < 1:
-            raise InvalidParameter("--directions must be >= 1")
+        if directions * args.samples > _MAX_SAMPLES:
+            raise InvalidParameter(f"--directions x --samples must be at most {_MAX_SAMPLES}")
         inputs["directions"] = directions
         space = so5_so3_space()
         gaps = []
@@ -487,8 +488,6 @@ def _cmd_catalog(args, rng):
 
 def _cmd_probe_noncompact(args, rng):
     motions = args.motions
-    if motions < 1:
-        raise InvalidParameter("--motions must be >= 1")
     # euclidean: exact boundedness verdict vs "rotation part is the identity"
     agree = 0
     for k in range(motions):
@@ -540,16 +539,17 @@ def _cmd_probe_noncompact(args, rng):
 # argument parsing
 
 
-def _sample_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if not 10 <= n <= _MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer from 10 to {_MAX_SAMPLES}, got {text!r}"
-        )
-    return n
+def _count(low: int, high: int):
+    """An argparse type: an integer from ``low`` to ``high``."""
+    def count(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if not low <= n <= high:
+            raise argparse.ArgumentTypeError(f"must be an integer from {low} to {high}, got {text!r}")
+        return n
+    return count
 
 
 def _tolerance(text: str) -> float:
@@ -571,7 +571,7 @@ def _add_common(p: argparse.ArgumentParser, samples: bool = False, tol: bool = F
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", type=str, default=None)
     if samples:
-        p.add_argument("--samples", type=_sample_count, default=1000)
+        p.add_argument("--samples", type=_count(10, _MAX_SAMPLES), default=1000)
     if tol:
         p.add_argument("--tol", type=_tolerance, default=_tol.DISPLACEMENT)
 
@@ -614,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     # None when not given: each is refused on the spaces it does not act on
     p.add_argument("--field", choices=["left", "right"], default=None)
-    p.add_argument("--directions", type=int, default=None)
+    p.add_argument("--directions", type=_count(1, _MAX_SAMPLES), default=None)
     _add_common(p, samples=True, tol=True)
 
     p = sub.add_parser("check-berger", help="right-isometry algebra of a left-invariant metric on the 3-sphere group")
@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, samples=True)
 
     p = sub.add_parser("probe-noncompact", help="bounded-displacement probes on flat and hyperbolic space")
-    p.add_argument("--motions", type=int, default=100)
+    p.add_argument("--motions", type=_count(1, _MAX_MOTIONS), default=100)
     _add_common(p)
 
     return parser

@@ -13,14 +13,14 @@ matrix sizes supported here.  Scale note: -trace(XY) is the negative Killing
 form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
 
 Constant displacement of a two-sided translation is decided exactly, ideal by
-simple ideal (``_clifford_wolf``), and its least displacement lo is in
-closed form (``min_displacement``): a conjugacy-class distance, or exactly
-zero for an inverted map, which always fixes a point.  A constant map moves
-every point by lo; the spread of a non-constant one is lo against the
-largest displacement hi at a fixed set of points, the identity and the turns
-exp(pi/2 b) of the algebra basis (``_translation_ranges``): a deterministic
-lower bound on the true spread, attained at named points.  Deck stacks go in
-blocks (``_deck_blocks``).  Sampled profiles only measure.
+simple ideal, in the pass of Ad that averages it over a deck
+(``_adjoint_pass``), and its least displacement lo is in closed form
+(``min_displacement``): a class distance, or exactly zero for an inverted
+map, which always fixes a point.  A constant map moves every point by lo; the
+spread of a non-constant one is lo against the largest displacement hi at the
+identity and the turns exp(pi/2 b) of the algebra basis
+(``_translation_ranges``), a lower bound attained at named points.  Deck
+stacks go in blocks (``_deck_blocks``).  Sampled profiles only measure.
 """
 
 from __future__ import annotations
@@ -243,7 +243,8 @@ def _haar_blocks(spec: CompactGroupSpec, rng: np.random.Generator, size: int):
 
 @lru_cache(maxsize=None)
 def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis w.r.t. <X, Y> = -trace(XY), by construction."""
+    """Orthonormal basis w.r.t. <X, Y> = -trace(XY), by construction, ideal by
+    simple ideal: so(4) lists its self-dual, then its anti-self-dual half."""
     n = spec.n
     raw, cartan = [], []
     if spec.family == SPECIAL_ORTHOGONAL:
@@ -252,6 +253,9 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
                 E = np.zeros((n, n))
                 E[a, b], E[b, a] = 1.0, -1.0
                 raw.append(E)
+        if n == 4:
+            e01, e02, e03, e12, e13, e23 = raw
+            raw = [X for s in (1, -1) for X in (e01 + s * e23, e02 - s * e13, e03 + s * e12)]
     elif spec.family == SPECIAL_UNITARY:
         for a in range(n):
             for b in range(a + 1, n):
@@ -304,15 +308,11 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _simple_ideals(spec: CompactGroupSpec) -> np.ndarray:
-    """Orthonormal bases of the simple ideals of the Lie algebra, as an
-    (ideals, dim, d, d) stack.  Every supported group is simple except SO(4),
-    whose algebra splits into its self-dual and anti-self-dual halves."""
-    basis = np.stack(algebra_basis(spec))
-    if spec != CompactGroupSpec(SPECIAL_ORTHOGONAL, 4):
-        return basis[None]
-    e01, e02, e03, e12, e13, e23 = basis
-    return np.stack([[e01 + s * e23, e02 - s * e13, e03 + s * e12] for s in (1, -1)]) / np.sqrt(2.0)
+def _basis_stack(spec: CompactGroupSpec) -> np.ndarray:
+    """``algebra_basis(spec)`` as one read-only (dim, d, d) array."""
+    B = np.stack(algebra_basis(spec))
+    B.flags.writeable = False
+    return B
 
 
 def random_algebra_element(
@@ -495,14 +495,16 @@ class TwoSidedIsometry:
 
 
 def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
-    """x -> g1^{-1} x g2 is the identity map iff g1 = g2 = same central element,
-    within ``_tol.CLOSURE``."""
-    if iso.inverted:
-        return False
-    return any(
-        np.max(np.abs(iso.g1 - z)) <= _tol.CLOSURE and np.max(np.abs(iso.g2 - z)) <= _tol.CLOSURE
-        for z in center_elements(spec)
-    )
+    """Whether ``iso`` is the identity map: ``_identity_maps`` of one pair."""
+    return not iso.inverted and bool(_identity_maps(spec, np.stack([iso.g1, iso.g2])[None])[0])
+
+
+def _identity_maps(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
+    """Which maps x -> g1^{-1} x g2 of a (k, 2, d, d) pair stack are the
+    identity: g1 = g2 = one central element, within ``_tol.CLOSURE``."""
+    center = np.stack(center_elements(spec))
+    near = np.max(np.abs(pairs[:, None] - center[:, None]), axis=(-2, -1)) <= _tol.CLOSURE
+    return np.any(np.all(near, axis=-1), axis=-1)
 
 
 def _displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry, x: np.ndarray) -> np.ndarray:
@@ -535,15 +537,16 @@ def group_displacement_profile(
 def clifford_wolf_evidence(spec: CompactGroupSpec, isos):
     """Per-element constancy and its evidence for a list of two-sided
     translations, the group-manifold twin of
-    ``constant_curvature.clifford_evidence``: the flags of ``_clifford_wolf``,
-    and an array holding lo of ``_translation_ranges`` where the map is
-    constant (it moves every point by lo) and hi - lo where it is not."""
+    ``constant_curvature.clifford_evidence``: the flags of ``_adjoint_pass``
+    (never set for an inverted map, which always fixes a point), and an array
+    holding lo of ``_translation_ranges`` where the map is constant (it moves
+    every point by lo) and hi - lo where it is not."""
     isos = list(isos)
     d = spec.matrix_size
     pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
     pairs = pairs.reshape(-1, 2, d, d)
     inverted = np.array([iso.inverted for iso in isos], dtype=bool)
-    constant = _clifford_wolf(spec, pairs, inverted)
+    constant = _adjoint_pass(spec, pairs)[1] & ~inverted
     lo, hi = _translation_ranges(spec, pairs, inverted)
     return constant, np.where(constant, lo, hi - lo)
 
@@ -558,22 +561,30 @@ def _deck_blocks(count: int, entries: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _clifford_wolf(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray) -> np.ndarray:
-    """Which maps of a checked (k, 2, d, d) stack of factor pairs (g1, g2),
-    with k inverted flags, have constant displacement.
-
-    x -> g1^{-1} x g2 has constant displacement iff, on every simple ideal of
-    the Lie algebra, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
-    Ozols 1974).  Ad(g) is the identity on an ideal when g commutes with its
-    basis within ``_tol.CENTRAL`` (max-abs).  An inverted map always fixes a
-    point, so it is never constant."""
-    B = _simple_ideals(spec)
-    # fixes[k, s, i]: Ad of side s of element k is the identity on ideal i
-    fixes = np.concatenate([
-        np.max(np.abs(g @ B - B @ g), axis=(-3, -2, -1))
-        for g in (pairs[s, :, None, None] for s in _deck_blocks(len(pairs), 2 * B.size))
-    ]) <= _tol.CENTRAL
-    return np.all(np.any(fixes, axis=1), axis=1) & ~inverted
+def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
+    """One pass of Ad over a checked (k, f, d, d) stack of k maps with f
+    factors each (one on a sphere, (g1, g2) on a group manifold), in blocks:
+    the mean of g^H b g over the maps for each factor g and each b of
+    ``algebra_basis(spec)``, and which maps are constant as translations
+    x -> g1^{-1} x g2.  Those are the maps for which, on every simple ideal,
+    Ad(g1) or Ad(g2) is the identity (Freudenthal 1963, Ozols 1974): g^H b g
+    = b within ``_tol.CENTRAL`` (max-abs) for each b of the ideal's basis, a
+    slice of ``algebra_basis``."""
+    B = _basis_stack(spec)
+    dim, d = B.shape[:2]
+    wide = B.swapaxes(0, 1).reshape(d, dim * d)  # [b_1 | b_2 | ...]: all g^H b in one product
+    ideals = 2 if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4) else 1
+    total, moved = 0.0, []
+    for s in _deck_blocks(len(maps), maps.shape[1] * B.size):
+        g = maps[s, :, None]
+        conj = (_adjoint(g) @ wide).reshape(g.shape[:2] + (d, dim, d)).swapaxes(-3, -2) @ g
+        total = total + np.sum(conj, axis=0)
+        conj -= B  # in place, so the block holds no third stack
+        # [map, factor, ideal]: max-abs of g^H b g - b over the ideal's basis
+        moved.append(np.abs(conj).reshape(conj.shape[:2] + (ideals, -1)).max(axis=-1))
+        del conj  # before the next block's products
+    fixes = np.concatenate(moved) <= _tol.CENTRAL
+    return total / len(maps), np.all(np.any(fixes, axis=1), axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -164,34 +164,28 @@ def lens_group(k: int, exponents) -> list[np.ndarray]:
 
 
 def invariant_geodesic_check(g: np.ndarray, x: np.ndarray) -> bool:
-    """Verify that a constant-displacement map slides the great circle through
-    x and gx along itself: g(sigma(t)) = sigma(t + c) at 100 points of a full
-    period, within ``_tol.GEODESIC``.
+    """Verify that a constant-displacement map slides the great circle
+    sigma(t) = cos t x + sin t u through x and gx along itself, g(sigma(t)) =
+    sigma(t + c), within ``_tol.GEODESIC``.  Both sides are linear in
+    (cos t, sin t) and agree at t = 0 for u = (gx - cos c x) / sin c, so the
+    test is t = pi/2: g u = cos c u - sin c x.
 
     Raises NotClifford when ``is_clifford_sphere`` fails, and rejects the
-    identity (no geodesic is selected).  The antipodal case uses the great
-    circle through x and the coordinate axis farthest from parallel to x.
+    identity (no geodesic is selected).  The antipodal map -I slides every
+    great circle through x.
     """
-    ok, angle = is_clifford_sphere(g)
+    ok, c = is_clifford_sphere(g)
     if not ok:
         raise NotClifford("map does not have constant displacement")
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > _tol.ORTHOGONAL:
         raise NonUnitPoint("base point must lie on the unit sphere")
-    c = angle
     if c <= _tol.ZERO:
         raise InvalidParameter("identity map selects no geodesic")
     if np.pi - c <= _tol.ZERO:
-        # antipodal: any great circle through x works
-        v = np.eye(len(x)) - np.outer(x, x)
-        u = v[np.argmax(np.linalg.norm(v, axis=1))]
-        u = u / np.linalg.norm(u)
-    else:
-        u = (g @ x - np.cos(c) * x) / np.sin(c)
-    ts = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
-    sigma = np.outer(np.cos(ts), x) + np.outer(np.sin(ts), u)
-    shifted = np.outer(np.cos(ts + c), x) + np.outer(np.sin(ts + c), u)
-    return bool(np.max(np.abs(sigma @ g.T - shifted)) <= _tol.GEODESIC)
+        return True
+    u = (g @ x - np.cos(c) * x) / np.sin(c)
+    return bool(np.max(np.abs(g @ u - (np.cos(c) * u - np.sin(c) * x))) <= _tol.GEODESIC)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ The centralizer of the deck in the full isometry algebra is exact: for a
 finite group, the mean of Ad over the group is the orthogonal projector onto
 the directions every element fixes, so the centralizer is the eigenspace for
 eigenvalue 1 of that mean, held as coordinates on ``algebra_basis`` (so(n+1)
-on a sphere; the left and the right factor on a group manifold).
+on a sphere; the left and the right factor on a group manifold).  The same
+pass of Ad decides constant displacement on a group manifold.
 
 Transitivity is decided at one point.  The identity component of the deck
 group's centralizer in the full isometry group is compact, so its orbits are
@@ -25,8 +26,9 @@ No point is drawn.  Each deck element gets one displacement range [lo, hi],
 computed once per deck: exact on a sphere; on a group manifold the closed-form
 least displacement against the largest one at a fixed set of points.  It
 decides constancy on a sphere (hi - lo within ``_tol.EIGEN``) and freeness on
-a group manifold (lo above ``tol``), and gives each element's value (lo when
-constant, hi - lo when not) and the forward re-check (the largest hi - lo).
+a group manifold (lo above ``tol`` but for the identity map), and gives each
+element's value (lo when constant, hi - lo when not) and the forward re-check
+(the largest hi - lo).
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ from ._linalg import rank_rel, trace_coords
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
-    _clifford_wolf,
-    _deck_blocks,
+    _adjoint_pass,
+    _basis_stack,
+    _identity_maps,
     _translation_ranges,
-    algebra_basis,
     center_elements,
     check_in_group,
-    is_identity_isometry,
 )
 from .constant_curvature import is_free_on_sphere, sphere_displacement_range
 from .errors import (
@@ -91,8 +92,7 @@ class GroupManifoldModel:
 
 
 def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSidedIsometry:
-    """The map x -> a x as a two-sided translation."""
-    a = check_in_group(spec, a)
+    """The map x -> a x as a two-sided translation; its deck checks ``a``."""
     return TwoSidedIsometry(np.asarray(a).conj().T, spec.identity())
 
 
@@ -185,31 +185,26 @@ def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
 # centralizer and transitivity
 
 
-def _fixed_coordinates(spec: CompactGroupSpec, mats: np.ndarray) -> np.ndarray:
-    """Orthonormal coordinates on ``algebra_basis(spec)`` (columns) of the
-    directions X with g^H X g = X for every g of a (k, d, d) stack whose Ad
-    images form a group.  The mean P of Ad over a finite group is the
-    orthogonal projector onto its fixed directions, so its eigenvalues are 0
-    and 1 and the columns are its eigenvectors for 1.  The deck goes in
-    blocks (``compact_lie._deck_blocks``)."""
-    B = np.stack(algebra_basis(spec))
-    total = 0.0
-    for s in _deck_blocks(len(mats), B.size):
-        g = mats[s, None]
-        total = total + np.sum(np.swapaxes(g.conj(), -1, -2) @ B @ g, axis=0)
-    w, V = np.linalg.eigh(trace_coords(B, total / len(mats)))
-    return V[:, w > _tol.PROJECTOR_SPLIT]
+def _adjoint_average(deck: DeckGroup):
+    """The centralizer and the constancy flags of one pass of Ad over the
+    deck.  The mean of Ad over a finite group is the orthogonal projector onto
+    its fixed directions: the centralizer is its eigenspace for eigenvalue 1."""
+    model = deck.model
+    if isinstance(model, SphereModel):
+        spec, maps = CompactGroupSpec("SO", model.ambient_dim), deck.matrices[:, None]
+    else:
+        spec, maps = model.spec, deck.matrices
+    means, constant = _adjoint_pass(spec, maps)
+    w, V = np.linalg.eigh(trace_coords(_basis_stack(spec), means))
+    return tuple(v[:, x > _tol.PROJECTOR_SPLIT] for x, v in zip(w, V)), constant
 
 
 def centralizer_algebra(deck: DeckGroup) -> tuple[np.ndarray, ...]:
     """The ambient directions fixed by Ad of every deck element, one
-    orthonormal coordinate array (basis coordinates by columns) per factor of
+    orthonormal coordinate array on ``algebra_basis`` (columns) per factor of
     the isometry algebra: so(n) on a sphere; the left and the right fields on
     a group manifold, where Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2)."""
-    model = deck.model
-    if isinstance(model, SphereModel):
-        return (_fixed_coordinates(CompactGroupSpec("SO", model.ambient_dim), deck.matrices),)
-    return tuple(_fixed_coordinates(model.spec, deck.matrices[:, s]) for s in (0, 1))
+    return _adjoint_average(deck)[0]
 
 
 def transitivity_rank(Z, model):
@@ -223,7 +218,7 @@ def transitivity_rank(Z, model):
     """
     if isinstance(model, SphereModel):
         (C,) = Z
-        B = np.stack(algebra_basis(CompactGroupSpec("SO", model.ambient_dim)))
+        B = _basis_stack(CompactGroupSpec("SO", model.ambient_dim))
         rows = C.T @ B[:, :, 0]  # the fields X e_1
     else:
         # a left field X and a right field Y are X and Y at the identity
@@ -325,13 +320,15 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     # every named tolerance that can change the verdict
     tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
                   "rank_cutoff": _tol.RANK_CUTOFF}
-    # one displacement range [lo, hi] per element, computed once
+    # one pass of Ad over the deck and one displacement range [lo, hi] per
+    # element, each computed once
+    Z, constant = _adjoint_average(deck)
     if isinstance(model, SphereModel):
         tolerances["eigen"] = _tol.EIGEN
         freeness = is_free_on_sphere(deck.matrices)
         free, free_offender = freeness.free, freeness.offender
         lo, hi = sphere_displacement_range(deck.matrices)
-        constant = hi - lo <= _tol.EIGEN
+        constant = hi - lo <= _tol.EIGEN  # the flags of Ad are for translations
     else:
         tolerances["central"] = _tol.CENTRAL
         spec = model.spec
@@ -339,18 +336,15 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         lo, hi = _translation_ranges(spec, deck.matrices, inverted)
         # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate, i.e.
         # iff lo, the distance between their classes, vanishes
-        fixing = (i for i, iso in enumerate(deck.elements)
-                  if lo[i] <= config.tol and not is_identity_isometry(spec, iso))
-        free_offender = next(fixing, None)
+        fixing = np.flatnonzero((lo <= config.tol) & ~_identity_maps(spec, deck.matrices))
+        free_offender = int(fixing[0]) if fixing.size else None
         free = free_offender is None
-        constant = _clifford_wolf(spec, deck.matrices, inverted)
     # a constant map moves every point by its least displacement
     values = np.where(constant, lo, hi - lo)
     elements = tuple(
         ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
     )
 
-    Z = centralizer_algebra(deck)
     min_rank, dim = transitivity_rank(Z, model)
     all_constant = all(e.constant for e in elements)
     verdict = verdict_from_evidence(free, all_constant, min_rank, dim)

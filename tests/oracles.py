@@ -2,6 +2,7 @@
 abstract SL(2, F_p) table, the scalar product of two quaternions, the
 right-translation and SU(2) images of a unit quaternion, the minimal-norm
 logarithm of a compact group element and the fixed point of an inverted
+two-sided translation, the commutator test of constant displacement of a
 two-sided translation, displacement statistics over Haar points on a
 sphere, and the real coordinate vector of a matrix.  A quaternion is a row
 (w, x, y, z)."""
@@ -17,6 +18,7 @@ from homoglab.compact_lie import (
     SPECIAL_ORTHOGONAL,
     CompactGroupSpec,
     _branch_shift_su,
+    algebra_basis,
     check_in_group,
     group_exp,
     symplectic_structure,
@@ -163,6 +165,37 @@ def inverted_fixed_point(spec, iso) -> np.ndarray:
     y = exp(log(g1 g2^-1) / 2) (then g1 x^-1 g2 = y^2 y^-1 g2 = x)."""
     y = group_exp(0.5 * group_log(spec, iso.g1 @ iso.g2.conj().T))
     return y @ iso.g2
+
+
+def _so4_plane(a, b):
+    E = np.zeros((4, 4))
+    E[a, b], E[b, a] = 1.0, -1.0
+    return E
+
+
+# unit bases, in -trace(XY), of the self-dual and anti-self-dual halves of so(4)
+SO4_HALVES = np.array([
+    [(_so4_plane(0, 1) + sign * _so4_plane(2, 3)) / 2,
+     (_so4_plane(0, 2) - sign * _so4_plane(1, 3)) / 2,
+     (_so4_plane(0, 3) + sign * _so4_plane(1, 2)) / 2]
+    for sign in (1, -1)
+])
+
+
+def clifford_wolf_commutator(spec: CompactGroupSpec, pairs) -> np.ndarray:
+    """Which maps x -> g1^-1 x g2 of a (k, 2, d, d) pair stack have constant
+    displacement, one pair at a time by the commutator test: on every simple
+    ideal, g1 or g2 commutes with the ideal's basis, max-abs of g b - b g
+    within ``_tol.CENTRAL``.  The ideals are the whole algebra, or the two
+    halves of so(4) built from its coordinate planes."""
+    if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4):
+        ideals = SO4_HALVES
+    else:
+        ideals = np.stack(algebra_basis(spec))[None]
+    return np.array([
+        all(any(np.max(np.abs(g @ B - B @ g)) <= _tol.CENTRAL for g in pair) for B in ideals)
+        for pair in pairs
+    ], dtype=bool)
 
 
 def haar_sphere(

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import jsonschema
 
 import homoglab
 from homoglab import _tol, cli, finite_groups
-from homoglab.cli import format_matrix, load_matrix, main, parse_matrix_text
+from homoglab.cli import build_parser, format_matrix, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group, sphere_displacement_range
 from homoglab.errors import ParseError
 
@@ -605,6 +606,37 @@ def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["probe-noncompact", "--motions", "1000000000"],
+        ["probe-noncompact", "--motions", "10001"],
+        ["check-killing", "--space", "so5-so3", "--directions", "1000000000"],
+        ["check-killing", "--space", "so5-so3", "--directions", "1001", "--samples", "1000"],
+        ["check-killing", "--space", "so5-so3", "--samples", "40001"],
+    ],
+    ids=["motions-1e9", "motions-10001", "directions-1e9", "directions-times-samples",
+         "default-directions-times-samples"],
+)
+def test_counts_above_their_bound_exit_2_with_one_stderr_line(capsys, argv):
+    """--motions runs up to 10^4 probes, and check-killing on so5-so3 draws
+    up to 10^6 points over all its directions; more is refused at once."""
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_counts_at_their_bound_parse():
+    args = build_parser().parse_args(["probe-noncompact", "--motions", "10000"])
+    assert args.motions == 10000
+    args = build_parser().parse_args(
+        ["check-killing", "--space", "so5-so3", "--directions", "1000", "--samples", "1000"])
+    assert args.directions * args.samples == 10**6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["probe-noncompact", "--motions", "x"],
         ["check-homogeneity", "--model", "s3"],
         ["construct", "--group", "cyclic-3", "--seed", "-1"],
@@ -699,8 +731,6 @@ def test_non_orthogonal_matrix_file_is_refused(capsys, tmp_path):
 
 
 def test_construct_large_cyclic_group_quickly(capsys):
-    import time
-
     start = time.perf_counter()
     code, rep = run_cli(capsys, "construct", "--group", "cyclic-360")
     assert time.perf_counter() - start < 5.0
@@ -879,7 +909,7 @@ def _names(prefix, lo, hi):
 _SAMPLES = _mostly(["10", "17", "50"], ["-3", "0", "9", "x", "1e3", "", "nan"])
 _TOLS = _mostly(["1e-7", "1e-3", "0.5"], ["0", "-1", "nan", "inf", "-inf", "1e400", "x", ""])
 _SEEDS = _mostly(["0", "1", "42", "99999999999999999999"], ["-1", "x", ""])
-_COUNTS = _mostly(["1", "2", "3"], ["-2", "0", "x", "1.5"])
+_COUNTS = _mostly(["1", "2", "3"], ["-2", "0", "x", "1.5", "200000", "1000000000"])
 _FLOATS = _mostly(["1", "0.8", "0.5", "0.25"], ["0", "-1", "2", "nan", "inf", "1e400", "x"])
 _SPHERE_GROUPS = _mostly(
     ["binary-tetrahedral", "binary-octahedral", "binary-icosahedral", "antipodal"],

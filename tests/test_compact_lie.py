@@ -34,7 +34,7 @@ from homoglab.compact_lie import (
 from homoglab._tol import DISPLACEMENT
 from homoglab.errors import InvalidParameter, NotInGroup
 from homoglab.profiles import DisplacementProfile
-from oracles import group_log, inverted_fixed_point
+from oracles import SO4_HALVES, clifford_wolf_commutator, group_log, inverted_fixed_point
 
 SU2 = CompactGroupSpec("SU", 2)
 SU3 = CompactGroupSpec("SU", 3)
@@ -354,21 +354,6 @@ def test_clifford_wolf_evidence_checks_its_inputs():
         clifford_wolf_evidence(SU2, [])
 
 
-def _so4_plane(a, b):
-    E = np.zeros((4, 4))
-    E[a, b], E[b, a] = 1.0, -1.0
-    return E
-
-
-# unit bases, in -trace(XY), of the self-dual and anti-self-dual halves of so(4)
-SO4_HALVES = [
-    [(_so4_plane(0, 1) + sign * _so4_plane(2, 3)) / 2,
-     (_so4_plane(0, 2) - sign * _so4_plane(1, 3)) / 2,
-     (_so4_plane(0, 3) + sign * _so4_plane(1, 2)) / 2]
-    for sign in (1, -1)
-]
-
-
 def so4_half_element(half, rng):
     """exp(t X) for a random unit X in one half of so(4) and t in [0.5, 3.5],
     away from the exp(t X) = +-I of t = 2 pi and 4 pi."""
@@ -416,8 +401,9 @@ def _ranges(spec, isos):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
-    """With blocks of one element, the ranges and the constancy flags of a
-    mixed stack (Haar, central and inverted maps) equal those of one block."""
+    """With blocks of one element, the ranges, the constancy flags and the
+    mean of Ad of a mixed stack (Haar, central and inverted maps) equal those
+    of one block."""
     isos = [TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng), k % 3 == 0)
             for k in range(7)]
     isos += [TwoSidedIsometry(z, haar_sample(spec, rng)) for z in center_elements(spec)]
@@ -427,16 +413,74 @@ def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
     inverted = np.array([iso.inverted for iso in isos])
 
     def kernels():
-        return (*compact_lie._translation_ranges(spec, pairs, inverted),
-                compact_lie._clifford_wolf(spec, pairs, inverted))
+        mean, constant = compact_lie._adjoint_pass(spec, pairs)
+        return (*compact_lie._translation_ranges(spec, pairs, inverted), constant), mean
 
-    whole = kernels()
-    assert len(list(compact_lie._deck_blocks(len(pairs), pairs[0].size))) == 1
+    whole, whole_mean = kernels()
+    entries = 2 * len(algebra_basis(spec)) * d * d  # the largest temporaries per element
+    assert len(list(compact_lie._deck_blocks(len(pairs), entries))) == 1
     monkeypatch.setattr(compact_lie, "_DECK_BLOCK", 1)
     assert len(list(compact_lie._deck_blocks(len(pairs), pairs[0].size))) == len(pairs)
-    for a, b in zip(whole, kernels()):
+    blocked, blocked_mean = kernels()
+    for a, b in zip(whole, blocked):
         np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(blocked_mean, whole_mean, rtol=0, atol=1e-14)
     assert whole[2].tolist() == [False] * 7 + [True] * len(center_elements(spec))
+
+
+PAIR_SPECS = [CompactGroupSpec("SU", n) for n in (2, 3, 4, 5)] + [
+    CompactGroupSpec("SO", n) for n in (3, 4, 5, 6)] + [CompactGroupSpec("Sp", n) for n in (2, 3)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(PAIR_SPECS), st.integers(0, 2**32 - 1))
+def test_ad_pass_flags_equal_the_commutator_test(spec, seed):
+    """The constancy flags of the pass of Ad equal the commutator test of
+    ``oracles.clifford_wolf_commutator`` on Haar pairs, central pairs,
+    near-central pairs z exp(tX) on either side or both (t from 1e-6, which
+    is not central, down to 1e-12), and on SO(4) pairs aligned with the
+    two halves of so(4)."""
+    rng = np.random.default_rng(seed)
+    center = center_elements(spec)
+
+    def near_central(t):
+        z = center[rng.integers(len(center))]
+        return z @ group_exp(t * random_algebra_element(spec, rng, unit=True))
+
+    pairs = [(haar_sample(spec, rng), haar_sample(spec, rng)) for _ in range(4)]
+    pairs += [(z, haar_sample(spec, rng)) for z in center] + [(haar_sample(spec, rng), z) for z in center]
+    for t in (1e-6, 1e-8, 1e-9, 1e-12):
+        pairs += [(near_central(t), haar_sample(spec, rng)), (haar_sample(spec, rng), near_central(t)),
+                  (near_central(t), near_central(t))]
+    if spec == SO4:
+        for k in range(4):
+            h, other = SO4_HALVES[k % 2], SO4_HALVES[1 - k % 2]
+            pairs += [(so4_half_element(h, rng), so4_half_element(other, rng)),
+                      (so4_half_element(h, rng), so4_half_element(h, rng))]
+    pairs = check_in_group(spec, [g for pair in pairs for g in pair]).reshape(
+        -1, 2, spec.matrix_size, spec.matrix_size)
+    _, constant = compact_lie._adjoint_pass(spec, pairs)
+    want = clifford_wolf_commutator(spec, pairs)
+    np.testing.assert_array_equal(constant, want)
+    assert want[4 : 4 + 2 * len(center)].all() and not want[:4].any()
+
+
+def test_so4_basis_lists_its_two_ideals():
+    """The halves of ``algebra_basis(SO(4))`` are the self-dual and the
+    anti-self-dual ideal of so(4): each is closed under brackets, and
+    brackets across them vanish."""
+    basis = np.stack(algebra_basis(SO4))
+    halves = basis[:3], basis[3:]
+    for half, want in zip(halves, SO4_HALVES):
+        # the same span as the halves built from the coordinate planes
+        np.testing.assert_allclose(np.tensordot(half, half, axes=(0, 0)),
+                                   np.tensordot(want, want, axes=(0, 0)), rtol=0, atol=1e-15)
+        for X, Y in itertools.product(half, half):
+            bracket = X @ Y - Y @ X
+            inside = np.tensordot(-np.einsum("kij,ji->k", half, bracket), half, axes=1)
+            assert np.max(np.abs(bracket - inside)) <= 1e-15
+    for X, Y in itertools.product(*halves):
+        assert np.max(np.abs(X @ Y - Y @ X)) <= 1e-15
 
 
 def _rotation_z(t):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from homoglab import constant_curvature
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import (
     EuclideanMotion,
@@ -202,6 +203,36 @@ def test_geodesic_slide_antipodal_and_identity(rng):
     assert invariant_geodesic_check(-np.eye(4), x)
     with pytest.raises(InvalidParameter):
         invariant_geodesic_check(np.eye(4), x)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
+def test_geodesic_slide_holds_on_the_sampled_circle(seed, planes):
+    """A random Clifford map, complex scalar multiplication on C^m in a
+    random orthonormal frame, passes the exact test, and the circle it
+    selects is slid along itself at 100 points of a full period."""
+    rng = np.random.default_rng(seed)
+    n = 2 * planes
+    q = haar_orthogonal(n, rng)
+    g = q @ block_diag(*[rotation_block(rng.uniform(0.1, 3.0))] * planes) @ q.T
+    x = haar_sphere(n, 1, rng)[0]
+    assert invariant_geodesic_check(g, x)
+    c = _point_displacement(g, x)
+    u = (g @ x - np.cos(c) * x) / np.sin(c)
+    ts = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    sigma = np.outer(np.cos(ts), x) + np.outer(np.sin(ts), u)
+    shifted = np.outer(np.cos(ts + c), x) + np.outer(np.sin(ts + c), u)
+    assert np.max(np.abs(sigma @ g.T - shifted)) <= 1e-12
+
+
+def test_geodesic_slide_refutes_a_map_that_does_not_slide(monkeypatch, rng):
+    """Let through the constancy gate, a rotation by two different angles
+    moves the circle through x and gx off itself, and the test says so."""
+    g = block_diag(rotation_block(0.4), rotation_block(1.1))
+    x = haar_sphere(4, 1, rng)[0]
+    c = _point_displacement(g, x)
+    monkeypatch.setattr(constant_curvature, "is_clifford_sphere", lambda m: (True, c))
+    assert not invariant_geodesic_check(g, x)
 
 
 def test_geodesic_slide_rejects_non_clifford(rng):

@@ -52,7 +52,7 @@ from homoglab.verifier import (
     verdict_from_evidence,
     verify_instance,
 )
-from oracles import _vec, haar_sphere, right_translation_matrix, su2_matrix
+from oracles import SO4_HALVES, _vec, haar_sphere, right_translation_matrix, su2_matrix
 
 SU2 = CompactGroupSpec("SU", 2)
 GROUP_SPECS = (
@@ -246,24 +246,13 @@ def test_quaternion_deck_agrees_on_s3_and_su2(tag, side):
     assert np.max(np.abs(su2_values - np.sqrt(2.0) * s3_values)) <= 1e-12
 
 
-def _plane(a, b):
-    E = np.zeros((4, 4))
-    E[a, b], E[b, a] = 1.0, -1.0
-    return E
-
-
 def test_so4_deck_aligned_with_the_two_halves(rng):
     """g = exp(4 pi/3 s) and h = exp(4 pi/3 a), with s a unit self-dual and a a
     unit anti-self-dual direction, have order 3 and are not central.  The deck
     x -> g^-k x h^k is free, and every element is constant, because Ad(g^k)
     fixes the anti-self-dual half of so(4) and Ad(h^k) the self-dual half."""
     so4 = CompactGroupSpec("SO", 4)
-    halves = [
-        [_plane(0, 1) + sign * _plane(2, 3), _plane(0, 2) - sign * _plane(1, 3),
-         _plane(0, 3) + sign * _plane(1, 2)]
-        for sign in (1, -1)
-    ]
-    s, a = (np.tensordot(rng.standard_normal(3), half, axes=1) for half in halves)
+    s, a = (np.tensordot(rng.standard_normal(3), half, axes=1) for half in SO4_HALVES)
     g, h = (group_exp(4 * np.pi / 3 * X / np.sqrt(-np.trace(X @ X))) for X in (s, a))
     for x in (g, h):
         assert not any(np.allclose(x, z) for z in center_elements(so4))
@@ -341,22 +330,23 @@ def test_left_translation_decks_stay_free(spec, name):
     assert report.verdict == HOMOGENEOUS_WITNESS_FOUND
 
 
-def _count_calls(monkeypatch, names):
-    """Count the calls of each named function through every homoglab module
-    that binds it, so that a call from inside its own module counts too."""
-    counts = {name: 0 for name in names}
+def _record_calls(monkeypatch, names):
+    """Record the positional arguments of each call of each named function,
+    through every homoglab module that binds it, so that a call from inside
+    its own module counts too."""
+    calls = {name: [] for name in names}
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "homoglab"]
     for name in names:
         original = next(vars(m)[name] for m in modules if name in vars(m))
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
             return _original(*args, **kwargs)
 
         for m in modules:
             if vars(m).get(name) is original:
-                monkeypatch.setattr(m, name, counted)
-    return counts
+                monkeypatch.setattr(m, name, recorded)
+    return calls
 
 
 def _fixing_sphere_deck():
@@ -364,7 +354,7 @@ def _fixing_sphere_deck():
     return sphere_deck([np.eye(4), g, g @ g])
 
 
-@pytest.mark.parametrize(
+PIPELINE_DECKS = pytest.mark.parametrize(
     "build,want",
     [(lambda: sphere_deck(sphere_group_matrices("binary-icosahedral")), HOMOGENEOUS_WITNESS_FOUND),
      (lambda: sphere_deck(lens_group(5, (1, 2))), NOT_CONSTANT_DISPLACEMENT),
@@ -374,20 +364,38 @@ def _fixing_sphere_deck():
      (lambda: _two_sided_deck(SU2, np.random.default_rng(0)), NOT_FREE)],
     ids=["s3-witness", "s3-lens-5-1-2", "s3-fixing", "su3-witness", "su2-two-sided"],
 )
+
+
+@PIPELINE_DECKS
 def test_each_deck_takes_one_displacement_range(monkeypatch, build, want):
     """verify_instance reads freeness (on a group manifold), constancy, the
     element values and the forward re-check from one range per deck: one
     ``sphere_displacement_range`` on a sphere, and one ``_translation_ranges``
     holding the deck's one class distance on a group manifold."""
     deck = build()
-    counts = _count_calls(
+    calls = _record_calls(
         monkeypatch, ["sphere_displacement_range", "_translation_ranges", "_class_distance"]
     )
     assert verify_instance(deck).verdict == want
     sphere = isinstance(deck.model, SphereModel)
-    assert counts == {"sphere_displacement_range": int(sphere),
-                      "_translation_ranges": int(not sphere),
-                      "_class_distance": int(not sphere)}
+    assert {k: len(v) for k, v in calls.items()} == {
+        "sphere_displacement_range": int(sphere),
+        "_translation_ranges": int(not sphere),
+        "_class_distance": int(not sphere)}
+
+
+@PIPELINE_DECKS
+def test_each_deck_factor_is_conjugated_against_the_basis_once(monkeypatch, build, want):
+    """verify_instance reads the centralizer and, on a group manifold, the
+    constancy flags from one pass of Ad: one ``_adjoint_pass`` over the
+    deck's stack of k elements with one factor on a sphere and two on a
+    group manifold."""
+    deck = build()
+    calls = _record_calls(monkeypatch, ["_adjoint_pass"])
+    assert verify_instance(deck).verdict == want
+    ((spec, maps),) = calls["_adjoint_pass"]
+    sphere = isinstance(deck.model, SphereModel)
+    assert maps.shape[:2] == (deck.order, 1 if sphere else 2)
 
 
 CONJECTURE_SPECS = (SU2, CompactGroupSpec("SU", 3), CompactGroupSpec("SO", 4),
