@@ -234,22 +234,17 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
         d = spec.matrix_size
         # the deck is closed on its blocks diag(z g1, z g2), z central
         check_table_work(name, order * len(center_elements(spec)), (2 * d) ** 2)
-        zeta = np.exp(2j * np.pi / order)
         if spec.family == "SO":
-            if order > 2 and d < 2:
-                raise InvalidParameter("rotation block needs size >= 2")
-            block = np.eye(d)
+            gen = np.eye(d)
             c, s = np.cos(2 * np.pi / order), np.sin(2 * np.pi / order)
-            block[:2, :2] = [[c, -s], [s, c]]
-            gen = block
-        elif spec.family == "SU":
-            gen = np.diag([zeta, np.conj(zeta)] + [1.0] * (d - 2)).astype(complex)
+            gen[:2, :2] = [[c, -s], [s, c]]
         else:
-            n = spec.n
-            A = np.diag([zeta] + [1.0] * (n - 1)).astype(complex)
-            gen = np.block(
-                [[A, np.zeros((n, n))], [np.zeros((n, n)), np.conj(A)]]
-            )
+            zeta = np.exp(2j * np.pi / order)
+            if spec.family == "SU":
+                gen = np.diag([zeta, np.conj(zeta)] + [1.0] * (d - 2))
+            else:
+                A = np.diag([zeta] + [1.0] * (spec.n - 1))
+                gen = np.block([[A, np.zeros_like(A)], [np.zeros_like(A), np.conj(A)]])
         return [
             left_translation_isometry(spec, g)
             for g in cyclic_powers(gen.astype(complex))

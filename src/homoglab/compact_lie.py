@@ -4,6 +4,8 @@ translation isometries.
 Supported families are SU(n) (n >= 2), SO(n) (n >= 3) and the compact
 symplectic group Sp(n) (n >= 2), the latter realized as the unitary 2n x 2n
 matrices commuting with the quaternionic structure map v -> J conj(v).
+Every Haar point is one phase-fixed QR of a Gaussian stack
+(``_gaussian_qr``), real, complex or quaternionic by family.
 
 The bi-invariant distance is d(g, h) = min ||X|| over logs exp(X) = g^{-1} h
 with ||X||^2 = -trace(X^2) in the defining representation.  The branch search
@@ -139,10 +141,12 @@ def check_in_algebra(spec: CompactGroupSpec, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Haar sampling
 #
-# Every sampler maps one Gaussian array to a stack of matrices along its
-# leading axis.  A stack of S is drawn as one (S, ...) normal array, which
-# consumes the generator exactly as S single draws do, so a seed gives the
-# same points whatever the stack size.
+# Every draw is ``_gaussian_qr`` of a stack of Gaussian matrices: Gram-Schmidt
+# with a positive diagonal, equivariant under the group, so an invariant
+# Gaussian gives a Haar point (real Gaussians on O(n), complex on U(n),
+# quaternionic on Sp(n)).  A stack of S is drawn as one (S, ...) normal array,
+# which consumes the generator exactly as S single draws do, so a seed gives
+# the same points whatever the stack size.
 
 # largest stack drawn at once; longer runs go in blocks of this many
 _SAMPLE_BLOCK = 4096
@@ -153,54 +157,44 @@ def _adjoint(g: np.ndarray) -> np.ndarray:
     return g.conj().swapaxes(-1, -2)
 
 
+def _gaussian_qr(z: np.ndarray) -> np.ndarray:
+    """The QR factor of each matrix of a stack, each column scaled by the
+    phase of R's diagonal: Gram-Schmidt with a positive diagonal."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar on U(n): one matrix, or a (size, n, n) stack."""
     z = rng.standard_normal((1 if size is None else size, 2, n, n))
-    z = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
+    q = _gaussian_qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
     return q[0] if size is None else q
 
 
 def haar_orthogonal(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Haar on the full orthogonal group O(n), both components: one matrix, or
     a (size, n, n) stack."""
-    z = rng.standard_normal((1 if size is None else size, n, n))
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q = _gaussian_qr(rng.standard_normal((1 if size is None else size, n, n)))
     return q[0] if size is None else q
 
 
-def _quaternion_pair_mul(a1, b1, a2, b2):
-    # (a1 + j b1)(a2 + j b2) componentwise
-    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
+def _j_conj(v: np.ndarray) -> np.ndarray:
+    """J conj(v) for each column of a stack of 2n-row matrices."""
+    n = v.shape[-2] // 2
+    return np.concatenate([-v[..., n:, :].conj(), v[..., :n, :].conj()], axis=-2)
 
 
 def _haar_symplectic(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    # Gram-Schmidt over the quaternions on Gaussian columns, then embed; the
-    # columns are kept as rows (axis 1) so each inner product sums a last axis
+    # the quaternionic Gaussian [[A, -conj(B)], [B, conj(A)]] with its columns
+    # interleaved as v_1, J conj(v_1), v_2, ...: v -> J conj(v) is antiunitary
+    # and commutes with the projection onto the earlier pairs, so complex
+    # Gram-Schmidt keeps each pair, and the v-columns of the factor give the
+    # element in exact form
     z = rng.standard_normal((size, 4, n, n))
-    A = z[:, 0] + 1j * z[:, 1]
-    B = z[:, 2] + 1j * z[:, 3]
-    QA = np.zeros_like(A)
-    QB = np.zeros_like(B)
-    for j in range(n):
-        va, vb = A[:, :, j].copy(), B[:, :, j].copy()
-        for _ in range(2):  # reorthogonalize once for stability
-            for k in range(j):
-                ea, eb = QA[:, k], QB[:, k]
-                # quaternionic <e, v> = sum conj(e_i) v_i
-                s1 = np.sum(np.conj(ea) * va + np.conj(eb) * vb, axis=-1)[:, None]
-                s2 = np.sum(ea * vb - eb * va, axis=-1)[:, None]
-                pa, pb = _quaternion_pair_mul(ea, eb, s1, s2)
-                va, vb = va - pa, vb - pb
-        nrm = np.sqrt(np.sum(np.abs(va) ** 2 + np.abs(vb) ** 2, axis=-1))[:, None]
-        QA[:, j], QB[:, j] = va / nrm, vb / nrm
-    QA, QB = np.swapaxes(QA, 1, 2), np.swapaxes(QB, 1, 2)
-    top = np.concatenate([QA, -np.conj(QB)], axis=2)
-    bot = np.concatenate([QB, np.conj(QA)], axis=2)
-    return np.concatenate([top, bot], axis=1)
+    v = (z[:, 0::2] + 1j * z[:, 1::2]).reshape(size, 2 * n, n)  # [A; B]
+    q = _gaussian_qr(np.stack([v, _j_conj(v)], axis=-1).reshape(size, 2 * n, 2 * n))[..., ::2]
+    return np.concatenate([q, _j_conj(q)], axis=-1)
 
 
 def _haar_block(spec: CompactGroupSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -221,20 +215,17 @@ def haar_sample(
 ) -> np.ndarray:
     """One Haar-distributed element of the group, or a (size, d, d) stack of
     them, the same points as ``size`` single draws."""
-    if size is None:
-        return _haar_block(spec, rng, 1)[0]
-    if size < 1:
-        raise InvalidParameter("need at least one sample")
-    if size <= _SAMPLE_BLOCK:
-        return _haar_block(spec, rng, size)
-    return np.concatenate(list(_haar_blocks(spec, rng, size)))
+    blocks = list(_haar_blocks(spec, rng, 1 if size is None else size))
+    return blocks[0][0] if size is None else np.concatenate(blocks)
 
 
 def _haar_blocks(spec: CompactGroupSpec, rng: np.random.Generator, size: int):
-    """``haar_sample(spec, rng, size)`` as consecutive stacks of at most
-    ``_SAMPLE_BLOCK`` elements, so a long profile holds one block at a time."""
+    """``size`` Haar draws as consecutive stacks of at most ``_SAMPLE_BLOCK``
+    elements, so a long profile holds one block at a time."""
+    if size < 1:
+        raise InvalidParameter("need at least one sample")
     for start in range(0, size, _SAMPLE_BLOCK):
-        yield haar_sample(spec, rng, min(_SAMPLE_BLOCK, size - start))
+        yield _haar_block(spec, rng, min(_SAMPLE_BLOCK, size - start))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +456,20 @@ def _class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> np.
     return np.sqrt(2.0) * d
 
 
-def center_elements(spec: CompactGroupSpec) -> list[np.ndarray]:
-    d = spec.matrix_size
+@lru_cache(maxsize=None)
+def center_elements(spec: CompactGroupSpec) -> np.ndarray:
+    """The center of the group as one read-only (|Z|, d, d) stack of scalar
+    matrices: complex on SU(n), real on SO(n) and Sp(n)."""
     if spec.family == SPECIAL_UNITARY:
-        return [np.exp(2j * np.pi * k / spec.n) * np.eye(d) for k in range(spec.n)]
-    if spec.family == SPECIAL_ORTHOGONAL:
-        return [np.eye(d), -np.eye(d)] if spec.n % 2 == 0 else [np.eye(d)]
-    return [np.eye(d), -np.eye(d)]
+        # scalar exps: the vectorised exp can differ in the last bit
+        z = np.array([np.exp(2j * np.pi * k / spec.n) for k in range(spec.n)])
+    elif spec.family == SPECIAL_ORTHOGONAL and spec.n % 2:
+        z = np.ones(1)
+    else:
+        z = np.array([1.0, -1.0])
+    Z = z[:, None, None] * np.eye(spec.matrix_size)
+    Z.flags.writeable = False
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +500,8 @@ def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
 def _identity_maps(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
     """Which maps x -> g1^{-1} x g2 of a (k, 2, d, d) pair stack are the
     identity: g1 = g2 = one central element, within ``_tol.CLOSURE``."""
-    center = np.stack(center_elements(spec))
-    near = np.max(np.abs(pairs[:, None] - center[:, None]), axis=(-2, -1)) <= _tol.CLOSURE
+    center = center_elements(spec)[:, None]
+    near = np.max(np.abs(pairs[:, None] - center), axis=(-2, -1)) <= _tol.CLOSURE
     return np.any(np.all(near, axis=-1), axis=-1)
 
 
@@ -528,8 +526,6 @@ def group_displacement_profile(
     rng: np.random.Generator,
 ) -> DisplacementProfile:
     check_in_group(spec, [iso.g1, iso.g2])
-    if samples < 1:
-        raise InvalidParameter("need at least one sample")
     vals = [_displacement(spec, iso, x) for x in _haar_blocks(spec, rng, samples)]
     return DisplacementProfile.from_values(np.concatenate(vals))
 

@@ -246,8 +246,6 @@ def killing_length_profile(
         rh = trace_coords(np.stack(space.complement_basis), bracket(right, h))
         if not np.all(np.linalg.norm(rh, axis=-1) <= _tol.BRACKET):
             raise InvalidParameter("right component must normalize the isotropy algebra")
-    if samples < 1:
-        raise InvalidParameter("need at least one sample")
     vals = []
     for g in _haar_blocks(space.group, rng, samples):
         Y = np.zeros(g.shape, dtype=complex)

@@ -148,7 +148,7 @@ class DeckGroup:
         # all elements and all z, form a group of matrices
         blocks = np.zeros((len(self.elements), 2 * d, 2 * d), dtype=complex)
         blocks[:, :d, :d], blocks[:, d:, d:] = self.matrices[:, 0], self.matrices[:, 1]
-        center = np.array([z[0, 0] for z in center_elements(spec)])
+        center = center_elements(spec)[:, 0, 0]
         _check_group((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
 
 

@@ -4,8 +4,8 @@ right-translation and SU(2) images of a unit quaternion, the minimal-norm
 logarithm of a compact group element and the fixed point of an inverted
 two-sided translation, the commutator test of constant displacement of a
 two-sided translation, displacement statistics over Haar points on a
-sphere, and the real coordinate vector of a matrix.  A quaternion is a row
-(w, x, y, z)."""
+sphere, Haar points on Sp(n) by quaternionic Gram-Schmidt, and the real
+coordinate vector of a matrix.  A quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
 
@@ -207,6 +207,40 @@ def haar_sphere(
     shape = (samples, n_ambient) if size is None else (size, samples, n_ambient)
     x = rng.standard_normal(shape)
     return x / np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+
+
+def _quaternion_pair_mul(a1, b1, a2, b2):
+    # (a1 + j b1)(a2 + j b2) componentwise
+    return a1 * a2 - np.conj(b1) * b2, b1 * a2 + np.conj(a1) * b2
+
+
+def haar_symplectic_gram_schmidt(n: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """A (size, 2n, 2n) stack of Haar points on Sp(n) from the same Gaussians
+    as ``haar_sample``: Gram-Schmidt over the quaternions on the columns
+    A + j B, reorthogonalized once, then embedded as [[A, -conj(B)], [B,
+    conj(A)]].  The columns are kept as rows (axis 1), so each inner product
+    sums a last axis."""
+    z = rng.standard_normal((size, 4, n, n))
+    A = z[:, 0] + 1j * z[:, 1]
+    B = z[:, 2] + 1j * z[:, 3]
+    QA = np.zeros_like(A)
+    QB = np.zeros_like(B)
+    for j in range(n):
+        va, vb = A[:, :, j].copy(), B[:, :, j].copy()
+        for _ in range(2):
+            for k in range(j):
+                ea, eb = QA[:, k], QB[:, k]
+                # quaternionic <e, v> = sum conj(e_i) v_i
+                s1 = np.sum(np.conj(ea) * va + np.conj(eb) * vb, axis=-1)[:, None]
+                s2 = np.sum(ea * vb - eb * va, axis=-1)[:, None]
+                pa, pb = _quaternion_pair_mul(ea, eb, s1, s2)
+                va, vb = va - pa, vb - pb
+        nrm = np.sqrt(np.sum(np.abs(va) ** 2 + np.abs(vb) ** 2, axis=-1))[:, None]
+        QA[:, j], QB[:, j] = va / nrm, vb / nrm
+    QA, QB = np.swapaxes(QA, 1, 2), np.swapaxes(QB, 1, 2)
+    top = np.concatenate([QA, -np.conj(QB)], axis=2)
+    bot = np.concatenate([QB, np.conj(QA)], axis=2)
+    return np.concatenate([top, bot], axis=1)
 
 
 def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:

@@ -34,7 +34,13 @@ from homoglab.compact_lie import (
 from homoglab._tol import DISPLACEMENT
 from homoglab.errors import InvalidParameter, NotInGroup
 from homoglab.profiles import DisplacementProfile
-from oracles import SO4_HALVES, clifford_wolf_commutator, group_log, inverted_fixed_point
+from oracles import (
+    SO4_HALVES,
+    clifford_wolf_commutator,
+    group_log,
+    haar_symplectic_gram_schmidt,
+    inverted_fixed_point,
+)
 
 SU2 = CompactGroupSpec("SU", 2)
 SU3 = CompactGroupSpec("SU", 3)
@@ -277,6 +283,12 @@ def test_center_elements(rng):
     assert len(center_elements(SO4)) == 2
     assert len(center_elements(SO5)) == 1
     assert len(center_elements(SP2)) == 2
+    # one cached read-only stack per group, complex only on SU
+    for spec in ALL_SPECS:
+        Z = center_elements(spec)
+        assert Z is center_elements(spec) and not Z.flags.writeable
+        assert np.iscomplexobj(Z) == (spec.family == "SU")
+        check_in_group(spec, Z)
     # a central factor on either side makes a translation pair constant
     g = haar_sample(SU3, rng)
     isos = [TwoSidedIsometry(z, g) for z in center_elements(SU3)]
@@ -798,6 +810,34 @@ def test_haar_stack_leaves_the_generator_where_single_draws_do():
 def test_haar_stack_rejects_empty_size(rng):
     with pytest.raises(InvalidParameter):
         haar_sample(SU2, rng, size=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12])
+def test_symplectic_draws_match_quaternionic_gram_schmidt(n):
+    for seed in (0, 1, 2):
+        draws = haar_sample(CompactGroupSpec("Sp", n), np.random.default_rng(seed), size=50)
+        ref = haar_symplectic_gram_schmidt(n, np.random.default_rng(seed), 50)
+        assert np.max(np.abs(draws - ref)) <= 1e-13
+        # exact form [[A, -conj(B)], [B, conj(A)]]
+        assert np.array_equal(draws[:, n:, n:], draws[:, :n, :n].conj())
+        assert np.array_equal(draws[:, :n, n:], -draws[:, n:, :n].conj())
+
+
+# (spec, E tr(g^2)): the Frobenius-Schur indicator of the defining
+# representation, +1 real, 0 complex, -1 quaternionic; E |tr g|^2 = 1 for each,
+# as the representation is irreducible
+HAAR_MOMENTS = [(SU2, -1), (SU3, 0), (CompactGroupSpec("SU", 4), 0), (SO3, 1), (SO4, 1),
+                (SO5, 1), (SP2, -1), (CompactGroupSpec("Sp", 3), -1)]
+
+
+@pytest.mark.parametrize("spec,indicator", HAAR_MOMENTS, ids=[s.name for s, _ in HAAR_MOMENTS])
+def test_haar_draws_have_the_moments_of_haar_measure(spec, indicator):
+    g = haar_sample(spec, np.random.default_rng(31), size=4000)
+    tr = np.trace(g, axis1=-2, axis2=-1)
+    squares = np.trace(g @ g, axis1=-2, axis2=-1)
+    for values, want in ((np.abs(tr) ** 2, 1.0), (squares.real, indicator), (squares.imag, 0.0)):
+        se = np.std(values) / np.sqrt(len(values))
+        assert abs(np.mean(values) - want) <= 6 * se + 1e-12
 
 
 @pytest.mark.parametrize("spec", (SU3, SO4, SO5, SP2), ids=lambda s: s.name)
