@@ -52,6 +52,6 @@ print(f"SO(5)/SO(3), 25 sampled directions: smallest relative gap {worst:.3f}")
 # catalog entry 10 proves it: every unit direction's square projects onto the
 # 35-dimensional Casimir component of Sym^2 so(5) that the metric touches, with
 # norm at least the certified minimum (1/sqrt 2), taken on a maximal torus
-proof = catalog_verify(10, rng=rng).evidence
+proof = catalog_verify(10).evidence
 print(f"SO(5)/SO(3), certified least projection: {proof['certified_min']:.15f}"
       f" (components {proof['component_dims']}, metric touches {proof['touched_dims']})")

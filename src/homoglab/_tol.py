@@ -27,7 +27,8 @@ BERGER_CUTOFF = 1e-10
 # decides against it too ("bracket"): Casimir eigenvalues closer than this
 # times the largest form one component, the metric form touches a component
 # where its projection exceeds this, and the certified least projection of
-# ξξᵀ must exceed it
+# ξξᵀ must exceed it.  So does catalog entry 15: its circle direction
+# normalizes the isotropy algebra
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
@@ -40,9 +41,10 @@ ZERO = 1e-12
 # above this midpoint of its eigenvalues 0 and 1: a closed deck holds them
 # within about 1e-14 of 0 or 1, so it is not recorded in reports
 PROJECTOR_SPLIT = 0.5
-# the default --tol: largest freeness distance and largest displacement spread
-# of the forward re-check ("displacement"), or largest relative Killing length
-# gap (check-killing, catalog 15; "relative_gap")
+# the default --tol: largest displacement spread of the forward re-check, and
+# largest freeness distance on group manifolds (spheres decide freeness at
+# EIGEN) ("displacement"), or largest relative Killing length gap
+# (check-killing; "relative_gap")
 DISPLACEMENT = 1e-7
 # a constant-displacement map slides a great circle along itself: g u against
 # cos c u - sin c x (invariant_geodesic_check; "geodesic")

@@ -311,7 +311,7 @@ def _cmd_construct(args, rng):
 def _real_orthogonal_from_file(path: str, model: SphereModel) -> np.ndarray:
     M = load_matrix(path)
     if np.iscomplexobj(M):
-        if np.max(np.abs(M.imag)) > 0:
+        if not np.all(M.imag == 0):  # NaN parts fail too
             raise ModelMismatch("sphere isometries must be real orthogonal")
         M = M.real
     if M.shape != (model.ambient_dim, model.ambient_dim):
@@ -466,7 +466,7 @@ def _cmd_catalog(args, rng):
         }
         return inputs, {}, evidence, "Listed"
     inputs["entry"] = args.entry
-    rep = catalog_verify(args.entry, path=args.path, rng=rng, samples=args.samples)
+    rep = catalog_verify(args.entry, path=args.path)
     evidence = {
         "entry": {"id": rep.entry.id, "name": rep.entry.name},
         "status": rep.status,
@@ -559,9 +559,10 @@ def _tolerance(text: str) -> float:
 
 def _add_common(p: argparse.ArgumentParser, samples: bool = False, tol: bool = False) -> None:
     """--seed and --output on every subcommand; --samples and --tol only where
-    the subcommand reads them, so a flag it would ignore is refused.  The one
-    exception: check-clifford and check-homogeneity draw no points but still
-    take and range-check --samples, which existing scripts pass them."""
+    the subcommand reads them, so a flag it would ignore is refused.  The
+    exceptions: check-clifford, check-homogeneity and catalog verify draw no
+    points but still take and range-check --samples, which existing scripts
+    pass them."""
     # None: main reads HOMOGLAB_SEED on each call, not once per parser
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", type=str, default=None)

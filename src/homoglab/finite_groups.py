@@ -1,11 +1,15 @@
 """Finite subgroups of the unit quaternions.
 
 Lists the cyclic, binary dihedral and binary polyhedral groups from their
-classical closed forms, classifies an arbitrary finite unit-quaternion group
-by structural invariants, and checks the constraints a group must satisfy to
-act freely with constant displacement on a round sphere (every abelian
-subgroup cyclic, at most one involution and it is central, odd Sylow
-subgroups cyclic).
+classical closed forms, classifies a finite unit-quaternion group by Klein's
+list, and checks the constraints a group must satisfy to act freely with
+constant displacement on a round sphere (every abelian subgroup cyclic, at
+most one involution and it is central, odd Sylow subgroups cyclic).
+
+Klein's list: a finite subgroup of the unit quaternions S^3 is cyclic, binary
+dihedral, or binary tetrahedral, octahedral or icosahedral.  Its order n and
+its largest element order M decide which: M = n is cyclic n, M = n/2 is
+binary dihedral n/4, and otherwise n is 24, 48 or 120.
 
 All element coordinates are closed forms in cosines and sines of rational
 multiples of pi, sqrt(2) and the golden ratio, evaluated in double precision.
@@ -28,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
-from .errors import InvalidParameter, NonUnitInput, NotClosed
+from .errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
 
 _TABLE_BLOCK = 1 << 20  # array entries per block of the table kernels (8 MB of floats)
 # product entries (k^2 m) a Cayley table of k matrices of m entries may score:
@@ -49,7 +53,6 @@ class GroupType:
     BINARY_TETRAHEDRAL = "binary_tetrahedral"
     BINARY_OCTAHEDRAL = "binary_octahedral"
     BINARY_ICOSAHEDRAL = "binary_icosahedral"
-    UNRECOGNIZED = "unrecognized"
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupType":
@@ -70,10 +73,6 @@ class GroupType:
     @classmethod
     def binary_icosahedral(cls) -> "GroupType":
         return cls(cls.BINARY_ICOSAHEDRAL)
-
-    @classmethod
-    def unrecognized(cls) -> "GroupType":
-        return cls(cls.UNRECOGNIZED)
 
     def expected_order(self) -> int | None:
         if self.kind == self.CYCLIC:
@@ -343,19 +342,6 @@ def derived_subgroup(table: np.ndarray, identity: int) -> list[int]:
     return subgroup_closure(table, np.nonzero(comms)[0], identity)
 
 
-def is_perfect(table: np.ndarray, identity: int) -> bool:
-    return len(derived_subgroup(table, identity)) == table.shape[0]
-
-
-def involution_indices(table: np.ndarray, identity: int) -> list[int]:
-    orders = element_orders(table, identity)
-    return [int(i) for i in np.nonzero(orders == 2)[0]]
-
-
-def central_indices(table: np.ndarray) -> list[int]:
-    return [int(i) for i in np.nonzero(np.all(table == table.T, axis=1))[0]]
-
-
 # ---------------------------------------------------------------------------
 # named constructors
 
@@ -369,69 +355,38 @@ def named_binary_group(tag: GroupType) -> FiniteQuaternionGroup:
 # classification
 
 
-def _as_table(group) -> tuple[np.ndarray, int]:
-    if isinstance(group, FiniteQuaternionGroup):
-        return group.multiplication_table(), group.identity_index
-    table = np.asarray(group, dtype=np.int64)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise InvalidParameter("multiplication table must be square")
-    return table, table_identity(table)
+_POLYHEDRAL_ORDERS = {
+    24: GroupType.binary_tetrahedral(),
+    48: GroupType.binary_octahedral(),
+    120: GroupType.binary_icosahedral(),
+}
 
 
-def _binary_dihedral_param(table: np.ndarray, identity: int) -> int | None:
-    """m if the table is the order-4m binary dihedral pattern, else None."""
-    n = table.shape[0]
-    if n % 4 != 0 or n < 8:
-        return None
-    m = n // 4
-    orders = element_orders(table, identity)
-    inv = table_inverses(table, identity)
-    candidates = np.nonzero(orders == 2 * m)[0]
-    for a in candidates:
-        cyc = subgroup_closure(table, [int(a)], identity)
-        if len(cyc) != 2 * m:
-            continue
-        # a^m is the unique involution of the binary pattern
-        p = int(a)
-        for _ in range(m - 1):
-            p = int(table[p, a])
-        a_pow_m = p
-        # some t outside <a> with t a t^{-1} == a^{-1} and t^2 == a^m
-        outside = np.ones(n, dtype=bool)
-        outside[cyc] = False
-        inverting = table[table[:, a], inv] == inv[a]
-        if np.any(outside & inverting & (np.diagonal(table) == a_pow_m)):
-            return m
-    return None
+def classify(group: FiniteQuaternionGroup) -> GroupType:
+    """Classify a finite unit-quaternion group by Klein's list.
 
-
-def classify(group) -> GroupType:
-    """Classify a finite unit-quaternion group by structural invariants.
-
-    Cyclicity first; then the binary dihedral pattern (index-2 cyclic subgroup
-    with an inverting element squaring to the central involution); the three
-    exceptional orders are separated by their derived subgroups, the order-120
-    one being perfect.  Anything else is Unrecognized.
+    A finite subgroup of S^3 is cyclic, binary dihedral or binary polyhedral,
+    so its order n and its largest element order M decide its type: M = n is
+    cyclic n, M = n/2 is binary dihedral n/4, and otherwise n is 24, 48 or
+    120, the binary tetrahedral, octahedral or icosahedral group.  Any other
+    n raises InvariantViolated.  The list holds only inside S^3, so a raw
+    integer table is refused (InvalidParameter): Z_3 x Q_8 has n = 24 and
+    M = 12 but is not binary dihedral.
     """
-    table, identity = _as_table(group)
-    n = table.shape[0]
-    if n > 10000:
-        raise InvalidParameter("classification supports order <= 10^4")
-    orders = element_orders(table, identity)
-    if np.max(orders) == n:
+    if not isinstance(group, FiniteQuaternionGroup):
+        raise InvalidParameter("classify needs a FiniteQuaternionGroup, not a raw table")
+    n = group.order
+    top = int(np.max(element_orders(group.multiplication_table(), group.identity_index)))
+    if top == n:
         return GroupType.cyclic(n)
-    m = _binary_dihedral_param(table, identity)
-    if m is not None:
-        return GroupType.binary_dihedral(m)
-    if n in (24, 48, 120):
-        derived = len(derived_subgroup(table, identity))
-        if n == 24 and derived == 8:
-            return GroupType.binary_tetrahedral()
-        if n == 48 and derived == 24:
-            return GroupType.binary_octahedral()
-        if n == 120 and derived == 120:
-            return GroupType.binary_icosahedral()
-    return GroupType.unrecognized()
+    if 2 * top == n and n % 4 == 0:
+        return GroupType.binary_dihedral(n // 4)
+    if n not in _POLYHEDRAL_ORDERS:
+        raise InvariantViolated(
+            f"a unit-quaternion group of order {n} with largest element order {top} "
+            "is not on Klein's list"
+        )
+    return _POLYHEDRAL_ORDERS[n]
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +403,15 @@ class SpaceFormConstraintReport:
     @property
     def unique_central_involution(self) -> bool:
         return self.involution_count <= 1 and self.involution_central
+
+
+def _as_table(group) -> tuple[np.ndarray, int]:
+    if isinstance(group, FiniteQuaternionGroup):
+        return group.multiplication_table(), group.identity_index
+    table = np.asarray(group, dtype=np.int64)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise InvalidParameter("multiplication table must be square")
+    return table, table_identity(table)
 
 
 def _is_prime(p: int) -> bool:
@@ -504,11 +468,11 @@ def check_space_form_constraints(group) -> SpaceFormConstraintReport:
                 odd_ok = False
         p += 2
     invs = np.nonzero(orders == 2)[0]
-    central = set(central_indices(table))
+    central = np.all(table[invs] == table[:, invs].T, axis=1)
     return SpaceFormConstraintReport(
         abelian_subgroups_cyclic=_abelian_subgroups_cyclic(table, orders),
         involution_count=len(invs),
-        involution_central=all(int(i) in central for i in invs),
+        involution_central=bool(np.all(central)),
         odd_sylow_cyclic=odd_ok,
     )
 
@@ -525,11 +489,11 @@ def is_sl25(group) -> bool:
     multiplication table over the 5-element field.
     """
     table, identity = _as_table(group)
-    if table.shape[0] != 120:
-        return False
-    if len(involution_indices(table, identity)) != 1:
-        return False
-    return is_perfect(table, identity)
+    return (
+        table.shape[0] == 120
+        and np.count_nonzero(element_orders(table, identity) == 2) == 1
+        and len(derived_subgroup(table, identity)) == 120
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,8 @@ def transitivity_rank(Z, model):
 class VerifyConfig:
     """``seed`` is recorded in the report.  ``samples`` is range-checked but
     read by nothing: the pipeline draws no points.  ``tol`` is the largest
-    freeness distance and forward re-check spread."""
+    forward re-check spread, and on group manifolds the largest freeness
+    distance; spheres decide freeness at ``_tol.EIGEN`` (``is_free_on_sphere``)."""
 
     seed: int = 0
     samples: int = 200

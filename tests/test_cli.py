@@ -128,11 +128,15 @@ def test_determinism_modulo_wall_time(capsys):
     [["check-homogeneity", "--model", "s5", "--group", "lens-9-1-2-4"],
      ["check-homogeneity", "--model", "so4", "--group", "cyclic-3"],
      ["check-clifford", "--model", "s3", "--group", "lens-7-1-2"],
-     ["catalog", "verify", "10"]],
-    ids=["sphere-pipeline", "group-pipeline", "check-clifford", "catalog-10"],
+     ["catalog", "verify", "1"],
+     ["catalog", "verify", "10"],
+     ["catalog", "verify", "15"],
+     ["catalog", "verify", "17"]],
+    ids=["sphere-pipeline", "group-pipeline", "check-clifford", "catalog-1", "catalog-10",
+         "catalog-15", "catalog-17"],
 )
 def test_seed_and_samples_do_not_move_a_drawless_report(capsys, argv):
-    """check-homogeneity, check-clifford and catalog entry 10 draw no point:
+    """check-homogeneity, check-clifford and catalog verify draw no point:
     --seed is only recorded, and --samples is range-checked and otherwise
     unread."""
     _, a = run_cli(capsys, *argv, "--seed", "1", "--samples", "10")
@@ -189,7 +193,7 @@ def test_every_report_records_its_deciding_tolerances(capsys):
          {**pipeline, "central": _tol.CENTRAL}),
         (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
         (["catalog", "verify", "10", *few], {"bracket": _tol.BRACKET}),
-        (["catalog", "verify", "15", *few], {"relative_gap": _tol.DISPLACEMENT}),
+        (["catalog", "verify", "15", *few], {"bracket": _tol.BRACKET}),
         (["catalog", "verify", "17", *few], {"rank_cutoff": _tol.BERGER_CUTOFF}),
         (["catalog", "verify", "2", *few], {}),
         (["catalog", "list"], {}),
@@ -491,7 +495,7 @@ def test_a_hopf_entry_at_id_3_runs_the_hopf_check(capsys, tmp_path):
     assert code == 0
     assert rep["verdict"] == "CatalogCheckPassed"
     assert rep["evidence"]["measurements"] == bundled["evidence"]["measurements"]
-    assert rep["tolerances"] == bundled["tolerances"] == {"relative_gap": _tol.DISPLACEMENT}
+    assert rep["tolerances"] == bundled["tolerances"] == {"bracket": _tol.BRACKET}
     check_schema(rep)
 
 
@@ -723,11 +727,13 @@ def test_malformed_seed_variable_exits_2(capsys, monkeypatch):
 
 
 def test_non_orthogonal_matrix_file_is_refused(capsys, tmp_path):
-    f = tmp_path / "nan.txt"
-    f.write_text("4\nnan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
-    for cmd in ("check-free", "check-clifford"):
-        assert main([cmd, "--model", "s3", "--matrix-file", str(f)]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+    # a NaN imaginary part must not pass as real and be dropped with it
+    for first in ("nan", "1,nan"):
+        f = tmp_path / "nan.txt"
+        f.write_text(f"4\n{first} 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+        for cmd in ("check-free", "check-clifford"):
+            assert main([cmd, "--model", "s3", "--matrix-file", str(f)]) == 2, (first, cmd)
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_construct_large_cyclic_group_quickly(capsys):

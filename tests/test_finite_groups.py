@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import lens_group
-from homoglab.errors import NonUnitInput, NotClosed
+from homoglab.errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
 from homoglab import finite_groups
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
@@ -77,7 +77,14 @@ def test_q8_exact_element_set():
     assert got == want
 
 
-@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+# orders 24, 48 and 120 each hold a cyclic, a binary dihedral and a binary
+# polyhedral group, so only the largest element order tells them apart
+ORDER_COLLISIONS = [GroupType.cyclic(n) for n in (24, 48, 120, 1024)] + [
+    GroupType.binary_dihedral(m) for m in (12, 30, 256)
+]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS + ORDER_COLLISIONS, ids=str)
 def test_orders_and_classification_round_trip(tag):
     g = named_binary_group(tag)
     assert g.order == tag.expected_order()
@@ -144,9 +151,35 @@ def test_sl25_cross_validation_against_f5_table():
 
 
 def test_sl23_is_binary_tetrahedral():
+    """Of the groups on Klein's list of order 24, SL(2,3) is not cyclic, has
+    no element of order 12 (binary dihedral 6 has one) and has a derived
+    subgroup of order 8, as the binary tetrahedral group does."""
     table = special_linear_table(3)
     assert table.shape == (24, 24)
-    assert classify(table) == GroupType.binary_tetrahedral()
+    identity = table_identity(table)
+    orders = element_orders(table, identity)
+    assert np.max(orders) < 24 and 12 not in orders
+    assert len(derived_subgroup(table, identity)) == 8
+    tetra = named_binary_group(GroupType.binary_tetrahedral())
+    assert len(derived_subgroup(tetra.multiplication_table(), tetra.identity_index)) == 8
+
+
+def test_classify_refuses_a_raw_table():
+    # Klein's list holds inside S^3 only: an abstract table is not classified
+    with pytest.raises(InvalidParameter, match="raw table"):
+        classify(special_linear_table(3))
+    with pytest.raises(InvalidParameter, match="raw table"):
+        classify(named_binary_group(GroupType.cyclic(4)).multiplication_table())
+
+
+def test_classify_refuses_an_order_off_klein_list(monkeypatch):
+    # no finite subgroup of S^3 has order 6 and largest element order 3 (that
+    # is the symmetric group S_3); fake those orders on the cyclic group of order 6
+    group = named_binary_group(GroupType.cyclic(6))
+    fake = np.array([1, 3, 3, 2, 2, 2])
+    monkeypatch.setattr(finite_groups, "element_orders", lambda table, identity: fake)
+    with pytest.raises(InvariantViolated, match="Klein's list"):
+        classify(group)
 
 
 def test_translation_matrices_are_orthogonal_homomorphisms():

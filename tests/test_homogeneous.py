@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoglab import compact_lie, homogeneous
+from homoglab import _tol, compact_lie, homogeneous
 from homoglab._linalg import trace_inner
 from homoglab.compact_lie import (
     CompactGroupSpec,
@@ -331,7 +331,7 @@ def test_certificate_refuses_roots_that_miss_the_grid_minimum(monkeypatch):
     # a single root at θ = π/4, where the norm is largest rather than least
     monkeypatch.setattr(np, "roots", lambda coeffs: np.array([np.exp(0.25j * np.pi)]))
     with pytest.raises(InvariantViolated, match="grid minimum"):
-        catalog_verify(10, rng=np.random.default_rng(0))
+        catalog_verify(10)
 
 
 def test_profile_rejects_zero_field(rng):
@@ -561,16 +561,32 @@ def test_catalog_parse_errors(tmp_path):
         catalog_load(dup)
 
 
-def test_catalog_verify_documented_entries(rng):
+def test_catalog_verify_documented_entries():
     for entry_id, key in [(1, "angle"), (10, "certified_min"), (15, "relative_gap")]:
-        rep = catalog_verify(entry_id, rng=rng, samples=100)
+        rep = catalog_verify(entry_id)
         assert rep.status == "passed"
         assert key in rep.evidence
-    assert catalog_verify(17, rng=rng).evidence["dimensions"] == [3, 1, 0]
-    assert catalog_verify(4, rng=rng).status == "informational"
-    # the sampled check draws from the caller's generator, never a fixed one
-    with pytest.raises(TypeError):
-        catalog_verify(15)
+    assert catalog_verify(17).evidence["dimensions"] == [3, 1, 0]
+    assert catalog_verify(4).status == "informational"
+
+
+def test_hopf_entry_reads_its_fixed_frame_and_draws_no_point(monkeypatch):
+    """A right field that normalizes the isotropy algebra has the frame
+    proj_m(r) at every point, so catalog entry 15 decides from it alone."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("catalog entry 15 drew a point")
+
+    monkeypatch.setattr(homogeneous, "_haar_blocks", no_draw)
+    monkeypatch.setattr(compact_lie, "_gaussian_qr", no_draw)
+    rep = catalog_verify(15)
+    assert rep.status == "passed"
+    assert rep.evidence == {"relative_gap": 0.0, "length": 1.0000000000000002}
+    assert rep.tolerances == {"bracket": _tol.BRACKET}
+    # a direction that moves the isotropy su(2) out of itself fails the entry
+    tilted = np.zeros((3, 3), dtype=complex)
+    tilted[0, 2], tilted[2, 0] = np.sqrt(0.5), -np.sqrt(0.5)
+    monkeypatch.setattr(homogeneous, "u1_centralizer_direction", lambda n, k: tilted)
+    assert catalog_verify(15).status == "failed"
 
 
 def test_every_bundled_check_name_is_known():
@@ -578,9 +594,9 @@ def test_every_bundled_check_name_is_known():
     assert names <= set(homogeneous._CATALOG_CHECKS)
 
 
-def test_catalog_verify_unknown_entry(rng):
+def test_catalog_verify_unknown_entry():
     with pytest.raises(InvalidParameter):
-        catalog_verify(99, rng=rng)
+        catalog_verify(99)
 
 
 @settings(deadline=None, max_examples=20, derandomize=True)
