@@ -6,6 +6,22 @@ import numpy as np
 
 from . import _tol
 
+_BLOCK = 1 << 20  # entries of temporaries per block of a stacked kernel (8 MB of floats)
+
+
+def _blocks(count: int, entries: int):
+    """Slices of an axis of ``count`` items, each item taking ``entries``
+    entries of temporaries, in blocks of about ``_BLOCK`` entries."""
+    step = max(1, _BLOCK // entries)
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _at_identity(g: np.ndarray) -> np.ndarray:
+    """Whether a matrix, or each matrix of a stack, lies within
+    ``_tol.CLOSURE`` of the identity in max-abs entry distance; a NaN entry
+    fails."""
+    return np.max(np.abs(g - np.eye(g.shape[-1])), axis=(-2, -1)) <= _tol.CLOSURE
+
 
 def null_space(A: np.ndarray, rel_cutoff: float = _tol.RANK_CUTOFF) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of A.

@@ -5,14 +5,16 @@ name.  Distances are max-abs entry distances unless a comment says otherwise.
 Where a CLI report records a value, its comment gives the ``tolerances`` key.
 """
 
-# two elements are the same: Cayley tables, cyclic powers, the identity of a
-# quaternion group, of a deck, of a deck element (_identity_maps) and of
-# a flat or hyperbolic motion ("closure")
+# two elements are the same: Cayley tables, the identity of a quaternion
+# group, of a deck element (_identity_maps), and a matrix is the identity
+# (_linalg._at_identity: a deck, cyclic powers, a flat or hyperbolic motion)
+# ("closure")
 CLOSURE = 1e-9
 # the exact displacement range [lo, hi] of an orthogonal map spreads over at
-# most this, hi - lo (constant displacement on the sphere), or an eigenvalue
-# lies this close to +1, the least singular value of I - g (a fixed point)
-# ("eigen")
+# most this, hi - lo (constant displacement on the sphere), or a deck element
+# fixes a point: an eigenvalue lies this close to +1, the least singular value
+# of I - g, on a sphere; its least displacement lo is at most this on a group
+# manifold ("eigen")
 EIGEN = 1e-9
 # a real matrix is orthogonal; a point or a quaternion has unit norm
 ORTHOGONAL = 1e-10
@@ -41,10 +43,9 @@ ZERO = 1e-12
 # above this midpoint of its eigenvalues 0 and 1: a closed deck holds them
 # within about 1e-14 of 0 or 1, so it is not recorded in reports
 PROJECTOR_SPLIT = 0.5
-# the default --tol: largest displacement spread of the forward re-check, and
-# largest freeness distance on group manifolds (spheres decide freeness at
-# EIGEN) ("displacement"), or largest relative Killing length gap
-# (check-killing; "relative_gap")
+# the default --tol: largest displacement spread of the forward re-check
+# ("displacement"; freeness is decided at EIGEN on every model), or largest
+# relative Killing length gap (check-killing; "relative_gap")
 DISPLACEMENT = 1e-7
 # a constant-displacement map slides a great circle along itself: g u against
 # cos c u - sin c x (invariant_geodesic_check; "geodesic")

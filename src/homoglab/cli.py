@@ -154,7 +154,7 @@ _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
 # largest sphere model: s23 in R^24, the matrix size of the largest group model sp12
 _MAX_SPHERE_DIM = 2 * _MAX_GROUP_SIZE - 1
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
-_MAX_SAMPLES = 10**6  # most --samples: 10^6 points on s11 are 96 MB of floats
+_MAX_SAMPLES = 10**6  # most --samples; check-killing, its one reader, draws 4096 at a time
 _MAX_MOTIONS = 10**4  # most --motions: about 2 s of probes
 
 

@@ -22,7 +22,7 @@ map, which always fixes a point.  A constant map moves every point by lo; the
 spread of a non-constant one is lo against the largest displacement hi at the
 identity and the turns exp(pi/2 b) of the algebra basis
 (``_translation_ranges``), a lower bound attained at named points.  Deck
-stacks go in blocks (``_deck_blocks``).  Sampled profiles only measure.
+stacks go in blocks (``_linalg._blocks``).  Sampled profiles only measure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
-from ._linalg import trace_norm
+from ._linalg import _blocks, trace_norm
 from .errors import InvalidParameter, NotInGroup
 from .profiles import DisplacementProfile
 
@@ -120,20 +120,25 @@ def check_in_group(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
 
 
 def check_in_algebra(spec: CompactGroupSpec, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X)
+    """Return ``X`` as an array if it is an element of the Lie algebra (within
+    ``_tol.GROUP``), or a stack of them; InvalidParameter when any member fails."""
     d = spec.matrix_size
-    if X.shape != (d, d):
+    try:
+        X = np.asarray(X)
+    except ValueError:  # a ragged list of matrices
+        raise InvalidParameter(f"expected {d}x{d} matrices for the {spec.name} algebra") from None
+    if X.ndim not in (2, 3) or X.shape[-2:] != (d, d):
         raise InvalidParameter(f"expected a {d}x{d} matrix for the {spec.name} algebra")
-    # written so that NaN entries fail, as in check_in_group
-    if not np.max(np.abs(X.conj().T + X)) <= _tol.GROUP:
+    # written so that NaN entries fail, as in check_in_group; an empty stack passes
+    if not np.all(np.abs(_adjoint(X) + X) <= _tol.GROUP):
         raise InvalidParameter("matrix is not skew-hermitian")
-    if spec.family == SPECIAL_UNITARY and abs(np.trace(X)) > _tol.GROUP:
+    if spec.family == SPECIAL_UNITARY and np.any(np.abs(np.einsum("...ii", X)) > _tol.GROUP):
         raise InvalidParameter("matrix is not traceless")
-    if spec.family == SPECIAL_ORTHOGONAL and np.max(np.abs(X.imag)) > _tol.GROUP:
+    if spec.family == SPECIAL_ORTHOGONAL and np.any(np.abs(X.imag) > _tol.GROUP):
         raise InvalidParameter("matrix is not real")
     if spec.family == COMPACT_SYMPLECTIC:
         J = symplectic_structure(spec.n)
-        if np.max(np.abs(X @ J - J @ X.conj())) > _tol.GROUP:
+        if np.any(np.abs(X @ J - J @ X.conj()) > _tol.GROUP):
             raise InvalidParameter("matrix is not quaternionic")
     return X
 
@@ -363,8 +368,7 @@ def _branch_shift_su(theta: np.ndarray) -> np.ndarray:
 def minimal_angles(spec: CompactGroupSpec, u: np.ndarray) -> np.ndarray:
     """Eigen-angles of the minimal-norm logarithm of u, one per eigenvalue of
     the defining representation; one row per matrix of a stack u."""
-    lam = np.linalg.eigvals(u)
-    theta = np.angle(lam)
+    theta = np.angle(np.linalg.eigvals(u))
     if spec.family == SPECIAL_UNITARY:
         theta = _branch_shift_su(theta)
     # orthogonal / symplectic eigenvalues pair as conjugates; the principal
@@ -410,9 +414,9 @@ def _alcove_point(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
     (-1)^m Pf(g - g^T), which separates the two SO(2m) classes inside one
     O(2m) class when g has no eigenvalue +-1.
     """
-    theta = np.angle(np.linalg.eigvals(g))
+    theta = minimal_angles(spec, g)
     if spec.family == SPECIAL_UNITARY:
-        return np.sort(_branch_shift_su(theta), axis=-1)[..., ::-1]
+        return np.sort(theta, axis=-1)[..., ::-1]
     planes = spec.matrix_size // 2
     # eigenvalues pair as exp(+-i phi); SO(2m+1) adds one eigenvalue 1 (phi = 0)
     phi = np.sort(np.abs(theta), axis=-1)[..., ::-1][..., : 2 * planes]
@@ -547,16 +551,6 @@ def clifford_wolf_evidence(spec: CompactGroupSpec, isos):
     return constant, np.where(constant, lo, hi - lo)
 
 
-_DECK_BLOCK = 1 << 20  # entries of temporaries per block of a deck stack (16 MB complex)
-
-
-def _deck_blocks(count: int, entries: int):
-    """Slices of a deck axis of ``count`` elements, each element taking
-    ``entries`` entries of temporaries, in blocks of about ``_DECK_BLOCK``."""
-    step = max(1, _DECK_BLOCK // entries)
-    return (slice(i, i + step) for i in range(0, count, step))
-
-
 def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
     """One pass of Ad over a checked (k, f, d, d) stack of k maps with f
     factors each (one on a sphere, (g1, g2) on a group manifold), in blocks:
@@ -571,7 +565,7 @@ def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
     wide = B.swapaxes(0, 1).reshape(d, dim * d)  # [b_1 | b_2 | ...]: all g^H b in one product
     ideals = 2 if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4) else 1
     total, moved = 0.0, []
-    for s in _deck_blocks(len(maps), maps.shape[1] * B.size):
+    for s in _blocks(len(maps), maps.shape[1] * B.size):
         g = maps[s, :, None]
         conj = (_adjoint(g) @ wide).reshape(g.shape[:2] + (d, dim, d)).swapaxes(-3, -2) @ g
         total = total + np.sum(conj, axis=0)
@@ -604,7 +598,7 @@ def _translation_ranges(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.
     points = _range_points(spec)
     for flag in (False, True):
         kind = np.nonzero(inverted == flag)[0]
-        for s in _deck_blocks(len(kind), points.size):
+        for s in _blocks(len(kind), points.size):
             sel = kind[s]
             iso = TwoSidedIsometry(pairs[sel, 0, None], pairs[sel, 1, None], flag)
             hi[sel] = np.max(_displacement(spec, iso, points), axis=-1)

@@ -22,6 +22,7 @@ from math import gcd
 import numpy as np
 
 from . import _tol
+from ._linalg import _at_identity
 from .errors import (
     InvalidParameter,
     NonCoprimeExponent,
@@ -42,8 +43,10 @@ def check_orthogonal(g: np.ndarray) -> np.ndarray:
         raise NonOrthogonalInput("expected square matrices of one size") from None
     if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2] or g.size == 0:
         raise NonOrthogonalInput("expected a square matrix")
-    # written so that NaN entries fail too
-    if not np.max(np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1]))) <= _tol.ORTHOGONAL:
+    # written so that NaN entries fail too; every entry of an orthogonal matrix
+    # lies in [-1, 1], so a larger one is refused before the product overflows
+    if not (np.max(np.abs(g)) <= 1.0 + _tol.ORTHOGONAL
+            and np.max(np.abs(np.swapaxes(g, -1, -2) @ g - np.eye(g.shape[-1]))) <= _tol.ORTHOGONAL):
         raise NonOrthogonalInput("matrix is not orthogonal")
     return g
 
@@ -116,7 +119,7 @@ def is_free_on_sphere(group) -> FreenessResult:
     """
     arr = _orthogonal_stack(group)
     n = arr.shape[1]
-    moving = np.nonzero(np.max(np.abs(arr - np.eye(n)), axis=(1, 2)) > _tol.CLOSURE)[0]
+    moving = np.nonzero(~_at_identity(arr))[0]
     if moving.size:
         gaps = np.linalg.svd(np.eye(n) - arr[moving], compute_uv=False)[:, -1]
         fixing = moving[gaps <= _tol.EIGEN]
@@ -138,7 +141,7 @@ def cyclic_powers(M: np.ndarray) -> list[np.ndarray]:
     matrix with NaN entries never returns)."""
     eye = np.eye(M.shape[0], dtype=M.dtype)
     out, g = [eye], M
-    while not np.max(np.abs(g - eye)) <= _tol.CLOSURE:
+    while not _at_identity(g):
         out.append(g)
         check_table_work("matrix powers", len(out), M.size)
         g = g @ M
@@ -204,12 +207,6 @@ class EuclideanMotion:
         if self.translation.shape != (self.rotation.shape[0],):
             raise InvalidParameter("translation dimension mismatch")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.rotation @ x + self.translation
-
-    def displacement(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.apply(x) - x))
-
 
 _EUCLIDEAN_RADII = (1.0, 10.0, 100.0)  # spheres of the growth evidence
 
@@ -226,7 +223,7 @@ def euclidean_bounded(motion: EuclideanMotion):
     A = motion.rotation
     b = motion.translation
     n = A.shape[0]
-    bounded = bool(np.max(np.abs(A - np.eye(n))) <= _tol.CLOSURE)
+    bounded = bool(_at_identity(A))
     M = A - np.eye(n)
     _, _, vh = np.linalg.svd(M)
     dirs = [v for v in vh] + [e for e in np.eye(n)]
@@ -276,9 +273,6 @@ class HyperbolicMotion:
         if m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m) - 1) > _tol.ZERO:
             raise InvalidParameter("need a real 2x2 matrix with det 1")
 
-    def apply(self, z: complex) -> complex:
-        return _moebius(self.matrix, z)
-
     def displacement(self, z: complex) -> float:
         """Hyperbolic distance d(z, mz) via
         cosh d = 1 + |z - mz|^2 / (2 Im z Im mz)."""
@@ -297,11 +291,8 @@ def hyperbolic_bounded_probe(motion: HyperbolicMotion):
     plus the sampled sup of the displacement over the nested hyperbolic balls
     of ``_HYPERBOLIC_RADII`` around i: the centre and the circles of every
     radius up to the current one, evaluated as one array."""
-    m = motion.matrix
-    bounded = bool(
-        np.max(np.abs(m - np.eye(2))) <= _tol.CLOSURE
-        or np.max(np.abs(m + np.eye(2))) <= _tol.CLOSURE
-    )
+    m = np.asarray(motion.matrix)
+    bounded = bool(_at_identity(m) or _at_identity(-m))
     pts = np.concatenate(
         [[1j]] + [_hyperbolic_ball_points(R, _HYPERBOLIC_ANGLES) for R in _HYPERBOLIC_RADII]
     )

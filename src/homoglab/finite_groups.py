@@ -32,9 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
+from ._linalg import _blocks
 from .errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
 
-_TABLE_BLOCK = 1 << 20  # array entries per block of the table kernels (8 MB of floats)
 # product entries (k^2 m) a Cayley table of k matrices of m entries may score:
 # k <= 1024 for 4 x 4 matrices, whose table then takes 8 MB and well under a second
 _TABLE_WORK = 1 << 24
@@ -234,9 +234,8 @@ def cayley_table(mats) -> np.ndarray:
     elements, so the products are paired with the elements by their rank
     along one fixed key direction, and every pair is confirmed by its max-abs
     entry distance, within ``_tol.CLOSURE``: an accepted list is closed.
-    Rows go in blocks of left factors, so a block of products holds about
-    ``_TABLE_BLOCK`` entries, and the first block with an unconfirmed pair
-    raises NotClosed with its largest distance.
+    Rows go in blocks of left factors (``_linalg._blocks``), and the first
+    block with an unconfirmed pair raises NotClosed with its largest distance.
 
     The elements must lie pairwise more than 2 sqrt(m) ``_tol.CLOSURE`` apart
     in Frobenius norm, or the list repeats an element (NotClosed).  A closed,
@@ -256,10 +255,9 @@ def cayley_table(mats) -> np.ndarray:
     if not _separated(flat, keys, order):
         raise NotClosed("element list repeats an element: two lie within 2 sqrt(m) CLOSURE")
     table = np.empty((k, k), dtype=np.int64)
-    step = max(1, _TABLE_BLOCK // (k * m))
-    for i in range(0, k, step):
-        prods = np.matmul(arr[i : i + step, None], arr[None, :]).reshape(-1, k, m)
-        pair = table[i : i + step]
+    for s in _blocks(k, k * m):
+        prods = np.matmul(arr[s, None], arr[None, :]).reshape(-1, k, m)
+        pair = table[s]
         pair[np.arange(len(prods))[:, None], np.argsort(_keys(prods), axis=1)] = order
         prods -= flat[pair]
         dist = np.abs(prods) if np.iscomplexobj(prods) else np.abs(prods, out=prods)
@@ -317,11 +315,10 @@ def subgroup_closure(table: np.ndarray, gen_idx, identity: int) -> list[int]:
     seen[identity] = True
     frontier = gens[~seen[gens]]
     seen[frontier] = True
-    step = max(1, _TABLE_BLOCK // max(1, gens.size))
     while frontier.size:
         new = []
-        for i in range(0, frontier.size, step):
-            prods = np.unique(table[np.ix_(frontier[i : i + step], gens)])
+        for s in _blocks(frontier.size, gens.size):
+            prods = np.unique(table[np.ix_(frontier[s], gens)])
             prods = prods[~seen[prods]]
             seen[prods] = True
             new.append(prods)
@@ -334,10 +331,9 @@ def derived_subgroup(table: np.ndarray, identity: int) -> list[int]:
     inv = table_inverses(table, identity)
     n = table.shape[0]
     comms = np.zeros(n, dtype=bool)
-    step = max(1, _TABLE_BLOCK // n)
-    for i in range(0, n, step):
-        ab = table[i : i + step]
-        ba_inv = table[inv[i : i + step, None], inv[None, :]]
+    for s in _blocks(n, n):
+        ab = table[s]
+        ba_inv = table[inv[s, None], inv[None, :]]
         comms[table[ab, ba_inv]] = True
     return subgroup_closure(table, np.nonzero(comms)[0], identity)
 
@@ -432,11 +428,10 @@ def _abelian_subgroups_cyclic(table: np.ndarray, orders: np.ndarray) -> bool:
         for _ in range(p - 2):
             power = table[power, elems]
             np.minimum(label, power, out=label)
-        step = max(1, _TABLE_BLOCK // elems.size)
-        for i in range(0, elems.size, step):
-            rows = elems[i : i + step]
+        for s in _blocks(elems.size, elems.size):
+            rows = elems[s]
             commute = table[np.ix_(rows, elems)] == table[np.ix_(elems, rows)].T
-            if np.any(commute & (label[i : i + step, None] != label[None, :])):
+            if np.any(commute & (label[s, None] != label[None, :])):
                 return False
     return True
 

@@ -30,6 +30,7 @@ from . import _tol
 from ._linalg import null_space, trace_coords, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
+    _basis_stack,
     _haar_blocks,
     algebra_basis,
     check_in_algebra,
@@ -68,9 +69,7 @@ class HomogeneousSpaceSpec:
     metric_blocks: tuple[tuple[float, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        for X in self.isotropy_basis + self.complement_basis:
-            check_in_algebra(self.group, X)
-        both = np.stack(self.isotropy_basis + self.complement_basis)
+        both = check_in_algebra(self.group, self.isotropy_basis + self.complement_basis)
         if len(both) != self.group.algebra_dim:
             raise InvalidParameter("isotropy and complement bases must span the algebra")
         if not np.max(np.abs(trace_coords(both, both) - np.eye(len(both)))) <= _tol.BASIS:
@@ -85,10 +84,6 @@ class HomogeneousSpaceSpec:
         hm = trace_coords(h, bracket(h[:, None], m[None]))
         if not np.all(np.linalg.norm(hm, axis=-1) <= _tol.BRACKET):
             raise InvalidParameter("complement is not isotropy-invariant")
-
-    @property
-    def dim(self) -> int:
-        return len(self.complement_basis)
 
     def tangent_length(self, X: np.ndarray):
         """Block-metric length of the 𝔪-component of X: a float for one
@@ -115,8 +110,8 @@ def reductive_complement(
     form is invariant; ``HomogeneousSpaceSpec`` checks it.
     """
     d = group.matrix_size
-    h = np.reshape([check_in_algebra(group, X) for X in isotropy_basis], (-1, d, d))
-    full = np.stack(algebra_basis(group))
+    h = check_in_algebra(group, list(isotropy_basis) or np.zeros((0, d, d)))
+    full = _basis_stack(group)
     coeff = null_space(trace_coords(full, h))
     if coeff.shape[1] != len(full) - len(h):
         raise InvalidParameter("isotropy basis is linearly dependent")
@@ -286,7 +281,7 @@ def casimir_components(group: CompactGroupSpec) -> list[tuple[float, np.ndarray]
     component, so a caller that needs irreducible components compares their
     dimensions with the Weyl dimension formula.
     """
-    basis = np.stack(algebra_basis(group))
+    basis = _basis_stack(group)
     n = len(basis)
     # ad[a][c, b] = <B_c, [B_a, B_b]>, the matrix of ad(B_a) on coordinates
     ad = np.swapaxes(trace_coords(basis, bracket(basis[:, None], basis[None])), 1, 2)
@@ -340,8 +335,8 @@ def killing_constancy_certificate(
     its derivative (``numpy.roots``); a fixed grid below that minimum by more
     than ``_tol.BRACKET`` raises InvariantViolated.
     """
-    basis = np.stack(algebra_basis(space.group))
-    t = np.reshape([check_in_algebra(space.group, X) for X in torus], (-1,) + basis.shape[1:])
+    basis = _basis_stack(space.group)
+    t = check_in_algebra(space.group, torus)
     x = trace_coords(basis, t)
     if len(x) != 2 or not np.max(np.abs(x @ x.T - np.eye(2))) <= _tol.BASIS:
         raise InvalidParameter("torus must be two orthonormal directions")
@@ -461,7 +456,6 @@ def su2_half_pauli_basis() -> tuple[np.ndarray, ...]:
 @dataclass(frozen=True)
 class BergerIsometryReport:
     dimension: int
-    coefficient_basis: tuple[np.ndarray, ...]
     matrix_basis: tuple[np.ndarray, ...]
 
 
@@ -490,11 +484,8 @@ def berger_right_isometry_algebra(a: float, b: float) -> BergerIsometryReport:
     M = np.array(rows).T
     ns = null_space(M, rel_cutoff=_tol.BERGER_CUTOFF)
     T = su2_half_pauli_basis()
-    coeffs = tuple(ns[:, i].copy() for i in range(ns.shape[1]))
-    mats = tuple(sum(c[k] * T[k] for k in range(3)) for c in coeffs)
-    return BergerIsometryReport(
-        dimension=ns.shape[1], coefficient_basis=coeffs, matrix_basis=mats
-    )
+    mats = tuple(sum(c[k] * T[k] for k in range(3)) for c in ns.T)
+    return BergerIsometryReport(dimension=ns.shape[1], matrix_basis=mats)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ No point is drawn.  Each deck element gets one displacement range [lo, hi],
 computed once per deck: exact on a sphere; on a group manifold the closed-form
 least displacement against the largest one at a fixed set of points.  It
 decides constancy on a sphere (hi - lo within ``_tol.EIGEN``) and freeness on
-a group manifold (lo above ``tol`` but for the identity map), and gives each
+a group manifold (lo above it but for the identity map), and gives each
 element's value (lo when constant, hi - lo when not) and the forward re-check
-(the largest hi - lo).
+(the largest hi - lo, at most ``tol``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from ._linalg import rank_rel, trace_coords
+from ._linalg import _at_identity, rank_rel, trace_coords
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -157,7 +157,7 @@ def _check_group(mats: np.ndarray) -> None:
     identity, no element twice, and every product, within ``_tol.CLOSURE``.
     Each row of its Cayley table is then a permutation of the elements, so
     every element has an inverse."""
-    if not np.min(np.max(np.abs(mats - np.eye(mats.shape[-1])), axis=(1, 2))) <= _tol.CLOSURE:
+    if not np.any(_at_identity(mats)):
         raise NotClosed("deck group does not contain the identity")
     cayley_table(mats)
 
@@ -234,8 +234,8 @@ def transitivity_rank(Z, model):
 class VerifyConfig:
     """``seed`` is recorded in the report.  ``samples`` is range-checked but
     read by nothing: the pipeline draws no points.  ``tol`` is the largest
-    forward re-check spread, and on group manifolds the largest freeness
-    distance; spheres decide freeness at ``_tol.EIGEN`` (``is_free_on_sphere``)."""
+    forward re-check spread only: every model decides freeness at ``_tol.EIGEN``
+    (``is_free_on_sphere``, or the least displacement on group manifolds)."""
 
     seed: int = 0
     samples: int = 200
@@ -320,12 +320,11 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
 
     # every named tolerance that can change the verdict
     tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
-                  "rank_cutoff": _tol.RANK_CUTOFF}
+                  "eigen": _tol.EIGEN, "rank_cutoff": _tol.RANK_CUTOFF}
     # one pass of Ad over the deck and one displacement range [lo, hi] per
     # element, each computed once
     Z, constant = _adjoint_average(deck)
     if isinstance(model, SphereModel):
-        tolerances["eigen"] = _tol.EIGEN
         freeness = is_free_on_sphere(deck.matrices)
         free, free_offender = freeness.free, freeness.offender
         lo, hi = sphere_displacement_range(deck.matrices)
@@ -337,7 +336,7 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         lo, hi = _translation_ranges(spec, deck.matrices, inverted)
         # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate, i.e.
         # iff lo, the distance between their classes, vanishes
-        fixing = np.flatnonzero((lo <= config.tol) & ~_identity_maps(spec, deck.matrices))
+        fixing = np.flatnonzero((lo <= _tol.EIGEN) & ~_identity_maps(spec, deck.matrices))
         free_offender = int(fixing[0]) if fixing.size else None
         free = free_offender is None
     # a constant map moves every point by its least displacement

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_every_report_records_its_deciding_tolerances(capsys):
         (["check-homogeneity", "--model", "s3", "--group", "cyclic-4", *few],
          {**pipeline, "eigen": _tol.EIGEN}),
         (["check-homogeneity", "--model", "su2", "--group", "center", *few],
-         {**pipeline, "central": _tol.CENTRAL}),
+         {**pipeline, "eigen": _tol.EIGEN, "central": _tol.CENTRAL}),
         (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
         (["catalog", "verify", "10", *few], {"bracket": _tol.BRACKET}),
         (["catalog", "verify", "15", *few], {"bracket": _tol.BRACKET}),
@@ -530,6 +531,16 @@ def test_homogeneity_group_manifold_model(capsys):
     assert rep["verdict"] == "HomogeneousWitnessFound"
 
 
+@pytest.mark.parametrize("model", ["s3", "su2"], ids=["sphere", "group"])
+def test_tol_does_not_decide_freeness(capsys, model):
+    """--tol bounds the forward re-check only: every model decides freeness
+    at EIGEN, so a large --tol does not make x -> -x fix a point."""
+    code, rep = run_cli(capsys, "check-homogeneity", "--model", model, "--group", "cyclic-2",
+                        "--tol", "10")
+    assert (code, rep["verdict"], rep["evidence"]["free"]) == (0, "HomogeneousWitnessFound", True)
+    assert rep["tolerances"]["eigen"] == _tol.EIGEN
+
+
 def test_catalog_list(capsys):
     code, rep = run_cli(capsys, "catalog", "list")
     assert code == 0
@@ -561,9 +572,13 @@ def test_probe_noncompact(capsys):
         ["check-clifford", "--model", "s3", "--matrix-file", "/nonexistent/m.txt"],
         ["check-free", "--model", "s5", "--group", "binary-dihedral-3"],
         ["check-killing", "--space", "so9000"],
+        ["check-killing", "--space", "foo"],
         ["check-berger", "--a", "0", "--b", "1"],
         ["catalog", "verify", "99"],
         ["catalog", "verify"],
+        ["check-clifford", "--model", "su2", "--group", "center"],
+        ["construct", "--group", "antipodal"],
+        ["check-homogeneity", "--model", "su2", "--group", "cyclic-0"],
     ],
     ids=[
         "unknown-command",
@@ -574,9 +589,13 @@ def test_probe_noncompact(capsys):
         "missing-file",
         "quaternion-group-off-s3",
         "bad-space",
+        "unknown-space",
         "berger-zero-coefficient",
         "unknown-catalog-entry",
         "catalog-verify-missing-id",
+        "clifford-on-a-group-model",
+        "antipodal-without-a-model",
+        "cyclic-0-on-a-group-model",
     ],
 )
 def test_usage_errors(capsys, argv):
@@ -727,13 +746,29 @@ def test_malformed_seed_variable_exits_2(capsys, monkeypatch):
 
 
 def test_non_orthogonal_matrix_file_is_refused(capsys, tmp_path):
-    # a NaN imaginary part must not pass as real and be dropped with it
-    for first in ("nan", "1,nan"):
+    # a NaN imaginary part must not pass as real and be dropped with it; an
+    # infinite or huge entry is refused before a product can warn on stderr
+    for first in ("nan", "1,nan", "inf", "-inf", "1e200"):
         f = tmp_path / "nan.txt"
         f.write_text(f"4\n{first} 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
         for cmd in ("check-free", "check-clifford"):
-            assert main([cmd, "--model", "s3", "--matrix-file", str(f)]) == 2, (first, cmd)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main([cmd, "--model", "s3", "--matrix-file", str(f)]) == 2, (first, cmd)
             assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cmd", ["check-free", "check-clifford"])
+def test_complex_matrix_file_with_zero_imaginary_parts_reads_as_real(capsys, tmp_path, cmd):
+    g = lens_group(5, (1, 2))[1]
+    real, cplx = tmp_path / "real.txt", tmp_path / "complex.txt"
+    real.write_text(format_matrix(g))
+    cplx.write_text(format_matrix(g.astype(complex)))
+    assert "," in cplx.read_text()
+    reps = [run_cli(capsys, cmd, "--model", "s3", "--matrix-file", str(f)) for f in (real, cplx)]
+    for _, rep in reps:
+        rep.pop("wall_time_ms"), rep["inputs"].pop("matrix_file")
+    assert reps[0] == reps[1]
 
 
 def test_construct_large_cyclic_group_quickly(capsys):
@@ -890,6 +925,8 @@ def test_matrix_parse_errors(tmp_path):
         parse_matrix_text("2\n1 2\n3 x\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_matrix_text("2\n1 2 3\n4 5\n")
+    with pytest.raises(ParseError, match="empty matrix file"):
+        parse_matrix_text(" \n\n")
     f = tmp_path / "ok.txt"
     f.write_text("2\n0 -1\n1 0\n")
     assert np.allclose(load_matrix(str(f)), [[0, -1], [1, 0]])
@@ -1000,6 +1037,7 @@ def fuzz_files(tmp_path_factory):
         "eye3.txt": format_matrix(np.eye(3)),
         "scale4.txt": format_matrix(2.0 * np.eye(4)),
         "nan4.txt": "4\n" + "nan 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+        "inf4.txt": "4\n" + "inf 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
         "complex4.txt": format_matrix(np.eye(4) * 1j),
         "bad.txt": "2\n1 x\n",
         "empty.txt": "",

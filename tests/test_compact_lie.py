@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm  # a test-only oracle: homoglab itself runs on numpy
 
-from homoglab import compact_lie
+from homoglab import _linalg, compact_lie
 from homoglab.compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -430,9 +430,9 @@ def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
 
     whole, whole_mean = kernels()
     entries = 2 * len(algebra_basis(spec)) * d * d  # the largest temporaries per element
-    assert len(list(compact_lie._deck_blocks(len(pairs), entries))) == 1
-    monkeypatch.setattr(compact_lie, "_DECK_BLOCK", 1)
-    assert len(list(compact_lie._deck_blocks(len(pairs), pairs[0].size))) == len(pairs)
+    assert len(list(_linalg._blocks(len(pairs), entries))) == 1
+    monkeypatch.setattr(_linalg, "_BLOCK", 1)
+    assert len(list(_linalg._blocks(len(pairs), pairs[0].size))) == len(pairs)
     blocked, blocked_mean = kernels()
     for a, b in zip(whole, blocked):
         np.testing.assert_array_equal(a, b)
@@ -913,6 +913,44 @@ def test_stack_of_the_wrong_shape_is_rejected(rng):
     ragged = list(haar_sample(SU3, rng, size=3)) + [np.eye(2)]
     with pytest.raises(NotInGroup):
         check_in_group(SU3, ragged)
+
+
+_ALGEBRA_FAULTS = {
+    # a hermitian part; i times a scalar, skew-hermitian with nonzero trace;
+    # i times a real diagonal, skew-hermitian but not real; i e_11, which
+    # does not commute with the quaternionic structure
+    "skew-hermitian": lambda d: 0.1 * np.eye(d),
+    "traceless": lambda d: 0.1j * np.eye(d),
+    "real": lambda d: 0.1j * np.diag([1.0, -1.0] + [0.0] * (d - 2)),
+    "quaternionic": lambda d: 0.1j * np.diag([1.0] + [0.0] * (d - 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "spec,fault",
+    [(SU3, "skew-hermitian"), (SU3, "traceless"), (SO4, "skew-hermitian"), (SO4, "real"),
+     (SP2, "skew-hermitian"), (SP2, "quaternionic")],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_algebra_stack_with_one_bad_member_is_rejected(spec, fault, rng):
+    stack = np.stack([random_algebra_element(spec, rng) for _ in range(6)]).astype(complex)
+    assert check_in_algebra(spec, stack) is stack
+    stack[3] += _ALGEBRA_FAULTS[fault](spec.matrix_size)
+    with pytest.raises(InvalidParameter, match=fault):
+        check_in_algebra(spec, stack)
+    # the bad member fails on its own too, and the others pass
+    with pytest.raises(InvalidParameter, match=fault):
+        check_in_algebra(spec, stack[3])
+    check_in_algebra(spec, np.delete(stack, 3, axis=0))
+
+
+def test_algebra_stack_of_the_wrong_shape_is_rejected(rng):
+    for bad in (np.zeros((3, 2, 2)), np.zeros((2, 2, 3, 3)), np.zeros(3),
+                [np.zeros((3, 3)), np.zeros((2, 2))]):
+        with pytest.raises(InvalidParameter, match="expected"):
+            check_in_algebra(SU3, bad)
+    # an empty stack holds no bad member
+    assert check_in_algebra(SU3, np.zeros((0, 3, 3))).shape == (0, 3, 3)
     with pytest.raises(NotInGroup):
         check_in_group(SU3, np.zeros((2, 3, 3, 3)))
 

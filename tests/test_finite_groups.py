@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
-from homoglab import finite_groups
+from homoglab import _linalg, finite_groups
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
@@ -281,7 +281,7 @@ def gemm_table(mats, rows=None):
     flat_conj = flat.conj()
     half_sq = 0.5 * np.sum((flat * flat_conj).real, axis=1)
     table = np.empty((len(left), k), dtype=np.int64)
-    step = max(1, finite_groups._TABLE_BLOCK // (k * k))
+    step = max(1, _linalg._BLOCK // (k * k))
     for i in range(0, len(left), step):
         prods = np.matmul(left[i : i + step, None], arr[None, :]).reshape(-1, flat.shape[1])
         score = (prods @ flat_conj.T).real
@@ -364,7 +364,7 @@ def test_cayley_table_of_cyclic_1000_is_addition_mod_k():
 def test_cayley_table_of_large_cyclic_group_in_bounded_memory():
     # lens_group lists gen^0 .. gen^(k-1), so the table is addition mod k;
     # the blocks of products and of their paired elements stay near
-    # _TABLE_BLOCK entries each, whatever k
+    # _linalg._BLOCK entries each, whatever k
     import tracemalloc
 
     k = 300

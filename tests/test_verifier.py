@@ -1,9 +1,11 @@
 """End-to-end homogeneity pipeline: deck validation, centralizers,
 transitivity witnesses, verdicts, and report determinism."""
 
+import itertools
 import json
 import sys
 
+from collections import Counter
 from functools import partial
 from math import gcd
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from homoglab import compact_lie
+from homoglab import _linalg
 from homoglab.cli import group_manifold_deck, sphere_group_matrices
 from homoglab._linalg import null_space, rank_rel
 from homoglab.compact_lie import (
@@ -155,6 +157,37 @@ def test_nonfree_deck_reports_offender():
     assert report.verdict == NOT_FREE
     assert not report.free
     assert report.free_offender in (1, 2)
+
+
+def _lens_decks():
+    """Every L(K; 1, q_2, ..., q_m) with each q_i a unit mod K, as (K,
+    exponents): on s3 for K <= 24, on s5 for K <= 16 and on s7 for K <= 10."""
+    for m, top in ((2, 24), (3, 16), (4, 10)):
+        for K in range(2, top + 1):
+            units = [q for q in range(1, K) if gcd(q, K) == 1]
+            for rest in itertools.combinations_with_replacement(units, m - 1):
+                yield K, (1, *rest)
+
+
+def test_lens_decks_match_the_closed_forms():
+    """Wolf's classification of homogeneous spherical space forms on lens
+    decks L(K; 1, q_2, ..., q_m): the deck is free; it is constant iff every
+    q_i = +-1 mod K; its centralizer is the sum of u(m_j) over the classes
+    {q, -q} mod K, m_j exponents each (all of so(2m) for K = 2, whose one
+    element is -I); and it is a witness iff there is one class."""
+    count = 0
+    for K, exps in _lens_decks():
+        report = verify_instance(sphere_deck(lens_group(K, exps)))
+        m = len(exps)
+        classes = Counter(min(q % K, -q % K) for q in exps)
+        constant = all((q - 1) % K == 0 or (q + 1) % K == 0 for q in exps)
+        cdim = m * (2 * m - 1) if K == 2 else sum(c * c for c in classes.values())
+        verdict = HOMOGENEOUS_WITNESS_FOUND if len(classes) == 1 else NOT_CONSTANT_DISPLACEMENT
+        got = (report.free, all(e.constant for e in report.clifford_per_element),
+               report.centralizer_dim, report.verdict)
+        assert got == (True, constant, cdim, verdict), (K, exps)
+        count += 1
+    assert count == 682
 
 
 @st.composite
@@ -805,7 +838,7 @@ def test_stacked_centralizer_equals_the_per_element_loop(make_deck):
 def test_centralizer_average_in_blocks_of_one_element(monkeypatch, make_deck):
     deck = make_deck()
     whole = block_diag(*centralizer_algebra(deck))
-    monkeypatch.setattr(compact_lie, "_DECK_BLOCK", 1)
+    monkeypatch.setattr(_linalg, "_BLOCK", 1)
     blocked = block_diag(*centralizer_algebra(deck))
     assert blocked.shape == whole.shape
     np.testing.assert_allclose(blocked @ blocked.T, whole @ whole.T, rtol=0, atol=1e-12)
