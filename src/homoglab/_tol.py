@@ -5,10 +5,11 @@ name.  Distances are max-abs entry distances unless a comment says otherwise.
 Where a CLI report records a value, its comment gives the ``tolerances`` key.
 """
 
-# two elements are the same: Cayley tables, the identity of a quaternion
-# group, of a deck element (_identity_maps), and a matrix is the identity
-# (_linalg._at_identity: a deck, cyclic powers, a flat or hyperbolic motion)
-# ("closure")
+# two elements are the same: Cayley tables and the columns of the closure
+# certificate, the identity of a listed group (the certificate's empty
+# product), of a quaternion group, of a deck element (_identity_maps), and a
+# matrix is the identity (_linalg._at_identity: cyclic powers, a flat or
+# hyperbolic motion) ("closure")
 CLOSURE = 1e-9
 # the exact displacement range [lo, hi] of an orthogonal map spreads over at
 # most this, hi - lo (constant displacement on the sphere), or a deck element

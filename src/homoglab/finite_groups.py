@@ -226,45 +226,142 @@ def check_table_work(name: str, order: int, entries: int) -> None:
         )
 
 
-def cayley_table(mats) -> np.ndarray:
-    """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
-    complex square matrices of m entries each.
-
-    If the list is closed, each row of products is a permutation of the
-    elements, so the products are paired with the elements by their rank
-    along one fixed key direction, and every pair is confirmed by its max-abs
-    entry distance, within ``_tol.CLOSURE``: an accepted list is closed.
-    Rows go in blocks of left factors (``_linalg._blocks``), and the first
-    block with an unconfirmed pair raises NotClosed with its largest distance.
-
-    The elements must lie pairwise more than 2 sqrt(m) ``_tol.CLOSURE`` apart
-    in Frobenius norm, or the list repeats an element (NotClosed).  A closed,
-    separated list is refused only if two element keys lie within the keys'
-    rounding (about 1e-14) of each other.  A list past ``check_table_work``
-    is refused.
-    """
+def _element_list(mats):
+    """The first steps of ``cayley_table`` and ``closure_certificate``: the
+    list as a contiguous (k, n, n) array, its (k, m) rows and the rank order
+    of their keys.  A list past ``check_table_work`` is refused, and so is one
+    whose elements do not lie pairwise more than 2 sqrt(m) ``_tol.CLOSURE``
+    apart in Frobenius norm: it repeats an element (NotClosed)."""
     arr = np.ascontiguousarray(mats)
     if not np.iscomplexobj(arr):
         arr = arr.astype(float, copy=False)
     k = arr.shape[0]
     flat = arr.reshape(k, -1)
-    m = flat.shape[1]
-    check_table_work("matrix list", k, m)
+    check_table_work("matrix list", k, flat.shape[1])
     keys = _keys(flat)
     order = np.argsort(keys)
     if not _separated(flat, keys, order):
         raise NotClosed("element list repeats an element: two lie within 2 sqrt(m) CLOSURE")
+    return arr, flat, order
+
+
+def _pair(prods: np.ndarray, flat: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Index of the element paired with each product of a (k, m) column or
+    a (b, k, m) stack of rows of k products.
+
+    If the list is closed, each run of k products is a permutation of the
+    elements, so it is paired with them by rank along the key direction, and
+    every pair is confirmed by its max-abs entry distance, within
+    ``_tol.CLOSURE``; otherwise NotClosed with the largest distance.
+    Overwrites ``prods``."""
+    ranks = _keys(prods).argsort(axis=-1)
+    pair = np.empty_like(ranks)
+    if ranks.ndim == 1:
+        pair[ranks] = order
+    else:
+        pair[np.arange(len(ranks))[:, None], ranks] = order
+    prods -= flat[pair]
+    dist = np.abs(prods) if np.iscomplexobj(prods) else np.abs(prods, out=prods)
+    stray = dist.max()
+    if not stray <= _tol.CLOSURE:  # NaN entries fail too
+        raise NotClosed(f"products stray {stray:.2e} from the element set")
+    return pair
+
+
+def cayley_table(mats) -> np.ndarray:
+    """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
+    complex square matrices of m entries each.
+
+    Each row of products is paired with the elements and confirmed by
+    ``_pair``, so an accepted list is closed.  Rows go in blocks of left
+    factors (``_linalg._blocks``), and the first block with an unconfirmed
+    pair raises NotClosed with its largest distance.  The list must pass the
+    checks of ``_element_list``: a table within ``check_table_work``, and no
+    two elements within 2 sqrt(m) ``_tol.CLOSURE`` in Frobenius norm.  A
+    closed, separated list is refused only if two element keys lie within the
+    keys' rounding (about 1e-14) of each other.
+    """
+    arr, flat, order = _element_list(mats)
+    k, m = flat.shape
     table = np.empty((k, k), dtype=np.int64)
     for s in _blocks(k, k * m):
         prods = np.matmul(arr[s, None], arr[None, :]).reshape(-1, k, m)
-        pair = table[s]
-        pair[np.arange(len(prods))[:, None], np.argsort(_keys(prods), axis=1)] = order
-        prods -= flat[pair]
-        dist = np.abs(prods) if np.iscomplexobj(prods) else np.abs(prods, out=prods)
-        stray = np.max(dist)
-        if not stray <= _tol.CLOSURE:  # NaN entries fail too
-            raise NotClosed(f"products stray {stray:.2e} from the element set")
+        table[s] = _pair(prods, flat, order)
     return table
+
+
+def closure_certificate(mats) -> list[int]:
+    """Certify that a list of real or complex square matrices of m entries
+    each is a group, from the products with a few generators instead of the
+    whole Cayley table; returns the generators' indices S, or raises
+    NotClosed.  The list must first pass the checks of ``_element_list``, as
+    for ``cayley_table``: a table within ``check_table_work``, and no
+    repeated element.
+
+    The identity, the empty product, comes first: the element nearest I must
+    lie within ``_tol.CLOSURE`` of it in max-abs, or the list strays from the
+    group by that distance.  The generators are chosen greedily: each is the
+    first element, in list order, that the walk has not reached.  For a
+    generator s the column x s, over every element x, is one GEMM of the
+    stacked rows of the list against s, paired with the elements and
+    confirmed by ``_pair`` as a row of the table is, so each column is a
+    permutation of the list.  The walk follows the columns breadth-first from
+    the identity, each new generator joining it at its own element, and the
+    list is accepted once every element is reached.  It is then the group
+    generated by S: every element is a word in S, and right multiplication
+    by each generator permutes the list.  Each new generator lies outside
+    the subgroup reached so far and at least doubles it, so |S| <= log2 k,
+    and the certificate forms k |S| products, not k^2.
+
+    Product bound.  Only the products x s with a generator s are confirmed.
+    Take y at depth l of the walk's tree, y_0 = e, y_j paired with
+    y_{j-1} s_j and y = y_l, and follow the same word from any x: x_0 = x,
+    x_j paired with x_{j-1} s_j.  Then x y lies within 2 l sqrt(m) CLOSURE of
+    x_l in Frobenius norm.  Each confirmed pair lies within CLOSURE in
+    max-abs, so within sqrt(m) CLOSURE in Frobenius norm, and right
+    multiplication by a unitary factor keeps the Frobenius norm, so the
+    per-step errors add up in
+
+        x s_1 ... s_l - x_l = sum_j (x_{j-1} s_j - x_j) s_{j+1} ... s_l,
+
+    of norm at most l sqrt(m) CLOSURE.  From x = e, y_1 is s_1 itself: e s_1
+    lies within sqrt(m) CLOSURE of s_1 and of its paired element, and
+    separation leaves only s_1 that close.  So s_1 ... s_l lies within
+    (l - 1) sqrt(m) CLOSURE of y, and x y = x (y - s_1 ... s_l) +
+    x s_1 ... s_l lies within (2 l - 1) sqrt(m) CLOSURE of x_l.  Factors that
+    are unitary only within delta scale the bound by at most (1 + delta)^l.
+    """
+    arr, flat, order = _element_list(mats)
+    k, n = arr.shape[:2]
+    to_one = np.abs(flat - np.eye(n).ravel()).max(axis=1)
+    e = int(to_one.argmin())
+    if not to_one[e] <= _tol.CLOSURE:  # NaN rows fail too
+        raise NotClosed(
+            f"products stray {to_one[e]:.2e} from the element set: the identity is not listed"
+        )
+    rows = arr.reshape(k * n, n)
+    # the walk runs on plain lists: a numpy call per step would cost more
+    # than the step on the small decks that are most of the work
+    found, seen = [e], [False] * k
+    seen[e] = True
+    gens, perms, s, i = [], [], 0, 0
+    while len(found) < k:
+        while seen[s]:
+            s += 1
+        gens.append(s)
+        perms.append(_pair((rows @ arr[s]).reshape(k, -1), flat, order).tolist())
+        seen[s] = True
+        found.append(s)
+        # s <S> is all of <S>, so the walk goes on from s; the elements
+        # found before it need not take the new generator
+        while i < len(found):
+            for p in perms:
+                y = p[found[i]]
+                if not seen[y]:
+                    seen[y] = True
+                    found.append(y)
+            i += 1
+    return gens
 
 
 def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:

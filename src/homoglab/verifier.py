@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from ._linalg import _at_identity, rank_rel, trace_coords
+from ._linalg import rank_rel, trace_coords
 from .compact_lie import (
     CompactGroupSpec,
     TwoSidedIsometry,
@@ -55,9 +55,8 @@ from .errors import (
     InvalidParameter,
     InvariantViolated,
     ModelMismatch,
-    NotClosed,
 )
-from .finite_groups import FiniteQuaternionGroup, cayley_table
+from .finite_groups import FiniteQuaternionGroup, closure_certificate
 
 NOT_FREE = "NotFree"
 NOT_CONSTANT_DISPLACEMENT = "NotConstantDisplacement"
@@ -100,9 +99,10 @@ def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSided
 class DeckGroup:
     """A finite group of isometries in one declared ambient model.
 
-    Validation checks that the elements form a group, with one Cayley table,
-    and leaves them as one stack in ``matrices``: (k, n, n) floats on a
-    sphere, the (k, 2, d, d) pairs (g1, g2) on a group manifold.
+    Validation checks that the elements form a group, with one closure
+    certificate (``_check_group``), and leaves them as one stack in
+    ``matrices``: (k, n, n) floats on a sphere, the (k, 2, d, d) pairs
+    (g1, g2) on a group manifold.
     """
 
     model: SphereModel | GroupManifoldModel
@@ -129,8 +129,11 @@ class DeckGroup:
         if not mats:
             raise InvalidParameter("deck group is empty")
         mats = np.stack(mats)
-        if not np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _tol.ORTHOGONAL:
-            raise ModelMismatch("element is not orthogonal")  # NaN entries too
+        # written so that NaN entries fail too; every entry of an orthogonal
+        # matrix lies in [-1, 1], so a larger one is refused before the product
+        if not (np.max(np.abs(mats)) <= 1.0 + _tol.ORTHOGONAL
+                and np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _tol.ORTHOGONAL):
+            raise ModelMismatch("element is not orthogonal")
         _check_group(mats)
         object.__setattr__(self, "matrices", mats)
 
@@ -154,12 +157,14 @@ class DeckGroup:
 
 def _check_group(mats: np.ndarray) -> None:
     """NotClosed unless a stack of matrices forms a group: it holds the
-    identity, no element twice, and every product, within ``_tol.CLOSURE``.
-    Each row of its Cayley table is then a permutation of the elements, so
-    every element has an inverse."""
-    if not np.any(_at_identity(mats)):
-        raise NotClosed("deck group does not contain the identity")
-    cayley_table(mats)
+    identity and no element twice, within ``_tol.CLOSURE``, and it is closed.
+    Closure is certified from the products with a few generators
+    (``closure_certificate``): each such product lies within ``_tol.CLOSURE``
+    of an element, and every other product within 2 l sqrt(m) CLOSURE in
+    Frobenius norm, for m entries per matrix and its right factor at depth l
+    of the certificate's walk.  Right multiplication by each generator then
+    permutes the elements, so every element has an inverse."""
+    closure_certificate(mats)
 
 
 def sphere_deck(matrices) -> DeckGroup:

@@ -327,27 +327,30 @@ def test_free_pass_for_named_group(capsys):
     ids=["check-homogeneity", "construct", "check-free", "check-free-matrix-file"],
 )
 def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, tmp_path, argv, order):
-    """One Cayley table per run: the deck closes its list once, and the
-    quaternion group's table serves classify and the space-form screen;
-    is_free_on_sphere builds none."""
+    """One closure per run: a deck run certifies its list once
+    (closure_certificate) and builds no table; construct builds the quaternion
+    group's one Cayley table, which serves classify and the space-form screen;
+    is_free_on_sphere builds neither."""
     from homoglab import finite_groups
 
     if "--matrix-file" in argv:
         path = tmp_path / argv[-1]
         path.write_text(format_matrix(lens_group(5, (1, 2))[1]))
         argv = argv[:-1] + (str(path),)
-    built, cayley_table = [], finite_groups.cayley_table
+    built = []
+    for closure in ("cayley_table", "closure_certificate"):
 
-    def counting(mats):
-        built.append(len(mats))
-        return cayley_table(mats)
+        def counting(mats, closure=closure, original=getattr(finite_groups, closure)):
+            built.append((closure, len(mats)))
+            return original(mats)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "homoglab" and hasattr(module, "cayley_table"):
-            monkeypatch.setattr(module, "cayley_table", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "homoglab" and hasattr(module, closure):
+                monkeypatch.setattr(module, closure, counting)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert built == [order]
+    closure = "cayley_table" if argv[0] == "construct" else "closure_certificate"
+    assert built == [(closure, order)]
 
 
 def test_free_flags_fixed_points(capsys, tmp_path):

@@ -181,11 +181,12 @@ def test_free_group_requires_closure():
 
 def test_free_group_builds_no_cayley_table(monkeypatch):
     def refuse(mats):
-        raise AssertionError("is_free_on_sphere built a Cayley table")
+        raise AssertionError("is_free_on_sphere closed its list")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "homoglab" and hasattr(module, "cayley_table"):
-            monkeypatch.setattr(module, "cayley_table", refuse)
+        for closure in ("cayley_table", "closure_certificate"):
+            if name.split(".")[0] == "homoglab" and hasattr(module, closure):
+                monkeypatch.setattr(module, closure, refuse)
     assert is_free_on_sphere(lens_group(7, (1, 2, 3))).free
     assert is_free_on_sphere(named_binary_group(GroupType.binary_icosahedral())
                              .left_translation_matrices()).free

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoglab.compact_lie import haar_orthogonal
+from homoglab.compact_lie import haar_orthogonal, haar_unitary
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
-from homoglab import _linalg, finite_groups
+from homoglab import _linalg, _tol, finite_groups
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
     cayley_table,
     check_space_form_constraints,
+    closure_certificate,
     classify,
     derived_subgroup,
     element_orders,
@@ -396,9 +397,9 @@ def test_cayley_table_of_block_stack_that_repeats_a_map(monkeypatch):
 
     def recording(mats):
         stacks.append(mats)
-        return cayley_table(mats)
+        return closure_certificate(mats)
 
-    monkeypatch.setattr(verifier, "cayley_table", recording)
+    monkeypatch.setattr(verifier, "closure_certificate", recording)
     zeta = np.exp(2j * np.pi * np.arange(12) / 12)
     powers = [np.diag([z, z.conjugate()]) for z in zeta]
     with pytest.raises(NotClosed, match="repeats an element"):
@@ -463,6 +464,125 @@ def test_cayley_table_needs_identity_and_every_product():
         # on the NaN list)
         assert str(got.value).startswith("products stray ")
         assert not _stray(got) < _stray(want)
+
+
+# ---------------------------------------------------------------------------
+# the closure certificate against the whole Cayley table
+
+
+def _refusal(check, mats):
+    """'accepted', or the kind of NotClosed that ``check`` raises."""
+    try:
+        check(mats)
+    except NotClosed as e:
+        if "repeats an element" in str(e):
+            return "repeats"
+        assert str(e).startswith("products stray "), str(e)
+        return "stray"
+    return "accepted"
+
+
+def _broken_forms(mats, gens):
+    """The list with one element dropped, a non-member appended, a
+    non-generator moved by 10 CLOSURE, a near-duplicate at 0.3 CLOSURE
+    appended, and the identity dropped (each where the list is long enough
+    for the form to leave a non-group)."""
+    k, n = mats.shape[:2]
+    e = int(np.argmin(np.max(np.abs(mats - np.eye(n)), axis=(1, 2))))
+    rng = np.random.default_rng(k)
+    outsider = haar_unitary(n, rng) if np.iscomplexobj(mats) else haar_orthogonal(n, rng)
+    fixed = [i for i in range(k) if i not in gens]
+    moved = mats.copy()
+    moved[max(fixed, key=lambda i: (i != e, i))] += 10 * _tol.CLOSURE
+    if k >= 3:
+        yield "dropped", np.delete(mats, k - 1 if k - 1 != e else k - 2, axis=0)
+    yield "non-member", np.concatenate([mats, outsider[None]])
+    yield "moved", moved
+    yield "near-duplicate", np.concatenate([mats, mats[-1:] + 0.3 * _tol.CLOSURE])
+    if k >= 2:
+        yield "no identity", np.delete(mats, e, axis=0)
+
+
+def assert_certificate_agrees_with_table(mats):
+    """The certificate accepts the group with at most floor(log2 k)
+    generators, which generate it, and refuses each broken form with the
+    kind of NotClosed that cayley_table raises."""
+    mats = np.asarray(mats)
+    k, n = mats.shape[:2]
+    gens = closure_certificate(mats)
+    assert len(gens) <= k.bit_length() - 1
+    table = cayley_table(mats)
+    e = int(np.argmin(np.max(np.abs(mats - np.eye(n)), axis=(1, 2))))
+    assert subgroup_closure(table, gens, e) == list(range(k))
+    for form, broken in _broken_forms(mats, gens):
+        want = _refusal(cayley_table, broken)
+        assert want != "accepted", form
+        assert _refusal(closure_certificate, broken) == want, form
+
+
+@pytest.mark.parametrize("tag", NAMED_UP_TO_120, ids=str)
+def test_certificate_agrees_with_table_on_named_groups(tag):
+    assert_certificate_agrees_with_table(quaternion_matrices(tag))
+
+
+@pytest.mark.parametrize(
+    "k,exps", [(k, _lens_exponents(k, r)) for r in (2, 3, 4) for k in range(2, 25)], ids=str
+)
+def test_certificate_agrees_with_table_on_lens_groups(k, exps):
+    assert_certificate_agrees_with_table(np.stack(lens_group(k, exps)))
+
+
+def _certified_stack(spec, isometries):
+    """The block stack diag(z g1, z g2), z central, that a group-manifold
+    deck of these isometries hands to closure_certificate."""
+    from homoglab import verifier
+
+    stacks = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verifier, "closure_certificate", stacks.append)
+        verifier.group_deck(spec, isometries)
+    (mats,) = stacks
+    return mats
+
+
+@pytest.mark.parametrize("deck", ["center"] + [f"cyclic-{n}" for n in range(1, 7)])
+@pytest.mark.parametrize("family,n", [("SU", 2), ("SO", 3), ("SO", 4), ("SU", 3), ("Sp", 2)])
+def test_certificate_agrees_with_table_on_left_translation_decks(family, n, deck):
+    from homoglab.cli import group_manifold_deck
+    from homoglab.compact_lie import CompactGroupSpec
+
+    spec = CompactGroupSpec(family, n)
+    assert_certificate_agrees_with_table(_certified_stack(spec, group_manifold_deck(spec, deck)))
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_certificate_agrees_with_table_on_right_translation_decks(tag):
+    from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry
+
+    isos = [TwoSidedIsometry(np.eye(2, dtype=complex), su2_matrix(q))
+            for q in named_binary_group(tag).elements]
+    assert_certificate_agrees_with_table(_certified_stack(CompactGroupSpec("SU", 2), isos))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_certificate_agrees_with_table_on_two_sided_decks(order):
+    """x -> c^-k x (h c^jk h^-1) on SU(2), c of the given order; j = 2 for
+    even orders, so that no pair is (-1, -1), the identity map again."""
+    from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry
+
+    c = su2_matrix(named_binary_group(GroupType.cyclic(order)).elements[1 % order])
+    h = su2_matrix(np.array([1.0, 2.0, 3.0, 4.0]) / np.sqrt(30.0))
+    j = 2 if order % 2 == 0 else 1
+    powers = [np.linalg.matrix_power(c, i) for i in range(order)]
+    isos = [TwoSidedIsometry(p, h @ np.linalg.matrix_power(p, j) @ h.conj().T) for p in powers]
+    assert_certificate_agrees_with_table(_certified_stack(CompactGroupSpec("SU", 2), isos))
+
+
+def test_certificate_of_large_decks_forms_few_columns():
+    """cyclic-1000 needs one generator and binary-dihedral-250 two, where the
+    table would form 10^6 products."""
+    for tag, want in ((GroupType.cyclic(1000), [1]), (GroupType.binary_dihedral(250), [1, 500])):
+        assert closure_certificate(quaternion_matrices(tag)) == want
 
 
 # ---------------------------------------------------------------------------

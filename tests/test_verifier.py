@@ -548,6 +548,17 @@ def test_deck_rejects_non_orthogonal():
         sphere_deck([np.eye(4), 2.0 * np.eye(4)])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e200])
+def test_deck_refuses_an_entry_past_one_before_its_product(entry):
+    """Every entry of an orthogonal matrix lies in [-1, 1]: a larger one, or
+    NaN, is refused before g^T g could overflow or warn."""
+    m = np.eye(4)
+    m[0, 1] = entry
+    with pytest.raises(ModelMismatch, match="not orthogonal"):
+        sphere_deck([np.eye(4), m])
+
+
 def test_deck_rejects_shape_mismatch():
     with pytest.raises(ModelMismatch):
         sphere_deck([np.eye(4), np.eye(3)])
