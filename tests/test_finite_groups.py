@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homoglab.compact_lie import haar_orthogonal, haar_unitary
+from homoglab.cli import group_manifold_deck
+from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry, haar_orthogonal, haar_unitary
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
-from homoglab import _linalg, _tol, finite_groups
+from homoglab import _linalg, _tol, finite_groups, verifier
 from homoglab.finite_groups import (
     FiniteQuaternionGroup,
     GroupType,
@@ -389,9 +390,7 @@ def test_cayley_table_of_block_stack_that_repeats_a_map(monkeypatch):
     """(-p, -p) is the same map of SU(2) as (p, p), so the stack of blocks
     diag(z g1, z g2) of a deck holding both lists every block twice, and the
     deck is refused."""
-    from homoglab import verifier
-    from homoglab.compact_lie import CompactGroupSpec
-    from homoglab.verifier import TwoSidedIsometry, group_deck
+    from homoglab.verifier import group_deck
 
     stacks = []
 
@@ -535,8 +534,6 @@ def test_certificate_agrees_with_table_on_lens_groups(k, exps):
 def _certified_stack(spec, isometries):
     """The block stack diag(z g1, z g2), z central, that a group-manifold
     deck of these isometries hands to closure_certificate."""
-    from homoglab import verifier
-
     stacks = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verifier, "closure_certificate", stacks.append)
@@ -548,17 +545,12 @@ def _certified_stack(spec, isometries):
 @pytest.mark.parametrize("deck", ["center"] + [f"cyclic-{n}" for n in range(1, 7)])
 @pytest.mark.parametrize("family,n", [("SU", 2), ("SO", 3), ("SO", 4), ("SU", 3), ("Sp", 2)])
 def test_certificate_agrees_with_table_on_left_translation_decks(family, n, deck):
-    from homoglab.cli import group_manifold_deck
-    from homoglab.compact_lie import CompactGroupSpec
-
     spec = CompactGroupSpec(family, n)
     assert_certificate_agrees_with_table(_certified_stack(spec, group_manifold_deck(spec, deck)))
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
 def test_certificate_agrees_with_table_on_right_translation_decks(tag):
-    from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry
-
     isos = [TwoSidedIsometry(np.eye(2, dtype=complex), su2_matrix(q))
             for q in named_binary_group(tag).elements]
     assert_certificate_agrees_with_table(_certified_stack(CompactGroupSpec("SU", 2), isos))
@@ -568,8 +560,6 @@ def test_certificate_agrees_with_table_on_right_translation_decks(tag):
 def test_certificate_agrees_with_table_on_two_sided_decks(order):
     """x -> c^-k x (h c^jk h^-1) on SU(2), c of the given order; j = 2 for
     even orders, so that no pair is (-1, -1), the identity map again."""
-    from homoglab.compact_lie import CompactGroupSpec, TwoSidedIsometry
-
     c = su2_matrix(named_binary_group(GroupType.cyclic(order)).elements[1 % order])
     h = su2_matrix(np.array([1.0, 2.0, 3.0, 4.0]) / np.sqrt(30.0))
     j = 2 if order % 2 == 0 else 1
