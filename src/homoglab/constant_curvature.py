@@ -17,6 +17,7 @@ single matrix is evaluated as a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -279,11 +280,15 @@ class HyperbolicMotion:
         return float(_moebius_displacement(self.matrix, z))
 
 
-def _hyperbolic_ball_points(radius: float, angles: int) -> np.ndarray:
-    """Points at hyperbolic distance ``radius`` from i, via the disk model."""
-    theta = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
-    w = np.tanh(radius / 2.0) * np.exp(1j * theta)
-    return 1j * (1.0 + w) / (1.0 - w)
+@lru_cache(maxsize=None)
+def _hyperbolic_probe_points() -> np.ndarray:
+    """i, then the ``_HYPERBOLIC_ANGLES`` points at hyperbolic distance R from
+    i of each R in ``_HYPERBOLIC_RADII`` (disk model), as one read-only array."""
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, _HYPERBOLIC_ANGLES, endpoint=False))
+    w = [np.tanh(R / 2.0) * circle for R in _HYPERBOLIC_RADII]
+    pts = np.concatenate([[1j]] + [1j * (1.0 + v) / (1.0 - v) for v in w])
+    pts.flags.writeable = False
+    return pts
 
 
 def hyperbolic_bounded_probe(motion: HyperbolicMotion):
@@ -293,9 +298,7 @@ def hyperbolic_bounded_probe(motion: HyperbolicMotion):
     radius up to the current one, evaluated as one array."""
     m = np.asarray(motion.matrix)
     bounded = bool(_at_identity(m) or _at_identity(-m))
-    pts = np.concatenate(
-        [[1j]] + [_hyperbolic_ball_points(R, _HYPERBOLIC_ANGLES) for R in _HYPERBOLIC_RADII]
-    )
+    pts = _hyperbolic_probe_points()
     disp = _moebius_displacement(m, pts)
     circles = disp[1:].reshape(len(_HYPERBOLIC_RADII), _HYPERBOLIC_ANGLES).max(axis=1)
     sups = np.maximum.accumulate(np.concatenate([disp[:1], circles]))[1:]

@@ -14,8 +14,8 @@ binary dihedral n/4, and otherwise n is 24, 48 or 120.
 All element coordinates are closed forms in cosines and sines of rational
 multiples of pi, sqrt(2) and the golden ratio, evaluated in double precision.
 Orders and classification are then exact because they are computed on an
-integer multiplication table recovered from the floating elements, whose
-products are matched to elements at ``_tol.CLOSURE``.
+integer multiplication table, read off the closure certificate's walk: its
+products with a few generators are matched to elements at ``_tol.CLOSURE``.
 
 A group is held as coordinates only: a (k, 4) array of quaternions, or a
 (k, n, n) stack of matrices.  ``check_table_work`` is the one bound on how
@@ -227,7 +227,7 @@ def check_table_work(name: str, order: int, entries: int) -> None:
 
 
 def _element_list(mats):
-    """The first steps of ``cayley_table`` and ``closure_certificate``: the
+    """The first steps of the closure certificate's walk (``_walk``): the
     list as a contiguous (k, n, n) array, its (k, m) rows and the rank order
     of their keys.  A list past ``check_table_work`` is refused, and so is one
     whose elements do not lie pairwise more than 2 sqrt(m) ``_tol.CLOSURE``
@@ -246,21 +246,14 @@ def _element_list(mats):
 
 
 def _pair(prods: np.ndarray, flat: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Index of the element paired with each product of a (k, m) column or
-    a (b, k, m) stack of rows of k products.
-
-    If the list is closed, each run of k products is a permutation of the
-    elements, so it is paired with them by rank along the key direction, and
-    every pair is confirmed by its max-abs entry distance, within
-    ``_tol.CLOSURE``; otherwise NotClosed with the largest distance.
-    Overwrites ``prods``."""
-    ranks = _keys(prods).argsort(axis=-1)
-    pair = np.empty_like(ranks)
-    if ranks.ndim == 1:
-        pair[ranks] = order
-    else:
-        pair[np.arange(len(ranks))[:, None], ranks] = order
-    prods -= flat[pair]
+    """Index of the element paired with each of a (k, m) column of products:
+    in a closed list the column permutes the elements, so it is paired with
+    them by rank along the key direction, and every pair is confirmed by its
+    max-abs entry distance, within ``_tol.CLOSURE``; otherwise NotClosed with
+    the largest distance.  Overwrites ``prods``."""
+    pair = np.empty(len(prods), dtype=np.intp)
+    pair[_keys(prods).argsort()] = order
+    prods -= flat.take(pair, axis=0)
     dist = np.abs(prods) if np.iscomplexobj(prods) else np.abs(prods, out=prods)
     stray = dist.max()
     if not stray <= _tol.CLOSURE:  # NaN entries fail too
@@ -268,26 +261,74 @@ def _pair(prods: np.ndarray, flat: np.ndarray, order: np.ndarray) -> np.ndarray:
     return pair
 
 
+def _walk(mats):
+    """The walk of ``closure_certificate``: the generators s, their confirmed
+    columns (perm[x] the index of x s), the elements in the order reached,
+    the identity first, and the parent p of each after it (it is p s)."""
+    arr, flat, order = _element_list(mats)
+    k, n = arr.shape[:2]
+    to_one = np.abs(flat - np.eye(n).ravel()).max(axis=1)
+    e = int(to_one.argmin())
+    if not to_one[e] <= _tol.CLOSURE:  # NaN rows fail too
+        raise NotClosed(f"products stray {to_one[e]:.2e} from the element set: "
+                        "the identity is not listed")
+    rows = arr.reshape(k * n, n)
+    # the walk runs on plain lists: a numpy call per step would cost more
+    # than the step on the small decks that are most of the work
+    found, seen, parents = [e], [False] * k, []
+    seen[e] = True
+    gens, perms, s, i = [], [], 0, 0
+    while len(found) < k:
+        while seen[s]:
+            s += 1
+        gens.append(s)
+        perms.append(_pair((rows @ arr[s]).reshape(k, -1), flat, order).tolist())
+        seen[s] = True
+        found.append(s)
+        parents.append(e)
+        # s <S> is all of <S>, so the walk goes on from s; the elements
+        # found before it need not take the new generator
+        while i < len(found):
+            x = found[i]
+            for p in perms:
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = True
+                    found.append(y)
+                    parents.append(x)
+            i += 1
+    return gens, perms, found, parents
+
+
 def cayley_table(mats) -> np.ndarray:
     """table[i, j] = index of mats[i] @ mats[j] in ``mats``, for real or
-    complex square matrices of m entries each.
+    complex square matrices of m entries each, read off the walk of
+    ``closure_certificate``, which must accept the list (else NotClosed).
 
-    Each row of products is paired with the elements and confirmed by
-    ``_pair``, so an accepted list is closed.  Rows go in blocks of left
-    factors (``_linalg._blocks``), and the first block with an unconfirmed
-    pair raises NotClosed with its largest distance.  The list must pass the
-    checks of ``_element_list``: a table within ``check_table_work``, and no
-    two elements within 2 sqrt(m) ``_tol.CLOSURE`` in Frobenius norm.  A
-    closed, separated list is refused only if two element keys lie within the
-    keys' rounding (about 1e-14) of each other.
+    Column e of the identity is 0, ..., k - 1, and y reached as p s has the
+    column x y = (x p) s, column p permuted by the confirmed column of s: past
+    the at most log2 k GEMM columns, the table takes only integer gathers.
+    Every entry is exact as a group table once the certificate holds, but only
+    the products with a generator are confirmed within ``_tol.CLOSURE`` each:
+    x y, for y at depth l of the walk, lies within 2 l sqrt(m)
+    ``_tol.CLOSURE`` of entry [x, y] in Frobenius norm, as proved there.
     """
-    arr, flat, order = _element_list(mats)
-    k, m = flat.shape
-    table = np.empty((k, k), dtype=np.int64)
-    for s in _blocks(k, k * m):
-        prods = np.matmul(arr[s, None], arr[None, :]).reshape(-1, k, m)
-        table[s] = _pair(prods, flat, order)
-    return table
+    _, perms, found, parents = _walk(mats)
+    k, perms = len(found), np.array(perms, dtype=np.int64).reshape(-1, len(found))
+    depth = [0] * k
+    for y, p in zip(found[1:], parents):
+        depth[y] = depth[p] + 1
+    # steps by depth in the walk's tree: parents come first, one gather a depth
+    by = np.argsort([depth[y] for y in found[1:]], kind="stable")
+    ys, ps = np.array(found[1:], dtype=np.int64)[by], np.array(parents, dtype=np.int64)[by]
+    # the generator of each step: distinct generators take p to distinct elements
+    gs = np.nonzero(perms[:, ps].T == ys[:, None])[1][:, None]
+    ends = np.cumsum(np.bincount(depth)[1:]).tolist()
+    table = np.empty((k, k), dtype=np.int64)  # row y holds column y
+    table[found[0]] = np.arange(k)
+    for start, end in zip([0] + ends, ends):
+        table[ys[start:end]] = perms[gs[start:end], table[ps[start:end]]]
+    return table.T
 
 
 def closure_certificate(mats) -> list[int]:
@@ -304,7 +345,7 @@ def closure_certificate(mats) -> list[int]:
     first element, in list order, that the walk has not reached.  For a
     generator s the column x s, over every element x, is one GEMM of the
     stacked rows of the list against s, paired with the elements and
-    confirmed by ``_pair`` as a row of the table is, so each column is a
+    confirmed by ``_pair`` (key rank, then max-abs), so each column is a
     permutation of the list.  The walk follows the columns breadth-first from
     the identity, each new generator joining it at its own element, and the
     list is accepted once every element is reached.  It is then the group
@@ -331,37 +372,7 @@ def closure_certificate(mats) -> list[int]:
     x s_1 ... s_l lies within (2 l - 1) sqrt(m) CLOSURE of x_l.  Factors that
     are unitary only within delta scale the bound by at most (1 + delta)^l.
     """
-    arr, flat, order = _element_list(mats)
-    k, n = arr.shape[:2]
-    to_one = np.abs(flat - np.eye(n).ravel()).max(axis=1)
-    e = int(to_one.argmin())
-    if not to_one[e] <= _tol.CLOSURE:  # NaN rows fail too
-        raise NotClosed(
-            f"products stray {to_one[e]:.2e} from the element set: the identity is not listed"
-        )
-    rows = arr.reshape(k * n, n)
-    # the walk runs on plain lists: a numpy call per step would cost more
-    # than the step on the small decks that are most of the work
-    found, seen = [e], [False] * k
-    seen[e] = True
-    gens, perms, s, i = [], [], 0, 0
-    while len(found) < k:
-        while seen[s]:
-            s += 1
-        gens.append(s)
-        perms.append(_pair((rows @ arr[s]).reshape(k, -1), flat, order).tolist())
-        seen[s] = True
-        found.append(s)
-        # s <S> is all of <S>, so the walk goes on from s; the elements
-        # found before it need not take the new generator
-        while i < len(found):
-            for p in perms:
-                y = p[found[i]]
-                if not seen[y]:
-                    seen[y] = True
-                    found.append(y)
-            i += 1
-    return gens
+    return _walk(mats)[0]
 
 
 def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:
@@ -374,11 +385,9 @@ def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:
     return inv
 
 def table_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    for e in range(n):
-        if np.array_equal(table[e], np.arange(n)) and np.array_equal(
-            table[:, e], np.arange(n)
-        ):
+    idx = np.arange(table.shape[0])
+    for e in idx.tolist():
+        if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
             return e
     raise NotClosed("table has no identity element")
 

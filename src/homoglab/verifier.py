@@ -99,10 +99,10 @@ def left_translation_isometry(spec: CompactGroupSpec, a: np.ndarray) -> TwoSided
 class DeckGroup:
     """A finite group of isometries in one declared ambient model.
 
-    Validation checks that the elements form a group, with one closure
-    certificate (``_check_group``), and leaves them as one stack in
-    ``matrices``: (k, n, n) floats on a sphere, the (k, 2, d, d) pairs
-    (g1, g2) on a group manifold.
+    Validation checks that the elements form a group, holding the identity
+    and no element twice and closed, with one ``closure_certificate``, and
+    leaves them as one stack in ``matrices``: (k, n, n) floats on a sphere,
+    the (k, 2, d, d) pairs (g1, g2) on a group manifold.
     """
 
     model: SphereModel | GroupManifoldModel
@@ -134,7 +134,7 @@ class DeckGroup:
         if not (np.max(np.abs(mats)) <= 1.0 + _tol.ORTHOGONAL
                 and np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _tol.ORTHOGONAL):
             raise ModelMismatch("element is not orthogonal")
-        _check_group(mats)
+        closure_certificate(mats)
         object.__setattr__(self, "matrices", mats)
 
     def _validate_group(self):
@@ -152,19 +152,7 @@ class DeckGroup:
         blocks = np.zeros((len(self.elements), 2 * d, 2 * d), dtype=complex)
         blocks[:, :d, :d], blocks[:, d:, d:] = self.matrices[:, 0], self.matrices[:, 1]
         center = center_elements(spec)[:, 0, 0]
-        _check_group((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
-
-
-def _check_group(mats: np.ndarray) -> None:
-    """NotClosed unless a stack of matrices forms a group: it holds the
-    identity and no element twice, within ``_tol.CLOSURE``, and it is closed.
-    Closure is certified from the products with a few generators
-    (``closure_certificate``): each such product lies within ``_tol.CLOSURE``
-    of an element, and every other product within 2 l sqrt(m) CLOSURE in
-    Frobenius norm, for m entries per matrix and its right factor at depth l
-    of the certificate's walk.  Right multiplication by each generator then
-    permutes the elements, so every element has an inverse."""
-    closure_certificate(mats)
+        closure_certificate((center[:, None, None, None] * blocks).reshape(-1, 2 * d, 2 * d))
 
 
 def sphere_deck(matrices) -> DeckGroup:

@@ -4,14 +4,15 @@ right-translation and SU(2) images of a unit quaternion, the minimal-norm
 logarithm of a compact group element and the fixed point of an inverted
 two-sided translation, the commutator test of constant displacement of a
 two-sided translation, displacement statistics over Haar points on a
-sphere, Haar points on Sp(n) by quaternionic Gram-Schmidt, and the real
-coordinate vector of a matrix.  A quaternion is a row (w, x, y, z)."""
+sphere, Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley
+table of a matrix list from all k^2 products, and the real coordinate
+vector of a matrix.  A quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
 
 import numpy as np
 
-from homoglab import _tol
+from homoglab import _tol, finite_groups
 from homoglab.compact_lie import (
     _SAMPLE_BLOCK,
     COMPACT_SYMPLECTIC,
@@ -24,7 +25,8 @@ from homoglab.compact_lie import (
     symplectic_structure,
 )
 from homoglab.constant_curvature import _orthogonal_stack
-from homoglab.errors import NotInGroup
+from homoglab._linalg import _blocks
+from homoglab.errors import NotClosed, NotInGroup
 from homoglab.profiles import DisplacementProfile
 
 
@@ -272,3 +274,26 @@ def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Gene
         vals = _angles(pts, pts @ np.swapaxes(mats, -1, -2))
         profiles += [DisplacementProfile.from_values(v) for v in vals]
     return profiles[0] if np.ndim(g) == 2 else tuple(profiles)
+
+
+def key_paired_table(mats) -> np.ndarray:
+    """The Cayley table from all k^2 products, as ``finite_groups.cayley_table``
+    built it before it read the table off the closure certificate.  The list
+    passes the same checks first (``_element_list``); then each row of
+    products x y, over every y, is paired with the elements by key rank and
+    every pair is confirmed within ``_tol.CLOSURE`` in max-abs, in blocks of
+    left factors, and the first block that strays raises NotClosed with its
+    largest distance."""
+    arr, flat, order = finite_groups._element_list(mats)
+    k, m = flat.shape
+    table = np.empty((k, k), dtype=np.int64)
+    for s in _blocks(k, k * m):
+        prods = np.matmul(arr[s, None], arr[None, :]).reshape(-1, k, m)
+        ranks = finite_groups._keys(prods).argsort(axis=-1)
+        pair = np.empty_like(ranks)
+        pair[np.arange(len(ranks))[:, None], ranks] = order
+        stray = np.abs(prods - flat[pair]).max()
+        if not stray <= _tol.CLOSURE:  # NaN entries fail too
+            raise NotClosed(f"products stray {stray:.2e} from the element set")
+        table[s] = pair
+    return table

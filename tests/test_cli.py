@@ -327,17 +327,20 @@ def test_free_pass_for_named_group(capsys):
     ids=["check-homogeneity", "construct", "check-free", "check-free-matrix-file"],
 )
 def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, tmp_path, argv, order):
-    """One closure per run: a deck run certifies its list once
-    (closure_certificate) and builds no table; construct builds the quaternion
-    group's one Cayley table, which serves classify and the space-form screen;
-    is_free_on_sphere builds neither."""
+    """One closure per run, through the one walk of finite_groups: a deck run
+    certifies its list once (closure_certificate) and builds no table;
+    construct reads the quaternion group's one Cayley table off the walk
+    (cayley_table), and the table serves classify and the space-form screen;
+    is_free_on_sphere closes nothing.  The walk forms its products as at most
+    floor(log2 k) columns of k products each, every one paired by _pair, so
+    no run forms the k^2 products of the whole table."""
     from homoglab import finite_groups
 
     if "--matrix-file" in argv:
         path = tmp_path / argv[-1]
         path.write_text(format_matrix(lens_group(5, (1, 2))[1]))
         argv = argv[:-1] + (str(path),)
-    built = []
+    built, walks, columns = [], [], []
     for closure in ("cayley_table", "closure_certificate"):
 
         def counting(mats, closure=closure, original=getattr(finite_groups, closure)):
@@ -347,10 +350,25 @@ def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, tmp_path, argv, o
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "homoglab" and hasattr(module, closure):
                 monkeypatch.setattr(module, closure, counting)
+
+    def walking(mats, original=finite_groups._walk):
+        walks.append(len(mats))
+        return original(mats)
+
+    def pairing(prods, flat, order, original=finite_groups._pair):
+        columns.append(prods.shape)
+        return original(prods, flat, order)
+
+    monkeypatch.setattr(finite_groups, "_walk", walking)
+    monkeypatch.setattr(finite_groups, "_pair", pairing)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     closure = "cayley_table" if argv[0] == "construct" else "closure_certificate"
     assert built == [(closure, order)]
+    assert walks == [order]
+    # binary-icosahedral: at most floor(log2 120) = 6 columns of 120 products
+    assert 1 <= len(columns) <= order.bit_length() - 1
+    assert set(columns) == {(order, 16)}
 
 
 def test_free_flags_fixed_points(capsys, tmp_path):

@@ -540,6 +540,23 @@ def test_vectorised_hyperbolic_probe_matches_the_scalar_one(seed):
     assert np.isclose(motion.displacement(z), scalar_displacement(m, z), rtol=1e-12, atol=1e-12)
 
 
+def test_hyperbolic_probe_points_are_built_once():
+    """The probe reads one read-only array of points, built on first use and
+    equal bit for bit to the closed form of each circle, so its sups do not
+    move; a second probe builds nothing."""
+    pts = constant_curvature._hyperbolic_probe_points()
+    assert not pts.flags.writeable
+    want = [np.array([1j])]
+    for R in (1.0, 2.0, 4.0, 8.0):
+        w = np.tanh(R / 2.0) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+        want.append(1j * (1.0 + w) / (1.0 - w))
+    assert pts.tobytes() == np.concatenate(want).tobytes()
+    built = constant_curvature._hyperbolic_probe_points.cache_info().misses
+    motion = HyperbolicMotion(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    assert hyperbolic_bounded_probe(motion) == hyperbolic_bounded_probe(motion)
+    assert constant_curvature._hyperbolic_probe_points.cache_info().misses == built
+
+
 def test_central_hyperbolic_motions_have_exactly_zero_sups():
     for sign in (1.0, -1.0):
         _, sups = hyperbolic_bounded_probe(HyperbolicMotion(sign * np.eye(2)))

@@ -30,7 +30,13 @@ from homoglab.finite_groups import (
     table_identity,
     table_inverses,
 )
-from oracles import quaternion_product, right_translation_matrix, special_linear_table, su2_matrix
+from oracles import (
+    key_paired_table,
+    quaternion_product,
+    right_translation_matrix,
+    special_linear_table,
+    su2_matrix,
+)
 
 ALL_TAGS = (
     [GroupType.cyclic(n) for n in range(1, 13)]
@@ -79,18 +85,32 @@ def test_q8_exact_element_set():
     assert got == want
 
 
-# orders 24, 48 and 120 each hold a cyclic, a binary dihedral and a binary
-# polyhedral group, so only the largest element order tells them apart
-ORDER_COLLISIONS = [GroupType.cyclic(n) for n in (24, 48, 120, 1024)] + [
-    GroupType.binary_dihedral(m) for m in (12, 30, 256)
-]
+# Klein's list: every named group of order at most 256, and the two of order
+# 1024; orders 24, 48 and 120 each hold a cyclic, a binary dihedral and a
+# binary polyhedral group, so only the largest element order tells them apart
+KLEIN_TAGS = (
+    [GroupType.cyclic(n) for n in (*range(1, 257), 1024)]
+    + [GroupType.binary_dihedral(m) for m in (*range(2, 65), 256)]
+    + [
+        GroupType.binary_tetrahedral(),
+        GroupType.binary_octahedral(),
+        GroupType.binary_icosahedral(),
+    ]
+)
 
 
-@pytest.mark.parametrize("tag", ALL_TAGS + ORDER_COLLISIONS, ids=str)
+@pytest.mark.parametrize("tag", KLEIN_TAGS, ids=str)
 def test_orders_and_classification_round_trip(tag):
+    """Each named group has its order and is classified as itself, and since
+    every finite subgroup of S^3 acts freely on S^3 by left translation, it
+    passes all three space-form constraints."""
     g = named_binary_group(tag)
     assert g.order == tag.expected_order()
     assert classify(g) == tag
+    rep = check_space_form_constraints(g)
+    assert rep.abelian_subgroups_cyclic
+    assert rep.unique_central_involution
+    assert rep.odd_sylow_cyclic
 
 
 def test_lagrange_divisibility():
@@ -365,8 +385,8 @@ def test_cayley_table_of_cyclic_1000_is_addition_mod_k():
 
 def test_cayley_table_of_large_cyclic_group_in_bounded_memory():
     # lens_group lists gen^0 .. gen^(k-1), so the table is addition mod k;
-    # the blocks of products and of their paired elements stay near
-    # _linalg._BLOCK entries each, whatever k
+    # the walk forms one column of k products, and the table holds k^2
+    # integers, not k^2 products
     import tracemalloc
 
     k = 300
@@ -445,7 +465,11 @@ def _broken_lists(tag):
 
 
 def _stray(error):
-    return float(re.fullmatch(r"products stray (\S+) from the element set", str(error.value))[1])
+    """The distance d of a refusal "products stray d from the element set",
+    which the closure certificate's walk ends with ": the identity is not
+    listed" when the element nearest I is that far from it."""
+    pattern = r"products stray (\S+) from the element set(: the identity is not listed)?"
+    return float(re.fullmatch(pattern, str(error.value))[1])
 
 
 def test_cayley_table_needs_identity_and_every_product():
@@ -456,17 +480,19 @@ def test_cayley_table_needs_identity_and_every_product():
     ):
         with pytest.raises(NotClosed) as got:
             cayley_table(broken)
+        with pytest.raises(NotClosed) as paired:
+            key_paired_table(broken)
         with pytest.raises(NotClosed) as want:
             gemm_table(broken)
-        # the stray is the distance to a key-paired element, not to the
-        # nearest one, so here it is at least the search's (NaN for both
-        # on the NaN list)
-        assert str(got.value).startswith("products stray ")
-        assert not _stray(got) < _stray(want)
+        # the table's walk refuses with a distance past CLOSURE (NaN on the
+        # NaN list); the k^2 pairing's stray is the distance to a key-paired
+        # element, not to the nearest one, so it is at least the search's
+        assert not _stray(got) <= _tol.CLOSURE
+        assert not _stray(paired) < _stray(want)
 
 
 # ---------------------------------------------------------------------------
-# the closure certificate against the whole Cayley table
+# the closure certificate against the Cayley table of all k^2 products
 
 
 def _refusal(check, mats):
@@ -504,19 +530,22 @@ def _broken_forms(mats, gens):
 
 def assert_certificate_agrees_with_table(mats):
     """The certificate accepts the group with at most floor(log2 k)
-    generators, which generate it, and refuses each broken form with the
-    kind of NotClosed that cayley_table raises."""
+    generators, which generate it, cayley_table reads the table of all k^2
+    products off its walk, and the certificate refuses each broken form with
+    the kind of NotClosed that the k^2 pairing raises."""
     mats = np.asarray(mats)
     k, n = mats.shape[:2]
     gens = closure_certificate(mats)
     assert len(gens) <= k.bit_length() - 1
-    table = cayley_table(mats)
+    table = key_paired_table(mats)
+    assert np.array_equal(cayley_table(mats), table)
     e = int(np.argmin(np.max(np.abs(mats - np.eye(n)), axis=(1, 2))))
     assert subgroup_closure(table, gens, e) == list(range(k))
     for form, broken in _broken_forms(mats, gens):
-        want = _refusal(cayley_table, broken)
+        want = _refusal(key_paired_table, broken)
         assert want != "accepted", form
         assert _refusal(closure_certificate, broken) == want, form
+        assert _refusal(cayley_table, broken) == want, form
 
 
 @pytest.mark.parametrize("tag", NAMED_UP_TO_120, ids=str)
