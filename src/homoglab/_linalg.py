@@ -23,11 +23,11 @@ def _at_identity(g: np.ndarray) -> np.ndarray:
     return np.max(np.abs(g - np.eye(g.shape[-1])), axis=(-2, -1)) <= _tol.CLOSURE
 
 
-def null_space(A: np.ndarray, rel_cutoff: float = _tol.RANK_CUTOFF) -> np.ndarray:
+def null_space(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of A.
 
-    Singular values below ``rel_cutoff`` times the largest one are treated as
-    zero.  A zero (or empty) matrix yields the full coordinate space.
+    Singular values below ``_tol.RANK_CUTOFF`` times the largest one are
+    treated as zero.  A zero (or empty) matrix yields the full coordinate space.
     """
     A = np.atleast_2d(np.asarray(A))
     n = A.shape[1]
@@ -37,7 +37,7 @@ def null_space(A: np.ndarray, rel_cutoff: float = _tol.RANK_CUTOFF) -> np.ndarra
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(s > rel_cutoff * s[0]))
+    rank = int(np.sum(s > _tol.RANK_CUTOFF * s[0]))
     return vh[rank:].conj().T
 
 

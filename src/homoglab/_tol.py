@@ -23,8 +23,6 @@ ORTHOGONAL = 1e-10
 GROUP = 1e-8
 # a singular value below this times the largest counts as zero ("rank_cutoff")
 RANK_CUTOFF = 1e-8
-# the same, for the Berger isometry system of check-berger ("rank_cutoff")
-BERGER_CUTOFF = 1e-10
 # a bracket vanishes, or a subspace of a Lie algebra is invariant under
 # another: the norm of the coordinates that must vanish.  Catalog entry 10
 # decides against it too ("bracket"): Casimir eigenvalues closer than this
@@ -44,13 +42,11 @@ ZERO = 1e-12
 # above this midpoint of its eigenvalues 0 and 1: a closed deck holds them
 # within about 1e-14 of 0 or 1, so it is not recorded in reports
 PROJECTOR_SPLIT = 0.5
-# the default --tol: largest displacement spread of the forward re-check
-# ("displacement"; freeness is decided at EIGEN on every model), or largest
-# relative Killing length gap (check-killing; "relative_gap")
+# largest displacement spread of the pipeline's forward re-check
+# ("displacement"; freeness is decided at EIGEN on every model), and the
+# default check-killing --tol, its largest relative Killing length gap
+# ("relative_gap")
 DISPLACEMENT = 1e-7
 # a constant-displacement map slides a great circle along itself: g u against
 # cos c u - sin c x (invariant_geodesic_check; "geodesic")
 GEODESIC = 1e-8
-# probe-noncompact adds I to a random 2x2 draw with |det| below this before
-# scaling it to det 1 ("near_singular")
-NEAR_SINGULAR = 1e-3

@@ -433,12 +433,12 @@ def _cmd_check_berger(args, rng):
         "dimension": rep.dimension,
         "coefficients": {"a": args.a, "b": args.b},
     }
-    return {"a": args.a, "b": args.b}, {"rank_cutoff": _tol.BERGER_CUTOFF}, evidence, "Computed"
+    return {"a": args.a, "b": args.b}, {}, evidence, "Computed"
 
 
 def _cmd_check_homogeneity(args, rng):
     model = parse_model(args.model)
-    config = VerifyConfig(seed=args.seed, samples=args.samples, tol=args.tol)
+    config = VerifyConfig(seed=args.seed, samples=args.samples)
     if isinstance(model, SphereModel):
         deck = sphere_deck(sphere_group_matrices(args.group, model.ambient_dim))
     else:
@@ -499,15 +499,9 @@ def _cmd_probe_noncompact(args, rng):
     # hyperbolic: strict growth for non-central motions, zero for +-I
     strict = 0
     for _ in range(motions):
-        m = rng.standard_normal((2, 2))
-        det = np.linalg.det(m)
-        if abs(det) < _tol.NEAR_SINGULAR:
-            m = m + np.eye(2)
-            det = np.linalg.det(m)
-        if det < 0:
-            m[0] = -m[0]
-            det = -det
-        m = m / np.sqrt(det)
+        # det 1 by construction: a > 0 and d = (1 + bc) / a
+        a, b, c = np.exp(rng.standard_normal()), rng.standard_normal(), rng.standard_normal()
+        m = np.array([[a, b], [c, (1.0 + b * c) / a]])
         _, sups = hyperbolic_bounded_probe(HyperbolicMotion(m))
         if all(b > a for a, b in zip(sups, sups[1:])):
             strict += 1
@@ -524,7 +518,7 @@ def _cmd_probe_noncompact(args, rng):
     ok = agree == motions and strict == motions and central_zero
     return (
         {"motions": motions},
-        {"closure": _tol.CLOSURE, "near_singular": _tol.NEAR_SINGULAR},
+        {"closure": _tol.CLOSURE},
         evidence,
         "ProbesConsistent" if ok else "ProbeMismatch",
     )
@@ -557,9 +551,9 @@ def _tolerance(text: str) -> float:
     return x
 
 
-def _add_common(p: argparse.ArgumentParser, samples: bool = False, tol: bool = False) -> None:
-    """--seed and --output on every subcommand; --samples and --tol only where
-    the subcommand reads them, so a flag it would ignore is refused.  The
+def _add_common(p: argparse.ArgumentParser, samples: bool = False) -> None:
+    """--seed and --output on every subcommand; --samples only where the
+    subcommand reads it, so a flag it would ignore is refused.  The
     exceptions: check-clifford, check-homogeneity and catalog verify draw no
     points but still take and range-check --samples, which existing scripts
     pass them."""
@@ -568,8 +562,6 @@ def _add_common(p: argparse.ArgumentParser, samples: bool = False, tol: bool = F
     p.add_argument("--output", type=str, default=None)
     if samples:
         p.add_argument("--samples", type=_count(10, _MAX_SAMPLES), default=1000)
-    if tol:
-        p.add_argument("--tol", type=_tolerance, default=_tol.DISPLACEMENT)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -611,7 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     # None when not given: each is refused on the spaces it does not act on
     p.add_argument("--field", choices=["left", "right"], default=None)
     p.add_argument("--directions", type=_count(1, _MAX_SAMPLES), default=None)
-    _add_common(p, samples=True, tol=True)
+    # the one subcommand whose verdict a tolerance flag decides
+    p.add_argument("--tol", type=_tolerance, default=_tol.DISPLACEMENT)
+    _add_common(p, samples=True)
 
     p = sub.add_parser("check-berger", help="right-isometry algebra of a left-invariant metric on the 3-sphere group")
     p.add_argument("--a", type=float, required=True)
@@ -621,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-homogeneity", help="run the full homogeneity pipeline")
     p.add_argument("--model", required=True)
     p.add_argument("--group", required=True)
-    _add_common(p, samples=True, tol=True)
+    _add_common(p, samples=True)
 
     p = sub.add_parser("catalog", help="list or verify catalog entries")
     actions = p.add_subparsers(dest="action", required=True)

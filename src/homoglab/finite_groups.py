@@ -143,6 +143,7 @@ class FiniteQuaternionGroup:
     def __init__(self, elements):
         self.elements = np.asarray(elements, dtype=float).reshape(-1, 4)
         self._table: np.ndarray | None = None
+        self._orders: np.ndarray | None = None
         to_one = np.max(np.abs(self.elements - (1.0, 0.0, 0.0, 0.0)), axis=1)
         self.identity_index = int(np.argmin(to_one))
         if not to_one[self.identity_index] <= _tol.CLOSURE:  # NaN rows fail too
@@ -166,6 +167,12 @@ class FiniteQuaternionGroup:
         if self._table is None:
             self._table = cayley_table(self.left_translation_matrices())
         return self._table
+
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, computed once from the cached table."""
+        if self._orders is None:
+            self._orders = element_orders(self.multiplication_table(), self.identity_index)
+        return self._orders
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +485,7 @@ def classify(group: FiniteQuaternionGroup) -> GroupType:
     if not isinstance(group, FiniteQuaternionGroup):
         raise InvalidParameter("classify needs a FiniteQuaternionGroup, not a raw table")
     n = group.order
-    top = int(np.max(element_orders(group.multiplication_table(), group.identity_index)))
+    top = int(np.max(group.element_orders()))
     if top == n:
         return GroupType.cyclic(n)
     if 2 * top == n and n % 4 == 0:
@@ -507,13 +514,16 @@ class SpaceFormConstraintReport:
         return self.involution_count <= 1 and self.involution_central
 
 
-def _as_table(group) -> tuple[np.ndarray, int]:
+def _as_table(group) -> tuple[np.ndarray, int, np.ndarray]:
+    """The multiplication table, identity index and element orders of a
+    FiniteQuaternionGroup (its cached ones) or of a raw integer table."""
     if isinstance(group, FiniteQuaternionGroup):
-        return group.multiplication_table(), group.identity_index
+        return group.multiplication_table(), group.identity_index, group.element_orders()
     table = np.asarray(group, dtype=np.int64)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise InvalidParameter("multiplication table must be square")
-    return table, table_identity(table)
+    identity = table_identity(table)
+    return table, identity, element_orders(table, identity)
 
 
 def _is_prime(p: int) -> bool:
@@ -549,8 +559,7 @@ def check_space_form_constraints(group) -> SpaceFormConstraintReport:
     Accepts a FiniteQuaternionGroup or a raw integer multiplication table, so
     abstract groups (e.g. Klein four) can be screened as well.
     """
-    table, identity = _as_table(group)
-    orders = element_orders(table, identity)
+    table, _, orders = _as_table(group)
     # strip even part for the sylow check
     n = table.shape[0]
     rem = n
@@ -589,10 +598,10 @@ def is_sl25(group) -> bool:
     the test suite cross-validates them against the explicitly built
     multiplication table over the 5-element field.
     """
-    table, identity = _as_table(group)
+    table, identity, orders = _as_table(group)
     return (
         table.shape[0] == 120
-        and np.count_nonzero(element_orders(table, identity) == 2) == 1
+        and np.count_nonzero(orders == 2) == 1
         and len(derived_subgroup(table, identity)) == 120
     )
 

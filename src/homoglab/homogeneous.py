@@ -463,29 +463,19 @@ def berger_right_isometry_algebra(a: float, b: float) -> BergerIsometryReport:
     """Directions X in su(2) whose adjoint action is skew for the left-invariant
     metric diag(1, b, a) on the frame (T1, T2, T3).
 
-    Dimension 3 for the round case a = b = 1, 1 for the squashed case
-    a < b = 1, 0 when a < b < 1.
+    ad(T_k) rotates the plane of the other two frame vectors T_i, T_j, so
+    ad(T_k)ᵀQ + Q ad(T_k) is Q_jj - Q_ii at (i, j) and (j, i) and zero
+    elsewhere.  Each k touches its own pair of entries, so the algebra is
+    spanned by the T_k whose other two coefficients are equal: dimension 3
+    for the round case a = b = 1, 1 for the squashed case a < b = 1, 0 when
+    a < b < 1.
     """
     if not (0 < a <= b <= 1):
         raise InvalidCoefficients("need 0 < a <= b <= 1")
-    Q = np.diag([1.0, b, a])
-    # ad(T_k) on the frame, from [T1,T2]=T3, [T2,T3]=T1, [T3,T1]=T2
-    def ad(k):
-        A = np.zeros((3, 3))
-        i, j = (k + 1) % 3, (k + 2) % 3
-        A[j, i] = 1.0
-        A[i, j] = -1.0
-        return A
-
-    rows = []
-    for k in range(3):
-        C = ad(k).T @ Q + Q @ ad(k)
-        rows.append([C[0, 1], C[0, 2], C[1, 2], C[0, 0], C[1, 1], C[2, 2]])
-    M = np.array(rows).T
-    ns = null_space(M, rel_cutoff=_tol.BERGER_CUTOFF)
+    q = (1.0, b, a)
     T = su2_half_pauli_basis()
-    mats = tuple(sum(c[k] * T[k] for k in range(3)) for c in ns.T)
-    return BergerIsometryReport(dimension=ns.shape[1], matrix_basis=mats)
+    mats = tuple(T[k] for k in range(3) if q[(k + 1) % 3] == q[(k + 2) % 3])
+    return BergerIsometryReport(dimension=len(mats), matrix_basis=mats)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +650,7 @@ def catalog_verify(entry_id: int, path=None) -> CatalogCheckReport:
             entry, "passed" if ok else "failed",
             "right-isometry algebra dimensions across the three metric cases",
             {"dimensions": list(dims)},
-            {"rank_cutoff": _tol.BERGER_CUTOFF},
+            {},
         )
     return CatalogCheckReport(
         entry, "informational",

@@ -226,19 +226,14 @@ def transitivity_rank(Z, model):
 @dataclass(frozen=True)
 class VerifyConfig:
     """``seed`` is recorded in the report.  ``samples`` is range-checked but
-    read by nothing: the pipeline draws no points.  ``tol`` is the largest
-    forward re-check spread only: every model decides freeness at ``_tol.EIGEN``
-    (``is_free_on_sphere``, or the least displacement on group manifolds)."""
+    read by nothing: the pipeline draws no points."""
 
     seed: int = 0
     samples: int = 200
-    tol: float = _tol.DISPLACEMENT
 
     def __post_init__(self):
         if self.samples < 10:
             raise InvalidParameter("samples must be >= 10")
-        if self.tol <= 0:
-            raise InvalidParameter("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -307,12 +302,18 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     """Run the full pipeline on the deck's model: freeness, constant
     displacement per element, centralizer computation, transitivity rank, and
     the forward re-check of a witness, which raises InvariantViolated when
-    some element's displacement range is wider than ``config.tol``."""
+    some element's displacement range is wider than ``_tol.DISPLACEMENT``.
+
+    Freeness is decided at ``_tol.EIGEN`` on every model.  On a sphere a
+    witness already has every spread at most ``_tol.EIGEN``, below
+    ``_tol.DISPLACEMENT``, so there the re-check cannot fire; on a group
+    manifold the constancy flags come from Ad, not from the ranges, so there
+    it checks one against the other."""
     model = deck.model
     config = config if config is not None else VerifyConfig()
 
     # every named tolerance that can change the verdict
-    tolerances = {"displacement": config.tol, "closure": _tol.CLOSURE,
+    tolerances = {"displacement": _tol.DISPLACEMENT, "closure": _tol.CLOSURE,
                   "eigen": _tol.EIGEN, "rank_cutoff": _tol.RANK_CUTOFF}
     # one pass of Ad over the deck and one displacement range [lo, hi] per
     # element, each computed once
@@ -345,10 +346,10 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     forward_max_gap = None
     if verdict == HOMOGENEOUS_WITNESS_FOUND:
         forward_max_gap = float(np.max(hi - lo))
-        if forward_max_gap > config.tol:
+        if forward_max_gap > _tol.DISPLACEMENT:
             raise InvariantViolated(
                 "forward consistency violated: full rank but displacement gap "
-                f"{forward_max_gap:.3e} exceeds {config.tol:.1e}"
+                f"{forward_max_gap:.3e} exceeds {_tol.DISPLACEMENT:.1e}"
             )
 
     return HomogeneityReport(

@@ -5,8 +5,9 @@ logarithm of a compact group element and the fixed point of an inverted
 two-sided translation, the commutator test of constant displacement of a
 two-sided translation, displacement statistics over Haar points on a
 sphere, Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley
-table of a matrix list from all k^2 products, and the real coordinate
-vector of a matrix.  A quaternion is a row (w, x, y, z)."""
+table of a matrix list from all k^2 products, the real coordinate
+vector of a matrix, and the Berger isometry algebra as the null space of
+its linear system.  A quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
 
@@ -297,3 +298,24 @@ def key_paired_table(mats) -> np.ndarray:
             raise NotClosed(f"products stray {stray:.2e} from the element set")
         table[s] = pair
     return table
+
+
+def berger_isometry_oracle(a: float, b: float) -> np.ndarray:
+    """Coefficients (columns) on (T1, T2, T3) of the X in su(2) with
+    ad(X)ᵀQ + Q ad(X) = 0 for Q = diag(1, b, a): the null space of the six
+    independent entries of that symmetric system, by SVD, singular values
+    below 1e-10 of the largest taken as zero."""
+    Q = np.diag([1.0, b, a])
+    rows = []
+    for k in range(3):
+        # ad(T_k) on the frame, from [T1,T2]=T3, [T2,T3]=T1, [T3,T1]=T2
+        A = np.zeros((3, 3))
+        i, j = (k + 1) % 3, (k + 2) % 3
+        A[j, i], A[i, j] = 1.0, -1.0
+        C = A.T @ Q + Q @ A
+        rows.append([C[0, 1], C[0, 2], C[1, 2], C[0, 0], C[1, 1], C[2, 2]])
+    M = np.array(rows).T
+    _, s, vh = np.linalg.svd(M)
+    if s[0] == 0.0:
+        return np.eye(3)
+    return vh[int(np.sum(s > 1e-10 * s[0])):].T

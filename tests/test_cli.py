@@ -22,7 +22,7 @@ import jsonschema
 import homoglab
 from homoglab import _tol, cli, finite_groups
 from homoglab.cli import build_parser, format_matrix, load_matrix, main, parse_matrix_text
-from homoglab.constant_curvature import lens_group, sphere_displacement_range
+from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
 
 try:
@@ -187,7 +187,7 @@ def test_every_report_records_its_deciding_tolerances(capsys):
         (["check-clifford", "--model", "s3", "--group", "cyclic-4", *few], sphere),
         (["check-free", "--model", "s3", "--group", "cyclic-4"], sphere),
         (["check-killing", "--space", "hopf-1", *few], {"relative_gap": _tol.DISPLACEMENT}),
-        (["check-berger", "--a", "0.5", "--b", "1"], {"rank_cutoff": _tol.BERGER_CUTOFF}),
+        (["check-berger", "--a", "0.5", "--b", "1"], {}),
         (["check-homogeneity", "--model", "s3", "--group", "cyclic-4", *few],
          {**pipeline, "eigen": _tol.EIGEN}),
         (["check-homogeneity", "--model", "su2", "--group", "center", *few],
@@ -195,11 +195,10 @@ def test_every_report_records_its_deciding_tolerances(capsys):
         (["catalog", "verify", "1", *few], {"eigen": _tol.EIGEN, "geodesic": _tol.GEODESIC}),
         (["catalog", "verify", "10", *few], {"bracket": _tol.BRACKET}),
         (["catalog", "verify", "15", *few], {"bracket": _tol.BRACKET}),
-        (["catalog", "verify", "17", *few], {"rank_cutoff": _tol.BERGER_CUTOFF}),
+        (["catalog", "verify", "17", *few], {}),
         (["catalog", "verify", "2", *few], {}),
         (["catalog", "list"], {}),
-        (["probe-noncompact", "--motions", "3"],
-         {"closure": _tol.CLOSURE, "near_singular": _tol.NEAR_SINGULAR}),
+        (["probe-noncompact", "--motions", "3"], {"closure": _tol.CLOSURE}),
     ]
     assert {argv[0] for argv, _ in runs} == set(SCHEMA["properties"]["command"]["enum"])
     for argv, want in runs:
@@ -217,7 +216,7 @@ def test_sphere_witness_holds_at_a_tight_tolerance(capsys, model, group):
     """The exact forward re-check of a Clifford-Wolf deck stays at round-off,
     far below 1e-10, near displacement 0 and pi too."""
     code, rep = run_cli(capsys, "check-homogeneity", "--model", model, "--group", group,
-                        "--samples", "200", "--tol", "1e-10")
+                        "--samples", "200")
     assert code == 0, rep["verdict"]
     assert rep["evidence"]["rank_evidence"]["forward_max_gap"] <= 1e-10
 
@@ -330,7 +329,8 @@ def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, tmp_path, argv, o
     """One closure per run, through the one walk of finite_groups: a deck run
     certifies its list once (closure_certificate) and builds no table;
     construct reads the quaternion group's one Cayley table off the walk
-    (cayley_table), and the table serves classify and the space-form screen;
+    (cayley_table), and the table and its element orders, computed once,
+    serve classify and the space-form screen;
     is_free_on_sphere closes nothing.  The walk forms its products as at most
     floor(log2 k) columns of k products each, every one paired by _pair, so
     no run forms the k^2 products of the whole table."""
@@ -359,13 +359,21 @@ def test_a_quaternion_deck_is_closed_once(capsys, monkeypatch, tmp_path, argv, o
         columns.append(prods.shape)
         return original(prods, flat, order)
 
+    def ordering(table, identity, original=finite_groups.element_orders):
+        orders.append(len(table))
+        return original(table, identity)
+
+    orders = []
     monkeypatch.setattr(finite_groups, "_walk", walking)
     monkeypatch.setattr(finite_groups, "_pair", pairing)
+    monkeypatch.setattr(finite_groups, "element_orders", ordering)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
-    closure = "cayley_table" if argv[0] == "construct" else "closure_certificate"
-    assert built == [(closure, order)]
+    construct = argv[0] == "construct"
+    assert built == [("cayley_table" if construct else "closure_certificate", order)]
     assert walks == [order]
+    # construct reads the orders once, for classify and the space-form screen
+    assert orders == ([order] if construct else [])
     # binary-icosahedral: at most floor(log2 120) = 6 columns of 120 products
     assert 1 <= len(columns) <= order.bit_length() - 1
     assert set(columns) == {(order, 16)}
@@ -554,10 +562,9 @@ def test_homogeneity_group_manifold_model(capsys):
 
 @pytest.mark.parametrize("model", ["s3", "su2"], ids=["sphere", "group"])
 def test_tol_does_not_decide_freeness(capsys, model):
-    """--tol bounds the forward re-check only: every model decides freeness
-    at EIGEN, so a large --tol does not make x -> -x fix a point."""
-    code, rep = run_cli(capsys, "check-homogeneity", "--model", model, "--group", "cyclic-2",
-                        "--tol", "10")
+    """Every model decides freeness at EIGEN, and only the forward re-check
+    reads DISPLACEMENT: x -> -x is free, and the report says so."""
+    code, rep = run_cli(capsys, "check-homogeneity", "--model", model, "--group", "cyclic-2")
     assert (code, rep["verdict"], rep["evidence"]["free"]) == (0, "HomogeneousWitnessFound", True)
     assert rep["tolerances"]["eigen"] == _tol.EIGEN
 
@@ -578,6 +585,30 @@ def test_probe_noncompact(capsys):
     assert rep["evidence"]["central_displacement_zero"] is True
 
 
+def test_probe_noncompact_draws_det_one_motions(capsys, monkeypatch):
+    """Every hyperbolic draw, [[a, b], [c, (1 + bc)/a]] with a = e^N(0,1),
+    has det 1 to round-off, far inside HyperbolicMotion's check, and its
+    sups over the nested balls strictly increase; the central motions +-I,
+    bounded, are left out."""
+    draws, dets = [], []
+
+    def probe(motion, original=cli.hyperbolic_bounded_probe):
+        bounded, sups = original(motion)
+        if not bounded:
+            draws.append(sups)
+            dets.append(np.linalg.det(motion.matrix))
+        return bounded, sups
+
+    monkeypatch.setattr(cli, "hyperbolic_bounded_probe", probe)
+    for seed in range(20):
+        code, rep = run_cli(capsys, "probe-noncompact", "--motions", "100", "--seed", str(seed))
+        assert (code, rep["evidence"]["hyperbolic_strictly_increasing"]) == (0, 100)
+    sups = np.array(draws)
+    assert sups.shape[0] == 2000
+    assert np.all(sups[:, 0] > 0) and np.all(sups[:, 1:] > sups[:, :-1])
+    assert np.max(np.abs(np.array(dets) - 1)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # usage and configuration failures exit 2
 
@@ -589,7 +620,7 @@ def test_probe_noncompact(capsys):
         ["check-clifford", "--model", "q3", "--group", "cyclic-2"],
         ["check-clifford", "--model", "s3", "--group", "no-such-group"],
         ["check-clifford", "--model", "s3", "--group", "cyclic-2", "--samples", "3"],
-        ["check-homogeneity", "--model", "s3", "--group", "cyclic-2", "--tol", "0"],
+        ["check-killing", "--space", "hopf-1", "--tol", "0"],
         ["check-clifford", "--model", "s3", "--matrix-file", "/nonexistent/m.txt"],
         ["check-free", "--model", "s5", "--group", "binary-dihedral-3"],
         ["check-killing", "--space", "so9000"],
@@ -685,7 +716,7 @@ def test_counts_at_their_bound_parse():
         ["check-homogeneity", "--model", "s3"],
         ["construct", "--group", "cyclic-3", "--seed", "-1"],
         ["check-killing", "--space", "hopf-1", "--tol", "nan"],
-        ["check-homogeneity", "--model", "s3", "--group", "cyclic-3", "--tol", "inf"],
+        ["check-killing", "--space", "hopf-1", "--tol", "inf"],
         ["catalog", "show"],
         [],
         ["check-clifford", "--model", "s3", "--group", "cyclic-2", "--samples", "1000000000"],
@@ -705,7 +736,7 @@ def test_malformed_argv_exits_2_with_one_stderr_line(capsys, argv):
 _READS = {
     "check-clifford": ("--samples",),
     "check-killing": ("--samples", "--tol"),
-    "check-homogeneity": ("--samples", "--tol"),
+    "check-homogeneity": ("--samples",),
     "catalog verify": ("--samples",),
 }
 _VALID = {
@@ -713,6 +744,7 @@ _VALID = {
     "check-clifford": ["check-clifford", "--model", "s3", "--group", "binary-tetrahedral"],
     "check-free": ["check-free", "--model", "s3", "--group", "binary-icosahedral"],
     "check-berger": ["check-berger", "--a", "1", "--b", "1"],
+    "check-homogeneity": ["check-homogeneity", "--model", "s3", "--group", "cyclic-3"],
     "catalog list": ["catalog", "list"],
     "catalog verify": ["catalog", "verify", "10"],
     "probe-noncompact": ["probe-noncompact", "--motions", "3"],
@@ -894,31 +926,22 @@ def test_the_largest_deck_under_the_table_bound_passes_its_check(monkeypatch, un
     assert under_work <= finite_groups._TABLE_WORK < over_work
 
 
-@pytest.mark.parametrize("model", ["s3", "su2"], ids=["sphere", "group"])
+@pytest.mark.parametrize("model", ["su2"], ids=["group"])
 def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch, model):
     """A failed internal consistency check is refused like a usage error.
-    The sphere case runs the real forward re-check with --tol below the
-    deck's actual spread, which no other decision reads; the group case
-    widens only the upper end of every displacement range, which leaves
-    freeness and the constancy flags as they are."""
+    The forward re-check can fire on a group manifold only (on a sphere a
+    witness has every spread within EIGEN): widening the upper end of every
+    displacement range leaves freeness and the constancy flags as they are."""
     from homoglab import verifier
 
-    if model == "s3":
-        # a few ulps: every element has constant displacement
-        lo, hi = sphere_displacement_range(np.stack(cli.sphere_group_matrices("binary-icosahedral", 4)))
-        spread = float(np.max(hi - lo))
-        assert 0.0 < spread <= _tol.DISPLACEMENT
-        argv = ["--group", "binary-icosahedral", "--tol", repr(spread / 2)]
-    else:
-        real = verifier._translation_ranges
+    real = verifier._translation_ranges
 
-        def wide_ranges(*args):
-            lo, hi = real(*args)
-            return lo, hi + 1.0
+    def wide_ranges(*args):
+        lo, hi = real(*args)
+        return lo, hi + 1.0
 
-        monkeypatch.setattr(verifier, "_translation_ranges", wide_ranges)
-        argv = ["--group", "center"]
-    assert main(["check-homogeneity", "--model", model] + argv) == 2
+    monkeypatch.setattr(verifier, "_translation_ranges", wide_ranges)
+    assert main(["check-homogeneity", "--model", model, "--group", "center"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()

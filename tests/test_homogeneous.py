@@ -46,6 +46,7 @@ from homoglab.homogeneous import (
     u1_centralizer_direction,
     weyl_group_order,
 )
+from oracles import berger_isometry_oracle
 
 SU3 = CompactGroupSpec("SU", 3)
 
@@ -497,6 +498,36 @@ def test_berger_round_case_recovers_full_algebra():
     assert len(rep.matrix_basis) == 3
     for X in rep.matrix_basis:
         assert np.max(np.abs(X + X.conj().T)) < 1e-10
+
+
+def _berger_pairs(rng):
+    """A 10 x 10 grid of 0 < a <= b <= 1, and random pairs: a < b < 1, on the
+    edge a = b and on the edge b = 1."""
+    grid = np.linspace(0.1, 1.0, 10)
+    pairs = [(a, b) for a in grid for b in grid if a <= b] + [(1e-9, 1e-9), (1e-9, 1.0)]
+    a, b = np.sort(rng.uniform(1e-6, 1.0, size=(2, 1000)), axis=0)
+    return pairs + [*zip(a, b), *zip(a, a), *zip(a, np.ones_like(a))]
+
+
+def test_berger_closed_form_matches_the_null_space_oracle(rng):
+    """The closed form spans the oracle's null space: the same dimension,
+    and the oracle's basis is the chosen T_k up to sign."""
+    T = np.stack(su2_half_pauli_basis())
+    for a, b in _berger_pairs(rng):
+        rep = berger_right_isometry_algebra(a, b)
+        want = berger_isometry_oracle(a, b)
+        assert rep.dimension == want.shape[1] == len(rep.matrix_basis), (a, b)
+        got = np.stack([np.einsum("k,kij->ij", c, T) for c in want.T]) if rep.dimension else []
+        for X, Y in zip(rep.matrix_basis, got):
+            assert min(np.max(np.abs(X - Y)), np.max(np.abs(X + Y))) <= 1e-12, (a, b)
+
+
+def test_berger_near_round_fibre_is_not_a_berger_metric():
+    """b = 1 - 1e-12 is not 1: no T_k has equal other coefficients, so the
+    algebra is 0, where the thresholded SVD of the oracle still answers 1."""
+    a, b = 0.5, 1 - 1e-12
+    assert berger_right_isometry_algebra(a, b).dimension == 0
+    assert berger_isometry_oracle(a, b).shape[1] == 1
 
 
 def test_berger_rejects_bad_coefficients():

@@ -40,3 +40,25 @@ def test_readme_table_lists_every_tolerance_with_its_value():
     text = README.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([A-Z_]+)` +\| ([0-9.e+-]+) +\|", text, flags=re.M)
     assert {name: float(value) for name, value in rows} == names
+
+
+def _tolerances_read(path):
+    """Names read from ``_tol`` by a source file: ``_tol.NAME`` attributes and
+    names imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_tol":
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_tol"):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_tolerance_is_read_by_another_module():
+    """A tolerance no decision reads is dead: each upper-case name of
+    ``_tol`` is read somewhere else in the package."""
+    names = {k for k in vars(_tol) if k.isupper()}
+    read = set().union(*(_tolerances_read(path) for path in PACKAGE.glob("*.py")
+                         if path.name != "_tol.py"))
+    assert names - read == set()

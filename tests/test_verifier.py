@@ -770,12 +770,13 @@ def test_the_pipeline_draws_no_point(monkeypatch, capsys):
 def test_config_validation():
     with pytest.raises(InvalidParameter):
         VerifyConfig(samples=5)
-    with pytest.raises(InvalidParameter):
+    # the re-check bound is fixed at DISPLACEMENT, not a knob
+    with pytest.raises(TypeError):
         VerifyConfig(tol=0.0)
 
 
 def test_config_has_no_descent_settings():
-    for knob in ("multistarts", "refine_steps"):
+    for knob in ("multistarts", "refine_steps", "tol"):
         with pytest.raises(TypeError):
             VerifyConfig(**{knob: 4})
 
@@ -809,7 +810,7 @@ def centralizer_oracle(deck):
         np.column_stack([_vec(_ad_isometry_oracle(deck.model, g, b) - b) for b in basis])
         for g in deck.elements
     ])
-    return np.eye(len(basis)) if np.max(np.abs(M)) <= 1e-12 else null_space(M, rel_cutoff=1e-8)
+    return np.eye(len(basis)) if np.max(np.abs(M)) <= 1e-12 else null_space(M)
 
 
 @pytest.mark.parametrize(
