@@ -44,8 +44,8 @@ ZERO = 1e-12
 PROJECTOR_SPLIT = 0.5
 # largest displacement spread of the pipeline's forward re-check
 # ("displacement"; freeness is decided at EIGEN on every model), and the
-# default check-killing --tol, its largest relative Killing length gap
-# ("relative_gap")
+# largest relative Killing length gap of check-killing ("relative_gap"): a
+# constant field measures within about 1e-14 of 0, any other above 0.5
 DISPLACEMENT = 1e-7
 # a constant-displacement map slides a great circle along itself: g u against
 # cos c u - sin c x (invariant_geodesic_check; "geodesic")

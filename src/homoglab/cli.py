@@ -9,14 +9,13 @@ configuration errors.  Identical command + seed give byte-identical evidence
 (wall_time_ms is outside the determinism claim).
 
 Matrix files are plain text: first line the size n, then n rows of n
-whitespace-separated entries, complex entries written as "re,im".
+whitespace-separated real entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -70,8 +69,6 @@ from .verifier import (
     verify_instance,
 )
 
-SEED_ENV = "HOMOGLAB_SEED"
-
 _PASS_VERDICTS = {
     "Constructed",
     "Computed",
@@ -94,10 +91,7 @@ def format_matrix(M: np.ndarray) -> str:
     M = np.asarray(M)
     lines = [str(M.shape[0])]
     for row in M:
-        if np.iscomplexobj(M):
-            lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-        else:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
+        lines.append(" ".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -112,7 +106,6 @@ def parse_matrix_text(text: str) -> np.ndarray:
     if n < 1 or len(lines) != n + 1:
         raise ParseError(f"expected {n} rows after the size line, got {len(lines) - 1}")
     rows = []
-    is_complex = False
     for k, ln in enumerate(lines[1:], start=2):
         tokens = ln.split()
         if len(tokens) != n:
@@ -120,16 +113,11 @@ def parse_matrix_text(text: str) -> np.ndarray:
         row = []
         for tok in tokens:
             try:
-                if "," in tok:
-                    re_s, im_s = tok.split(",")
-                    row.append(complex(float(re_s), float(im_s)))
-                    is_complex = True
-                else:
-                    row.append(float(tok))
+                row.append(float(tok))
             except ValueError:
                 raise ParseError(f"line {k}: cannot parse entry {tok!r}")
         rows.append(row)
-    return np.array(rows, dtype=complex if is_complex else float)
+    return np.array(rows)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -310,10 +298,6 @@ def _cmd_construct(args, rng):
 
 def _real_orthogonal_from_file(path: str, model: SphereModel) -> np.ndarray:
     M = load_matrix(path)
-    if np.iscomplexobj(M):
-        if not np.all(M.imag == 0):  # NaN parts fail too
-            raise ModelMismatch("sphere isometries must be real orthogonal")
-        M = M.real
     if M.shape != (model.ambient_dim, model.ambient_dim):
         raise ModelMismatch(
             f"matrix is {M.shape[0]}x{M.shape[1]}, model needs {model.ambient_dim}"
@@ -378,7 +362,7 @@ def _cmd_check_killing(args, rng):
     if args.directions is not None and args.space != "so5-so3":
         raise InvalidParameter("--directions applies to so5-so3 only")
     inputs = {"space": args.space}
-    tolerances = {"relative_gap": args.tol}
+    tolerances = {"relative_gap": _tol.DISPLACEMENT}
     if group:
         spec = parse_model(args.space).spec
         xi = random_algebra_element(spec, rng, unit=True)
@@ -408,11 +392,9 @@ def _cmd_check_killing(args, rng):
             prof = killing_length_profile(space, xi, args.samples, rng)
             gaps.append(prof.relative_gap)
         evidence = {"directions": directions, "min_relative_gap": float(min(gaps))}
-        verdict = (
-            "NotConstantLength" if min(gaps) > args.tol else "ConstantLength"
-        )
+        verdict = "NotConstantLength" if min(gaps) > _tol.DISPLACEMENT else "ConstantLength"
         return inputs, tolerances, evidence, verdict
-    verdict = "ConstantLength" if prof.relative_gap <= args.tol else "NotConstantLength"
+    verdict = "ConstantLength" if prof.relative_gap <= _tol.DISPLACEMENT else "NotConstantLength"
     return inputs, tolerances, _profile_evidence(prof), verdict
 
 
@@ -541,24 +523,13 @@ def _count(low: int, high: int):
     return count
 
 
-def _tolerance(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not 0 < x < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return x
-
-
 def _add_common(p: argparse.ArgumentParser, samples: bool = False) -> None:
     """--seed and --output on every subcommand; --samples only where the
     subcommand reads it, so a flag it would ignore is refused.  The
     exceptions: check-clifford, check-homogeneity and catalog verify draw no
     points but still take and range-check --samples, which existing scripts
     pass them."""
-    # None: main reads HOMOGLAB_SEED on each call, not once per parser
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=str, default=None)
     if samples:
         p.add_argument("--samples", type=_count(10, _MAX_SAMPLES), default=1000)
@@ -603,8 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     # None when not given: each is refused on the spaces it does not act on
     p.add_argument("--field", choices=["left", "right"], default=None)
     p.add_argument("--directions", type=_count(1, _MAX_SAMPLES), default=None)
-    # the one subcommand whose verdict a tolerance flag decides
-    p.add_argument("--tol", type=_tolerance, default=_tol.DISPLACEMENT)
     _add_common(p, samples=True)
 
     p = sub.add_parser("check-berger", help="right-isometry algebra of a left-invariant metric on the 3-sphere group")
@@ -651,11 +620,6 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.seed is None:
-            try:
-                args.seed = int(os.environ.get(SEED_ENV, "0"))
-            except ValueError as e:
-                raise InvalidParameter(f"{SEED_ENV}: {e}") from None
         if args.seed < 0:
             raise InvalidParameter("--seed must be non-negative")
         rng = np.random.default_rng(args.seed)

@@ -22,10 +22,6 @@ class NonUnitPoint(HomoglabError, ValueError):
     pass
 
 
-class NonOrthogonalInput(HomoglabError, ValueError):
-    pass
-
-
 class NotClosed(HomoglabError, ValueError):
     pass
 
@@ -60,6 +56,10 @@ class UnsupportedType(HomoglabError, ValueError):
 
 class ModelMismatch(HomoglabError, ValueError):
     pass
+
+
+class NonOrthogonalInput(ModelMismatch):
+    """A matrix given as an isometry of a sphere is not orthogonal."""
 
 
 class ParseError(HomoglabError, ValueError):

@@ -50,7 +50,7 @@ from .compact_lie import (
     center_elements,
     check_in_group,
 )
-from .constant_curvature import is_free_on_sphere, sphere_displacement_range
+from .constant_curvature import check_orthogonal, is_free_on_sphere, sphere_displacement_range
 from .errors import (
     InvalidParameter,
     InvariantViolated,
@@ -128,12 +128,7 @@ class DeckGroup:
             raise ModelMismatch(f"expected {n}x{n} matrices")
         if not mats:
             raise InvalidParameter("deck group is empty")
-        mats = np.stack(mats)
-        # written so that NaN entries fail too; every entry of an orthogonal
-        # matrix lies in [-1, 1], so a larger one is refused before the product
-        if not (np.max(np.abs(mats)) <= 1.0 + _tol.ORTHOGONAL
-                and np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - np.eye(n))) <= _tol.ORTHOGONAL):
-            raise ModelMismatch("element is not orthogonal")
+        mats = check_orthogonal(np.stack(mats))
         closure_certificate(mats)
         object.__setattr__(self, "matrices", mats)
 
