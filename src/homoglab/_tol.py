@@ -13,9 +13,8 @@ Where a CLI report records a value, its comment gives the ``tolerances`` key.
 CLOSURE = 1e-9
 # the exact displacement range [lo, hi] of an orthogonal map spreads over at
 # most this, hi - lo (constant displacement on the sphere), or a deck element
-# fixes a point: an eigenvalue lies this close to +1, the least singular value
-# of I - g, on a sphere; its least displacement lo is at most this on a group
-# manifold ("eigen")
+# fixes a point: its least eigen-angle |arg λ| is at most this on a sphere;
+# its least displacement lo is at most this on a group manifold ("eigen")
 EIGEN = 1e-9
 # a real matrix is orthogonal; a point or a quaternion has unit norm
 ORTHOGONAL = 1e-10

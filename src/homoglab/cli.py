@@ -1,7 +1,8 @@
 """Command-line interface: construct groups, run displacement/freeness/Killing
 checks, drive the homogeneity pipeline, verify catalog entries, and probe
 noncompact model spaces.  Every run emits one JSON report with the fields
-command, inputs, seed, tolerances, evidence, verdict, wall_time_ms; the report
+command, inputs, seed, tolerances, evidence, verdict, wall_time_ms, printed as
+one line with sorted keys (``python -m json.tool`` indents it); the report
 validates against data/report_schema.json.
 
 Exit codes: 0 for a pass/witness verdict, 1 for a fail verdict, 2 for usage or
@@ -247,7 +248,7 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
 def _emit(report: dict, output: str | None) -> None:
     """Write the report to ``output``, if given, then print it; an unwritable
     ``output`` is refused before anything reaches stdout."""
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True)  # no indent, so json's C encoder runs
     if output:
         try:
             with open(output, "w") as fh:

@@ -1,14 +1,15 @@
 """Displacement analysis on the model spaces of constant curvature.
 
-Spheres get the exact range [lo, hi] of the displacement over the sphere,
-from two singular-value calls, and the constancy test reads it: a map has
-constant displacement iff hi - lo vanishes (to ``_tol.EIGEN``), and then
-moves every point by lo.  Freeness reads the least singular value of I - g,
-the distance of g's eigenvalues from +1.  Lens group constructors and a
-geodesic invariance check complete the sphere part.  Flat space and the
-hyperbolic plane get boundedness probes: a Euclidean motion has bounded
-displacement iff its linear part is the identity, and a hyperbolic isometry
-iff it is +-I.
+Spheres are decided by eigen-angles, the |arg λ| of each eigenvalue λ of g,
+from one ``eigvals`` call per stack.  Their least and greatest are the exact
+range [lo, hi] of the displacement over the sphere, and the constancy test
+reads it: a map has constant displacement iff hi - lo vanishes (to
+``_tol.EIGEN``), and then moves every point by lo.  Freeness reads the least
+eigen-angle, the angular distance of g's eigenvalues from +1.  Lens group
+constructors and a geodesic invariance check complete the sphere part.
+Flat space and the hyperbolic plane get boundedness probes: a Euclidean
+motion has bounded displacement iff its linear part is the identity, and a
+hyperbolic isometry iff it is +-I.
 
 The sphere kernels take one orthogonal matrix or a (k, n, n) stack of them; a
 single matrix is evaluated as a stack of one.
@@ -35,13 +36,17 @@ from .finite_groups import check_table_work
 
 
 def check_orthogonal(g: np.ndarray) -> np.ndarray:
-    """Return ``g`` as a float array if it is an orthogonal matrix, or a
+    """Return ``g`` as a float array if it is a real orthogonal matrix, or a
     non-empty stack of them along its leading axis, within ``_tol.ORTHOGONAL``;
-    NonOrthogonalInput when any member fails."""
+    NonOrthogonalInput when any member fails, and on complex input, whose
+    imaginary part a float cast would drop."""
     try:
-        g = np.asarray(g, dtype=float)
+        g = np.asarray(g)
     except ValueError:  # a ragged list of matrices
         raise NonOrthogonalInput("expected square matrices of one size") from None
+    if g.dtype.kind not in "biuf":  # complex, or entries that are not numbers
+        raise NonOrthogonalInput("expected a real matrix")
+    g = g.astype(float, copy=False)
     if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2] or g.size == 0:
         raise NonOrthogonalInput("expected a square matrix")
     # written so that NaN entries fail too; every entry of an orthogonal matrix
@@ -58,24 +63,24 @@ def _orthogonal_stack(g: np.ndarray) -> np.ndarray:
     return g.reshape((-1,) + g.shape[-2:])
 
 
+def _eigen_angles(stack: np.ndarray) -> np.ndarray:
+    """The eigen-angles |arg λ| of each matrix of a (k, n, n) orthogonal stack,
+    as a (k, n) array, from one ``eigvals`` call; a normal matrix has them
+    exact to absolute round-off, near 0 and pi too."""
+    return np.abs(np.angle(np.linalg.eigvals(stack)))
+
+
 def sphere_displacement_range(g: np.ndarray):
     """Exact least and greatest displacement of an orthogonal map over the
-    unit sphere, each attained at an eigenvector of its symmetric part S.
+    unit sphere: its least and greatest eigen-angle |arg λ|.
 
-    At a unit x, |x - gx|^2 = 2 - 2 x^T S x and |x + gx|^2 = 2 + 2 x^T S x, so
-    the least |x - gx|, the least singular value of I - g, comes with the
-    greatest |x + gx|, the greatest singular value of I + g, and the other way
-    round.  Both ends are Kahan's 2 atan2(|x - gx|, |x + gx|), accurate to
-    round-off near 0 and pi, from two batched singular-value calls, and equal
-    the least and greatest eigen-angle |arg λ| of g.  One matrix gives
-    (lo, hi) as floats, a stack two arrays.
+    In the invariant planes of g, a unit x with components x_j of norm c_j
+    moves by the angle arccos(sum c_j^2 cos θ_j), which runs between the
+    least and the greatest θ_j and attains both in their planes.  One matrix
+    gives (lo, hi) as floats, a stack two arrays.
     """
-    stack = _orthogonal_stack(g)
-    eye = np.eye(stack.shape[-1])
-    minus = np.linalg.svd(eye - stack, compute_uv=False)  # descending
-    plus = np.linalg.svd(eye + stack, compute_uv=False)
-    lo = 2.0 * np.arctan2(minus[:, -1], plus[:, 0])
-    hi = 2.0 * np.arctan2(minus[:, 0], plus[:, -1])
+    angles = _eigen_angles(_orthogonal_stack(g))
+    lo, hi = angles.min(axis=1), angles.max(axis=1)
     if np.ndim(g) == 2:
         return float(lo[0]), float(hi[0])
     return lo, hi
@@ -110,22 +115,19 @@ class FreenessResult:
 
 def is_free_on_sphere(group) -> FreenessResult:
     """True when no non-identity element of the list fixes a point, i.e. no
-    eigenvalue lies within ``_tol.EIGEN`` of +1; the offender is the first
-    such element in list order.  An element within ``_tol.CLOSURE`` of the
-    identity is the identity.  An orthogonal map is normal, so the distances
-    |λ - 1| are the singular values of I - g, and the least one is read.
+    eigen-angle |arg λ| is within ``_tol.EIGEN`` of 0; the offender is the
+    first such element in list order.  An element within ``_tol.CLOSURE`` of
+    the identity is the identity.  The least eigen-angle of each moving
+    element is read, exact to absolute round-off since g is normal.
 
     Each element is tested on its own; that the list is a group is checked
     where a deck is built (``verifier.sphere_deck``).
     """
     arr = _orthogonal_stack(group)
-    n = arr.shape[1]
-    moving = np.nonzero(~_at_identity(arr))[0]
-    if moving.size:
-        gaps = np.linalg.svd(np.eye(n) - arr[moving], compute_uv=False)[:, -1]
-        fixing = moving[gaps <= _tol.EIGEN]
-        if fixing.size:
-            return FreenessResult(False, int(fixing[0]))
+    moving = np.flatnonzero(~_at_identity(arr))
+    fixing = moving[_eigen_angles(arr[moving]).min(axis=1) <= _tol.EIGEN]
+    if fixing.size:
+        return FreenessResult(False, int(fixing[0]))
     return FreenessResult(True, None)
 
 
@@ -219,15 +221,16 @@ def euclidean_bounded(motion: EuclideanMotion):
 
     The per-radius maximum of |(A - I) x + b| is evaluated on the singular
     directions of A - I and the coordinate axes, which attains the exact value
-    R * sigma_max(A - I) in the homogeneous case.
+    R * sigma_max(A - I) in the homogeneous case.  Those directions are the
+    eigenvectors of A + A^T, since (A - I)^T (A - I) = 2I - (A + A^T).
     """
     A = motion.rotation
     b = motion.translation
     n = A.shape[0]
     bounded = bool(_at_identity(A))
     M = A - np.eye(n)
-    _, _, vh = np.linalg.svd(M)
-    dirs = [v for v in vh] + [e for e in np.eye(n)]
+    _, V = np.linalg.eigh(A + A.T)
+    dirs = [v for v in V.T] + [e for e in np.eye(n)]
     if np.linalg.norm(b) > 0:
         dirs.append(b / np.linalg.norm(b))
     dirs = np.array(dirs)

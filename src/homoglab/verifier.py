@@ -123,12 +123,11 @@ class DeckGroup:
 
     def _validate_sphere(self):
         n = self.model.ambient_dim
-        mats = [np.asarray(g, dtype=float) for g in self.elements]
-        if any(g.shape != (n, n) for g in mats):
-            raise ModelMismatch(f"expected {n}x{n} matrices")
-        if not mats:
+        if not self.elements:
             raise InvalidParameter("deck group is empty")
-        mats = check_orthogonal(np.stack(mats))
+        mats = check_orthogonal(self.elements)
+        if mats.shape[1:] != (n, n):
+            raise ModelMismatch(f"expected {n}x{n} matrices")
         closure_certificate(mats)
         object.__setattr__(self, "matrices", mats)
 
@@ -151,12 +150,12 @@ class DeckGroup:
 
 
 def sphere_deck(matrices) -> DeckGroup:
-    """The deck of a list of orthogonal matrices, on the sphere of the first
-    one's size."""
-    mats = [np.asarray(m, dtype=float) for m in matrices]
+    """The deck of a list or a (k, n, n) stack of orthogonal matrices, on the
+    sphere of the first one's size; the deck converts and checks them once."""
+    mats = tuple(matrices)
     if not mats:
         raise InvalidParameter("deck group is empty")
-    return DeckGroup(SphereModel(mats[0].shape[0]), tuple(mats))
+    return DeckGroup(SphereModel(len(mats[0])), mats)
 
 
 def sphere_deck_from_quaternions(group: FiniteQuaternionGroup) -> DeckGroup:
@@ -330,12 +329,10 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         free = free_offender is None
     # a constant map moves every point by its least displacement
     values = np.where(constant, lo, hi - lo)
-    elements = tuple(
-        ElementEvidence(i, bool(c), float(v)) for i, (c, v) in enumerate(zip(constant, values))
-    )
+    elements = tuple(map(ElementEvidence, range(deck.order), constant.tolist(), values.tolist()))
 
     min_rank, dim = transitivity_rank(Z, model)
-    all_constant = all(e.constant for e in elements)
+    all_constant = bool(constant.all())
     verdict = verdict_from_evidence(free, all_constant, min_rank, dim)
 
     forward_max_gap = None

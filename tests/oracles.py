@@ -3,11 +3,12 @@ abstract SL(2, F_p) table, the scalar product of two quaternions, the
 right-translation and SU(2) images of a unit quaternion, the minimal-norm
 logarithm of a compact group element and the fixed point of an inverted
 two-sided translation, the commutator test of constant displacement of a
-two-sided translation, displacement statistics over Haar points on a
-sphere, Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley
-table of a matrix list from all k^2 products, the real coordinate
-vector of a matrix, and the Berger isometry algebra as the null space of
-its linear system.  A quaternion is a row (w, x, y, z)."""
+two-sided translation, the displacement range of an orthogonal map from
+singular values and displacement statistics over Haar points on a sphere,
+Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley table of a
+matrix list from all k^2 products, the real coordinate vector of a matrix,
+and the Berger isometry algebra as the null space of its linear system.  A
+quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
 
@@ -254,6 +255,22 @@ def _angles(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(
         np.sqrt(np.einsum("ksi,ksi->ks", d, d)), np.sqrt(np.einsum("ksi,ksi->ks", s, s))
     )
+
+
+def kahan_sphere_range(g: np.ndarray) -> tuple[float, float]:
+    """Least and greatest displacement of one orthogonal map over the unit
+    sphere, from singular values rather than eigenvalues.
+
+    At a unit x, |x - gx|^2 = 2 - 2 x^T S x and |x + gx|^2 = 2 + 2 x^T S x for
+    the symmetric part S of g, so the least |x - gx|, the least singular value
+    of I - g, comes with the greatest |x + gx|, the greatest singular value of
+    I + g, and the other way round.  Both ends are Kahan's
+    2 atan2(|x - gx|, |x + gx|), accurate to round-off near 0 and pi."""
+    eye = np.eye(len(g))
+    minus = np.linalg.svd(eye - g, compute_uv=False)  # descending
+    plus = np.linalg.svd(eye + g, compute_uv=False)
+    return (float(2.0 * np.arctan2(minus[-1], plus[0])),
+            float(2.0 * np.arctan2(minus[0], plus[-1])))
 
 
 def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Generator):

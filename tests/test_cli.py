@@ -157,12 +157,30 @@ def test_seed_env_variable(capsys, monkeypatch):
     assert rep["seed"] == 5
 
 
-def test_output_file_matches_stdout(capsys, tmp_path):
+_ONE_RUN_EACH = [
+    ["construct", "--group", "binary-tetrahedral"],
+    ["check-clifford", "--model", "s3", "--group", "lens-7-1-2"],
+    ["check-free", "--model", "s3", "--group", "cyclic-4"],
+    ["check-killing", "--space", "hopf-1", "--samples", "20"],
+    ["check-berger", "--a", "1.0", "--b", "1.0"],
+    ["check-homogeneity", "--model", "s3", "--group", "binary-icosahedral"],
+    ["catalog", "list"],
+    ["probe-noncompact", "--motions", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_RUN_EACH, ids=[argv[0] for argv in _ONE_RUN_EACH])
+def test_a_report_is_one_sorted_line_and_the_output_file_holds_it(capsys, tmp_path, argv):
+    """A report prints as one line of JSON with sorted keys and the C
+    encoder's default separators; --output writes the same text."""
+    assert {a[0] for a in _ONE_RUN_EACH} == set(SCHEMA["properties"]["command"]["enum"])
     out = tmp_path / "rep.json"
-    code = main(["check-berger", "--a", "1.0", "--b", "1.0", "--output", str(out)])
+    main([*argv, "--output", str(out)])
     printed = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out.read_text()) == json.loads(printed)
+    (line,) = printed.splitlines()
+    assert printed == line + "\n"
+    assert line == json.dumps(json.loads(line), sort_keys=True)
+    assert out.read_text() == printed
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])

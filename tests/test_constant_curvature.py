@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from homoglab import constant_curvature
+from homoglab import _tol, constant_curvature
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import (
     EuclideanMotion,
@@ -425,8 +425,9 @@ _ANGLES = st.sampled_from([0.0, 1e-12, 1e-8, np.pi - 1e-8, np.pi - 1e-12, np.pi]
 @given(st.integers(3, 8), st.lists(_ANGLES, min_size=4, max_size=4), st.booleans(),
        st.integers(0, 2**32 - 1))
 def test_sphere_range_is_exact(n, angles, reflect, seed):
-    """On O(n): the range equals the least and greatest eigen-angle, and
-    sampled displacements never leave it."""
+    """On O(n): the range equals the singular-value range of the oracle,
+    sampled displacements never leave it, and freeness flags exactly the
+    non-identity maps whose least displacement is at most ``_tol.EIGEN``."""
     rng = np.random.default_rng(seed)
     blocks = [rotation_block(t) for t in angles[: n // 2]]
     if n % 2:
@@ -436,11 +437,13 @@ def test_sphere_range_is_exact(n, angles, reflect, seed):
     q = haar_orthogonal(n, rng)
     g = q @ block_diag(*blocks) @ q.T
     lo, hi = sphere_displacement_range(g)
-    eigen_angles = np.abs(np.angle(np.linalg.eigvals(g)))
-    assert abs(lo - eigen_angles.min()) <= 1e-14
-    assert abs(hi - eigen_angles.max()) <= 1e-14
+    want_lo, want_hi = oracles.kahan_sphere_range(g)
+    assert abs(lo - want_lo) <= 1e-14
+    assert abs(hi - want_hi) <= 1e-14
     prof = sphere_displacement_profile(g, 2000, rng)
     assert lo - 1e-14 <= prof.min and prof.max <= hi + 1e-14
+    moving = np.max(np.abs(g - np.eye(n))) > _tol.CLOSURE
+    assert is_free_on_sphere([g]).free == (not moving or want_lo > _tol.EIGEN)
 
 
 def test_check_orthogonal_checks_every_member_of_a_stack():
@@ -456,6 +459,16 @@ def test_check_orthogonal_checks_every_member_of_a_stack():
             check_orthogonal(g)
     with pytest.raises(NonOrthogonalInput):
         is_free_on_sphere([np.eye(4), bad])
+
+
+def test_complex_input_is_refused_where_sphere_matrices_enter():
+    """A float cast would drop the imaginary part: I + 0.5i I would pass as I,
+    and {I, (-1 + 2i) I} as the deck {I, -I}."""
+    eye = np.eye(4)
+    with pytest.raises(NonOrthogonalInput, match="real"):
+        check_orthogonal(eye + 0.5j * eye)
+    with pytest.raises(NonOrthogonalInput, match="real"):
+        sphere_deck([eye, (-1 + 2j) * eye])
 
 
 def cyclic_closure_oracle(M, limit=10_000):
