@@ -16,6 +16,12 @@ def _blocks(count: int, entries: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: the arrays of a process-wide cache are shared."""
+    a.flags.writeable = False
+    return a
+
+
 def _at_identity(g: np.ndarray) -> np.ndarray:
     """Whether a matrix, or each matrix of a stack, lies within
     ``_tol.CLOSURE`` of the identity in max-abs entry distance; a NaN entry
@@ -55,8 +61,15 @@ def trace_coords(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Coordinates -trace(B_k X) of X against a stack of basis matrices B_k:
     shape (k,) for one matrix, (..., k) for a stack.  For a basis orthonormal
     in -trace(XY) these are the coordinates of X's projection onto its span,
-    and ``trace_coords(B, B)`` is the Gram matrix of B."""
-    return -np.einsum("kij,...ji->...k", basis, X).real
+    and ``trace_coords(B, B)`` is the Gram matrix of B.  One real GEMM of the
+    flattened B^T against the flattened X; for complex X, Re trace(B X) is
+    Re B · Re X - Im B · Im X over the interleaved (re, im) entries of X."""
+    k, d = len(basis), basis.shape[-1]
+    bt = basis.swapaxes(-1, -2).reshape(k, d * d)
+    if np.iscomplexobj(X):
+        bt = np.stack([bt.real, -bt.imag], axis=-1).reshape(k, 2 * d * d)
+        X = np.ascontiguousarray(X).view(X.real.dtype)
+    return -(X.reshape(X.shape[:-2] + (bt.shape[1],)) @ bt.real.T)
 
 
 def trace_inner(X: np.ndarray, Y: np.ndarray) -> float:

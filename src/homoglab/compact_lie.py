@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
-from ._linalg import _blocks, trace_norm
+from ._linalg import _blocks, _readonly, trace_norm
 from .errors import InvalidParameter, NotInGroup
 from .profiles import DisplacementProfile
 
@@ -240,7 +240,8 @@ def _haar_blocks(spec: CompactGroupSpec, rng: np.random.Generator, size: int):
 @lru_cache(maxsize=None)
 def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
     """Orthonormal basis w.r.t. <X, Y> = -trace(XY), by construction, ideal by
-    simple ideal: so(4) lists its self-dual, then its anti-self-dual half."""
+    simple ideal: so(4) lists its self-dual, then its anti-self-dual half.
+    Built once per group, as read-only matrices."""
     n = spec.n
     raw, cartan = [], []
     if spec.family == SPECIAL_ORTHOGONAL:
@@ -300,15 +301,13 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
         for S in sym:
             raw.append(embed(zero, S))
     # the raw elements are pairwise orthogonal: normalising makes them orthonormal
-    return tuple(X / trace_norm(X) for X in raw) + tuple(cartan)
+    return tuple(map(_readonly, [X / trace_norm(X) for X in raw] + cartan))
 
 
 @lru_cache(maxsize=None)
 def _basis_stack(spec: CompactGroupSpec) -> np.ndarray:
     """``algebra_basis(spec)`` as one read-only (dim, d, d) array."""
-    B = np.stack(algebra_basis(spec))
-    B.flags.writeable = False
-    return B
+    return _readonly(np.stack(algebra_basis(spec)))
 
 
 def random_algebra_element(
@@ -471,9 +470,7 @@ def center_elements(spec: CompactGroupSpec) -> np.ndarray:
         z = np.ones(1)
     else:
         z = np.array([1.0, -1.0])
-    Z = z[:, None, None] * np.eye(spec.matrix_size)
-    Z.flags.writeable = False
-    return Z
+    return _readonly(z[:, None, None] * np.eye(spec.matrix_size))
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +552,11 @@ def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
     """One pass of Ad over a checked (k, f, d, d) stack of k maps with f
     factors each (one on a sphere, (g1, g2) on a group manifold), in blocks:
     the mean of g^H b g over the maps for each factor g and each b of
-    ``algebra_basis(spec)``, and which maps are constant as translations
-    x -> g1^{-1} x g2.  Those are the maps for which, on every simple ideal,
-    Ad(g1) or Ad(g2) is the identity (Freudenthal 1963, Ozols 1974): g^H b g
-    = b within ``_tol.CENTRAL`` (max-abs) for each b of the ideal's basis, a
-    slice of ``algebra_basis``."""
+    ``algebra_basis(spec)``, and, for pairs (f = 2; None for f = 1), which
+    maps are constant as translations x -> g1^{-1} x g2.  Those are the maps
+    for which, on every simple ideal, Ad(g1) or Ad(g2) is the identity
+    (Freudenthal 1963, Ozols 1974): g^H b g = b within ``_tol.CENTRAL``
+    (max-abs) for each b of the ideal's basis, a slice of ``algebra_basis``."""
     B = _basis_stack(spec)
     dim, d = B.shape[:2]
     wide = B.swapaxes(0, 1).reshape(d, dim * d)  # [b_1 | b_2 | ...]: all g^H b in one product
@@ -569,10 +566,13 @@ def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
         g = maps[s, :, None]
         conj = (_adjoint(g) @ wide).reshape(g.shape[:2] + (d, dim, d)).swapaxes(-3, -2) @ g
         total = total + np.sum(conj, axis=0)
-        conj -= B  # in place, so the block holds no third stack
-        # [map, factor, ideal]: max-abs of g^H b g - b over the ideal's basis
-        moved.append(np.abs(conj).reshape(conj.shape[:2] + (ideals, -1)).max(axis=-1))
+        if maps.shape[1] == 2:
+            conj -= B  # in place, so the block holds no third stack
+            # [map, factor, ideal]: max-abs of g^H b g - b over the ideal's basis
+            moved.append(np.abs(conj).reshape(conj.shape[:2] + (ideals, -1)).max(axis=-1))
         del conj  # before the next block's products
+    if not moved:
+        return total / len(maps), None
     fixes = np.concatenate(moved) <= _tol.CENTRAL
     return total / len(maps), np.all(np.any(fixes, axis=1), axis=1)
 
@@ -581,9 +581,9 @@ def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
 def _range_points(spec: CompactGroupSpec) -> np.ndarray:
     """The identity and the turns exp(pi/2 b), b in ``algebra_basis(spec)``,
     as one (1 + dim, d, d) stack: the points at which ``_translation_ranges``
-    reads the largest displacement."""
+    reads the largest displacement; read-only."""
     turns = [group_exp(0.5 * np.pi * b) for b in algebra_basis(spec)]
-    return np.stack([spec.identity()] + turns)
+    return _readonly(np.stack([spec.identity()] + turns))
 
 
 def _translation_ranges(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray):

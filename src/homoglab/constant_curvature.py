@@ -24,7 +24,7 @@ from math import gcd
 import numpy as np
 
 from . import _tol
-from ._linalg import _at_identity
+from ._linalg import _at_identity, _readonly
 from .errors import (
     InvalidParameter,
     NonCoprimeExponent,
@@ -289,9 +289,7 @@ def _hyperbolic_probe_points() -> np.ndarray:
     i of each R in ``_HYPERBOLIC_RADII`` (disk model), as one read-only array."""
     circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, _HYPERBOLIC_ANGLES, endpoint=False))
     w = [np.tanh(R / 2.0) * circle for R in _HYPERBOLIC_RADII]
-    pts = np.concatenate([[1j]] + [1j * (1.0 + v) / (1.0 - v) for v in w])
-    pts.flags.writeable = False
-    return pts
+    return _readonly(np.concatenate([[1j]] + [1j * (1.0 + v) / (1.0 - v) for v in w]))
 
 
 def hyperbolic_bounded_probe(motion: HyperbolicMotion):

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
-from ._linalg import _blocks
+from ._linalg import _blocks, _readonly
 from .errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
 
 # product entries (k^2 m) a Cayley table of k matrices of m entries may score:
@@ -184,9 +184,7 @@ def _key_direction(size: int) -> np.ndarray:
     """A fixed unit vector of the given length in a generic direction, so
     that distinct elements of a group get distinct keys."""
     r = np.random.default_rng(0x5EED).standard_normal(size)
-    r /= np.linalg.norm(r)
-    r.flags.writeable = False
-    return r
+    return _readonly(r / np.linalg.norm(r))
 
 
 def _keys(x: np.ndarray) -> np.ndarray:

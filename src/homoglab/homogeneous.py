@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _tol
-from ._linalg import null_space, trace_coords, trace_norm
+from ._linalg import _readonly, null_space, trace_coords, trace_norm
 from .compact_lie import (
     CompactGroupSpec,
     _basis_stack,
@@ -57,19 +57,20 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 class HomogeneousSpaceSpec:
     """G/H with an orthonormal split 𝔤 = 𝔥 ⊕ 𝔪 and block-scaled metric.
 
-    ``metric_blocks`` partitions the complement basis: each entry is a
-    (coefficient, index tuple) pair and the metric on the block is the
-    coefficient times -trace(XY).
+    The two bases are given as sequences of matrices and held as read-only
+    (k, d, d) stacks.  ``metric_blocks`` partitions the complement basis: each
+    entry is a (coefficient, index tuple) pair and the metric on the block is
+    the coefficient times -trace(XY).
     """
 
     name: str
     group: CompactGroupSpec
-    isotropy_basis: tuple[np.ndarray, ...]
-    complement_basis: tuple[np.ndarray, ...]
+    isotropy_basis: np.ndarray
+    complement_basis: np.ndarray
     metric_blocks: tuple[tuple[float, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        both = check_in_algebra(self.group, self.isotropy_basis + self.complement_basis)
+        both = check_in_algebra(self.group, (*self.isotropy_basis, *self.complement_basis))
         if len(both) != self.group.algebra_dim:
             raise InvalidParameter("isotropy and complement bases must span the algebra")
         if not np.max(np.abs(trace_coords(both, both) - np.eye(len(both)))) <= _tol.BASIS:
@@ -79,20 +80,20 @@ class HomogeneousSpaceSpec:
             raise InvalidParameter("metric blocks must partition the complement basis")
         if any(c <= 0 for c, _ in self.metric_blocks):
             raise InvalidParameter("metric coefficients must be positive")
-        h, m = both[: len(self.isotropy_basis)], both[len(self.isotropy_basis) :]
+        # a new array, copied from the tuple: its read-only views are the stacks
+        h, m = np.split(_readonly(both), [len(self.isotropy_basis)])
         # the 𝔥-coordinates of every [h, m] must vanish
         hm = trace_coords(h, bracket(h[:, None], m[None]))
         if not np.all(np.linalg.norm(hm, axis=-1) <= _tol.BRACKET):
             raise InvalidParameter("complement is not isotropy-invariant")
+        object.__setattr__(self, "isotropy_basis", h)
+        object.__setattr__(self, "complement_basis", m)
 
     def tangent_length(self, X: np.ndarray):
         """Block-metric length of the 𝔪-component of X: a float for one
         matrix, an array for a stack of matrices."""
-        coords = trace_coords(np.stack(self.complement_basis), X)
-        total = sum(
-            coeff * np.sum(coords[..., list(idx)] ** 2, axis=-1)
-            for coeff, idx in self.metric_blocks
-        )
+        coords = trace_coords(self.complement_basis, X)
+        total = sum(c * np.sum(coords[..., list(idx)] ** 2, axis=-1) for c, idx in self.metric_blocks)
         length = np.sqrt(total)
         return float(length) if length.ndim == 0 else length
 
@@ -175,18 +176,14 @@ def _single_block(dim: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
     return ((1.0, tuple(range(dim))),)
 
 
+@lru_cache(maxsize=None)
 def group_space(group: CompactGroupSpec) -> HomogeneousSpaceSpec:
     """The group itself with its bi-invariant metric (trivial isotropy)."""
     m = algebra_basis(group)
-    return HomogeneousSpaceSpec(
-        name=group.name,
-        group=group,
-        isotropy_basis=(),
-        complement_basis=m,
-        metric_blocks=_single_block(len(m)),
-    )
+    return HomogeneousSpaceSpec(group.name, group, (), m, _single_block(len(m)))
 
 
+@lru_cache(maxsize=None)
 def hopf_sphere_space(m: int) -> HomogeneousSpaceSpec:
     """S^{2m+1} as SU(m+1)/SU(m); for m = 1 the isotropy is trivial."""
     if m < 1:
@@ -197,6 +194,7 @@ def hopf_sphere_space(m: int) -> HomogeneousSpaceSpec:
     return HomogeneousSpaceSpec(f"S{2 * m + 1}", group, h, mb, _single_block(len(mb)))
 
 
+@lru_cache(maxsize=1)
 def so5_so3_space() -> HomogeneousSpaceSpec:
     group = CompactGroupSpec("SO", 5)
     h = principal_so3_in_so5()
@@ -213,7 +211,7 @@ def _normalizes_isotropy(space: HomogeneousSpaceSpec, right: np.ndarray) -> bool
     above ``_tol.BRACKET``.  The flow of ``right`` by right multiplication is
     then defined on G/H, and its frame at every point is proj_𝔪(right)."""
     h = np.reshape(space.isotropy_basis, (-1,) + right.shape)
-    rh = trace_coords(np.stack(space.complement_basis), bracket(right, h))
+    rh = trace_coords(space.complement_basis, bracket(right, h))
     return bool(np.all(np.linalg.norm(rh, axis=-1) <= _tol.BRACKET))
 
 
@@ -271,10 +269,12 @@ def _sym2_basis(n: int) -> np.ndarray:
     return E
 
 
-def casimir_components(group: CompactGroupSpec) -> list[tuple[float, np.ndarray]]:
+@lru_cache(maxsize=None)
+def casimir_components(group: CompactGroupSpec) -> tuple[tuple[float, np.ndarray], ...]:
     """Eigenspaces of the Casimir Ω(A) = -Σ_a [ad_a, [ad_a, A]] on Sym²𝔤, in
-    ``algebra_basis`` coordinates: (Casimir value, orthonormal (k, n, n) stack
-    of symmetric matrices) pairs by increasing value, n = dim 𝔤.
+    ``algebra_basis`` coordinates: (Casimir value, orthonormal read-only
+    (k, n, n) stack of symmetric matrices) pairs by increasing value,
+    n = dim 𝔤.  Built once per group.
 
     Eigenvalues closer than ``_tol.BRACKET`` times the largest form one
     component.  Inequivalent irreducibles with one Casimir value would share a
@@ -292,10 +292,10 @@ def casimir_components(group: CompactGroupSpec) -> list[tuple[float, np.ndarray]
     F = _sym2_basis(n).reshape(-1, n * n)
     values, vecs = np.linalg.eigh(-2.0 * F @ kron @ F.T)
     split = np.flatnonzero(np.diff(values) > _tol.BRACKET * max(values[-1], 1.0)) + 1
-    return [
-        (float(np.mean(values[idx])), (vecs[:, idx].T @ F).reshape(-1, n, n))
+    return tuple(
+        (float(np.mean(values[idx])), _readonly((vecs[:, idx].T @ F).reshape(-1, n, n)))
         for idx in np.split(np.arange(len(values)), split)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ def killing_constancy_certificate(
     if not np.linalg.norm(trace_coords(basis, bracket(t[0], t[1]))) <= _tol.BRACKET:
         raise InvalidParameter("torus directions must commute")
 
-    m = trace_coords(basis, np.stack(space.complement_basis))
+    m = trace_coords(basis, space.complement_basis)
     S = sum(c * m[list(idx)].T @ m[list(idx)] for c, idx in space.metric_blocks)
     components = casimir_components(space.group)
     # Ω is positive semidefinite and Sym²𝔤 holds the invariant trace form, so

@@ -173,9 +173,10 @@ def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
 
 
 def _adjoint_average(deck: DeckGroup):
-    """The centralizer and the constancy flags of one pass of Ad over the
-    deck.  The mean of Ad over a finite group is the orthogonal projector onto
-    its fixed directions: the centralizer is its eigenspace for eigenvalue 1."""
+    """The centralizer and, on a group manifold, the constancy flags of one
+    pass of Ad over the deck.  The mean of Ad over a finite group is the
+    orthogonal projector onto its fixed directions: the centralizer is its
+    eigenspace for eigenvalue 1."""
     model = deck.model
     if isinstance(model, SphereModel):
         spec, maps = CompactGroupSpec("SO", model.ambient_dim), deck.matrices[:, None]
@@ -316,7 +317,7 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         freeness = is_free_on_sphere(deck.matrices)
         free, free_offender = freeness.free, freeness.offender
         lo, hi = sphere_displacement_range(deck.matrices)
-        constant = hi - lo <= _tol.EIGEN  # the flags of Ad are for translations
+        constant = hi - lo <= _tol.EIGEN  # Ad gives no flags for one factor
     else:
         tolerances["central"] = _tol.CENTRAL
         spec = model.spec

@@ -7,7 +7,8 @@ two-sided translation, the displacement range of an orthogonal map from
 singular values and displacement statistics over Haar points on a sphere,
 Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley table of a
 matrix list from all k^2 products, the real coordinate vector of a matrix,
-and the Berger isometry algebra as the null space of its linear system.  A
+the Berger isometry algebra as the null space of its linear system, and the
+coordinates -trace(B_k X) of a matrix against a basis stack by ``einsum``.  A
 quaternion is a row (w, x, y, z)."""
 
 from functools import lru_cache
@@ -336,3 +337,10 @@ def berger_isometry_oracle(a: float, b: float) -> np.ndarray:
     if s[0] == 0.0:
         return np.eye(3)
     return vh[int(np.sum(s > 1e-10 * s[0])):].T
+
+
+def trace_coords_einsum(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """-trace(B_k X) for each B_k of a stack: shape (k,) for one matrix,
+    (..., k) for a stack; the einsum that ``_linalg.trace_coords`` replaced
+    with one GEMM."""
+    return -np.einsum("kij,...ji->...k", basis, X).real

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -275,42 +276,56 @@ def test_import_loads_no_scipy():
 # ---------------------------------------------------------------------------
 # one parser per process: no state carries over from one main call to the next
 
-_AFTER = ["check-killing", "--space", "hopf-1", "--samples", "50"]
+_AFTER = ("check-killing", "--space", "hopf-1", "--samples", "50")
 
 
 @pytest.fixture(scope="module")
-def fresh_after_report():
-    """Exit code and report of _AFTER in a new interpreter, without wall_time_ms."""
-    proc = subprocess.run([sys.executable, "-m", "homoglab.cli", *_AFTER],
-                          capture_output=True, text=True, env=_fresh_env(), timeout=120)
-    report = json.loads(proc.stdout)
-    report.pop("wall_time_ms")
-    return proc.returncode, report
+def fresh_report():
+    """Exit code and report of an argv in a new interpreter, without
+    wall_time_ms; one interpreter per argv."""
+
+    @functools.cache
+    def run(argv):
+        proc = subprocess.run([sys.executable, "-m", "homoglab.cli", *argv],
+                              capture_output=True, text=True, env=_fresh_env(), timeout=120)
+        report = json.loads(proc.stdout)
+        report.pop("wall_time_ms")
+        return proc.returncode, report
+
+    return run
 
 
 @pytest.mark.parametrize(
-    "before,code",
+    "before,code,after",
     [
-        (["check-homogeneity", "--model", "s3", "--group", "no-such-group"], 2),
-        (["check-killing", "--space", "hopf-1", "--field", "up"], 2),
-        (["--help"], 0),
-        (["check-killing", "--help"], 0),
-        (["construct", "--group", "cyclic-3"], 0),
+        (["check-homogeneity", "--model", "s3", "--group", "no-such-group"], 2, _AFTER),
+        (["check-killing", "--space", "hopf-1", "--field", "up"], 2, _AFTER),
+        (["--help"], 0, _AFTER),
+        (["check-killing", "--help"], 0, _AFTER),
+        (["construct", "--group", "cyclic-3"], 0, _AFTER),
         (["check-killing", "--space", "hopf-1", "--field", "left", "--samples", "20",
-          "--seed", "9"], 0),
-        (["check-killing", "--space", "hopf-1", "--directions", "5"], 2),
+          "--seed", "9"], 0, _AFTER),
+        (["check-killing", "--space", "hopf-1", "--directions", "5"], 2, _AFTER),
+        # the named spaces and the Sym² split are built once per process: a
+        # run that reads them again prints what a fresh process prints
+        (["catalog", "verify", "10"], 0, ("catalog", "verify", "10")),
+        (["check-killing", "--space", "hopf-2", "--field", "left", "--samples", "20",
+          "--seed", "9"], 1, ("check-killing", "--space", "hopf-2", "--field", "right")),
+        (["check-killing", "--space", "so5-so3", "--directions", "2", "--samples", "20",
+          "--seed", "9"], 1, ("check-killing", "--space", "so5-so3", "--directions", "3")),
     ],
     ids=["unknown-group", "bad-choice", "help", "subcommand-help", "other-subcommand",
-         "other-options", "refused-flag"],
+         "other-options", "refused-flag", "catalog-10-twice", "hopf-2-left-then-right",
+         "so5-so3-twice"],
 )
 def test_a_run_after_another_matches_a_fresh_interpreter(
-    capsys, fresh_after_report, before, code
+    capsys, fresh_report, before, code, after
 ):
     assert main(before) == code
     capsys.readouterr()
-    got, report = run_cli(capsys, *_AFTER)
+    got, report = run_cli(capsys, *after)
     report.pop("wall_time_ms")
-    assert (got, report) == fresh_after_report
+    assert (got, report) == fresh_report(after)
 
 
 # ---------------------------------------------------------------------------

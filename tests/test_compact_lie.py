@@ -37,6 +37,7 @@ from homoglab.profiles import DisplacementProfile
 from oracles import (
     SO4_HALVES,
     clifford_wolf_commutator,
+    trace_coords_einsum,
     group_log,
     haar_symplectic_gram_schmidt,
     inverted_fixed_point,
@@ -148,6 +149,40 @@ def test_algebra_basis_orthonormal_and_closed(spec, rng):
     X = random_algebra_element(spec, rng)
     Y = random_algebra_element(spec, rng)
     check_in_algebra(spec, X @ Y - Y @ X)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_trace_coords_matches_the_einsum_oracle(spec, rng):
+    """The one GEMM of ``trace_coords`` against the einsum oracle, within
+    2e-15 max-abs: on the basis itself (its Gram matrix), one matrix, stacks
+    of rank 3 and 4 (also transposed, so not contiguous), an empty basis and
+    an empty stack; real and complex bases against real and complex X, so
+    also a real basis with complex X and a complex basis with real X."""
+    B = compact_lie._basis_stack(spec)
+    d = spec.matrix_size
+    bases = (B, B.real.copy(), B.astype(complex), B[:0])
+    Z = rng.standard_normal((2, 3, 4, d, d)) + 1j * rng.standard_normal((2, 3, 4, d, d))
+    xs = (B, Z[0, 0, 0], Z[0], Z, Z.real.copy(), Z.swapaxes(-1, -2), Z[0, :0])
+    for basis in bases:
+        for X in xs:
+            got, want = _linalg.trace_coords(basis, X), trace_coords_einsum(basis, X)
+            assert got.shape == want.shape == X.shape[:-2] + (len(basis),)
+            assert np.max(np.abs(got - want), initial=0.0) <= 2e-15
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+def test_cached_arrays_are_read_only(spec):
+    """Every array of a process-wide cache of ``compact_lie`` refuses a write
+    and keeps its values: one in-place write would reach every later run."""
+    cached = (*algebra_basis(spec), compact_lie._basis_stack(spec),
+              compact_lie._range_points(spec), center_elements(spec))
+    for arr in cached:
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+        np.testing.assert_array_equal(arr, before)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -139,6 +139,58 @@ def test_u1_direction_centralizes_block():
     assert np.isclose(-np.trace(d @ d).real, 1.0, atol=1e-12)
 
 
+def _assert_read_only(arr):
+    """A write into ``arr`` raises ValueError and leaves its values as they were."""
+    before = arr.copy()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 0.0
+    np.testing.assert_array_equal(arr, before)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: group_space(SU3), lambda: group_space(CompactGroupSpec("Sp", 2)),
+     lambda: hopf_sphere_space(1), lambda: hopf_sphere_space(2), so5_so3_space],
+    ids=["su3", "sp2", "hopf-1", "hopf-2", "so5-so3"],
+)
+def test_a_named_space_is_built_once_and_read_only(build):
+    """Each space constructor returns the one space it built on a repeated
+    call, and that space hands out its bases as read-only stacks."""
+    space = build()
+    assert build() is space
+    assert len(space.isotropy_basis) + len(space.complement_basis) == space.group.algebra_dim
+    _assert_read_only(space.isotropy_basis)
+    _assert_read_only(space.complement_basis)
+
+
+@pytest.mark.parametrize("group", [CompactGroupSpec("SO", 5), SU3], ids=["so5", "su3"])
+def test_casimir_components_are_built_once_and_read_only(group):
+    components = homogeneous.casimir_components(group)
+    assert homogeneous.casimir_components(group) is components
+    assert isinstance(components, tuple)
+    for _, Q in components:
+        _assert_read_only(Q)
+
+
+def test_space_spec_holds_read_only_copies_of_its_bases():
+    """The spec copies the bases it is given into one stack: the caller's
+    arrays stay writable, and a later write into them leaves the spec as it was."""
+    h = [X.copy() for X in su_block_subalgebra(3, 2)]
+    m = [X.copy() for X in reductive_complement(SU3, h)]
+    space = HomogeneousSpaceSpec("S5", SU3, h, m, _single(len(m)))
+    held = space.complement_basis.copy()
+    m[0] *= 2.0
+    h[0] *= 2.0
+    np.testing.assert_array_equal(space.complement_basis, held)
+    np.testing.assert_array_equal(space.isotropy_basis[1:], np.stack(h[1:]))
+    assert np.max(np.abs(space.isotropy_basis[0] - h[0] / 2.0)) == 0.0
+    _assert_read_only(space.isotropy_basis)
+    _assert_read_only(space.complement_basis)
+
+
 # ---------------------------------------------------------------------------
 # Killing length profiles
 
