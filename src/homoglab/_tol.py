@@ -32,8 +32,10 @@ RANK_CUTOFF = 1e-8
 BRACKET = 1e-8
 # a basis of a Lie algebra is orthonormal in -trace(XY)
 BASIS = 1e-9
-# Ad of a deck factor g is the identity on a simple ideal: g^H B g - B for
-# each basis element B of the ideal (compact_lie._adjoint_pass; "central")
+# a deck factor g is central: its max-abs distance to the nearest center
+# element; on SO(4), Ad of g is the identity on one of its two simple ideals:
+# g^H B g - B for each basis element B of the ideal (compact_lie._constancy;
+# "central")
 CENTRAL = 1e-7
 # a norm, an angle or a determinant error vanishes
 ZERO = 1e-12
@@ -41,6 +43,12 @@ ZERO = 1e-12
 # above this midpoint of its eigenvalues 0 and 1: a closed deck holds them
 # within about 1e-14 of 0 or 1, so it is not recorded in reports
 PROJECTOR_SPLIT = 0.5
+# the mean adjoint character of a deck, its centralizer dimension, lies within
+# this of an integer (compact_lie._centralizer_dim): moving each factor of d x d
+# matrices by CLOSURE (max-abs) moves it by at most 2 d^2 CLOSURE per factor,
+# 2.3e-6 for the two factors of Sp(12) (d = 24); a closed deck holds it within
+# about 1e-14, so it is not recorded in reports
+CHARACTER = 1e-5
 # largest displacement spread of the pipeline's forward re-check
 # ("displacement"; freeness is decided at EIGEN on every model), and the
 # largest relative Killing length gap of check-killing ("relative_gap"): a

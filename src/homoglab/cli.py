@@ -274,7 +274,7 @@ def _exit_code(verdict: str) -> int:
 # tolerances holds every named tolerance that can change the verdict
 
 
-def _cmd_construct(args, rng):
+def _cmd_construct(args):
     group = _quaternion_group_from_name(args.group)
     if group is not None:
         tag = classify(group)
@@ -306,7 +306,7 @@ def _real_orthogonal_from_file(path: str, model: SphereModel) -> np.ndarray:
     return check_orthogonal(M)
 
 
-def _cmd_check_clifford(args, rng):
+def _cmd_check_clifford(args):
     model = parse_model(args.model)
     if not isinstance(model, SphereModel):
         raise InvalidParameter("check-clifford runs on sphere models")
@@ -332,7 +332,7 @@ def _cmd_check_clifford(args, rng):
     return inputs, tolerances, {"elements": elements}, verdict
 
 
-def _cmd_check_free(args, rng):
+def _cmd_check_free(args):
     model = parse_model(args.model)
     if not isinstance(model, SphereModel):
         raise InvalidParameter("check-free runs on sphere models")
@@ -350,7 +350,7 @@ def _cmd_check_free(args, rng):
     return inputs, {"closure": _tol.CLOSURE, "eigen": _tol.EIGEN}, evidence, verdict
 
 
-def _cmd_check_killing(args, rng):
+def _cmd_check_killing(args):
     group = re.fullmatch(r"(su|so|sp)\d+", args.space)
     hopf = re.fullmatch(r"hopf-(\d+)", args.space)
     if not (group or hopf or args.space == "so5-so3"):
@@ -364,6 +364,7 @@ def _cmd_check_killing(args, rng):
         raise InvalidParameter("--directions applies to so5-so3 only")
     inputs = {"space": args.space}
     tolerances = {"relative_gap": _tol.DISPLACEMENT}
+    rng = np.random.default_rng(args.seed)
     if group:
         spec = parse_model(args.space).spec
         xi = random_algebra_element(spec, rng, unit=True)
@@ -410,7 +411,7 @@ def _profile_evidence(prof):
     }
 
 
-def _cmd_check_berger(args, rng):
+def _cmd_check_berger(args):
     rep = berger_right_isometry_algebra(args.a, args.b)
     evidence = {
         "dimension": rep.dimension,
@@ -419,7 +420,7 @@ def _cmd_check_berger(args, rng):
     return {"a": args.a, "b": args.b}, {}, evidence, "Computed"
 
 
-def _cmd_check_homogeneity(args, rng):
+def _cmd_check_homogeneity(args):
     model = parse_model(args.model)
     config = VerifyConfig(seed=args.seed, samples=args.samples)
     if isinstance(model, SphereModel):
@@ -436,7 +437,7 @@ def _cmd_check_homogeneity(args, rng):
     return inputs, evidence.pop("tolerances"), evidence, report.verdict
 
 
-def _cmd_catalog(args, rng):
+def _cmd_catalog(args):
     inputs = {"action": args.action}
     if args.path:
         inputs["path"] = os.path.basename(args.path)
@@ -464,7 +465,8 @@ def _cmd_catalog(args, rng):
     return inputs, rep.tolerances, evidence, verdict
 
 
-def _cmd_probe_noncompact(args, rng):
+def _cmd_probe_noncompact(args):
+    rng = np.random.default_rng(args.seed)
     motions = args.motions
     # euclidean: exact boundedness verdict vs "rotation part is the identity"
     agree = 0
@@ -623,9 +625,8 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         if args.seed < 0:
             raise InvalidParameter("--seed must be non-negative")
-        rng = np.random.default_rng(args.seed)
         start = time.perf_counter()
-        inputs, tolerances, evidence, verdict = _DISPATCH[args.command](args, rng)
+        inputs, tolerances, evidence, verdict = _DISPATCH[args.command](args)
         wall = (time.perf_counter() - start) * 1000.0
         report = {
             "command": args.command,

@@ -14,9 +14,9 @@ constraint in the special unitary case; that window is exhaustive at the
 matrix sizes supported here.  Scale note: -trace(XY) is the negative Killing
 form divided by 2n for su(n), by n-2 for so(n) and by 2n+2 for sp(n).
 
-Constant displacement of a two-sided translation is decided exactly, ideal by
-simple ideal, in the pass of Ad that averages it over a deck
-(``_adjoint_pass``), and its least displacement lo is in closed form
+Constant displacement of a two-sided translation is decided exactly by the
+center (``_constancy``), a deck's centralizer dimension by characters
+(``_centralizer_dim``), and the least displacement lo is in closed form
 (``min_displacement``): a class distance, or exactly zero for an inverted
 map, which always fixes a point.  A constant map moves every point by lo; the
 spread of a non-constant one is lo against the largest displacement hi at the
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _tol
 from ._linalg import _blocks, _readonly, trace_norm
-from .errors import InvalidParameter, NotInGroup
+from .errors import InvalidParameter, InvariantViolated, NotInGroup
 from .profiles import DisplacementProfile
 
 SPECIAL_UNITARY = "SU"
@@ -243,25 +243,27 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
     simple ideal: so(4) lists its self-dual, then its anti-self-dual half.
     Built once per group, as read-only matrices."""
     n = spec.n
-    raw, cartan = [], []
-    if spec.family == SPECIAL_ORTHOGONAL:
+
+    def planes(entries, first=1, dtype=complex):
+        # per a < b (a <= b for first = 0) and per pair (x, y) of entries, the
+        # n x n matrix with x at (a, b) and y at (b, a)
+        out = []
         for a in range(n):
-            for b in range(a + 1, n):
-                E = np.zeros((n, n))
-                E[a, b], E[b, a] = 1.0, -1.0
-                raw.append(E)
+            for b in range(a + first, n):
+                for x, y in entries:
+                    E = np.zeros((n, n), dtype=dtype)
+                    E[a, b], E[b, a] = x, y
+                    out.append(E)
+        return out
+
+    skew, cartan = [(1.0, -1.0), (1j, 1j)], []
+    if spec.family == SPECIAL_ORTHOGONAL:
+        raw = planes(skew[:1], dtype=float)
         if n == 4:
             e01, e02, e03, e12, e13, e23 = raw
             raw = [X for s in (1, -1) for X in (e01 + s * e23, e02 - s * e13, e03 + s * e12)]
     elif spec.family == SPECIAL_UNITARY:
-        for a in range(n):
-            for b in range(a + 1, n):
-                E = np.zeros((n, n), dtype=complex)
-                E[a, b], E[b, a] = 1.0, -1.0
-                raw.append(E)
-                F = np.zeros((n, n), dtype=complex)
-                F[a, b] = F[b, a] = 1j
-                raw.append(F)
+        raw = planes(skew)
         # Cartan part i(e_1 + ... + e_k - k e_{k+1}) / sqrt(k(k+1)): the
         # Gram-Schmidt orthonormalisation of i(e_k - e_{k+1}), k = 1..n-1,
         # in that order, in closed form
@@ -272,34 +274,12 @@ def algebra_basis(spec: CompactGroupSpec) -> tuple[np.ndarray, ...]:
             cartan.append(D)
     else:
         def embed(A, B):
-            top = np.hstack([A, -np.conj(B)])
-            bot = np.hstack([B, np.conj(A)])
-            return np.vstack([top, bot])
+            return np.block([[A, -np.conj(B)], [B, np.conj(A)]])
 
         zero = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(a + 1, n):
-                E = np.zeros((n, n), dtype=complex)
-                E[a, b], E[b, a] = 1.0, -1.0
-                raw.append(embed(E, zero))
-                F = np.zeros((n, n), dtype=complex)
-                F[a, b] = F[b, a] = 1j
-                raw.append(embed(F, zero))
-        for k in range(n):
-            D = np.zeros((n, n), dtype=complex)
-            D[k, k] = 1j
-            raw.append(embed(D, zero))
-        sym = []
-        for a in range(n):
-            for b in range(a, n):
-                S = np.zeros((n, n), dtype=complex)
-                S[a, b] = S[b, a] = 1.0
-                sym.append(S)
-                T = np.zeros((n, n), dtype=complex)
-                T[a, b] = T[b, a] = 1j
-                sym.append(T)
-        for S in sym:
-            raw.append(embed(zero, S))
+        torus = [1j * np.diag(np.arange(n) == k) for k in range(n)]
+        raw = [embed(X, zero) for X in planes(skew) + torus]
+        raw += [embed(zero, S) for S in planes([(1.0, 1.0), (1j, 1j)], first=0)]
     # the raw elements are pairwise orthogonal: normalising makes them orthonormal
     return tuple(map(_readonly, [X / trace_norm(X) for X in raw] + cartan))
 
@@ -501,9 +481,12 @@ def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
 def _identity_maps(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
     """Which maps x -> g1^{-1} x g2 of a (k, 2, d, d) pair stack are the
     identity: g1 = g2 = one central element, within ``_tol.CLOSURE``."""
-    center = center_elements(spec)[:, None]
-    near = np.max(np.abs(pairs[:, None] - center), axis=(-2, -1)) <= _tol.CLOSURE
-    return np.any(np.all(near, axis=-1), axis=-1)
+    return np.any(np.all(_center_distance(spec, pairs) <= _tol.CLOSURE, axis=-1), axis=-1)
+
+
+def _center_distance(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
+    """Max-abs distances of each factor of a (k, 2, d, d) stack to the center: (k, |Z|, 2)."""
+    return np.max(np.abs(pairs[:, None] - center_elements(spec)[:, None]), axis=(-2, -1))
 
 
 def _displacement(spec: CompactGroupSpec, iso: TwoSidedIsometry, x: np.ndarray) -> np.ndarray:
@@ -534,47 +517,66 @@ def group_displacement_profile(
 def clifford_wolf_evidence(spec: CompactGroupSpec, isos):
     """Per-element constancy and its evidence for a list of two-sided
     translations, the group-manifold twin of
-    ``constant_curvature.clifford_evidence``: the flags of ``_adjoint_pass``
+    ``constant_curvature.clifford_evidence``: the flags of ``_constancy``
     (never set for an inverted map, which always fixes a point), and an array
     holding lo of ``_translation_ranges`` where the map is constant (it moves
     every point by lo) and hi - lo where it is not."""
-    isos = list(isos)
-    d = spec.matrix_size
-    pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)])
-    pairs = pairs.reshape(-1, 2, d, d)
+    isos, d = list(isos), spec.matrix_size
+    pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)]).reshape(-1, 2, d, d)
     inverted = np.array([iso.inverted for iso in isos], dtype=bool)
-    constant = _adjoint_pass(spec, pairs)[1] & ~inverted
+    constant = _constancy(spec, pairs)[0] & ~inverted
     lo, hi = _translation_ranges(spec, pairs, inverted)
     return constant, np.where(constant, lo, hi - lo)
 
 
-def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray):
+def _constancy(spec: CompactGroupSpec, pairs: np.ndarray):
+    """(k,) constancy flags of the maps x -> g1^{-1} x g2 of a checked (k, 2, d, d)
+    stack, and (k, 2) flags of its central factors.  A map is constant iff, on
+    every simple ideal, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
+    Ozols 1974), i.e. on a simple algebra iff g1 or g2 lies within
+    ``_tol.CENTRAL`` (max-abs) of the center.  SO(4) has two ideals, the halves
+    of ``algebra_basis``: there the rest pass when, on each half, some factor
+    has g^H b g = b within ``_tol.CENTRAL``."""
+    central = np.any(_center_distance(spec, pairs) <= _tol.CENTRAL, axis=1)
+    constant = central.any(axis=1)
+    if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4):
+        g, B = pairs[~constant, :, None], _basis_stack(spec)
+        # [map, factor, ideal]: max-abs of g^H b g - b over the ideal's basis
+        moved = np.abs(_adjoint(g) @ B @ g - B).max(axis=(-2, -1)).reshape(-1, 2, 2, 3).max(axis=-1)
+        constant[~constant] = np.all(np.any(moved <= _tol.CENTRAL, axis=1), axis=1)
+    return constant, central
+
+
+def _centralizer_dim(spec: CompactGroupSpec, maps: np.ndarray) -> int:
+    """Dimension of the fixed space of Ad over a checked (k, f, d, d) stack of a
+    finite group's maps, summed over the f factors: the mean of the adjoint
+    character (Schur orthogonality), that of Λ²V on so(n), V ⊗ V* - 1 on su(n)
+    and S²V on sp(n).  InvariantViolated beyond ``_tol.CHARACTER`` of an integer."""
+    t = np.einsum("...ii", maps).ravel()
+    sign = {SPECIAL_ORTHOGONAL: -1, COMPACT_SYMPLECTIC: 1}.get(spec.family)
+    # Λ²V and S²V read the traces of g^2, summed without a product
+    mean = ((np.vdot(t, t) - t.size) / len(maps) if sign is None
+            else (t @ t + sign * np.einsum("...ij,...ji", maps, maps).sum()) / (2 * len(maps)))
+    if not abs(mean - round(mean.real)) <= _tol.CHARACTER:
+        raise InvariantViolated(f"mean adjoint character {mean:.6g} is not an integer")
+    return round(mean.real)
+
+
+def _adjoint_pass(spec: CompactGroupSpec, maps: np.ndarray) -> np.ndarray:
     """One pass of Ad over a checked (k, f, d, d) stack of k maps with f
     factors each (one on a sphere, (g1, g2) on a group manifold), in blocks:
     the mean of g^H b g over the maps for each factor g and each b of
-    ``algebra_basis(spec)``, and, for pairs (f = 2; None for f = 1), which
-    maps are constant as translations x -> g1^{-1} x g2.  Those are the maps
-    for which, on every simple ideal, Ad(g1) or Ad(g2) is the identity
-    (Freudenthal 1963, Ozols 1974): g^H b g = b within ``_tol.CENTRAL``
-    (max-abs) for each b of the ideal's basis, a slice of ``algebra_basis``."""
+    ``algebra_basis(spec)``."""
     B = _basis_stack(spec)
     dim, d = B.shape[:2]
     wide = B.swapaxes(0, 1).reshape(d, dim * d)  # [b_1 | b_2 | ...]: all g^H b in one product
-    ideals = 2 if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4) else 1
-    total, moved = 0.0, []
+    total = 0.0
     for s in _blocks(len(maps), maps.shape[1] * B.size):
         g = maps[s, :, None]
         conj = (_adjoint(g) @ wide).reshape(g.shape[:2] + (d, dim, d)).swapaxes(-3, -2) @ g
         total = total + np.sum(conj, axis=0)
-        if maps.shape[1] == 2:
-            conj -= B  # in place, so the block holds no third stack
-            # [map, factor, ideal]: max-abs of g^H b g - b over the ideal's basis
-            moved.append(np.abs(conj).reshape(conj.shape[:2] + (ideals, -1)).max(axis=-1))
         del conj  # before the next block's products
-    if not moved:
-        return total / len(maps), None
-    fixes = np.concatenate(moved) <= _tol.CENTRAL
-    return total / len(maps), np.all(np.any(fixes, axis=1), axis=1)
+    return total / len(maps)
 
 
 @lru_cache(maxsize=None)

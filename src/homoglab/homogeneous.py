@@ -246,9 +246,8 @@ def killing_length_profile(
         raise InvalidParameter("right component must normalize the isotropy algebra")
     vals = []
     for g in _haar_blocks(space.group, rng, samples):
-        Y = np.zeros(g.shape, dtype=complex)
-        if have_left:
-            Y = Y + np.swapaxes(g.conj(), -1, -2) @ xi @ g
+        # in the group's dtype: real frames take the real GEMM of trace_coords
+        Y = np.swapaxes(g.conj(), -1, -2) @ xi @ g if have_left else np.zeros_like(g)
         if have_right:
             Y = Y + right
         vals.append(space.tangent_length(Y))

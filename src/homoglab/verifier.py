@@ -12,8 +12,9 @@ The centralizer of the deck in the full isometry algebra is exact: for a
 finite group, the mean of Ad over the group is the orthogonal projector onto
 the directions every element fixes, so the centralizer is the eigenspace for
 eigenvalue 1 of that mean, held as coordinates on ``algebra_basis`` (so(n+1)
-on a sphere; the left and the right factor on a group manifold).  The same
-pass of Ad decides constant displacement on a group manifold.
+on a sphere; the left and the right factor on a group manifold).  Its
+dimension is the mean of the adjoint character; a group deck with a central
+side, which commutes with all of that side's fields, needs no basis.
 
 Transitivity is decided at one point.  The identity component of the deck
 group's centralizer in the full isometry group is compact, so its orbits are
@@ -45,12 +46,14 @@ from .compact_lie import (
     TwoSidedIsometry,
     _adjoint_pass,
     _basis_stack,
+    _centralizer_dim,
+    _constancy,
     _identity_maps,
     _translation_ranges,
     center_elements,
     check_in_group,
 )
-from .constant_curvature import check_orthogonal, is_free_on_sphere, sphere_displacement_range
+from .constant_curvature import _eigen_angles, check_orthogonal, is_free_on_sphere
 from .errors import (
     InvalidParameter,
     InvariantViolated,
@@ -172,27 +175,24 @@ def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
 # centralizer and transitivity
 
 
-def _adjoint_average(deck: DeckGroup):
-    """The centralizer and, on a group manifold, the constancy flags of one
-    pass of Ad over the deck.  The mean of Ad over a finite group is the
-    orthogonal projector onto its fixed directions: the centralizer is its
-    eigenspace for eigenvalue 1."""
-    model = deck.model
-    if isinstance(model, SphereModel):
-        spec, maps = CompactGroupSpec("SO", model.ambient_dim), deck.matrices[:, None]
-    else:
-        spec, maps = model.spec, deck.matrices
-    means, constant = _adjoint_pass(spec, maps)
-    w, V = np.linalg.eigh(trace_coords(_basis_stack(spec), means))
-    return tuple(v[:, x > _tol.PROJECTOR_SPLIT] for x, v in zip(w, V)), constant
+def _deck_maps(deck: DeckGroup):
+    """The group Ad acts on and the deck's (k, f, d, d) stack of factors: SO(n)
+    and one factor on a sphere, (g1, g2) on a group manifold."""
+    if isinstance(deck.model, SphereModel):
+        return CompactGroupSpec("SO", deck.model.ambient_dim), deck.matrices[:, None]
+    return deck.model.spec, deck.matrices
 
 
 def centralizer_algebra(deck: DeckGroup) -> tuple[np.ndarray, ...]:
     """The ambient directions fixed by Ad of every deck element, one
     orthonormal coordinate array on ``algebra_basis`` (columns) per factor of
     the isometry algebra: so(n) on a sphere; the left and the right fields on
-    a group manifold, where Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2)."""
-    return _adjoint_average(deck)[0]
+    a group manifold, where Ad(γ)(X, Y) = (g1^H X g1, g2^H Y g2).  The mean
+    of Ad over a finite group is the orthogonal projector onto its fixed
+    directions: the centralizer is its eigenspace for eigenvalue 1."""
+    spec, maps = _deck_maps(deck)
+    w, V = np.linalg.eigh(trace_coords(_basis_stack(spec), _adjoint_pass(spec, maps)))
+    return tuple(v[:, x > _tol.PROJECTOR_SPLIT] for x, v in zip(w, V))
 
 
 def transitivity_rank(Z, model):
@@ -302,22 +302,24 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     Freeness is decided at ``_tol.EIGEN`` on every model.  On a sphere a
     witness already has every spread at most ``_tol.EIGEN``, below
     ``_tol.DISPLACEMENT``, so there the re-check cannot fire; on a group
-    manifold the constancy flags come from Ad, not from the ranges, so there
-    it checks one against the other."""
+    manifold the constancy flags come from the center, not from the ranges,
+    so there it checks one against the other.  A centralizer basis, where one
+    is built, must have the character count's size, or InvariantViolated."""
     model = deck.model
     config = config if config is not None else VerifyConfig()
 
     # every named tolerance that can change the verdict
     tolerances = {"displacement": _tol.DISPLACEMENT, "closure": _tol.CLOSURE,
                   "eigen": _tol.EIGEN, "rank_cutoff": _tol.RANK_CUTOFF}
-    # one pass of Ad over the deck and one displacement range [lo, hi] per
-    # element, each computed once
-    Z, constant = _adjoint_average(deck)
+    centralizer_dim = _centralizer_dim(*_deck_maps(deck))
+    # one displacement range [lo, hi] per element, computed once
     if isinstance(model, SphereModel):
         freeness = is_free_on_sphere(deck.matrices)
         free, free_offender = freeness.free, freeness.offender
-        lo, hi = sphere_displacement_range(deck.matrices)
-        constant = hi - lo <= _tol.EIGEN  # Ad gives no flags for one factor
+        angles = _eigen_angles(deck.matrices)
+        lo, hi = angles.min(axis=1), angles.max(axis=1)
+        constant = hi - lo <= _tol.EIGEN
+        one_sided = False
     else:
         tolerances["central"] = _tol.CENTRAL
         spec = model.spec
@@ -328,11 +330,21 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         fixing = np.flatnonzero((lo <= _tol.EIGEN) & ~_identity_maps(spec, deck.matrices))
         free_offender = int(fixing[0]) if fixing.size else None
         free = free_offender is None
+        constant, central = _constancy(spec, deck.matrices)
+        one_sided = bool(central.all(axis=0).any())
     # a constant map moves every point by its least displacement
     values = np.where(constant, lo, hi - lo)
     elements = tuple(map(ElementEvidence, range(deck.order), constant.tolist(), values.tolist()))
 
-    min_rank, dim = transitivity_rank(Z, model)
+    if one_sided:  # the central side's fields span the tangent space at the identity
+        min_rank = dim = model.manifold_dim
+    else:
+        Z = centralizer_algebra(deck)
+        basis_dim = sum(C.shape[1] for C in Z)
+        if basis_dim != centralizer_dim:
+            raise InvariantViolated(f"the centralizer basis has {basis_dim} directions, "
+                                    f"its character count {centralizer_dim}")
+        min_rank, dim = transitivity_rank(Z, model)
     all_constant = bool(constant.all())
     verdict = verdict_from_evidence(free, all_constant, min_rank, dim)
 
@@ -349,7 +361,7 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
         free=free,
         free_offender=free_offender,
         clifford_per_element=elements,
-        centralizer_dim=sum(C.shape[1] for C in Z),
+        centralizer_dim=centralizer_dim,
         transitivity=(1, min_rank, dim),
         verdict=verdict,
         seed=config.seed,

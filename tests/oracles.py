@@ -2,9 +2,10 @@
 abstract SL(2, F_p) table, the scalar product of two quaternions, the
 right-translation and SU(2) images of a unit quaternion, the minimal-norm
 logarithm of a compact group element and the fixed point of an inverted
-two-sided translation, the commutator test of constant displacement of a
-two-sided translation, the displacement range of an orthogonal map from
-singular values and displacement statistics over Haar points on a sphere,
+two-sided translation, the commutator and the Ad test of constant
+displacement of a two-sided translation, the displacement range of an
+orthogonal map from singular values and displacement statistics over Haar
+points on a sphere,
 Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley table of a
 matrix list from all k^2 products, the real coordinate vector of a matrix,
 the Berger isometry algebra as the null space of its linear system, and the
@@ -199,6 +200,20 @@ def clifford_wolf_commutator(spec: CompactGroupSpec, pairs) -> np.ndarray:
         ideals = np.stack(algebra_basis(spec))[None]
     return np.array([
         all(any(np.max(np.abs(g @ B - B @ g)) <= _tol.CENTRAL for g in pair) for B in ideals)
+        for pair in pairs
+    ], dtype=bool)
+
+
+def ad_constancy_flags(spec: CompactGroupSpec, pairs) -> np.ndarray:
+    """Which maps x -> g1^-1 x g2 of a (k, 2, d, d) pair stack have constant
+    displacement, one pair at a time by Ad: on every simple ideal, g1 or g2
+    has max-abs of g^H b g - b within ``_tol.CENTRAL`` for each b of the
+    ideal's slice of ``algebra_basis`` (both halves of so(4), in order)."""
+    basis = np.stack(algebra_basis(spec))
+    ideals = np.split(basis, 2) if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4) else [basis]
+    return np.array([
+        all(any(max(np.max(np.abs(g.conj().T @ b @ g - b)) for b in B) <= _tol.CENTRAL
+                for g in pair) for B in ideals)
         for pair in pairs
     ], dtype=bool)
 

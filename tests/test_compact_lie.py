@@ -36,6 +36,7 @@ from homoglab.errors import InvalidParameter, NotInGroup
 from homoglab.profiles import DisplacementProfile
 from oracles import (
     SO4_HALVES,
+    ad_constancy_flags,
     clifford_wolf_commutator,
     trace_coords_einsum,
     group_log,
@@ -448,9 +449,9 @@ def _ranges(spec, isos):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
 def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
-    """With blocks of one element, the ranges, the constancy flags and the
-    mean of Ad of a mixed stack (Haar, central and inverted maps) equal those
-    of one block."""
+    """With blocks of one element, the ranges and the mean of Ad of a mixed
+    stack (Haar, central and inverted maps) equal those of one block; the
+    constancy flags take no blocks."""
     isos = [TwoSidedIsometry(haar_sample(spec, rng), haar_sample(spec, rng), k % 3 == 0)
             for k in range(7)]
     isos += [TwoSidedIsometry(z, haar_sample(spec, rng)) for z in center_elements(spec)]
@@ -460,8 +461,9 @@ def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
     inverted = np.array([iso.inverted for iso in isos])
 
     def kernels():
-        mean, constant = compact_lie._adjoint_pass(spec, pairs)
-        return (*compact_lie._translation_ranges(spec, pairs, inverted), constant), mean
+        constant = compact_lie._constancy(spec, pairs)[0]
+        return (*compact_lie._translation_ranges(spec, pairs, inverted), constant), \
+            compact_lie._adjoint_pass(spec, pairs)
 
     whole, whole_mean = kernels()
     entries = 2 * len(algebra_basis(spec)) * d * d  # the largest temporaries per element
@@ -481,12 +483,13 @@ PAIR_SPECS = [CompactGroupSpec("SU", n) for n in (2, 3, 4, 5)] + [
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(PAIR_SPECS), st.integers(0, 2**32 - 1))
-def test_ad_pass_flags_equal_the_commutator_test(spec, seed):
-    """The constancy flags of the pass of Ad equal the commutator test of
-    ``oracles.clifford_wolf_commutator`` on Haar pairs, central pairs,
-    near-central pairs z exp(tX) on either side or both (t from 1e-6, which
-    is not central, down to 1e-12), and on SO(4) pairs aligned with the
-    two halves of so(4)."""
+def test_center_distance_flags_equal_the_ad_flags(spec, seed):
+    """The constancy flags of ``_constancy``, read off each factor's distance
+    to the center, equal the Ad test that decided them before
+    (``oracles.ad_constancy_flags``) and the commutator test on Haar pairs,
+    central pairs, near-central pairs z exp(tX) on either side or both (t from
+    1e-4, well above ``CENTRAL``, down to 1e-12; 1e-6 is not central, 1e-8 is),
+    and on SO(4) pairs aligned with the two halves of so(4)."""
     rng = np.random.default_rng(seed)
     center = center_elements(spec)
 
@@ -496,7 +499,7 @@ def test_ad_pass_flags_equal_the_commutator_test(spec, seed):
 
     pairs = [(haar_sample(spec, rng), haar_sample(spec, rng)) for _ in range(4)]
     pairs += [(z, haar_sample(spec, rng)) for z in center] + [(haar_sample(spec, rng), z) for z in center]
-    for t in (1e-6, 1e-8, 1e-9, 1e-12):
+    for t in (1e-4, 1e-5, 1e-6, 1e-8, 1e-9, 1e-12):
         pairs += [(near_central(t), haar_sample(spec, rng)), (haar_sample(spec, rng), near_central(t)),
                   (near_central(t), near_central(t))]
     if spec == SO4:
@@ -506,10 +509,13 @@ def test_ad_pass_flags_equal_the_commutator_test(spec, seed):
                       (so4_half_element(h, rng), so4_half_element(h, rng))]
     pairs = check_in_group(spec, [g for pair in pairs for g in pair]).reshape(
         -1, 2, spec.matrix_size, spec.matrix_size)
-    _, constant = compact_lie._adjoint_pass(spec, pairs)
-    want = clifford_wolf_commutator(spec, pairs)
+    constant = compact_lie._constancy(spec, pairs)[0]
+    want = ad_constancy_flags(spec, pairs)
     np.testing.assert_array_equal(constant, want)
-    assert want[4 : 4 + 2 * len(center)].all() and not want[:4].any()
+    np.testing.assert_array_equal(want, clifford_wolf_commutator(spec, pairs))
+    n = 4 + 2 * len(center)
+    assert want[4:n].all() and not want[:4].any()
+    assert not want[n : n + 9].any() and want[n + 9 : n + 18].all()
 
 
 def test_so4_basis_lists_its_two_ideals():

@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from homoglab import _linalg
-from homoglab.cli import group_manifold_deck, sphere_group_matrices
+from homoglab import _linalg, verifier
+from homoglab.cli import group_manifold_deck, main, parse_model, sphere_group_matrices
 from homoglab._linalg import null_space, rank_rel
 from homoglab.compact_lie import (
     CompactGroupSpec,
+    _centralizer_dim,
     TwoSidedIsometry,
     algebra_basis,
     biinvariant_distance,
@@ -402,33 +403,59 @@ PIPELINE_DECKS = pytest.mark.parametrize(
 @PIPELINE_DECKS
 def test_each_deck_takes_one_displacement_range(monkeypatch, build, want):
     """verify_instance reads freeness (on a group manifold), constancy, the
-    element values and the forward re-check from one range per deck: one
-    ``sphere_displacement_range`` on a sphere, and one ``_translation_ranges``
-    holding the deck's one class distance on a group manifold."""
+    element values and the forward re-check from one range per deck: on a
+    sphere one ``_eigen_angles`` of the stack the deck checked already,
+    beside the one of ``is_free_on_sphere``, which checks it once more; on a
+    group manifold one ``_translation_ranges`` holding the deck's one class
+    distance."""
     deck = build()
-    calls = _record_calls(
-        monkeypatch, ["sphere_displacement_range", "_translation_ranges", "_class_distance"]
-    )
+    calls = _record_calls(monkeypatch, ["_eigen_angles", "check_orthogonal",
+                                        "_translation_ranges", "_class_distance"])
     assert verify_instance(deck).verdict == want
     sphere = isinstance(deck.model, SphereModel)
     assert {k: len(v) for k, v in calls.items()} == {
-        "sphere_displacement_range": int(sphere),
+        "_eigen_angles": 2 * sphere,
+        "check_orthogonal": int(sphere),
         "_translation_ranges": int(not sphere),
         "_class_distance": int(not sphere)}
 
 
+def _one_sided(deck):
+    """Whether every g1, or every g2, of a group-manifold deck is central."""
+    center = center_elements(deck.model.spec)
+    return any(all(any(np.allclose(g, z, rtol=0, atol=1e-12) for z in center) for g in side)
+               for side in (deck.matrices[:, 0], deck.matrices[:, 1]))
+
+
 @PIPELINE_DECKS
 def test_each_deck_factor_is_conjugated_against_the_basis_once(monkeypatch, build, want):
-    """verify_instance reads the centralizer and, on a group manifold, the
-    constancy flags from one pass of Ad: one ``_adjoint_pass`` over the
-    deck's stack of k elements with one factor on a sphere and two on a
-    group manifold."""
+    """verify_instance builds a centralizer basis only where the rank needs
+    one: no pass of Ad on a deck with a central side, whose fields on that
+    side commute with the deck, and otherwise one ``_adjoint_pass`` over the
+    deck's stack of k elements with one factor on a sphere and two on a group
+    manifold."""
     deck = build()
     calls = _record_calls(monkeypatch, ["_adjoint_pass"])
     assert verify_instance(deck).verdict == want
-    ((spec, maps),) = calls["_adjoint_pass"]
     sphere = isinstance(deck.model, SphereModel)
+    if not sphere and _one_sided(deck):
+        assert calls["_adjoint_pass"] == []
+        return
+    ((spec, maps),) = calls["_adjoint_pass"]
     assert maps.shape[:2] == (deck.order, 1 if sphere else 2)
+
+
+def test_the_largest_admitted_deck_builds_no_basis(monkeypatch, capsys):
+    """check-homogeneity --model sp12 --group cyclic-42 reads its centralizer
+    dimension off characters and its rank off the central right side: no
+    pass of Ad, no basis and no rank SVD."""
+    calls = _record_calls(monkeypatch, ["_adjoint_pass", "centralizer_algebra",
+                                        "transitivity_rank", "rank_rel"])
+    assert main(["check-homogeneity", "--model", "sp12", "--group", "cyclic-42"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["evidence"]["centralizer_dim"] == 554
+    assert report["evidence"]["rank_evidence"]["min_rank"] == 300
+    assert all(v == [] for v in calls.values())
 
 
 CONJECTURE_SPECS = (SU2, CompactGroupSpec("SU", 3), CompactGroupSpec("SO", 4),
@@ -902,6 +929,48 @@ def test_centralizer_dim_is_the_mean_adjoint_character(name):
     want = sum(np.mean(_adjoint_character(f, g)) for f, g in factors)
     assert abs(want - round(want)) <= 1e-9
     assert verify_instance(deck).centralizer_dim == round(want)
+
+
+# the sphere and group decks on which the character count was first checked
+COUNT_DECKS = [("s3", g) for g in (
+    "antipodal", "cyclic-12", "cyclic-1000", "binary-dihedral-6", "binary-dihedral-250",
+    "binary-tetrahedral", "binary-octahedral", "binary-icosahedral", "lens-5-1-2", "lens-7-1-3")]
+COUNT_DECKS += [("s5", "antipodal"), ("s5", "lens-9-1-2-4"),
+                ("s7", "antipodal"), ("s7", "lens-12-1-1-1-1")]
+COUNT_DECKS += [(m, g) for m in ("su2", "su3", "su5", "so3", "so4", "so7", "sp2", "sp4", "sp12")
+                for g in ("center", "cyclic-2", "cyclic-3", "cyclic-5")]
+COUNT_DECKS += [("sp12", "cyclic-42"), ("su12", "cyclic-7")]
+
+
+def _cli_deck(model, name):
+    model = parse_model(model)
+    if isinstance(model, SphereModel):
+        return sphere_deck(sphere_group_matrices(name, model.ambient_dim))
+    return group_deck(model.spec, group_manifold_deck(model.spec, name))
+
+
+def _basis_size(deck):
+    return sum(C.shape[1] for C in centralizer_algebra(deck))
+
+
+@pytest.mark.parametrize("model,name", COUNT_DECKS, ids=lambda x: x)
+def test_character_count_equals_the_basis_size(model, name):
+    """The mean adjoint character, read off two traces per factor, counts
+    the directions of the basis the projector's eigen-split builds."""
+    deck = _cli_deck(model, name)
+    assert _centralizer_dim(*verifier._deck_maps(deck)) == _basis_size(deck)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(CONJECTURE_SPECS), st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_character_count_equals_the_basis_size_on_two_sided_decks(spec, order, seed):
+    """The same on two-sided decks x -> g^-k x (h g^k h^-1), neither of whose
+    sides is central, so that the pipeline builds the basis, compares it with
+    the count and reports the count.  (An even power of SU(2)'s cyclic
+    generator is -1, the identity map, so the order is odd there.)"""
+    order += spec == SU2 and order % 2 == 0
+    deck = _two_sided_deck(spec, np.random.default_rng(seed), order)
+    assert verify_instance(deck).centralizer_dim == _basis_size(deck)
 
 
 def test_sphere_deck_keeps_its_stack_and_checks_every_element():
