@@ -144,7 +144,7 @@ _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
 _MAX_SPHERE_DIM = 2 * _MAX_GROUP_SIZE - 1
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
 _MAX_SAMPLES = 10**6  # most --samples; check-killing, its one reader, draws 4096 at a time
-_MAX_MOTIONS = 10**4  # most --motions: about 2 s of probes
+_MAX_MOTIONS = 10**4  # most --motions: about 1 s of probes
 
 
 def parse_model(name: str):
@@ -234,10 +234,7 @@ def group_manifold_deck(spec: CompactGroupSpec, name: str):
             else:
                 A = np.diag([zeta] + [1.0] * (spec.n - 1))
                 gen = np.block([[A, np.zeros_like(A)], [np.zeros_like(A), np.conj(A)]])
-        return [
-            left_translation_isometry(spec, g)
-            for g in cyclic_powers(gen.astype(complex))
-        ]
+        return [left_translation_isometry(spec, g) for g in cyclic_powers(gen)]
     raise InvalidParameter(f"unknown group-manifold deck {name!r}")
 
 
@@ -473,14 +470,9 @@ def _cmd_probe_noncompact(args):
     for k in range(motions):
         dim = 2 + (k % 3)
         pure = k % 2 == 0
-        if pure:
-            A = np.eye(dim)
-        else:
-            A = haar_orthogonal(dim, rng)
-        b = rng.standard_normal(dim)
-        bounded, growth = euclidean_bounded(EuclideanMotion(A, b))
-        if bounded == pure:
-            agree += 1
+        A = np.eye(dim) if pure else haar_orthogonal(dim, rng)
+        bounded, _ = euclidean_bounded(EuclideanMotion(A, rng.standard_normal(dim)))
+        agree += bounded == pure
     # hyperbolic: strict growth for non-central motions, zero for +-I
     strict = 0
     for _ in range(motions):
@@ -488,12 +480,11 @@ def _cmd_probe_noncompact(args):
         a, b, c = np.exp(rng.standard_normal()), rng.standard_normal(), rng.standard_normal()
         m = np.array([[a, b], [c, (1.0 + b * c) / a]])
         _, sups = hyperbolic_bounded_probe(HyperbolicMotion(m))
-        if all(b > a for a, b in zip(sups, sups[1:])):
-            strict += 1
-    central_zero = True
-    for sgn in (1.0, -1.0):
-        _, sups = hyperbolic_bounded_probe(HyperbolicMotion(sgn * np.eye(2)))
-        central_zero = central_zero and max(sups) == 0.0
+        strict += all(b > a for a, b in zip(sups, sups[1:]))
+    central_zero = all(
+        max(hyperbolic_bounded_probe(HyperbolicMotion(sgn * np.eye(2)))[1]) == 0.0
+        for sgn in (1.0, -1.0)
+    )
     evidence = {
         "motions": motions,
         "euclidean_exact_agreements": agree,

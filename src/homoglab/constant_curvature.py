@@ -9,7 +9,8 @@ eigen-angle, the angular distance of g's eigenvalues from +1.  Lens group
 constructors and a geodesic invariance check complete the sphere part.
 Flat space and the hyperbolic plane get boundedness probes: a Euclidean
 motion has bounded displacement iff its linear part is the identity, and a
-hyperbolic isometry iff it is +-I.
+hyperbolic isometry iff it is +-I; the growth over balls of given radii is
+read in closed form too, so no point is sampled.
 
 The sphere kernels take one orthogonal matrix or a (k, n, n) stack of them; a
 single matrix is evaluated as a stack of one.
@@ -18,13 +19,12 @@ single matrix is evaluated as a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
 from . import _tol
-from ._linalg import _at_identity, _readonly
+from ._linalg import _at_identity
 from .errors import (
     InvalidParameter,
     NonCoprimeExponent,
@@ -211,58 +211,25 @@ class EuclideanMotion:
             raise InvalidParameter("translation dimension mismatch")
 
 
-_EUCLIDEAN_RADII = (1.0, 10.0, 100.0)  # spheres of the growth evidence
+_EUCLIDEAN_RADII = (1.0, 10.0, 100.0)  # balls of the growth evidence
 
 
 def euclidean_bounded(motion: EuclideanMotion):
     """Exact verdict (bounded iff the linear part is the identity, within
-    ``_tol.CLOSURE``) plus growth evidence: the max displacement over the
-    sphere of each radius in ``_EUCLIDEAN_RADII``.
-
-    The per-radius maximum of |(A - I) x + b| is evaluated on the singular
-    directions of A - I and the coordinate axes, which attains the exact value
-    R * sigma_max(A - I) in the homogeneous case.  Those directions are the
-    eigenvectors of A + A^T, since (A - I)^T (A - I) = 2I - (A + A^T).
-    """
+    ``_tol.CLOSURE``) plus growth evidence: for each R in ``_EUCLIDEAN_RADII``
+    the linear part's largest displacement over the ball of radius R,
+    R sigma_max(A - I) = 2 R sin(theta_max / 2), theta_max the greatest
+    eigen-angle of A.  The translation b moves each value by at most |b|."""
     A = motion.rotation
-    b = motion.translation
-    n = A.shape[0]
-    bounded = bool(_at_identity(A))
-    M = A - np.eye(n)
-    _, V = np.linalg.eigh(A + A.T)
-    dirs = [v for v in V.T] + [e for e in np.eye(n)]
-    if np.linalg.norm(b) > 0:
-        dirs.append(b / np.linalg.norm(b))
-    dirs = np.array(dirs)
-    evidence = []
-    for R in _EUCLIDEAN_RADII:
-        cand = np.concatenate([R * dirs, -R * dirs])
-        disp = np.linalg.norm(cand @ M.T + b, axis=1)
-        evidence.append(float(np.max(disp)))
-    return bounded, evidence
+    theta = _eigen_angles(A[None]).max()
+    return bool(_at_identity(A)), [float(2.0 * R * np.sin(theta / 2.0)) for R in _EUCLIDEAN_RADII]
 
 
 # ---------------------------------------------------------------------------
 # hyperbolic plane (upper half-plane model)
 
 
-# radii of the nested balls around i, ascending, and points per circle
-_HYPERBOLIC_RADII = (1.0, 2.0, 4.0, 8.0)
-_HYPERBOLIC_ANGLES = 64
-
-
-def _moebius(m: np.ndarray, z):
-    a, b = m[0]
-    c, d = m[1]
-    return (a * z + b) / (c * z + d)
-
-
-def _moebius_displacement(m: np.ndarray, z):
-    """Hyperbolic distance d(z, mz), elementwise, via
-    cosh d = 1 + |z - mz|^2 / (2 Im z Im mz)."""
-    w = _moebius(m, z)
-    arg = 1.0 + np.abs(z - w) ** 2 / (2.0 * np.imag(z) * np.imag(w))
-    return np.arccosh(np.maximum(arg, 1.0))
+_HYPERBOLIC_RADII = (1.0, 2.0, 4.0, 8.0)  # radii of the balls around i, ascending
 
 
 @dataclass(frozen=True)
@@ -277,30 +244,28 @@ class HyperbolicMotion:
         if m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m) - 1) > _tol.ZERO:
             raise InvalidParameter("need a real 2x2 matrix with det 1")
 
-    def displacement(self, z: complex) -> float:
-        """Hyperbolic distance d(z, mz) via
-        cosh d = 1 + |z - mz|^2 / (2 Im z Im mz)."""
-        return float(_moebius_displacement(self.matrix, z))
-
-
-@lru_cache(maxsize=None)
-def _hyperbolic_probe_points() -> np.ndarray:
-    """i, then the ``_HYPERBOLIC_ANGLES`` points at hyperbolic distance R from
-    i of each R in ``_HYPERBOLIC_RADII`` (disk model), as one read-only array."""
-    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, _HYPERBOLIC_ANGLES, endpoint=False))
-    w = [np.tanh(R / 2.0) * circle for R in _HYPERBOLIC_RADII]
-    return _readonly(np.concatenate([[1j]] + [1j * (1.0 + v) / (1.0 - v) for v in w]))
-
 
 def hyperbolic_bounded_probe(motion: HyperbolicMotion):
     """Exact verdict (bounded iff the matrix is +-I, within ``_tol.CLOSURE``)
-    plus the sampled sup of the displacement over the nested hyperbolic balls
-    of ``_HYPERBOLIC_RADII`` around i: the centre and the circles of every
-    radius up to the current one, evaluated as one array."""
+    plus the exact sup D(R) of the displacement over the ball about i of each
+    radius R in ``_HYPERBOLIC_RADII``.
+
+    Write m = alpha I + beta J + S, J = [[0, 1], [-1, 0]] and S symmetric
+    traceless with |S|_F = sqrt(2) rho, so det m = alpha^2 + beta^2 - rho^2.
+    A point at distance R from i is k a i, with k a rotation about i and
+    a = diag(e^(R/2), e^(-R/2)), and 2 cosh d(z, m z) = |a^-1 k^-1 m k a|_F^2.
+    Conjugation by k fixes alpha and beta and turns S by an angle psi; the
+    norm is a convex quadratic in sin psi, largest at sin psi = +-1:
+
+        cosh D(R) = alpha^2 + (beta^2 + rho^2) cosh 2R + 2 |beta| rho sinh 2R,
+
+    that is sinh(D(R) / 2) = |beta| sinh R + rho cosh R at det m = 1, the form
+    read here, exact to relative round-off near +-I too.  D is 0.0 for +-I and
+    otherwise strictly increases in R, so the circle of radius R attains it.
+    """
     m = np.asarray(motion.matrix)
     bounded = bool(_at_identity(m) or _at_identity(-m))
-    pts = _hyperbolic_probe_points()
-    disp = _moebius_displacement(m, pts)
-    circles = disp[1:].reshape(len(_HYPERBOLIC_RADII), _HYPERBOLIC_ANGLES).max(axis=1)
-    sups = np.maximum.accumulate(np.concatenate([disp[:1], circles]))[1:]
-    return bounded, [float(v) for v in sups]
+    beta = abs(m[0, 1] - m[1, 0]) / 2.0
+    rho = np.hypot((m[0, 0] - m[1, 1]) / 2.0, (m[0, 1] + m[1, 0]) / 2.0)
+    return bounded, [float(2.0 * np.arcsinh(beta * np.sinh(R) + rho * np.cosh(R)))
+                     for R in _HYPERBOLIC_RADII]

@@ -8,9 +8,11 @@ orthogonal map from singular values and displacement statistics over Haar
 points on a sphere,
 Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley table of a
 matrix list from all k^2 products, the real coordinate vector of a matrix,
-the Berger isometry algebra as the null space of its linear system, and the
-coordinates -trace(B_k X) of a matrix against a basis stack by ``einsum``.  A
-quaternion is a row (w, x, y, z)."""
+the Berger isometry algebra as the null space of its linear system, the
+coordinates -trace(B_k X) of a matrix against a basis stack by ``einsum``,
+the growth of a linear map from its greatest singular value, and sampled
+hyperbolic displacements on circles about i.  A quaternion is a row
+(w, x, y, z)."""
 
 from functools import lru_cache
 
@@ -308,6 +310,31 @@ def sphere_displacement_profile(g: np.ndarray, samples: int, rng: np.random.Gene
         vals = _angles(pts, pts @ np.swapaxes(mats, -1, -2))
         profiles += [DisplacementProfile.from_values(v) for v in vals]
     return profiles[0] if np.ndim(g) == 2 else tuple(profiles)
+
+
+def linear_growth(A: np.ndarray, radii) -> list[float]:
+    """R sigma_max(A - I) for each R: the largest displacement of the linear
+    map A over the ball of radius R, from the greatest singular value."""
+    top = np.linalg.svd(A - np.eye(len(A)), compute_uv=False)[0]
+    return [float(R * top) for R in radii]
+
+
+def moebius_displacement(m: np.ndarray, z):
+    """Sampled cross-check of the hyperbolic probe: the distance d(z, mz) in
+    the upper half-plane, elementwise, via
+    cosh d = 1 + |z - mz|^2 / (2 Im z Im mz)."""
+    a, b = m[0]
+    c, d = m[1]
+    w = (a * z + b) / (c * z + d)
+    arg = 1.0 + np.abs(z - w) ** 2 / (2.0 * np.imag(z) * np.imag(w))
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def hyperbolic_circle(R: float, points: int) -> np.ndarray:
+    """``points`` equally spaced points at hyperbolic distance R from i, the
+    image of the disk-model circle of radius tanh(R / 2)."""
+    w = np.tanh(R / 2.0) * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, points, endpoint=False))
+    return 1j * (1.0 + w) / (1.0 - w)
 
 
 def key_paired_table(mats) -> np.ndarray:

@@ -981,3 +981,68 @@ def test_sphere_deck_keeps_its_stack_and_checks_every_element():
     mats[3] = mats[3] * (1 + 1e-6)
     with pytest.raises(ModelMismatch):
         sphere_deck(mats)
+
+
+def test_su2_two_sided_decks_match_the_lens_decks():
+    """x -> a^-j x b^j with a = diag(z^p, z^-p), b = diag(z^q, z^-q) and
+    z = e^(2 pi i / N) acts on (alpha, beta) as (z^(q-p) alpha, z^(q+p) beta).
+    The list names one map twice, and is refused, exactly when some
+    0 < j < N has a^j = b^j = +-I; otherwise the deck is free iff q - p and
+    q + p are units mod N, constant iff a or b is central, and where it is
+    free it matches lens-N-(q-p)-(q+p) on s3, with distances sqrt(2) times
+    the sphere's angles."""
+    checked = refused = 0
+    for N in range(2, 13):
+        zeta = np.exp(2j * np.pi / N)
+        for p, q in itertools.product(range(N), repeat=2):
+            a, b = np.diag([zeta**p, zeta**-p]), np.diag([zeta**q, zeta**-q])
+            isos = [TwoSidedIsometry(np.linalg.matrix_power(a, j), np.linalg.matrix_power(b, j))
+                    for j in range(N)]
+            if any(j * (q - p) % N == 0 and 2 * j * p % N == 0 for j in range(1, N)):
+                with pytest.raises(NotClosed, match="repeats an element"):
+                    group_deck(SU2, isos)
+                refused += 1
+                continue
+            report = verify_instance(group_deck(SU2, isos))
+            free = gcd(q - p, N) == gcd(q + p, N) == 1
+            constant = [e.constant for e in report.clifford_per_element]
+            assert report.free == free, (N, p, q)
+            assert all(constant) == (2 * p % N == 0 or 2 * q % N == 0), (N, p, q)
+            if free:
+                lens = verify_instance(sphere_deck(lens_group(N, ((q - p) % N, (q + p) % N))))
+                assert (report.verdict, report.centralizer_dim) == (lens.verdict, lens.centralizer_dim)
+                assert constant == [e.constant for e in lens.clifford_per_element]
+                for e, s in zip(report.clifford_per_element, lens.clifford_per_element):
+                    if e.constant:
+                        assert abs(e.value - np.sqrt(2) * s.value) <= 1e-12, (N, p, q)
+            checked += 1
+    assert (checked, refused) == (442, 207)
+
+
+def _centralizer_dim_from_multiplicities(family, g, k):
+    """The dimension of the centralizer of g, g^k = I, in its Lie algebra,
+    from the multiplicities of its eigenvalues e^(2 pi i r / k): sum m^2 - 1
+    on SU; m^2 per pair r, -r and on SO m(m - 1)/2, on Sp (m/2)(m + 1), for
+    each of +-1."""
+    r = np.round(np.angle(np.linalg.eigvals(g)) * k / (2 * np.pi)).astype(int) % k
+    mult = Counter(r.tolist())
+    if family == "SU":
+        return sum(m * m for m in mult.values()) - 1
+    real = {"SO": lambda m: m * (m - 1) // 2, "Sp": lambda m: m // 2 * (m + 1)}[family]
+    return sum(real(m) if 2 * r % k == 0 else m * m if 2 * r < k else 0
+               for r, m in mult.items())
+
+
+@pytest.mark.parametrize("family", ["SU", "SO", "Sp"])
+def test_left_translation_decks_count_the_generator_centralizer(family):
+    """The centralizer of a CLI cyclic-k deck, x -> g^j x, holds every right
+    field and the left fields fixed by Ad(g): dim g plus the dimension of g's
+    centralizer, counted here from g's eigenvalue multiplicities, on every
+    model of matrix size at most 12."""
+    sizes = {"SU": range(2, 13), "SO": range(3, 13), "Sp": range(2, 7)}[family]
+    for spec in (CompactGroupSpec(family, n) for n in sizes):
+        for k in range(2, 8):
+            deck = group_deck(spec, group_manifold_deck(spec, f"cyclic-{k}"))
+            g = deck.matrices[1, 0].conj().T
+            want = spec.algebra_dim + _centralizer_dim_from_multiplicities(family, g, k)
+            assert verify_instance(deck).centralizer_dim == want, (spec.name, k)
