@@ -294,53 +294,43 @@ def _cmd_construct(args):
     return {"group": args.group}, {"closure": _tol.CLOSURE}, evidence, "Constructed"
 
 
-def _real_orthogonal_from_file(path: str, model: SphereModel) -> np.ndarray:
-    M = load_matrix(path)
+def _sphere_matrices(args):
+    """The inputs and the matrices of a check-clifford or check-free run on a
+    sphere model: the deck named by --group, or the one orthogonal matrix of
+    the model's size in --matrix-file."""
+    model = parse_model(args.model)
+    if not isinstance(model, SphereModel):
+        raise InvalidParameter(f"{args.command} runs on sphere models")
+    inputs = {"model": args.model}
+    if args.matrix_file is None:  # an empty --matrix-file is a file name too
+        inputs["group"] = args.group
+        return inputs, sphere_group_matrices(args.group, model.ambient_dim)
+    M = load_matrix(args.matrix_file)
     if M.shape != (model.ambient_dim, model.ambient_dim):
         raise ModelMismatch(
             f"matrix is {M.shape[0]}x{M.shape[1]}, model needs {model.ambient_dim}"
         )
-    return check_orthogonal(M)
+    inputs["matrix_file"] = os.path.basename(args.matrix_file)
+    return inputs, check_orthogonal(M)
 
 
 def _cmd_check_clifford(args):
-    model = parse_model(args.model)
-    if not isinstance(model, SphereModel):
-        raise InvalidParameter("check-clifford runs on sphere models")
-    inputs = {"model": args.model}
+    inputs, mats = _sphere_matrices(args)
     tolerances = {"eigen": _tol.EIGEN}
-    if args.matrix_file:
-        mats = [_real_orthogonal_from_file(args.matrix_file, model)]
-        inputs["matrix_file"] = os.path.basename(args.matrix_file)
-    else:
-        mats = sphere_group_matrices(args.group, model.ambient_dim)
-        inputs["group"] = args.group
+    if args.matrix_file is None:
         tolerances["closure"] = _tol.CLOSURE
     constant, values = clifford_evidence(mats)
     elements = [
         {"id": i, "constant": bool(c), "value": float(v)}
         for i, (c, v) in enumerate(zip(constant, values))
     ]
-    verdict = (
-        "ConstantDisplacement"
-        if all(e["constant"] for e in elements)
-        else "NotConstantDisplacement"
-    )
+    verdict = "ConstantDisplacement" if constant.all() else "NotConstantDisplacement"
     return inputs, tolerances, {"elements": elements}, verdict
 
 
 def _cmd_check_free(args):
-    model = parse_model(args.model)
-    if not isinstance(model, SphereModel):
-        raise InvalidParameter("check-free runs on sphere models")
-    inputs = {"model": args.model}
-    if args.matrix_file:
-        mats = cyclic_powers(_real_orthogonal_from_file(args.matrix_file, model))
-        inputs["matrix_file"] = os.path.basename(args.matrix_file)
-    else:
-        mats = sphere_group_matrices(args.group, model.ambient_dim)
-        inputs["group"] = args.group
-    deck = sphere_deck(mats)
+    inputs, mats = _sphere_matrices(args)
+    deck = sphere_deck(mats if args.matrix_file is None else cyclic_powers(mats))
     res = is_free_on_sphere(deck.matrices)
     evidence = {"order": deck.order, "offender": res.offender}
     verdict = "Free" if res.free else "NotFree"

@@ -21,7 +21,9 @@ center (``_constancy``), a deck's centralizer dimension by characters
 map, which always fixes a point.  A constant map moves every point by lo; the
 spread of a non-constant one is lo against the largest displacement hi at the
 identity and the turns exp(pi/2 b) of the algebra basis
-(``_translation_ranges``), a lower bound attained at named points.  Deck
+(``_translation_ranges``), a lower bound attained at named points.  One
+kernel, ``_clifford_wolf``, holds these rules and freeness (lo vanishes off
+the identity maps) for ``clifford_wolf_evidence`` and the pipeline.  Deck
 stacks go in blocks (``_linalg._blocks``).  Sampled profiles only measure.
 """
 
@@ -407,8 +409,9 @@ def _alcove_point(spec: CompactGroupSpec, g: np.ndarray) -> np.ndarray:
     return phi
 
 
-def conjugacy_class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Bi-invariant distance between the conjugacy classes of a and b.
+def _class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bi-invariant distance between the conjugacy classes of two group
+    elements, or of the members of two stacks, unchecked.
 
     This is the least displacement of x -> a^{-1} x b, which fixes a point
     exactly when a and b are conjugate.  The classes meet a maximal torus in
@@ -420,12 +423,6 @@ def conjugacy_class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarra
     angle lattice is the full 2 pi Z^m, which on SO(2m) adds the symmetry
     (phi_1, ..., phi_m) -> (2 pi - phi_1, phi_2, ..., -phi_m) of the alcove.
     """
-    return float(_class_distance(spec, check_in_group(spec, a), check_in_group(spec, b)))
-
-
-def _class_distance(spec: CompactGroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``conjugacy_class_distance`` of two group elements, or of the members
-    of two stacks, unchecked."""
     x = _alcove_point(spec, a)
     y = _alcove_point(spec, b)
     d = np.linalg.norm(x - y, axis=-1)
@@ -473,11 +470,6 @@ class TwoSidedIsometry:
         return _adjoint(self.g1) @ x @ self.g2
 
 
-def is_identity_isometry(spec: CompactGroupSpec, iso: TwoSidedIsometry) -> bool:
-    """Whether ``iso`` is the identity map: ``_identity_maps`` of one pair."""
-    return not iso.inverted and bool(_identity_maps(spec, np.stack([iso.g1, iso.g2])[None])[0])
-
-
 def _identity_maps(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
     """Which maps x -> g1^{-1} x g2 of a (k, 2, d, d) pair stack are the
     identity: g1 = g2 = one central element, within ``_tol.CLOSURE``."""
@@ -515,18 +507,26 @@ def group_displacement_profile(
 
 
 def clifford_wolf_evidence(spec: CompactGroupSpec, isos):
-    """Per-element constancy and its evidence for a list of two-sided
+    """The flags and values of ``_clifford_wolf`` for a list of two-sided
     translations, the group-manifold twin of
-    ``constant_curvature.clifford_evidence``: the flags of ``_constancy``
-    (never set for an inverted map, which always fixes a point), and an array
-    holding lo of ``_translation_ranges`` where the map is constant (it moves
-    every point by lo) and hi - lo where it is not."""
+    ``constant_curvature.clifford_evidence``."""
     isos, d = list(isos), spec.matrix_size
     pairs = check_in_group(spec, [g for iso in isos for g in (iso.g1, iso.g2)]).reshape(-1, 2, d, d)
     inverted = np.array([iso.inverted for iso in isos], dtype=bool)
-    constant = _constancy(spec, pairs)[0] & ~inverted
+    return _clifford_wolf(spec, pairs, inverted)[:2]
+
+
+def _clifford_wolf(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarray):
+    """Constancy flags (``_constancy``, never for an inverted map), values (lo
+    where constant, else hi - lo), ranges lo and hi (``_translation_ranges``),
+    fixed-point flags and (k, 2) central-factor flags of the maps of a checked
+    (k, 2, d, d) pair stack, inverted where ``inverted``.  A map other than
+    the identity fixes a point iff lo vanishes: g1 and g2 are conjugate."""
     lo, hi = _translation_ranges(spec, pairs, inverted)
-    return constant, np.where(constant, lo, hi - lo)
+    constant, central = _constancy(spec, pairs)
+    constant &= ~inverted
+    fixing = (lo <= _tol.EIGEN) & (inverted | ~_identity_maps(spec, pairs))
+    return constant, np.where(constant, lo, hi - lo), lo, hi, fixing, central
 
 
 def _constancy(spec: CompactGroupSpec, pairs: np.ndarray):

@@ -1,19 +1,20 @@
 """Displacement analysis on the model spaces of constant curvature.
 
 Spheres are decided by eigen-angles, the |arg λ| of each eigenvalue λ of g,
-from one ``eigvals`` call per stack.  Their least and greatest are the exact
-range [lo, hi] of the displacement over the sphere, and the constancy test
-reads it: a map has constant displacement iff hi - lo vanishes (to
-``_tol.EIGEN``), and then moves every point by lo.  Freeness reads the least
-eigen-angle, the angular distance of g's eigenvalues from +1.  Lens group
+from one ``eigvals`` call per stack.  One kernel, ``_clifford``, reads their
+least and greatest, the exact range [lo, hi] of the displacement over the
+sphere, and the constancy test: a map has constant displacement iff hi - lo
+vanishes (to ``_tol.EIGEN``), and then moves every point by lo.  Freeness
+reads the least eigen-angle, the angular distance from +1.  Lens group
 constructors and a geodesic invariance check complete the sphere part.
 Flat space and the hyperbolic plane get boundedness probes: a Euclidean
 motion has bounded displacement iff its linear part is the identity, and a
 hyperbolic isometry iff it is +-I; the growth over balls of given radii is
 read in closed form too, so no point is sampled.
 
-The sphere kernels take one orthogonal matrix or a (k, n, n) stack of them; a
-single matrix is evaluated as a stack of one.
+The public sphere functions take one orthogonal matrix or a (k, n, n) stack
+of them, evaluating one matrix as a stack of one; ``is_clifford_sphere`` takes
+one matrix only.
 """
 
 from __future__ import annotations
@@ -79,32 +80,32 @@ def sphere_displacement_range(g: np.ndarray):
     least and the greatest θ_j and attains both in their planes.  One matrix
     gives (lo, hi) as floats, a stack two arrays.
     """
-    angles = _eigen_angles(_orthogonal_stack(g))
-    lo, hi = angles.min(axis=1), angles.max(axis=1)
+    _, _, lo, hi = _clifford(_orthogonal_stack(g))
     if np.ndim(g) == 2:
         return float(lo[0]), float(hi[0])
     return lo, hi
 
 
-def clifford_evidence(g: np.ndarray):
-    """Per-matrix constancy and its evidence, for one matrix or a stack, read
-    off ``sphere_displacement_range``: a map is constant when hi - lo is at
-    most ``_tol.EIGEN``.  Returns a boolean array and an array holding lo
-    where the map is constant (it then moves every point by lo) and the
-    spread hi - lo where it is not.  No point is drawn."""
-    lo, hi = np.atleast_1d(*sphere_displacement_range(g))
+def _clifford(stack: np.ndarray):
+    """Constancy flags, values and ranges lo, hi of an unchecked (k, n, n)
+    orthogonal stack, as four (k,) arrays; a value is lo where the map is
+    constant and hi - lo where it is not."""
+    angles = _eigen_angles(stack)
+    lo, hi = angles.min(axis=1), angles.max(axis=1)
     constant = hi - lo <= _tol.EIGEN
-    return constant, np.where(constant, lo, hi - lo)
+    return constant, np.where(constant, lo, hi - lo), lo, hi
+
+
+def clifford_evidence(g: np.ndarray):
+    """The flags and values of ``_clifford`` for one checked matrix or stack."""
+    return _clifford(_orthogonal_stack(g))[:2]
 
 
 def is_clifford_sphere(g: np.ndarray):
-    """``clifford_evidence`` as (True, angle) or (False, None) for one matrix,
-    and for a stack as flags and angles, NaN where the map is not constant."""
-    constant, values = clifford_evidence(g)
-    angle = np.where(constant, values, np.nan)
-    if np.ndim(g) == 3:
-        return constant, angle
-    return (True, float(angle[0])) if constant[0] else (False, None)
+    """``clifford_evidence`` of one matrix as (True, angle) or (False, None);
+    a stack goes to ``clifford_evidence`` itself."""
+    (constant,), (angle,) = clifford_evidence([g])
+    return (True, float(angle)) if constant else (False, None)
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,14 @@ def is_free_on_sphere(group) -> FreenessResult:
     """True when no non-identity element of the list fixes a point, i.e. no
     eigen-angle |arg λ| is within ``_tol.EIGEN`` of 0; the offender is the
     first such element in list order.  An element within ``_tol.CLOSURE`` of
-    the identity is the identity.  The least eigen-angle of each moving
-    element is read, exact to absolute round-off since g is normal.
+    the identity is the identity.  Each element's least eigen-angle, lo of
+    ``_clifford``, is read, exact to absolute round-off since g is normal.
 
     Each element is tested on its own; that the list is a group is checked
     where a deck is built (``verifier.sphere_deck``).
     """
     arr = _orthogonal_stack(group)
-    moving = np.flatnonzero(~_at_identity(arr))
-    fixing = moving[_eigen_angles(arr[moving]).min(axis=1) <= _tol.EIGEN]
+    fixing = np.flatnonzero((_clifford(arr)[2] <= _tol.EIGEN) & ~_at_identity(arr))
     if fixing.size:
         return FreenessResult(False, int(fixing[0]))
     return FreenessResult(True, None)

@@ -23,13 +23,12 @@ the centralizer fields span the tangent space at one of its points.  The
 pipeline therefore takes the rank at the base point only (e_1 on a sphere, the
 identity on a group manifold).
 
-No point is drawn.  Each deck element gets one displacement range [lo, hi],
-computed once per deck: exact on a sphere; on a group manifold the closed-form
-least displacement against the largest one at a fixed set of points.  It
-decides constancy on a sphere (hi - lo within ``_tol.EIGEN``) and freeness on
-a group manifold (lo above it but for the identity map), and gives each
-element's value (lo when constant, hi - lo when not) and the forward re-check
-(the largest hi - lo, at most ``tol``).
+No point is drawn.  The per-element evidence comes from one kernel per model,
+the one behind the public evidence function: ``constant_curvature._clifford``
+(``clifford_evidence``) on a sphere, ``compact_lie._clifford_wolf``
+(``clifford_wolf_evidence``) on a group manifold, where it decides freeness
+too.  Each gives the constancy flags, the values and the ranges [lo, hi] of
+the forward re-check (the largest hi - lo, at most ``_tol.DISPLACEMENT``).
 """
 
 from __future__ import annotations
@@ -47,13 +46,11 @@ from .compact_lie import (
     _adjoint_pass,
     _basis_stack,
     _centralizer_dim,
-    _constancy,
-    _identity_maps,
-    _translation_ranges,
+    _clifford_wolf,
     center_elements,
     check_in_group,
 )
-from .constant_curvature import _eigen_angles, check_orthogonal, is_free_on_sphere
+from .constant_curvature import _clifford, check_orthogonal, is_free_on_sphere
 from .errors import (
     InvalidParameter,
     InvariantViolated,
@@ -113,6 +110,8 @@ class DeckGroup:
     matrices: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not self.elements:
+            raise InvalidParameter("deck group is empty")
         if isinstance(self.model, SphereModel):
             self._validate_sphere()
         else:
@@ -126,8 +125,6 @@ class DeckGroup:
 
     def _validate_sphere(self):
         n = self.model.ambient_dim
-        if not self.elements:
-            raise InvalidParameter("deck group is empty")
         mats = check_orthogonal(self.elements)
         if mats.shape[1:] != (n, n):
             raise ModelMismatch(f"expected {n}x{n} matrices")
@@ -138,8 +135,6 @@ class DeckGroup:
         spec = self.model.spec
         if any(not isinstance(iso, TwoSidedIsometry) or iso.inverted for iso in self.elements):
             raise ModelMismatch("group-manifold decks consist of translation pairs")
-        if not self.elements:
-            raise InvalidParameter("deck group is empty")
         d = spec.matrix_size
         pairs = check_in_group(spec, [g for iso in self.elements for g in (iso.g1, iso.g2)])
         object.__setattr__(self, "matrices", pairs.reshape(-1, 2, d, d))
@@ -163,8 +158,7 @@ def sphere_deck(matrices) -> DeckGroup:
 
 def sphere_deck_from_quaternions(group: FiniteQuaternionGroup) -> DeckGroup:
     """Left multiplication action of a finite quaternion group on S^3."""
-    mats = tuple(group.left_translation_matrices())
-    return DeckGroup(SphereModel(4), mats)
+    return sphere_deck(group.left_translation_matrices())
 
 
 def group_deck(spec: CompactGroupSpec, isometries) -> DeckGroup:
@@ -235,9 +229,7 @@ class VerifyConfig:
 class ElementEvidence:
     element_id: int
     constant: bool
-    # lo when constant (the map moves every point by it); otherwise the spread
-    # hi - lo of the exact sphere range or of the attained group-manifold range
-    value: float
+    value: float  # the model kernel's: lo when constant, otherwise hi - lo
 
 
 @dataclass(frozen=True)
@@ -312,28 +304,18 @@ def verify_instance(deck: DeckGroup, config: VerifyConfig | None = None) -> Homo
     tolerances = {"displacement": _tol.DISPLACEMENT, "closure": _tol.CLOSURE,
                   "eigen": _tol.EIGEN, "rank_cutoff": _tol.RANK_CUTOFF}
     centralizer_dim = _centralizer_dim(*_deck_maps(deck))
-    # one displacement range [lo, hi] per element, computed once
+    # the per-element evidence of the model's kernel, computed once
     if isinstance(model, SphereModel):
-        freeness = is_free_on_sphere(deck.matrices)
-        free, free_offender = freeness.free, freeness.offender
-        angles = _eigen_angles(deck.matrices)
-        lo, hi = angles.min(axis=1), angles.max(axis=1)
-        constant = hi - lo <= _tol.EIGEN
+        free_offender = is_free_on_sphere(deck.matrices).offender
+        constant, values, lo, hi = _clifford(deck.matrices)
         one_sided = False
     else:
         tolerances["central"] = _tol.CENTRAL
-        spec = model.spec
         inverted = np.zeros(deck.order, dtype=bool)  # decks hold translations only
-        lo, hi = _translation_ranges(spec, deck.matrices, inverted)
-        # x -> g1^{-1} x g2 fixes a point iff g1 and g2 are conjugate, i.e.
-        # iff lo, the distance between their classes, vanishes
-        fixing = np.flatnonzero((lo <= _tol.EIGEN) & ~_identity_maps(spec, deck.matrices))
-        free_offender = int(fixing[0]) if fixing.size else None
-        free = free_offender is None
-        constant, central = _constancy(spec, deck.matrices)
+        constant, values, lo, hi, fixing, central = _clifford_wolf(model.spec, deck.matrices, inverted)
+        free_offender = int(np.flatnonzero(fixing)[0]) if fixing.any() else None
         one_sided = bool(central.all(axis=0).any())
-    # a constant map moves every point by its least displacement
-    values = np.where(constant, lo, hi - lo)
+    free = free_offender is None
     elements = tuple(map(ElementEvidence, range(deck.order), constant.tolist(), values.tolist()))
 
     if one_sided:  # the central side's fields span the tangent space at the identity

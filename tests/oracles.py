@@ -10,11 +10,17 @@ Haar points on Sp(n) by quaternionic Gram-Schmidt, the Cayley table of a
 matrix list from all k^2 products, the real coordinate vector of a matrix,
 the Berger isometry algebra as the null space of its linear system, the
 coordinates -trace(B_k X) of a matrix against a basis stack by ``einsum``,
-the growth of a linear map from its greatest singular value, and sampled
-hyperbolic displacements on circles about i.  A quaternion is a row
-(w, x, y, z)."""
+the growth of a linear map from its greatest singular value, sampled
+hyperbolic displacements on circles about i, and Wolf's closed forms for lens
+decks.  A quaternion is a row (w, x, y, z).
 
+The lens sweep also runs on its own, over more decks than tier-1 takes:
+``PYTHONPATH=tests:src python -c "import oracles; print(oracles.lens_deck_mismatches((60, 30, 16, 10, 8)))"``."""
+
+import itertools
+from collections import Counter
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -30,10 +36,16 @@ from homoglab.compact_lie import (
     group_exp,
     symplectic_structure,
 )
-from homoglab.constant_curvature import _orthogonal_stack
+from homoglab.constant_curvature import _orthogonal_stack, lens_group
 from homoglab._linalg import _blocks
 from homoglab.errors import NotClosed, NotInGroup
 from homoglab.profiles import DisplacementProfile
+from homoglab.verifier import (
+    HOMOGENEOUS_WITNESS_FOUND,
+    NOT_CONSTANT_DISPLACEMENT,
+    sphere_deck,
+    verify_instance,
+)
 
 
 def _vec(E: np.ndarray, lead: int = 0) -> np.ndarray:
@@ -386,3 +398,45 @@ def trace_coords_einsum(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
     (..., k) for a stack; the einsum that ``_linalg.trace_coords`` replaced
     with one GEMM."""
     return -np.einsum("kij,...ji->...k", basis, X).real
+
+
+def lens_decks(tops):
+    """Every L(K; 1, q_2, ..., q_m) with each q_i a unit mod K, as (K,
+    exponents), for m = 2, 3, ... and K from 2 to ``tops[m - 2]``."""
+    for m, top in enumerate(tops, start=2):
+        for K in range(2, top + 1):
+            units = [q for q in range(1, K) if gcd(q, K) == 1]
+            for rest in itertools.combinations_with_replacement(units, m - 1):
+                yield K, (1, *rest)
+
+
+def lens_closed_form(K: int, exps) -> tuple:
+    """Wolf's classification of homogeneous spherical space forms on the lens
+    deck L(K; 1, q_2, ..., q_m), each q_i a unit mod K, as (free, every
+    element constant, centralizer_dim, verdict): the deck is free; it is
+    constant iff every q_i = +-1 mod K; its centralizer is the sum of u(m_j)
+    over the classes {q, -q} mod K, m_j exponents each (all of so(2m) for
+    K = 2, whose one element is -I); and it is a witness iff there is one
+    class."""
+    m = len(exps)
+    classes = Counter(min(q % K, -q % K) for q in exps)
+    constant = all((q - 1) % K == 0 or (q + 1) % K == 0 for q in exps)
+    cdim = m * (2 * m - 1) if K == 2 else sum(c * c for c in classes.values())
+    verdict = HOMOGENEOUS_WITNESS_FOUND if len(classes) == 1 else NOT_CONSTANT_DISPLACEMENT
+    return True, constant, cdim, verdict
+
+
+def lens_deck_mismatches(tops) -> tuple[int, list]:
+    """``verify_instance`` on every deck of ``lens_decks(tops)`` against
+    ``lens_closed_form``: the number of decks, and each (K, exponents, got,
+    want) that differs."""
+    count, mismatches = 0, []
+    for K, exps in lens_decks(tops):
+        report = verify_instance(sphere_deck(lens_group(K, exps)))
+        got = (report.free, all(e.constant for e in report.clifford_per_element),
+               report.centralizer_dim, report.verdict)
+        want = lens_closed_form(K, exps)
+        if got != want:
+            mismatches.append((K, exps, got, want))
+        count += 1
+    return count, mismatches

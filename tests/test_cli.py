@@ -984,21 +984,32 @@ def test_the_largest_deck_under_the_table_bound_passes_its_check(monkeypatch, un
     assert under_work <= finite_groups._TABLE_WORK < over_work
 
 
+@pytest.mark.parametrize("command", ["check-clifford", "check-free"])
+def test_empty_matrix_file_name_exits_2_with_one_stderr_line(capsys, command):
+    """An empty --matrix-file names a file that cannot be read; it is not
+    taken for a missing one, which would send the run on to --group."""
+    assert main([command, "--model", "s3", "--matrix-file", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "cannot read matrix file" in line
+
+
 @pytest.mark.parametrize("model", ["su2"], ids=["group"])
 def test_broken_invariant_exits_2_with_one_stderr_line(capsys, monkeypatch, model):
     """A failed internal consistency check is refused like a usage error.
     The forward re-check can fire on a group manifold only (on a sphere a
     witness has every spread within EIGEN): widening the upper end of every
     displacement range leaves freeness and the constancy flags as they are."""
-    from homoglab import verifier
+    from homoglab import compact_lie
 
-    real = verifier._translation_ranges
+    real = compact_lie._translation_ranges
 
     def wide_ranges(*args):
         lo, hi = real(*args)
         return lo, hi + 1.0
 
-    monkeypatch.setattr(verifier, "_translation_ranges", wide_ranges)
+    monkeypatch.setattr(compact_lie, "_translation_ranges", wide_ranges)
     assert main(["check-homogeneity", "--model", model, "--group", "center"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

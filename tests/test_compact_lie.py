@@ -19,11 +19,9 @@ from homoglab.compact_lie import (
     check_in_algebra,
     check_in_group,
     clifford_wolf_evidence,
-    conjugacy_class_distance,
     group_displacement_profile,
     group_exp,
     haar_sample,
-    is_identity_isometry,
     min_displacement,
     minimal_angles,
     one_parameter,
@@ -341,13 +339,18 @@ def test_haar_pairs_are_not_constant(rng):
     assert (gaps > 1e-3).all()
 
 
+def _is_identity_map(spec, g1, g2):
+    """``_identity_maps`` of the one pair (g1, g2)."""
+    return bool(compact_lie._identity_maps(spec, np.stack([g1, g2])[None])[0])
+
+
 def test_two_sided_apply_compose_inverse(rng):
-    ident = TwoSidedIsometry(np.eye(3, dtype=complex), np.eye(3, dtype=complex))
-    assert is_identity_isometry(SU3, ident)
+    eye = np.eye(3, dtype=complex)
+    assert _is_identity_map(SU3, eye, eye)
     # g1 = g2 = same central element is the identity map
     z = center_elements(SU3)[1]
-    assert is_identity_isometry(SU3, TwoSidedIsometry(z, z))
-    assert not is_identity_isometry(SU3, TwoSidedIsometry(z, np.eye(3, dtype=complex)))
+    assert _is_identity_map(SU3, z, z)
+    assert not _is_identity_map(SU3, z, eye)
 
 
 def test_left_translation_displacement_is_constant(rng):
@@ -638,7 +641,7 @@ def test_min_displacement_is_exact(spec, rng):
     for _ in range(10):
         g1, g2 = haar_sample(spec, rng), haar_sample(spec, rng)
         pair = TwoSidedIsometry(g1, g2)
-        assert min_displacement(spec, pair) == conjugacy_class_distance(spec, g1, g2)
+        assert min_displacement(spec, pair) == float(compact_lie._class_distance(spec, g1, g2))
         assert min_displacement(spec, TwoSidedIsometry(g1, g2, inverted=True)) <= 1e-13
     g2 = haar_sample(spec, rng)
     for z in center_elements(spec):
@@ -745,6 +748,12 @@ def _conjugate(spec, g, rng):
     return q @ g @ q.conj().T
 
 
+def class_distance(spec, a, b):
+    """The distance between the classes of a and b: the least displacement
+    of x -> a^-1 x b."""
+    return min_displacement(spec, TwoSidedIsometry(a, b))
+
+
 def test_conjugacy_distance_su2_closed_form(rng):
     """SU(2) classes are labelled by the half-angle alpha in [0, pi] of the
     eigenvalues exp(+-i alpha); the class distance is sqrt(2) |alpha - beta|."""
@@ -752,7 +761,7 @@ def test_conjugacy_distance_su2_closed_form(rng):
         alpha, beta = rng.uniform(0.0, np.pi, 2)
         a = _conjugate(SU2, _torus_element(SU2, np.array([alpha, -alpha])), rng)
         b = _conjugate(SU2, _torus_element(SU2, np.array([beta, -beta])), rng)
-        d = conjugacy_class_distance(SU2, a, b)
+        d = class_distance(SU2, a, b)
         assert abs(d - np.sqrt(2.0) * abs(alpha - beta)) <= 1e-12
 
 
@@ -776,7 +785,7 @@ def test_conjugacy_distance_matches_weyl_enumeration(spec, rng):
         )
         a = _conjugate(spec, ta, rng)
         b = _conjugate(spec, _torus_element(spec, beta), rng)
-        assert abs(conjugacy_class_distance(spec, a, b) - want) <= 1e-9
+        assert abs(class_distance(spec, a, b) - want) <= 1e-9
 
 
 def test_conjugacy_distance_separates_so4_orientations(rng):
@@ -786,12 +795,12 @@ def test_conjugacy_distance_separates_so4_orientations(rng):
     for _ in range(20):
         alpha = np.sort(rng.uniform(0.1, np.pi - 0.1, 2))[::-1]
         g = _conjugate(SO4, _torus_element(SO4, alpha), rng)
-        d = conjugacy_class_distance(SO4, g, r @ g @ r.T)
+        d = class_distance(SO4, g, r @ g @ r.T)
         # flip the second angle, or send the first to 2 pi minus itself
         want = np.sqrt(2.0) * min(2.0 * alpha[1], 2.0 * np.pi - 2.0 * alpha[0])
         assert d > 0.1
         assert abs(d - want) <= 1e-9
-        assert conjugacy_class_distance(SO4, g, _conjugate(SO4, g, rng)) <= 1e-9
+        assert class_distance(SO4, g, _conjugate(SO4, g, rng)) <= 1e-9
 
 
 @settings(deadline=None, max_examples=20, derandomize=True)
@@ -802,7 +811,7 @@ def test_conjugacy_distance_bounds_reached_displacements(spec, seed):
     rng = np.random.default_rng(seed)
     g1, g2 = haar_sample(spec, rng), haar_sample(spec, rng)
     reached = translation_displacement(spec, TwoSidedIsometry(g1, g2), haar_sample(spec, rng, 50))
-    assert conjugacy_class_distance(spec, g1, g2) <= reached.min() + 1e-9
+    assert class_distance(spec, g1, g2) <= reached.min() + 1e-9
 
 
 @settings(deadline=None, max_examples=30, derandomize=True)
@@ -810,7 +819,7 @@ def test_conjugacy_distance_bounds_reached_displacements(spec, seed):
 def test_conjugate_pairs_have_zero_class_distance(spec, seed):
     rng = np.random.default_rng(seed)
     g, x = haar_sample(spec, rng), haar_sample(spec, rng)
-    assert conjugacy_class_distance(spec, g, x @ g @ x.conj().T) <= 1e-9
+    assert class_distance(spec, g, x @ g @ x.conj().T) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from homoglab import _tol, constant_curvature
+from homoglab._linalg import _at_identity
 from homoglab.compact_lie import haar_orthogonal
 from homoglab.constant_curvature import (
     EuclideanMotion,
@@ -58,7 +59,7 @@ def test_constant_displacement_is_exact_near_0_and_pi(n):
         g = block_diag(*[rotation_block(theta)] * (n // 2))
         q = haar_orthogonal(n, rng, size=50)
         stack = q @ g @ np.swapaxes(q, 1, 2)
-        ok, angles = is_clifford_sphere(stack)
+        ok, angles = clifford_evidence(stack)
         assert ok.all()
         assert np.max(np.abs(angles - theta)) <= 1e-14, theta
 
@@ -86,9 +87,9 @@ def test_unequal_angles_near_0_and_pi_are_not_clifford(a, b):
     eigen-angles differ by 1e-5."""
     g = block_diag(rotation_block(a), rotation_block(b))
     assert is_clifford_sphere(g) == (False, None)
-    ok, angle = is_clifford_sphere(np.stack([g, g.T, np.eye(4)]))
+    ok, value = clifford_evidence(np.stack([g, g.T, np.eye(4)]))
     assert ok.tolist() == [False, False, True]
-    assert np.isnan(angle[:2]).all() and angle[2] == 0.0
+    assert (np.abs(value[:2] - 1e-5) <= 1e-14).all() and value[2] == 0.0
 
 
 def test_geodesic_check_requires_unit_point():
@@ -102,6 +103,12 @@ def test_geodesic_check_requires_unit_point():
 def test_rejects_non_orthogonal():
     with pytest.raises(NonOrthogonalInput):
         is_clifford_sphere(np.eye(4) * 2.0)
+
+
+def test_clifford_predicate_takes_one_matrix_and_the_evidence_a_stack():
+    with pytest.raises(NonOrthogonalInput, match="square matrix"):
+        is_clifford_sphere(np.stack([np.eye(4), -np.eye(4)]))
+    assert clifford_evidence(np.eye(4))[0].tolist() == [True]
 
 
 def test_lens_all_ones_clifford_and_free():
@@ -397,11 +404,11 @@ def test_stacked_clifford_test_equals_the_per_matrix_test(name):
     angle with the oracle's mean eigen-angle to round-off, and each row of
     the stacked test with the test of its matrix alone."""
     stack = STACKS[name]
-    ok, angle = is_clifford_sphere(stack)
+    ok, angle = clifford_evidence(stack)
     for g, c, a in zip(stack, ok, angle):
         want_ok, want_angle = clifford_oracle(g)
         assert c == want_ok
-        assert np.isnan(a) if not c else abs(a - want_angle) <= 1e-14
+        assert not c or abs(a - want_angle) <= 1e-14
         assert is_clifford_sphere(g) == ((True, a) if c else (False, None))
 
 
@@ -578,3 +585,31 @@ def test_central_hyperbolic_motions_have_exactly_zero_sups():
         assert sups == [0.0] * 4 == closed_form_sups(sign * np.eye(2))
         circle = oracles.hyperbolic_circle(8.0, 64)
         assert oracles.moebius_displacement(sign * np.eye(2), circle).max() <= 1e-6
+
+
+def _closed_sphere_decks():
+    """The 682 lens decks of the tier-1 sweep, then cyclic-1024,
+    binary-dihedral-256 and the three polyhedral groups on s3, as stacks."""
+    for K, exps in oracles.lens_decks((24, 16, 10)):
+        yield np.stack(lens_group(K, exps))
+    for tag in (GroupType.cyclic(1024), GroupType.binary_dihedral(256),
+                GroupType.binary_tetrahedral(), GroupType.binary_octahedral(),
+                GroupType.binary_icosahedral()):
+        yield named_binary_group(tag).left_translation_matrices()
+
+
+def test_sphere_decisions_keep_clear_of_eigen_on_closed_decks():
+    """An element g of a closed deck of order k has g^k = I, so its
+    eigen-angles lie on the lattice (2 pi / k) Z.  Its spread hi - lo, and
+    its least angle lo when it moves, are therefore round-off or at least
+    2 pi / k, here at least 2 pi / 1024: 10^3 times ``_tol.EIGEN`` and more,
+    so the constancy and freeness decisions at ``EIGEN`` have that margin."""
+    zero, clear = 0.0, np.inf
+    for stack in _closed_sphere_decks():
+        lo, hi = sphere_displacement_range(stack)
+        for x in (hi - lo, lo[~_at_identity(stack)]):
+            near = x < 1e-12
+            zero = max(zero, x[near].max(initial=0.0))
+            clear = min(clear, x[~near].min(initial=np.inf))
+    assert zero <= 1e-13
+    assert 2 * np.pi / 1024 - 1e-12 <= clear and clear >= 1e3 * _tol.EIGEN

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from homoglab import _linalg, verifier
+from homoglab import _linalg, compact_lie, verifier
 from homoglab.cli import group_manifold_deck, main, parse_model, sphere_group_matrices
 from homoglab._linalg import null_space, rank_rel
 from homoglab.compact_lie import (
@@ -25,12 +25,12 @@ from homoglab.compact_lie import (
     algebra_basis,
     biinvariant_distance,
     center_elements,
+    clifford_wolf_evidence,
     group_exp,
     haar_sample,
-    is_identity_isometry,
     min_displacement,
 )
-from homoglab.constant_curvature import is_clifford_sphere, lens_group, rotation_block
+from homoglab.constant_curvature import clifford_evidence, lens_group, rotation_block
 from homoglab.errors import (
     InvalidParameter,
     ModelMismatch,
@@ -55,6 +55,7 @@ from homoglab.verifier import (
     verdict_from_evidence,
     verify_instance,
 )
+import oracles
 from oracles import SO4_HALVES, _vec, haar_sphere, right_translation_matrix, su2_matrix
 
 SU2 = CompactGroupSpec("SU", 2)
@@ -160,35 +161,11 @@ def test_nonfree_deck_reports_offender():
     assert report.free_offender in (1, 2)
 
 
-def _lens_decks():
-    """Every L(K; 1, q_2, ..., q_m) with each q_i a unit mod K, as (K,
-    exponents): on s3 for K <= 24, on s5 for K <= 16 and on s7 for K <= 10."""
-    for m, top in ((2, 24), (3, 16), (4, 10)):
-        for K in range(2, top + 1):
-            units = [q for q in range(1, K) if gcd(q, K) == 1]
-            for rest in itertools.combinations_with_replacement(units, m - 1):
-                yield K, (1, *rest)
-
-
 def test_lens_decks_match_the_closed_forms():
-    """Wolf's classification of homogeneous spherical space forms on lens
-    decks L(K; 1, q_2, ..., q_m): the deck is free; it is constant iff every
-    q_i = +-1 mod K; its centralizer is the sum of u(m_j) over the classes
-    {q, -q} mod K, m_j exponents each (all of so(2m) for K = 2, whose one
-    element is -I); and it is a witness iff there is one class."""
-    count = 0
-    for K, exps in _lens_decks():
-        report = verify_instance(sphere_deck(lens_group(K, exps)))
-        m = len(exps)
-        classes = Counter(min(q % K, -q % K) for q in exps)
-        constant = all((q - 1) % K == 0 or (q + 1) % K == 0 for q in exps)
-        cdim = m * (2 * m - 1) if K == 2 else sum(c * c for c in classes.values())
-        verdict = HOMOGENEOUS_WITNESS_FOUND if len(classes) == 1 else NOT_CONSTANT_DISPLACEMENT
-        got = (report.free, all(e.constant for e in report.clifford_per_element),
-               report.centralizer_dim, report.verdict)
-        assert got == (True, constant, cdim, verdict), (K, exps)
-        count += 1
-    assert count == 682
+    """Wolf's classification (``oracles.lens_closed_form``) on every lens
+    deck L(K; 1, q_2, ..., q_m): on s3 for K <= 24, on s5 for K <= 16 and on
+    s7 for K <= 10.  CI sweeps m = 2 to 6 with the same oracle."""
+    assert oracles.lens_deck_mismatches((24, 16, 10)) == (682, [])
 
 
 @st.composite
@@ -214,7 +191,7 @@ def _lens_or_binary_deck(draw):
 def test_sphere_quotient_is_homogeneous_iff_every_element_is_clifford_wolf(deck):
     """Wolf's theorem on spheres: S^{n-1}/Γ is homogeneous exactly when every
     element of Γ moves all points the same distance."""
-    clifford, _ = is_clifford_sphere(deck.matrices)
+    clifford, _ = clifford_evidence(deck.matrices)
     report = verify_instance(deck, config=VerifyConfig(samples=10))
     assert (report.verdict == HOMOGENEOUS_WITNESS_FOUND) == bool(clifford.all())
 
@@ -308,7 +285,7 @@ def test_so4_deck_aligned_with_the_two_halves(rng):
 def test_pair_equal_up_to_center_is_the_identity_map():
     minus = TwoSidedIsometry(-np.eye(2, dtype=complex), -np.eye(2, dtype=complex))
     # (-g1, -g2) acts as x -> g1* x g2: the same map as the identity pair
-    assert is_identity_isometry(SU2, minus)
+    assert compact_lie._identity_maps(SU2, np.stack([minus.g1, minus.g2])[None]).all()
     # so a deck holding both lists the identity map twice
     with pytest.raises(NotClosed, match="repeats an element"):
         group_deck(SU2, [TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), minus])
@@ -443,6 +420,22 @@ def test_each_deck_factor_is_conjugated_against_the_basis_once(monkeypatch, buil
         return
     ((spec, maps),) = calls["_adjoint_pass"]
     assert maps.shape[:2] == (deck.order, 1 if sphere else 2)
+
+
+@PIPELINE_DECKS
+def test_pipeline_element_evidence_is_the_public_evidence(build, want):
+    """verify_instance reads its element flags and values from the kernel
+    behind ``clifford_evidence`` on a sphere and ``clifford_wolf_evidence``
+    on a group manifold: they agree bit for bit, so the two cannot fork."""
+    deck = build()
+    report = verify_instance(deck)
+    assert report.verdict == want
+    if isinstance(deck.model, SphereModel):
+        constant, values = clifford_evidence(deck.matrices)
+    else:
+        constant, values = clifford_wolf_evidence(deck.model.spec, deck.elements)
+    got = [(e.constant, e.value) for e in report.clifford_per_element]
+    assert got == list(zip(constant.tolist(), values.tolist()))
 
 
 def test_the_largest_admitted_deck_builds_no_basis(monkeypatch, capsys):
@@ -981,6 +974,34 @@ def test_sphere_deck_keeps_its_stack_and_checks_every_element():
     mats[3] = mats[3] * (1 + 1e-6)
     with pytest.raises(ModelMismatch):
         sphere_deck(mats)
+
+
+QUATERNION_TAGS = (
+    [GroupType.cyclic(n) for n in range(2, 13)]
+    + [GroupType.binary_dihedral(n) for n in range(2, 7)]
+    + [GroupType.binary_tetrahedral(), GroupType.binary_octahedral(), GroupType.binary_icosahedral()]
+)
+
+
+def test_su2_left_translation_decks_match_the_s3_decks():
+    """q -> its SU(2) matrix carries left multiplication by a finite group of
+    unit quaternions on S^3 to left translation on SU(2), an isometry up to
+    scale: the -trace(X^2) distance is sqrt(2) times the sphere's angle.  So
+    the two decks agree in verdict, freeness, centralizer dimension and
+    every constant flag, and each su2 value is sqrt(2) times the s3 value."""
+    worst = 0.0
+    for tag in QUATERNION_TAGS:
+        group = named_binary_group(tag)
+        s3 = verify_instance(sphere_deck_from_quaternions(group))
+        su2 = verify_instance(group_deck(SU2, [left_translation_isometry(SU2, su2_matrix(q))
+                                               for q in group.elements]))
+        assert (su2.verdict, su2.free, su2.centralizer_dim) == \
+            (s3.verdict, s3.free, s3.centralizer_dim), tag
+        assert [e.constant for e in su2.clifford_per_element] == \
+            [e.constant for e in s3.clifford_per_element], tag
+        worst = max(worst, max(abs(e.value - np.sqrt(2) * s.value)
+                               for e, s in zip(su2.clifford_per_element, s3.clifford_per_element)))
+    assert len(QUATERNION_TAGS) == 19 and worst <= 1e-12
 
 
 def test_su2_two_sided_decks_match_the_lens_decks():
