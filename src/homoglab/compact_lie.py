@@ -470,10 +470,10 @@ class TwoSidedIsometry:
         return _adjoint(self.g1) @ x @ self.g2
 
 
-def _identity_maps(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
-    """Which maps x -> g1^{-1} x g2 of a (k, 2, d, d) pair stack are the
-    identity: g1 = g2 = one central element, within ``_tol.CLOSURE``."""
-    return np.any(np.all(_center_distance(spec, pairs) <= _tol.CLOSURE, axis=-1), axis=-1)
+def _identity_maps(dist: np.ndarray) -> np.ndarray:
+    """Which maps x -> g1^{-1} x g2 of a pair stack are the identity, from its
+    ``_center_distance``: g1 = g2 = one central element, within ``_tol.CLOSURE``."""
+    return np.any(np.all(dist <= _tol.CLOSURE, axis=-1), axis=-1)
 
 
 def _center_distance(spec: CompactGroupSpec, pairs: np.ndarray) -> np.ndarray:
@@ -523,21 +523,22 @@ def _clifford_wolf(spec: CompactGroupSpec, pairs: np.ndarray, inverted: np.ndarr
     (k, 2, d, d) pair stack, inverted where ``inverted``.  A map other than
     the identity fixes a point iff lo vanishes: g1 and g2 are conjugate."""
     lo, hi = _translation_ranges(spec, pairs, inverted)
-    constant, central = _constancy(spec, pairs)
+    dist = _center_distance(spec, pairs)
+    constant, central = _constancy(spec, pairs, dist)
     constant &= ~inverted
-    fixing = (lo <= _tol.EIGEN) & (inverted | ~_identity_maps(spec, pairs))
+    fixing = (lo <= _tol.EIGEN) & (inverted | ~_identity_maps(dist))
     return constant, np.where(constant, lo, hi - lo), lo, hi, fixing, central
 
 
-def _constancy(spec: CompactGroupSpec, pairs: np.ndarray):
+def _constancy(spec: CompactGroupSpec, pairs: np.ndarray, dist: np.ndarray):
     """(k,) constancy flags of the maps x -> g1^{-1} x g2 of a checked (k, 2, d, d)
-    stack, and (k, 2) flags of its central factors.  A map is constant iff, on
-    every simple ideal, Ad(g1) or Ad(g2) is the identity (Freudenthal 1963,
-    Ozols 1974), i.e. on a simple algebra iff g1 or g2 lies within
-    ``_tol.CENTRAL`` (max-abs) of the center.  SO(4) has two ideals, the halves
-    of ``algebra_basis``: there the rest pass when, on each half, some factor
-    has g^H b g = b within ``_tol.CENTRAL``."""
-    central = np.any(_center_distance(spec, pairs) <= _tol.CENTRAL, axis=1)
+    stack with ``_center_distance`` ``dist``, and (k, 2) flags of its central
+    factors.  A map is constant iff, on every simple ideal, Ad(g1) or Ad(g2)
+    is the identity (Freudenthal 1963, Ozols 1974), i.e. on a simple algebra
+    iff g1 or g2 lies within ``_tol.CENTRAL`` (max-abs) of the center.  SO(4)
+    has two ideals, the halves of ``algebra_basis``: there the rest pass
+    when, on each half, some factor has g^H b g = b within ``_tol.CENTRAL``."""
+    central = np.any(dist <= _tol.CENTRAL, axis=1)
     constant = central.any(axis=1)
     if spec == CompactGroupSpec(SPECIAL_ORTHOGONAL, 4):
         g, B = pairs[~constant, :, None], _basis_stack(spec)

@@ -13,8 +13,8 @@ hyperbolic isometry iff it is +-I; the growth over balls of given radii is
 read in closed form too, so no point is sampled.
 
 The public sphere functions take one orthogonal matrix or a (k, n, n) stack
-of them, evaluating one matrix as a stack of one; ``is_clifford_sphere`` takes
-one matrix only.
+of them, and the motion classes and functions one motion or a stack of k,
+read by the same kernels; ``is_clifford_sphere`` takes one matrix only.
 """
 
 from __future__ import annotations
@@ -36,18 +36,22 @@ from .errors import (
 from .finite_groups import check_table_work
 
 
+def _real(x, error) -> np.ndarray:
+    """``x`` as a float array of real numbers, else ``error``: complex input is refused, not cast."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged list
+        raise error("expected an array of one shape") from None
+    if x.dtype.kind not in "biuf":  # complex, or entries that are not numbers
+        raise error("expected real entries")
+    return x.astype(float, copy=False)
+
+
 def check_orthogonal(g: np.ndarray) -> np.ndarray:
     """Return ``g`` as a float array if it is a real orthogonal matrix, or a
     non-empty stack of them along its leading axis, within ``_tol.ORTHOGONAL``;
-    NonOrthogonalInput when any member fails, and on complex input, whose
-    imaginary part a float cast would drop."""
-    try:
-        g = np.asarray(g)
-    except ValueError:  # a ragged list of matrices
-        raise NonOrthogonalInput("expected square matrices of one size") from None
-    if g.dtype.kind not in "biuf":  # complex, or entries that are not numbers
-        raise NonOrthogonalInput("expected a real matrix")
-    g = g.astype(float, copy=False)
+    NonOrthogonalInput when any member fails, and on complex input."""
+    g = _real(g, NonOrthogonalInput)
     if g.ndim not in (2, 3) or g.shape[-1] != g.shape[-2] or g.size == 0:
         raise NonOrthogonalInput("expected a square matrix")
     # written so that NaN entries fail too; every entry of an orthogonal matrix
@@ -64,11 +68,11 @@ def _orthogonal_stack(g: np.ndarray) -> np.ndarray:
     return g.reshape((-1,) + g.shape[-2:])
 
 
-def _eigen_angles(stack: np.ndarray) -> np.ndarray:
-    """The eigen-angles |arg λ| of each matrix of a (k, n, n) orthogonal stack,
-    as a (k, n) array, from one ``eigvals`` call; a normal matrix has them
-    exact to absolute round-off, near 0 and pi too."""
-    return np.abs(np.angle(np.linalg.eigvals(stack)))
+def _eigen_angles(g: np.ndarray) -> np.ndarray:
+    """The eigen-angles |arg λ| of an orthogonal matrix, (n,), or of each of a
+    (k, n, n) stack, (k, n), from one ``eigvals`` call; a normal matrix has
+    them exact to absolute round-off, near 0 and pi too."""
+    return np.abs(np.angle(np.linalg.eigvals(g)))
 
 
 def sphere_displacement_range(g: np.ndarray):
@@ -81,9 +85,7 @@ def sphere_displacement_range(g: np.ndarray):
     gives (lo, hi) as floats, a stack two arrays.
     """
     _, _, lo, hi = _clifford(_orthogonal_stack(g))
-    if np.ndim(g) == 2:
-        return float(lo[0]), float(hi[0])
-    return lo, hi
+    return (float(lo[0]), float(hi[0])) if np.ndim(g) == 2 else (lo, hi)
 
 
 def _clifford(stack: np.ndarray):
@@ -200,15 +202,17 @@ def invariant_geodesic_check(g: np.ndarray, x: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class EuclideanMotion:
-    """x -> A x + b with A orthogonal."""
+    """x -> A x + b with A orthogonal, or a stack of k of them: a (k, n, n) A
+    and a (k, n) b.  Both are stored as float arrays."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        check_orthogonal(self.rotation)
-        if self.translation.shape != (self.rotation.shape[0],):
-            raise InvalidParameter("translation dimension mismatch")
+        A, b = check_orthogonal(self.rotation), _real(self.translation, InvalidParameter)
+        if b.shape != A.shape[:-1] or not np.isfinite(b).all():
+            raise InvalidParameter("need a finite translation of the rotation's dimension")
+        vars(self).update(rotation=A, translation=b)  # the checked arrays; the class is frozen
 
 
 _EUCLIDEAN_RADII = (1.0, 10.0, 100.0)  # balls of the growth evidence
@@ -219,10 +223,12 @@ def euclidean_bounded(motion: EuclideanMotion):
     ``_tol.CLOSURE``) plus growth evidence: for each R in ``_EUCLIDEAN_RADII``
     the linear part's largest displacement over the ball of radius R,
     R sigma_max(A - I) = 2 R sin(theta_max / 2), theta_max the greatest
-    eigen-angle of A.  The translation b moves each value by at most |b|."""
+    eigen-angle of A.  The translation b moves each value by at most |b|.
+    One motion gives (bool, list), a stack of k (k,) and (k, 3) arrays."""
     A = motion.rotation
-    theta = _eigen_angles(A[None]).max()
-    return bool(_at_identity(A)), [float(2.0 * R * np.sin(theta / 2.0)) for R in _EUCLIDEAN_RADII]
+    bounded = _at_identity(A)
+    growth = 2.0 * np.multiply.outer(np.sin(_eigen_angles(A).max(axis=-1) / 2.0), _EUCLIDEAN_RADII)
+    return (bool(bounded), growth.tolist()) if A.ndim == 2 else (bounded, growth)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +240,25 @@ _HYPERBOLIC_RADII = (1.0, 2.0, 4.0, 8.0)  # radii of the balls around i, ascendi
 
 @dataclass(frozen=True)
 class HyperbolicMotion:
-    """Moebius action of a real 2x2 matrix of determinant 1."""
+    """Moebius action of a real 2x2 matrix of determinant 1, or of each of a
+    (k, 2, 2) stack of them; stored as a float array."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _real(self.matrix, InvalidParameter)
         # finiteness before det, which warns on NaN entries
-        if m.shape != (2, 2) or not np.isfinite(m).all() or abs(np.linalg.det(m) - 1) > _tol.ZERO:
+        if (m.ndim not in (2, 3) or m.shape[-2:] != (2, 2) or m.size == 0 or not np.isfinite(m).all()
+                or np.any(np.abs(np.linalg.det(m) - 1) > _tol.ZERO)):
             raise InvalidParameter("need a real 2x2 matrix with det 1")
+        vars(self).update(matrix=m)
 
 
 def hyperbolic_bounded_probe(motion: HyperbolicMotion):
     """Exact verdict (bounded iff the matrix is +-I, within ``_tol.CLOSURE``)
     plus the exact sup D(R) of the displacement over the ball about i of each
-    radius R in ``_HYPERBOLIC_RADII``.
+    radius R in ``_HYPERBOLIC_RADII``: (bool, list) for one motion, (k,) and
+    (k, 4) arrays for a stack of k.
 
     Write m = alpha I + beta J + S, J = [[0, 1], [-1, 0]] and S symmetric
     traceless with |S|_F = sqrt(2) rho, so det m = alpha^2 + beta^2 - rho^2.
@@ -263,9 +273,9 @@ def hyperbolic_bounded_probe(motion: HyperbolicMotion):
     read here, exact to relative round-off near +-I too.  D is 0.0 for +-I and
     otherwise strictly increases in R, so the circle of radius R attains it.
     """
-    m = np.asarray(motion.matrix)
-    bounded = bool(_at_identity(m) or _at_identity(-m))
-    beta = abs(m[0, 1] - m[1, 0]) / 2.0
-    rho = np.hypot((m[0, 0] - m[1, 1]) / 2.0, (m[0, 1] + m[1, 0]) / 2.0)
-    return bounded, [float(2.0 * np.arcsinh(beta * np.sinh(R) + rho * np.cosh(R)))
-                     for R in _HYPERBOLIC_RADII]
+    m = motion.matrix
+    bounded = _at_identity(m) | _at_identity(-m)
+    beta = np.abs(m[..., 0, 1] - m[..., 1, 0])[..., None] / 2.0
+    rho = np.hypot((m[..., 0, 0] - m[..., 1, 1]) / 2.0, (m[..., 0, 1] + m[..., 1, 0]) / 2.0)[..., None]
+    sups = 2.0 * np.arcsinh(beta * np.sinh(_HYPERBOLIC_RADII) + rho * np.cosh(_HYPERBOLIC_RADII))
+    return (bool(bounded), sups.tolist()) if m.ndim == 2 else (bounded, sups)

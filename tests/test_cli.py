@@ -647,24 +647,32 @@ def test_probe_noncompact_draws_det_one_motions(capsys, monkeypatch):
     """Every hyperbolic draw, [[a, b], [c, (1 + bc)/a]] with a = e^N(0,1),
     has det 1 to round-off, far inside HyperbolicMotion's check, and its
     sups over the nested balls strictly increase; the central motions +-I,
-    bounded, are left out."""
-    draws, dets = [], []
+    bounded, are left out.  The draws are read off the stacks the run hands
+    to the probes: one hyperbolic stack of draws and one of +-I per run, and
+    one Euclidean stack per dimension."""
+    draws, dets, euclidean_calls = [], [], []
 
     def probe(motion, original=cli.hyperbolic_bounded_probe):
         bounded, sups = original(motion)
-        if not bounded:
-            draws.append(sups)
-            dets.append(np.linalg.det(motion.matrix))
+        draws.append(sups[~bounded])
+        dets.append(np.linalg.det(motion.matrix[~bounded]))
         return bounded, sups
 
+    def euclidean(motion, original=cli.euclidean_bounded):
+        euclidean_calls.append(len(motion.rotation))
+        return original(motion)
+
     monkeypatch.setattr(cli, "hyperbolic_bounded_probe", probe)
+    monkeypatch.setattr(cli, "euclidean_bounded", euclidean)
     for seed in range(20):
         code, rep = run_cli(capsys, "probe-noncompact", "--motions", "100", "--seed", str(seed))
         assert (code, rep["evidence"]["hyperbolic_strictly_increasing"]) == (0, 100)
-    sups = np.array(draws)
+    assert [len(d) for d in draws] == [100, 0] * 20
+    assert euclidean_calls == [34, 33, 33] * 20
+    sups = np.concatenate(draws)
     assert sups.shape[0] == 2000
     assert np.all(sups[:, 0] > 0) and np.all(sups[:, 1:] > sups[:, :-1])
-    assert np.max(np.abs(np.array(dets) - 1)) <= 1e-13
+    assert np.max(np.abs(np.concatenate(dets) - 1)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

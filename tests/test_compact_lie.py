@@ -341,7 +341,7 @@ def test_haar_pairs_are_not_constant(rng):
 
 def _is_identity_map(spec, g1, g2):
     """``_identity_maps`` of the one pair (g1, g2)."""
-    return bool(compact_lie._identity_maps(spec, np.stack([g1, g2])[None])[0])
+    return bool(compact_lie._identity_maps(compact_lie._center_distance(spec, np.stack([g1, g2])[None]))[0])
 
 
 def test_two_sided_apply_compose_inverse(rng):
@@ -464,7 +464,7 @@ def test_deck_blocks_leave_the_kernels_unchanged(monkeypatch, spec, rng):
     inverted = np.array([iso.inverted for iso in isos])
 
     def kernels():
-        constant = compact_lie._constancy(spec, pairs)[0]
+        constant = compact_lie._constancy(spec, pairs, compact_lie._center_distance(spec, pairs))[0]
         return (*compact_lie._translation_ranges(spec, pairs, inverted), constant), \
             compact_lie._adjoint_pass(spec, pairs)
 
@@ -512,7 +512,7 @@ def test_center_distance_flags_equal_the_ad_flags(spec, seed):
                       (so4_half_element(h, rng), so4_half_element(h, rng))]
     pairs = check_in_group(spec, [g for pair in pairs for g in pair]).reshape(
         -1, 2, spec.matrix_size, spec.matrix_size)
-    constant = compact_lie._constancy(spec, pairs)[0]
+    constant = compact_lie._constancy(spec, pairs, compact_lie._center_distance(spec, pairs))[0]
     want = ad_constancy_flags(spec, pairs)
     np.testing.assert_array_equal(constant, want)
     np.testing.assert_array_equal(want, clifford_wolf_commutator(spec, pairs))

@@ -363,6 +363,65 @@ def test_hyperbolic_motion_validation():
                 HyperbolicMotion(np.full((2, 2), bad))
 
 
+@pytest.mark.parametrize(
+    "cls, args, refused",
+    [
+        pytest.param(EuclideanMotion, (np.eye(2), [1.0, 2.0]), False, id="list-translation"),
+        pytest.param(EuclideanMotion, ([[0.0, -1.0], [1.0, 0.0]], np.ones(2)), False, id="list-rotation"),
+        pytest.param(EuclideanMotion, (np.eye(2), np.array([np.nan, 0.0])), True, id="nan-translation"),
+        pytest.param(EuclideanMotion, (np.eye(3), np.array([0.0, np.inf, 0.0])), True, id="inf-translation"),
+        pytest.param(EuclideanMotion, (np.eye(2), np.array([1j, 0.0])), True, id="complex-translation"),
+        pytest.param(HyperbolicMotion, ([[2.0, 0.0], [0.0, 0.5]],), False, id="list-hyperbolic"),
+        pytest.param(HyperbolicMotion, (np.array([[1.0, 1j], [0.0, 1.0]]),), True, id="complex-hyperbolic"),
+    ],
+)
+def test_motion_input_is_read_as_an_array_or_refused(cls, args, refused):
+    """A list is read as the array it spells, and the motion stores that
+    array; complex, NaN and infinite entries are refused with
+    InvalidParameter, with no numpy warning and no imaginary part dropped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(InvalidParameter):
+                cls(*args)
+            return
+        motion = cls(*args)
+    arrays = cls(*(np.asarray(a, dtype=float) for a in args))
+    for a, b in zip(vars(motion).values(), vars(arrays).values()):
+        assert isinstance(a, np.ndarray) and np.array_equal(a, b)
+    probe = euclidean_bounded if cls is EuclideanMotion else hyperbolic_bounded_probe
+    assert probe(motion) == probe(arrays)
+
+
+def test_a_stack_of_motions_answers_row_by_row_as_one_motion_each(rng):
+    """A stack call returns (k,) verdicts and (k, R) values whose rows are, bit
+    for bit, the one-motion answers (bool, list) for the same matrices:
+    Euclidean motions in dimensions 2 to 4, pure and Haar, hyperbolic draws of
+    det 1 and +-I.  The values also match the closed forms of the tests'
+    references, from the SVD and the cosh form.  A stack of one still gives
+    arrays."""
+    cases = []
+    for dim in (2, 3, 4):
+        A = np.concatenate([np.tile(np.eye(dim), (3, 1, 1)), haar_orthogonal(dim, rng, 20)])
+        cases.append((euclidean_bounded, EuclideanMotion, (A, rng.standard_normal((23, dim))), [True] * 3,
+                      lambda A, b: oracles.linear_growth(A, (1.0, 10.0, 100.0))))
+    a = np.exp(rng.standard_normal(30))
+    b, c = rng.standard_normal((2, 30))
+    m = np.stack([a, b, c, (1.0 + b * c) / a], axis=-1).reshape(-1, 2, 2)
+    m = np.concatenate([np.stack([np.eye(2), -np.eye(2)]), m])
+    cases.append((hyperbolic_bounded_probe, HyperbolicMotion, (m,), [True] * 2, closed_form_sups))
+    for probe, cls, stacks, central, reference in cases:
+        bounded, values = probe(cls(*stacks))
+        assert bounded.dtype == bool and values.shape == (len(bounded), len(values[0]))
+        assert bounded.tolist() == central + [False] * (len(bounded) - len(central))
+        rows = [probe(cls(*row)) for row in zip(*stacks)]
+        assert all(type(v) is bool and type(g) is list for v, g in rows)
+        assert rows == [(bool(v), g.tolist()) for v, g in zip(bounded, values)]
+        np.testing.assert_allclose(values, [reference(*row) for row in zip(*stacks)], rtol=1e-9, atol=1e-12)
+        one_bounded, one_values = probe(cls(*(s[:1] for s in stacks)))
+        assert one_bounded.shape == (1,) and np.array_equal(one_values, values[:1])
+
+
 # ---------------------------------------------------------------------------
 # stacked sphere kernels against the per-matrix code they replaced
 

@@ -285,7 +285,8 @@ def test_so4_deck_aligned_with_the_two_halves(rng):
 def test_pair_equal_up_to_center_is_the_identity_map():
     minus = TwoSidedIsometry(-np.eye(2, dtype=complex), -np.eye(2, dtype=complex))
     # (-g1, -g2) acts as x -> g1* x g2: the same map as the identity pair
-    assert compact_lie._identity_maps(SU2, np.stack([minus.g1, minus.g2])[None]).all()
+    pair = np.stack([minus.g1, minus.g2])[None]
+    assert compact_lie._identity_maps(compact_lie._center_distance(SU2, pair)).all()
     # so a deck holding both lists the identity map twice
     with pytest.raises(NotClosed, match="repeats an element"):
         group_deck(SU2, [TwoSidedIsometry(np.eye(2, dtype=complex), np.eye(2, dtype=complex)), minus])
