@@ -30,7 +30,8 @@ RANK_CUTOFF = 1e-8
 # ξξᵀ must exceed it.  So does catalog entry 15: its circle direction
 # normalizes the isotropy algebra
 BRACKET = 1e-8
-# a basis of a Lie algebra is orthonormal in -trace(XY)
+# the torus directions of the constant-length certificate are orthonormal
+# in -trace(XY)
 BASIS = 1e-9
 # a deck factor g is central: its max-abs distance to the nearest center
 # element; on SO(4), Ad of g is the identity on one of its two simple ideals:

@@ -454,7 +454,7 @@ def center_elements(spec: CompactGroupSpec) -> np.ndarray:
 # two-sided translation isometries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSidedIsometry:
     """x -> g1^{-1} x g2, or x -> g1 x^{-1} g2 when ``inverted``."""
 

@@ -200,7 +200,7 @@ def invariant_geodesic_check(g: np.ndarray, x: np.ndarray) -> bool:
 # flat space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EuclideanMotion:
     """x -> A x + b with A orthogonal, or a stack of k of them: a (k, n, n) A
     and a (k, n) b.  Both are stored as float arrays."""
@@ -238,7 +238,7 @@ def euclidean_bounded(motion: EuclideanMotion):
 _HYPERBOLIC_RADII = (1.0, 2.0, 4.0, 8.0)  # radii of the balls around i, ascending
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperbolicMotion:
     """Moebius action of a real 2x2 matrix of determinant 1, or of each of a
     (k, 2, 2) stack of them; stored as a float array."""

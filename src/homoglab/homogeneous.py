@@ -1,11 +1,11 @@
-"""Reductive homogeneous spaces G/H: complements, block metrics, Killing-field
-length profiles and constant-length certificates, Weyl-group orders and Euler
+"""Normal homogeneous spaces G/H: reductive complements, Killing-field length
+profiles and constant-length certificates, Weyl-group orders and Euler
 characteristics, squashed-sphere isometry algebras, and the bundled catalog of
 positively curved examples.
 
-Tangent spaces are modelled on an orthogonal complement 𝔪 of the isotropy
-algebra 𝔥 inside 𝔤, taken with respect to <X, Y> = -trace(XY).  Invariant
-metrics are positive rescalings of that form on blocks of 𝔪.
+Tangent spaces are modelled on the orthogonal complement 𝔪 of the isotropy
+algebra 𝔥 inside 𝔤, taken with respect to <X, Y> = -trace(XY).  The metric is
+the normal one: 𝔪 carries that form itself.
 
 Subspaces of 𝔤 are handled as coordinates in the orthonormal
 ``algebra_basis``: on skew-hermitian matrices -trace(XY) is the dot product
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -53,74 +53,53 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
+def _bracket_free(basis: np.ndarray, brackets: np.ndarray) -> bool:
+    """True when no bracket of the stack ``brackets`` has coordinates on
+    ``basis`` of norm above ``_tol.BRACKET``."""
+    return bool(np.all(np.linalg.norm(trace_coords(basis, brackets), axis=-1) <= _tol.BRACKET))
+
+
 @dataclass(frozen=True, eq=False)
 class HomogeneousSpaceSpec:
-    """G/H with an orthonormal split 𝔤 = 𝔥 ⊕ 𝔪 and block-scaled metric.
+    """G/H with its normal metric: the split 𝔤 = 𝔥 ⊕ 𝔪, 𝔪 the
+    -trace(XY)-complement of the isotropy algebra 𝔥, which carries -trace(XY).
 
-    The two bases are given as sequences of matrices and held as read-only
-    (k, d, d) stacks.  ``metric_blocks`` partitions the complement basis: each
-    entry is a (coefficient, index tuple) pair and the metric on the block is
-    the coefficient times -trace(XY).
+    ``complement_basis`` is derived, not given: the null space of the isotropy
+    coordinates in the orthonormal ``algebra_basis``, whose null-space
+    coefficients are orthonormal, so 𝔪 is too.  The isotropy basis must be
+    linearly independent (else InvalidParameter) and span a subalgebra: no
+    bracket of two of its elements may have 𝔪-coordinates (else
+    NotASubalgebra).  [𝔥, 𝔪] ⊆ 𝔪 then holds because the form is invariant;
+    a breach raises InvariantViolated.  The isotropy basis is given as a
+    sequence of matrices; both bases are held as read-only (k, d, d) stacks.
     """
 
     name: str
     group: CompactGroupSpec
     isotropy_basis: np.ndarray
-    complement_basis: np.ndarray
-    metric_blocks: tuple[tuple[float, tuple[int, ...]], ...]
+    complement_basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        both = check_in_algebra(self.group, (*self.isotropy_basis, *self.complement_basis))
-        if len(both) != self.group.algebra_dim:
-            raise InvalidParameter("isotropy and complement bases must span the algebra")
-        if not np.max(np.abs(trace_coords(both, both) - np.eye(len(both)))) <= _tol.BASIS:
-            raise InvalidParameter("bases are not orthonormal / not orthogonal to each other")
-        covered = sorted(i for _, idx in self.metric_blocks for i in idx)
-        if covered != list(range(len(self.complement_basis))):
-            raise InvalidParameter("metric blocks must partition the complement basis")
-        if any(c <= 0 for c, _ in self.metric_blocks):
-            raise InvalidParameter("metric coefficients must be positive")
-        # a new array, copied from the tuple: its read-only views are the stacks
-        h, m = np.split(_readonly(both), [len(self.isotropy_basis)])
-        # the 𝔥-coordinates of every [h, m] must vanish
-        hm = trace_coords(h, bracket(h[:, None], m[None]))
-        if not np.all(np.linalg.norm(hm, axis=-1) <= _tol.BRACKET):
-            raise InvalidParameter("complement is not isotropy-invariant")
+        full = _basis_stack(self.group)
+        empty = np.zeros((0,) + full.shape[1:], dtype=full.dtype)
+        # a new array, copied from the caller's sequence
+        h = _readonly(check_in_algebra(self.group, list(self.isotropy_basis) or empty))
+        coeff = null_space(trace_coords(full, h))
+        if coeff.shape[1] != len(full) - len(h):
+            raise InvalidParameter("isotropy basis is linearly dependent")
+        m = _readonly(np.tensordot(coeff.T, full, axes=1))
+        if not _bracket_free(m, bracket(h[:, None], h[None])):
+            raise NotASubalgebra("isotropy basis is not closed under brackets")
+        if not _bracket_free(h, bracket(h[:, None], m[None])):
+            raise InvariantViolated("complement is not isotropy-invariant")
         object.__setattr__(self, "isotropy_basis", h)
         object.__setattr__(self, "complement_basis", m)
 
     def tangent_length(self, X: np.ndarray):
-        """Block-metric length of the 𝔪-component of X: a float for one
-        matrix, an array for a stack of matrices."""
-        coords = trace_coords(self.complement_basis, X)
-        total = sum(c * np.sum(coords[..., list(idx)] ** 2, axis=-1) for c, idx in self.metric_blocks)
-        length = np.sqrt(total)
+        """Normal-metric length of the 𝔪-component of X, the norm of its
+        𝔪-coordinates: a float for one matrix, an array for a stack."""
+        length = np.linalg.norm(trace_coords(self.complement_basis, X), axis=-1)
         return float(length) if length.ndim == 0 else length
-
-
-def reductive_complement(
-    group: CompactGroupSpec, isotropy_basis: Sequence[np.ndarray]
-) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis of the -trace(XY)-complement of the isotropy algebra.
-
-    The complement is the null space of the isotropy coordinates in the
-    orthonormal ``algebra_basis``; its null-space coefficients are
-    orthonormal, so the complement is too.  The isotropy basis must be
-    linearly independent and span a subalgebra: no bracket of two of its
-    elements may have 𝔪-coordinates.  [𝔥, 𝔪] ⊆ 𝔪 then holds because the
-    form is invariant; ``HomogeneousSpaceSpec`` checks it.
-    """
-    d = group.matrix_size
-    h = check_in_algebra(group, list(isotropy_basis) or np.zeros((0, d, d)))
-    full = _basis_stack(group)
-    coeff = null_space(trace_coords(full, h))
-    if coeff.shape[1] != len(full) - len(h):
-        raise InvalidParameter("isotropy basis is linearly dependent")
-    m = np.tensordot(coeff.T, full, axes=1)
-    hh = trace_coords(m, bracket(h[:, None], h[None]))
-    if not np.all(np.linalg.norm(hh, axis=-1) <= _tol.BRACKET):
-        raise NotASubalgebra("isotropy basis is not closed under brackets")
-    return tuple(m)
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +151,10 @@ def principal_so3_in_so5() -> tuple[np.ndarray, ...]:
     return tuple(g / trace_norm(g) for g in gens)
 
 
-def _single_block(dim: int) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    return ((1.0, tuple(range(dim))),)
-
-
 @lru_cache(maxsize=None)
 def group_space(group: CompactGroupSpec) -> HomogeneousSpaceSpec:
     """The group itself with its bi-invariant metric (trivial isotropy)."""
-    m = algebra_basis(group)
-    return HomogeneousSpaceSpec(group.name, group, (), m, _single_block(len(m)))
+    return HomogeneousSpaceSpec(group.name, group, ())
 
 
 @lru_cache(maxsize=None)
@@ -189,17 +163,12 @@ def hopf_sphere_space(m: int) -> HomogeneousSpaceSpec:
     if m < 1:
         raise InvalidParameter("need m >= 1")
     group = CompactGroupSpec("SU", m + 1)
-    h = su_block_subalgebra(m + 1, m)
-    mb = reductive_complement(group, h)
-    return HomogeneousSpaceSpec(f"S{2 * m + 1}", group, h, mb, _single_block(len(mb)))
+    return HomogeneousSpaceSpec(f"S{2 * m + 1}", group, su_block_subalgebra(m + 1, m))
 
 
 @lru_cache(maxsize=1)
 def so5_so3_space() -> HomogeneousSpaceSpec:
-    group = CompactGroupSpec("SO", 5)
-    h = principal_so3_in_so5()
-    m = reductive_complement(group, h)
-    return HomogeneousSpaceSpec("SO(5)/SO(3)", group, h, m, _single_block(len(m)))
+    return HomogeneousSpaceSpec("SO(5)/SO(3)", CompactGroupSpec("SO", 5), principal_so3_in_so5())
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +179,7 @@ def _normalizes_isotropy(space: HomogeneousSpaceSpec, right: np.ndarray) -> bool
     """True when no bracket [right, h] with h in 𝔥 has 𝔪-coordinates of norm
     above ``_tol.BRACKET``.  The flow of ``right`` by right multiplication is
     then defined on G/H, and its frame at every point is proj_𝔪(right)."""
-    h = np.reshape(space.isotropy_basis, (-1,) + right.shape)
-    rh = trace_coords(space.complement_basis, bracket(right, h))
-    return bool(np.all(np.linalg.norm(rh, axis=-1) <= _tol.BRACKET))
+    return _bracket_free(space.complement_basis, bracket(right, space.isotropy_basis))
 
 
 def killing_length_profile(
@@ -226,10 +193,10 @@ def killing_length_profile(
     """Length profile of a Killing field over sampled points of G/H.
 
     ``xi`` generates the flow by left multiplication; its length at the coset
-    of g is the block-metric norm of proj_𝔪(Ad(g⁻¹)ξ).  ``right`` optionally
-    adds the flow by right multiplication, defined when the direction
-    normalizes the isotropy algebra; its contribution to the frame at g is
-    proj_𝔪(right), independent of g.  At least one component must be nonzero.
+    of g is the norm of proj_𝔪(Ad(g⁻¹)ξ).  ``right`` optionally adds the flow
+    by right multiplication, defined when the direction normalizes the
+    isotropy algebra; its contribution to the frame at g is proj_𝔪(right),
+    independent of g.  At least one component must be nonzero.
 
     The Haar points are evaluated as stacks of at most ``compact_lie._SAMPLE_BLOCK``.
     """
@@ -319,8 +286,9 @@ def killing_constancy_certificate(
     constant length.
 
     In algebra coordinates the squared length of the left field ξ at gH is
-    ⟨ξξᵀ, R S Rᵀ⟩ with R = Ad(g⁻¹) and S the metric form on 𝔤 (the
-    𝔪-projection, then the block scalings): a matrix coefficient of Sym²𝔤.
+    ⟨ξξᵀ, R S Rᵀ⟩ with R = Ad(g⁻¹) and S = mᵀm the metric form on 𝔤, the
+    𝔪-projection (m the 𝔪-basis in algebra coordinates): a matrix
+    coefficient of Sym²𝔤.
     When each Casimir component is irreducible, matrix coefficients of
     different components are independent (Peter–Weyl), so the length is
     constant iff P_λ(ξξᵀ) = 0 on every nontrivial component λ with
@@ -339,11 +307,11 @@ def killing_constancy_certificate(
     x = trace_coords(basis, t)
     if len(x) != 2 or not np.max(np.abs(x @ x.T - np.eye(2))) <= _tol.BASIS:
         raise InvalidParameter("torus must be two orthonormal directions")
-    if not np.linalg.norm(trace_coords(basis, bracket(t[0], t[1]))) <= _tol.BRACKET:
+    if not _bracket_free(basis, bracket(t[0], t[1])):
         raise InvalidParameter("torus directions must commute")
 
     m = trace_coords(basis, space.complement_basis)
-    S = sum(c * m[list(idx)].T @ m[list(idx)] for c, idx in space.metric_blocks)
+    S = m.T @ m
     components = casimir_components(space.group)
     # Ω is positive semidefinite and Sym²𝔤 holds the invariant trace form, so
     # the first component is the trivial one: it adds a constant to every length

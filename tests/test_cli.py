@@ -25,6 +25,7 @@ from homoglab import _tol, cli, finite_groups
 from homoglab.cli import build_parser, format_matrix, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
+from homoglab.profiles import DisplacementProfile
 
 try:
     from importlib.resources import files
@@ -744,6 +745,17 @@ def test_empty_counts_exit_2_with_one_stderr_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_an_infinite_relative_gap_is_recorded_as_null():
+    """A profile with zero mean and a nonzero gap has an infinite relative
+    gap, which the report records as null: JSON has no infinity."""
+    prof = DisplacementProfile(min=-1.0, max=1.0, mean=0.0, samples=2)
+    assert prof.relative_gap == np.inf
+    assert DisplacementProfile(min=0.0, max=0.0, mean=0.0, samples=2).relative_gap == 0.0
+    evidence = cli._profile_evidence(prof)
+    assert evidence["relative_gap"] is None and evidence["gap"] == 2.0
+    json.dumps(evidence, allow_nan=False)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -786,9 +798,11 @@ def test_counts_at_their_bound_parse():
         ["catalog", "show"],
         [],
         ["check-clifford", "--model", "s3", "--group", "cyclic-2", "--samples", "1000000000"],
+        ["check-homogeneity", "--model", "su2", "--group", "foo"],
+        ["construct", "--group", "cyclic-0"],
     ],
     ids=["bad-int", "missing-option", "negative-seed", "nan-tol", "inf-tol", "bad-choice",
-         "no-command", "samples-too-large"],
+         "no-command", "samples-too-large", "unknown-group-deck", "cyclic-0"],
 )
 def test_malformed_argv_exits_2_with_one_stderr_line(capsys, argv):
     assert main(argv) == 2

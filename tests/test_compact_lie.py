@@ -56,6 +56,14 @@ ALL_SPECS = (SU2, SU3, SO3, SO4, SO5, SP2)
 # oracle: bi-invariant distance by brute-force branch enumeration
 
 
+def test_two_sided_isometries_compare_by_identity_and_hash():
+    """A two-sided isometry holds arrays, so == is identity: it answers a
+    bool, and an isometry can be a member of a set."""
+    a, b = (TwoSidedIsometry(SU2.identity(), SU2.identity()) for _ in range(2))
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert a in {a} and b not in {a} and len({a, b}) == 2
+
+
 def _block_angles(u):
     """Rotation angles of a real-orthogonal or symplectic matrix, one per
     plane: conjugate eigenvalue pairs give one angle, -1's pair into pi."""

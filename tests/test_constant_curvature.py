@@ -140,6 +140,19 @@ def test_lens_exponent_validation():
         lens_group(5, (1, 0))
     with pytest.raises(InvalidParameter):
         lens_group(1, (1,))
+    with pytest.raises(InvalidParameter, match="at least one exponent"):
+        lens_group(5, ())
+
+
+def test_motions_compare_by_identity_and_hash():
+    """A motion holds arrays, so == is identity: it answers a bool, and a
+    motion can be a member of a set."""
+    motions = [EuclideanMotion(np.eye(2), np.zeros(2)), EuclideanMotion(np.eye(2), np.zeros(2)),
+               HyperbolicMotion(np.eye(2)), HyperbolicMotion(np.eye(2))]
+    for a, b in zip(motions[::2], motions[1::2]):
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert a in {a} and b not in {a}
+    assert len(set(motions)) == 4
 
 
 def test_lens_higher_dimension():

@@ -132,6 +132,16 @@ def test_table_inverses_are_two_sided():
     assert table_identity(table) == e
 
 
+def test_raw_tables_that_are_not_groups_are_refused():
+    with pytest.raises(InvalidParameter, match="must be square"):
+        check_space_form_constraints(np.zeros((2, 3), dtype=int))
+    with pytest.raises(NotClosed, match="no identity"):
+        check_space_form_constraints([[1, 0], [0, 0]])
+    # 0 is the identity, but no product with 1 gives it
+    with pytest.raises(NotClosed, match="without inverse"):
+        table_inverses(np.array([[0, 1], [1, 1]]), 0)
+
+
 def test_klein_four_fails_space_form_constraints():
     # direct-product table of Z/2 x Z/2: abelian but not cyclic
     table = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])

@@ -39,7 +39,6 @@ from homoglab.homogeneous import (
     hopf_sphere_space,
     killing_length_profile,
     principal_so3_in_so5,
-    reductive_complement,
     so5_so3_space,
     su2_half_pauli_basis,
     su_block_subalgebra,
@@ -71,7 +70,7 @@ def _trace_gram(A, B):
     ids=["hopf-1", "hopf-2", "hopf-3", "hopf-4", "so5-so3", "hopf-2-scaled"],
 )
 def test_reductive_complement_is_an_invariant_orthonormal_complement(group, isotropy):
-    m = reductive_complement(group, isotropy)
+    m = HomogeneousSpaceSpec("G/H", group, isotropy).complement_basis
     assert len(m) == group.algebra_dim - len(isotropy)
     np.testing.assert_allclose(_trace_gram(m, m), np.eye(len(m)), rtol=0, atol=1e-14)
     assert np.max(np.abs(_trace_gram(isotropy, m)), initial=0.0) < 1e-14
@@ -86,39 +85,25 @@ def test_reductive_complement_is_an_invariant_orthonormal_complement(group, isot
 def test_reductive_complement_rejects_a_dependent_isotropy_basis():
     h = su_block_subalgebra(3, 2)
     with pytest.raises(InvalidParameter, match="linearly dependent"):
-        reductive_complement(SU3, h + (h[0] - 0.5 * h[1],))
+        HomogeneousSpaceSpec("dependent", SU3, h + (h[0] - 0.5 * h[1],))
     with pytest.raises(InvalidParameter, match="linearly dependent"):
-        reductive_complement(SU3, (np.zeros((3, 3), dtype=complex),))
-
-
-def _single(dim):
-    return ((1.0, tuple(range(dim))),)
-
-
-def test_space_spec_rejects_bases_that_do_not_split_the_algebra():
-    h = su_block_subalgebra(3, 2)
-    m = reductive_complement(SU3, h)
-    with pytest.raises(InvalidParameter, match="span the algebra"):
-        HomogeneousSpaceSpec("partial", SU3, h, m[:-1], _single(4))
-    with pytest.raises(InvalidParameter, match="not orthonormal"):
-        HomogeneousSpaceSpec("scaled", SU3, h, tuple(2 * x for x in m), _single(5))
-    # two root directions whose bracket leaves their span: the orthogonal
-    # complement is orthonormal but not invariant
-    full = algebra_basis(SU3)
-    with pytest.raises(InvalidParameter, match="isotropy-invariant"):
-        HomogeneousSpaceSpec(
-            "roots", SU3, full[0:1] + full[2:3], full[1:2] + full[3:], _single(6)
-        )
+        HomogeneousSpaceSpec("zero", SU3, (np.zeros((3, 3), dtype=complex),))
 
 
 def test_reductive_complement_rejects_non_subalgebra():
-    # two root vectors whose bracket escapes their span
-    a = np.zeros((3, 3), dtype=complex)
-    a[0, 1], a[1, 0] = 1.0, -1.0
-    b = np.zeros((3, 3), dtype=complex)
-    b[0, 2], b[2, 0] = 1.0, -1.0
-    with pytest.raises(NotASubalgebra):
-        reductive_complement(SU3, [a, b])
+    # two root directions whose bracket escapes their span
+    full = algebra_basis(SU3)
+    with pytest.raises(NotASubalgebra, match="not closed"):
+        HomogeneousSpaceSpec("roots", SU3, full[0:1] + full[2:3])
+
+
+def test_space_spec_guards_the_invariance_of_its_complement(monkeypatch):
+    """[h, m] ⊆ m follows from the invariant form once h is closed; the
+    guard that checks it raises InvariantViolated when it fails."""
+    answers = iter([True, False])  # closed under brackets, then not invariant
+    monkeypatch.setattr(homogeneous, "_bracket_free", lambda basis, brackets: next(answers))
+    with pytest.raises(InvariantViolated, match="isotropy-invariant"):
+        HomogeneousSpaceSpec("S5", SU3, su_block_subalgebra(3, 2))
 
 
 def test_principal_so3_brackets_close():
@@ -175,20 +160,29 @@ def test_casimir_components_are_built_once_and_read_only(group):
         _assert_read_only(Q)
 
 
-def test_space_spec_holds_read_only_copies_of_its_bases():
-    """The spec copies the bases it is given into one stack: the caller's
-    arrays stay writable, and a later write into them leaves the spec as it was."""
+@pytest.mark.parametrize("as_stack", [False, True], ids=["list", "stack"])
+def test_space_spec_holds_read_only_copies_of_its_bases(as_stack):
+    """The spec copies the isotropy basis it is given into one stack: the
+    caller's arrays stay writable, and a later write into them leaves the
+    spec as it was."""
     h = [X.copy() for X in su_block_subalgebra(3, 2)]
-    m = [X.copy() for X in reductive_complement(SU3, h)]
-    space = HomogeneousSpaceSpec("S5", SU3, h, m, _single(len(m)))
+    if as_stack:
+        h = np.stack(h)
+    space = HomogeneousSpaceSpec("S5", SU3, h)
     held = space.complement_basis.copy()
-    m[0] *= 2.0
     h[0] *= 2.0
     np.testing.assert_array_equal(space.complement_basis, held)
     np.testing.assert_array_equal(space.isotropy_basis[1:], np.stack(h[1:]))
     assert np.max(np.abs(space.isotropy_basis[0] - h[0] / 2.0)) == 0.0
     _assert_read_only(space.isotropy_basis)
     _assert_read_only(space.complement_basis)
+
+
+def test_group_space_complement_is_the_algebra_basis():
+    for spec in (SU3, CompactGroupSpec("SO", 5), CompactGroupSpec("Sp", 2)):
+        space = group_space(spec)
+        assert space.isotropy_basis.shape == (0,) + space.complement_basis.shape[1:]
+        np.testing.assert_array_equal(space.complement_basis, np.stack(algebra_basis(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,45 +224,40 @@ def test_left_profile_is_conjugation_equivariant(rng):
     np.testing.assert_allclose(base, moved, atol=1e-12)
 
 
-def _round_s5_space():
-    """SU(3)/SU(2) with block weights chosen so the quotient metric is the
-    round metric induced from C^3 (fiber direction rescaled)."""
-    h = su_block_subalgebra(3, 2)
-    raw = []
-    for (a, b) in [(0, 2), (1, 2)]:
-        E = np.zeros((3, 3), dtype=complex)
-        E[a, b], E[b, a] = 1.0, -1.0
-        raw.append(E / np.sqrt(2.0))
-        F = np.zeros((3, 3), dtype=complex)
-        F[a, b] = F[b, a] = 1j
-        raw.append(F / np.sqrt(2.0))
-    u1 = u1_centralizer_direction(3, 2)
-    m = tuple(raw) + (u1,)
-    blocks = ((0.5, (0, 1, 2, 3)), (2.0 / 3.0, (4,)))
-    return HomogeneousSpaceSpec("S5-round", SU3, h, m, blocks)
+def _ambient_split(xi, x):
+    """|ξx|² and v², v the component of the ambient field ξx at x along the
+    fibre direction i·x of S⁵ → CP²."""
+    y = xi @ x
+    v = np.vdot(1j * x, y).real
+    return np.vdot(y, y).real, v * v
 
 
 def test_left_field_length_matches_ambient_sphere_field(rng):
-    """Cross-oracle: on the round S^5 = SU(3)/SU(2), the quotient formula for
-    the field length must equal |xi x| for the ambient linear field at
-    x = g e3."""
-    space = _round_s5_space()
+    """Cross-oracle: on S⁵ = SU(3)/SU(2) with the normal metric, the field of
+    xi at the coset of g has length² = 2|(ξx)_h|² + (3/2)|(ξx)_v|² for the
+    ambient linear field at x = g e3, split into its part v along the fibre
+    direction i·x and the rest h: the normal metric is the round one scaled
+    by 2 across the fibres and by 3/2 along them."""
+    space = hopf_sphere_space(2)
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
     for _ in range(20):
         xi = random_algebra_element(SU3, rng)
         g = haar_sample(SU3, rng)
         quotient = space.tangent_length(g.conj().T @ xi @ g)
-        ambient = np.linalg.norm(xi @ (g @ e3))
-        assert np.isclose(quotient, ambient, atol=1e-10)
+        total, v2 = _ambient_split(xi, g @ e3)
+        assert np.isclose(quotient**2, 2 * (total - v2) + 1.5 * v2, atol=1e-10)
 
 
 def test_right_field_length_matches_ambient(rng):
-    space = _round_s5_space()
+    space = hopf_sphere_space(2)
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
     d = u1_centralizer_direction(3, 2)
     prof = killing_length_profile(space, None, samples=25, rng=rng, right=d)
     assert prof.gap <= 1e-12
-    assert np.isclose(prof.mean, np.linalg.norm(d @ e3), atol=1e-12)
+    # d e3 lies along the fibre: the ambient field has no part across it
+    total, v2 = _ambient_split(d, e3)
+    assert np.isclose(v2, total, atol=1e-15)
+    assert np.isclose(prof.mean, np.sqrt(1.5 * v2), atol=1e-12)
 
 
 def test_so5_so3_has_no_constant_direction(rng):
@@ -360,10 +349,12 @@ def test_a_group_space_touches_no_nontrivial_component(group, torus):
     assert cert.untouched_max <= 1e-12
 
 
-def test_round_s5_has_no_constant_left_field_either():
-    """|ξx| is constant on S⁵ only if ξ*ξ is scalar, which no nonzero
-    traceless 3x3 ξ achieves: the certificate agrees on the round metric."""
-    cert = homogeneous.killing_constancy_certificate(_round_s5_space(), _su3_torus())
+def test_normal_s5_has_no_constant_left_field():
+    """By the ambient cross-oracle the squared length on the normal S⁵ is
+    2|ξx|² − v²/2; on a torus direction ξ = i diag(a) that is
+    Σ 2a_k² p_k − (Σ a_k p_k)²/2 in p_k = |x_k|², constant only for a = 0.
+    Every direction is conjugate into the torus: the certificate agrees."""
+    cert = homogeneous.killing_constancy_certificate(hopf_sphere_space(2), _su3_torus())
     assert cert.touched_dims and cert.min_norm > 0.1
 
 
@@ -422,9 +413,7 @@ def _per_point_lengths(space, xi, right, pts):
             Y = Y + right
         looped.append(space.tangent_length(Y))
         coords = np.array([trace_inner(b, Y) for b in space.complement_basis])
-        by_coords.append(
-            np.sqrt(sum(c * np.sum(coords[list(idx)] ** 2) for c, idx in space.metric_blocks))
-        )
+        by_coords.append(np.sqrt(np.sum(coords**2)))
     return np.array(looped), np.array(by_coords)
 
 
@@ -436,9 +425,9 @@ def _per_point_lengths(space, xi, right, pts):
         (so5_so3_space, "left"),
         (lambda: hopf_sphere_space(2), "left"),
         (lambda: hopf_sphere_space(2), "both"),
-        (_round_s5_space, "left"),
+        (lambda: hopf_sphere_space(1), "left"),
     ],
-    ids=["su3", "sp2", "so5-so3", "hopf-2", "hopf-2-both", "round-s5"],
+    ids=["su3", "sp2", "so5-so3", "hopf-2", "hopf-2-both", "hopf-1"],
 )
 def test_killing_profile_matches_per_point_lengths(make_space, field, monkeypatch):
     monkeypatch.setattr(compact_lie, "_SAMPLE_BLOCK", 32)
@@ -509,6 +498,8 @@ def test_weyl_rejects_unknown_series():
         weyl_group_order("E", 8)
     with pytest.raises(UnsupportedType):
         weyl_group_order("G2", 3)
+    with pytest.raises(UnsupportedType, match="out of the supported range"):
+        weyl_group_order("A", 9)
 
 
 def test_euler_characteristics():
@@ -524,6 +515,11 @@ def test_euler_characteristics():
 def test_euler_characteristic_rank_guard():
     with pytest.raises(InvalidParameter):
         euler_characteristic(("A", 1), [("T", 2)])
+    with pytest.raises(InvalidParameter, match="torus rank"):
+        euler_characteristic(("A", 2), [("T", 0)])
+    # equal rank, but |W(B2)| = 8 does not divide |W(A2)| = 6
+    with pytest.raises(InvalidParameter, match="does not divide"):
+        euler_characteristic(("A", 2), [("B", 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +638,13 @@ def test_catalog_parse_errors(tmp_path):
     dup.write_text(row + row)
     with pytest.raises(ParseError):
         catalog_load(dup)
+    for text, message in [
+        (row.replace("fibration: d | ", ""), r"line 1: missing fields \['fibration'\]"),
+        (row.replace("id: 1", "id: one"), "line 1: id is not an integer"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            catalog_load(bad)
 
 
 def test_catalog_verify_documented_entries():

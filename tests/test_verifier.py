@@ -33,6 +33,7 @@ from homoglab.compact_lie import (
 from homoglab.constant_curvature import clifford_evidence, lens_group, rotation_block
 from homoglab.errors import (
     InvalidParameter,
+    InvariantViolated,
     ModelMismatch,
     NotClosed,
 )
@@ -588,6 +589,15 @@ def test_deck_rejects_shape_mismatch():
 def test_deck_rejects_empty():
     with pytest.raises(InvalidParameter):
         sphere_deck([])
+    with pytest.raises(InvalidParameter, match="deck group is empty"):
+        group_deck(SU2, [])
+
+
+def test_sphere_model_refusals():
+    with pytest.raises(InvalidParameter, match="ambient dimension"):
+        SphereModel(2)
+    with pytest.raises(ModelMismatch, match="expected 4x4"):
+        DeckGroup(SphereModel(4), (np.eye(3),))
 
 
 def test_group_deck_rejects_inverted_isometries():
@@ -923,6 +933,26 @@ def test_centralizer_dim_is_the_mean_adjoint_character(name):
     want = sum(np.mean(_adjoint_character(f, g)) for f, g in factors)
     assert abs(want - round(want)) <= 1e-9
     assert verify_instance(deck).centralizer_dim == round(want)
+
+
+def test_centralizer_dim_refuses_a_stack_that_is_not_a_group():
+    """One rotation by 1 rad of R³ alone has mean adjoint character
+    1 + 2 cos 1, not an integer: the stack is not a finite group."""
+    g = np.eye(3)
+    g[:2, :2] = rotation_block(1.0)
+    with pytest.raises(InvariantViolated, match="not an integer"):
+        _centralizer_dim(CompactGroupSpec("SO", 3), g[None, None])
+
+
+def test_a_basis_that_misses_the_character_count_exits_2(capsys, monkeypatch):
+    """verify_instance builds a centralizer basis only to read its rank, and
+    checks its size against the character count: a mismatch is refused."""
+    monkeypatch.setattr(verifier, "_centralizer_dim", lambda spec, maps: -1)
+    assert main(["check-homogeneity", "--model", "s5", "--group", "lens-9-1-2-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the centralizer basis has 3 directions, "
+                                         "its character count -1"]
 
 
 # the sphere and group decks on which the character count was first checked
