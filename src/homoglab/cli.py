@@ -88,14 +88,6 @@ _PASS_VERDICTS = {
 # matrix file format
 
 
-def format_matrix(M: np.ndarray) -> str:
-    M = np.asarray(M)
-    lines = [str(M.shape[0])]
-    for row in M:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_matrix_text(text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

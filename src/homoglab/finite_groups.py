@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _tol
-from ._linalg import _blocks, _readonly
+from ._linalg import _readonly
 from .errors import InvalidParameter, InvariantViolated, NonUnitInput, NotClosed
 
 # product entries (k^2 m) a Cayley table of k matrices of m entries may score:
@@ -381,8 +381,7 @@ def closure_certificate(mats) -> list[int]:
 
 
 def table_inverses(table: np.ndarray, identity: int) -> np.ndarray:
-    n = table.shape[0]
-    inv = np.full(n, -1, dtype=np.int64)
+    inv = np.full(len(table), -1, dtype=np.int64)
     rows, cols = np.nonzero(table == identity)
     inv[rows] = cols
     if np.any(inv < 0):
@@ -418,34 +417,25 @@ def element_orders(table: np.ndarray, identity: int) -> np.ndarray:
 
 
 def subgroup_closure(table: np.ndarray, gen_idx, identity: int) -> list[int]:
-    """Sorted indices of the subgroup generated by ``gen_idx``: breadth-first
-    rounds of frontier x generator products, taken a block of rows at a time."""
-    n = table.shape[0]
-    gens = np.unique(np.asarray(list(gen_idx), dtype=np.int64))
-    seen = np.zeros(n, dtype=bool)
-    seen[identity] = True
-    frontier = gens[~seen[gens]]
-    seen[frontier] = True
-    while frontier.size:
-        new = []
-        for s in _blocks(frontier.size, gens.size):
-            prods = np.unique(table[np.ix_(frontier[s], gens)])
-            prods = prods[~seen[prods]]
-            seen[prods] = True
-            new.append(prods)
-        frontier = np.concatenate(new)
-    return np.nonzero(seen)[0].tolist()
+    """Sorted indices of the subgroup generated by ``gen_idx``: the set of
+    the identity and the generators, multiplied by itself until it stops
+    growing (it holds the identity, so it lies in its square).  After t rounds
+    it holds every word of length up to 2^t in the generators; in a finite
+    group these words make up the subgroup (an inverse is a positive power)."""
+    sub = np.unique(np.append(np.asarray(list(gen_idx), dtype=np.int64), identity))
+    while True:
+        grown = np.zeros(table.shape[0], dtype=bool)
+        grown[table[np.ix_(sub, sub)]] = True
+        if np.count_nonzero(grown) == sub.size:
+            return sub.tolist()
+        sub = np.nonzero(grown)[0]
 
 
 def derived_subgroup(table: np.ndarray, identity: int) -> list[int]:
-    """The subgroup generated by all commutators [a, b] = a b a^-1 b^-1."""
+    """The subgroup generated by all commutators [a, b] = a b (b a)^-1."""
     inv = table_inverses(table, identity)
-    n = table.shape[0]
-    comms = np.zeros(n, dtype=bool)
-    for s in _blocks(n, n):
-        ab = table[s]
-        ba_inv = table[inv[s, None], inv[None, :]]
-        comms[table[ab, ba_inv]] = True
+    comms = np.zeros(table.shape[0], dtype=bool)
+    comms[table[table, inv[table.T]]] = True
     return subgroup_closure(table, np.nonzero(comms)[0], identity)
 
 
@@ -514,13 +504,21 @@ class SpaceFormConstraintReport:
 
 def _as_table(group) -> tuple[np.ndarray, int, np.ndarray]:
     """The multiplication table, identity index and element orders of a
-    FiniteQuaternionGroup (its cached ones) or of a raw integer table."""
+    FiniteQuaternionGroup (its cached ones) or of a raw table.  A raw table
+    must be square and of integers (else InvalidParameter), have an identity
+    and be a Latin square, each row and column a permutation of range(n)
+    (else NotClosed).  Associativity is not checked (n^3 products)."""
     if isinstance(group, FiniteQuaternionGroup):
         return group.multiplication_table(), group.identity_index, group.element_orders()
-    table = np.asarray(group, dtype=np.int64)
+    table = np.asarray(group)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise InvalidParameter("multiplication table must be square")
+    if not np.issubdtype(table.dtype, np.integer):
+        raise InvalidParameter(f"multiplication table must hold integers, not {table.dtype}")
+    table = table.astype(np.int64, copy=False)
     identity = table_identity(table)
+    if not all(np.all(np.sort(t, axis=1) == np.arange(len(t))) for t in (table, table.T)):
+        raise NotClosed("multiplication table is not a Latin square")
     return table, identity, element_orders(table, identity)
 
 
@@ -530,22 +528,14 @@ def _is_prime(p: int) -> bool:
 
 def _abelian_subgroups_cyclic(table: np.ndarray, orders: np.ndarray) -> bool:
     """Every abelian subgroup of a finite group is cyclic iff the group holds
-    no Z_p x Z_p, i.e. iff no two commuting elements of a prime order p
-    generate different cyclic subgroups."""
+    no Z_p x Z_p, i.e. iff each element a of a prime order p commutes with
+    no element of order p but the p - 1 in <a>: one more, b, would generate
+    <a, b> = Z_p x Z_p with a."""
     for p in (int(o) for o in np.unique(orders)):
         elems = np.nonzero(orders == p)[0]
-        # p - 1 elements of order p make up one subgroup of order p
-        if not _is_prime(p) or elems.size == p - 1:
-            continue
-        # label each element by the least index among its nontrivial powers
-        label, power = elems.copy(), elems
-        for _ in range(p - 2):
-            power = table[power, elems]
-            np.minimum(label, power, out=label)
-        for s in _blocks(elems.size, elems.size):
-            rows = elems[s]
-            commute = table[np.ix_(rows, elems)] == table[np.ix_(elems, rows)].T
-            if np.any(commute & (label[s, None] != label[None, :])):
+        if _is_prime(p) and elems.size > p - 1:
+            sub = table[np.ix_(elems, elems)]
+            if np.any(np.count_nonzero(sub == sub.T, axis=1) > p - 1):
                 return False
     return True
 
@@ -555,33 +545,24 @@ def check_space_form_constraints(group) -> SpaceFormConstraintReport:
     displacement action on a round sphere.
 
     Accepts a FiniteQuaternionGroup or a raw integer multiplication table, so
-    abstract groups (e.g. Klein four) can be screened as well.
+    abstract groups (e.g. Klein four) can be screened as well; ``_as_table``
+    says which raw tables are refused.
     """
     table, _, orders = _as_table(group)
-    # strip even part for the sylow check
-    n = table.shape[0]
-    rem = n
-    while rem % 2 == 0:
-        rem //= 2
-    order_set = set(int(o) for o in orders)
-    odd_ok = True
-    p = 3
-    while p <= rem:
-        if rem % p == 0:
-            pa = 1
-            while rem % p == 0:
-                rem //= p
-                pa *= p
-            if pa not in order_set:
-                odd_ok = False
-        p += 2
+    n = len(orders)
+    # A Sylow p-subgroup, of order p^a, is cyclic iff some element has order
+    # p^a (it generates a subgroup of that order, a Sylow subgroup, and the
+    # Sylow subgroups are conjugate), iff p^a divides the exponent lcm(orders):
+    # an element of order p^b m has a power of order p^b.  So the odd Sylow
+    # subgroups are cyclic iff the odd part of n divides the exponent.
+    odd_part = n // (n & -n)
     invs = np.nonzero(orders == 2)[0]
     central = np.all(table[invs] == table[:, invs].T, axis=1)
     return SpaceFormConstraintReport(
         abelian_subgroups_cyclic=_abelian_subgroups_cyclic(table, orders),
         involution_count=len(invs),
         involution_central=bool(np.all(central)),
-        odd_sylow_cyclic=odd_ok,
+        odd_sylow_cyclic=math.lcm(*np.unique(orders).tolist()) % odd_part == 0,
     )
 
 

@@ -12,7 +12,9 @@ the Berger isometry algebra as the null space of its linear system, the
 coordinates -trace(B_k X) of a matrix against a basis stack by ``einsum``,
 the growth of a linear map from its greatest singular value, sampled
 hyperbolic displacements on circles about i, and Wolf's closed forms for lens
-decks.  A quaternion is a row (w, x, y, z).
+decks, the finite-group screens of a direct product of cyclic groups in
+closed form, and the matrix-file writer that the CLI reads.  A quaternion is
+a row (w, x, y, z).
 
 The lens sweep also runs on its own, over more decks than tier-1 takes:
 ``PYTHONPATH=tests:src python -c "import oracles; print(oracles.lens_deck_mismatches((60, 30, 16, 10, 8)))"``."""
@@ -82,6 +84,47 @@ def special_linear_table(p: int) -> np.ndarray:
             )
             table[i, j] = index[prod]
     return table
+
+
+def cyclic_product_table(*orders) -> np.ndarray:
+    """Multiplication table of Z_{n_1} x ... x Z_{n_r}, elements in
+    mixed-radix order: element 0 is the identity, and the one with a 1 in
+    coordinate i alone, index prod(n_{i+1}, ..., n_r), generates factor i."""
+    elems = np.array(list(np.ndindex(*orders)))
+    radix = np.cumprod((1,) + orders[::-1][:-1])[::-1]
+    sums = (elems[:, None, :] + elems[None, :, :]) % np.array(orders)
+    return sums @ radix
+
+
+def cyclic_product_screens(orders) -> dict:
+    """The finite-group screens of Z_{n_1} x ... x Z_{n_r} in closed form.
+    Its Sylow p-subgroup is the product of those of the factors, cyclic iff
+    at most one n_i is divisible by p: the odd Sylow subgroups are cyclic iff
+    no odd prime divides two n_i, i.e. each gcd(n_i, n_j) is a power of 2.
+    It holds a Z_p x Z_p iff p divides two n_i, so its abelian subgroups are
+    all cyclic iff the n_i are pairwise coprime.  Its involutions are the
+    nonzero elements of (Z_2)^e, e the number of even n_i, all central; its
+    derived subgroup is the identity alone, and the generator of factor i
+    generates a subgroup of order n_i."""
+    pairs = [gcd(a, b) for a, b in itertools.combinations(orders, 2)]
+    return {
+        "odd_sylow_cyclic": all(g & (g - 1) == 0 for g in pairs),
+        "abelian_subgroups_cyclic": all(g == 1 for g in pairs),
+        "involution_count": 2 ** sum(n % 2 == 0 for n in orders) - 1,
+        "involution_central": True,
+        "derived_order": 1,
+        "factor_closure_orders": list(orders),
+    }
+
+
+def format_matrix(M: np.ndarray) -> str:
+    """The text of a matrix file as ``cli.load_matrix`` reads it: the size n
+    on the first line, then n rows of entries in round-trip precision."""
+    M = np.asarray(M)
+    lines = [str(M.shape[0])]
+    for row in M:
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def quaternion_product(p, q) -> np.ndarray:

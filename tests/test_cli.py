@@ -22,10 +22,11 @@ import jsonschema
 
 import homoglab
 from homoglab import _tol, cli, finite_groups
-from homoglab.cli import build_parser, format_matrix, load_matrix, main, parse_matrix_text
+from homoglab.cli import build_parser, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
 from homoglab.profiles import DisplacementProfile
+from oracles import format_matrix
 
 try:
     from importlib.resources import files

@@ -1,5 +1,7 @@
 """Finite unit-quaternion groups: closure, classification, SL(2,5)."""
 
+import itertools
+import math
 import re
 from math import gcd
 
@@ -31,6 +33,8 @@ from homoglab.finite_groups import (
     table_inverses,
 )
 from oracles import (
+    cyclic_product_screens,
+    cyclic_product_table,
     key_paired_table,
     quaternion_product,
     right_translation_matrix,
@@ -140,6 +144,28 @@ def test_raw_tables_that_are_not_groups_are_refused():
     # 0 is the identity, but no product with 1 gives it
     with pytest.raises(NotClosed, match="without inverse"):
         table_inverses(np.array([[0, 1], [1, 1]]), 0)
+
+
+def test_raw_tables_must_be_latin_squares_of_integers():
+    """A raw table is checked for integers, an identity and every row and
+    column a permutation before any screen reads it: a float or string
+    table is not cut to integers, and a table with a repeat in a row or an
+    entry out of range is refused, not screened or left to loop."""
+    with pytest.raises(InvalidParameter, match="integers"):
+        check_space_form_constraints([[0, 1.7], [1, 0]])
+    with pytest.raises(InvalidParameter, match="integers"):
+        check_space_form_constraints([["0", "1"], ["1", "0"]])
+    with pytest.raises(NotClosed, match="not a Latin square"):
+        check_space_form_constraints([[0, 1, 2], [1, 2, 0], [2, 0, 0]])
+    with pytest.raises(NotClosed, match="not a Latin square"):
+        check_space_form_constraints([[0, 1], [1, 2]])
+    # every row a permutation, but column 1 repeats 1
+    with pytest.raises(NotClosed, match="not a Latin square"):
+        check_space_form_constraints([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+    with pytest.raises(NotClosed, match="not a Latin square"):
+        is_sl25([[0, 1, 2], [1, 2, 0], [2, 0, 0]])
+    # an integer table of any integer dtype is read
+    assert check_space_form_constraints(np.array([[0, 1], [1, 0]], dtype=np.uint8)).involution_count == 1
 
 
 def test_klein_four_fails_space_form_constraints():
@@ -716,14 +742,6 @@ def brute_force_derived(table, identity):
         sub = grown
 
 
-def cyclic_product_table(*orders):
-    """Multiplication table of Z_a x Z_b x ..., elements in mixed-radix order."""
-    elems = np.array(list(np.ndindex(*orders)))
-    radix = np.cumprod((1,) + orders[::-1][:-1])[::-1]
-    sums = (elems[:, None, :] + elems[None, :, :]) % np.array(orders)
-    return sums @ radix
-
-
 def dihedral_table(n):
     """The order-2n symmetries of an n-gon: (r, s) is the map x -> (-1)^s x + r."""
     elems = [(r, s) for s in range(2) for r in range(n)]
@@ -825,3 +843,23 @@ def test_abelian_screen_on_direct_products():
     # abelian of order 1000: one subgroup of each prime order, so it passes quickly
     assert check_space_form_constraints(cyclic_product_table(8, 125)).abelian_subgroups_cyclic
     assert not check_space_form_constraints(cyclic_product_table(10, 100)).abelian_subgroups_cyclic
+
+
+# every Z_{n_1} x ... x Z_{n_r}, one to three factors n_i >= 2, of order at most 60
+CYCLIC_PRODUCTS = [f for r in (1, 2, 3) for f in itertools.product(range(2, 31), repeat=r)
+                   if math.prod(f) <= 60]
+
+
+@pytest.mark.parametrize("orders", CYCLIC_PRODUCTS, ids=lambda f: "x".join(map(str, f)))
+def test_screens_of_cyclic_products_match_the_closed_form(orders):
+    table = cyclic_product_table(*orders)
+    want = cyclic_product_screens(orders)
+    report = check_space_form_constraints(table)
+    for key in ("odd_sylow_cyclic", "abelian_subgroups_cyclic", "involution_count",
+                "involution_central"):
+        assert getattr(report, key) == want[key], key
+    assert table_identity(table) == 0
+    assert len(derived_subgroup(table, 0)) == want["derived_order"]
+    radix = np.cumprod((1,) + orders[::-1][:-1])[::-1]
+    got = [len(subgroup_closure(table, [int(g)], 0)) for g in radix]
+    assert got == want["factor_closure_orders"]

@@ -97,15 +97,6 @@ def test_reductive_complement_rejects_non_subalgebra():
         HomogeneousSpaceSpec("roots", SU3, full[0:1] + full[2:3])
 
 
-def test_space_spec_guards_the_invariance_of_its_complement(monkeypatch):
-    """[h, m] ⊆ m follows from the invariant form once h is closed; the
-    guard that checks it raises InvariantViolated when it fails."""
-    answers = iter([True, False])  # closed under brackets, then not invariant
-    monkeypatch.setattr(homogeneous, "_bracket_free", lambda basis, brackets: next(answers))
-    with pytest.raises(InvariantViolated, match="isotropy-invariant"):
-        HomogeneousSpaceSpec("S5", SU3, su_block_subalgebra(3, 2))
-
-
 def test_principal_so3_brackets_close():
     h = principal_so3_in_so5()
     assert len(h) == 3
@@ -210,6 +201,28 @@ def _left_lengths(space, xi, pts):
     """Length of the left field of xi at the coset of each point."""
     g = np.stack(pts)
     return space.tangent_length(np.swapaxes(g.conj(), -1, -2) @ xi @ g)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 11])
+def test_hopf_left_field_length_has_its_closed_form(M):
+    """On S^{2M+1} = SU(M+1)/SU(M) the left field of the unit u(1) direction
+    ξ has length √(1 − (M+1)(M−1)t²/M²) at the coset of g, with
+    t = 1 − |(g⁻¹e_{M+1})_{M+1}|²: 1 at the identity frame and 1/M at the
+    signed swap of e_1 and e_{M+1}.  Every length of a sampled profile obeys
+    it; the profile draws the same points as ``haar_sample``."""
+    space = hopf_sphere_space(M)
+    xi = u1_centralizer_direction(M + 1, M)
+    g = haar_sample(space.group, np.random.default_rng(M), 300)
+    t = 1.0 - np.abs(g[:, M, M]) ** 2
+    got = _left_lengths(space, xi, g)
+    np.testing.assert_allclose(got, np.sqrt(1.0 - (M + 1) * (M - 1) * t**2 / M**2),
+                               rtol=0, atol=1e-13)
+    prof = killing_length_profile(space, xi, 300, np.random.default_rng(M))
+    assert (prof.min, prof.max) == (got.min(), got.max())
+    swap = np.eye(M + 1, dtype=complex)[[M, *range(1, M), 0]]
+    swap[0] *= -1.0  # determinant 1
+    assert abs(space.tangent_length(xi) - 1.0) <= 1e-13
+    assert abs(space.tangent_length(swap.conj().T @ xi @ swap) - 1.0 / M) <= 1e-13
 
 
 def test_left_profile_is_conjugation_equivariant(rng):
