@@ -25,9 +25,11 @@ import time
 import numpy as np
 
 from . import _tol
+from ._linalg import trace_norm
 from .compact_lie import (
     CompactGroupSpec,
     center_elements,
+    check_in_algebra,
     haar_orthogonal,
     random_algebra_element,
 )
@@ -42,7 +44,7 @@ from .constant_curvature import (
     is_free_on_sphere,
     lens_group,
 )
-from .errors import HomoglabError, InvalidParameter, ModelMismatch, ParseError
+from .errors import HomoglabError, InvalidParameter, ModelMismatch, ParseError, ZeroField
 from .finite_groups import (
     GroupType,
     check_space_form_constraints,
@@ -51,6 +53,7 @@ from .finite_groups import (
     named_binary_group,
 )
 from .homogeneous import (
+    _normalizes_isotropy,
     berger_right_isometry_algebra,
     catalog_load,
     catalog_verify,
@@ -60,6 +63,7 @@ from .homogeneous import (
     so5_so3_space,
     u1_centralizer_direction,
 )
+from .profiles import DisplacementProfile
 from .verifier import (
     GroupManifoldModel,
     SphereModel,
@@ -135,7 +139,10 @@ _MAX_GROUP_SIZE = 12  # matrix groups above this are outside the intended scope
 # largest sphere model: s23 in R^24, the matrix size of the largest group model sp12
 _MAX_SPHERE_DIM = 2 * _MAX_GROUP_SIZE - 1
 _KILLING_DIRECTIONS = 25  # default --directions of check-killing on so5-so3
-_MAX_SAMPLES = 10**6  # most --samples; check-killing, its one reader, draws 4096 at a time
+# most --samples.  check-killing, its one reader, draws them 4096 at a time on
+# hopf-M --field left and so5-so3; on suN/soN/spN and hopf-M --field right it
+# draws none and counts that many points of one provably constant length
+_MAX_SAMPLES = 10**6
 _MAX_MOTIONS = 10**4  # most --motions: 30-50 ms of probes, warm on 2 vCPU
 
 
@@ -347,7 +354,9 @@ def _cmd_check_killing(args):
     if group:
         spec = parse_model(args.space).spec
         xi = random_algebra_element(spec, rng, unit=True)
-        prof = killing_length_profile(group_space(spec), xi, args.samples, rng)
+        # the isotropy is trivial and the trace form Ad-invariant, so the
+        # field of ξ has length |Ad(g⁻¹)ξ| = |ξ| at every point g
+        prof = _constant_length_profile(group_space(spec), xi, args.samples)
     elif hopf:
         mm = int(hopf.group(1))
         if mm + 1 > _MAX_GROUP_SIZE:
@@ -358,7 +367,9 @@ def _cmd_check_killing(args):
         space = hopf_sphere_space(mm)
         direction = u1_centralizer_direction(mm + 1, mm)
         if field == "right":
-            prof = killing_length_profile(space, None, args.samples, rng, right=direction)
+            # the u(1) direction normalizes 𝔥, so its frame is proj_𝔪 of it at
+            # every point (catalog entry 15)
+            prof = _constant_length_profile(space, direction, args.samples, right=True)
         else:
             prof = killing_length_profile(space, direction, args.samples, rng)
     else:
@@ -377,6 +388,20 @@ def _cmd_check_killing(args):
         return inputs, tolerances, evidence, verdict
     verdict = "ConstantLength" if prof.relative_gap <= _tol.DISPLACEMENT else "NotConstantLength"
     return inputs, tolerances, _profile_evidence(prof), verdict
+
+
+def _constant_length_profile(space, X, samples, *, right=False):
+    """The profile of a Killing field whose length is that of ``X`` at every
+    point: ``samples`` copies of ``space.tangent_length(X)``, no point drawn.
+    ``X`` is refused as ``killing_length_profile`` refuses a direction: when
+    it is not in the algebra or is zero, and, as a ``right`` field, when it
+    does not normalize the isotropy algebra."""
+    X = check_in_algebra(space.group, X)
+    if not trace_norm(X) > _tol.ZERO:
+        raise ZeroField("field direction is zero")
+    if right and not _normalizes_isotropy(space, X):
+        raise InvalidParameter("right component must normalize the isotropy algebra")
+    return DisplacementProfile.from_values(np.full(samples, space.tangent_length(X)))
 
 
 def _profile_evidence(prof):

@@ -89,7 +89,9 @@ class HomogeneousSpaceSpec:
         if coeff.shape[1] != len(full) - len(h):
             raise InvalidParameter("isotropy basis is linearly dependent")
         m = _readonly(np.tensordot(coeff.T, full, axes=1))
-        if not _bracket_free(m, bracket(h[:, None], h[None])):
+        # [h_j, h_i] = -[h_i, h_j] and [h_i, h_i] = 0: the pairs i < j suffice
+        i, j = np.triu_indices(len(h), 1)
+        if not _bracket_free(m, bracket(h[i], h[j])):
             raise NotASubalgebra("isotropy basis is not closed under brackets")
         object.__setattr__(self, "isotropy_basis", h)
         object.__setattr__(self, "complement_basis", m)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import jsonschema
 
 import homoglab
-from homoglab import _tol, cli, finite_groups
+from homoglab import _tol, cli, compact_lie, finite_groups, homogeneous
 from homoglab.cli import build_parser, load_matrix, main, parse_matrix_text
 from homoglab.constant_curvature import lens_group
 from homoglab.errors import ParseError
@@ -472,6 +472,97 @@ def test_killing_verdicts_are_far_from_the_fixed_bound(capsys, space):
     else:
         assert (code, rep["verdict"]) == (1, "NotConstantLength")
         assert gap >= 0.1
+
+
+# the constant-length kinds, which check-killing decides from one frame
+_NO_DRAW_RUNS = (
+    [[f"su{n}"] for n in range(2, 7)]
+    + [[f"so{n}"] for n in range(3, 7)]
+    + [[f"sp{n}"] for n in range(2, 5)]
+    + [[f"hopf-{m}", "--field", "right"] for m in range(1, 6)]
+)
+_NO_DRAW_IDS = [" ".join(r) for r in _NO_DRAW_RUNS]
+
+
+@pytest.mark.parametrize("space", _NO_DRAW_RUNS, ids=_NO_DRAW_IDS)
+def test_killing_constant_kinds_draw_no_point(capsys, monkeypatch, space):
+    """A bi-invariant group metric and a right field that normalizes the
+    isotropy give one length at every point: no Haar point is drawn, and the
+    measured gap is exactly 0."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("check-killing drew a point")
+
+    monkeypatch.setattr(homogeneous, "_haar_blocks", no_draw)
+    monkeypatch.setattr(compact_lie, "_gaussian_qr", no_draw)
+    code, rep = run_cli(capsys, "check-killing", "--space", *space, "--samples", "50")
+    assert (code, rep["verdict"]) == (0, "ConstantLength")
+    ev = rep["evidence"]
+    assert ev["gap"] == 0 and ev["relative_gap"] == 0 and ev["samples"] == 50
+    assert ev["min"] == ev["max"]
+
+
+@pytest.mark.parametrize("seed,samples", [(0, 10), (5, 333)])
+@pytest.mark.parametrize("space", _NO_DRAW_RUNS, ids=_NO_DRAW_IDS)
+def test_killing_constant_kinds_match_the_sampled_profile(capsys, space, seed, samples):
+    """The one-frame report agrees with the sampled profile of the same field
+    at the same seed and --samples: the oracle draws the direction first and
+    then its Haar points from one generator, as the sampled path did."""
+    code, rep = run_cli(capsys, "check-killing", "--space", *space,
+                        "--seed", str(seed), "--samples", str(samples))
+    rng = np.random.default_rng(seed)
+    if space[0].startswith("hopf"):
+        m = int(space[0].split("-")[1])
+        prof = homogeneous.killing_length_profile(
+            homogeneous.hopf_sphere_space(m), None, samples, rng,
+            right=homogeneous.u1_centralizer_direction(m + 1, m),
+        )
+    else:
+        spec = cli.parse_model(space[0]).spec
+        xi = compact_lie.random_algebra_element(spec, rng, unit=True)
+        prof = homogeneous.killing_length_profile(
+            homogeneous.group_space(spec), xi, samples, rng
+        )
+    ev = rep["evidence"]
+    for key in ("min", "max", "mean"):
+        assert abs(ev[key] - getattr(prof, key)) <= 1e-13
+    assert ev["samples"] == prof.samples == samples
+    sampled = "ConstantLength" if prof.relative_gap <= _tol.DISPLACEMENT else "NotConstantLength"
+    assert rep["verdict"] == sampled and code == 0
+
+
+def test_killing_one_frame_keeps_the_direction_checks(capsys, monkeypatch):
+    """The one-frame path refuses what the sampled profile refuses: a right
+    direction that moves the isotropy out of itself, and a zero field, each
+    with exit 2 and one line on stderr."""
+    tilted = np.zeros((3, 3), dtype=complex)
+    tilted[0, 2], tilted[2, 0] = np.sqrt(0.5), -np.sqrt(0.5)
+    monkeypatch.setattr(cli, "u1_centralizer_direction", lambda n, k: tilted)
+    monkeypatch.setattr(cli, "random_algebra_element", lambda spec, rng, unit: np.zeros((3, 3)))
+    for space, message in (("hopf-2", "must normalize the isotropy"), ("so3", "is zero")):
+        assert main(["check-killing", "--space", space]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize(
+    "space",
+    [[f"hopf-{m}", "--field", "left"] for m in (2, 3, 5)] + [["so5-so3", "--directions", "2"]],
+    ids=["hopf-2 left", "hopf-3 left", "hopf-5 left", "so5-so3"],
+)
+def test_killing_left_hopf_fields_and_so5_so3_still_draw(capsys, monkeypatch, space):
+    draws = []
+    sampler = homogeneous._haar_blocks
+
+    def counted(*args, **kwargs):
+        draws.append(args[2])
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(homogeneous, "_haar_blocks", counted)
+    code, rep = run_cli(capsys, "check-killing", "--space", *space, "--samples", "20")
+    assert (code, rep["verdict"]) == (1, "NotConstantLength")
+    assert draws and all(n == 20 for n in draws)
 
 
 @pytest.mark.parametrize(
